@@ -68,3 +68,35 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
         );
     }
 }
+
+/// The refactoring invariant (ROADMAP aim 2): every `audit <arm>: ok <hash>`
+/// line of `lint --audit` at seeds 8 and 42 is committed in
+/// `audit_hashes.txt`, and a change that moves one byte of any arm's
+/// execution fingerprint fails here.
+#[test]
+fn audit_hashes_match_the_committed_file() {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
+    let mut regenerated = String::new();
+    for seed in [8, 42] {
+        let outcomes = fleet::campaign::audit(seed, jobs);
+        for o in &outcomes {
+            regenerated.push_str(&o.render());
+            regenerated.push('\n');
+        }
+        regenerated.push_str(&format!(
+            "audit: {} scenario arm(s) double-run with seed {seed}, 0 divergence(s)\n",
+            outcomes.len()
+        ));
+    }
+    let committed = include_str!("../audit_hashes.txt");
+    let first_diff = committed
+        .lines()
+        .zip(regenerated.lines())
+        .find(|(a, b)| a != b);
+    assert!(
+        committed == regenerated,
+        "audit_hashes.txt differs (first: {first_diff:?}); a behaviour change refreshes it with \
+         `(cargo run --release -p lint -- --audit --seed 8; \
+         cargo run --release -p lint -- --audit --seed 42) > audit_hashes.txt`"
+    );
+}
