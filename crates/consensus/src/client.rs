@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Neat, Op, OpRecord, Outcome};
+use neat::{cluster::Node, Neat, Op, OpRecord, Outcome};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -30,8 +30,10 @@ impl ClientProc {
     pub fn take(&mut self, op_id: u64) -> Option<RaftResp> {
         self.results.remove(&op_id)
     }
+}
 
-    pub(crate) fn on_message(&mut self, msg: RaftMsg) {
+impl Node<RaftMsg> for ClientProc {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, RaftMsg>, _from: NodeId, msg: RaftMsg) {
         if let RaftMsg::ClientResp { op_id, resp } = msg {
             self.results.insert(op_id, resp);
         }

@@ -2,73 +2,35 @@
 
 use std::collections::BTreeMap;
 
-use neat::Neat;
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{cluster::boot, Neat};
+use simnet::NodeId;
 
 use crate::{
     client::{ClientProc, RaftClient},
     raft::{RaftMsg, RaftNode, RaftRole, RaftTweaks},
 };
 
-/// A node of the Raft deployment.
-pub enum RaftProc {
-    Server(Box<RaftNode>),
-    Client(ClientProc),
-}
-
-impl RaftProc {
-    /// Server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on client nodes.
-    pub fn server(&self) -> &RaftNode {
-        match self {
-            RaftProc::Server(s) => s,
-            RaftProc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on server nodes.
-    pub fn client_mut(&mut self) -> &mut ClientProc {
-        match self {
-            RaftProc::Client(c) => c,
-            RaftProc::Server(_) => panic!("not a client node"),
-        }
+neat::roles! {
+    /// A node of the Raft deployment.
+    pub enum RaftProc: RaftMsg {
+        Server(RaftNode) => server / server_mut,
+        Client(ClientProc) => client / client_mut,
     }
 }
 
-impl Application for RaftProc {
-    type Msg = RaftMsg;
+fn leaders_of<'a>(
+    neat: &'a Neat<RaftProc>,
+    servers: &'a [NodeId],
+) -> impl Iterator<Item = NodeId> + 'a {
+    let world = &neat.world;
+    servers
+        .iter()
+        .copied()
+        .filter(|&s| world.is_alive(s) && world.app(s).server().role() == RaftRole::Leader)
+}
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
-        if let RaftProc::Server(s) = self {
-            s.start(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, RaftMsg>, from: NodeId, msg: RaftMsg) {
-        match self {
-            RaftProc::Server(s) => s.on_message(ctx, from, msg),
-            RaftProc::Client(c) => c.on_message(msg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, RaftMsg>, timer: TimerId, tag: u64) {
-        if let RaftProc::Server(s) = self {
-            s.on_timer(ctx, timer, tag);
-        }
-    }
-
-    fn on_crash(&mut self) {
-        if let RaftProc::Server(s) = self {
-            s.on_crash();
-        }
-    }
+fn leader_of(neat: &Neat<RaftProc>, servers: &[NodeId]) -> Option<NodeId> {
+    leaders_of(neat, servers).max_by_key(|&s| neat.world.app(s).server().term())
 }
 
 /// Deployment shape for a Raft cluster.
@@ -108,20 +70,15 @@ impl RaftCluster {
         let clients: Vec<NodeId> = (spec.servers..spec.servers + spec.clients)
             .map(NodeId)
             .collect();
-        let world = WorldBuilder::new(spec.seed)
-            .record_trace(spec.record_trace)
-            // Historical high-water mark of the consensus arms (longest:
-            // rethinkdb_reconfig_split_brain, ~956 events at seed 8).
-            .event_capacity(1024)
-            .build(spec.servers + spec.clients, |id| {
-                if id.0 < spec.servers {
-                    RaftProc::Server(Box::new(RaftNode::new(id, servers.clone(), spec.tweaks)))
-                } else {
-                    RaftProc::Client(ClientProc::default())
-                }
-            });
+        let neat = boot(spec.seed, spec.record_trace, spec.servers + spec.clients, |id| {
+            if id.0 < spec.servers {
+                RaftProc::Server(RaftNode::new(id, servers.clone(), spec.tweaks))
+            } else {
+                RaftProc::Client(ClientProc::default())
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             servers,
             clients,
         }
@@ -137,38 +94,18 @@ impl RaftCluster {
 
     /// All live nodes currently claiming leadership.
     pub fn leaders(&self) -> Vec<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|&s| self.neat.world.is_alive(s))
-            .filter(|&s| self.neat.world.app(s).server().role() == RaftRole::Leader)
-            .collect()
+        leaders_of(&self.neat, &self.servers).collect()
     }
 
     /// The live leader with the highest term, if any.
     pub fn leader(&self) -> Option<NodeId> {
-        self.leaders()
-            .into_iter()
-            .max_by_key(|&s| self.neat.world.app(s).server().term())
+        leader_of(&self.neat, &self.servers)
     }
 
     /// Runs until a leader exists or `max_ms` elapses.
     pub fn wait_for_leader(&mut self, max_ms: u64) -> Option<NodeId> {
-        let deadline = self.neat.now() + max_ms;
-        loop {
-            if let Some(l) = self.leader() {
-                return Some(l);
-            }
-            if self.neat.now() >= deadline {
-                return None;
-            }
-            self.neat.sleep(10);
-        }
-    }
-
-    /// Advances virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
+        let servers = &self.servers;
+        self.neat.wait_until(max_ms, |neat| leader_of(neat, servers))
     }
 
     /// A server's committed KV state.
@@ -222,7 +159,7 @@ mod tests {
         let l = c.wait_for_leader(2000).unwrap();
         let cl = c.client(0).via(l);
         cl.put(&mut c.neat, "x", 1);
-        c.settle(500);
+        c.neat.sleep(500);
         for s in c.servers.clone() {
             assert_eq!(c.kv_of(s).get("x"), Some(&1), "{s}");
         }
@@ -233,7 +170,7 @@ mod tests {
         let mut c = cluster(5, 5);
         c.wait_for_leader(2000).unwrap();
         for round in 0..10 {
-            c.settle(200);
+            c.neat.sleep(200);
             let mut terms = std::collections::BTreeMap::new();
             for &s in &c.servers {
                 let sv = c.neat.world.app(s).server();
@@ -273,7 +210,7 @@ mod tests {
             "a minority leader must not acknowledge writes: {w:?}"
         );
         // The majority side elects and serves.
-        c.settle(1000);
+        c.neat.sleep(1000);
         let l2 = c.leader().expect("majority leader");
         assert!(rest.contains(&l2));
     }
@@ -289,7 +226,7 @@ mod tests {
             &rest_of(&c.neat.world.node_ids(), &[l, c.clients[0]]),
         );
         // Let the lease lapse, then read at the old leader.
-        c.settle(400);
+        c.neat.sleep(400);
         let r = cl.get(&mut c.neat, "x");
         assert!(!matches!(r, Outcome::Ok(_)), "stale read served: {r:?}");
     }
@@ -306,13 +243,13 @@ mod tests {
             &rest_of(&c.neat.world.node_ids(), &[l, c.clients[0]]),
         );
         cl.put(&mut c.neat, "junk", 99); // times out, stays uncommitted
-        c.settle(800);
+        c.neat.sleep(800);
         let l2 = c.leader().expect("new leader");
         assert_ne!(l, l2);
         let cl2 = c.client(1).via(l2);
         cl2.put(&mut c.neat, "b", 2);
         c.neat.heal(&p);
-        c.settle(1500);
+        c.neat.sleep(1500);
         // The old leader's junk must be gone; committed writes survive.
         for s in c.servers.clone() {
             let kv = c.kv_of(s);
@@ -330,7 +267,7 @@ mod tests {
         let others = rest_of(&c.servers, &[l]);
         let new_members = vec![l, others[0], others[1]];
         assert!(cl.reconfigure(&mut c.neat, new_members.clone()).is_ok());
-        c.settle(500);
+        c.neat.sleep(500);
         let mut got = c.neat.world.app(l).server().members();
         got.sort();
         let mut want = new_members;

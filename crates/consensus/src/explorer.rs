@@ -2,108 +2,79 @@
 //! random faults and workloads at proven Raft, and the checkers should
 //! find nothing — the control arm of the Finding-13 experiment.
 
-use std::collections::BTreeMap;
-
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    explore::{EventChoice, TestTarget},
-    fault::PartitionSpec,
-    gray::DegradeSpec,
-    Violation,
+    explore::{Deployment, EventChoice},
+    Neat, Violation,
 };
 use rand::{rngs::StdRng, Rng};
 use simnet::{NodeId, Time};
 
 use crate::{
-    cluster::{RaftCluster, RaftClusterSpec},
+    cluster::{RaftCluster, RaftClusterSpec, RaftProc},
     raft::RaftTweaks,
 };
 
+const KEYS: [&str; 3] = ["k0", "k1", "k2"];
+
 /// Drives a Raft deployment under explorer-generated faults and events.
 pub struct RaftTarget {
-    tweaks: RaftTweaks,
-    servers: usize,
-    cluster: Option<RaftCluster>,
+    spec: RaftClusterSpec,
+    cluster: RaftCluster,
     next_val: u64,
 }
 
 impl RaftTarget {
     /// Creates an adapter for a cluster of `servers` Raft nodes.
     pub fn new(tweaks: RaftTweaks, servers: usize) -> Self {
-        Self {
+        let spec = RaftClusterSpec {
             tweaks,
-            servers,
-            cluster: None,
+            ..RaftClusterSpec::baseline(servers, 0)
+        };
+        Self {
+            spec,
+            cluster: RaftCluster::build(spec),
             next_val: 0,
         }
     }
-
-    fn cluster(&mut self) -> &mut RaftCluster {
-        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
-    }
-
-    fn keys() -> [&'static str; 3] {
-        ["k0", "k1", "k2"]
-    }
 }
 
-impl TestTarget for RaftTarget {
-    fn reset(&mut self, seed: u64, record: bool) {
-        let mut cluster = RaftCluster::build(RaftClusterSpec {
-            servers: self.servers,
-            clients: 2,
-            tweaks: self.tweaks,
+impl Deployment for RaftTarget {
+    type Proc = RaftProc;
+    const FAULT_SETTLE_MS: Time = 0;
+    const QUIESCE_MS: Time = 3000;
+
+    fn build(&mut self, seed: u64, record: bool) {
+        self.cluster = RaftCluster::build(RaftClusterSpec {
             seed,
             record_trace: record,
+            ..self.spec
         });
-        cluster.wait_for_leader(3000);
-        self.cluster = Some(cluster);
+        self.cluster.wait_for_leader(3000);
         self.next_val = 0;
     }
 
-    fn servers(&self) -> Vec<NodeId> {
-        self.cluster.as_ref().expect("built").servers.clone() // lint:allow(unwrap-expect)
+    fn neat(&mut self) -> &mut Neat<RaftProc> {
+        &mut self.cluster.neat
     }
 
-    fn leader(&mut self) -> Option<NodeId> {
-        self.cluster().leader()
+    fn nodes(&self) -> Vec<NodeId> {
+        self.cluster.servers.clone()
     }
 
-    fn supported_events(&self) -> Vec<EventChoice> {
+    fn primary(&self) -> Option<NodeId> {
+        self.cluster.leader()
+    }
+
+    fn events(&self) -> Vec<EventChoice> {
         vec![EventChoice::Write, EventChoice::Read, EventChoice::Delete]
     }
 
-    fn inject(&mut self, spec: &PartitionSpec) {
-        self.cluster().neat.partition(spec.clone());
-    }
-
-    fn degrade(&mut self, spec: &DegradeSpec) {
-        self.cluster().neat.degrade(spec.clone());
-    }
-
-    fn crash(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.crash(nodes);
-    }
-
-    fn restart(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.restart(nodes);
-    }
-
-    fn advance(&mut self, ms: Time) {
-        self.cluster().neat.sleep(ms);
-    }
-
-    fn heal_all(&mut self) {
-        let neat = &mut self.cluster().neat;
-        neat.heal_all();
-        neat.heal_all_degrades();
-    }
-
-    fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng) {
+    fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let key = Self::keys()[rng.gen_range(0..3)];
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
+        let key = KEYS[rng.gen_range(0..3)];
+        let cluster = &mut self.cluster;
         let target = cluster
             .leader()
             .unwrap_or(cluster.servers[rng.gen_range(0..cluster.servers.len())]);
@@ -123,24 +94,12 @@ impl TestTarget for RaftTarget {
         }
     }
 
-    fn finish_and_check(&mut self) -> Vec<Violation> {
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
-        cluster.neat.heal_all();
-        cluster.neat.heal_all_degrades();
-        // Bring crashed-but-never-restarted nodes back before judging.
-        let servers = cluster.servers.clone();
-        cluster.neat.restart(&servers);
-        cluster.settle(3000);
-        let final_state: BTreeMap<String, Option<u64>> = cluster.final_state(&Self::keys());
+    fn check(&mut self) -> Vec<Violation> {
         check_register(
-            cluster.neat.history(),
+            self.cluster.neat.history(),
             RegisterSemantics::Strong,
-            &final_state,
+            &self.cluster.final_state(&KEYS),
         )
-    }
-
-    fn timeline(&mut self) -> neat::obs::Timeline {
-        self.cluster().neat.timeline()
     }
 }
 

@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use neat::cluster::Node;
 use rand::Rng;
 use simnet::{Ctx, NodeId, Time, TimerId};
 
@@ -238,31 +239,6 @@ impl RaftNode {
         ctx.set_timer(base + jitter, TAG_ELECTION);
     }
 
-    /// Boot / recovery.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
-        self.role = RaftRole::Follower;
-        self.leader_hint = None;
-        self.votes.clear();
-        self.pending.clear();
-        self.round_acks.clear();
-        self.last_leader_contact = ctx.now();
-        self.applied = 0;
-        self.kv.clear();
-        self.reapply();
-        self.arm_election_timer(ctx);
-    }
-
-    /// Crash: volatile state lost; `term`, `voted_for`, `log` persist.
-    pub fn on_crash(&mut self) {
-        self.role = RaftRole::Follower;
-        self.leader_hint = None;
-        self.votes.clear();
-        self.pending.clear();
-        self.commit = 0; // commit index is volatile in Raft
-        self.applied = 0;
-        self.kv.clear();
-    }
-
     fn reapply(&mut self) {
         while self.applied < self.commit {
             let e = self.log[self.applied].clone();
@@ -360,9 +336,36 @@ impl RaftNode {
             );
         }
     }
+}
+
+impl Node<RaftMsg> for RaftNode {
+    /// Boot / recovery.
+    fn start(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
+        self.role = RaftRole::Follower;
+        self.leader_hint = None;
+        self.votes.clear();
+        self.pending.clear();
+        self.round_acks.clear();
+        self.last_leader_contact = ctx.now();
+        self.applied = 0;
+        self.kv.clear();
+        self.reapply();
+        self.arm_election_timer(ctx);
+    }
+
+    /// Crash: volatile state lost; `term`, `voted_for`, `log` persist.
+    fn on_crash(&mut self) {
+        self.role = RaftRole::Follower;
+        self.leader_hint = None;
+        self.votes.clear();
+        self.pending.clear();
+        self.commit = 0; // commit index is volatile in Raft
+        self.applied = 0;
+        self.kv.clear();
+    }
 
     /// Timer handler.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, RaftMsg>, _t: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, RaftMsg>, _t: TimerId, tag: u64) {
         match tag {
             TAG_ELECTION => {
                 if self.role != RaftRole::Leader
@@ -388,7 +391,7 @@ impl RaftNode {
     }
 
     /// Message handler.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, RaftMsg>, from: NodeId, msg: RaftMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, RaftMsg>, from: NodeId, msg: RaftMsg) {
         match msg {
             RaftMsg::RequestVote {
                 term,
@@ -420,7 +423,9 @@ impl RaftNode {
             RaftMsg::ClientResp { .. } => {}
         }
     }
+}
 
+impl RaftNode {
     fn on_request_vote(
         &mut self,
         ctx: &mut Ctx<'_, RaftMsg>,

@@ -64,11 +64,11 @@ pub fn rethinkdb_reconfig_split_brain(
 
     // The admin asks the leader to shrink the replica set to {D, E}.
     admin.reconfigure(&mut cluster.neat, vec![d, e]);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     // Old side: A (or B) campaigns in the old configuration. With the
     // tweak, C's blank log lets it win a 3-of-5 majority.
-    cluster.settle(1200);
+    cluster.neat.sleep(1200);
     let left_leader = [a, b, c]
         .into_iter()
         .find(|&s| cluster.leaders().contains(&s));
@@ -96,7 +96,7 @@ pub fn rethinkdb_reconfig_split_brain(
     let dual_majorities = left_ok && right_ok;
 
     cluster.neat.heal(&p);
-    cluster.settle(3000);
+    cluster.neat.sleep(3000);
 
     let final_state = cluster.final_state(&["base", "left", "right"]);
     let violations = check_register(
@@ -166,7 +166,7 @@ pub fn lossy_leader_link(lossy: bool, seed: u64, record: bool) -> LossyLinkOutco
         })
     });
 
-    cluster.settle(4000);
+    cluster.neat.sleep(4000);
     let term_churn = cluster
         .servers
         .iter()
@@ -178,7 +178,7 @@ pub fn lossy_leader_link(lossy: bool, seed: u64, record: bool) -> LossyLinkOutco
     if let Some(d) = d {
         cluster.neat.heal_degrade(&d);
     }
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     let after = cluster.leader().unwrap_or(leader);
     cluster.client(0).via(after).put(&mut cluster.neat, "after", 2);
 

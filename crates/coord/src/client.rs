@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Neat, Op, OpRecord, Outcome};
-use simnet::{Ctx, NodeId};
+use neat::{cluster::Node, Neat, Op, OpRecord, Outcome};
+use simnet::{Ctx, NodeId, TimerId};
 
 use crate::{
     cluster::CoordProc,
@@ -120,12 +120,33 @@ pub struct CoordClientProc {
 }
 
 impl CoordClientProc {
-    pub(crate) const TAG_HB: u64 = 1;
+    const TAG_HB: u64 = 1;
 
     /// Creates a client of `servers`.
     pub fn new(servers: Vec<NodeId>) -> Self {
         Self {
             session: CoordSession::new(servers),
+        }
+    }
+
+    fn heartbeat(&self, ctx: &mut Ctx<'_, CoordMsg>) {
+        self.session.heartbeat(ctx);
+        ctx.set_timer(100, Self::TAG_HB);
+    }
+}
+
+impl Node<CoordMsg> for CoordClientProc {
+    fn start(&mut self, ctx: &mut Ctx<'_, CoordMsg>) {
+        self.heartbeat(ctx);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, CoordMsg>, _from: NodeId, msg: CoordMsg) {
+        self.session.on_message(msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, CoordMsg>, _timer: TimerId, tag: u64) {
+        if tag == Self::TAG_HB {
+            self.heartbeat(ctx);
         }
     }
 }

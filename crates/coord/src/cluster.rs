@@ -1,7 +1,7 @@
 //! Coordination ensemble assembly.
 
-use neat::Neat;
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{cluster::boot, Neat};
+use simnet::NodeId;
 
 use crate::{
     client::{CoordClient, CoordClientProc},
@@ -9,87 +9,21 @@ use crate::{
     server::{CoordFlaws, CoordRole, CoordServer},
 };
 
-/// A node of the coordination deployment.
-pub enum CoordProc {
-    Server(Box<CoordServer>),
-    Client(CoordClientProc),
-}
-
-impl CoordProc {
-    /// Server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on client nodes.
-    pub fn server(&self) -> &CoordServer {
-        match self {
-            CoordProc::Server(s) => s,
-            CoordProc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on client nodes.
-    pub fn server_mut(&mut self) -> &mut CoordServer {
-        match self {
-            CoordProc::Server(s) => s,
-            CoordProc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on server nodes.
-    pub fn client_mut(&mut self) -> &mut CoordClientProc {
-        match self {
-            CoordProc::Client(c) => c,
-            CoordProc::Server(_) => panic!("not a client node"),
-        }
+neat::roles! {
+    /// A node of the coordination deployment.
+    pub enum CoordProc: CoordMsg {
+        Server(CoordServer) => server / server_mut,
+        Client(CoordClientProc) => client / client_mut,
     }
 }
 
-impl Application for CoordProc {
-    type Msg = CoordMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, CoordMsg>) {
-        match self {
-            CoordProc::Server(s) => s.start(ctx),
-            CoordProc::Client(c) => {
-                c.session.heartbeat(ctx);
-                ctx.set_timer(100, CoordClientProc::TAG_HB);
-            }
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, CoordMsg>, from: NodeId, msg: CoordMsg) {
-        match self {
-            CoordProc::Server(s) => s.on_message(ctx, from, msg),
-            CoordProc::Client(c) => c.session.on_message(msg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, CoordMsg>, timer: TimerId, tag: u64) {
-        match self {
-            CoordProc::Server(s) => s.on_timer(ctx, timer, tag),
-            CoordProc::Client(c) => {
-                if tag == CoordClientProc::TAG_HB {
-                    c.session.heartbeat(ctx);
-                    ctx.set_timer(100, CoordClientProc::TAG_HB);
-                }
-            }
-        }
-    }
-
-    fn on_crash(&mut self) {
-        if let CoordProc::Server(s) = self {
-            s.on_crash();
-        }
-    }
+fn leader_of(neat: &Neat<CoordProc>, servers: &[NodeId]) -> Option<NodeId> {
+    let world = &neat.world;
+    servers
+        .iter()
+        .copied()
+        .filter(|&s| world.is_alive(s) && world.app(s).server().role() == CoordRole::Leader)
+        .max_by_key(|&s| world.app(s).server().term())
 }
 
 /// A running coordination deployment under the NEAT engine.
@@ -104,20 +38,15 @@ impl CoordCluster {
     pub fn build(servers: usize, clients: usize, flaws: CoordFlaws, seed: u64, record: bool) -> Self {
         let server_ids: Vec<NodeId> = (0..servers).map(NodeId).collect();
         let client_ids: Vec<NodeId> = (servers..servers + clients).map(NodeId).collect();
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            // Historical high-water mark of the coord arms (longest:
-            // txnlog_sync_corruption, ~656 events at seed 8).
-            .event_capacity(768)
-            .build(servers + clients, |id| {
-                if id.0 < servers {
-                    CoordProc::Server(Box::new(CoordServer::new(id, server_ids.clone(), flaws)))
-                } else {
-                    CoordProc::Client(CoordClientProc::new(server_ids.clone()))
-                }
-            });
+        let neat = boot(seed, record, servers + clients, |id| {
+            if id.0 < servers {
+                CoordProc::Server(CoordServer::new(id, server_ids.clone(), flaws))
+            } else {
+                CoordProc::Client(CoordClientProc::new(server_ids.clone()))
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             servers: server_ids,
             clients: client_ids,
         }
@@ -132,31 +61,13 @@ impl CoordCluster {
 
     /// The live leader with the highest term, if any.
     pub fn leader(&self) -> Option<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|&s| self.neat.world.is_alive(s))
-            .filter(|&s| self.neat.world.app(s).server().role() == CoordRole::Leader)
-            .max_by_key(|&s| self.neat.world.app(s).server().term())
+        leader_of(&self.neat, &self.servers)
     }
 
     /// Runs until a leader exists or `max_ms` elapses.
     pub fn wait_for_leader(&mut self, max_ms: u64) -> Option<NodeId> {
-        let deadline = self.neat.now() + max_ms;
-        loop {
-            if let Some(l) = self.leader() {
-                return Some(l);
-            }
-            if self.neat.now() >= deadline {
-                return None;
-            }
-            self.neat.sleep(10);
-        }
-    }
-
-    /// Advances virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
+        let servers = &self.servers;
+        self.neat.wait_until(max_ms, |neat| leader_of(neat, servers))
     }
 
     /// A member's data tree.
@@ -186,7 +97,7 @@ mod tests {
         c.wait_for_leader(2000).unwrap();
         let cl = c.client(0);
         assert_eq!(cl.create(&mut c.neat, "/a", 7), Outcome::Ok(None));
-        c.settle(200);
+        c.neat.sleep(200);
         for s in c.servers.clone() {
             assert_eq!(cl.get_at(&mut c.neat, s, "/a"), Outcome::Ok(Some(7)));
         }
@@ -221,7 +132,7 @@ mod tests {
         assert!(cl.acquire(&mut c.neat, "/locks/x").is_ok());
         // Kill the client; its session stops heartbeating and expires.
         c.neat.crash(&[c.clients[0]]);
-        c.settle(1500);
+        c.neat.sleep(1500);
         let cl2 = c.client(1);
         assert_eq!(cl2.get_at(&mut c.neat, l, "/locks/x"), Outcome::Ok(None));
         // And the lock is acquirable again.
@@ -248,7 +159,7 @@ mod tests {
         cl.create(&mut c.neat, "/b", 2);
         cl.create(&mut c.neat, "/c", 3);
         c.neat.heal(&p);
-        c.settle(500);
+        c.neat.sleep(500);
         let t = c.tree_of(follower);
         assert!(t.contains_key("/b") && t.contains_key("/c"));
     }
@@ -273,7 +184,7 @@ mod tests {
             cl.create(&mut c.neat, &format!("/k{i}"), i);
         }
         c.neat.heal(&p);
-        c.settle(500);
+        c.neat.sleep(500);
         let t = c.tree_of(follower);
         for i in 0..8 {
             assert!(t.contains_key(&format!("/k{i}")), "/k{i} missing");

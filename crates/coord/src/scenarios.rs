@@ -59,7 +59,7 @@ pub fn txnlog_sync_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> Coo
         .world
         .call(a, |p, _| p.server_mut().wipe())
         .expect("A alive"); // lint:allow(unwrap-expect)
-    cluster.settle(400);
+    cluster.neat.sleep(400);
 
     // z9 lands in A's (post-snapshot) in-memory log.
     cl.create(&mut cluster.neat, "/k9", 9);
@@ -70,9 +70,9 @@ pub fn txnlog_sync_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> Coo
         .neat
         .partition_complete(&[l], &rest_of(&cluster.neat.world.node_ids(), &[l]));
     cluster.neat.heal(&p_v);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
     cluster.neat.heal(&p_l);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     // Verification: read the affected paths at V (local reads, like any
     // ZooKeeper client connected to that member).
@@ -142,14 +142,14 @@ pub fn sync_interrupted_corruption(flaws: CoordFlaws, seed: u64, record: bool) -
     }
     // (3) Heal: the chunked transfer to the victim begins…
     cluster.neat.heal(&p1);
-    cluster.settle(80);
+    cluster.neat.sleep(80);
     // (4) …and a second partition strikes DURING the transfer.
     let p2 = cluster
         .neat
         .partition_complete(&[v], &rest_of(&cluster.neat.world.node_ids(), &[v]));
-    cluster.settle(600);
+    cluster.neat.sleep(600);
     cluster.neat.heal(&p2);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     // Verification: local reads at the victim for every written znode.
     let cl2 = cluster.client(1);
@@ -207,9 +207,9 @@ pub fn ephemeral_never_deleted(flaws: CoordFlaws, seed: u64, record: bool) -> Co
         .partition_partial(&[cluster.clients[0], follower], &rest_of(&cluster.servers, &[follower]));
 
     // The session expires during the partition.
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
     cluster.neat.heal(&p);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     // Client 2 tries to take the lock the dead session should have freed.
     let cl2 = cluster.client(1);

@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use neat::cluster::Node;
 use rand::Rng;
 use simnet::{Ctx, NodeId, Time, TimerId};
 
@@ -180,17 +181,6 @@ impl CoordServer {
         ctx.set_timer(base + jitter, TAG_ELECTION);
     }
 
-    /// Boot / recovery.
-    pub fn start<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>) {
-        self.role = CoordRole::Follower;
-        self.leader_hint = None;
-        self.votes.clear();
-        self.pending.clear();
-        self.sessions.clear();
-        self.last_leader_contact = ctx.now();
-        self.arm_election_timer(ctx);
-    }
-
     fn send<M: CoordWire>(&self, ctx: &mut Ctx<'_, M>, to: NodeId, msg: CoordMsg) {
         ctx.send(to, M::from_coord(msg));
     }
@@ -263,51 +253,6 @@ impl CoordServer {
         ctx.set_timer(self.heartbeat_interval, TAG_TICK);
     }
 
-    /// Timer dispatch.
-    pub fn on_timer<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>, _t: TimerId, tag: u64) {
-        match tag {
-            TAG_ELECTION => {
-                if self.role != CoordRole::Leader
-                    && ctx.now().saturating_sub(self.last_leader_contact) >= self.election_timeout
-                {
-                    self.start_election(ctx);
-                }
-                self.arm_election_timer(ctx);
-            }
-            TAG_TICK => {
-                if self.role != CoordRole::Leader {
-                    return;
-                }
-                self.prev_round_full = self.hb_acks.len() >= self.peers.len();
-                self.hb_acks = std::iter::once(self.me).collect();
-                let hb = CoordMsg::Heartbeat {
-                    term: self.term,
-                    zxid: self.zxid,
-                };
-                self.broadcast(ctx, hb);
-                self.expire_sessions(ctx);
-                ctx.set_timer(self.heartbeat_interval, TAG_TICK);
-            }
-            t if t >= TAG_CHUNK => {
-                self.on_chunk_timer(ctx, t - TAG_CHUNK);
-            }
-            t if t >= TAG_OP => {
-                let zxid = t - TAG_OP;
-                if let Some(p) = self.pending.remove(&zxid) {
-                    self.send(
-                        ctx,
-                        p.client,
-                        CoordMsg::Resp {
-                            op_id: p.op_id,
-                            resp: CoordResp::Fail,
-                        },
-                    );
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn expire_sessions<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>) {
         let now = ctx.now();
         let timeout = self.session_timeout;
@@ -373,9 +318,8 @@ impl CoordServer {
         self.broadcast(ctx, CoordMsg::Propose { term, txn });
     }
 
-    /// Message dispatch. Host applications forward every unwrapped
-    /// [`CoordMsg`] here.
-    pub fn on_message<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: CoordMsg) {
+    /// Dispatch of one unwrapped coordination message.
+    fn on_coord<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: CoordMsg) {
         match msg {
             CoordMsg::SessionHb => {
                 if self.role == CoordRole::Leader {
@@ -748,9 +692,76 @@ impl CoordServer {
         }
     }
 
+}
+
+impl<M: CoordWire> Node<M> for CoordServer {
+    /// Boot / recovery.
+    fn start(&mut self, ctx: &mut Ctx<'_, M>) {
+        self.role = CoordRole::Follower;
+        self.leader_hint = None;
+        self.votes.clear();
+        self.pending.clear();
+        self.sessions.clear();
+        self.last_leader_contact = ctx.now();
+        self.arm_election_timer(ctx);
+    }
+
+    /// Coordination traffic is unwrapped from the host wire; anything else
+    /// on that wire is the host's own protocol.
+    fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: NodeId, msg: M) {
+        if let Some(msg) = msg.to_coord() {
+            self.on_coord(ctx, from, msg);
+        }
+    }
+
+    /// Timer dispatch.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, M>, _t: TimerId, tag: u64) {
+        match tag {
+            TAG_ELECTION => {
+                if self.role != CoordRole::Leader
+                    && ctx.now().saturating_sub(self.last_leader_contact) >= self.election_timeout
+                {
+                    self.start_election(ctx);
+                }
+                self.arm_election_timer(ctx);
+            }
+            TAG_TICK => {
+                if self.role != CoordRole::Leader {
+                    return;
+                }
+                self.prev_round_full = self.hb_acks.len() >= self.peers.len();
+                self.hb_acks = std::iter::once(self.me).collect();
+                let hb = CoordMsg::Heartbeat {
+                    term: self.term,
+                    zxid: self.zxid,
+                };
+                self.broadcast(ctx, hb);
+                self.expire_sessions(ctx);
+                ctx.set_timer(self.heartbeat_interval, TAG_TICK);
+            }
+            t if t >= TAG_CHUNK => {
+                self.on_chunk_timer(ctx, t - TAG_CHUNK);
+            }
+            t if t >= TAG_OP => {
+                let zxid = t - TAG_OP;
+                if let Some(p) = self.pending.remove(&zxid) {
+                    self.send(
+                        ctx,
+                        p.client,
+                        CoordMsg::Resp {
+                            op_id: p.op_id,
+                            resp: CoordResp::Fail,
+                        },
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// Crash: the tree, zxid, and log survive (disk); roles and sessions
     /// are volatile.
-    pub fn on_crash(&mut self) {
+    fn on_crash(&mut self) {
         self.role = CoordRole::Follower;
         self.leader_hint = None;
         self.votes.clear();
@@ -837,7 +848,7 @@ mod tests {
         s.apply(&txn(1, "/a", 1));
         s.role = CoordRole::Leader;
         s.sessions.insert(NodeId(9), 100);
-        s.on_crash();
+        Node::<CoordMsg>::on_crash(&mut s);
         assert_eq!(s.role(), CoordRole::Follower);
         assert!(s.sessions.is_empty(), "sessions are volatile");
         assert_eq!(s.zxid(), 1, "the tree and zxid survive");

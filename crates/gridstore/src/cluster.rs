@@ -2,8 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Neat, Op, OpRecord, Outcome};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{
+    cluster::{boot, Node},
+    Neat, Op, OpRecord, Outcome,
+};
+use simnet::{Ctx, NodeId};
 
 use crate::{
     node::{GridFlaws, GridMsg, GridNode},
@@ -30,70 +33,23 @@ impl GridClientProc {
     }
 }
 
-/// A node of the grid deployment.
-pub enum GridProc {
-    Server(Box<GridNode>),
-    Client(GridClientProc),
-}
-
-impl GridProc {
-    /// Server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on client nodes.
-    pub fn server(&self) -> &GridNode {
-        match self {
-            GridProc::Server(s) => s,
-            GridProc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on server nodes.
-    pub fn client_mut(&mut self) -> &mut GridClientProc {
-        match self {
-            GridProc::Client(c) => c,
-            GridProc::Server(_) => panic!("not a client node"),
-        }
-    }
-}
-
-impl Application for GridProc {
-    type Msg = GridMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, GridMsg>) {
-        if let GridProc::Server(s) = self {
-            s.start(ctx);
-        }
-    }
-
+impl Node<GridMsg> for GridClientProc {
     fn on_message(&mut self, ctx: &mut Ctx<'_, GridMsg>, from: NodeId, msg: GridMsg) {
-        match self {
-            GridProc::Server(s) => s.on_message(ctx, from, msg),
-            GridProc::Client(c) => match msg {
-                GridMsg::Resp { op_id, resp } => {
-                    c.results.insert(op_id, resp);
-                }
-                GridMsg::Ping => ctx.send(from, GridMsg::Pong),
-                _ => {}
-            },
+        match msg {
+            GridMsg::Resp { op_id, resp } => {
+                self.results.insert(op_id, resp);
+            }
+            GridMsg::Ping => ctx.send(from, GridMsg::Pong),
+            _ => {}
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, GridMsg>, timer: TimerId, tag: u64) {
-        if let GridProc::Server(s) = self {
-            s.on_timer(ctx, timer, tag);
-        }
-    }
-
-    fn on_crash(&mut self) {
-        if let GridProc::Server(s) = self {
-            s.on_crash();
-        }
+neat::roles! {
+    /// A node of the grid deployment.
+    pub enum GridProc: GridMsg {
+        Server(GridNode) => server / server_mut,
+        Client(GridClientProc) => client / client_mut,
     }
 }
 
@@ -244,20 +200,15 @@ impl GridCluster {
     pub fn build(servers: usize, clients: usize, flaws: GridFlaws, seed: u64, record: bool) -> Self {
         let server_ids: Vec<NodeId> = (0..servers).map(NodeId).collect();
         let client_ids: Vec<NodeId> = (servers..servers + clients).map(NodeId).collect();
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            // Historical high-water mark of the gridstore arms (longest
-            // Ignite/Hazelcast arm ~576 events at seed 8).
-            .event_capacity(640)
-            .build(servers + clients, |id| {
-                if id.0 < servers {
-                    GridProc::Server(Box::new(GridNode::new(id, server_ids.clone(), flaws)))
-                } else {
-                    GridProc::Client(GridClientProc::default())
-                }
-            });
+        let neat = boot(seed, record, servers + clients, |id| {
+            if id.0 < servers {
+                GridProc::Server(GridNode::new(id, server_ids.clone(), flaws))
+            } else {
+                GridProc::Client(GridClientProc::default())
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             servers: server_ids,
             clients: client_ids,
         }
@@ -277,10 +228,6 @@ impl GridCluster {
         self.neat.world.app(server).server().state().clone()
     }
 
-    /// Advances virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
-    }
 }
 
 #[cfg(test)]
@@ -294,11 +241,11 @@ mod tests {
     #[test]
     fn put_get_through_any_server() {
         let mut c = cluster(1);
-        c.settle(100);
+        c.neat.sleep(100);
         let c0 = c.client(0);
         assert!(c0.put(&mut c.neat, "k", 5).is_ok());
         // Read through a different server: the state sync propagated.
-        c.settle(100);
+        c.neat.sleep(100);
         let c1 = c.client(1);
         assert_eq!(c1.get(&mut c.neat, "k"), Outcome::Ok(Some(5)));
     }
@@ -306,27 +253,27 @@ mod tests {
     #[test]
     fn semaphore_exclusion_across_clients() {
         let mut c = cluster(2);
-        c.settle(100);
+        c.neat.sleep(100);
         let c0 = c.client(0);
         let c1 = c.client(1);
         c0.sem_create(&mut c.neat, "s", 1);
         assert!(c0.acquire(&mut c.neat, "s").is_ok());
-        c.settle(100);
+        c.neat.sleep(100);
         assert_eq!(c1.acquire(&mut c.neat, "s"), Outcome::Fail);
         assert!(c0.release(&mut c.neat, "s").is_ok());
-        c.settle(100);
+        c.neat.sleep(100);
         assert!(c1.acquire(&mut c.neat, "s").is_ok());
     }
 
     #[test]
     fn queue_round_trip_across_servers() {
         let mut c = cluster(3);
-        c.settle(100);
+        c.neat.sleep(100);
         let c0 = c.client(0);
         let c1 = c.client(1);
         c0.enq(&mut c.neat, "q", 1);
         c0.enq(&mut c.neat, "q", 2);
-        c.settle(100);
+        c.neat.sleep(100);
         assert_eq!(c1.deq(&mut c.neat, "q"), Outcome::Ok(Some(1)));
         assert_eq!(c1.deq(&mut c.neat, "q"), Outcome::Ok(Some(2)));
         assert_eq!(c1.deq(&mut c.neat, "q"), Outcome::Ok(None));
@@ -335,11 +282,11 @@ mod tests {
     #[test]
     fn state_replicates_to_all_members() {
         let mut c = cluster(4);
-        c.settle(100);
+        c.neat.sleep(100);
         let c0 = c.client(0);
         c0.put(&mut c.neat, "k", 9);
         c0.incr(&mut c.neat, "n", 4);
-        c.settle(300);
+        c.neat.sleep(300);
         for s in c.servers.clone() {
             let st = c.state_of(s);
             assert_eq!(st.cache.get("k"), Some(&9), "{s}");
@@ -350,19 +297,19 @@ mod tests {
     #[test]
     fn fixed_grid_heals_membership() {
         let mut c = cluster(5);
-        c.settle(200);
+        c.neat.sleep(200);
         let isolated = c.servers[2];
         let p = c.neat.partition_complete(
             &[isolated],
             &neat::rest_of(&c.neat.world.node_ids(), &[isolated]),
         );
-        c.settle(1000);
+        c.neat.sleep(1000);
         assert!(
             !c.neat.world.app(c.servers[0]).server().view().contains(&isolated),
             "isolated node should have been removed"
         );
         c.neat.heal(&p);
-        c.settle(1000);
+        c.neat.sleep(1000);
         assert!(
             c.neat.world.app(c.servers[0]).server().view().contains(&isolated),
             "fixed grid must re-admit the healed node"

@@ -8,7 +8,7 @@
 //! primary rejoins before the client issues it.
 
 use neat::{
-    explore::{run_schedule, EventChoice, SchedulePlan, ScheduleStep, TestTarget},
+    explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
     Violation,
 };
@@ -47,20 +47,13 @@ pub fn explored_simplex_heal_write(
     seed: u64,
     record: bool,
 ) -> (Vec<Violation>, String, neat::obs::Timeline) {
-    let mut target = GridTarget::new(flaws);
-    target.reset(seed, record);
-    let servers = target.servers();
-    let primary = target.leader().unwrap_or(servers[0]);
-    let plan = simplex_heal_write_plan(&servers, primary);
-    let violations = run_schedule(&mut target, &plan);
-    let rendered = plan.render();
-    (violations, rendered, target.timeline())
+    replay_at_leader(&mut GridTarget::new(flaws), seed, record, 0, simplex_heal_write_plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::minimize::is_one_minimal;
+    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, TestTarget};
     use neat::ViolationKind;
 
     #[test]
@@ -91,9 +84,7 @@ mod tests {
     fn the_baked_schedule_is_one_minimal_and_needs_the_heal() {
         let mut probe = GridTarget::new(GridFlaws::flawed());
         probe.reset(8, false);
-        let servers = probe.servers();
-        let primary = probe.leader().unwrap_or(servers[0]);
-        let plan = simplex_heal_write_plan(&servers, primary);
+        let plan = plan_at_leader(&mut probe, 0, simplex_heal_write_plan);
         assert!(plan.heals_mid_schedule(), "the heal is part of the repro");
         let mut target = GridTarget::new(GridFlaws::flawed());
         assert!(is_one_minimal(&plan.steps, |steps| {

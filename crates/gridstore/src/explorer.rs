@@ -4,16 +4,14 @@
 
 use neat::{
     checkers::{check_counter, check_queue, check_semaphore, QueueExpectation},
-    explore::{EventChoice, TestTarget},
-    fault::PartitionSpec,
-    gray::DegradeSpec,
-    Violation,
+    explore::{Deployment, EventChoice},
+    Neat, Violation,
 };
 use rand::{rngs::StdRng, Rng};
 use simnet::{NodeId, Time};
 
 use crate::{
-    cluster::{GridClient, GridCluster},
+    cluster::{GridCluster, GridProc},
     node::GridFlaws,
 };
 
@@ -21,7 +19,7 @@ use crate::{
 /// explorer-generated faults and events.
 pub struct GridTarget {
     flaws: GridFlaws,
-    cluster: Option<GridCluster>,
+    cluster: GridCluster,
     next_val: u64,
 }
 
@@ -30,56 +28,46 @@ impl GridTarget {
     pub fn new(flaws: GridFlaws) -> Self {
         Self {
             flaws,
-            cluster: None,
+            cluster: GridCluster::build(3, 2, flaws, 0, false),
             next_val: 0,
         }
     }
-
-    fn cluster(&mut self) -> &mut GridCluster {
-        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
-    }
-
-    /// The current deployment, for post-mortem inspection.
-    pub fn deployment(&self) -> Option<&GridCluster> {
-        self.cluster.as_ref()
-    }
-
-    fn client(cluster: &GridCluster, rng: &mut StdRng) -> GridClient {
-        let which = rng.gen_range(0..cluster.clients.len());
-        // Clients stay attached to their home server, like real grid
-        // clients; ops route to the primary internally.
-        cluster.client(which)
-    }
 }
 
-impl TestTarget for GridTarget {
-    fn reset(&mut self, seed: u64, record: bool) {
+impl Deployment for GridTarget {
+    type Proc = GridProc;
+    /// Gives the membership layer time to diverge (or pause), as the
+    /// paper's tests sleep past the detection period.
+    const FAULT_SETTLE_MS: Time = 600;
+    const QUIESCE_MS: Time = 2500;
+
+    fn build(&mut self, seed: u64, record: bool) {
         let mut cluster = GridCluster::build(3, 2, self.flaws, seed, record);
-        cluster.settle(200);
+        cluster.neat.sleep(200);
         let c0 = cluster.client(0);
         c0.sem_create(&mut cluster.neat, "sem", 1);
-        cluster.settle(200);
-        self.cluster = Some(cluster);
+        cluster.neat.sleep(200);
+        self.cluster = cluster;
         self.next_val = 0;
     }
 
-    fn servers(&self) -> Vec<NodeId> {
-        self.cluster.as_ref().expect("built").servers.clone() // lint:allow(unwrap-expect)
+    fn neat(&mut self) -> &mut Neat<GridProc> {
+        &mut self.cluster.neat
     }
 
-    fn leader(&mut self) -> Option<NodeId> {
-        // The structure primary is the lowest live member; surface it so
-        // the guided strategy can isolate it.
-        let cluster = self.cluster.as_ref().expect("built"); // lint:allow(unwrap-expect)
-        let s = cluster
-            .servers
-            .iter()
-            .copied()
-            .find(|&s| cluster.neat.world.is_alive(s))?;
-        Some(cluster.neat.world.app(s).server().primary())
+    fn nodes(&self) -> Vec<NodeId> {
+        self.cluster.servers.clone()
     }
 
-    fn supported_events(&self) -> Vec<EventChoice> {
+    /// The structure primary is the lowest live member; surfaced so the
+    /// guided strategy can isolate it.
+    fn primary(&self) -> Option<NodeId> {
+        let world = &self.cluster.neat.world;
+        let s = self.cluster.servers.iter().copied().find(|&s| world.is_alive(s))?;
+        Some(world.app(s).server().primary())
+    }
+
+    fn events(&self) -> Vec<EventChoice> {
         vec![
             EventChoice::Write,
             EventChoice::Read,
@@ -90,43 +78,13 @@ impl TestTarget for GridTarget {
         ]
     }
 
-    fn inject(&mut self, spec: &PartitionSpec) {
-        let cluster = self.cluster();
-        cluster.neat.partition(spec.clone());
-        // Give the membership layer time to diverge (or pause), as the
-        // paper's tests sleep past the detection period.
-        cluster.settle(600);
-    }
-
-    fn degrade(&mut self, spec: &DegradeSpec) {
-        let cluster = self.cluster();
-        cluster.neat.degrade(spec.clone());
-        cluster.settle(600);
-    }
-
-    fn crash(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.crash(nodes);
-    }
-
-    fn restart(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.restart(nodes);
-    }
-
-    fn advance(&mut self, ms: Time) {
-        self.cluster().neat.sleep(ms);
-    }
-
-    fn heal_all(&mut self) {
-        let neat = &mut self.cluster().neat;
-        neat.heal_all();
-        neat.heal_all_degrades();
-    }
-
-    fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng) {
+    fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
-        let client = Self::client(cluster, rng);
+        let cluster = &mut self.cluster;
+        // Clients stay attached to their home server, like real grid
+        // clients; ops route to the primary internally.
+        let client = cluster.client(rng.gen_range(0..cluster.clients.len()));
         match ev {
             EventChoice::Write => {
                 client.incr(&mut cluster.neat, "ctr", 1);
@@ -150,14 +108,8 @@ impl TestTarget for GridTarget {
         }
     }
 
-    fn finish_and_check(&mut self) -> Vec<Violation> {
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
-        cluster.neat.heal_all();
-        cluster.neat.heal_all_degrades();
-        // Bring crashed-but-never-restarted nodes back before judging.
-        let servers = cluster.servers.clone();
-        cluster.neat.restart(&servers);
-        cluster.settle(2500);
+    fn check(&mut self) -> Vec<Violation> {
+        let cluster = &self.cluster;
         let mut violations = check_semaphore(cluster.neat.history(), "sem", 1);
         violations.extend(check_queue(
             cluster.neat.history(),
@@ -174,10 +126,6 @@ impl TestTarget for GridTarget {
             .unwrap_or(0);
         violations.extend(check_counter(cluster.neat.history(), "ctr", 0, final_ctr));
         violations
-    }
-
-    fn timeline(&mut self) -> neat::obs::Timeline {
-        self.cluster().neat.timeline()
     }
 }
 

@@ -21,6 +21,7 @@
 
 use std::collections::BTreeMap;
 
+use neat::cluster::Node;
 use simnet::{Ctx, NodeId, Time, TimerId};
 
 use crate::state::{GridOp, GridResp, GridState};
@@ -197,94 +198,6 @@ impl GridNode {
         self.flaws.split_brain_protection && self.view.len() < self.all_servers.len() / 2 + 1
     }
 
-    /// Boot.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, GridMsg>) {
-        self.view = self.all_servers.clone();
-        let now = ctx.now();
-        for &s in &self.all_servers {
-            self.last_seen.insert(s, now);
-        }
-        ctx.set_timer(self.ping_interval, TAG_PING);
-    }
-
-    /// Timer dispatch.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, GridMsg>, _t: TimerId, tag: u64) {
-        if tag >= TAG_COMMIT {
-            let seq = tag - TAG_COMMIT;
-            if self.pending.as_ref().is_some_and(|p| p.seq == seq) {
-                // No quorum: answer nothing. The outcome is genuinely
-                // unknown — the mutation may still survive the merge if no
-                // committed branch outranks it — so the client sees a
-                // timeout, never a false failure (the repaired answer to
-                // the paper's ack-then-fail pattern).
-                self.pending = None;
-                ctx.note("mutation unacknowledged: no replication quorum".to_string());
-            }
-            return;
-        }
-        if tag == TAG_DOWNLOAD {
-            if let Some(src) = self.downloading_from.take() {
-                ctx.note(format!("downloading state from {src}"));
-                ctx.send(src, GridMsg::Pull);
-            }
-            return;
-        }
-        if tag != TAG_PING {
-            return;
-        }
-        let now = ctx.now();
-        // Suspect and remove unreachable members (both sides do this!).
-        let suspects: Vec<NodeId> = self
-            .view
-            .iter()
-            .copied()
-            .filter(|&s| s != self.me)
-            .filter(|s| now.saturating_sub(self.last_seen.get(s).copied().unwrap_or(0)) > self.suspect_after)
-            .collect();
-        for s in suspects {
-            ctx.note(format!("removes unreachable {s} from the view"));
-            self.view.retain(|&v| v != s);
-        }
-        // Reclaim permits of unreachable client holders (Ignite flaw).
-        if self.flaws.reclaim_unreachable_holders && self.primary() == self.me {
-            let dead: Vec<NodeId> = self
-                .tracked_holders
-                .iter()
-                .filter(|(_, &t)| now.saturating_sub(t) > self.suspect_after)
-                .map(|(c, _)| *c)
-                .collect();
-            for c in dead {
-                let n = self.state.reclaim_permits(c);
-                if n > 0 {
-                    ctx.note(format!("RECLAIMS {n} permit(s) from unreachable client {c}"));
-                    self.push_state(ctx);
-                }
-                self.tracked_holders.remove(&c);
-            }
-        }
-        // Anti-entropy: the primary periodically re-offers its state so a
-        // member that missed a sync (e.g., during a short glitch) catches
-        // up; receivers only adopt strictly newer states.
-        if self.primary() == self.me {
-            self.push_state_no_bump(ctx, false);
-        }
-        // Ping everyone we should know about.
-        let targets: Vec<NodeId> = if self.flaws.rejoin_after_heal {
-            self.all_servers.clone()
-        } else {
-            self.view.clone()
-        };
-        for s in targets {
-            if s != self.me {
-                ctx.send(s, GridMsg::Ping);
-            }
-        }
-        for c in self.tracked_holders.keys().copied().collect::<Vec<_>>() {
-            ctx.send(c, GridMsg::Ping);
-        }
-        ctx.set_timer(self.ping_interval, TAG_PING);
-    }
-
     fn mark_alive(&mut self, ctx: &mut Ctx<'_, GridMsg>, from: NodeId) {
         self.last_seen.insert(from, ctx.now());
         if self.tracked_holders.contains_key(&from) {
@@ -338,8 +251,87 @@ impl GridNode {
         );
     }
 
+    /// Sends the answer along the route it arrived by.
+    fn answer(&self, ctx: &mut Ctx<'_, GridMsg>, route: &ReplyRoute, resp: GridResp) {
+        match route {
+            ReplyRoute::Client { client, op_id } => ctx.send(
+                *client,
+                GridMsg::Resp {
+                    op_id: *op_id,
+                    resp,
+                },
+            ),
+            ReplyRoute::Forwarded { via, client, op_id } => ctx.send(
+                *via,
+                GridMsg::ForwardResp {
+                    op_id: *op_id,
+                    client: *client,
+                    resp,
+                },
+            ),
+        }
+    }
+
+    /// Applies one operation at the primary and answers per the ack mode.
+    fn handle_op(
+        &mut self,
+        ctx: &mut Ctx<'_, GridMsg>,
+        route: ReplyRoute,
+        client: NodeId,
+        op: &GridOp,
+    ) {
+        if !self.flaws.ack_without_quorum && self.pending.is_some() {
+            // One quorum round at a time; refuse rather than reorder.
+            self.answer(ctx, &route, GridResp::Fail);
+            return;
+        }
+        let before = self.state.clone();
+        let resp = self
+            .state
+            .apply(client, op, self.flaws.strict_semaphore_release);
+        if matches!(op, GridOp::SemAcquire { .. }) && resp == GridResp::Ok {
+            self.tracked_holders.insert(client, ctx.now());
+        }
+        if self.state == before {
+            // Reads and refused mutations need no replication.
+            self.answer(ctx, &route, resp);
+            return;
+        }
+        self.state_seq += 1;
+        self.state_origin = self.me;
+        if self.flaws.ack_without_quorum {
+            // The studied behaviour: acknowledge on the local apply.
+            self.push_state_no_bump(ctx, false);
+            self.answer(ctx, &route, resp);
+        } else {
+            let needed = self.all_servers.len() / 2;
+            let seq = self.state_seq;
+            self.pending = Some(PendingMutation {
+                seq,
+                reply: route,
+                resp,
+                acks: 0,
+                needed,
+            });
+            self.push_state_no_bump(ctx, false);
+            ctx.set_timer(400, TAG_COMMIT + seq);
+        }
+    }
+}
+
+impl Node<GridMsg> for GridNode {
+    /// Boot.
+    fn start(&mut self, ctx: &mut Ctx<'_, GridMsg>) {
+        self.view = self.all_servers.clone();
+        let now = ctx.now();
+        for &s in &self.all_servers {
+            self.last_seen.insert(s, now);
+        }
+        ctx.set_timer(self.ping_interval, TAG_PING);
+    }
+
     /// Message dispatch.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, GridMsg>, from: NodeId, msg: GridMsg) {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, GridMsg>, from: NodeId, msg: GridMsg) {
         match msg {
             GridMsg::Ping => {
                 self.mark_alive(ctx, from);
@@ -473,75 +465,86 @@ impl GridNode {
         }
     }
 
-    /// Sends the answer along the route it arrived by.
-    fn answer(&self, ctx: &mut Ctx<'_, GridMsg>, route: &ReplyRoute, resp: GridResp) {
-        match route {
-            ReplyRoute::Client { client, op_id } => ctx.send(
-                *client,
-                GridMsg::Resp {
-                    op_id: *op_id,
-                    resp,
-                },
-            ),
-            ReplyRoute::Forwarded { via, client, op_id } => ctx.send(
-                *via,
-                GridMsg::ForwardResp {
-                    op_id: *op_id,
-                    client: *client,
-                    resp,
-                },
-            ),
-        }
-    }
-
-    /// Applies one operation at the primary and answers per the ack mode.
-    fn handle_op(
-        &mut self,
-        ctx: &mut Ctx<'_, GridMsg>,
-        route: ReplyRoute,
-        client: NodeId,
-        op: &GridOp,
-    ) {
-        if !self.flaws.ack_without_quorum && self.pending.is_some() {
-            // One quorum round at a time; refuse rather than reorder.
-            self.answer(ctx, &route, GridResp::Fail);
+    /// Timer dispatch.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, GridMsg>, _t: TimerId, tag: u64) {
+        if tag >= TAG_COMMIT {
+            let seq = tag - TAG_COMMIT;
+            if self.pending.as_ref().is_some_and(|p| p.seq == seq) {
+                // No quorum: answer nothing. The outcome is genuinely
+                // unknown — the mutation may still survive the merge if no
+                // committed branch outranks it — so the client sees a
+                // timeout, never a false failure (the repaired answer to
+                // the paper's ack-then-fail pattern).
+                self.pending = None;
+                ctx.note("mutation unacknowledged: no replication quorum".to_string());
+            }
             return;
         }
-        let before = self.state.clone();
-        let resp = self
-            .state
-            .apply(client, op, self.flaws.strict_semaphore_release);
-        if matches!(op, GridOp::SemAcquire { .. }) && resp == GridResp::Ok {
-            self.tracked_holders.insert(client, ctx.now());
-        }
-        if self.state == before {
-            // Reads and refused mutations need no replication.
-            self.answer(ctx, &route, resp);
+        if tag == TAG_DOWNLOAD {
+            if let Some(src) = self.downloading_from.take() {
+                ctx.note(format!("downloading state from {src}"));
+                ctx.send(src, GridMsg::Pull);
+            }
             return;
         }
-        self.state_seq += 1;
-        self.state_origin = self.me;
-        if self.flaws.ack_without_quorum {
-            // The studied behaviour: acknowledge on the local apply.
+        if tag != TAG_PING {
+            return;
+        }
+        let now = ctx.now();
+        // Suspect and remove unreachable members (both sides do this!).
+        let suspects: Vec<NodeId> = self
+            .view
+            .iter()
+            .copied()
+            .filter(|&s| s != self.me)
+            .filter(|s| now.saturating_sub(self.last_seen.get(s).copied().unwrap_or(0)) > self.suspect_after)
+            .collect();
+        for s in suspects {
+            ctx.note(format!("removes unreachable {s} from the view"));
+            self.view.retain(|&v| v != s);
+        }
+        // Reclaim permits of unreachable client holders (Ignite flaw).
+        if self.flaws.reclaim_unreachable_holders && self.primary() == self.me {
+            let dead: Vec<NodeId> = self
+                .tracked_holders
+                .iter()
+                .filter(|(_, &t)| now.saturating_sub(t) > self.suspect_after)
+                .map(|(c, _)| *c)
+                .collect();
+            for c in dead {
+                let n = self.state.reclaim_permits(c);
+                if n > 0 {
+                    ctx.note(format!("RECLAIMS {n} permit(s) from unreachable client {c}"));
+                    self.push_state(ctx);
+                }
+                self.tracked_holders.remove(&c);
+            }
+        }
+        // Anti-entropy: the primary periodically re-offers its state so a
+        // member that missed a sync (e.g., during a short glitch) catches
+        // up; receivers only adopt strictly newer states.
+        if self.primary() == self.me {
             self.push_state_no_bump(ctx, false);
-            self.answer(ctx, &route, resp);
+        }
+        // Ping everyone we should know about.
+        let targets: Vec<NodeId> = if self.flaws.rejoin_after_heal {
+            self.all_servers.clone()
         } else {
-            let needed = self.all_servers.len() / 2;
-            let seq = self.state_seq;
-            self.pending = Some(PendingMutation {
-                seq,
-                reply: route,
-                resp,
-                acks: 0,
-                needed,
-            });
-            self.push_state_no_bump(ctx, false);
-            ctx.set_timer(400, TAG_COMMIT + seq);
+            self.view.clone()
+        };
+        for s in targets {
+            if s != self.me {
+                ctx.send(s, GridMsg::Ping);
+            }
         }
+        for c in self.tracked_holders.keys().copied().collect::<Vec<_>>() {
+            ctx.send(c, GridMsg::Ping);
+        }
+        ctx.set_timer(self.ping_interval, TAG_PING);
     }
 
     /// Crash loses the in-memory grid.
-    pub fn on_crash(&mut self) {
+    fn on_crash(&mut self) {
         self.state = GridState::default();
         self.view.clear();
         self.tracked_holders.clear();

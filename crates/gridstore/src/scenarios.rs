@@ -49,25 +49,25 @@ fn majority_state(cluster: &GridCluster) -> crate::state::GridState {
 /// sides remove each other from the view and both grant the only permit.
 pub fn semaphore_double_lock(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
     let c1 = cluster.client(1).via(b);
     c0.sem_create(&mut cluster.neat, "sem", 1);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     // (1) The partition isolates replica `a` with client 0.
     let minority = [a, cluster.clients[0]];
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(800); // both sides drop each other from the view
+    cluster.neat.sleep(800); // both sides drop each other from the view
 
     // (2) Clients on both sides acquire the same semaphore.
     c0.acquire(&mut cluster.neat, "sem");
     c1.acquire(&mut cluster.neat, "sem");
 
     cluster.neat.heal(&p);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     let violations = check_semaphore(cluster.neat.history(), "sem", 1);
     let timeline = cluster.neat.observe(&violations);
@@ -82,7 +82,7 @@ pub fn semaphore_double_lock(flaws: GridFlaws, seed: u64, record: bool) -> GridO
 /// after the heal, the holder's release corrupts the semaphore.
 pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let mut cluster = GridCluster::build(3, 2, flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let holder = cluster.clients[0];
     let c0 = cluster.client(0).via(cluster.servers[0]);
     let c1 = cluster.client(1).via(cluster.servers[0]);
@@ -93,16 +93,16 @@ pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -
     let p = cluster
         .neat
         .partition_complete(&[holder], &rest_of(&cluster.neat.world.node_ids(), &[holder]));
-    cluster.settle(1000); // the grid reclaims the "dead" client's permit
+    cluster.neat.sleep(1000); // the grid reclaims the "dead" client's permit
 
     // Someone else takes the permit…
     c1.acquire(&mut cluster.neat, "sem");
 
     // …the partition heals, and the original holder releases.
     cluster.neat.heal(&p);
-    cluster.settle(300);
+    cluster.neat.sleep(300);
     c0.release(&mut cluster.neat, "sem");
-    cluster.settle(300);
+    cluster.neat.sleep(300);
 
     let mut violations = check_semaphore(cluster.neat.history(), "sem", 1);
     let st = cluster.state_of(cluster.servers[0]);
@@ -124,7 +124,7 @@ pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -
 /// diverge; the surviving state misses acknowledged increments.
 pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
     let c1 = cluster.client(1).via(b);
 
@@ -132,7 +132,7 @@ pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome 
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     c0.incr(&mut cluster.neat, "ctr", 1);
     c0.incr(&mut cluster.neat, "ctr", 1);
@@ -141,7 +141,7 @@ pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome 
     c1.incr(&mut cluster.neat, "ctr", 1);
 
     cluster.neat.heal(&p);
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let final_value = majority_state(&cluster)
         .atomics
@@ -161,23 +161,23 @@ pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome 
 /// the majority moves on.
 pub fn cache_stale_read(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
     let c1 = cluster.client(1).via(b);
     c0.put(&mut cluster.neat, "k", 1);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     let minority = [a, cluster.clients[0]];
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     c1.put(&mut cluster.neat, "k", 2);
     c0.get(&mut cluster.neat, "k");
 
     cluster.neat.heal(&p);
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let st = majority_state(&cluster);
     let final_state = [("k".to_string(), st.cache.get("k").copied())]
@@ -199,24 +199,24 @@ pub fn cache_stale_read(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcom
 /// IGNITE-9765: both sides of the split serve the same queue head.
 pub fn queue_double_dequeue(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
     let c1 = cluster.client(1).via(b);
     c0.enq(&mut cluster.neat, "q", 1);
     c0.enq(&mut cluster.neat, "q", 2);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     let minority = [a, cluster.clients[0]];
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     c0.deq(&mut cluster.neat, "q");
     c1.deq(&mut cluster.neat, "q");
 
     cluster.neat.heal(&p);
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let violations = check_queue(
         cluster.neat.history(),
@@ -237,17 +237,17 @@ pub fn queue_double_dequeue(flaws: GridFlaws, seed: u64, record: bool) -> GridOu
 /// removed on the minority side reappear.
 pub fn set_loss_and_reappearance(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
     let c1 = cluster.client(1).via(b);
     c0.set_add(&mut cluster.neat, "set", 10);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     let minority = [a, cluster.clients[0]];
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     // Minority side: remove an old value and add a new one — both
     // acknowledged, both doomed.
@@ -257,7 +257,7 @@ pub fn set_loss_and_reappearance(flaws: GridFlaws, seed: u64, record: bool) -> G
     c1.set_add(&mut cluster.neat, "set", 30);
 
     cluster.neat.heal(&p);
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let st = majority_state(&cluster);
     let final_state = [(
@@ -282,18 +282,18 @@ pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) ->
     // The merge path must run for the wipe to trigger.
     flaws.rejoin_after_heal = true;
     let mut cluster = GridCluster::build(3, 2, flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(cluster.servers[0]);
     c0.put(&mut cluster.neat, "k", 1);
     c0.put(&mut cluster.neat, "k2", 2);
-    cluster.settle(300);
+    cluster.neat.sleep(300);
 
     // Partial partition: the primary s0 splits from {s1, s2}; clients
     // bridge. Both sides keep a copy; s1 promotes itself on side B.
     let s0 = cluster.servers[0];
     let others = [cluster.servers[1], cluster.servers[2]];
     let p = cluster.neat.partition_partial(&[s0], &others);
-    cluster.settle(600);
+    cluster.neat.sleep(600);
     // Side B serves a write so its branch has newer operations.
     let c1 = cluster.client(1).via(cluster.servers[1]);
     c1.put(&mut cluster.neat, "k", 9);
@@ -301,9 +301,9 @@ pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) ->
     // Heal: side A's s0 sees the better branch, wipes, and schedules its
     // download — and the source side dies for good inside that window.
     cluster.neat.heal(&p);
-    cluster.settle(150); // the offer arrives and s0 wipes
+    cluster.neat.sleep(150); // the offer arrives and s0 wipes
     cluster.neat.crash(&[cluster.servers[1], cluster.servers[2]]);
-    cluster.settle(1000); // the download request goes nowhere
+    cluster.neat.sleep(1000); // the download request goes nowhere
 
     // s0 is the only survivor; read the data back through it.
     let final_kv = cluster.state_of(s0).cache;
@@ -328,15 +328,15 @@ pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) ->
 /// after the partition heals.
 pub fn lasting_split(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
     let (mut cluster, a, _b) = split_cluster(flaws, seed, record);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     let minority = [a, cluster.clients[0]];
     let p = cluster
         .neat
         .partition_complete(&minority, &rest_of(&cluster.neat.world.node_ids(), &minority));
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     let mut violations = Vec::new();
     let full = cluster.servers.len();

@@ -8,6 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use neat::cluster::Node;
 use simnet::{Ctx, NodeId, TimerId};
 
 const TAG_DISCOVERY: u64 = 31;
@@ -96,103 +97,9 @@ impl PeerBroker {
         self.members.iter().next().copied()
     }
 
-    /// Boot: the designated first member forms the cluster; everyone else
-    /// probes the seeds.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, AcMsg>) {
-        self.cluster = None;
-        self.members.clear();
-        self.discovery_round = 0;
-        if self.bootstrap {
-            self.cluster = Some(self.me.0 as u64);
-            self.members = std::iter::once(self.me).collect();
-            return;
-        }
-        let peers = self.seeds.clone();
-        ctx.broadcast(&peers, AcMsg::Probe);
-        self.arm_discovery(ctx);
-    }
-
     fn arm_discovery(&mut self, ctx: &mut Ctx<'_, AcMsg>) {
         let jitter = ctx.rand_below(200);
         ctx.set_timer(200 + jitter, TAG_DISCOVERY);
-    }
-
-    /// Timer dispatch.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, AcMsg>, _t: TimerId, tag: u64) {
-        if tag != TAG_DISCOVERY || self.cluster.is_some() {
-            return;
-        }
-        self.discovery_round += 1;
-        if self.flaws.form_own_cluster_on_silence && self.discovery_round >= 2 {
-            // rabbitmq #1455: "the rest of the cluster must be down."
-            ctx.note(format!("forming OWN cluster {} (flaw)", self.me.0));
-            self.cluster = Some(self.me.0 as u64);
-            self.members = std::iter::once(self.me).collect();
-        } else {
-            // Keep probing (the fixed behaviour probes forever).
-            let peers = self.seeds.clone();
-            ctx.broadcast(&peers, AcMsg::Probe);
-            self.arm_discovery(ctx);
-        }
-    }
-
-    /// Message dispatch.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, AcMsg>, from: NodeId, msg: AcMsg) {
-        match msg {
-            AcMsg::Probe => {
-                if let Some(cluster) = self.cluster {
-                    let members = self.members.iter().copied().collect();
-                    ctx.send(from, AcMsg::ProbeResp { cluster, members });
-                }
-            }
-            AcMsg::ProbeResp { cluster, members } => {
-                if self.cluster.is_none() {
-                    ctx.note(format!("joining cluster {cluster}"));
-                    self.cluster = Some(cluster);
-                    self.members = members.into_iter().collect();
-                    self.members.insert(self.me);
-                    let me = self.me;
-                    let peers: Vec<NodeId> = self.members.iter().copied().collect();
-                    ctx.broadcast(&peers, AcMsg::Join { node: me });
-                }
-            }
-            AcMsg::Join { node } => {
-                if self.cluster.is_some() {
-                    self.members.insert(node);
-                }
-            }
-            AcMsg::Send { op_id, queue, val } => {
-                self.route(ctx, from, op_id, queue, Some(val));
-            }
-            AcMsg::Recv { op_id, queue } => {
-                self.route(ctx, from, op_id, queue, None);
-            }
-            AcMsg::Forward {
-                op_id,
-                client,
-                queue,
-                push,
-            } => {
-                let (val, ok) = self.apply(queue, push);
-                ctx.send(from, AcMsg::ForwardResp { op_id, client, val, ok });
-            }
-            AcMsg::ForwardResp {
-                op_id,
-                client,
-                val,
-                ok,
-            } => {
-                // Relay the owner's answer to the client; the op id's low
-                // bit says whether this was a send or a receive.
-                let msg = if self.is_push_resp(op_id) {
-                    AcMsg::SendResp { op_id, ok }
-                } else {
-                    AcMsg::RecvResp { op_id, val, ok }
-                };
-                ctx.send(client, msg);
-            }
-            AcMsg::SendResp { .. } | AcMsg::RecvResp { .. } => {}
-        }
     }
 
     /// Routing cannot tell a successful push from an empty pop by shape
@@ -253,9 +160,105 @@ impl PeerBroker {
             None => (q.pop_front(), true),
         }
     }
+}
+
+impl Node<AcMsg> for PeerBroker {
+    /// Boot: the designated first member forms the cluster; everyone else
+    /// probes the seeds.
+    fn start(&mut self, ctx: &mut Ctx<'_, AcMsg>) {
+        self.cluster = None;
+        self.members.clear();
+        self.discovery_round = 0;
+        if self.bootstrap {
+            self.cluster = Some(self.me.0 as u64);
+            self.members = std::iter::once(self.me).collect();
+            return;
+        }
+        let peers = self.seeds.clone();
+        ctx.broadcast(&peers, AcMsg::Probe);
+        self.arm_discovery(ctx);
+    }
+
+    /// Message dispatch.
+    fn on_message(&mut self, ctx: &mut Ctx<'_, AcMsg>, from: NodeId, msg: AcMsg) {
+        match msg {
+            AcMsg::Probe => {
+                if let Some(cluster) = self.cluster {
+                    let members = self.members.iter().copied().collect();
+                    ctx.send(from, AcMsg::ProbeResp { cluster, members });
+                }
+            }
+            AcMsg::ProbeResp { cluster, members } => {
+                if self.cluster.is_none() {
+                    ctx.note(format!("joining cluster {cluster}"));
+                    self.cluster = Some(cluster);
+                    self.members = members.into_iter().collect();
+                    self.members.insert(self.me);
+                    let me = self.me;
+                    let peers: Vec<NodeId> = self.members.iter().copied().collect();
+                    ctx.broadcast(&peers, AcMsg::Join { node: me });
+                }
+            }
+            AcMsg::Join { node } => {
+                if self.cluster.is_some() {
+                    self.members.insert(node);
+                }
+            }
+            AcMsg::Send { op_id, queue, val } => {
+                self.route(ctx, from, op_id, queue, Some(val));
+            }
+            AcMsg::Recv { op_id, queue } => {
+                self.route(ctx, from, op_id, queue, None);
+            }
+            AcMsg::Forward {
+                op_id,
+                client,
+                queue,
+                push,
+            } => {
+                let (val, ok) = self.apply(queue, push);
+                ctx.send(from, AcMsg::ForwardResp { op_id, client, val, ok });
+            }
+            AcMsg::ForwardResp {
+                op_id,
+                client,
+                val,
+                ok,
+            } => {
+                // Relay the owner's answer to the client; the op id's low
+                // bit says whether this was a send or a receive.
+                let msg = if self.is_push_resp(op_id) {
+                    AcMsg::SendResp { op_id, ok }
+                } else {
+                    AcMsg::RecvResp { op_id, val, ok }
+                };
+                ctx.send(client, msg);
+            }
+            AcMsg::SendResp { .. } | AcMsg::RecvResp { .. } => {}
+        }
+    }
+
+    /// Timer dispatch.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, AcMsg>, _t: TimerId, tag: u64) {
+        if tag != TAG_DISCOVERY || self.cluster.is_some() {
+            return;
+        }
+        self.discovery_round += 1;
+        if self.flaws.form_own_cluster_on_silence && self.discovery_round >= 2 {
+            // rabbitmq #1455: "the rest of the cluster must be down."
+            ctx.note(format!("forming OWN cluster {} (flaw)", self.me.0));
+            self.cluster = Some(self.me.0 as u64);
+            self.members = std::iter::once(self.me).collect();
+        } else {
+            // Keep probing (the fixed behaviour probes forever).
+            let peers = self.seeds.clone();
+            ctx.broadcast(&peers, AcMsg::Probe);
+            self.arm_discovery(ctx);
+        }
+    }
 
     /// Crash loses in-memory state.
-    pub fn on_crash(&mut self) {
+    fn on_crash(&mut self) {
         self.cluster = None;
         self.members.clear();
         self.queues.clear();

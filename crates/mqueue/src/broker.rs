@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use coord::{CoordMsg, CoordReq, CoordResp, CoordSession, CoordWire};
+use neat::cluster::Node;
 use simnet::{Ctx, NodeId, Time, TimerId};
 
 /// Timer tags (brokers).
@@ -205,13 +206,6 @@ impl Broker {
             .collect()
     }
 
-    /// Boot.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
-        self.session.heartbeat(ctx);
-        self.check_master(ctx);
-        ctx.set_timer(100, TAG_TICK);
-    }
-
     fn check_master(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
         let op = self.session.request(
             ctx,
@@ -220,128 +214,6 @@ impl Broker {
             },
         );
         self.inflight.insert(op, Intent::CheckMaster);
-    }
-
-    /// Timer dispatch.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, MqMsg>, _t: TimerId, tag: u64) {
-        if self.deadlocked {
-            return;
-        }
-        match tag {
-            TAG_TICK => {
-                self.session.heartbeat(ctx);
-                self.check_master(ctx);
-                if self.is_master {
-                    let queues: Vec<(String, Vec<u64>)> = self
-                        .queues
-                        .iter()
-                        .map(|(k, q)| (k.clone(), q.iter().copied().collect()))
-                        .collect();
-                    let peers = self.replicas();
-                    ctx.broadcast(&peers, MqMsg::QueueSync { queues });
-                }
-                ctx.set_timer(100, TAG_TICK);
-            }
-            t if t >= TAG_REPL => {
-                if self.flaws.block_forever_on_replication {
-                    return; // AMQ-7064: there is no timeout.
-                }
-                let seq = t - TAG_REPL;
-                if let Some(p) = self.pending.remove(&seq) {
-                    // Fixed behaviour: abort, restore state, step down so a
-                    // connected replica can take over.
-                    if let Some(v) = p.deliver {
-                        self.queues.entry(p.queue.clone()).or_default().push_front(v);
-                        ctx.send(
-                            p.client,
-                            MqMsg::RecvResp {
-                                op_id: p.op_id,
-                                val: None,
-                                ok: false,
-                            },
-                        );
-                    } else {
-                        ctx.send(p.client, MqMsg::SendResp { op_id: p.op_id, ok: false });
-                    }
-                    if self.is_master {
-                        ctx.note("master cannot replicate; releasing mastership".to_string());
-                        self.is_master = false;
-                        self.known_master = None;
-                        self.acquire_backoff_until = ctx.now() + 2000;
-                        let op = self.session.request(
-                            ctx,
-                            CoordReq::Delete {
-                                path: "/mq/master".into(),
-                            },
-                        );
-                        self.inflight.insert(op, Intent::ReleaseMaster);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Message dispatch.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, MqMsg>, from: NodeId, msg: MqMsg) {
-        if self.deadlocked {
-            return;
-        }
-        match msg {
-            MqMsg::Coord(cm) => self.on_coord(ctx, cm),
-            MqMsg::Send { op_id, queue, val } => self.on_send(ctx, from, op_id, queue, val),
-            MqMsg::Recv { op_id, queue } => self.on_recv(ctx, from, op_id, queue),
-            MqMsg::Replicate { seq, queue, op } => {
-                let q = self.queues.entry(queue).or_default();
-                match op {
-                    QOp::Push(v) => q.push_back(v),
-                    QOp::Pop(v) => {
-                        if let Some(pos) = q.iter().position(|&x| x == v) {
-                            q.remove(pos);
-                        }
-                    }
-                }
-                ctx.send(from, MqMsg::ReplicateAck { seq });
-            }
-            MqMsg::ReplicateAck { seq } => {
-                let done = match self.pending.get_mut(&seq) {
-                    Some(p) => {
-                        p.acks.insert(from);
-                        p.acks.len() >= p.needed
-                    }
-                    None => false,
-                };
-                if done {
-                    let p = self.pending.remove(&seq).expect("present"); // lint:allow(unwrap-expect)
-                    match p.deliver {
-                        Some(v) => ctx.send(
-                            p.client,
-                            MqMsg::RecvResp {
-                                op_id: p.op_id,
-                                val: Some(v),
-                                ok: true,
-                            },
-                        ),
-                        None => ctx.send(p.client, MqMsg::SendResp { op_id: p.op_id, ok: true }),
-                    }
-                }
-            }
-            MqMsg::QueueSync { queues } => {
-                if !self.is_master {
-                    self.queues = queues
-                        .into_iter()
-                        .map(|(k, v)| (k, v.into_iter().collect()))
-                        .collect();
-                }
-            }
-            MqMsg::MasterAnnounce { master } => {
-                self.known_master = Some(master);
-                if self.is_master && master != self.me {
-                    self.demote(ctx);
-                }
-            }
-            MqMsg::SendResp { .. } | MqMsg::RecvResp { .. } => {}
-        }
     }
 
     fn demote(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
@@ -549,9 +421,140 @@ impl Broker {
             ctx.set_timer(self.replication_timeout, TAG_REPL + seq);
         }
     }
+}
+
+impl Node<MqMsg> for Broker {
+    /// Boot.
+    fn start(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
+        self.session.heartbeat(ctx);
+        self.check_master(ctx);
+        ctx.set_timer(100, TAG_TICK);
+    }
+
+    /// Message dispatch.
+    fn on_message(&mut self, ctx: &mut Ctx<'_, MqMsg>, from: NodeId, msg: MqMsg) {
+        if self.deadlocked {
+            return;
+        }
+        match msg {
+            MqMsg::Coord(cm) => self.on_coord(ctx, cm),
+            MqMsg::Send { op_id, queue, val } => self.on_send(ctx, from, op_id, queue, val),
+            MqMsg::Recv { op_id, queue } => self.on_recv(ctx, from, op_id, queue),
+            MqMsg::Replicate { seq, queue, op } => {
+                let q = self.queues.entry(queue).or_default();
+                match op {
+                    QOp::Push(v) => q.push_back(v),
+                    QOp::Pop(v) => {
+                        if let Some(pos) = q.iter().position(|&x| x == v) {
+                            q.remove(pos);
+                        }
+                    }
+                }
+                ctx.send(from, MqMsg::ReplicateAck { seq });
+            }
+            MqMsg::ReplicateAck { seq } => {
+                let done = match self.pending.get_mut(&seq) {
+                    Some(p) => {
+                        p.acks.insert(from);
+                        p.acks.len() >= p.needed
+                    }
+                    None => false,
+                };
+                if done {
+                    let p = self.pending.remove(&seq).expect("present"); // lint:allow(unwrap-expect)
+                    match p.deliver {
+                        Some(v) => ctx.send(
+                            p.client,
+                            MqMsg::RecvResp {
+                                op_id: p.op_id,
+                                val: Some(v),
+                                ok: true,
+                            },
+                        ),
+                        None => ctx.send(p.client, MqMsg::SendResp { op_id: p.op_id, ok: true }),
+                    }
+                }
+            }
+            MqMsg::QueueSync { queues } => {
+                if !self.is_master {
+                    self.queues = queues
+                        .into_iter()
+                        .map(|(k, v)| (k, v.into_iter().collect()))
+                        .collect();
+                }
+            }
+            MqMsg::MasterAnnounce { master } => {
+                self.known_master = Some(master);
+                if self.is_master && master != self.me {
+                    self.demote(ctx);
+                }
+            }
+            MqMsg::SendResp { .. } | MqMsg::RecvResp { .. } => {}
+        }
+    }
+
+    /// Timer dispatch.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, MqMsg>, _t: TimerId, tag: u64) {
+        if self.deadlocked {
+            return;
+        }
+        match tag {
+            TAG_TICK => {
+                self.session.heartbeat(ctx);
+                self.check_master(ctx);
+                if self.is_master {
+                    let queues: Vec<(String, Vec<u64>)> = self
+                        .queues
+                        .iter()
+                        .map(|(k, q)| (k.clone(), q.iter().copied().collect()))
+                        .collect();
+                    let peers = self.replicas();
+                    ctx.broadcast(&peers, MqMsg::QueueSync { queues });
+                }
+                ctx.set_timer(100, TAG_TICK);
+            }
+            t if t >= TAG_REPL => {
+                if self.flaws.block_forever_on_replication {
+                    return; // AMQ-7064: there is no timeout.
+                }
+                let seq = t - TAG_REPL;
+                if let Some(p) = self.pending.remove(&seq) {
+                    // Fixed behaviour: abort, restore state, step down so a
+                    // connected replica can take over.
+                    if let Some(v) = p.deliver {
+                        self.queues.entry(p.queue.clone()).or_default().push_front(v);
+                        ctx.send(
+                            p.client,
+                            MqMsg::RecvResp {
+                                op_id: p.op_id,
+                                val: None,
+                                ok: false,
+                            },
+                        );
+                    } else {
+                        ctx.send(p.client, MqMsg::SendResp { op_id: p.op_id, ok: false });
+                    }
+                    if self.is_master {
+                        ctx.note("master cannot replicate; releasing mastership".to_string());
+                        self.is_master = false;
+                        self.known_master = None;
+                        self.acquire_backoff_until = ctx.now() + 2000;
+                        let op = self.session.request(
+                            ctx,
+                            CoordReq::Delete {
+                                path: "/mq/master".into(),
+                            },
+                        );
+                        self.inflight.insert(op, Intent::ReleaseMaster);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
 
     /// Crash semantics: the in-memory queue dies with the broker.
-    pub fn on_crash(&mut self) {
+    fn on_crash(&mut self) {
         self.is_master = false;
         self.known_master = None;
         self.pending.clear();

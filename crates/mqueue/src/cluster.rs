@@ -2,9 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use coord::{CoordFlaws, CoordServer, CoordWire};
-use neat::{Neat, Op, OpRecord, Outcome};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use coord::{CoordFlaws, CoordServer};
+use neat::{
+    cluster::{boot, Node},
+    Neat, Op, OpRecord, Outcome,
+};
+use simnet::{Ctx, NodeId};
 
 use crate::{
     autocluster::{AcFlaws, AcMsg, PeerBroker},
@@ -55,81 +58,31 @@ impl MqClientProc {
 // Coordinator mode (ActiveMQ-like).
 // ---------------------------------------------------------------------------
 
-/// A node of the coordinator-mode deployment.
-pub enum MqProc {
-    Coord(Box<CoordServer>),
-    Broker(Box<Broker>),
-    Client(MqClientProc),
-}
-
-impl MqProc {
-    /// Broker state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-broker nodes.
-    pub fn broker(&self) -> &Broker {
-        match self {
-            MqProc::Broker(b) => b,
-            _ => panic!("not a broker node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-client nodes.
-    pub fn client_mut(&mut self) -> &mut MqClientProc {
-        match self {
-            MqProc::Client(c) => c,
-            _ => panic!("not a client node"),
+impl Node<MqMsg> for MqClientProc {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, MqMsg>, _from: NodeId, msg: MqMsg) {
+        match msg {
+            MqMsg::SendResp { op_id, ok } => self.record_send(op_id, ok),
+            MqMsg::RecvResp { op_id, val, ok } => self.record_recv(op_id, val, ok),
+            _ => {}
         }
     }
 }
 
-impl Application for MqProc {
-    type Msg = MqMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
-        match self {
-            MqProc::Coord(s) => s.start(ctx),
-            MqProc::Broker(b) => b.start(ctx),
-            MqProc::Client(_) => {}
-        }
+neat::roles! {
+    /// A node of the coordinator-mode deployment.
+    pub enum MqProc: MqMsg {
+        Coord(CoordServer) => coord / coord_mut,
+        Broker(Broker) => broker / broker_mut,
+        Client(MqClientProc) => client / client_mut,
     }
+}
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, MqMsg>, from: NodeId, msg: MqMsg) {
-        match self {
-            MqProc::Coord(s) => {
-                if let Some(cm) = msg.to_coord() {
-                    s.on_message(ctx, from, cm);
-                }
-            }
-            MqProc::Broker(b) => b.on_message(ctx, from, msg),
-            MqProc::Client(c) => match msg {
-                MqMsg::SendResp { op_id, ok } => c.record_send(op_id, ok),
-                MqMsg::RecvResp { op_id, val, ok } => c.record_recv(op_id, val, ok),
-                _ => {}
-            },
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MqMsg>, timer: TimerId, tag: u64) {
-        match self {
-            MqProc::Coord(s) => s.on_timer(ctx, timer, tag),
-            MqProc::Broker(b) => b.on_timer(ctx, timer, tag),
-            MqProc::Client(_) => {}
-        }
-    }
-
-    fn on_crash(&mut self) {
-        match self {
-            MqProc::Coord(s) => s.on_crash(),
-            MqProc::Broker(b) => b.on_crash(),
-            MqProc::Client(_) => {}
-        }
-    }
+fn master_of(neat: &Neat<MqProc>, brokers: &[NodeId]) -> Option<NodeId> {
+    let world = &neat.world;
+    brokers
+        .iter()
+        .copied()
+        .find(|&b| world.is_alive(b) && world.app(b).broker().is_master())
 }
 
 /// Synchronous client handle (coordinator mode).
@@ -261,27 +214,17 @@ impl MqCluster {
         let coord_id = NodeId(0);
         let broker_ids: Vec<NodeId> = (1..=brokers).map(NodeId).collect();
         let client_ids: Vec<NodeId> = (brokers + 1..brokers + 3).map(NodeId).collect();
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            // Historical high-water mark of the broker-queue arms
-            // (longest RabbitMQ arm ~541 events at seed 8).
-            .event_capacity(640)
-            .build(brokers + 3, |id| {
-                if id == coord_id {
-                    MqProc::Coord(Box::new(CoordServer::new(id, vec![coord_id], coord_flaws)))
-                } else if id.0 <= brokers {
-                    MqProc::Broker(Box::new(Broker::new(
-                        id,
-                        broker_ids.clone(),
-                        vec![coord_id],
-                        broker_flaws,
-                    )))
-                } else {
-                    MqProc::Client(MqClientProc::default())
-                }
-            });
+        let neat = boot(seed, record, brokers + 3, |id| {
+            if id == coord_id {
+                MqProc::Coord(CoordServer::new(id, vec![coord_id], coord_flaws))
+            } else if id.0 <= brokers {
+                MqProc::Broker(Broker::new(id, broker_ids.clone(), vec![coord_id], broker_flaws))
+            } else {
+                MqProc::Client(MqClientProc::default())
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             coord: coord_id,
             brokers: broker_ids,
             clients: client_ids,
@@ -297,32 +240,18 @@ impl MqCluster {
 
     /// The broker currently acting as master, if any.
     pub fn master(&self) -> Option<NodeId> {
-        self.brokers
-            .iter()
-            .copied()
-            .filter(|&b| self.neat.world.is_alive(b))
-            .find(|&b| self.neat.world.app(b).broker().is_master())
+        master_of(&self.neat, &self.brokers)
     }
 
     /// Runs until a master exists (optionally excluding one broker).
+    /// Mastership is sampled on every second 10 ms engine step: the queue
+    /// arms' committed audit hashes were taken at a 20 ms cadence.
     pub fn wait_for_master(&mut self, max_ms: u64, not: Option<NodeId>) -> Option<NodeId> {
-        let deadline = self.neat.now() + max_ms;
-        loop {
-            if let Some(m) = self.master() {
-                if Some(m) != not {
-                    return Some(m);
-                }
-            }
-            if self.neat.now() >= deadline {
-                return None;
-            }
-            self.neat.sleep(20);
-        }
-    }
-
-    /// Advances virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
+        let (brokers, start) = (&self.brokers, self.neat.now());
+        self.neat.wait_until(max_ms, |neat| {
+            let sampled = (neat.now() - start).is_multiple_of(20);
+            master_of(neat, brokers).filter(|&m| sampled && Some(m) != not)
+        })
     }
 }
 
@@ -330,69 +259,21 @@ impl MqCluster {
 // Autocluster mode (RabbitMQ-like).
 // ---------------------------------------------------------------------------
 
-/// A node of the autocluster deployment.
-pub enum AcProc {
-    Broker(Box<PeerBroker>),
-    Client(MqClientProc),
-}
-
-impl AcProc {
-    /// Broker state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on client nodes.
-    pub fn broker(&self) -> &PeerBroker {
-        match self {
-            AcProc::Broker(b) => b,
-            AcProc::Client(_) => panic!("not a broker node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on broker nodes.
-    pub fn client_mut(&mut self) -> &mut MqClientProc {
-        match self {
-            AcProc::Client(c) => c,
-            AcProc::Broker(_) => panic!("not a client node"),
+impl Node<AcMsg> for MqClientProc {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, AcMsg>, _from: NodeId, msg: AcMsg) {
+        match msg {
+            AcMsg::SendResp { op_id, ok } => self.record_send(op_id, ok),
+            AcMsg::RecvResp { op_id, val, ok } => self.record_recv(op_id, val, ok),
+            _ => {}
         }
     }
 }
 
-impl Application for AcProc {
-    type Msg = AcMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, AcMsg>) {
-        match self {
-            AcProc::Broker(b) => b.start(ctx),
-            AcProc::Client(_) => {}
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, AcMsg>, from: NodeId, msg: AcMsg) {
-        match self {
-            AcProc::Broker(b) => b.on_message(ctx, from, msg),
-            AcProc::Client(c) => match msg {
-                AcMsg::SendResp { op_id, ok } => c.record_send(op_id, ok),
-                AcMsg::RecvResp { op_id, val, ok } => c.record_recv(op_id, val, ok),
-                _ => {}
-            },
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, AcMsg>, timer: TimerId, tag: u64) {
-        if let AcProc::Broker(b) = self {
-            b.on_timer(ctx, timer, tag);
-        }
-    }
-
-    fn on_crash(&mut self) {
-        if let AcProc::Broker(b) = self {
-            b.on_crash();
-        }
+neat::roles! {
+    /// A node of the autocluster deployment.
+    pub enum AcProc: AcMsg {
+        Broker(PeerBroker) => broker / broker_mut,
+        Client(MqClientProc) => client / client_mut,
     }
 }
 
@@ -513,24 +394,19 @@ impl AcCluster {
     pub fn build(brokers: usize, flaws: AcFlaws, seed: u64, record: bool) -> Self {
         let broker_ids: Vec<NodeId> = (0..brokers).map(NodeId).collect();
         let client_ids: Vec<NodeId> = (brokers..brokers + 2).map(NodeId).collect();
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            // Historical high-water mark of the Kafka-style arms
-            // (~483 events at seed 8).
-            .event_capacity(512)
-            .build(brokers + 2, |id| {
-                if id.0 < brokers {
-                    let mut b = PeerBroker::new(id, broker_ids.clone(), flaws);
-                    if id.0 == 0 {
-                        b.bootstrap();
-                    }
-                    AcProc::Broker(Box::new(b))
-                } else {
-                    AcProc::Client(MqClientProc::default())
+        let neat = boot(seed, record, brokers + 2, |id| {
+            if id.0 < brokers {
+                let mut b = PeerBroker::new(id, broker_ids.clone(), flaws);
+                if id.0 == 0 {
+                    b.bootstrap();
                 }
-            });
+                AcProc::Broker(b)
+            } else {
+                AcProc::Client(MqClientProc::default())
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             brokers: broker_ids,
             clients: client_ids,
         }
@@ -557,8 +433,4 @@ impl AcCluster {
         ids
     }
 
-    /// Advances virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
-    }
 }

@@ -8,7 +8,7 @@
 //! enqueue so the drain exposes the duplicate delivery.
 
 use neat::{
-    explore::{run_schedule, EventChoice, SchedulePlan, ScheduleStep, TestTarget},
+    explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
     Violation,
 };
@@ -52,20 +52,14 @@ pub fn explored_partition_double_dequeue(
     seed: u64,
     record: bool,
 ) -> (Vec<Violation>, String, neat::obs::Timeline) {
-    let mut target = MqTarget::new(flaws);
-    target.reset(seed, record);
-    let servers = target.servers();
-    let master = target.leader().unwrap_or(servers[1]);
-    let plan = partition_double_dequeue_plan(&servers, master);
-    let violations = run_schedule(&mut target, &plan);
-    let rendered = plan.render();
-    (violations, rendered, target.timeline())
+    // Fallback 1: `servers` leads with the coordinator; brokers follow.
+    replay_at_leader(&mut MqTarget::new(flaws), seed, record, 1, partition_double_dequeue_plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::minimize::is_one_minimal;
+    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, TestTarget};
     use neat::ViolationKind;
 
     #[test]
@@ -98,9 +92,7 @@ mod tests {
     fn the_baked_schedule_is_one_minimal() {
         let mut probe = MqTarget::new(BrokerFlaws::flawed());
         probe.reset(8, false);
-        let servers = probe.servers();
-        let master = probe.leader().unwrap_or(servers[1]);
-        let plan = partition_double_dequeue_plan(&servers, master);
+        let plan = plan_at_leader(&mut probe, 1, partition_double_dequeue_plan);
         let mut target = MqTarget::new(BrokerFlaws::flawed());
         assert!(is_one_minimal(&plan.steps, |steps| {
             target.reset(8, false);

@@ -6,15 +6,16 @@
 use coord::CoordFlaws;
 use neat::{
     checkers::{check_queue, QueueExpectation},
-    explore::{EventChoice, TestTarget},
-    fault::PartitionSpec,
-    gray::DegradeSpec,
-    Violation,
+    explore::{Deployment, EventChoice},
+    Neat, Violation,
 };
 use rand::{rngs::StdRng, Rng};
 use simnet::{NodeId, Time};
 
-use crate::{broker::BrokerFlaws, cluster::MqCluster};
+use crate::{
+    broker::BrokerFlaws,
+    cluster::{MqCluster, MqProc},
+};
 
 /// The queue every explorer event targets.
 const QUEUE: &str = "q";
@@ -23,7 +24,7 @@ const QUEUE: &str = "q";
 /// explorer-generated faults and events.
 pub struct MqTarget {
     flaws: BrokerFlaws,
-    cluster: Option<MqCluster>,
+    cluster: MqCluster,
     next_val: u64,
 }
 
@@ -32,78 +33,50 @@ impl MqTarget {
     pub fn new(flaws: BrokerFlaws) -> Self {
         Self {
             flaws,
-            cluster: None,
+            cluster: MqCluster::build(3, flaws, CoordFlaws::default(), 0, false),
             next_val: 0,
         }
     }
-
-    fn cluster(&mut self) -> &mut MqCluster {
-        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
-    }
 }
 
-impl TestTarget for MqTarget {
-    fn reset(&mut self, seed: u64, record: bool) {
-        let mut cluster = MqCluster::build(3, self.flaws, CoordFlaws::default(), seed, record);
-        cluster.wait_for_master(3000, None);
-        self.cluster = Some(cluster);
+impl Deployment for MqTarget {
+    type Proc = MqProc;
+    /// Lets mastership churn past the coordination session timeout, as
+    /// the hand-written scenarios do.
+    const FAULT_SETTLE_MS: Time = 600;
+    const QUIESCE_MS: Time = 2500;
+
+    fn build(&mut self, seed: u64, record: bool) {
+        self.cluster = MqCluster::build(3, self.flaws, CoordFlaws::default(), seed, record);
+        self.cluster.wait_for_master(3000, None);
         self.next_val = 0;
     }
 
-    fn servers(&self) -> Vec<NodeId> {
-        // Coordinator plus brokers: the paper's queue failures all hinge
-        // on splitting a master away from the coordination ensemble, so
-        // the coord node must be partitionable.
-        let cluster = self.cluster.as_ref().expect("built"); // lint:allow(unwrap-expect)
-        let mut nodes = vec![cluster.coord];
-        nodes.extend_from_slice(&cluster.brokers);
+    fn neat(&mut self) -> &mut Neat<MqProc> {
+        &mut self.cluster.neat
+    }
+
+    /// Coordinator plus brokers: the paper's queue failures all hinge on
+    /// splitting a master away from the coordination ensemble, so the
+    /// coord node must be partitionable.
+    fn nodes(&self) -> Vec<NodeId> {
+        let mut nodes = vec![self.cluster.coord];
+        nodes.extend_from_slice(&self.cluster.brokers);
         nodes
     }
 
-    fn leader(&mut self) -> Option<NodeId> {
-        self.cluster().master()
+    fn primary(&self) -> Option<NodeId> {
+        self.cluster.master()
     }
 
-    fn supported_events(&self) -> Vec<EventChoice> {
+    fn events(&self) -> Vec<EventChoice> {
         vec![EventChoice::Enqueue, EventChoice::Dequeue]
     }
 
-    fn inject(&mut self, spec: &PartitionSpec) {
-        let cluster = self.cluster();
-        cluster.neat.partition(spec.clone());
-        // Let mastership churn past the coordination session timeout, as
-        // the hand-written scenarios do.
-        cluster.settle(600);
-    }
-
-    fn degrade(&mut self, spec: &DegradeSpec) {
-        let cluster = self.cluster();
-        cluster.neat.degrade(spec.clone());
-        cluster.settle(600);
-    }
-
-    fn crash(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.crash(nodes);
-    }
-
-    fn restart(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.restart(nodes);
-    }
-
-    fn advance(&mut self, ms: Time) {
-        self.cluster().neat.sleep(ms);
-    }
-
-    fn heal_all(&mut self) {
-        let neat = &mut self.cluster().neat;
-        neat.heal_all();
-        neat.heal_all_degrades();
-    }
-
-    fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng) {
+    fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
+        let cluster = &mut self.cluster;
         // Clients talk to the broker they believe is master — under a
         // partition the two clients may disagree, which is the point.
         let broker = cluster
@@ -122,14 +95,8 @@ impl TestTarget for MqTarget {
         }
     }
 
-    fn finish_and_check(&mut self) -> Vec<Violation> {
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
-        cluster.neat.heal_all();
-        cluster.neat.heal_all_degrades();
-        let mut nodes = vec![cluster.coord];
-        nodes.extend_from_slice(&cluster.brokers);
-        cluster.neat.restart(&nodes);
-        cluster.settle(2500);
+    fn check(&mut self) -> Vec<Violation> {
+        let cluster = &mut self.cluster;
         // Drain through the settled master so the checker knows the final
         // queue contents; an incomplete drain leaves `drained: None`.
         let drained = cluster.master().map(|m| {
@@ -144,16 +111,12 @@ impl TestTarget for MqTarget {
             }],
         )
     }
-
-    fn timeline(&mut self) -> neat::obs::Timeline {
-        self.cluster().neat.timeline()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{explore, Strategy};
+    use neat::explore::{explore, Strategy, TestTarget};
 
     #[test]
     fn exploration_finds_bugs_in_the_flawed_brokers() {

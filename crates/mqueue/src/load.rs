@@ -113,7 +113,7 @@ pub fn load_backlog_leader_flap(flaws: BrokerFlaws, seed: u64, record: bool) -> 
 
     // Final probe in a lossy window at whoever is master now: a healthy
     // failover target still replicates through its clean link.
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
     align_to_flap(&mut cluster, FLAP, true);
     let probe = match cluster.master() {
         Some(m) => c1.send(&mut cluster.neat, m, "q", 999),
@@ -121,7 +121,7 @@ pub fn load_backlog_leader_flap(flaws: BrokerFlaws, seed: u64, record: bool) -> 
     };
 
     cluster.neat.heal_degrade(&d);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     let report = driver.into_report();
     cluster.neat.load_sample(

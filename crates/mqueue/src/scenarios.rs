@@ -50,7 +50,7 @@ pub fn fig6_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
 
     // Give a fixed deployment time to fail over, then retry at whoever is
     // master now.
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
     let master_now = cluster.master();
     let retried = match master_now {
         Some(m) => c1.send(&mut cluster.neat, m, "q", 3),
@@ -58,7 +58,7 @@ pub fn fig6_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
     };
 
     cluster.neat.heal(&p);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     let mut violations = Vec::new();
     let hang = !send.is_ok() && !retried.is_ok();
@@ -87,7 +87,7 @@ pub(crate) fn align_to_flap(cluster: &mut MqCluster, period: u64, lossy: bool) {
     if next % 2 != want {
         next += 1;
     }
-    cluster.settle(next * period - now + 5);
+    cluster.neat.sleep(next * period - now + 5);
 }
 
 /// Gray-failure variant of Figure 6: the links between the master and its
@@ -131,7 +131,7 @@ pub fn flapping_link_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutc
     // Give a fixed deployment time to fail over, then retry in a lossy
     // window at whoever is master now: a new master still replicates
     // through its clean link to the third broker.
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
     align_to_flap(&mut cluster, FLAP, true);
     let master_now = cluster.master();
     let retried = match master_now {
@@ -140,7 +140,7 @@ pub fn flapping_link_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutc
     };
 
     cluster.neat.heal_degrade(&d);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     let mut violations = Vec::new();
     if !quiet.is_ok() {
@@ -194,7 +194,7 @@ pub fn listing2_double_dequeue(flaws: BrokerFlaws, seed: u64, record: bool) -> M
     }
 
     cluster.neat.heal(&p);
-    cluster.settle(800);
+    cluster.neat.sleep(800);
 
     // Drain whatever remains through the current master.
     let drained = cluster
@@ -233,7 +233,7 @@ pub fn deadlock_on_demotion(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOu
     // The majority fails over.
     cluster.wait_for_master(4000, Some(master));
     cluster.neat.heal(&p);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     // After healing, the old master learns of the new one and (with the
     // flaw) deadlocks: it never answers anything again.
@@ -265,7 +265,7 @@ pub fn kafka_acked_message_loss(flaws: BrokerFlaws, seed: u64, record: bool) -> 
 
     // Fully replicated message before the fault.
     c1.send(&mut cluster.neat, master, "log", 1);
-    cluster.settle(200);
+    cluster.neat.sleep(200);
 
     // Complete partition: {master, client1} | everyone else.
     let minority = [master, cluster.clients[0]];
@@ -279,7 +279,7 @@ pub fn kafka_acked_message_loss(flaws: BrokerFlaws, seed: u64, record: bool) -> 
     // adopts the new master's queue state.
     cluster.wait_for_master(4000, Some(master));
     cluster.neat.heal(&p);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     let drained = cluster
         .master()
@@ -309,7 +309,7 @@ pub fn autocluster_split(flaws: AcFlaws, seed: u64, record: bool) -> MqOutcome {
     let side_a = [cluster.brokers[0], cluster.brokers[1], cluster.clients[0]];
     let side_b = [cluster.brokers[2], cluster.brokers[3], cluster.clients[1]];
     let p = cluster.neat.partition_complete(&side_a, &side_b);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     // Both sides accept traffic (the cut-off side only if it, flawed,
     // formed its own cluster).
@@ -319,7 +319,7 @@ pub fn autocluster_split(flaws: AcFlaws, seed: u64, record: bool) -> MqOutcome {
     c1.send(&mut cluster.neat, cluster.brokers[2], "q", 2);
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     let ids = cluster.cluster_ids();
     let mut violations = Vec::new();

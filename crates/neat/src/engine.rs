@@ -223,6 +223,27 @@ impl<A: Application> Neat<A> {
         self.world.run_for(ms);
     }
 
+    /// Advances virtual time in 10 ms steps until `probe` answers or
+    /// `max_ms` have passed, probing before every step — so the answer
+    /// comes at the first step boundary where it holds, and `None` only
+    /// once `now ≥ start + max_ms`. The "wait for a leader" of every test.
+    pub fn wait_until<T>(
+        &mut self,
+        max_ms: Time,
+        mut probe: impl FnMut(&Self) -> Option<T>,
+    ) -> Option<T> {
+        let deadline = self.now() + max_ms;
+        loop {
+            if let Some(found) = probe(self) {
+                return Some(found);
+            }
+            if self.now() >= deadline {
+                return None;
+            }
+            self.sleep(10);
+        }
+    }
+
     /// Records a workload-driver progress sample at the current virtual
     /// time (see [`obs::Recorder::load_sample`]).
     pub fn load_sample(&mut self, issued: u64, completed: u64, in_flight: u64, backlog: u64) {
@@ -443,6 +464,43 @@ mod tests {
         let mut neat = engine(1);
         neat.sleep(123);
         assert_eq!(neat.now(), 123);
+    }
+
+    #[test]
+    fn wait_until_returns_at_the_first_satisfied_probe() {
+        let mut neat = engine(1);
+        neat.sleep(3);
+        let mut probed_at = Vec::new();
+        let got = neat.wait_until(1000, |n| {
+            probed_at.push(n.now());
+            (n.now() >= 25).then(|| n.now())
+        });
+        // Probed before every 10 ms step; stops the moment it holds.
+        assert_eq!(probed_at, vec![3, 13, 23, 33]);
+        assert_eq!(got, Some(33));
+        assert_eq!(neat.now(), 33);
+        // Already satisfied: no time passes at all.
+        assert_eq!(neat.wait_until(1000, |n| Some(n.now())), Some(33));
+        assert_eq!(neat.now(), 33);
+    }
+
+    #[test]
+    fn wait_until_gives_up_only_at_the_deadline() {
+        let mut neat = engine(1);
+        neat.sleep(3);
+        let mut probes = 0;
+        let got: Option<()> = neat.wait_until(45, |_| {
+            probes += 1;
+            None
+        });
+        assert_eq!(got, None);
+        // 3, 13, 23, 33, 43 are before the deadline (48); 53 is the first
+        // step boundary at or past it, and it is still probed.
+        assert_eq!(neat.now(), 53);
+        assert_eq!(probes, 6);
+        // A probe that first holds at that last boundary still wins.
+        let mut neat = engine(1);
+        assert_eq!(neat.wait_until(20, |n| (n.now() == 20).then_some(())), Some(()));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 #![deny(missing_docs)]
 
 pub mod coverage;
+pub mod deployment;
 pub mod minimize;
 pub mod schedule;
 
@@ -35,6 +36,7 @@ use crate::{
 };
 
 pub use coverage::{Corpus, Signature};
+pub use deployment::{plan_at_leader, replay_at_leader, Deployment};
 pub use schedule::{run_schedule, SchedulePlan, ScheduleStep};
 
 /// The client/admin event palette of the paper's Table 8.

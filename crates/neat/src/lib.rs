@@ -11,6 +11,9 @@
 //!
 //! - [`engine::Neat`] — the *test engine*: globally orders client operations,
 //!   crashes and restarts nodes, and advances virtual time (`sleep`).
+//! - [`cluster`] — the *deployment*: the [`cluster::Node`] contract each
+//!   role of a system implements, the [`roles!`] macro that turns a list of
+//!   roles into a hosted process type, and [`cluster::boot`].
 //! - [`fault`] — the *network partitioner*: [`fault::PartitionSpec`] expresses
 //!   complete, partial, and simplex partitions; the engine installs and heals
 //!   them.
@@ -63,9 +66,11 @@
 //! ```
 
 pub use obs;
+pub use simnet;
 
 pub mod audit;
 pub mod checkers;
+pub mod cluster;
 pub mod engine;
 pub mod explore;
 pub mod fault;

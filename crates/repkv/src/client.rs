@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Neat, Op, OpRecord, Outcome, RetryPolicy};
+use neat::{cluster::Node, Neat, Op, OpRecord, Outcome, RetryPolicy};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -33,8 +33,10 @@ impl ClientProc {
     pub fn take(&mut self, op_id: u64) -> Option<Resp> {
         self.results.remove(&op_id)
     }
+}
 
-    pub(crate) fn on_message(&mut self, msg: Msg) {
+impl Node<Msg> for ClientProc {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         if let Msg::ClientResp { op_id, resp } = msg {
             self.results.insert(op_id, resp);
         }

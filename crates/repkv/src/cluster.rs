@@ -2,8 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use neat::Neat;
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{cluster::boot, Neat};
+use simnet::NodeId;
 
 use crate::{
     client::{ClientProc, KvClient},
@@ -12,77 +12,21 @@ use crate::{
     server::{Role, Server},
 };
 
-/// A node of the replicated KV deployment: replica server or client.
-pub enum Proc {
-    Server(Box<Server>),
-    Client(ClientProc),
-}
-
-impl Proc {
-    /// The server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a client node.
-    pub fn server(&self) -> &Server {
-        match self {
-            Proc::Server(s) => s,
-            Proc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable server state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a client node.
-    pub fn server_mut(&mut self) -> &mut Server {
-        match self {
-            Proc::Server(s) => s,
-            Proc::Client(_) => panic!("not a server node"),
-        }
-    }
-
-    /// Mutable client state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a server node.
-    pub fn client_mut(&mut self) -> &mut ClientProc {
-        match self {
-            Proc::Client(c) => c,
-            Proc::Server(_) => panic!("not a client node"),
-        }
+neat::roles! {
+    /// A node of the replicated KV deployment: replica server or client.
+    pub enum Proc: Msg {
+        Server(Server) => server / server_mut,
+        Client(ClientProc) => client / client_mut,
     }
 }
 
-impl Application for Proc {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if let Proc::Server(s) = self {
-            s.start(ctx);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
-        match self {
-            Proc::Server(s) => s.on_message(ctx, from, msg),
-            Proc::Client(c) => c.on_message(msg),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, timer: TimerId, tag: u64) {
-        if let Proc::Server(s) = self {
-            s.on_timer(ctx, timer, tag);
-        }
-    }
-
-    fn on_crash(&mut self) {
-        if let Proc::Server(s) = self {
-            s.on_crash();
-        }
-    }
+fn leader_of(neat: &Neat<Proc>, servers: &[NodeId]) -> Option<NodeId> {
+    let world = &neat.world;
+    servers
+        .iter()
+        .copied()
+        .filter(|&s| world.is_alive(s) && world.app(s).server().role() == Role::Leader)
+        .max_by_key(|&s| world.app(s).server().term())
 }
 
 /// Deployment shape.
@@ -135,26 +79,15 @@ impl Cluster {
             .map(NodeId)
             .collect();
         let arbiter = spec.arbiter.then(|| servers[spec.servers - 1]);
-        let config = spec.config.clone();
-        let world = WorldBuilder::new(spec.seed)
-            .record_trace(spec.record_trace)
-            // Historical high-water mark of the repkv arms (longest:
-            // load_retry_storm_gray_loss, ~2540 events at seed 8).
-            .event_capacity(2560)
-            .build(spec.servers + spec.clients, |id| {
-                if id.0 < spec.servers {
-                    Proc::Server(Box::new(Server::new(
-                        id,
-                        servers.clone(),
-                        arbiter,
-                        config.clone(),
-                    )))
-                } else {
-                    Proc::Client(ClientProc::default())
-                }
-            });
+        let neat = boot(spec.seed, spec.record_trace, spec.servers + spec.clients, |id| {
+            if id.0 < spec.servers {
+                Proc::Server(Server::new(id, servers.clone(), arbiter, spec.config.clone()))
+            } else {
+                Proc::Client(ClientProc::default())
+            }
+        });
         Self {
-            neat: Neat::new(world),
+            neat,
             servers,
             arbiter,
             clients,
@@ -184,31 +117,13 @@ impl Cluster {
 
     /// The live leader with the highest term, if any.
     pub fn leader(&self) -> Option<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|&s| self.neat.world.is_alive(s))
-            .filter(|&s| self.neat.world.app(s).server().role() == Role::Leader)
-            .max_by_key(|&s| self.neat.world.app(s).server().term())
+        leader_of(&self.neat, &self.servers)
     }
 
     /// Runs the cluster until a leader exists or `max_ms` elapses.
     pub fn wait_for_leader(&mut self, max_ms: u64) -> Option<NodeId> {
-        let deadline = self.neat.now() + max_ms;
-        loop {
-            if let Some(l) = self.leader() {
-                return Some(l);
-            }
-            if self.neat.now() >= deadline {
-                return None;
-            }
-            self.neat.sleep(10);
-        }
-    }
-
-    /// Lets the cluster run for `ms` of virtual time.
-    pub fn settle(&mut self, ms: u64) {
-        self.neat.sleep(ms);
+        let servers = &self.servers;
+        self.neat.wait_until(max_ms, |neat| leader_of(neat, servers))
     }
 
     /// Direct copy of a server's applied key-value state.
@@ -256,7 +171,7 @@ mod tests {
     fn exactly_one_leader_in_steady_state() {
         let mut c = cluster(2);
         c.wait_for_leader(2000).unwrap();
-        c.settle(1000);
+        c.neat.sleep(1000);
         let leaders: Vec<NodeId> = c
             .servers
             .iter()
@@ -281,7 +196,7 @@ mod tests {
         let leader = c.wait_for_leader(2000).unwrap();
         let client = c.client(0).via(leader);
         client.write(&mut c.neat, "k", 7);
-        c.settle(500);
+        c.neat.sleep(500);
         for s in c.servers.clone() {
             assert_eq!(c.kv_of(s).get("k"), Some(&7), "{s} missing the write");
         }
@@ -342,7 +257,7 @@ mod tests {
         let leader = c.wait_for_leader(2000).unwrap();
         let rest = neat::rest_of(&c.servers, &[leader]);
         c.neat.partition_complete(&[leader], &rest);
-        c.settle(3000);
+        c.neat.sleep(3000);
         assert_ne!(
             c.neat.world.app(leader).server().role(),
             Role::Leader,

@@ -10,7 +10,7 @@
 //! clean on the repaired baseline.
 
 use neat::{
-    explore::{run_schedule, EventChoice, SchedulePlan, ScheduleStep, TestTarget},
+    explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
     Violation,
 };
@@ -47,20 +47,13 @@ pub fn explored_simplex_leader_write(
     seed: u64,
     record: bool,
 ) -> (Vec<Violation>, String, neat::obs::Timeline) {
-    let mut target = RepkvTarget::new(config);
-    target.reset(seed, record);
-    let servers = target.servers();
-    let leader = target.leader().unwrap_or(servers[0]);
-    let plan = simplex_leader_write_plan(&servers, leader);
-    let violations = run_schedule(&mut target, &plan);
-    let rendered = plan.render();
-    (violations, rendered, target.timeline())
+    replay_at_leader(&mut RepkvTarget::new(config), seed, record, 0, simplex_leader_write_plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::minimize::is_one_minimal;
+    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, TestTarget};
     use neat::ViolationKind;
 
     #[test]
@@ -92,9 +85,7 @@ mod tests {
     fn the_baked_schedule_is_one_minimal() {
         let mut probe = RepkvTarget::new(Config::voltdb());
         probe.reset(8, false);
-        let servers = probe.servers();
-        let leader = probe.leader().unwrap_or(servers[0]);
-        let plan = simplex_leader_write_plan(&servers, leader);
+        let plan = plan_at_leader(&mut probe, 0, simplex_leader_write_plan);
         let mut target = RepkvTarget::new(Config::voltdb());
         assert!(is_one_minimal(&plan.steps, |steps| {
             target.reset(8, false);

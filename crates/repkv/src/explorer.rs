@@ -1,28 +1,26 @@
 //! A [`TestTarget`] adapter so the NEAT explorer can auto-generate
 //! workloads and faults against the replicated KV store (§8.1).
 
-use std::collections::BTreeMap;
-
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    explore::{EventChoice, TestTarget},
-    fault::PartitionSpec,
-    gray::DegradeSpec,
-    Violation,
+    explore::{Deployment, EventChoice},
+    Neat, Violation,
 };
 use rand::{rngs::StdRng, Rng};
 use simnet::{NodeId, Time};
 
 use crate::{
-    cluster::{Cluster, ClusterSpec},
+    cluster::{Cluster, ClusterSpec, Proc},
     config::Config,
 };
+
+const KEYS: [&str; 3] = ["k0", "k1", "k2"];
 
 /// Drives a three-server, two-client deployment of the replicated KV store
 /// under explorer-generated faults and events.
 pub struct RepkvTarget {
     config: Config,
-    cluster: Option<Cluster>,
+    cluster: Cluster,
     next_val: u64,
 }
 
@@ -30,74 +28,47 @@ impl RepkvTarget {
     /// Creates an adapter running `config`.
     pub fn new(config: Config) -> Self {
         Self {
+            cluster: Cluster::build(ClusterSpec::three_by_two(config.clone(), 0)),
             config,
-            cluster: None,
             next_val: 0,
         }
     }
-
-    fn cluster(&mut self) -> &mut Cluster {
-        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
-    }
-
-    fn keys() -> [&'static str; 3] {
-        ["k0", "k1", "k2"]
-    }
 }
 
-impl TestTarget for RepkvTarget {
-    fn reset(&mut self, seed: u64, record: bool) {
+impl Deployment for RepkvTarget {
+    type Proc = Proc;
+    const FAULT_SETTLE_MS: Time = 0;
+    const QUIESCE_MS: Time = 2500;
+
+    fn build(&mut self, seed: u64, record: bool) {
         let mut spec = ClusterSpec::three_by_two(self.config.clone(), seed);
         spec.record_trace = record;
-        let mut cluster = Cluster::build(spec);
-        cluster.wait_for_leader(3000);
-        self.cluster = Some(cluster);
+        self.cluster = Cluster::build(spec);
+        self.cluster.wait_for_leader(3000);
         self.next_val = 0;
     }
 
-    fn servers(&self) -> Vec<NodeId> {
-        self.cluster.as_ref().expect("built").servers.clone() // lint:allow(unwrap-expect)
+    fn neat(&mut self) -> &mut Neat<Proc> {
+        &mut self.cluster.neat
     }
 
-    fn leader(&mut self) -> Option<NodeId> {
-        self.cluster().leader()
+    fn nodes(&self) -> Vec<NodeId> {
+        self.cluster.servers.clone()
     }
 
-    fn supported_events(&self) -> Vec<EventChoice> {
+    fn primary(&self) -> Option<NodeId> {
+        self.cluster.leader()
+    }
+
+    fn events(&self) -> Vec<EventChoice> {
         vec![EventChoice::Write, EventChoice::Read, EventChoice::Delete]
     }
 
-    fn inject(&mut self, spec: &PartitionSpec) {
-        self.cluster().neat.partition(spec.clone());
-    }
-
-    fn degrade(&mut self, spec: &DegradeSpec) {
-        self.cluster().neat.degrade(spec.clone());
-    }
-
-    fn crash(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.crash(nodes);
-    }
-
-    fn restart(&mut self, nodes: &[NodeId]) {
-        self.cluster().neat.restart(nodes);
-    }
-
-    fn advance(&mut self, ms: Time) {
-        self.cluster().neat.sleep(ms);
-    }
-
-    fn heal_all(&mut self) {
-        let neat = &mut self.cluster().neat;
-        neat.heal_all();
-        neat.heal_all_degrades();
-    }
-
-    fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng) {
+    fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let key = Self::keys()[rng.gen_range(0..3)];
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
+        let key = KEYS[rng.gen_range(0..3)];
+        let cluster = &mut self.cluster;
         // Clients target the leader when one is visible, else any server —
         // the way real test clients discover primaries.
         let target = cluster
@@ -119,32 +90,20 @@ impl TestTarget for RepkvTarget {
         }
     }
 
-    fn finish_and_check(&mut self) -> Vec<Violation> {
-        let cluster = self.cluster.as_mut().expect("built"); // lint:allow(unwrap-expect)
-        cluster.neat.heal_all();
-        cluster.neat.heal_all_degrades();
-        // Schedules may crash without restarting; bring every node back so
-        // the checkers judge the healed cluster, not a half-dead one.
-        let servers = cluster.servers.clone();
-        cluster.neat.restart(&servers);
-        cluster.settle(2500);
-        let final_state: BTreeMap<String, Option<u64>> = cluster.final_state(&Self::keys());
+    fn check(&mut self) -> Vec<Violation> {
         check_register(
-            cluster.neat.history(),
+            self.cluster.neat.history(),
             RegisterSemantics::Strong,
-            &final_state,
+            &self.cluster.final_state(&KEYS),
         )
-    }
-
-    fn timeline(&mut self) -> neat::obs::Timeline {
-        self.cluster().neat.timeline()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{explore, Strategy};
+    use neat::explore::{explore, Strategy, TestTarget};
+    use neat::PartitionSpec;
 
     #[test]
     fn guided_exploration_finds_bugs_in_the_flawed_profile() {

@@ -160,7 +160,7 @@ pub fn load_retry_storm_gray_loss_with_ops(
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.op_timeout = 1000;
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let leader_now = cluster.leader().unwrap_or(leader);
     let final_counter = cluster.kv_of(leader_now).get("counter").copied().unwrap_or(0);
@@ -237,7 +237,7 @@ pub fn load_overload_during_heal(mut config: Config, seed: u64, record: bool) ->
     }
 
     cluster.neat.op_timeout = 1000;
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &keys, driver)
 }
 
@@ -259,7 +259,7 @@ pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> Scenar
     let side1 = [s1, cluster.clients[0]];
     let side2 = [s2, cluster.clients[1]];
     let p = cluster.neat.partition_partial(&side1, &side2);
-    cluster.settle(600); // the flawed profile elects s2 with the bridge vote
+    cluster.neat.sleep(600); // the flawed profile elects s2 with the bridge vote
 
     let keys = ["hot", "cold0", "cold1", "cold2"];
     cluster.neat.op_timeout = 250;
@@ -285,7 +285,7 @@ pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> Scenar
 
     cluster.neat.heal(&p);
     cluster.neat.op_timeout = 1000;
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &keys, driver)
 }
 
@@ -334,7 +334,7 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
                 cluster.neat.heal(p);
                 partition = None;
                 // The old leader has stepped down; follow the new one.
-                cluster.settle(400);
+                cluster.neat.sleep(400);
                 if let Some(l) = cluster.leader() {
                     client = client.via(l);
                 }
@@ -368,7 +368,7 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
     }
 
     cluster.neat.op_timeout = 1000;
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     let all_keys: Vec<String> = (0..GROUPS).flat_map(|g| group_keys(g).to_vec()).collect();
     let key_refs: Vec<&str> = all_keys.iter().map(String::as_str).collect();
@@ -428,7 +428,7 @@ pub fn open_loop_read_shard(shard: u64, ops: u64) -> workload::LoadReport {
     let mut leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     // A transient claimant can win the wait at some seeds; settle and
     // re-read so the stream targets the stable leader.
-    cluster.settle(500);
+    cluster.neat.sleep(500);
     leader = cluster.leader().unwrap_or(leader);
 
     let keys = ["r0", "r1", "r2", "r3"];

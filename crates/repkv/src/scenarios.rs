@@ -11,7 +11,7 @@ use neat::{
     checkers::{check_counter, check_register, RegisterSemantics},
     rest_of, DegradeSpec, RetryPolicy, Violation, ViolationKind,
 };
-use simnet::DegradeRule;
+use simnet::{DegradeRule, NodeId};
 
 use crate::{
     cluster::{Cluster, ClusterSpec},
@@ -69,6 +69,17 @@ fn finish(cluster: &mut Cluster, keys: &[&str]) -> ScenarioOutcome {
     }
 }
 
+/// Waits (up to 1200 ms) for a server other than `old` to claim
+/// leadership — the majority side electing while `old` is cut off.
+fn await_rival_leader(cluster: &mut Cluster, old: NodeId) -> Option<NodeId> {
+    let rest = rest_of(&cluster.servers, &[old]);
+    cluster.neat.wait_until(1200, |neat| {
+        rest.iter()
+            .copied()
+            .find(|&s| neat.world.app(s).server().role() == Role::Leader)
+    })
+}
+
 fn spec(config: Config, seed: u64, record: bool) -> ClusterSpec {
     ClusterSpec {
         record_trace: record,
@@ -101,22 +112,7 @@ pub fn dirty_and_stale_read(mut config: Config, seed: u64, record: bool) -> Scen
     c1.read(&mut cluster.neat, "dirty_key");
 
     // Majority side elects a new master, then accepts a write.
-    let deadline = cluster.neat.now() + 1200;
-    let rest = rest_of(&cluster.servers, &[old]);
-    while cluster.neat.now() < deadline {
-        let elected = rest
-            .iter()
-            .any(|&s| cluster.neat.world.app(s).server().role() == Role::Leader);
-        if elected {
-            break;
-        }
-        cluster.neat.sleep(10);
-    }
-    if let Some(new_leader) = rest
-        .iter()
-        .copied()
-        .find(|&s| cluster.neat.world.app(s).server().role() == Role::Leader)
-    {
+    if let Some(new_leader) = await_rival_leader(&mut cluster, old) {
         let c2 = cluster.client(1).via(new_leader);
         c2.write(&mut cluster.neat, "stale_key", 30);
         // Read at the old master while both leaders coexist: it still
@@ -125,7 +121,7 @@ pub fn dirty_and_stale_read(mut config: Config, seed: u64, record: bool) -> Scen
     }
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &["dirty_key", "stale_key"])
 }
 
@@ -151,25 +147,13 @@ pub fn longest_log_data_loss(mut config: Config, seed: u64, record: bool) -> Sce
     c1.write(&mut cluster.neat, "k4", 4);
 
     // Wait until the majority elects a new master, then commit a write there.
-    let deadline = cluster.neat.now() + 1200;
-    let rest = rest_of(&cluster.servers, &[old]);
-    while cluster.neat.now() < deadline && {
-        !rest
-            .iter()
-            .any(|&s| cluster.neat.world.app(s).server().role() == Role::Leader)
-    } {
-        cluster.neat.sleep(10);
-    }
-    let new_leader = rest
-        .iter()
-        .copied()
-        .find(|&s| cluster.neat.world.app(s).server().role() == Role::Leader)
+    let new_leader = await_rival_leader(&mut cluster, old)
         .expect("majority side leader"); // lint:allow(unwrap-expect)
     let c2 = cluster.client(1).via(new_leader);
     c2.write(&mut cluster.neat, "k5", 5);
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &["k1", "k2", "k3", "k4", "k5"])
 }
 
@@ -190,7 +174,7 @@ pub fn listing1_data_loss(config: Config, seed: u64, record: bool) -> ScenarioOu
 
     // sleep(SLEEP_LEADER_ELECTION_PERIOD): s2 elects itself with the bridge
     // node's vote.
-    cluster.settle(600);
+    cluster.neat.sleep(600);
 
     let c1 = cluster.client(0).via(s1);
     let c2 = cluster.client(1).via(s2);
@@ -198,7 +182,7 @@ pub fn listing1_data_loss(config: Config, seed: u64, record: bool) -> ScenarioOu
     c2.write(&mut cluster.neat, "obj2", 2);
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     // Listing 1's verification step: client2 reads both objects.
     let leader = cluster.leader().unwrap_or(s1);
@@ -230,7 +214,7 @@ pub fn coordinator_double_execution(config: Config, seed: u64, record: bool) -> 
     c1.write(&mut cluster.neat, "w", 42);
 
     cluster.neat.heal(&p);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     let leader_now = cluster.leader().unwrap_or(leader);
     let c2 = cluster.client(1).via(leader_now);
@@ -268,9 +252,9 @@ pub fn async_replication_data_loss(mut config: Config, seed: u64, record: bool) 
     // Acknowledged instantly under async replication — on the wrong side.
     c1.write(&mut cluster.neat, "k", 1);
 
-    cluster.settle(600);
+    cluster.neat.sleep(600);
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &["k"])
 }
 
@@ -295,19 +279,7 @@ pub fn timestamp_consolidation_reappearance(
     let p = cluster.neat.partition_complete(&minority, &majority);
 
     // The majority elects a new leader and successfully DELETES the record.
-    let deadline = cluster.neat.now() + 1200;
-    let rest = rest_of(&cluster.servers, &[old]);
-    while cluster.neat.now() < deadline
-        && !rest
-            .iter()
-            .any(|&s| cluster.neat.world.app(s).server().role() == Role::Leader)
-    {
-        cluster.neat.sleep(10);
-    }
-    let new_leader = rest
-        .iter()
-        .copied()
-        .find(|&s| cluster.neat.world.app(s).server().role() == Role::Leader)
+    let new_leader = await_rival_leader(&mut cluster, old)
         .expect("majority leader"); // lint:allow(unwrap-expect)
     let c2 = cluster.client(1).via(new_leader);
     c2.delete(&mut cluster.neat, "doomed");
@@ -317,7 +289,7 @@ pub fn timestamp_consolidation_reappearance(
     c1.write(&mut cluster.neat, "unrelated", 7);
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &["doomed"])
 }
 
@@ -334,7 +306,7 @@ pub fn priority_livelock(config: Config, seed: u64, record: bool) -> ScenarioOut
         .partition_complete(&[leader], &rest_of(&cluster.neat.world.node_ids(), &[leader, cluster.clients[0]]));
 
     // Give the majority ample time to elect… which it cannot.
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     let c2 = cluster.client(1).via(rest[0]);
     let w = c2.write(&mut cluster.neat, "k", 1);
 
@@ -344,7 +316,7 @@ pub fn priority_livelock(config: Config, seed: u64, record: bool) -> ScenarioOut
         .find(|&s| cluster.neat.world.app(s).server().role() == Role::Leader);
 
     cluster.neat.heal(&p);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
 
     let mut outcome = finish(&mut cluster, &[]);
     if majority_leader.is_none() && !w.is_ok() {
@@ -378,10 +350,10 @@ pub fn arbiter_thrashing(mut config: Config, seed: u64, record: bool) -> Scenari
     let elections_before = cluster.total_elections();
 
     let p = cluster.neat.partition_partial(&[a], &[b]);
-    cluster.settle(4000);
+    cluster.neat.sleep(4000);
     let thrash = cluster.total_elections() - elections_before;
     cluster.neat.heal(&p);
-    cluster.settle(1500);
+    cluster.neat.sleep(1500);
 
     let mut outcome = finish(&mut cluster, &[]);
     outcome.elections = thrash;
@@ -442,7 +414,7 @@ pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> Scenari
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.op_timeout = 1000;
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let mut outcome = finish(&mut cluster, &["gray1", "gray2"]);
     if outcomes.iter().all(|o| !o.is_ok()) {
@@ -486,7 +458,7 @@ pub fn gray_simplex_retry_double_incr(retry: bool, seed: u64, record: bool) -> S
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.op_timeout = 1000;
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let mut outcome = finish(&mut cluster, &[]);
     let leader_now = cluster.leader().unwrap_or(leader);
@@ -527,7 +499,7 @@ pub fn gray_duplicating_link_incr(idempotent: bool, seed: u64, record: bool) -> 
     }
 
     cluster.neat.heal_degrade(&d);
-    cluster.settle(1000);
+    cluster.neat.sleep(1000);
 
     let keys: &[&str] = if idempotent { &["dup_key"] } else { &[] };
     let mut outcome = finish(&mut cluster, keys);
@@ -580,7 +552,7 @@ pub fn gray_slow_replication_dirty_read(
     c1.read(&mut cluster.neat, "slow_key");
 
     cluster.neat.heal_degrade(&d);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     finish(&mut cluster, &["slow_key"])
 }
 
@@ -792,7 +764,7 @@ mod tests {
         cluster.wait_for_leader(3000).expect("leader");
         let before = cluster.total_elections();
         let p = cluster.neat.partition_partial(&[a], &[b]);
-        cluster.settle(4000);
+        cluster.neat.sleep(4000);
         let thrash = cluster.total_elections() - before;
         cluster.neat.heal(&p);
         assert!(thrash <= 2, "unexpected thrashing: {thrash}");

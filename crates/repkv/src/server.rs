@@ -19,6 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use neat::cluster::Node;
 use rand::Rng;
 use simnet::{Ctx, NodeId, Time, TimerId};
 
@@ -268,23 +269,6 @@ impl Server {
         ctx.set_timer(base + jitter, TAG_ELECTION);
     }
 
-    /// Boots (or recovers) the node.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.role = Role::Follower;
-        self.leader_hint = None;
-        self.votes.clear();
-        self.pending.clear();
-        self.coord_pending.clear();
-        self.match_len.clear();
-        self.batch_queue.clear();
-        self.hb_acks.clear();
-        self.missed_ack_rounds = 0;
-        self.lease_until = 0;
-        self.last_leader_contact = ctx.now();
-        self.rebuild_kv();
-        self.arm_election_timer(ctx);
-    }
-
     fn become_follower(&mut self, ctx: &mut Ctx<'_, Msg>, term: u64, leader: Option<NodeId>) {
         let was_leader = self.role == Role::Leader;
         self.role = Role::Follower;
@@ -491,88 +475,6 @@ impl Server {
         self.committed = summary.committed.min(self.log.len());
         self.term = self.term.max(summary.term);
         self.rebuild_kv();
-    }
-
-    /// Message handler.
-    pub fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
-        match msg {
-            Msg::ClientReq { op_id, req } => self.on_client_req(ctx, from, op_id, req),
-            Msg::ClientResp { .. } => { /* servers never receive these */ }
-            Msg::Forward {
-                op_id,
-                client,
-                req,
-            } => {
-                if self.role == Role::Leader {
-                    self.handle_request(
-                        ctx,
-                        req,
-                        ReplyTo::Coord {
-                            coord: from,
-                            client,
-                            op_id,
-                        },
-                    );
-                } else {
-                    ctx.send(
-                        from,
-                        Msg::ForwardResp {
-                            op_id,
-                            client,
-                            resp: Resp::Fail,
-                        },
-                    );
-                }
-            }
-            Msg::ForwardResp {
-                op_id,
-                client,
-                resp,
-            } => {
-                if self.coord_pending.remove(&op_id).is_some() {
-                    ctx.send(client, Msg::ClientResp { op_id, resp });
-                }
-            }
-            Msg::Heartbeat { summary } => self.on_heartbeat(ctx, from, summary),
-            Msg::HeartbeatAck { term } => {
-                if self.role == Role::Leader && term == self.term {
-                    self.hb_acks.insert(from);
-                }
-            }
-            Msg::RequestVote { summary } => self.on_request_vote(ctx, from, summary),
-            Msg::Vote { term, granted } => {
-                if self.role == Role::Candidate && term == self.term && granted {
-                    self.votes.insert(from);
-                    if self.votes.len() >= self.vote_majority() {
-                        self.become_leader(ctx);
-                    }
-                }
-            }
-            Msg::StepDown { term } => {
-                if self.role == Role::Leader && term > self.term {
-                    self.become_follower(ctx, term, None);
-                }
-            }
-            Msg::Replicate { summary, log } => self.on_replicate(ctx, from, summary, log),
-            Msg::ReplicateAck { term, acked_len } => self.on_replicate_ack(ctx, from, term, acked_len),
-            Msg::SyncReq => {
-                if self.role == Role::Leader {
-                    let summary = self.summary();
-                    let log = self.log.clone();
-                    ctx.send(from, Msg::SyncResp { summary, log });
-                }
-            }
-            Msg::SyncResp { summary, log } => {
-                self.adopt_log(summary, log);
-                self.role = Role::Follower;
-                self.leader_hint = Some(from);
-                self.last_leader_contact = ctx.now();
-                ctx.note(format!(
-                    "synced to {from}'s log ({} entries)",
-                    self.log.len()
-                ));
-            }
-        }
     }
 
     fn on_client_req(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, op_id: u64, req: Req) {
@@ -804,8 +706,131 @@ impl Server {
         }
     }
 
+    fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.role != Role::Leader {
+            return;
+        }
+        let majority = self.vote_majority();
+        if self.hb_acks.len() >= majority {
+            self.lease_until = ctx.now() + self.lease_duration();
+            self.missed_ack_rounds = 0;
+        } else {
+            self.missed_ack_rounds += 1;
+        }
+        if self.cfg.step_down_on_lost_majority && self.missed_ack_rounds >= self.cfg.step_down_rounds
+        {
+            ctx.note("lost majority; stepping down".to_string());
+            self.become_follower(ctx, self.term, None);
+            return;
+        }
+        self.hb_acks = std::iter::once(self.me).collect();
+        self.broadcast_heartbeat(ctx);
+        ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
+    }
+}
+
+impl Node<Msg> for Server {
+    /// Boots (or recovers) the node.
+    fn start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.role = Role::Follower;
+        self.leader_hint = None;
+        self.votes.clear();
+        self.pending.clear();
+        self.coord_pending.clear();
+        self.match_len.clear();
+        self.batch_queue.clear();
+        self.hb_acks.clear();
+        self.missed_ack_rounds = 0;
+        self.lease_until = 0;
+        self.last_leader_contact = ctx.now();
+        self.rebuild_kv();
+        self.arm_election_timer(ctx);
+    }
+
+    /// Message handler.
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
+        match msg {
+            Msg::ClientReq { op_id, req } => self.on_client_req(ctx, from, op_id, req),
+            Msg::ClientResp { .. } => { /* servers never receive these */ }
+            Msg::Forward {
+                op_id,
+                client,
+                req,
+            } => {
+                if self.role == Role::Leader {
+                    self.handle_request(
+                        ctx,
+                        req,
+                        ReplyTo::Coord {
+                            coord: from,
+                            client,
+                            op_id,
+                        },
+                    );
+                } else {
+                    ctx.send(
+                        from,
+                        Msg::ForwardResp {
+                            op_id,
+                            client,
+                            resp: Resp::Fail,
+                        },
+                    );
+                }
+            }
+            Msg::ForwardResp {
+                op_id,
+                client,
+                resp,
+            } => {
+                if self.coord_pending.remove(&op_id).is_some() {
+                    ctx.send(client, Msg::ClientResp { op_id, resp });
+                }
+            }
+            Msg::Heartbeat { summary } => self.on_heartbeat(ctx, from, summary),
+            Msg::HeartbeatAck { term } => {
+                if self.role == Role::Leader && term == self.term {
+                    self.hb_acks.insert(from);
+                }
+            }
+            Msg::RequestVote { summary } => self.on_request_vote(ctx, from, summary),
+            Msg::Vote { term, granted } => {
+                if self.role == Role::Candidate && term == self.term && granted {
+                    self.votes.insert(from);
+                    if self.votes.len() >= self.vote_majority() {
+                        self.become_leader(ctx);
+                    }
+                }
+            }
+            Msg::StepDown { term } => {
+                if self.role == Role::Leader && term > self.term {
+                    self.become_follower(ctx, term, None);
+                }
+            }
+            Msg::Replicate { summary, log } => self.on_replicate(ctx, from, summary, log),
+            Msg::ReplicateAck { term, acked_len } => self.on_replicate_ack(ctx, from, term, acked_len),
+            Msg::SyncReq => {
+                if self.role == Role::Leader {
+                    let summary = self.summary();
+                    let log = self.log.clone();
+                    ctx.send(from, Msg::SyncResp { summary, log });
+                }
+            }
+            Msg::SyncResp { summary, log } => {
+                self.adopt_log(summary, log);
+                self.role = Role::Follower;
+                self.leader_hint = Some(from);
+                self.last_leader_contact = ctx.now();
+                ctx.note(format!(
+                    "synced to {from}'s log ({} entries)",
+                    self.log.len()
+                ));
+            }
+        }
+    }
+
     /// Timer handler.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _timer: TimerId, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _timer: TimerId, tag: u64) {
         match tag {
             TAG_ELECTION => {
                 if self.role != Role::Leader
@@ -847,31 +872,9 @@ impl Server {
         }
     }
 
-    fn on_heartbeat_tick(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.role != Role::Leader {
-            return;
-        }
-        let majority = self.vote_majority();
-        if self.hb_acks.len() >= majority {
-            self.lease_until = ctx.now() + self.lease_duration();
-            self.missed_ack_rounds = 0;
-        } else {
-            self.missed_ack_rounds += 1;
-        }
-        if self.cfg.step_down_on_lost_majority && self.missed_ack_rounds >= self.cfg.step_down_rounds
-        {
-            ctx.note("lost majority; stepping down".to_string());
-            self.become_follower(ctx, self.term, None);
-            return;
-        }
-        self.hb_acks = std::iter::once(self.me).collect();
-        self.broadcast_heartbeat(ctx);
-        ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
-    }
-
     /// Crash: volatile state is lost; term, vote, log, and commit index are
     /// the node's stable storage.
-    pub fn on_crash(&mut self) {
+    fn on_crash(&mut self) {
         self.role = Role::Follower;
         self.leader_hint = None;
         self.votes.clear();
