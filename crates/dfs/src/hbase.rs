@@ -19,9 +19,10 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
+    cluster::{boot, Node},
     Violation,
 };
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use simnet::{Ctx, NodeId, TimerId};
 
 const TAG_RS_HB: u64 = 131;
 const TAG_MASTER_CHECK: u64 = 132;
@@ -82,7 +83,7 @@ pub struct LogStore {
     fenced: Vec<NodeId>,
 }
 
-impl LogStore {
+impl Node<HbMsg> for LogStore {
     fn on_message(&mut self, ctx: &mut Ctx<'_, HbMsg>, from: NodeId, msg: HbMsg) {
         match msg {
             HbMsg::Append { seq, log, entry } => {
@@ -121,7 +122,11 @@ pub struct HMaster {
     dead_after: u64,
 }
 
-impl HMaster {
+impl Node<HbMsg> for HMaster {
+    fn start(&mut self, ctx: &mut Ctx<'_, HbMsg>) {
+        ctx.set_timer(100, TAG_MASTER_CHECK);
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, HbMsg>, from: NodeId, msg: HbMsg) {
         match msg {
             HbMsg::RsHeartbeat { logs } => {
@@ -159,7 +164,7 @@ impl HMaster {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, HbMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, HbMsg>, _t: TimerId, tag: u64) {
         if tag != TAG_MASTER_CHECK {
             return;
         }
@@ -238,6 +243,12 @@ impl RegionServer {
             fenced: false,
         }
     }
+}
+
+impl Node<HbMsg> for RegionServer {
+    fn start(&mut self, ctx: &mut Ctx<'_, HbMsg>) {
+        ctx.set_timer(100, TAG_RS_HB);
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, HbMsg>, from: NodeId, msg: HbMsg) {
         match msg {
@@ -308,7 +319,7 @@ impl RegionServer {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, HbMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, HbMsg>, _t: TimerId, tag: u64) {
         if tag == TAG_RS_HB {
             let logs = self.logs.clone();
             ctx.send(self.master, HbMsg::RsHeartbeat { logs });
@@ -325,52 +336,27 @@ pub struct HbClient {
     gets: BTreeMap<u64, Option<u64>>,
 }
 
-/// A node of the HBase deployment.
-pub enum HbProc {
-    Master(Box<HMaster>),
-    Rs(Box<RegionServer>),
-    Store(LogStore),
-    Client(HbClient),
+impl Node<HbMsg> for HbClient {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, HbMsg>, _from: NodeId, msg: HbMsg) {
+        match msg {
+            HbMsg::PutResp { op_id, ok } => {
+                self.puts.insert(op_id, ok);
+            }
+            HbMsg::GetResp { op_id, val } => {
+                self.gets.insert(op_id, val);
+            }
+            _ => {}
+        }
+    }
 }
 
-impl Application for HbProc {
-    type Msg = HbMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, HbMsg>) {
-        match self {
-            HbProc::Master(_) => {
-                ctx.set_timer(100, TAG_MASTER_CHECK);
-            }
-            HbProc::Rs(_) => {
-                ctx.set_timer(100, TAG_RS_HB);
-            }
-            _ => {}
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, HbMsg>, from: NodeId, msg: HbMsg) {
-        match self {
-            HbProc::Master(m) => m.on_message(ctx, from, msg),
-            HbProc::Rs(rs) => rs.on_message(ctx, from, msg),
-            HbProc::Store(s) => s.on_message(ctx, from, msg),
-            HbProc::Client(c) => match msg {
-                HbMsg::PutResp { op_id, ok } => {
-                    c.puts.insert(op_id, ok);
-                }
-                HbMsg::GetResp { op_id, val } => {
-                    c.gets.insert(op_id, val);
-                }
-                _ => {}
-            },
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, HbMsg>, _t: TimerId, tag: u64) {
-        match self {
-            HbProc::Master(m) => m.on_timer(ctx, tag),
-            HbProc::Rs(rs) => rs.on_timer(ctx, tag),
-            _ => {}
-        }
+neat::roles! {
+    /// A node of the HBase deployment.
+    pub enum HbProc: HbMsg {
+        Master(HMaster) => master / master_mut,
+        Rs(RegionServer) => rs / rs_mut,
+        Store(LogStore) => store / store_mut,
+        Client(HbClient) => client / client_mut,
     }
 }
 
@@ -390,25 +376,20 @@ impl HbCluster {
         let region_servers = vec![NodeId(1), NodeId(2)];
         let store = NodeId(3);
         let client = NodeId(4);
-        let rs_for_build = region_servers.clone();
-        // HBase arms peak around 115 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(128)
-            .build(5, |id| {
+        let neat = boot(seed, record, 5, |id| {
             if id == master {
-                HbProc::Master(Box::new(HMaster {
-                    region_servers: rs_for_build.clone(),
+                HbProc::Master(HMaster {
+                    region_servers: region_servers.clone(),
                     store,
                     flaws,
                     known_logs: BTreeMap::new(),
                     last_hb: BTreeMap::new(),
-                    serving: rs_for_build[0],
+                    serving: region_servers[0],
                     pending_split: None,
                     dead_after: 400,
-                }))
+                })
             } else if id.0 <= 2 {
-                HbProc::Rs(Box::new(RegionServer::new(id, master, store, id.0 == 1)))
+                HbProc::Rs(RegionServer::new(id, master, store, id.0 == 1))
             } else if id == store {
                 HbProc::Store(LogStore::default())
             } else {
@@ -416,7 +397,7 @@ impl HbCluster {
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             master,
             region_servers,
             store,
@@ -431,24 +412,18 @@ impl HbCluster {
         let op_id = self
             .neat
             .world
-            .call(self.client, |p, ctx| match p {
-                HbProc::Client(c) => {
-                    c.next += 1;
-                    let op_id = c.next;
-                    ctx.send(rs, HbMsg::Put { op_id, key: k.clone(), val });
-                    op_id
-                }
-                _ => unreachable!(),
+            .call(self.client, |p, ctx| {
+                let c = p.client_mut();
+                c.next += 1;
+                let op_id = c.next;
+                ctx.send(rs, HbMsg::Put { op_id, key: k.clone(), val });
+                op_id
             })
             .expect("client alive"); // lint:allow(unwrap-expect)
         let client = self.client;
-        let res = self.neat.run_op(
-            |_| Ok(()),
-            |w| match w.app_mut(client) {
-                HbProc::Client(c) => c.puts.remove(&op_id),
-                _ => None,
-            },
-        );
+        let res = self
+            .neat
+            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().puts.remove(&op_id));
         let outcome = match res {
             Some(true) => neat::Outcome::Ok(None),
             Some(false) => neat::Outcome::Fail,
@@ -467,14 +442,8 @@ impl HbCluster {
 
     /// The region contents at whichever server the master considers serving.
     pub fn serving_region(&self) -> BTreeMap<String, u64> {
-        let serving = match self.neat.world.app(self.master) {
-            HbProc::Master(m) => m.serving,
-            _ => unreachable!(),
-        };
-        match self.neat.world.app(serving) {
-            HbProc::Rs(rs) => rs.region.clone(),
-            _ => unreachable!(),
-        }
+        let serving = self.neat.world.app(self.master).master().serving;
+        self.neat.world.app(serving).rs().region.clone()
     }
 }
 

@@ -13,8 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Violation, ViolationKind};
-use simnet::{Application, Ctx, NodeId, Time, TimerId, WorldBuilder};
+use neat::{
+    cluster::{boot, Node},
+    Violation, ViolationKind,
+};
+use simnet::{Ctx, NodeId, Time, TimerId};
 
 const TAG_DN_HB: u64 = 81;
 const TAG_NN_PROBE: u64 = 82;
@@ -124,6 +127,12 @@ impl NameNode {
         }
         None
     }
+}
+
+impl Node<HdfsMsg> for NameNode {
+    fn start(&mut self, ctx: &mut Ctx<'_, HdfsMsg>) {
+        ctx.set_timer(200, TAG_NN_PROBE);
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, from: NodeId, msg: HdfsMsg) {
         match msg {
@@ -165,7 +174,7 @@ impl NameNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, _t: TimerId, tag: u64) {
         if tag != TAG_NN_PROBE {
             return;
         }
@@ -179,14 +188,19 @@ impl NameNode {
 }
 
 /// A DataNode.
-#[derive(Default)]
 pub struct DataNode {
     /// Blocks stored here.
     pub blocks: Vec<u64>,
+    /// The NameNode this DataNode heartbeats to.
+    nn: NodeId,
 }
 
-impl DataNode {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, from: NodeId, nn: NodeId, msg: HdfsMsg) {
+impl Node<HdfsMsg> for DataNode {
+    fn start(&mut self, ctx: &mut Ctx<'_, HdfsMsg>) {
+        ctx.set_timer(100, TAG_DN_HB);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, from: NodeId, msg: HdfsMsg) {
         match msg {
             HdfsMsg::WriteBlock { op_id, block } => {
                 self.blocks.push(block);
@@ -197,11 +211,15 @@ impl DataNode {
                 ctx.send(from, HdfsMsg::ReadResp { op_id, found });
             }
             HdfsMsg::Probe => ctx.send(from, HdfsMsg::ProbeAck),
-            HdfsMsg::SeedBlock { block } => {
-                self.blocks.push(block);
-                let _ = nn;
-            }
+            HdfsMsg::SeedBlock { block } => self.blocks.push(block),
             _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, _t: TimerId, tag: u64) {
+        if tag == TAG_DN_HB {
+            ctx.send(self.nn, HdfsMsg::Heartbeat);
+            ctx.set_timer(100, TAG_DN_HB);
         }
     }
 }
@@ -217,61 +235,32 @@ pub struct HdfsClient {
     reads: BTreeMap<u64, bool>,
 }
 
-/// A node of the HDFS deployment.
-pub enum HdfsProc {
-    Nn(Box<NameNode>),
-    Dn { state: DataNode, nn: NodeId },
-    Client(HdfsClient),
+impl Node<HdfsMsg> for HdfsClient {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, HdfsMsg>, _from: NodeId, msg: HdfsMsg) {
+        match msg {
+            HdfsMsg::AllocResp { op_id, dn } => {
+                self.allocs.insert(op_id, dn);
+            }
+            HdfsMsg::WriteAck { op_id } => {
+                self.write_acks.insert(op_id, true);
+            }
+            HdfsMsg::LocateResp { op_id, dn } => {
+                self.locates.insert(op_id, dn);
+            }
+            HdfsMsg::ReadResp { op_id, found } => {
+                self.reads.insert(op_id, found);
+            }
+            _ => {}
+        }
+    }
 }
 
-impl Application for HdfsProc {
-    type Msg = HdfsMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, HdfsMsg>) {
-        match self {
-            HdfsProc::Nn(_) => {
-                ctx.set_timer(200, TAG_NN_PROBE);
-            }
-            HdfsProc::Dn { .. } => {
-                ctx.set_timer(100, TAG_DN_HB);
-            }
-            HdfsProc::Client(_) => {}
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, from: NodeId, msg: HdfsMsg) {
-        match self {
-            HdfsProc::Nn(nn) => nn.on_message(ctx, from, msg),
-            HdfsProc::Dn { state, nn } => state.on_message(ctx, from, *nn, msg),
-            HdfsProc::Client(c) => match msg {
-                HdfsMsg::AllocResp { op_id, dn } => {
-                    c.allocs.insert(op_id, dn);
-                }
-                HdfsMsg::WriteAck { op_id } => {
-                    c.write_acks.insert(op_id, true);
-                }
-                HdfsMsg::LocateResp { op_id, dn } => {
-                    c.locates.insert(op_id, dn);
-                }
-                HdfsMsg::ReadResp { op_id, found } => {
-                    c.reads.insert(op_id, found);
-                }
-                _ => {}
-            },
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, HdfsMsg>, _t: TimerId, tag: u64) {
-        match self {
-            HdfsProc::Nn(nn) => nn.on_timer(ctx, tag),
-            HdfsProc::Dn { nn, .. } => {
-                if tag == TAG_DN_HB {
-                    ctx.send(*nn, HdfsMsg::Heartbeat);
-                    ctx.set_timer(100, TAG_DN_HB);
-                }
-            }
-            HdfsProc::Client(_) => {}
-        }
+neat::roles! {
+    /// A node of the HDFS deployment.
+    pub enum HdfsProc: HdfsMsg {
+        Nn(NameNode) => nn / nn_mut,
+        Dn(DataNode) => dn / dn_mut,
+        Client(HdfsClient) => client / client_mut,
     }
 }
 
@@ -294,25 +283,20 @@ impl HdfsCluster {
             vec![NodeId(6), NodeId(7)],
         ];
         let client = NodeId(8);
-        let racks_for_build = racks.clone();
-        // HDFS arms peak around 455 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(512)
-            .build(9, |id| {
+        let neat = boot(seed, record, 9, |id| {
             if id == nn {
-                HdfsProc::Nn(Box::new(NameNode::new(racks_for_build.clone(), flaws)))
+                HdfsProc::Nn(NameNode::new(racks.clone(), flaws))
             } else if id.0 <= 7 {
-                HdfsProc::Dn {
-                    state: DataNode::default(),
+                HdfsProc::Dn(DataNode {
+                    blocks: Vec::new(),
                     nn,
-                }
+                })
             } else {
                 HdfsProc::Client(HdfsClient::default())
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             nn,
             racks,
             client,
@@ -322,12 +306,10 @@ impl HdfsCluster {
     fn next_op(&mut self) -> u64 {
         self.neat
             .world
-            .call(self.client, |p, _| match p {
-                HdfsProc::Client(c) => {
-                    c.next += 1;
-                    c.next
-                }
-                _ => unreachable!(),
+            .call(self.client, |p, _| {
+                let c = p.client_mut();
+                c.next += 1;
+                c.next
             })
             .expect("client alive") // lint:allow(unwrap-expect)
     }
@@ -354,13 +336,7 @@ impl HdfsCluster {
         let client = self.client;
         let dn = self
             .neat
-            .run_op(
-                |_| Ok(()),
-                |w| match w.app_mut(client) {
-                    HdfsProc::Client(c) => c.allocs.remove(&op),
-                    _ => None,
-                },
-            )
+            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().allocs.remove(&op))
             .flatten()?;
         // Write to the allocated node with a short attempt timeout.
         let op2 = self.next_op();
@@ -372,13 +348,9 @@ impl HdfsCluster {
             .expect("client alive"); // lint:allow(unwrap-expect)
         let saved = self.neat.op_timeout;
         self.neat.op_timeout = 300;
-        let acked = self.neat.run_op(
-            |_| Ok(()),
-            |w| match w.app_mut(client) {
-                HdfsProc::Client(c) => c.write_acks.remove(&op2),
-                _ => None,
-            },
-        );
+        let acked = self
+            .neat
+            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().write_acks.remove(&op2));
         self.neat.op_timeout = saved;
         acked.map(|_| dn)
     }
@@ -395,10 +367,8 @@ impl HdfsCluster {
                     // Exclude whatever the NameNode suggested last. We need
                     // to ask it again; the failed allocation recorded the
                     // holder in `blocks`, so look there.
-                    let holders = match self.neat.world.app(self.nn) {
-                        HdfsProc::Nn(nn) => nn.blocks.get(&block).cloned().unwrap_or_default(),
-                        _ => unreachable!(),
-                    };
+                    let nn = self.neat.world.app(self.nn).nn();
+                    let holders = nn.blocks.get(&block).cloned().unwrap_or_default();
                     for h in holders {
                         if !excluded.contains(&h) {
                             excluded.push(h);
@@ -434,13 +404,7 @@ impl HdfsCluster {
             let client = self.client;
             let Some(dn) = self
                 .neat
-                .run_op(
-                    |_| Ok(()),
-                    |w| match w.app_mut(client) {
-                        HdfsProc::Client(c) => c.locates.remove(&op),
-                        _ => None,
-                    },
-                )
+                .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().locates.remove(&op))
                 .flatten()
             else {
                 continue;
@@ -454,13 +418,9 @@ impl HdfsCluster {
                 .expect("client alive"); // lint:allow(unwrap-expect)
             let saved = self.neat.op_timeout;
             self.neat.op_timeout = 300;
-            let got = self.neat.run_op(
-                |_| Ok(()),
-                |w| match w.app_mut(client) {
-                    HdfsProc::Client(c) => c.reads.remove(&op2),
-                    _ => None,
-                },
-            );
+            let got = self
+                .neat
+                .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().reads.remove(&op2));
             self.neat.op_timeout = saved;
             match got {
                 Some(true) => return (attempt, true),
@@ -475,16 +435,11 @@ impl HdfsCluster {
         for &dn in dns {
             self.neat
                 .world
-                .call(dn, |p, _| {
-                    if let HdfsProc::Dn { state, .. } = p {
-                        state.blocks.push(block);
-                    }
-                })
+                .call(dn, |p, _| p.dn_mut().blocks.push(block))
                 .expect("dn alive"); // lint:allow(unwrap-expect)
         }
-        if let HdfsProc::Nn(nn) = self.neat.world.app_mut(self.nn) {
-            nn.blocks.insert(block, dns.to_vec());
-        }
+        let nn = self.neat.world.app_mut(self.nn).nn_mut();
+        nn.blocks.insert(block, dns.to_vec());
     }
 }
 

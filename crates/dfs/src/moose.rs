@@ -13,8 +13,11 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Violation, ViolationKind};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{
+    cluster::{boot, Node},
+    Violation, ViolationKind,
+};
+use simnet::{Ctx, NodeId};
 
 /// Flaw toggles.
 #[derive(Clone, Copy, Debug)]
@@ -68,7 +71,7 @@ pub struct Master {
     files: BTreeMap<u64, FileMeta>,
 }
 
-impl Master {
+impl Node<MooseMsg> for Master {
     fn on_message(&mut self, ctx: &mut Ctx<'_, MooseMsg>, from: NodeId, msg: MooseMsg) {
         match msg {
             MooseMsg::Create {
@@ -123,6 +126,22 @@ pub struct ChunkServer {
     pub chunks: Vec<u64>,
 }
 
+impl Node<MooseMsg> for ChunkServer {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, MooseMsg>, from: NodeId, msg: MooseMsg) {
+        match msg {
+            MooseMsg::WriteChunk { op_id, file } => {
+                self.chunks.push(file);
+                ctx.send(from, MooseMsg::WriteChunkAck { op_id });
+            }
+            MooseMsg::ReadChunk { op_id, file } => {
+                let found = self.chunks.contains(&file);
+                ctx.send(from, MooseMsg::ReadChunkResp { op_id, found });
+            }
+            _ => {}
+        }
+    }
+}
+
 /// The client process.
 #[derive(Default)]
 pub struct MooseClientState {
@@ -134,54 +153,36 @@ pub struct MooseClientState {
     reads: BTreeMap<u64, bool>,
 }
 
-/// A node of the MooseFS deployment.
-pub enum MooseProc {
-    Master(Master),
-    Cs(ChunkServer),
-    Client(MooseClientState),
-}
-
-impl Application for MooseProc {
-    type Msg = MooseMsg;
-
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, MooseMsg>) {}
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, MooseMsg>, from: NodeId, msg: MooseMsg) {
-        match self {
-            MooseProc::Master(m) => m.on_message(ctx, from, msg),
-            MooseProc::Cs(cs) => match msg {
-                MooseMsg::WriteChunk { op_id, file } => {
-                    cs.chunks.push(file);
-                    ctx.send(from, MooseMsg::WriteChunkAck { op_id });
-                }
-                MooseMsg::ReadChunk { op_id, file } => {
-                    let found = cs.chunks.contains(&file);
-                    ctx.send(from, MooseMsg::ReadChunkResp { op_id, found });
-                }
-                _ => {}
-            },
-            MooseProc::Client(c) => match msg {
-                MooseMsg::CreateResp { op_id, cs } => {
-                    c.creates.insert(op_id, cs);
-                }
-                MooseMsg::WriteChunkAck { op_id } => {
-                    c.write_acks.insert(op_id, true);
-                }
-                MooseMsg::ConfirmAck { op_id } => {
-                    c.confirms.insert(op_id, true);
-                }
-                MooseMsg::StatResp { op_id, exists, cs } => {
-                    c.stats.insert(op_id, (exists, cs));
-                }
-                MooseMsg::ReadChunkResp { op_id, found } => {
-                    c.reads.insert(op_id, found);
-                }
-                _ => {}
-            },
+impl Node<MooseMsg> for MooseClientState {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, MooseMsg>, _from: NodeId, msg: MooseMsg) {
+        match msg {
+            MooseMsg::CreateResp { op_id, cs } => {
+                self.creates.insert(op_id, cs);
+            }
+            MooseMsg::WriteChunkAck { op_id } => {
+                self.write_acks.insert(op_id, true);
+            }
+            MooseMsg::ConfirmAck { op_id } => {
+                self.confirms.insert(op_id, true);
+            }
+            MooseMsg::StatResp { op_id, exists, cs } => {
+                self.stats.insert(op_id, (exists, cs));
+            }
+            MooseMsg::ReadChunkResp { op_id, found } => {
+                self.reads.insert(op_id, found);
+            }
+            _ => {}
         }
     }
+}
 
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, MooseMsg>, _t: TimerId, _tag: u64) {}
+neat::roles! {
+    /// A node of the MooseFS deployment.
+    pub enum MooseProc: MooseMsg {
+        Master(Master) => master / master_mut,
+        Cs(ChunkServer) => cs / cs_mut,
+        Client(MooseClientState) => client / client_mut,
+    }
 }
 
 /// The deployment: master, three chunkservers, one client.
@@ -198,15 +199,10 @@ impl MooseCluster {
         let master = NodeId(0);
         let chunkservers: Vec<NodeId> = (1..=3).map(NodeId).collect();
         let client = NodeId(4);
-        let cs_for_build = chunkservers.clone();
-        // MooseFS arms are tiny: ~12 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(32)
-            .build(5, |id| {
+        let neat = boot(seed, record, 5, |id| {
             if id == master {
                 MooseProc::Master(Master {
-                    chunkservers: cs_for_build.clone(),
+                    chunkservers: chunkservers.clone(),
                     flaws,
                     files: BTreeMap::new(),
                 })
@@ -217,7 +213,7 @@ impl MooseCluster {
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             master,
             chunkservers,
             client,
@@ -227,12 +223,10 @@ impl MooseCluster {
     fn next_op(&mut self) -> u64 {
         self.neat
             .world
-            .call(self.client, |p, _| match p {
-                MooseProc::Client(c) => {
-                    c.next += 1;
-                    c.next
-                }
-                _ => unreachable!(),
+            .call(self.client, |p, _| {
+                let c = p.client_mut();
+                c.next += 1;
+                c.next
             })
             .expect("client alive") // lint:allow(unwrap-expect)
     }
@@ -245,13 +239,9 @@ impl MooseCluster {
         let client = self.client;
         let saved = self.neat.op_timeout;
         self.neat.op_timeout = timeout;
-        let r = self.neat.run_op(
-            |_| Ok(()),
-            |w| match w.app_mut(client) {
-                MooseProc::Client(c) => take(c),
-                _ => None,
-            },
-        );
+        let r = self
+            .neat
+            .run_op(|_| Ok(()), |w| take(w.app_mut(client).client_mut()));
         self.neat.op_timeout = saved;
         r
     }

@@ -14,9 +14,10 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
+    cluster::{boot, Node},
     Violation,
 };
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use simnet::{Ctx, NodeId, TimerId};
 
 const TAG_RECOVER: u64 = 91;
 
@@ -109,6 +110,12 @@ impl Osd {
         let peers: Vec<NodeId> = self.osds.iter().copied().filter(|&o| o != self.me).collect();
         ctx.broadcast(&peers, ObjMsg::Repl { seq, key, obj });
     }
+}
+
+impl Node<ObjMsg> for Osd {
+    fn start(&mut self, ctx: &mut Ctx<'_, ObjMsg>) {
+        ctx.set_timer(300, TAG_RECOVER);
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, ObjMsg>, from: NodeId, msg: ObjMsg) {
         match msg {
@@ -195,7 +202,7 @@ impl Osd {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ObjMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ObjMsg>, _t: TimerId, tag: u64) {
         if tag != TAG_RECOVER {
             return;
         }
@@ -213,36 +220,19 @@ pub struct ObjClientState {
     results: BTreeMap<u64, (bool, Option<u64>)>,
 }
 
-/// A node of the object-store deployment.
-pub enum ObjProc {
-    Osd(Box<Osd>),
-    Client(ObjClientState),
+impl Node<ObjMsg> for ObjClientState {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, ObjMsg>, _from: NodeId, msg: ObjMsg) {
+        if let ObjMsg::Resp { op_id, ok, val } = msg {
+            self.results.insert(op_id, (ok, val));
+        }
+    }
 }
 
-impl Application for ObjProc {
-    type Msg = ObjMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, ObjMsg>) {
-        if let ObjProc::Osd(_) = self {
-            ctx.set_timer(300, TAG_RECOVER);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, ObjMsg>, from: NodeId, msg: ObjMsg) {
-        match self {
-            ObjProc::Osd(o) => o.on_message(ctx, from, msg),
-            ObjProc::Client(c) => {
-                if let ObjMsg::Resp { op_id, ok, val } = msg {
-                    c.results.insert(op_id, (ok, val));
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, ObjMsg>, _t: TimerId, tag: u64) {
-        if let ObjProc::Osd(o) = self {
-            o.on_timer(ctx, tag);
-        }
+neat::roles! {
+    /// A node of the object-store deployment.
+    pub enum ObjProc: ObjMsg {
+        Osd(Osd) => osd / osd_mut,
+        Client(ObjClientState) => client / client_mut,
     }
 }
 
@@ -258,27 +248,22 @@ impl ObjCluster {
     pub fn build(flaws: ObjFlaws, seed: u64, record: bool) -> Self {
         let osds: Vec<NodeId> = (0..3).map(NodeId).collect();
         let clients: Vec<NodeId> = (3..5).map(NodeId).collect();
-        let osds_for_build = osds.clone();
-        // Object-store (Redis-style) arms peak around 507 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(640)
-            .build(5, |id| {
+        let neat = boot(seed, record, 5, |id| {
             if id.0 < 3 {
-                ObjProc::Osd(Box::new(Osd {
+                ObjProc::Osd(Osd {
                     me: id,
-                    osds: osds_for_build.clone(),
+                    osds: osds.clone(),
                     flaws,
                     objects: BTreeMap::new(),
                     seq: 0,
                     pending: BTreeMap::new(),
-                }))
+                })
             } else {
                 ObjProc::Client(ObjClientState::default())
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             osds,
             clients,
         }
@@ -287,26 +272,19 @@ impl ObjCluster {
     fn op(&mut self, client: NodeId, msg: impl FnOnce(u64) -> ObjMsg, to: NodeId) -> u64 {
         self.neat
             .world
-            .call(client, |p, ctx| match p {
-                ObjProc::Client(c) => {
-                    let op_id = (ctx.id().0 as u64) << 32 | c.next;
-                    c.next += 1;
-                    ctx.send(to, msg(op_id));
-                    op_id
-                }
-                _ => unreachable!(),
+            .call(client, |p, ctx| {
+                let c = p.client_mut();
+                let op_id = (ctx.id().0 as u64) << 32 | c.next;
+                c.next += 1;
+                ctx.send(to, msg(op_id));
+                op_id
             })
             .expect("client alive") // lint:allow(unwrap-expect)
     }
 
     fn wait(&mut self, client: NodeId, op_id: u64) -> Option<(bool, Option<u64>)> {
-        self.neat.run_op(
-            |_| Ok(()),
-            |w| match w.app_mut(client) {
-                ObjProc::Client(c) => c.results.remove(&op_id),
-                _ => None,
-            },
-        )
+        self.neat
+            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().results.remove(&op_id))
     }
 
     /// A recorded write through client `i`.
@@ -382,10 +360,8 @@ impl ObjCluster {
 
     /// The primary's view of `key` after quiescing.
     pub fn final_value(&self, key: &str) -> Option<u64> {
-        match self.neat.world.app(self.osds[0]) {
-            ObjProc::Osd(o) => o.objects.get(key).and_then(|v| v.val),
-            _ => unreachable!(),
-        }
+        let primary = self.neat.world.app(self.osds[0]).osd();
+        primary.objects.get(key).and_then(|v| v.val)
     }
 }
 
@@ -410,9 +386,7 @@ pub fn recovery_resurrection(flaws: ObjFlaws, seed: u64, record: bool) -> (Vec<V
     // configuration change on the reachable OSDs.
     let acting = cluster.osds[1];
     for osd in [acting, cluster.osds[2]] {
-        if let ObjProc::Osd(o) = cluster.neat.world.app_mut(osd) {
-            o.osds = vec![acting, cluster.osds[2]];
-        }
+        cluster.neat.world.app_mut(osd).osd_mut().osds = vec![acting, cluster.osds[2]];
     }
     // Acknowledged mutations on the majority: overwrite "a", delete "d".
     let primary_backup = cluster.osds[0];
@@ -424,10 +398,7 @@ pub fn recovery_resurrection(flaws: ObjFlaws, seed: u64, record: bool) -> (Vec<V
     cluster.neat.heal(&p);
     // Restore the full OSD set and let recovery run.
     for osd in [acting, cluster.osds[2]] {
-        let all = cluster.osds.clone();
-        if let ObjProc::Osd(o) = cluster.neat.world.app_mut(osd) {
-            o.osds = all;
-        }
+        cluster.neat.world.app_mut(osd).osd_mut().osds = cluster.osds.clone();
     }
     cluster.neat.sleep(1500);
 

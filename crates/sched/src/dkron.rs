@@ -9,8 +9,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use neat::{Violation, ViolationKind};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{
+    cluster::{boot, Node},
+    Violation, ViolationKind,
+};
+use simnet::{Ctx, NodeId, TimerId};
 
 const TAG_STATUS_TIMEOUT: u64 = 2_000_000;
 
@@ -58,7 +61,9 @@ impl DkNode {
             pending: BTreeMap::new(),
         }
     }
+}
 
+impl Node<DkMsg> for DkNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, DkMsg>, from: NodeId, msg: DkMsg) {
         match msg {
             DkMsg::RunJob { op_id, job } => {
@@ -101,7 +106,7 @@ impl DkNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, DkMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, DkMsg>, _t: TimerId, tag: u64) {
         if tag >= TAG_STATUS_TIMEOUT {
             let op_id = tag - TAG_STATUS_TIMEOUT;
             if let Some((client, job, _)) = self.pending.remove(&op_id) {
@@ -121,32 +126,19 @@ pub struct DkClient {
     statuses: BTreeMap<u64, bool>,
 }
 
-/// A node of the scheduler deployment.
-pub enum DkProc {
-    Node(DkNode),
-    Client(DkClient),
-}
-
-impl Application for DkProc {
-    type Msg = DkMsg;
-
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, DkMsg>) {}
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, DkMsg>, from: NodeId, msg: DkMsg) {
-        match self {
-            DkProc::Node(n) => n.on_message(ctx, from, msg),
-            DkProc::Client(c) => {
-                if let DkMsg::JobStatus { op_id, ok, .. } = msg {
-                    c.statuses.insert(op_id, ok);
-                }
-            }
+impl Node<DkMsg> for DkClient {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, DkMsg>, _from: NodeId, msg: DkMsg) {
+        if let DkMsg::JobStatus { op_id, ok, .. } = msg {
+            self.statuses.insert(op_id, ok);
         }
     }
+}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, DkMsg>, _t: TimerId, tag: u64) {
-        if let DkProc::Node(n) = self {
-            n.on_timer(ctx, tag);
-        }
+neat::roles! {
+    /// A node of the scheduler deployment.
+    pub enum DkProc: DkMsg {
+        Node(DkNode) => node / node_mut,
+        Client(DkClient) => client / client_mut,
     }
 }
 
@@ -163,20 +155,15 @@ impl DkCluster {
     pub fn build(flaws: DkFlaws, seed: u64, record: bool) -> Self {
         let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
         let client = NodeId(3);
-        let peers = nodes.clone();
-        // Dkron-style arms peak under ~400 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(512)
-            .build(4, |id| {
+        let neat = boot(seed, record, 4, |id| {
             if id.0 < 3 {
-                DkProc::Node(DkNode::new(id, peers.clone(), id.0 == 0, flaws))
+                DkProc::Node(DkNode::new(id, nodes.clone(), id.0 == 0, flaws))
             } else {
                 DkProc::Client(DkClient::default())
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             leader: nodes[0],
             followers: nodes[1..].to_vec(),
             client,
@@ -190,32 +177,23 @@ impl DkCluster {
         let op_id = self
             .neat
             .world
-            .call(self.client, |p, ctx| match p {
-                DkProc::Client(c) => {
-                    let op_id = c.next;
-                    c.next += 1;
-                    ctx.send(leader, DkMsg::RunJob { op_id, job });
-                    op_id
-                }
-                DkProc::Node(_) => unreachable!(),
+            .call(self.client, |p, ctx| {
+                let c = p.client_mut();
+                let op_id = c.next;
+                c.next += 1;
+                ctx.send(leader, DkMsg::RunJob { op_id, job });
+                op_id
             })
             .expect("client alive"); // lint:allow(unwrap-expect)
         let client = self.client;
-        self.neat.run_op(
-            |_| Ok(()),
-            |w| match w.app_mut(client) {
-                DkProc::Client(c) => c.statuses.remove(&op_id),
-                DkProc::Node(_) => None,
-            },
-        )
+        self.neat
+            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().statuses.remove(&op_id))
     }
 
     /// How many times `job`'s side effect ran on the leader.
     pub fn executions(&self, job: u64) -> u32 {
-        match self.neat.world.app(self.leader) {
-            DkProc::Node(n) => n.executions.get(&job).copied().unwrap_or(0),
-            DkProc::Client(_) => unreachable!(),
-        }
+        let leader = self.neat.world.app(self.leader).node();
+        leader.executions.get(&job).copied().unwrap_or(0)
     }
 }
 

@@ -15,8 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use neat::{Violation, ViolationKind};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use neat::{
+    cluster::{boot, Node},
+    Violation, ViolationKind,
+};
+use simnet::{Ctx, NodeId, TimerId};
 
 const TAG_RM_CHECK: u64 = 71;
 const TAG_AM_HB: u64 = 72;
@@ -115,6 +118,12 @@ impl Rm {
             },
         );
     }
+}
+
+impl Node<MrMsg> for Rm {
+    fn start(&mut self, ctx: &mut Ctx<'_, MrMsg>) {
+        ctx.set_timer(100, TAG_RM_CHECK);
+    }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, MrMsg>, _from: NodeId, msg: MrMsg) {
         match msg {
@@ -158,7 +167,7 @@ impl Rm {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MrMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, MrMsg>, _t: TimerId, tag: u64) {
         if tag != TAG_RM_CHECK {
             return;
         }
@@ -217,7 +226,33 @@ impl Nm {
         }
     }
 
+    /// Sends `RunTask` for every unfinished task, rotating hosts by retry
+    /// count so a dead container host is eventually routed around.
+    fn launch_tasks(&mut self, ctx: &mut Ctx<'_, MrMsg>, job: u64) {
+        let Some(am) = self.ams.get(&job) else {
+            return;
+        };
+        let attempt = am.attempt;
+        let retries = am.retries as usize;
+        let pending: Vec<u32> = (0..am.tasks_total).filter(|t| !am.done.contains(t)).collect();
+        for t in pending {
+            let host = self.nms[(self.me.0 + 1 + retries + t as usize) % self.nms.len()];
+            ctx.send(host, MrMsg::RunTask { job, attempt, task: t });
+        }
+    }
+}
+
+impl Node<MrMsg> for Nm {
     fn on_message(&mut self, ctx: &mut Ctx<'_, MrMsg>, from: NodeId, msg: MrMsg) {
+        // Tasks report with a placeholder attempt; rewrite it with the
+        // hosted AM's attempt so accounting stays simple.
+        let msg = match msg {
+            MrMsg::TaskDone { job, task, .. } => {
+                let attempt = self.ams.get(&job).map(|a| a.attempt).unwrap_or(0);
+                MrMsg::TaskDone { job, attempt, task }
+            }
+            other => other,
+        };
         match msg {
             MrMsg::StartAm { job, attempt, tasks } => {
                 ctx.note(format!("AM attempt {attempt} for job {job} starting {tasks} tasks"));
@@ -263,22 +298,7 @@ impl Nm {
         }
     }
 
-    /// Sends `RunTask` for every unfinished task, rotating hosts by retry
-    /// count so a dead container host is eventually routed around.
-    fn launch_tasks(&mut self, ctx: &mut Ctx<'_, MrMsg>, job: u64) {
-        let Some(am) = self.ams.get(&job) else {
-            return;
-        };
-        let attempt = am.attempt;
-        let retries = am.retries as usize;
-        let pending: Vec<u32> = (0..am.tasks_total).filter(|t| !am.done.contains(t)).collect();
-        for t in pending {
-            let host = self.nms[(self.me.0 + 1 + retries + t as usize) % self.nms.len()];
-            ctx.send(host, MrMsg::RunTask { job, attempt, task: t });
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MrMsg>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, MrMsg>, _t: TimerId, tag: u64) {
         if tag >= TAG_TASK {
             // Task finished: report to the AppMaster. The container knows
             // its AM from the RunTask sender; for simplicity tasks report to
@@ -321,6 +341,12 @@ impl Nm {
             }
         }
     }
+
+    /// AppMaster and container state is volatile; the store's outputs and
+    /// the client's received results survive.
+    fn on_crash(&mut self) {
+        self.ams.clear();
+    }
 }
 
 /// The output store (an HDFS stand-in): records every committed output.
@@ -330,7 +356,7 @@ pub struct Store {
     pub outputs: Vec<(u64, u32)>,
 }
 
-impl Store {
+impl Node<MrMsg> for Store {
     fn on_message(&mut self, ctx: &mut Ctx<'_, MrMsg>, from: NodeId, msg: MrMsg) {
         match msg {
             MrMsg::CommitOutput { job, attempt } => {
@@ -353,61 +379,21 @@ pub struct MrClient {
     pub results: BTreeMap<u64, Vec<u32>>,
 }
 
-/// A node of the MapReduce deployment.
-pub enum MrProc {
-    Rm(Rm),
-    Nm(Box<Nm>),
-    Store(Store),
-    Client(MrClient),
+impl Node<MrMsg> for MrClient {
+    fn on_message(&mut self, _ctx: &mut Ctx<'_, MrMsg>, _from: NodeId, msg: MrMsg) {
+        if let MrMsg::Result { job, attempt } = msg {
+            self.results.entry(job).or_default().push(attempt);
+        }
+    }
 }
 
-impl Application for MrProc {
-    type Msg = MrMsg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, MrMsg>) {
-        if let MrProc::Rm(_) = self {
-            ctx.set_timer(100, TAG_RM_CHECK);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, MrMsg>, from: NodeId, msg: MrMsg) {
-        match self {
-            MrProc::Rm(rm) => rm.on_message(ctx, from, msg),
-            MrProc::Nm(nm) => {
-                // Tasks report with a placeholder attempt; rewrite it with
-                // the hosted AM's attempt so accounting stays simple.
-                let msg = match msg {
-                    MrMsg::TaskDone { job, task, .. } => {
-                        let attempt = nm.ams.get(&job).map(|a| a.attempt).unwrap_or(0);
-                        MrMsg::TaskDone { job, attempt, task }
-                    }
-                    other => other,
-                };
-                nm.on_message(ctx, from, msg);
-            }
-            MrProc::Store(s) => s.on_message(ctx, from, msg),
-            MrProc::Client(c) => {
-                if let MrMsg::Result { job, attempt } = msg {
-                    c.results.entry(job).or_default().push(attempt);
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, MrMsg>, _t: TimerId, tag: u64) {
-        match self {
-            MrProc::Rm(rm) => rm.on_timer(ctx, tag),
-            MrProc::Nm(nm) => nm.on_timer(ctx, tag),
-            _ => {}
-        }
-    }
-
-    fn on_crash(&mut self) {
-        // AppMaster and container state is volatile; the store's outputs
-        // and the client's received results survive.
-        if let MrProc::Nm(nm) = self {
-            nm.ams.clear();
-        }
+neat::roles! {
+    /// A node of the MapReduce deployment.
+    pub enum MrProc: MrMsg {
+        Rm(Rm) => rm / rm_mut,
+        Nm(Nm) => nm / nm_mut,
+        Store(Store) => store / store_mut,
+        Client(MrClient) => client / client_mut,
     }
 }
 
@@ -427,16 +413,11 @@ impl MrCluster {
         let nms: Vec<NodeId> = (1..=3).map(NodeId).collect();
         let store = NodeId(4);
         let client = NodeId(5);
-        let nms_for_build = nms.clone();
-        // MapReduce arms peak around 77 events at seed 8.
-        let world = WorldBuilder::new(seed)
-            .record_trace(record)
-            .event_capacity(128)
-            .build(6, |id| {
+        let neat = boot(seed, record, 6, |id| {
             if id == rm {
-                MrProc::Rm(Rm::new(nms_for_build.clone(), store, flaws))
+                MrProc::Rm(Rm::new(nms.clone(), store, flaws))
             } else if id.0 <= 3 {
-                MrProc::Nm(Box::new(Nm::new(id, nms_for_build.clone(), rm, store, client)))
+                MrProc::Nm(Nm::new(id, nms.clone(), rm, store, client))
             } else if id == store {
                 MrProc::Store(Store::default())
             } else {
@@ -444,7 +425,7 @@ impl MrCluster {
             }
         });
         Self {
-            neat: neat::Neat::new(world),
+            neat,
             rm,
             nms,
             store,
@@ -463,23 +444,19 @@ impl MrCluster {
 
     /// Results delivered to the user for `job`.
     pub fn results_for(&self, job: u64) -> Vec<u32> {
-        match self.neat.world.app(self.client) {
-            MrProc::Client(c) => c.results.get(&job).cloned().unwrap_or_default(),
-            _ => unreachable!(),
-        }
+        let client = self.neat.world.app(self.client).client();
+        client.results.get(&job).cloned().unwrap_or_default()
     }
 
     /// Store outputs for `job`.
     pub fn outputs_for(&self, job: u64) -> Vec<u32> {
-        match self.neat.world.app(self.store) {
-            MrProc::Store(s) => s
-                .outputs
-                .iter()
-                .filter(|(j, _)| *j == job)
-                .map(|(_, a)| *a)
-                .collect(),
-            _ => unreachable!(),
-        }
+        let store = self.neat.world.app(self.store).store();
+        store
+            .outputs
+            .iter()
+            .filter(|(j, _)| *j == job)
+            .map(|(_, a)| *a)
+            .collect()
     }
 }
 
