@@ -8,6 +8,7 @@
 use std::fmt::Write as _;
 
 use neat::explore::{explore, Strategy};
+use neat_repro::campaign::{scenarios_of, ScenarioClass};
 use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
 use study::{catalog, stats, PartitionType, Source, Timing};
 
@@ -382,12 +383,6 @@ pub fn forensics_machine_json() -> String {
 
 // --- gray failures -------------------------------------------------------
 
-/// The registry's gray-failure scenarios: degraded, not severed, links
-/// (`gray-partial`, `gray-simplex`, and `flapping` partition labels).
-fn gray_partition(partition: &str) -> bool {
-    matches!(partition, "gray-partial" | "gray-simplex" | "flapping")
-}
-
 /// Exact content of `BENCH_gray.json`: every gray-failure scenario of the
 /// campaign at the historical seed 8 — both arms' checker verdicts side
 /// by side (the no-retry vs retry-with-backoff contrast) plus the
@@ -395,11 +390,7 @@ fn gray_partition(partition: &str) -> bool {
 /// this records no wall-clock numbers, so it is fully deterministic and
 /// golden-tested byte-for-byte.
 pub fn gray_machine_json() -> String {
-    let specs = neat_repro::campaign::registry();
-    let gray: Vec<&neat_repro::campaign::ScenarioSpec> = specs
-        .iter()
-        .filter(|s| gray_partition(s.partition))
-        .collect();
+    let gray: Vec<_> = scenarios_of(ScenarioClass::Gray).collect();
     let arms: usize = gray
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
@@ -456,13 +447,6 @@ pub fn gray_machine_json() -> String {
 
 // --- load workloads ------------------------------------------------------
 
-/// The registry's load-driven scenarios: every partition label the
-/// workload family registers starts with `load` (so the gray filters
-/// above never claim them, and vice versa).
-fn workload_partition(partition: &str) -> bool {
-    partition.starts_with("load")
-}
-
 /// Shards of the sharded open-loop read ladder; fixed, so the shard
 /// decomposition — and therefore every shard's report — never depends on
 /// the `--jobs` rung being measured.
@@ -480,11 +464,7 @@ const LADDER_JOBS: [usize; 4] = [1, 2, 4, 8];
 /// byte-for-byte. All numbers are virtual-time, so the artifact is fully
 /// deterministic; the binary runs the ladder at a million ops.
 pub fn workload_machine_json(ladder_ops: u64) -> String {
-    let specs = neat_repro::campaign::registry();
-    let load: Vec<&neat_repro::campaign::ScenarioSpec> = specs
-        .iter()
-        .filter(|s| workload_partition(s.partition))
-        .collect();
+    let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
     let arms: usize = load
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
@@ -635,13 +615,6 @@ pub fn lint_machine_json() -> String {
 }
 
 // --- coverage-guided exploration -----------------------------------------
-
-/// The registry's delta-minimized explorer regressions: every scenario the
-/// exploration pipeline ships carries an `explored*` partition label (so
-/// the gray and load filters above never claim them, and vice versa).
-fn explored_partition(partition: &str) -> bool {
-    partition.starts_with("explored")
-}
 
 /// Trial budget per strategy/target pair — the equal budget at which the
 /// acceptance criterion compares coverage-guided search against naive
@@ -840,11 +813,7 @@ pub fn explore_machine_json() -> String {
 
     // Delta-minimized registry regressions: both arms at seed 8 plus a
     // fresh 1-minimality proof by replay.
-    let specs = neat_repro::campaign::registry();
-    let explored: Vec<&neat_repro::campaign::ScenarioSpec> = specs
-        .iter()
-        .filter(|s| explored_partition(s.partition))
-        .collect();
+    let explored: Vec<_> = scenarios_of(ScenarioClass::Explored).collect();
     out.push_str(",\"minimized\":[");
     for (i, s) in explored.iter().enumerate() {
         if i > 0 {
@@ -974,10 +943,7 @@ mod tests {
         assert!(!compact.contains("\"one_minimal\":false"), "{json}");
         assert!(!compact.contains("\"flawed\":[]"), "{json}");
         assert!(compact.contains("\"fixed\":[]"), "{json}");
-        let explored: Vec<_> = neat_repro::campaign::registry()
-            .into_iter()
-            .filter(|s| explored_partition(s.partition))
-            .collect();
+        let explored: Vec<_> = scenarios_of(ScenarioClass::Explored).collect();
         assert!(explored.len() >= 2, "only {} explored scenarios", explored.len());
         for s in &explored {
             assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
@@ -993,10 +959,7 @@ mod tests {
     fn gray_machine_json_covers_every_gray_scenario() {
         let json = gray_machine_json();
         assert!(json.contains("\"bench\": \"gray\""), "{json}");
-        let gray: Vec<_> = neat_repro::campaign::registry()
-            .into_iter()
-            .filter(|s| gray_partition(s.partition))
-            .collect();
+        let gray: Vec<_> = scenarios_of(ScenarioClass::Gray).collect();
         assert!(gray.len() >= 6, "only {} gray scenarios", gray.len());
         for s in &gray {
             assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
@@ -1016,10 +979,7 @@ mod tests {
         // A small ladder keeps the test quick; the binary runs a million.
         let json = workload_machine_json(4000);
         assert!(json.contains("\"bench\": \"workload\""), "{json}");
-        let load: Vec<_> = neat_repro::campaign::registry()
-            .into_iter()
-            .filter(|s| workload_partition(s.partition))
-            .collect();
+        let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
         assert!(load.len() >= 5, "only {} load scenarios", load.len());
         for s in &load {
             assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
@@ -1037,17 +997,6 @@ mod tests {
         // streaming against a stale leader shows up as fails here.
         assert!(compact.contains("\"issued\":4000,\"ok\":4000,\"fail\":0"), "{json}");
         assert!(json.ends_with('\n'));
-    }
-
-    #[test]
-    fn gray_and_workload_partitions_never_overlap() {
-        for s in neat_repro::campaign::registry() {
-            assert!(
-                !(gray_partition(s.partition) && workload_partition(s.partition)),
-                "{} claimed by both families",
-                s.name
-            );
-        }
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Campaign drivers: the registry and the auditor, fanned over the pool.
 //!
 //! Work items are addresses into `neat_repro::campaign::registry()` —
-//! scenario indices, [`ArmId`]s, or (scenario, seed) pairs — never the
-//! boxed runner closures themselves (those are not `Send`). Each worker
-//! rebuilds the registry locally and executes its item as a normal
-//! single-threaded deterministic simulation; the reduce step orders
-//! results by item index, so every function here is byte-identical to its
-//! serial counterpart for any `jobs`.
+//! scenario indices, [`ArmId`]s, or (scenario, seed) pairs. Each worker
+//! executes its item as a normal single-threaded deterministic simulation;
+//! the reduce step orders results by item index, so every function here is
+//! byte-identical to its serial counterpart for any `jobs`.
 
 use neat::audit::{audit_double_run, AuditOutcome};
 use neat_repro::campaign::{

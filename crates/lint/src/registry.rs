@@ -36,6 +36,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 use crate::lex::{self, TokenKind};
+use neat_repro::campaign::{scenarios_of, ScenarioClass};
 use study::json::Value;
 
 /// One inconsistency between the registry and an artifact or reference.
@@ -369,9 +370,7 @@ fn check_test_references(
 /// runs stopped merging byte-identically.
 fn check_workload_bench(root: &Path, findings: &mut Vec<RegistryFinding>) {
     const ARTIFACT: &str = "BENCH_workload.json";
-    let load: BTreeSet<String> = neat_repro::campaign::registry()
-        .iter()
-        .filter(|s| s.partition.starts_with("load"))
+    let load: BTreeSet<String> = scenarios_of(ScenarioClass::Load)
         .map(|s| s.name.to_string())
         .collect();
     let Some(text) = read(root, ARTIFACT, findings) else {
@@ -444,9 +443,7 @@ fn check_workload_bench(root: &Path, findings: &mut Vec<RegistryFinding>) {
 /// or a sharded exploration that stopped merging byte-identically.
 fn check_explore_bench(root: &Path, findings: &mut Vec<RegistryFinding>) {
     const ARTIFACT: &str = "BENCH_explore.json";
-    let explored: BTreeSet<String> = neat_repro::campaign::registry()
-        .iter()
-        .filter(|s| s.partition.starts_with("explored"))
+    let explored: BTreeSet<String> = scenarios_of(ScenarioClass::Explored)
         .map(|s| s.name.to_string())
         .collect();
     let Some(text) = read(root, ARTIFACT, findings) else {

@@ -1,8 +1,9 @@
 //! The NEAT test campaign: every reproduced failure, run end to end.
 //!
-//! [`registry`] is the single source of truth for the campaign: every
-//! scenario in the workspace, as a pair of seeded closures (the flawed
-//! as-studied configuration and the repaired baseline).
+//! [`registry`] is the single source of truth for the campaign: a static
+//! table with one row per scenario in the workspace — its labels, its
+//! scenario function, and the two configurations it runs under (the flawed
+//! as-studied one and the repaired baseline).
 //! [`run_all_scenarios`] executes each and collects the checker verdicts;
 //! [`scenario_fingerprints`] renders each run as a full execution
 //! fingerprint for the trace-divergence auditor (`cargo run -p lint --
@@ -12,7 +13,14 @@
 //! paper reports in §6.4: how many failures were found and how many are
 //! catastrophic.
 
+use consensus::{scenarios as raft, RaftTweaks};
+use coord::{scenarios as zk, CoordFlaws};
+use dfs::{hbase, hdfs, moose, objstore};
+use gridstore::{scenarios as grid, GridFlaws};
+use mqueue::{scenarios as mq, AcFlaws, BrokerFlaws};
 use neat::{Violation, ViolationKind};
+use repkv::{load as kv_load, scenarios as kv, Config};
+use sched::{dkron, mapred};
 
 /// One scenario executed under both configurations.
 #[derive(Clone, Debug)]
@@ -145,651 +153,244 @@ impl ScenarioRun for (Vec<Violation>, String, neat::obs::Timeline) {
     }
 }
 
-/// A boxed scenario arm: seed and run mode in, artifacts out.
-pub type Runner = Box<dyn Fn(u64, RunMode) -> RunArtifacts>;
-
-fn runner<O, F>(f: F) -> Runner
-where
-    O: ScenarioRun,
-    F: Fn(u64, bool) -> O + 'static,
-{
-    Box::new(move |seed, mode| {
-        let o = f(seed, mode.records());
-        let fingerprint = match mode {
-            RunMode::Quick | RunMode::Trace => Fingerprint::None,
-            RunMode::Hash => Fingerprint::Hash(neat::audit::stream_hash(&o)),
-            RunMode::Render => Fingerprint::Rendered(format!("{o:#?}")),
-        };
-        let (violations, timeline) = o.into_parts();
-        RunArtifacts {
-            violations,
-            fingerprint,
-            timeline,
-        }
-    })
+/// Runs one arm and packages what `mode` asked for.
+fn arm<O: ScenarioRun>(mode: RunMode, run: impl FnOnce(bool) -> O) -> RunArtifacts {
+    let o = run(mode.records());
+    let fingerprint = match mode {
+        RunMode::Quick | RunMode::Trace => Fingerprint::None,
+        RunMode::Hash => Fingerprint::Hash(neat::audit::stream_hash(&o)),
+        RunMode::Render => Fingerprint::Rendered(format!("{o:#?}")),
+    };
+    let (violations, timeline) = o.into_parts();
+    RunArtifacts {
+        violations,
+        fingerprint,
+        timeline,
+    }
 }
 
-/// One campaign scenario: metadata plus the flawed and repaired arms.
+/// What kind of fault a scenario injects — the one reading of the
+/// `partition` label every report, lint pass and test filters by.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ScenarioClass {
+    /// A severed link: complete, partial or simplex partition.
+    Partition,
+    /// A degraded link (`gray-*`, `flapping`): lossy, slow, duplicating.
+    Gray,
+    /// A fault under `workload::Driver` traffic (`load-*`).
+    Load,
+    /// A replayed, delta-minimized explorer schedule (`explored-*`).
+    Explored,
+}
+
+/// One campaign scenario: metadata plus the flawed and repaired arms, each
+/// a plain function of `(seed, mode)`.
 pub struct ScenarioSpec {
     pub name: &'static str,
     pub system: &'static str,
     pub reference: &'static str,
     pub partition: &'static str,
-    pub flawed: Runner,
+    pub flawed: fn(u64, RunMode) -> RunArtifacts,
     /// `None` when the repaired arm is asserted by unit tests instead.
-    pub fixed: Option<Runner>,
+    pub fixed: Option<fn(u64, RunMode) -> RunArtifacts>,
 }
 
-/// Every scenario in the workspace — the single source of truth shared by
-/// [`run_all_scenarios`], [`scenario_fingerprints`], and the
-/// trace-divergence auditor.
-pub fn registry() -> Vec<ScenarioSpec> {
-    let mut specs: Vec<ScenarioSpec> = Vec::new();
-    let mut push =
-        |name, system, reference, partition, flawed: Runner, fixed: Option<Runner>| {
-            specs.push(ScenarioSpec {
-                name,
-                system,
-                reference,
-                partition,
-                flawed,
-                fixed,
-            });
-        };
+impl ScenarioSpec {
+    /// The scenario's class, read off its partition label.
+    pub fn class(&self) -> ScenarioClass {
+        let p = self.partition;
+        if p.starts_with("load") {
+            ScenarioClass::Load
+        } else if p.starts_with("explored") {
+            ScenarioClass::Explored
+        } else if p.starts_with("gray") || p == "flapping" {
+            ScenarioClass::Gray
+        } else {
+            ScenarioClass::Partition
+        }
+    }
+}
 
+/// One row of [`REGISTRY`]: the four labels, then the scenario function and
+/// the configuration of its flawed arm and (unless the repaired arm lives
+/// in unit tests) its fixed arm. Every scenario function has the shape
+/// `fn(config, seed, record) -> outcome`.
+macro_rules! scenario {
+    ($name:literal, $system:literal, $reference:literal, $partition:literal,
+     $run:path, $flawed:expr $(, $fixed:expr)?) => {
+        ScenarioSpec {
+            name: $name,
+            system: $system,
+            reference: $reference,
+            partition: $partition,
+            flawed: |seed, mode| arm(mode, |rec| $run($flawed, seed, rec)),
+            fixed: scenario!(@fixed $run $(, $fixed)?),
+        }
+    };
+    (@fixed $run:path, $fixed:expr) => {
+        Some(|seed, mode| arm(mode, |rec| $run($fixed, seed, rec)))
+    };
+    (@fixed $run:path) => {
+        None
+    };
+}
+
+fn coord_flawed() -> CoordFlaws {
+    CoordFlaws {
+        snapshot_skips_log: true,
+        skip_ephemeral_cleanup: true,
+        apply_chunks_in_place: false,
+    }
+}
+
+fn hdfs_flaws(flawed: bool) -> hdfs::HdfsFlaws {
+    hdfs::HdfsFlaws {
+        ignore_excluded_rack: flawed,
+        heartbeat_only_health: flawed,
+    }
+}
+
+fn moose_flaws(flawed: bool) -> moose::MooseFlaws {
+    moose::MooseFlaws {
+        never_offer_alternative: flawed,
+        metadata_before_data: flawed,
+    }
+}
+
+#[rustfmt::skip]
+static REGISTRY: &[ScenarioSpec] = &[
     // --- Primary-backup KV family (repkv) --------------------------------
-    {
-        use repkv::{scenarios as s, Config};
-        push(
-            "dirty_and_stale_read",
-            "VoltDB",
-            "ENG-10389 / Figure 2",
-            "complete",
-            runner(|sd, rec| s::dirty_and_stale_read(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| s::dirty_and_stale_read(Config::fixed(), sd, rec))),
-        );
-        push(
-            "longest_log_data_loss",
-            "VoltDB",
-            "ENG-10486",
-            "complete",
-            runner(|sd, rec| s::longest_log_data_loss(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| s::longest_log_data_loss(Config::fixed(), sd, rec))),
-        );
-        push(
-            "listing1_data_loss",
-            "Elasticsearch",
-            "#2488 / Listing 1",
-            "partial",
-            runner(|sd, rec| s::listing1_data_loss(Config::elasticsearch(), sd, rec)),
-            Some(runner(|sd, rec| s::listing1_data_loss(Config::fixed(), sd, rec))),
-        );
-        push(
-            "coordinator_double_execution",
-            "Elasticsearch",
-            "#9967",
-            "simplex",
-            runner(|sd, rec| s::coordinator_double_execution(Config::elasticsearch(), sd, rec)),
-            Some(runner(|sd, rec| s::coordinator_double_execution(Config::fixed(), sd, rec))),
-        );
-        push(
-            "async_replication_data_loss",
-            "Redis",
-            "Jepsen: Redis",
-            "complete",
-            runner(|sd, rec| s::async_replication_data_loss(Config::redis(), sd, rec)),
-            Some(runner(|sd, rec| s::async_replication_data_loss(Config::fixed(), sd, rec))),
-        );
-        push(
-            "timestamp_consolidation_reappearance",
-            "Aerospike",
-            "forum [140] (LWW merge)",
-            "complete",
-            runner(|sd, rec| s::timestamp_consolidation_reappearance(Config::mongodb(), sd, rec)),
-            Some(runner(|sd, rec| {
-                s::timestamp_consolidation_reappearance(Config::fixed(), sd, rec)
-            })),
-        );
-        push(
-            "priority_livelock",
-            "MongoDB",
-            "SERVER-14885",
-            "complete",
-            runner(|sd, rec| s::priority_livelock(Config::mongodb_with_priority(0), sd, rec)),
-            Some(runner(|sd, rec| s::priority_livelock(Config::mongodb(), sd, rec))),
-        );
-        push(
-            "arbiter_thrashing",
-            "MongoDB",
-            "§4.4 arbiter",
-            "partial",
-            runner(|sd, rec| s::arbiter_thrashing(Config::mongodb(), sd, rec)),
-            None, // The fixed variant is asserted in the unit tests.
-        );
-    }
-
+    scenario!("dirty_and_stale_read", "VoltDB", "ENG-10389 / Figure 2", "complete",
+        kv::dirty_and_stale_read, Config::voltdb(), Config::fixed()),
+    scenario!("longest_log_data_loss", "VoltDB", "ENG-10486", "complete",
+        kv::longest_log_data_loss, Config::voltdb(), Config::fixed()),
+    scenario!("listing1_data_loss", "Elasticsearch", "#2488 / Listing 1", "partial",
+        kv::listing1_data_loss, Config::elasticsearch(), Config::fixed()),
+    scenario!("coordinator_double_execution", "Elasticsearch", "#9967", "simplex",
+        kv::coordinator_double_execution, Config::elasticsearch(), Config::fixed()),
+    scenario!("async_replication_data_loss", "Redis", "Jepsen: Redis", "complete",
+        kv::async_replication_data_loss, Config::redis(), Config::fixed()),
+    scenario!("timestamp_consolidation_reappearance", "Aerospike", "forum [140] (LWW merge)", "complete",
+        kv::timestamp_consolidation_reappearance, Config::mongodb(), Config::fixed()),
+    scenario!("priority_livelock", "MongoDB", "SERVER-14885", "complete",
+        kv::priority_livelock, Config::mongodb_with_priority(0), Config::mongodb()),
+    // The fixed variant is asserted in the unit tests.
+    scenario!("arbiter_thrashing", "MongoDB", "§4.4 arbiter", "partial",
+        kv::arbiter_thrashing, Config::mongodb()),
     // --- Consensus (RethinkDB tweak) --------------------------------------
-    {
-        use consensus::{scenarios as s, RaftTweaks};
-        push(
-            "rethinkdb_reconfig_split_brain",
-            "RethinkDB",
-            "#5289",
-            "partial",
-            runner(|sd, rec| {
-                s::rethinkdb_reconfig_split_brain(
-                    RaftTweaks {
-                        delete_log_on_remove: true,
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                s::rethinkdb_reconfig_split_brain(RaftTweaks::default(), sd, rec)
-            })),
-        );
-    }
-
+    scenario!("rethinkdb_reconfig_split_brain", "RethinkDB", "#5289", "partial",
+        raft::rethinkdb_reconfig_split_brain,
+        RaftTweaks { delete_log_on_remove: true }, RaftTweaks::default()),
     // --- Coordination service (ZooKeeper) --------------------------------
-    {
-        use coord::{scenarios as s, CoordFlaws};
-        fn coord_flawed() -> CoordFlaws {
-            CoordFlaws {
-                snapshot_skips_log: true,
-                skip_ephemeral_cleanup: true,
-                apply_chunks_in_place: false,
-            }
-        }
-        push(
-            "txnlog_sync_corruption",
-            "ZooKeeper",
-            "ZOOKEEPER-2099",
-            "complete",
-            runner(|sd, rec| s::txnlog_sync_corruption(coord_flawed(), sd, rec)),
-            Some(runner(|sd, rec| {
-                s::txnlog_sync_corruption(CoordFlaws::default(), sd, rec)
-            })),
-        );
-        push(
-            "sync_interrupted_corruption",
-            "Redis",
-            "#3899 (PSYNC2), bounded timing",
-            "complete",
-            runner(|sd, rec| {
-                s::sync_interrupted_corruption(
-                    CoordFlaws {
-                        apply_chunks_in_place: true,
-                        ..CoordFlaws::default()
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                s::sync_interrupted_corruption(CoordFlaws::default(), sd, rec)
-            })),
-        );
-        push(
-            "ephemeral_never_deleted",
-            "ZooKeeper",
-            "ZOOKEEPER-2355",
-            "partial",
-            runner(|sd, rec| s::ephemeral_never_deleted(coord_flawed(), sd, rec)),
-            Some(runner(|sd, rec| {
-                s::ephemeral_never_deleted(CoordFlaws::default(), sd, rec)
-            })),
-        );
-    }
-
+    scenario!("txnlog_sync_corruption", "ZooKeeper", "ZOOKEEPER-2099", "complete",
+        zk::txnlog_sync_corruption, coord_flawed(), CoordFlaws::default()),
+    scenario!("sync_interrupted_corruption", "Redis", "#3899 (PSYNC2), bounded timing", "complete",
+        zk::sync_interrupted_corruption,
+        CoordFlaws { apply_chunks_in_place: true, ..CoordFlaws::default() }, CoordFlaws::default()),
+    scenario!("ephemeral_never_deleted", "ZooKeeper", "ZOOKEEPER-2355", "partial",
+        zk::ephemeral_never_deleted, coord_flawed(), CoordFlaws::default()),
     // --- Message queues ----------------------------------------------------
-    {
-        use mqueue::{scenarios as s, AcFlaws, BrokerFlaws};
-        push(
-            "fig6_hang",
-            "ActiveMQ",
-            "AMQ-7064 / Figure 6",
-            "partial",
-            runner(|sd, rec| s::fig6_hang(BrokerFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::fig6_hang(BrokerFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "listing2_double_dequeue",
-            "ActiveMQ",
-            "AMQ-6978 / Listing 2",
-            "complete",
-            runner(|sd, rec| s::listing2_double_dequeue(BrokerFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::listing2_double_dequeue(BrokerFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "deadlock_on_demotion",
-            "RabbitMQ",
-            "#714",
-            "complete",
-            runner(|sd, rec| s::deadlock_on_demotion(BrokerFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::deadlock_on_demotion(BrokerFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "kafka_acked_message_loss",
-            "Kafka",
-            "Jepsen: Kafka (acks=1)",
-            "complete",
-            runner(|sd, rec| s::kafka_acked_message_loss(BrokerFlaws::kafka_acks_one(), sd, rec)),
-            Some(runner(|sd, rec| s::kafka_acked_message_loss(BrokerFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "autocluster_split",
-            "RabbitMQ",
-            "#1455",
-            "complete",
-            runner(|sd, rec| {
-                s::autocluster_split(
-                    AcFlaws {
-                        form_own_cluster_on_silence: true,
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                s::autocluster_split(
-                    AcFlaws {
-                        form_own_cluster_on_silence: false,
-                    },
-                    sd,
-                    rec,
-                )
-            })),
-        );
-    }
-
+    scenario!("fig6_hang", "ActiveMQ", "AMQ-7064 / Figure 6", "partial",
+        mq::fig6_hang, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
+    scenario!("listing2_double_dequeue", "ActiveMQ", "AMQ-6978 / Listing 2", "complete",
+        mq::listing2_double_dequeue, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
+    scenario!("deadlock_on_demotion", "RabbitMQ", "#714", "complete",
+        mq::deadlock_on_demotion, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
+    scenario!("kafka_acked_message_loss", "Kafka", "Jepsen: Kafka (acks=1)", "complete",
+        mq::kafka_acked_message_loss, BrokerFlaws::kafka_acks_one(), BrokerFlaws::fixed()),
+    scenario!("autocluster_split", "RabbitMQ", "#1455", "complete",
+        mq::autocluster_split,
+        AcFlaws { form_own_cluster_on_silence: true }, AcFlaws { form_own_cluster_on_silence: false }),
     // --- Data grid (Ignite / Hazelcast / Terracotta) ----------------------
-    {
-        use gridstore::{scenarios as s, GridFlaws};
-        push(
-            "semaphore_double_lock",
-            "Ignite",
-            "IGNITE-8882 / Figure 5",
-            "complete",
-            runner(|sd, rec| s::semaphore_double_lock(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::semaphore_double_lock(GridFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "semaphore_reclaim_corruption",
-            "Ignite",
-            "IGNITE-8883",
-            "complete",
-            runner(|sd, rec| s::semaphore_reclaim_corruption(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| {
-                s::semaphore_reclaim_corruption(GridFlaws::fixed(), sd, rec)
-            })),
-        );
-        push(
-            "broken_atomics",
-            "Ignite",
-            "IGNITE-9768",
-            "complete",
-            runner(|sd, rec| s::broken_atomics(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::broken_atomics(GridFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "cache_stale_read",
-            "Ignite",
-            "IGNITE-9762",
-            "complete",
-            runner(|sd, rec| s::cache_stale_read(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::cache_stale_read(GridFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "queue_double_dequeue",
-            "Ignite",
-            "IGNITE-9765",
-            "complete",
-            runner(|sd, rec| s::queue_double_dequeue(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::queue_double_dequeue(GridFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "set_loss_and_reappearance",
-            "Terracotta",
-            "#905 / #906",
-            "complete",
-            runner(|sd, rec| s::set_loss_and_reappearance(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::set_loss_and_reappearance(GridFlaws::fixed(), sd, rec))),
-        );
-        push(
-            "hazelcast_demotion_wipe",
-            "Hazelcast",
-            "§4.4 configuration change",
-            "partial",
-            runner(|sd, rec| {
-                let mut wipe = GridFlaws::flawed();
-                wipe.wipe_before_download = true;
-                s::demotion_wipe_data_loss(wipe, sd, rec)
-            }),
-            Some(runner(|sd, rec| {
-                s::demotion_wipe_data_loss(GridFlaws::flawed(), sd, rec)
-            })),
-        );
-        push(
-            "lasting_split",
-            "Ignite",
-            "Finding 3",
-            "complete",
-            runner(|sd, rec| s::lasting_split(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::lasting_split(GridFlaws::fixed(), sd, rec))),
-        );
-    }
-
+    scenario!("semaphore_double_lock", "Ignite", "IGNITE-8882 / Figure 5", "complete",
+        grid::semaphore_double_lock, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("semaphore_reclaim_corruption", "Ignite", "IGNITE-8883", "complete",
+        grid::semaphore_reclaim_corruption, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("broken_atomics", "Ignite", "IGNITE-9768", "complete",
+        grid::broken_atomics, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("cache_stale_read", "Ignite", "IGNITE-9762", "complete",
+        grid::cache_stale_read, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("queue_double_dequeue", "Ignite", "IGNITE-9765", "complete",
+        grid::queue_double_dequeue, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("set_loss_and_reappearance", "Terracotta", "#905 / #906", "complete",
+        grid::set_loss_and_reappearance, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("hazelcast_demotion_wipe", "Hazelcast", "§4.4 configuration change", "partial",
+        grid::demotion_wipe_data_loss,
+        GridFlaws { wipe_before_download: true, ..GridFlaws::flawed() }, GridFlaws::flawed()),
+    scenario!("lasting_split", "Ignite", "Finding 3", "complete",
+        grid::lasting_split, GridFlaws::flawed(), GridFlaws::fixed()),
     // --- Schedulers --------------------------------------------------------
-    {
-        use sched::{dkron, mapred};
-        push(
-            "mapreduce_double_execution",
-            "MapReduce",
-            "MAPREDUCE-4819 / Figure 3",
-            "partial",
-            runner(|sd, rec| {
-                mapred::double_execution(
-                    mapred::MrFlaws {
-                        relaunch_without_checking: true,
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                mapred::double_execution(
-                    mapred::MrFlaws {
-                        relaunch_without_checking: false,
-                    },
-                    sd,
-                    rec,
-                )
-            })),
-        );
-        push(
-            "dkron_misleading_status",
-            "DKron",
-            "#379",
-            "partial",
-            runner(|sd, rec| {
-                dkron::misleading_status(
-                    dkron::DkFlaws {
-                        status_requires_peer_ack: true,
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                dkron::misleading_status(
-                    dkron::DkFlaws {
-                        status_requires_peer_ack: false,
-                    },
-                    sd,
-                    rec,
-                )
-            })),
-        );
-    }
-
+    scenario!("mapreduce_double_execution", "MapReduce", "MAPREDUCE-4819 / Figure 3", "partial",
+        mapred::double_execution,
+        mapred::MrFlaws { relaunch_without_checking: true },
+        mapred::MrFlaws { relaunch_without_checking: false }),
+    scenario!("dkron_misleading_status", "DKron", "#379", "partial",
+        dkron::misleading_status,
+        dkron::DkFlaws { status_requires_peer_ack: true },
+        dkron::DkFlaws { status_requires_peer_ack: false }),
     // --- Storage ------------------------------------------------------------
-    {
-        use dfs::{hdfs, moose, objstore};
-        fn hdfs_flawed() -> hdfs::HdfsFlaws {
-            hdfs::HdfsFlaws {
-                ignore_excluded_rack: true,
-                heartbeat_only_health: true,
-            }
-        }
-        fn hdfs_fixed() -> hdfs::HdfsFlaws {
-            hdfs::HdfsFlaws {
-                ignore_excluded_rack: false,
-                heartbeat_only_health: false,
-            }
-        }
-        fn moose_flawed() -> moose::MooseFlaws {
-            moose::MooseFlaws {
-                never_offer_alternative: true,
-                metadata_before_data: true,
-            }
-        }
-        fn moose_fixed() -> moose::MooseFlaws {
-            moose::MooseFlaws {
-                never_offer_alternative: false,
-                metadata_before_data: false,
-            }
-        }
-        push(
-            "hdfs_rack_placement_retry",
-            "HDFS",
-            "HDFS-1384",
-            "partial",
-            runner(|sd, rec| hdfs::rack_placement_retry(hdfs_flawed(), sd, rec)),
-            Some(runner(|sd, rec| hdfs::rack_placement_retry(hdfs_fixed(), sd, rec))),
-        );
-        push(
-            "hdfs_simplex_healthy_node",
-            "HDFS",
-            "HDFS-577",
-            "simplex",
-            runner(|sd, rec| hdfs::simplex_healthy_node(hdfs_flawed(), sd, rec)),
-            Some(runner(|sd, rec| hdfs::simplex_healthy_node(hdfs_fixed(), sd, rec))),
-        );
-        push(
-            "moosefs_client_hang",
-            "MooseFS",
-            "#132",
-            "partial",
-            runner(|sd, rec| moose::client_hang(moose_flawed(), sd, rec)),
-            Some(runner(|sd, rec| moose::client_hang(moose_fixed(), sd, rec))),
-        );
-        push(
-            "moosefs_inconsistent_metadata",
-            "MooseFS",
-            "#131",
-            "partial",
-            runner(|sd, rec| moose::inconsistent_metadata(moose_flawed(), sd, rec)),
-            Some(runner(|sd, rec| moose::inconsistent_metadata(moose_fixed(), sd, rec))),
-        );
-        push(
-            "hbase_log_roll_data_loss",
-            "HBase",
-            "HBASE-2312",
-            "partial",
-            runner(|sd, rec| {
-                dfs::hbase::log_roll_data_loss(dfs::HbFlaws { fence_on_split: false }, sd, rec)
-            }),
-            Some(runner(|sd, rec| {
-                dfs::hbase::log_roll_data_loss(dfs::HbFlaws { fence_on_split: true }, sd, rec)
-            })),
-        );
-        push(
-            "ceph_recovery_resurrection",
-            "Ceph",
-            "#24193",
-            "partial",
-            runner(|sd, rec| {
-                objstore::recovery_resurrection(
-                    objstore::ObjFlaws {
-                        naive_recovery: true,
-                    },
-                    sd,
-                    rec,
-                )
-            }),
-            Some(runner(|sd, rec| {
-                objstore::recovery_resurrection(
-                    objstore::ObjFlaws {
-                        naive_recovery: false,
-                    },
-                    sd,
-                    rec,
-                )
-            })),
-        );
-    }
+    scenario!("hdfs_rack_placement_retry", "HDFS", "HDFS-1384", "partial",
+        hdfs::rack_placement_retry, hdfs_flaws(true), hdfs_flaws(false)),
+    scenario!("hdfs_simplex_healthy_node", "HDFS", "HDFS-577", "simplex",
+        hdfs::simplex_healthy_node, hdfs_flaws(true), hdfs_flaws(false)),
+    scenario!("moosefs_client_hang", "MooseFS", "#132", "partial",
+        moose::client_hang, moose_flaws(true), moose_flaws(false)),
+    scenario!("moosefs_inconsistent_metadata", "MooseFS", "#131", "partial",
+        moose::inconsistent_metadata, moose_flaws(true), moose_flaws(false)),
+    scenario!("hbase_log_roll_data_loss", "HBase", "HBASE-2312", "partial",
+        hbase::log_roll_data_loss,
+        hbase::HbFlaws { fence_on_split: false }, hbase::HbFlaws { fence_on_split: true }),
+    scenario!("ceph_recovery_resurrection", "Ceph", "#24193", "partial",
+        objstore::recovery_resurrection,
+        objstore::ObjFlaws { naive_recovery: true }, objstore::ObjFlaws { naive_recovery: false }),
     // --- Gray failures (§2.1 flaky links, degraded not severed) -----------
-    {
-        use repkv::{scenarios as s, Config};
-        push(
-            "gray_lossy_client_writes",
-            "RepKV",
-            "§2.1 flaky link",
-            "flapping",
-            runner(|sd, rec| s::gray_lossy_client_writes(false, sd, rec)),
-            Some(runner(|sd, rec| s::gray_lossy_client_writes(true, sd, rec))),
-        );
-        push(
-            "gray_simplex_retry_double_incr",
-            "RepKV",
-            "§2.1 retry / Table 6",
-            "gray-simplex",
-            runner(|sd, rec| s::gray_simplex_retry_double_incr(true, sd, rec)),
-            Some(runner(|sd, rec| s::gray_simplex_retry_double_incr(false, sd, rec))),
-        );
-        push(
-            "gray_duplicating_link_incr",
-            "RepKV",
-            "§2.1 duplication",
-            "gray-simplex",
-            runner(|sd, rec| s::gray_duplicating_link_incr(false, sd, rec)),
-            Some(runner(|sd, rec| s::gray_duplicating_link_incr(true, sd, rec))),
-        );
-        push(
-            "gray_slow_replication_dirty_read",
-            "VoltDB",
-            "ENG-10389 under latency",
-            "gray-simplex",
-            runner(|sd, rec| s::gray_slow_replication_dirty_read(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| {
-                s::gray_slow_replication_dirty_read(Config::fixed(), sd, rec)
-            })),
-        );
-    }
-    {
-        use consensus::scenarios as s;
-        push(
-            "lossy_leader_link",
-            "Raft",
-            "§2.1 flaky link",
-            "gray-partial",
-            runner(|sd, rec| s::lossy_leader_link(true, sd, rec)),
-            Some(runner(|sd, rec| s::lossy_leader_link(false, sd, rec))),
-        );
-    }
-    {
-        use mqueue::{scenarios as s, BrokerFlaws};
-        push(
-            "flapping_link_hang",
-            "ActiveMQ",
-            "AMQ-7064, flapping link",
-            "flapping",
-            runner(|sd, rec| s::flapping_link_hang(BrokerFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| s::flapping_link_hang(BrokerFlaws::fixed(), sd, rec))),
-        );
-    }
+    // The boolean is the client's retry policy: which value is the flaw
+    // depends on whether retrying helps (loss) or hurts (non-idempotent op).
+    scenario!("gray_lossy_client_writes", "RepKV", "§2.1 flaky link", "flapping",
+        kv::gray_lossy_client_writes, false, true),
+    scenario!("gray_simplex_retry_double_incr", "RepKV", "§2.1 retry / Table 6", "gray-simplex",
+        kv::gray_simplex_retry_double_incr, true, false),
+    scenario!("gray_duplicating_link_incr", "RepKV", "§2.1 duplication", "gray-simplex",
+        kv::gray_duplicating_link_incr, false, true),
+    scenario!("gray_slow_replication_dirty_read", "VoltDB", "ENG-10389 under latency", "gray-simplex",
+        kv::gray_slow_replication_dirty_read, Config::voltdb(), Config::fixed()),
+    scenario!("lossy_leader_link", "Raft", "§2.1 flaky link", "gray-partial",
+        raft::lossy_leader_link, true, false),
+    scenario!("flapping_link_hang", "ActiveMQ", "AMQ-7064, flapping link", "flapping",
+        mq::flapping_link_hang, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
     // --- Load-driven failures (workload::Driver traffic; §2.1 / Table 6) --
-    {
-        use repkv::{load as l, Config};
-        push(
-            "load_retry_storm_gray_loss",
-            "RepKV",
-            "§2.1 retry storm under load",
-            "load-gray-loss",
-            runner(|sd, rec| l::load_retry_storm_gray_loss(true, sd, rec)),
-            Some(runner(|sd, rec| l::load_retry_storm_gray_loss(false, sd, rec))),
-        );
-        push(
-            "load_overload_during_heal",
-            "VoltDB",
-            "ENG-10389 under overload",
-            "load-heal",
-            runner(|sd, rec| l::load_overload_during_heal(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| {
-                l::load_overload_during_heal(Config::fixed(), sd, rec)
-            })),
-        );
-        push(
-            "load_hot_key_partition",
-            "Elasticsearch",
-            "#2488 hot key under load",
-            "load-hot-key",
-            runner(|sd, rec| l::load_hot_key_partition(Config::elasticsearch(), sd, rec)),
-            Some(runner(|sd, rec| {
-                l::load_hot_key_partition(Config::fixed(), sd, rec)
-            })),
-        );
-        push(
-            "load_batched_write_atomicity",
-            "VoltDB",
-            "Table 6 torn batch",
-            "load-batch-simplex",
-            runner(|sd, rec| l::load_batched_write_atomicity(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| {
-                l::load_batched_write_atomicity(Config::fixed(), sd, rec)
-            })),
-        );
-    }
-    {
-        use mqueue::{load as l, BrokerFlaws};
-        push(
-            "load_backlog_leader_flap",
-            "ActiveMQ",
-            "AMQ-7064 under traffic",
-            "load-flapping",
-            runner(|sd, rec| l::load_backlog_leader_flap(BrokerFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| {
-                l::load_backlog_leader_flap(BrokerFlaws::fixed(), sd, rec)
-            })),
-        );
-    }
+    scenario!("load_retry_storm_gray_loss", "RepKV", "§2.1 retry storm under load", "load-gray-loss",
+        kv_load::load_retry_storm_gray_loss, true, false),
+    scenario!("load_overload_during_heal", "VoltDB", "ENG-10389 under overload", "load-heal",
+        kv_load::load_overload_during_heal, Config::voltdb(), Config::fixed()),
+    scenario!("load_hot_key_partition", "Elasticsearch", "#2488 hot key under load", "load-hot-key",
+        kv_load::load_hot_key_partition, Config::elasticsearch(), Config::fixed()),
+    scenario!("load_batched_write_atomicity", "VoltDB", "Table 6 torn batch", "load-batch-simplex",
+        kv_load::load_batched_write_atomicity, Config::voltdb(), Config::fixed()),
+    scenario!("load_backlog_leader_flap", "ActiveMQ", "AMQ-7064 under traffic", "load-flapping",
+        mqueue::load::load_backlog_leader_flap, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
     // --- Delta-minimized explorer regressions (§5.4; neat::explore) ------
     // Schedules mined by the coverage-guided explorer and shrunk to
     // 1-minimal nemesis sequences by ddmin; their unit tests additionally
     // prove 1-minimality and both-arm behaviour at the campaign seed.
-    {
-        use repkv::{explored as x, Config};
-        push(
-            "explored_simplex_leader_write",
-            "VoltDB",
-            "ddmin of explored trial",
-            "explored-simplex",
-            runner(|sd, rec| x::explored_simplex_leader_write(Config::voltdb(), sd, rec)),
-            Some(runner(|sd, rec| {
-                x::explored_simplex_leader_write(Config::fixed(), sd, rec)
-            })),
-        );
-    }
-    {
-        use gridstore::{explored as x, GridFlaws};
-        push(
-            "explored_simplex_heal_write",
-            "Ignite",
-            "ddmin of explored trial",
-            "explored-simplex-heal",
-            runner(|sd, rec| x::explored_simplex_heal_write(GridFlaws::flawed(), sd, rec)),
-            Some(runner(|sd, rec| {
-                x::explored_simplex_heal_write(GridFlaws::fixed(), sd, rec)
-            })),
-        );
-    }
-    {
-        use mqueue::{explored as x, BrokerFlaws};
-        push(
-            "explored_partition_double_dequeue",
-            "ActiveMQ",
-            "ddmin of explored trial",
-            "explored-complete",
-            runner(|sd, rec| {
-                x::explored_partition_double_dequeue(BrokerFlaws::flawed(), sd, rec)
-            }),
-            Some(runner(|sd, rec| {
-                x::explored_partition_double_dequeue(BrokerFlaws::fixed(), sd, rec)
-            })),
-        );
-    }
-    specs
+    scenario!("explored_simplex_leader_write", "VoltDB", "ddmin of explored trial", "explored-simplex",
+        repkv::explored::explored_simplex_leader_write, Config::voltdb(), Config::fixed()),
+    scenario!("explored_simplex_heal_write", "Ignite", "ddmin of explored trial", "explored-simplex-heal",
+        gridstore::explored::explored_simplex_heal_write, GridFlaws::flawed(), GridFlaws::fixed()),
+    scenario!("explored_partition_double_dequeue", "ActiveMQ", "ddmin of explored trial", "explored-complete",
+        mqueue::explored::explored_partition_double_dequeue, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
+];
+
+/// Every scenario in the workspace — the single source of truth shared by
+/// [`run_all_scenarios`], [`scenario_fingerprints`], and the
+/// trace-divergence auditor. A static table: nothing is built per call.
+pub fn registry() -> &'static [ScenarioSpec] {
+    REGISTRY
+}
+
+/// The registry's scenarios of one class, in registry order.
+pub fn scenarios_of(class: ScenarioClass) -> impl Iterator<Item = &'static ScenarioSpec> {
+    REGISTRY.iter().filter(move |s| s.class() == class)
 }
 
 fn result_of(s: &ScenarioSpec, seed: u64) -> ScenarioResult {
@@ -801,7 +402,6 @@ fn result_of(s: &ScenarioSpec, seed: u64) -> ScenarioResult {
         flawed: kinds(&(s.flawed)(seed, RunMode::Quick).violations),
         fixed: s
             .fixed
-            .as_ref()
             .map(|f| kinds(&f(seed, RunMode::Quick).violations))
             .unwrap_or_default(),
     }
@@ -812,22 +412,15 @@ pub fn run_all_scenarios(seed: u64) -> Vec<ScenarioResult> {
     registry().iter().map(|s| result_of(s, seed)).collect()
 }
 
-/// Number of scenarios in [`registry`] — the work-item count the fleet
-/// shards over without having to hold `Runner` closures across threads.
+/// Number of scenarios in [`registry`].
 pub fn scenario_count() -> usize {
     registry().len()
 }
 
-/// Runs the scenario at `index` (registry order), both arms, at `seed`.
-///
-/// This is the fleet's unit of work: the boxed runners in
-/// [`ScenarioSpec`] are not `Send`, so parallel workers never ship them
-/// across threads — each worker rebuilds the (cheap, closure-only)
-/// registry and addresses scenarios by index. Panics if `index` is out
-/// of range.
+/// Runs the scenario at `index` (registry order), both arms, at `seed` —
+/// the fleet's unit of work. Panics if `index` is out of range.
 pub fn run_scenario_at(index: usize, seed: u64) -> ScenarioResult {
-    let specs = registry();
-    result_of(&specs[index], seed)
+    result_of(&registry()[index], seed)
 }
 
 /// Stable address of one runnable arm of the registry.
@@ -866,11 +459,10 @@ pub fn arm_ids() -> Vec<ArmId> {
 /// Runs one arm by address. Panics if the arm does not exist (callers
 /// enumerate via [`arm_ids`], which only yields real arms).
 pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
-    let specs = registry();
-    let spec = &specs[arm.scenario];
+    let spec = &registry()[arm.scenario];
     if arm.fixed {
-        match &spec.fixed {
-            Some(f) => f(seed, mode),
+        match spec.fixed {
+            Some(fixed) => fixed(seed, mode),
             None => panic!("{} has no fixed arm", spec.name),
         }
     } else {
@@ -881,11 +473,9 @@ pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
 /// Runs the *flawed* arm of the scenario at `index` (registry order) with
 /// trace recording on and packages the run as a forensic report: registry
 /// metadata, checker verdicts, and the typed event timeline. This is the
-/// fleet's forensics work item — like [`run_scenario_at`], workers address
-/// scenarios by index because the boxed runners are not `Send`.
+/// fleet's forensics work item.
 pub fn forensic_at(index: usize, seed: u64) -> neat::obs::ForensicReport {
-    let specs = registry();
-    let s = &specs[index];
+    let s = &registry()[index];
     let run = (s.flawed)(seed, RunMode::Trace);
     neat::obs::ForensicReport {
         scenario: s.name.to_string(),
@@ -950,7 +540,7 @@ pub fn scenario_fingerprints(seed: u64) -> Vec<(String, String)> {
                 format!("{}/flawed", s.name),
                 rendered((s.flawed)(seed, RunMode::Render)),
             )];
-            if let Some(fixed) = &s.fixed {
+            if let Some(fixed) = s.fixed {
                 runs.push((
                     format!("{}/fixed", s.name),
                     rendered(fixed(seed, RunMode::Render)),

@@ -5,6 +5,8 @@
 //! way `lint --audit --jobs K` runs it (the outcomes are index-ordered,
 //! so the worker count cannot change what this test sees).
 
+use neat_repro::campaign::{scenarios_of, ScenarioClass};
+
 #[test]
 fn every_scenario_arm_double_runs_identically() {
     let jobs = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
@@ -27,24 +29,15 @@ fn every_scenario_arm_double_runs_identically() {
     // The gray-failure arms (flapping / gray-simplex / gray-partial
     // degradations) are part of the audited registry: double-run identity
     // covers degraded-link RNG draws too.
-    let gray = neat_repro::campaign::registry()
-        .iter()
-        .filter(|s| s.partition.starts_with("gray") || s.partition == "flapping")
-        .count();
+    let gray = scenarios_of(ScenarioClass::Gray).count();
     assert!(gray >= 6, "only {gray} gray scenarios registered");
     // So are the load-driven arms: double-run identity covers the
     // workload driver's RNG (arrival gaps, key sampling, op mix) too.
-    let load = neat_repro::campaign::registry()
-        .iter()
-        .filter(|s| s.partition.starts_with("load"))
-        .count();
+    let load = scenarios_of(ScenarioClass::Load).count();
     assert!(load >= 5, "only {load} load scenarios registered");
     // And the delta-minimized explorer regressions: replaying a ddmin'd
     // schedule must be as reproducible as any hand-written scenario.
-    let explored = neat_repro::campaign::registry()
-        .iter()
-        .filter(|s| s.partition.starts_with("explored"))
-        .count();
+    let explored = scenarios_of(ScenarioClass::Explored).count();
     assert!(explored >= 2, "only {explored} explored regressions registered");
 }
 

@@ -141,3 +141,42 @@ fn catalog_coverage_references_are_real() {
         .count();
     assert!(covered >= 45, "only {covered}/136 covered");
 }
+
+/// Every partition label has exactly one class, and the three special
+/// classes claim exactly the labels their reports are built from — in
+/// particular `load-gray-loss` and `load-flapping` are load scenarios, not
+/// gray ones.
+#[test]
+fn every_scenario_has_one_class_read_off_its_label() {
+    use neat_repro::campaign::{registry, scenarios_of, ScenarioClass};
+    let labels = |class| -> std::collections::BTreeSet<&str> {
+        scenarios_of(class).map(|s| s.partition).collect()
+    };
+    assert_eq!(
+        labels(ScenarioClass::Partition),
+        ["complete", "partial", "simplex"].into()
+    );
+    assert_eq!(
+        labels(ScenarioClass::Gray),
+        ["flapping", "gray-partial", "gray-simplex"].into()
+    );
+    assert_eq!(
+        labels(ScenarioClass::Load),
+        ["load-batch-simplex", "load-flapping", "load-gray-loss", "load-heal", "load-hot-key"]
+            .into()
+    );
+    assert_eq!(
+        labels(ScenarioClass::Explored),
+        ["explored-complete", "explored-simplex", "explored-simplex-heal"].into()
+    );
+    let classed: usize = [
+        ScenarioClass::Partition,
+        ScenarioClass::Gray,
+        ScenarioClass::Load,
+        ScenarioClass::Explored,
+    ]
+    .map(|c| scenarios_of(c).count())
+    .iter()
+    .sum();
+    assert_eq!(classed, registry().len());
+}

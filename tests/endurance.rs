@@ -55,7 +55,7 @@ fn raft_survives_twenty_flicker_cycles() {
     cluster.neat.heal_all();
     let servers = cluster.servers.clone();
     cluster.neat.restart(&servers);
-    cluster.settle(4000);
+    cluster.neat.sleep(4000);
 
     assert!(
         cluster.wait_for_leader(4000).is_some(),
@@ -107,7 +107,7 @@ fn fixed_repkv_survives_fifteen_flicker_cycles() {
         });
     }
     cluster.neat.heal_all();
-    cluster.settle(4000);
+    cluster.neat.sleep(4000);
 
     let final_state = cluster.final_state(&["k"]);
     let violations = check_register(
@@ -154,7 +154,7 @@ fn flawed_profile_breaks_under_the_same_storm() {
             });
         }
         cluster.neat.heal_all();
-        cluster.settle(4000);
+        cluster.neat.sleep(4000);
         let final_state = cluster.final_state(&["k"]);
         let violations = check_register(
             cluster.neat.history(),

@@ -5,7 +5,9 @@
 //! ⇒ same trace": parallelism may only change wall-clock time, never one
 //! byte of output.
 
-use neat_repro::campaign::{render, render_sweep, run_all_scenarios, scenario_fingerprints};
+use neat_repro::campaign::{
+    render, render_sweep, run_all_scenarios, scenario_fingerprints, scenarios_of, ScenarioClass,
+};
 
 #[test]
 fn campaign_is_byte_identical_for_any_worker_count() {
@@ -118,26 +120,14 @@ proptest! {
         seed in 0u64..10_000,
         jobs in 2usize..9,
     ) {
-        // The registry's runner closures are not Sync, so each worker
-        // rebuilds the registry and indexes into its load subset — the
-        // same shape fleet's own campaign entry points use.
-        let n = neat_repro::campaign::registry()
-            .iter()
-            .filter(|s| s.partition.starts_with("load"))
-            .count();
-        prop_assert!(n >= 5, "only {} load scenarios", n);
+        let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
+        prop_assert!(load.len() >= 5, "only {} load scenarios", load.len());
         let run = |jobs: usize| -> Vec<String> {
-            fleet::pool::map(jobs, n, |i| {
-                let specs = neat_repro::campaign::registry();
-                let s = specs
-                    .iter()
-                    .filter(|s| s.partition.starts_with("load"))
-                    .nth(i)
-                    .expect("load scenario index");
+            fleet::pool::map(jobs, load.len(), |i| {
+                let s = load[i];
                 let flawed = (s.flawed)(seed, neat_repro::campaign::RunMode::Hash);
                 let fixed = s
                     .fixed
-                    .as_ref()
                     .map(|f| f(seed, neat_repro::campaign::RunMode::Hash));
                 format!(
                     "{} {:?} {:?}",

@@ -6,6 +6,8 @@
 
 use std::path::{Path, PathBuf};
 
+use neat_repro::campaign::{scenarios_of, ScenarioClass};
+
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
@@ -230,10 +232,7 @@ fn workload_bench_artifact_matches_the_registry_shape() {
              `cargo run --release -p bench --bin workload_bench`"
         );
     };
-    let load: Vec<_> = neat_repro::campaign::registry()
-        .into_iter()
-        .filter(|s| s.partition.starts_with("load"))
-        .collect();
+    let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
     assert!(load.len() >= 5, "only {} load scenarios registered", load.len());
     expect(format!("\"load_scenarios\": {}", load.len()));
     for s in &load {

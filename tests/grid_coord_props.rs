@@ -44,11 +44,11 @@ proptest! {
         steps in proptest::collection::vec(gstep(), 0..18),
     ) {
         let mut c = GridCluster::build(3, 2, GridFlaws::fixed(), seed, false);
-        c.settle(300);
+        c.neat.sleep(300);
         let c0 = c.client(0);
         let c1 = c.client(1);
         c0.sem_create(&mut c.neat, "sem", 1);
-        c.settle(200);
+        c.neat.sleep(200);
 
         for step in &steps {
             match step {
@@ -70,11 +70,11 @@ proptest! {
                     let cl = if *client == 0 { c0 } else { c1 };
                     cl.release(&mut c.neat, "sem");
                 }
-                GStep::Settle { ms } => c.settle(*ms as u64),
+                GStep::Settle { ms } => c.neat.sleep(*ms as u64),
             }
         }
         c.neat.heal_all();
-        c.settle(3000);
+        c.neat.sleep(3000);
 
         // Semaphore: never more holders than permits.
         let sem_violations = check_semaphore(c.neat.history(), "sem", 1);
@@ -128,14 +128,14 @@ proptest! {
             &[victim],
             &rest_of(&c.neat.world.node_ids(), &[victim]),
         );
-        c.settle(600);
+        c.neat.sleep(600);
 
         for i in 0..writes_during {
             cl.create(&mut c.neat, &format!("/w{i}"), i as u64);
         }
 
         c.neat.heal(&p);
-        c.settle(3000);
+        c.neat.sleep(3000);
 
         let trees: Vec<_> = c.servers.iter().map(|&s| c.tree_of(s)).collect();
         for (i, t) in trees.iter().enumerate() {

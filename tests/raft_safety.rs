@@ -79,13 +79,13 @@ fn run_schedule(seed: u64, steps: &[Step]) -> RaftCluster {
                 let servers = c.servers.clone();
                 c.neat.restart(&servers);
             }
-            Step::Settle { ms } => c.settle(*ms as u64),
+            Step::Settle { ms } => c.neat.sleep(*ms as u64),
         }
     }
     c.neat.heal_all();
     let servers = c.servers.clone();
     c.neat.restart(&servers);
-    c.settle(4000);
+    c.neat.sleep(4000);
     c
 }
 
