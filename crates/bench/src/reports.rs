@@ -421,7 +421,7 @@ pub fn gray_machine_json() -> String {
             out.push(',');
         }
         let flawed = (s.flawed)(8, neat_repro::campaign::RunMode::Trace);
-        let fixed = s.fixed.as_ref().map(|f| f(8, neat_repro::campaign::RunMode::Trace));
+        let fixed = s.fixed.map(|f| f(8, neat_repro::campaign::RunMode::Trace));
         out.push_str("{\"scenario\":");
         study::json::push_json_str(&mut out, s.name);
         out.push_str(",\"partition\":");
@@ -495,7 +495,7 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
             out.push(',');
         }
         let flawed = (s.flawed)(8, neat_repro::campaign::RunMode::Trace);
-        let fixed = s.fixed.as_ref().map(|f| f(8, neat_repro::campaign::RunMode::Trace));
+        let fixed = s.fixed.map(|f| f(8, neat_repro::campaign::RunMode::Trace));
         out.push_str("{\"scenario\":");
         study::json::push_json_str(&mut out, s.name);
         out.push_str(",\"partition\":");
@@ -666,15 +666,13 @@ fn push_explore_arm(out: &mut String, label: &str, report: &neat::explore::Explo
 fn explored_plan_facts<T: neat::explore::TestTarget>(
     mut probe: T,
     mut target: T,
-    build: impl Fn(&[simnet::NodeId], simnet::NodeId) -> neat::explore::SchedulePlan,
+    build: fn(&[simnet::NodeId], simnet::NodeId) -> neat::explore::SchedulePlan,
     kind: neat::ViolationKind,
 ) -> (usize, String, bool) {
-    use neat::explore::{minimize::is_one_minimal, run_schedule, SchedulePlan};
+    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, SchedulePlan};
 
     probe.reset(EXPLORE_SEED, false);
-    let servers = probe.servers();
-    let victim = probe.leader().unwrap_or(servers[0]);
-    let plan = build(&servers, victim);
+    let plan = plan_at_leader(&mut probe, 0, build);
     let one_minimal = is_one_minimal(&plan.steps, |steps| {
         target.reset(EXPLORE_SEED, false);
         run_schedule(&mut target, &SchedulePlan { steps: steps.to_vec() })
@@ -822,7 +820,6 @@ pub fn explore_machine_json() -> String {
         let flawed = (s.flawed)(EXPLORE_SEED, neat_repro::campaign::RunMode::Quick);
         let fixed = s
             .fixed
-            .as_ref()
             .map(|f| f(EXPLORE_SEED, neat_repro::campaign::RunMode::Quick));
         let (steps, plan, one_minimal) = match s.name {
             "explored_simplex_leader_write" => explored_plan_facts(

@@ -20,22 +20,25 @@ const KEYS: [&str; 3] = ["k0", "k1", "k2"];
 /// Drives a Raft deployment under explorer-generated faults and events.
 pub struct RaftTarget {
     spec: RaftClusterSpec,
-    cluster: RaftCluster,
+    cluster: Option<RaftCluster>,
     next_val: u64,
 }
 
 impl RaftTarget {
     /// Creates an adapter for a cluster of `servers` Raft nodes.
     pub fn new(tweaks: RaftTweaks, servers: usize) -> Self {
-        let spec = RaftClusterSpec {
-            tweaks,
-            ..RaftClusterSpec::baseline(servers, 0)
-        };
         Self {
-            spec,
-            cluster: RaftCluster::build(spec),
+            spec: RaftClusterSpec {
+                tweaks,
+                ..RaftClusterSpec::baseline(servers, 0)
+            },
+            cluster: None,
             next_val: 0,
         }
+    }
+
+    fn cluster(&mut self) -> &mut RaftCluster {
+        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
     }
 }
 
@@ -45,25 +48,26 @@ impl Deployment for RaftTarget {
     const QUIESCE_MS: Time = 3000;
 
     fn build(&mut self, seed: u64, record: bool) {
-        self.cluster = RaftCluster::build(RaftClusterSpec {
+        let mut cluster = RaftCluster::build(RaftClusterSpec {
             seed,
             record_trace: record,
             ..self.spec
         });
-        self.cluster.wait_for_leader(3000);
+        cluster.wait_for_leader(3000);
+        self.cluster = Some(cluster);
         self.next_val = 0;
     }
 
     fn neat(&mut self) -> &mut Neat<RaftProc> {
-        &mut self.cluster.neat
+        &mut self.cluster().neat
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.cluster.servers.clone()
+        self.cluster.iter().flat_map(|c| &c.servers).copied().collect()
     }
 
-    fn primary(&self) -> Option<NodeId> {
-        self.cluster.leader()
+    fn primary(&mut self) -> Option<NodeId> {
+        self.cluster().leader()
     }
 
     fn events(&self) -> Vec<EventChoice> {
@@ -74,7 +78,7 @@ impl Deployment for RaftTarget {
         self.next_val += 1;
         let val = self.next_val;
         let key = KEYS[rng.gen_range(0..3)];
-        let cluster = &mut self.cluster;
+        let cluster = self.cluster();
         let target = cluster
             .leader()
             .unwrap_or(cluster.servers[rng.gen_range(0..cluster.servers.len())]);
@@ -95,10 +99,11 @@ impl Deployment for RaftTarget {
     }
 
     fn check(&mut self) -> Vec<Violation> {
+        let cluster = self.cluster();
         check_register(
-            self.cluster.neat.history(),
+            cluster.neat.history(),
             RegisterSemantics::Strong,
-            &self.cluster.final_state(&KEYS),
+            &cluster.final_state(&KEYS),
         )
     }
 }

@@ -19,7 +19,7 @@ use crate::{
 /// explorer-generated faults and events.
 pub struct GridTarget {
     flaws: GridFlaws,
-    cluster: GridCluster,
+    cluster: Option<GridCluster>,
     next_val: u64,
 }
 
@@ -28,9 +28,13 @@ impl GridTarget {
     pub fn new(flaws: GridFlaws) -> Self {
         Self {
             flaws,
-            cluster: GridCluster::build(3, 2, flaws, 0, false),
+            cluster: None,
             next_val: 0,
         }
+    }
+
+    fn cluster(&mut self) -> &mut GridCluster {
+        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
     }
 }
 
@@ -47,23 +51,24 @@ impl Deployment for GridTarget {
         let c0 = cluster.client(0);
         c0.sem_create(&mut cluster.neat, "sem", 1);
         cluster.neat.sleep(200);
-        self.cluster = cluster;
+        self.cluster = Some(cluster);
         self.next_val = 0;
     }
 
     fn neat(&mut self) -> &mut Neat<GridProc> {
-        &mut self.cluster.neat
+        &mut self.cluster().neat
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.cluster.servers.clone()
+        self.cluster.iter().flat_map(|c| &c.servers).copied().collect()
     }
 
     /// The structure primary is the lowest live member; surfaced so the
     /// guided strategy can isolate it.
-    fn primary(&self) -> Option<NodeId> {
-        let world = &self.cluster.neat.world;
-        let s = self.cluster.servers.iter().copied().find(|&s| world.is_alive(s))?;
+    fn primary(&mut self) -> Option<NodeId> {
+        let cluster = self.cluster();
+        let world = &cluster.neat.world;
+        let s = cluster.servers.iter().copied().find(|&s| world.is_alive(s))?;
         Some(world.app(s).server().primary())
     }
 
@@ -81,7 +86,7 @@ impl Deployment for GridTarget {
     fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let cluster = &mut self.cluster;
+        let cluster = self.cluster();
         // Clients stay attached to their home server, like real grid
         // clients; ops route to the primary internally.
         let client = cluster.client(rng.gen_range(0..cluster.clients.len()));
@@ -109,7 +114,7 @@ impl Deployment for GridTarget {
     }
 
     fn check(&mut self) -> Vec<Violation> {
-        let cluster = &self.cluster;
+        let cluster = self.cluster();
         let mut violations = check_semaphore(cluster.neat.history(), "sem", 1);
         violations.extend(check_queue(
             cluster.neat.history(),

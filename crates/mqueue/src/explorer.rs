@@ -24,7 +24,7 @@ const QUEUE: &str = "q";
 /// explorer-generated faults and events.
 pub struct MqTarget {
     flaws: BrokerFlaws,
-    cluster: MqCluster,
+    cluster: Option<MqCluster>,
     next_val: u64,
 }
 
@@ -33,9 +33,13 @@ impl MqTarget {
     pub fn new(flaws: BrokerFlaws) -> Self {
         Self {
             flaws,
-            cluster: MqCluster::build(3, flaws, CoordFlaws::default(), 0, false),
+            cluster: None,
             next_val: 0,
         }
+    }
+
+    fn cluster(&mut self) -> &mut MqCluster {
+        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
     }
 }
 
@@ -47,26 +51,28 @@ impl Deployment for MqTarget {
     const QUIESCE_MS: Time = 2500;
 
     fn build(&mut self, seed: u64, record: bool) {
-        self.cluster = MqCluster::build(3, self.flaws, CoordFlaws::default(), seed, record);
-        self.cluster.wait_for_master(3000, None);
+        let mut cluster = MqCluster::build(3, self.flaws, CoordFlaws::default(), seed, record);
+        cluster.wait_for_master(3000, None);
+        self.cluster = Some(cluster);
         self.next_val = 0;
     }
 
     fn neat(&mut self) -> &mut Neat<MqProc> {
-        &mut self.cluster.neat
+        &mut self.cluster().neat
     }
 
     /// Coordinator plus brokers: the paper's queue failures all hinge on
     /// splitting a master away from the coordination ensemble, so the
     /// coord node must be partitionable.
     fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes = vec![self.cluster.coord];
-        nodes.extend_from_slice(&self.cluster.brokers);
-        nodes
+        self.cluster
+            .iter()
+            .flat_map(|c| std::iter::once(c.coord).chain(c.brokers.iter().copied()))
+            .collect()
     }
 
-    fn primary(&self) -> Option<NodeId> {
-        self.cluster.master()
+    fn primary(&mut self) -> Option<NodeId> {
+        self.cluster().master()
     }
 
     fn events(&self) -> Vec<EventChoice> {
@@ -76,7 +82,7 @@ impl Deployment for MqTarget {
     fn apply(&mut self, ev: EventChoice, rng: &mut StdRng) {
         self.next_val += 1;
         let val = self.next_val;
-        let cluster = &mut self.cluster;
+        let cluster = self.cluster();
         // Clients talk to the broker they believe is master — under a
         // partition the two clients may disagree, which is the point.
         let broker = cluster
@@ -96,7 +102,7 @@ impl Deployment for MqTarget {
     }
 
     fn check(&mut self) -> Vec<Violation> {
-        let cluster = &mut self.cluster;
+        let cluster = self.cluster();
         // Drain through the settled master so the checker knows the final
         // queue contents; an incomplete drain leaves `drained: None`.
         let drained = cluster.master().map(|m| {

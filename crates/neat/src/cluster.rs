@@ -41,10 +41,11 @@ pub fn wrong_role(role: &str) -> ! {
     panic!("not a {role} node")
 }
 
-/// Pending events a world is pre-sized for, per node. Arms peak well below
-/// this (the deepest, a five-node Raft arm, holds 61 events in flight), so
-/// the queue never regrows mid-run and no family carries its own guess.
-const EVENTS_PER_NODE: usize = 16;
+/// Deliveries in flight a world is pre-sized for, per node, so the event
+/// queue does not regrow mid-run. The deepest campaign arm (a five-node
+/// data-grid arm) holds 17 at once; a hint that is too small costs a
+/// reallocation, never a behaviour change.
+const EVENTS_PER_NODE: usize = 8;
 
 /// Builds and starts a world of `nodes` processes made by `make`, under the
 /// test engine. `record` switches on both the simnet trace and the typed

@@ -25,15 +25,16 @@ pub trait Deployment {
     /// checkers.
     const QUIESCE_MS: Time;
 
-    /// Replaces the running deployment with a fresh one at `seed`, ready
-    /// for its first event (leader elected, fixtures created).
+    /// Replaces the running deployment, if any, with a fresh one at
+    /// `seed`, ready for its first event (leader elected, fixtures
+    /// created). Called before anything else below.
     fn build(&mut self, seed: u64, record: bool);
     /// The engine around the running deployment.
     fn neat(&mut self) -> &mut Neat<Self::Proc>;
     /// Nodes eligible for partitioning, crashing and restarting.
     fn nodes(&self) -> Vec<NodeId>;
     /// Best-effort current leader / master / primary.
-    fn primary(&self) -> Option<NodeId>;
+    fn primary(&mut self) -> Option<NodeId>;
     /// The client events this family supports.
     fn events(&self) -> Vec<EventChoice>;
     /// Applies one client event, drawing keys and clients from `rng`.
@@ -197,7 +198,7 @@ mod tests {
         fn nodes(&self) -> Vec<NodeId> {
             self.neat.world.node_ids()
         }
-        fn primary(&self) -> Option<NodeId> {
+        fn primary(&mut self) -> Option<NodeId> {
             None
         }
         fn events(&self) -> Vec<EventChoice> {

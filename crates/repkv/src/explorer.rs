@@ -20,7 +20,7 @@ const KEYS: [&str; 3] = ["k0", "k1", "k2"];
 /// under explorer-generated faults and events.
 pub struct RepkvTarget {
     config: Config,
-    cluster: Cluster,
+    cluster: Option<Cluster>,
     next_val: u64,
 }
 
@@ -28,10 +28,14 @@ impl RepkvTarget {
     /// Creates an adapter running `config`.
     pub fn new(config: Config) -> Self {
         Self {
-            cluster: Cluster::build(ClusterSpec::three_by_two(config.clone(), 0)),
             config,
+            cluster: None,
             next_val: 0,
         }
+    }
+
+    fn cluster(&mut self) -> &mut Cluster {
+        self.cluster.as_mut().expect("reset() builds the cluster") // lint:allow(unwrap-expect)
     }
 }
 
@@ -43,21 +47,22 @@ impl Deployment for RepkvTarget {
     fn build(&mut self, seed: u64, record: bool) {
         let mut spec = ClusterSpec::three_by_two(self.config.clone(), seed);
         spec.record_trace = record;
-        self.cluster = Cluster::build(spec);
-        self.cluster.wait_for_leader(3000);
+        let mut cluster = Cluster::build(spec);
+        cluster.wait_for_leader(3000);
+        self.cluster = Some(cluster);
         self.next_val = 0;
     }
 
     fn neat(&mut self) -> &mut Neat<Proc> {
-        &mut self.cluster.neat
+        &mut self.cluster().neat
     }
 
     fn nodes(&self) -> Vec<NodeId> {
-        self.cluster.servers.clone()
+        self.cluster.iter().flat_map(|c| &c.servers).copied().collect()
     }
 
-    fn primary(&self) -> Option<NodeId> {
-        self.cluster.leader()
+    fn primary(&mut self) -> Option<NodeId> {
+        self.cluster().leader()
     }
 
     fn events(&self) -> Vec<EventChoice> {
@@ -68,7 +73,7 @@ impl Deployment for RepkvTarget {
         self.next_val += 1;
         let val = self.next_val;
         let key = KEYS[rng.gen_range(0..3)];
-        let cluster = &mut self.cluster;
+        let cluster = self.cluster();
         // Clients target the leader when one is visible, else any server —
         // the way real test clients discover primaries.
         let target = cluster
@@ -91,10 +96,11 @@ impl Deployment for RepkvTarget {
     }
 
     fn check(&mut self) -> Vec<Violation> {
+        let cluster = self.cluster();
         check_register(
-            self.cluster.neat.history(),
+            cluster.neat.history(),
             RegisterSemantics::Strong,
-            &self.cluster.final_state(&KEYS),
+            &cluster.final_state(&KEYS),
         )
     }
 }

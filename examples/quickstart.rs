@@ -39,7 +39,7 @@ fn main() {
 
     // Partitioner.heal(p), then let the system settle.
     cluster.neat.heal(&partition);
-    cluster.settle(2000);
+    cluster.neat.sleep(2000);
     println!("\n-- partition healed --");
 
     // The verification step: run the register checker over the recorded
