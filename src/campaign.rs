@@ -532,21 +532,11 @@ pub fn forensics_jsonl(reports: &[neat::obs::ForensicReport]) -> String {
 /// `(arm-name, fingerprint)` pairs — the auditor's and the seed-stability
 /// tests' view of the campaign.
 pub fn scenario_fingerprints(seed: u64) -> Vec<(String, String)> {
-    let rendered = |run: RunArtifacts| run.fingerprint.into_rendered().unwrap_or_default();
-    registry()
-        .iter()
-        .flat_map(|s| {
-            let mut runs = vec![(
-                format!("{}/flawed", s.name),
-                rendered((s.flawed)(seed, RunMode::Render)),
-            )];
-            if let Some(fixed) = s.fixed {
-                runs.push((
-                    format!("{}/fixed", s.name),
-                    rendered(fixed(seed, RunMode::Render)),
-                ));
-            }
-            runs
+    arm_ids()
+        .into_iter()
+        .map(|arm| {
+            let run = run_arm(&arm, seed, RunMode::Render);
+            (arm.name, run.fingerprint.into_rendered().unwrap_or_default())
         })
         .collect()
 }
