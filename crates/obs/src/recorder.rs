@@ -1,6 +1,9 @@
 //! The engine-side event sink.
 
-use simnet::{trace::Trace, NodeId, Time};
+use simnet::{
+    trace::{Trace, TraceEvent},
+    NodeId, Time,
+};
 
 use crate::{Counters, DegradeClass, Event, PartitionClass, Timeline};
 
@@ -204,19 +207,25 @@ impl Recorder {
     /// application notes become [`Event::Note`]s and the fabric counters
     /// fill [`Counters::events_simulated`] / [`Counters::messages_dropped`].
     pub fn timeline(&self, trace: &Trace) -> Timeline {
-        let mut t = self.snapshot();
-        if self.enabled {
-            for ev in trace.events() {
-                if let simnet::trace::TraceEvent::Note { at, node, text } = ev {
-                    t.events.push(Event::Note {
-                        at: *at,
-                        node: *node,
-                        text: text.clone(),
-                    });
-                }
-            }
-            t.events.sort_by_key(Event::at);
-        }
+        // One vector, one stable sort: recorder events first, then the
+        // trace's notes, so within a tick recorder events precede notes and
+        // each keeps its insertion order.
+        let log = if self.enabled { trace.events() } else { &[] };
+        let mut events = Vec::with_capacity(self.events.len() + log.len());
+        events.extend_from_slice(&self.events);
+        events.extend(log.iter().filter_map(|ev| match ev {
+            TraceEvent::Note { at, node, text } => Some(Event::Note {
+                at: *at,
+                node: *node,
+                text: text.clone(),
+            }),
+            _ => None,
+        }));
+        events.sort_by_key(Event::at);
+        let mut t = Timeline {
+            events,
+            counters: self.counters,
+        };
         let c = &trace.counters;
         t.counters.events_simulated = c.delivered + c.timers_fired;
         t.counters.messages_dropped =
@@ -248,5 +257,46 @@ mod tests {
         let t = r.snapshot();
         assert_eq!(t.events[0].at(), 10);
         assert_eq!(t.events[1].at(), 50);
+    }
+
+    /// Notes at boot and again when a 10 ms timer fires.
+    struct Noter;
+    impl simnet::Application for Noter {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut simnet::Ctx<'_, ()>) {
+            ctx.note("boot");
+            ctx.set_timer(10, 0);
+        }
+        fn on_message(&mut self, _: &mut simnet::Ctx<'_, ()>, _: NodeId, _: ()) {}
+        fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, ()>, _: simnet::TimerId, _: u64) {
+            ctx.note("tick");
+        }
+    }
+
+    #[test]
+    fn timeline_sorts_notes_behind_same_tick_recorder_events() {
+        let mut w = simnet::WorldBuilder::new(1).record_trace(true).build(1, |_| Noter);
+        w.run_for(10);
+        let mut r = Recorder::new(true);
+        r.verdict(10, "late".into(), String::new());
+        r.verdict(0, "early".into(), String::new());
+        let labels: Vec<String> = r
+            .timeline(w.trace())
+            .events
+            .iter()
+            .map(|e| match e {
+                Event::Verdict { at, kind, .. } => format!("{at} verdict {kind}"),
+                Event::Note { at, text, .. } => format!("{at} note {text}"),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            labels,
+            ["0 verdict early", "0 note boot", "10 verdict late", "10 note tick"]
+        );
+        assert!(
+            Recorder::new(false).timeline(w.trace()).events.is_empty(),
+            "a disabled recorder must not pick up trace notes"
+        );
     }
 }

@@ -13,8 +13,9 @@
 //! - per-link [`net::DegradeRule`]s for *gray failures* — targeted loss,
 //!   extra latency, jitter, and duplication, optionally flapping — the
 //!   flaky-link causes the paper traces partial partitions to (§2.1),
-//! - a structured [`trace::Trace`] of everything that happened, used by the
-//!   figure reproductions to print manifestation sequences.
+//! - a [`trace::Trace`]: always-on per-message counters plus an opt-in
+//!   control-plane log (notes, crashes, rule changes), used by the figure
+//!   reproductions to print manifestation sequences.
 //!
 //! # Examples
 //!

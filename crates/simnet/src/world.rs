@@ -7,7 +7,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::{
     event::{EventKind, EventQueue, Time, TimerId},
     net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Net},
-    trace::{DropReason, Trace, TraceEvent},
+    trace::{Trace, TraceEvent},
     NodeId,
 };
 
@@ -202,7 +202,8 @@ impl WorldBuilder {
         self
     }
 
-    /// Enables full per-event trace recording.
+    /// Enables the control-plane log ([`Trace::events`]): notes, crashes and
+    /// restarts, rule installs and removals. Counters are always on.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -313,11 +314,6 @@ impl<A: Application> World<A> {
     /// Execution trace and counters.
     pub fn trace(&self) -> &Trace {
         &self.trace
-    }
-
-    /// Mutable trace access (e.g., to clear recorded events between phases).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Installs a block rule over explicit directed pairs. Most callers use
@@ -435,28 +431,12 @@ impl<A: Application> World<A> {
             match a {
                 Action::Send { to, msg } => {
                     self.trace.counters.sent += 1;
-                    if self.trace.recording() {
-                        self.trace.push(TraceEvent::Sent {
-                            at: self.now,
-                            from,
-                            to,
-                            what: format!("{msg:?}"),
-                        });
-                    }
                     let at = self.net.delivery_time(self.now, from, to, &mut self.rng);
                     // Duplication is drawn once at send time (a duplicate is
                     // never re-duplicated) and the copy gets its own latency
                     // draw, so it can arrive before or after the original.
                     if self.net.degrade_dup(self.now, from, to, &mut self.rng) {
                         self.trace.counters.duplicated += 1;
-                        if self.trace.recording() {
-                            self.trace.push(TraceEvent::Duplicated {
-                                at: self.now,
-                                from,
-                                to,
-                                what: format!("{msg:?}"),
-                            });
-                        }
                         let at2 = self.net.delivery_time(self.now, from, to, &mut self.rng);
                         self.queue.push(
                             at2,
@@ -526,62 +506,35 @@ impl<A: Application> World<A> {
                     return true;
                 }
                 self.trace.counters.timers_fired += 1;
-                // Guarded like the delivery sites: skip even constructing
-                // the trace event when nothing records it.
-                if self.trace.recording() {
-                    self.trace.push(TraceEvent::TimerFired {
-                        at: self.now,
-                        node,
-                        tag,
-                    });
-                }
                 self.with_handler(node, |app, ctx| app.on_timer(ctx, id, tag));
             }
         }
         true
     }
 
+    /// Delivers or drops one message; either way only a counter records it.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg, src_epoch: u64) {
-        let drop_reason = if self.net.is_blocked(from, to) {
-            Some(DropReason::Partition)
+        let c = &mut self.trace.counters;
+        let dropped = if self.net.is_blocked(from, to) {
+            Some(&mut c.dropped_partition)
         } else if self.net.flaky_drop(&mut self.rng) {
-            Some(DropReason::Flaky)
+            Some(&mut c.dropped_flaky)
         } else if self.net.degrade_drop(self.now, from, to, &mut self.rng) {
-            Some(DropReason::Degraded)
-        } else if !self.slots[to.0].alive {
-            Some(DropReason::DeadDestination)
-        } else if self.purge_in_flight_on_crash && self.slots[from.0].epoch != src_epoch {
-            Some(DropReason::DeadSource)
+            Some(&mut c.dropped_degraded)
+        } else if !self.slots[to.0].alive
+            || (self.purge_in_flight_on_crash && self.slots[from.0].epoch != src_epoch)
+        {
+            // Destination down, or the source crashed between send and
+            // delivery.
+            Some(&mut c.dropped_dead)
         } else {
             None
         };
-        if let Some(reason) = drop_reason {
-            match reason {
-                DropReason::Partition => self.trace.counters.dropped_partition += 1,
-                DropReason::Flaky => self.trace.counters.dropped_flaky += 1,
-                DropReason::Degraded => self.trace.counters.dropped_degraded += 1,
-                _ => self.trace.counters.dropped_dead += 1,
-            }
-            if self.trace.recording() {
-                self.trace.push(TraceEvent::Dropped {
-                    at: self.now,
-                    from,
-                    to,
-                    what: format!("{msg:?}"),
-                    reason,
-                });
-            }
+        if let Some(counter) = dropped {
+            *counter += 1;
             return;
         }
-        self.trace.counters.delivered += 1;
-        if self.trace.recording() {
-            self.trace.push(TraceEvent::Delivered {
-                at: self.now,
-                from,
-                to,
-                what: format!("{msg:?}"),
-            });
-        }
+        c.delivered += 1;
         self.with_handler(to, |app, ctx| app.on_message(ctx, from, msg));
     }
 

@@ -74,8 +74,9 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Whether this mode records per-event traces. Everything except
-    /// [`RunMode::Quick`] records: the fingerprint must cover the trace.
+    /// Whether this mode records the trace log and the `obs` timeline.
+    /// Everything except [`RunMode::Quick`] records: the fingerprint must
+    /// cover both.
     pub fn records(self) -> bool {
         !matches!(self, RunMode::Quick)
     }

@@ -5,7 +5,7 @@
 //! way `lint --audit --jobs K` runs it (the outcomes are index-ordered,
 //! so the worker count cannot change what this test sees).
 
-use neat_repro::campaign::{scenarios_of, ScenarioClass};
+use neat_repro::campaign::{arm_ids, run_arm, scenarios_of, RunMode, ScenarioClass};
 
 #[test]
 fn every_scenario_arm_double_runs_identically() {
@@ -59,6 +59,33 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
             Ok(neat::audit::trace_hash(fingerprint)),
             "{name}: streamed audit hash disagrees with the rendered fingerprint bytes"
         );
+    }
+}
+
+/// Recording must not perturb a run (ROADMAP "Trust the verdicts" (b)):
+/// with the trace and the `obs` timeline off (`Quick`), on (`Trace`) and on
+/// with the fingerprint hashed (`Hash`), every arm reaches the same
+/// verdicts and the same always-on counters — events simulated, messages
+/// dropped, partition / heal / crash counts and the rest.
+#[test]
+fn recording_does_not_perturb_any_arm() {
+    for seed in [8, 42] {
+        for arm in arm_ids() {
+            let quiet = run_arm(&arm, seed, RunMode::Quick);
+            for mode in [RunMode::Trace, RunMode::Hash] {
+                let recorded = run_arm(&arm, seed, mode);
+                assert_eq!(
+                    recorded.violations, quiet.violations,
+                    "{} seed {seed}: {mode:?} verdicts differ from Quick",
+                    arm.name
+                );
+                assert_eq!(
+                    recorded.timeline.counters, quiet.timeline.counters,
+                    "{} seed {seed}: {mode:?} counters differ from Quick",
+                    arm.name
+                );
+            }
+        }
     }
 }
 

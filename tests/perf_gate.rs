@@ -93,12 +93,15 @@ impl Application for Storm {
     }
 }
 
-#[test]
-fn steady_state_delivery_path_allocates_nothing() {
+/// Warm 10k-step ping-pong window; `record` switches the trace on.
+fn delivery_window_allocs(record: bool) -> u64 {
     // After a short warm-up (arena slots recycled, heap and action buffer
     // at capacity, link matrix grown), ping-pong delivery must run
     // allocation-free: pop reuses the arena slot its push freed.
-    let mut w = WorldBuilder::new(1).event_capacity(16).build(2, |_| Pinger);
+    let mut w = WorldBuilder::new(1)
+        .record_trace(record)
+        .event_capacity(16)
+        .build(2, |_| Pinger);
     for _ in 0..100 {
         w.step();
     }
@@ -107,14 +110,29 @@ fn steady_state_delivery_path_allocates_nothing() {
             w.step();
         }
     });
+    allocs
+}
+
+#[test]
+fn steady_state_delivery_path_allocates_nothing() {
     assert_eq!(
-        allocs, 0,
+        delivery_window_allocs(false),
+        0,
         "steady-state message delivery allocated: the arena/heap hot path regressed"
     );
 }
 
 #[test]
-fn steady_state_timer_path_allocates_nothing() {
+fn recorded_delivery_path_allocates_nothing() {
+    assert_eq!(
+        delivery_window_allocs(true),
+        0,
+        "a recorded world allocated per message: sends and deliveries are counted, not logged"
+    );
+}
+
+/// Warm 5k-step timer-storm window; `record` switches the trace on.
+fn timer_window_allocs(record: bool) -> u64 {
     // Wheel buckets are lazily grown Vecs, so the measured window must
     // only touch buckets the warm-up already gave capacity. Delays here
     // are <= 7 ms, which means: level-0 and level-1 slots all recur
@@ -123,7 +141,10 @@ fn steady_state_timer_path_allocates_nothing() {
     // rotation, stop right after a boundary, and keep the window well
     // short of the next one. Virtual time is a pure function of the
     // seed, so the window bound below is deterministic, not a timing.
-    let mut w = WorldBuilder::new(1).event_capacity(64).build(4, |_| Storm);
+    let mut w = WorldBuilder::new(1)
+        .record_trace(record)
+        .event_capacity(64)
+        .build(4, |_| Storm);
     // Three rotations, not one: bucket capacities keep creeping up for a
     // while because each rotation packs slightly different timer batches
     // into the same slots.
@@ -140,9 +161,42 @@ fn steady_state_timer_path_allocates_nothing() {
         "measurement window reached the next level-2 boundary at t={}; shrink it",
         w.now()
     );
+    allocs
+}
+
+#[test]
+fn steady_state_timer_path_allocates_nothing() {
     assert_eq!(
-        allocs, 0,
+        timer_window_allocs(false),
+        0,
         "steady-state timer fire/re-arm allocated: the wheel hot path regressed"
+    );
+}
+
+#[test]
+fn recorded_timer_path_allocates_nothing() {
+    assert_eq!(
+        timer_window_allocs(true),
+        0,
+        "a recorded world allocated per timer fire: fires are counted, not logged"
+    );
+}
+
+#[test]
+fn recording_costs_at_most_a_quarter_more_allocations_than_a_quiet_campaign() {
+    // What recording still allocates is what its readers read: the obs
+    // timeline, the control-plane log and the note strings (1.06x at seed
+    // 8). Rendering every message into the trace put this ratio at 2.43.
+    let total = |mode: RunMode| -> u64 {
+        campaign::arm_ids()
+            .iter()
+            .map(|arm| alloc_counter::count_allocations(|| campaign::run_arm(arm, 8, mode)).1)
+            .sum()
+    };
+    let (quick, hash) = (total(RunMode::Quick), total(RunMode::Hash));
+    assert!(
+        hash * 4 <= quick * 5,
+        "Hash-mode arms allocated {hash} times against {quick} in Quick mode (> 1.25x)"
     );
 }
 
