@@ -66,7 +66,8 @@ fn partition_rules(c: &mut Criterion) {
             &nodes,
             |b, &nodes| {
                 // Message delivery cost while many unrelated rules are
-                // installed (the is_blocked scan).
+                // installed. Rules are compiled into per-link state at
+                // install, so this must stay flat in `nodes` (= rules).
                 let mut w = WorldBuilder::new(1).build(nodes, |_| Pinger);
                 for i in 2..nodes {
                     w.block_pairs(bidirectional_pairs(&[NodeId(i)], &[NodeId((i + 1) % nodes)]));

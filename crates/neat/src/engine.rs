@@ -87,8 +87,9 @@ impl<A: Application> Neat<A> {
             PartitionSpec::Partial { a, b } => (obs::PartitionClass::Partial, a, b),
             PartitionSpec::Simplex { src, dst } => (obs::PartitionClass::Simplex, src, dst),
         };
-        let pairs = spec.pairs().len();
-        let rule = self.world.block_pairs(spec.pairs());
+        let set = spec.pairs();
+        let pairs = set.len();
+        let rule = self.world.block_pairs(set);
         self.obs
             .partition_installed(self.world.now(), rule.0, class, a, b, pairs);
         let p = Partition { rule, spec };
@@ -166,8 +167,9 @@ impl<A: Application> Neat<A> {
                 (class, src, dst)
             }
         };
-        let pairs = spec.pairs().len();
-        let rule = self.world.degrade_pairs(spec.pairs(), spec.rule());
+        let set = spec.pairs();
+        let pairs = set.len();
+        let rule = self.world.degrade_pairs(set, spec.rule());
         self.obs
             .degrade_installed(self.world.now(), rule.0, class, a, b, pairs);
         let d = Degrade { rule, spec };

@@ -22,6 +22,16 @@
 //! period. Degrade rules stack like block rules and draw exclusively from
 //! the world's seeded RNG, so a degraded run is as reproducible as a
 //! clean one.
+//!
+//! Both kinds of rule are *compiled when the fault set changes*, the way
+//! the partitioner pays for a partition when it installs its drop rules and
+//! not once per packet per rule. Install adds a rule's pairs to a dense
+//! per-link matrix — a block refcount and the covering degrade rules, in id
+//! order, beside the link's FIFO clock — and heal takes them out again, so
+//! every per-message question (blocked? degraded? which rules draw, in which
+//! order?) is one index whatever the number of rules. The per-rule pair
+//! sets are kept only to say which pairs an id owns: heal walks them, and
+//! the rule counts count them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -142,70 +152,105 @@ impl Default for LinkConfig {
     }
 }
 
+/// What the fabric keeps per directed link. Block and degrade rules are
+/// compiled into it when they are installed and taken out when they are
+/// healed, so every per-message question is one index into `Net::links`.
+#[derive(Debug, Default)]
+struct Link {
+    /// Last scheduled delivery time, for FIFO enforcement.
+    last: Time,
+    /// Installed block rules covering this pair; it is blocked while > 0.
+    blocked: u32,
+    /// Installed degrade rules covering this pair, in rule-id order (ids
+    /// are monotonic, so install appends): the order they draw in.
+    degrades: Vec<(DegradeRuleId, DegradeRule)>,
+}
+
+impl Link {
+    /// Degrade rules covering this link that apply at `now`, in id order.
+    fn active_degrades(&self, now: Time) -> impl Iterator<Item = &DegradeRule> {
+        self.degrades
+            .iter()
+            .filter_map(move |(_, rule)| rule.active_at(now).then_some(rule))
+    }
+}
+
 /// The network fabric: computes delivery delays and answers "is this directed
 /// pair currently blocked?".
 #[derive(Debug)]
 pub struct Net {
     config: LinkConfig,
+    /// The pairs each installed block rule owns. No message looks here:
+    /// the map is what heal walks to take a rule back out of `links`, and
+    /// what [`Net::rule_count`] counts.
     rules: BTreeMap<BlockRuleId, BTreeSet<(NodeId, NodeId)>>,
     next_rule: u64,
-    degrades: BTreeMap<DegradeRuleId, (BTreeSet<(NodeId, NodeId)>, DegradeRule)>,
+    /// The pairs each installed degrade rule owns; same role as `rules`.
+    degrades: BTreeMap<DegradeRuleId, BTreeSet<(NodeId, NodeId)>>,
     next_degrade: u64,
-    /// Last scheduled delivery time per directed link, for FIFO
-    /// enforcement: a dense src-major matrix (`src * n + dst`) grown on
-    /// first contact with a node id, so the per-send lookup is one index
-    /// instead of a `BTreeMap` walk on the hottest path in the simulator.
-    link_last: Vec<Time>,
-    /// Current side length of the `link_last` matrix.
-    link_nodes: usize,
+    /// Per-link state, a dense src-major matrix (`src * nodes + dst`) sized
+    /// once at build: a send or a delivery costs the same under sixteen
+    /// rules as under none.
+    links: Vec<Link>,
+    /// Side length of `links`: the world's node count.
+    nodes: usize,
 }
 
 impl Net {
-    pub(crate) fn new(config: LinkConfig) -> Self {
+    /// A fabric for a world of `nodes` nodes.
+    pub(crate) fn new(config: LinkConfig, nodes: usize) -> Self {
         Self {
             config,
             rules: BTreeMap::new(),
             next_rule: 0,
             degrades: BTreeMap::new(),
             next_degrade: 0,
-            link_last: Vec::new(),
-            link_nodes: 0,
+            links: std::iter::repeat_with(Link::default)
+                .take(nodes * nodes)
+                .collect(),
+            nodes,
         }
     }
 
-    /// Grows the FIFO matrix to cover node ids up to `max_id`, preserving
-    /// the recorded per-link times (a fresh link starts at 0, exactly the
-    /// value the old map's `or_insert(0)` supplied).
-    fn grow_link_matrix(&mut self, max_id: usize) {
-        let n = max_id + 1;
-        let old_n = self.link_nodes;
-        let mut grown = vec![0; n * n];
-        for src in 0..old_n {
-            for dst in 0..old_n {
-                grown[src * n + dst] = self.link_last[src * old_n + dst];
+    /// Index of `src → dst` in `links`. A pair naming a node the world does
+    /// not have has no link and can never carry traffic: a rule keeps it
+    /// (it counts in the rule's size), the matrix skips it.
+    fn index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        (src.0 < self.nodes && dst.0 < self.nodes).then(|| src.0 * self.nodes + dst.0)
+    }
+
+    /// Applies `f` to the link of every pair in `pairs` that has one.
+    fn update_links(&mut self, pairs: &BTreeSet<(NodeId, NodeId)>, mut f: impl FnMut(&mut Link)) {
+        for &(src, dst) in pairs {
+            if let Some(i) = self.index(src, dst) {
+                f(&mut self.links[i]);
             }
         }
-        self.link_last = grown;
-        self.link_nodes = n;
     }
 
     /// Installs a rule dropping traffic for every directed pair in `pairs`.
     pub fn block_pairs(&mut self, pairs: BTreeSet<(NodeId, NodeId)>) -> BlockRuleId {
         let id = BlockRuleId(self.next_rule);
         self.next_rule += 1;
+        self.update_links(&pairs, |link| link.blocked += 1);
         self.rules.insert(id, pairs);
         id
     }
 
-    /// Removes a previously installed rule. Removing an unknown or already
-    /// removed rule is a no-op, so healing twice is harmless.
-    pub fn unblock(&mut self, id: BlockRuleId) {
-        self.rules.remove(&id);
+    /// Removes a previously installed rule and says whether there was one:
+    /// removing an unknown or already removed rule is a no-op, so healing
+    /// twice is harmless.
+    pub fn unblock(&mut self, id: BlockRuleId) -> bool {
+        let Some(pairs) = self.rules.remove(&id) else {
+            return false;
+        };
+        self.update_links(&pairs, |link| link.blocked -= 1);
+        true
     }
 
     /// Returns `true` while any installed rule blocks `src → dst`.
     pub fn is_blocked(&self, src: NodeId, dst: NodeId) -> bool {
-        self.rules.values().any(|set| set.contains(&(src, dst)))
+        self.index(src, dst).is_some_and(|i| self.links[i].blocked > 0)
     }
 
     /// Number of currently installed rules.
@@ -221,22 +266,27 @@ impl Net {
     ) -> DegradeRuleId {
         let id = DegradeRuleId(self.next_degrade);
         self.next_degrade += 1;
-        self.degrades.insert(id, (pairs, rule));
+        self.update_links(&pairs, |link| link.degrades.push((id, rule)));
+        self.degrades.insert(id, pairs);
         id
     }
 
-    /// Removes a previously installed degrade rule. Removing an unknown or
-    /// already removed rule is a no-op, so healing twice is harmless.
-    pub fn undegrade(&mut self, id: DegradeRuleId) {
-        self.degrades.remove(&id);
+    /// Removes a previously installed degrade rule and says whether there
+    /// was one: removing an unknown or already removed rule is a no-op, so
+    /// healing twice is harmless.
+    pub fn undegrade(&mut self, id: DegradeRuleId) -> bool {
+        let Some(pairs) = self.degrades.remove(&id) else {
+            return false;
+        };
+        self.update_links(&pairs, |link| link.degrades.retain(|&(owner, _)| owner != id));
+        true
     }
 
     /// Returns `true` while any installed degrade rule covers `src → dst`
     /// (regardless of flap phase — an installed flapping rule counts).
     pub fn is_degraded(&self, src: NodeId, dst: NodeId) -> bool {
-        self.degrades
-            .values()
-            .any(|(set, _)| set.contains(&(src, dst)))
+        self.index(src, dst)
+            .is_some_and(|i| !self.links[i].degrades.is_empty())
     }
 
     /// Number of currently installed degrade rules.
@@ -251,9 +301,9 @@ impl Net {
         src: NodeId,
         dst: NodeId,
     ) -> impl Iterator<Item = &DegradeRule> {
-        self.degrades.values().filter_map(move |(set, rule)| {
-            (set.contains(&(src, dst)) && rule.active_at(now)).then_some(rule)
-        })
+        self.index(src, dst)
+            .into_iter()
+            .flat_map(move |i| self.links[i].active_degrades(now))
     }
 
     /// Draws whether a message is lost to link flakiness.
@@ -298,37 +348,32 @@ impl Net {
         dup
     }
 
-    /// Extra delay from active degrade rules on `src → dst`. Zero-jitter
-    /// rules draw nothing from the RNG.
-    fn degrade_delay(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> Time {
-        let mut extra = 0;
-        for rule in self.active_degrades(now, src, dst) {
-            extra += rule.extra_latency;
-            if rule.jitter > 0 {
-                extra += rng.gen_range(0..=rule.jitter);
-            }
-        }
-        extra
-    }
-
-    /// Computes the delivery time for a message sent now on `src → dst`.
+    /// Computes the delivery time for a message sent now on `src → dst`:
+    /// base latency and jitter, the extra delay of the active degrade rules
+    /// covering the link (zero-jitter rules draw nothing from the RNG), and
+    /// the link's FIFO clock.
     pub(crate) fn delivery_time(&mut self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> Time {
         let jitter = if self.config.jitter == 0 {
             0
         } else {
             rng.gen_range(0..=self.config.jitter)
         };
-        let extra = self.degrade_delay(now, src, dst, rng);
-        let mut at = now + self.config.base_latency + jitter + extra;
+        let mut at = now + self.config.base_latency + jitter;
+        let Some(i) = self.index(src, dst) else {
+            return at;
+        };
+        let link = &mut self.links[i];
+        for rule in link.active_degrades(now) {
+            at += rule.extra_latency;
+            if rule.jitter > 0 {
+                at += rng.gen_range(0..=rule.jitter);
+            }
+        }
         if self.config.fifo {
-            if src.0 >= self.link_nodes || dst.0 >= self.link_nodes {
-                self.grow_link_matrix(src.0.max(dst.0));
+            if at < link.last {
+                at = link.last;
             }
-            let last = &mut self.link_last[src.0 * self.link_nodes + dst.0];
-            if at < *last {
-                at = *last;
-            }
-            *last = at;
+            link.last = at;
         }
         at
     }
@@ -399,9 +444,14 @@ mod tests {
         v.iter().copied().map(NodeId).collect()
     }
 
+    /// The fabric of a three-node world.
+    fn fabric(config: LinkConfig) -> Net {
+        Net::new(config, 3)
+    }
+
     #[test]
     fn bidirectional_blocks_both_ways() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         let rule = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1, 2])));
         assert!(net.is_blocked(NodeId(0), NodeId(1)));
         assert!(net.is_blocked(NodeId(1), NodeId(0)));
@@ -413,7 +463,7 @@ mod tests {
 
     #[test]
     fn simplex_blocks_one_way_only() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         net.block_pairs(simplex_pairs(&ids(&[1]), &ids(&[0])));
         assert!(net.is_blocked(NodeId(1), NodeId(0)));
         assert!(!net.is_blocked(NodeId(0), NodeId(1)));
@@ -421,7 +471,7 @@ mod tests {
 
     #[test]
     fn rules_stack_independently() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         let r1 = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1])));
         let r2 = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1, 2])));
         net.unblock(r2);
@@ -434,11 +484,31 @@ mod tests {
 
     #[test]
     fn double_heal_is_noop() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         let r = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1])));
         net.unblock(r);
         net.unblock(r);
         assert!(!net.is_blocked(NodeId(0), NodeId(1)));
+    }
+
+    #[test]
+    fn pairs_naming_a_missing_node_count_in_the_rule_and_answer_false() {
+        let mut net = fabric(LinkConfig::default());
+        let ghost = NodeId(7);
+        let pairs = bidirectional_pairs(&ids(&[0]), &[NodeId(1), ghost]);
+        let r = net.block_pairs(pairs.clone());
+        let d = net.degrade_pairs(pairs, DegradeRule::slow(50, 0));
+        assert_eq!((net.rule_count(), net.degrade_count()), (1, 1));
+        assert!(net.is_blocked(NodeId(0), NodeId(1)) && net.is_degraded(NodeId(1), NodeId(0)));
+        for (src, dst) in [(NodeId(0), ghost), (ghost, NodeId(0)), (ghost, ghost)] {
+            assert!(!net.is_blocked(src, dst) && !net.is_degraded(src, dst));
+        }
+        // No link, so no degrade delay and no FIFO clock either.
+        let mut rng = StdRng::seed_from_u64(3);
+        assert!(net.delivery_time(0, NodeId(0), ghost, &mut rng) <= 2);
+        assert_eq!(net.connectivity_matrix(8).lines().count(), 8);
+        assert!(net.unblock(r) && net.undegrade(d));
+        assert!(!net.is_blocked(NodeId(0), NodeId(1)) && !net.is_degraded(NodeId(0), NodeId(1)));
     }
 
     #[test]
@@ -449,7 +519,7 @@ mod tests {
 
     #[test]
     fn fifo_links_never_reorder() {
-        let mut net = Net::new(LinkConfig {
+        let mut net = fabric(LinkConfig {
             base_latency: 1,
             jitter: 10,
             fifo: true,
@@ -466,7 +536,7 @@ mod tests {
 
     #[test]
     fn non_fifo_links_can_reorder() {
-        let mut net = Net::new(LinkConfig {
+        let mut net = fabric(LinkConfig {
             base_latency: 1,
             jitter: 10,
             fifo: false,
@@ -484,7 +554,7 @@ mod tests {
 
     #[test]
     fn connectivity_matrix_renders_partition() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let m = net.connectivity_matrix(2);
         assert_eq!(m, "1 0\n1 1\n");
@@ -492,7 +562,7 @@ mod tests {
 
     #[test]
     fn connectivity_matrix_distinguishes_lossy_from_severed() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let d = net.degrade_pairs(
             bidirectional_pairs(&ids(&[1]), &ids(&[2])),
@@ -506,7 +576,7 @@ mod tests {
 
     #[test]
     fn block_rule_wins_over_degrade_in_matrix() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         net.degrade_pairs(
             simplex_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::lossy(0.9),
@@ -517,7 +587,7 @@ mod tests {
 
     #[test]
     fn degrade_rules_stack_and_heal_independently() {
-        let mut net = Net::new(LinkConfig::default());
+        let mut net = fabric(LinkConfig::default());
         let d1 = net.degrade_pairs(
             simplex_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::lossy(0.5),
@@ -538,7 +608,7 @@ mod tests {
 
     #[test]
     fn zero_knob_rules_consume_no_rng() {
-        let mut net = Net::new(LinkConfig {
+        let mut net = fabric(LinkConfig {
             base_latency: 1,
             jitter: 0,
             fifo: true,
@@ -564,7 +634,7 @@ mod tests {
 
     #[test]
     fn total_loss_always_drops_and_slow_rules_delay() {
-        let mut net = Net::new(LinkConfig {
+        let mut net = fabric(LinkConfig {
             base_latency: 1,
             jitter: 0,
             fifo: false,
@@ -595,7 +665,7 @@ mod tests {
         assert!(!rule.active_at(199));
         assert!(rule.active_at(200));
 
-        let mut net = Net::new(LinkConfig {
+        let mut net = fabric(LinkConfig {
             base_latency: 1,
             jitter: 0,
             fifo: false,

@@ -232,7 +232,7 @@ impl WorldBuilder {
             next_timer: 0,
             now: 0,
             rng: StdRng::seed_from_u64(self.seed),
-            net: Net::new(self.link),
+            net: Net::new(self.link, n),
             cancelled: BTreeSet::new(),
             trace: Trace::new(self.record_trace),
             purge_in_flight_on_crash: self.purge_in_flight_on_crash,
@@ -329,10 +329,12 @@ impl<A: Application> World<A> {
         id
     }
 
-    /// Removes a block rule (heals that partition).
+    /// Removes a block rule (heals that partition). Healing a rule that is
+    /// not installed is a no-op and logs nothing.
     pub fn unblock(&mut self, id: BlockRuleId) {
-        self.net.unblock(id);
-        self.trace.push(TraceEvent::RuleRemoved { at: self.now, rule: id });
+        if self.net.unblock(id) {
+            self.trace.push(TraceEvent::RuleRemoved { at: self.now, rule: id });
+        }
     }
 
     /// Installs a degrade rule (gray failure) over explicit directed pairs.
@@ -352,13 +354,15 @@ impl<A: Application> World<A> {
         id
     }
 
-    /// Removes a degrade rule (restores those links).
+    /// Removes a degrade rule (restores those links). Restoring a rule that
+    /// is not installed is a no-op and logs nothing.
     pub fn undegrade(&mut self, id: DegradeRuleId) {
-        self.net.undegrade(id);
-        self.trace.push(TraceEvent::DegradeRuleRemoved {
-            at: self.now,
-            rule: id,
-        });
+        if self.net.undegrade(id) {
+            self.trace.push(TraceEvent::DegradeRuleRemoved {
+                at: self.now,
+                rule: id,
+            });
+        }
     }
 
     /// Crashes a node: volatile state is cleared via
@@ -653,6 +657,31 @@ mod tests {
         w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 4)).unwrap();
         w.run_until_idle();
         assert_eq!(w.app(NodeId(1)).seen, vec![4]);
+    }
+
+    #[test]
+    fn healing_twice_logs_one_removal() {
+        let mut w = WorldBuilder::new(1).record_trace(true).build(2, |_| Echo::new());
+        let pairs = || bidirectional_pairs(&[NodeId(0)], &[NodeId(1)]);
+        let rule = w.block_pairs(pairs());
+        w.unblock(rule);
+        w.unblock(rule);
+        let d = w.degrade_pairs(pairs(), DegradeRule::lossy(0.5));
+        w.undegrade(d);
+        w.undegrade(d);
+        assert!(
+            matches!(
+                w.trace().events(),
+                [
+                    TraceEvent::RuleInstalled { .. },
+                    TraceEvent::RuleRemoved { .. },
+                    TraceEvent::DegradeRuleInstalled { .. },
+                    TraceEvent::DegradeRuleRemoved { .. },
+                ]
+            ),
+            "{}",
+            w.trace().summary()
+        );
     }
 
     #[test]

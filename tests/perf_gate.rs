@@ -14,7 +14,8 @@
 //! here and shows up as a stale artifact.
 
 use neat_repro::campaign::{self, RunMode};
-use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+use simnet::net::{bidirectional_pairs, simplex_pairs};
+use simnet::{Application, Ctx, DegradeRule, NodeId, TimerId, World, WorldBuilder};
 
 // Route this test binary's heap through the counting allocator; the
 // counters are thread-local, so the parallel test harness cannot bleed
@@ -182,18 +183,153 @@ fn recorded_timer_path_allocates_nothing() {
     );
 }
 
+/// Twelve gossiping nodes: each keeps one 4 ms timer armed and every firing
+/// starts two rumors that are forwarded twice, so sends dominate.
+struct Gossip;
+const GOSSIPERS: usize = 12;
+
+fn other_peer(ctx: &mut Ctx<'_, u8>) -> NodeId {
+    let k = ctx.rand_below(GOSSIPERS as u64 - 1) as usize;
+    NodeId(if k >= ctx.id().0 { k + 1 } else { k })
+}
+
+impl Application for Gossip {
+    /// Hops left.
+    type Msg = u8;
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+        ctx.set_timer(1 + ctx.id().0 as u64 % 4, 0);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, _: NodeId, hops: u8) {
+        if hops > 0 {
+            let to = other_peer(ctx);
+            ctx.send(to, hops - 1);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u8>, _: TimerId, _: u64) {
+        for _ in 0..2 {
+            let to = other_peer(ctx);
+            ctx.send(to, 2);
+        }
+        ctx.set_timer(4, 0);
+    }
+}
+
+fn gossip_world() -> World<Gossip> {
+    WorldBuilder::new(1).event_capacity(256).build(GOSSIPERS, |_| Gossip)
+}
+
+/// Installs 8 block and 8 degrade rules of every shape (complete, partial,
+/// simplex; lossy, slow, duplicating, flapping) over three racks of four,
+/// overlapping on most cross-rack links.
+fn install_sixteen_rules(w: &mut World<Gossip>) {
+    let rack = |r: usize| -> Vec<NodeId> { (r * 4..r * 4 + 4).map(NodeId).collect() };
+    let gray = [
+        DegradeRule::lossy(0.2),
+        DegradeRule::slow(3, 2),
+        DegradeRule::duplicating(0.2),
+        DegradeRule::lossy(0.3).flapping(50),
+    ];
+    for i in 0..8 {
+        let (a, b) = (rack(i % 3), rack((i + 1) % 3));
+        w.block_pairs(match i % 3 {
+            0 => bidirectional_pairs(&a[..1], &b),
+            1 => bidirectional_pairs(&a[1..3], &b[..2]),
+            _ => simplex_pairs(&a[3..], &b),
+        });
+        w.degrade_pairs(bidirectional_pairs(&a, &b), gray[i % 4]);
+    }
+}
+
+#[test]
+fn delivery_under_sixteen_live_rules_allocates_nothing() {
+    // Rules are compiled into the per-link state when they are installed;
+    // a message reads that state and must not allocate, however many rules
+    // cover its link. Warm-up and window follow `timer_window_allocs`: the
+    // twelve timers re-arm at a fixed 4 ms, so one level-2 wheel rotation
+    // brings every level-1 bucket to its capacity, and the window ends well
+    // before the next 4096 ms boundary parks them in a fresh level-2 bucket.
+    let mut w = gossip_world();
+    install_sixteen_rules(&mut w);
+    while w.now() < 1 << 12 {
+        assert!(w.step(), "gossip ran dry during warm-up");
+    }
+    let before = w.trace().counters;
+    let (_, allocs) = alloc_counter::count_allocations(|| {
+        for _ in 0..10_000 {
+            w.step();
+        }
+    });
+    assert!(w.now() < 2 * (1 << 12) - 64, "window reached t={}; shrink it", w.now());
+    let c = w.trace().counters;
+    assert!(
+        c.dropped_partition > before.dropped_partition
+            && c.dropped_degraded > before.dropped_degraded
+            && c.duplicated > before.duplicated,
+        "the window exercised no rule: {c:?}"
+    );
+    assert_eq!(allocs, 0, "a message under live rules allocated");
+}
+
+#[test]
+fn install_and_heal_allocate_only_per_link_degrade_lists() {
+    let mut w = gossip_world();
+    install_sixteen_rules(&mut w);
+    let racks: Vec<NodeId> = (0..8).map(NodeId).collect();
+    let pairs = || bidirectional_pairs(&racks[..4], &racks[4..]);
+
+    // A block rule is a refcount per link plus the caller's pair set,
+    // which moves into the rule map.
+    let block = pairs();
+    let (_, allocs) = alloc_counter::count_allocations(|| {
+        let id = w.block_pairs(block);
+        w.unblock(id);
+    });
+    assert_eq!(allocs, 0, "installing and healing a block rule allocated");
+
+    // A degrade rule joins each covered link's list: at most one (re)sizing
+    // per pair, and none once the links have held as many rules before.
+    let mut degrade_cycle = || {
+        let degrade = pairs();
+        alloc_counter::count_allocations(|| {
+            let id = w.degrade_pairs(degrade, DegradeRule::slow(3, 2));
+            w.undegrade(id);
+        })
+        .1
+    };
+    let (first, second) = (degrade_cycle(), degrade_cycle());
+    let covered = pairs().len() as u64;
+    assert!(first <= covered, "a degrade rule over {covered} pairs allocated {first} times");
+    assert_eq!(second, 0, "re-installing over links that kept their capacity allocated");
+}
+
+/// Allocations of every registry arm at seed 8, summed.
+fn campaign_allocs(mode: RunMode) -> u64 {
+    campaign::arm_ids()
+        .iter()
+        .map(|arm| alloc_counter::count_allocations(|| campaign::run_arm(arm, 8, mode)).1)
+        .sum()
+}
+
+#[test]
+fn a_quiet_campaign_allocates_no_more_than_before_rules_were_compiled() {
+    // 148,013 is the Quick-mode total of the 93 arms at the parent of the
+    // PR that compiled rules into per-link state: sizing that state at
+    // build costs one allocation per world, and it replaces the FIFO
+    // matrix that used to grow on first contact.
+    let quick = campaign_allocs(RunMode::Quick);
+    assert!(
+        quick <= 148_013,
+        "Quick-mode arms allocated {quick} times at seed 8, more than the 148,013 \
+         they took while rules were scanned per message"
+    );
+}
+
 #[test]
 fn recording_costs_at_most_a_quarter_more_allocations_than_a_quiet_campaign() {
     // What recording still allocates is what its readers read: the obs
     // timeline, the control-plane log and the note strings (1.06x at seed
     // 8). Rendering every message into the trace put this ratio at 2.43.
-    let total = |mode: RunMode| -> u64 {
-        campaign::arm_ids()
-            .iter()
-            .map(|arm| alloc_counter::count_allocations(|| campaign::run_arm(arm, 8, mode)).1)
-            .sum()
-    };
-    let (quick, hash) = (total(RunMode::Quick), total(RunMode::Hash));
+    let (quick, hash) = (campaign_allocs(RunMode::Quick), campaign_allocs(RunMode::Hash));
     assert!(
         hash * 4 <= quick * 5,
         "Hash-mode arms allocated {hash} times against {quick} in Quick mode (> 1.25x)"
