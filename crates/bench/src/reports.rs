@@ -383,6 +383,22 @@ pub fn forensics_machine_json() -> String {
 
 // --- gray failures -------------------------------------------------------
 
+/// Appends the distinct violation kinds in `vs`, sorted by name, as a JSON
+/// array of strings.
+fn push_kinds(out: &mut String, vs: &[neat::Violation]) {
+    let mut kinds: Vec<String> = vs.iter().map(|v| v.kind.to_string()).collect();
+    kinds.sort();
+    kinds.dedup();
+    out.push('[');
+    for (i, kind) in kinds.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        study::json::push_json_str(out, kind);
+    }
+    out.push(']');
+}
+
 /// Exact content of `BENCH_gray.json`: every gray-failure scenario of the
 /// campaign at the historical seed 8 — both arms' checker verdicts side
 /// by side (the no-retry vs retry-with-backoff contrast) plus the
@@ -395,22 +411,6 @@ pub fn gray_machine_json() -> String {
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
         .sum();
-    let kinds = |vs: &[neat::Violation]| {
-        let mut ks: Vec<String> = vs.iter().map(|v| v.kind.to_string()).collect();
-        ks.sort();
-        ks.dedup();
-        ks
-    };
-    let push_kinds = |out: &mut String, ks: &[String]| {
-        out.push('[');
-        for (i, k) in ks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            study::json::push_json_str(out, k);
-        }
-        out.push(']');
-    };
     let mut out = format!(
         "{{\"bench\":\"gray\",\"seed\":8,\"scenarios\":{},\"arms\":{arms},\
          \"per_scenario\":[",
@@ -427,12 +427,9 @@ pub fn gray_machine_json() -> String {
         out.push_str(",\"partition\":");
         study::json::push_json_str(&mut out, s.partition);
         out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &kinds(&flawed.violations));
+        push_kinds(&mut out, &flawed.violations);
         out.push_str(",\"fixed\":");
-        push_kinds(
-            &mut out,
-            &fixed.map(|f| kinds(&f.violations)).unwrap_or_default(),
-        );
+        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
         let c = &flawed.timeline.counters;
         let _ = write!(
             out,
@@ -469,22 +466,6 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
         .sum();
-    let kinds = |vs: &[neat::Violation]| {
-        let mut ks: Vec<String> = vs.iter().map(|v| v.kind.to_string()).collect();
-        ks.sort();
-        ks.dedup();
-        ks
-    };
-    let push_kinds = |out: &mut String, ks: &[String]| {
-        out.push('[');
-        for (i, k) in ks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            study::json::push_json_str(out, k);
-        }
-        out.push(']');
-    };
     let mut out = format!(
         "{{\"bench\":\"workload\",\"seed\":8,\"load_scenarios\":{},\"arms\":{arms},\
          \"per_scenario\":[",
@@ -501,12 +482,9 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         out.push_str(",\"partition\":");
         study::json::push_json_str(&mut out, s.partition);
         out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &kinds(&flawed.violations));
+        push_kinds(&mut out, &flawed.violations);
         out.push_str(",\"fixed\":");
-        push_kinds(
-            &mut out,
-            &fixed.map(|f| kinds(&f.violations)).unwrap_or_default(),
-        );
+        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
         let (ok, fail, timeout) = flawed.timeline.op_outcome_counts();
         let (p50, p99, p999, max) = flawed
             .timeline
@@ -703,23 +681,6 @@ pub fn explore_machine_json() -> String {
 
     use neat::explore::{explore, Strategy, TestTarget};
 
-    let kinds = |vs: &[neat::Violation]| {
-        let mut ks: Vec<String> = vs.iter().map(|v| v.kind.to_string()).collect();
-        ks.sort();
-        ks.dedup();
-        ks
-    };
-    let push_kinds = |out: &mut String, ks: &[String]| {
-        out.push('[');
-        for (i, k) in ks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            study::json::push_json_str(out, k);
-        }
-        out.push(']');
-    };
-
     let mut out = format!(
         "{{\"bench\":\"explore\",\"seed\":{EXPLORE_SEED},\
          \"trials_per_strategy\":{EXPLORE_TRIALS},\"targets\":["
@@ -851,12 +812,9 @@ pub fn explore_machine_json() -> String {
         let _ = write!(out, ",\"steps\":{steps},\"plan\":");
         study::json::push_json_str(&mut out, &plan);
         out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &kinds(&flawed.violations));
+        push_kinds(&mut out, &flawed.violations);
         out.push_str(",\"fixed\":");
-        push_kinds(
-            &mut out,
-            &fixed.map(|f| kinds(&f.violations)).unwrap_or_default(),
-        );
+        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
         let _ = write!(out, ",\"one_minimal\":{one_minimal}}}");
     }
     let _ = write!(

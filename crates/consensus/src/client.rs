@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{cluster::Node, Neat, Op, OpRecord, Outcome};
+use neat::{cluster::Node, Neat, Op, Outcome};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -54,32 +54,21 @@ impl RaftClient {
     }
 
     fn run(&self, neat: &mut Neat<RaftProc>, req: RaftReq, op: Op) -> Outcome {
-        let start = neat.now();
-        let target = self.target;
-        let started = neat
-            .world
-            .call(self.node, |p, ctx| p.client_mut().start(ctx, target, req.clone()));
-        let outcome = match started {
-            Err(_) => Outcome::Timeout,
-            Ok(op_id) => {
-                let node = self.node;
-                match neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id)) {
-                    Some(RaftResp::Ok) => Outcome::Ok(None),
-                    Some(RaftResp::Value(v)) => Outcome::Ok(v),
-                    Some(RaftResp::Fail) => Outcome::Fail,
-                    None => Outcome::Timeout,
-                }
+        let Self { node, target } = *self;
+        neat.recorded(node, op, |neat| {
+            let resp = neat.request(
+                node,
+                neat.op_timeout,
+                |p, ctx| p.client_mut().start(ctx, target, req),
+                |p, op_id| p.client_mut().take(op_id),
+            );
+            match resp {
+                Some(RaftResp::Ok) => Outcome::Ok(None),
+                Some(RaftResp::Value(v)) => Outcome::Ok(v),
+                Some(RaftResp::Fail) => Outcome::Fail,
+                None => Outcome::Timeout,
             }
-        };
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: self.node,
-            op,
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        })
     }
 
     /// Replicated write.

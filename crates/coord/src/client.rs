@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{cluster::Node, Neat, Op, OpRecord, Outcome};
+use neat::{cluster::Node, Neat, Op, Outcome};
 use simnet::{Ctx, NodeId, TimerId};
 
 use crate::{
@@ -158,138 +158,81 @@ pub struct CoordClient {
 }
 
 impl CoordClient {
-    fn finish(
+    /// One recorded round trip: `send` fires the request from the session
+    /// and returns its op id.
+    fn run(
         &self,
         neat: &mut Neat<CoordProc>,
-        op_id: u64,
         op: Op,
-        start: u64,
-        lock_style: bool,
+        send: impl FnOnce(&mut CoordSession, &mut Ctx<'_, CoordMsg>) -> u64,
     ) -> Outcome {
         let node = self.node;
-        let resp = neat.run_op(
-            |_| Ok(()),
-            |w| w.app_mut(node).client_mut().session.take(op_id),
-        );
-        let outcome = match resp {
-            Some(CoordResp::Ok) => Outcome::Ok(None),
-            Some(CoordResp::Value(v)) => Outcome::Ok(v),
-            Some(CoordResp::Exists) => Outcome::Fail,
-            Some(CoordResp::Fail) => Outcome::Fail,
-            Some(CoordResp::NotLeader { .. }) | None => Outcome::Timeout,
-        };
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: node,
-            op,
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        let _ = lock_style;
-        outcome
+        neat.recorded(node, op, |neat| {
+            let resp = neat.request(
+                node,
+                neat.op_timeout,
+                |p, ctx| send(&mut p.client_mut().session, ctx),
+                |p, op_id| p.client_mut().session.take(op_id),
+            );
+            match resp {
+                Some(CoordResp::Ok) => Outcome::Ok(None),
+                Some(CoordResp::Value(v)) => Outcome::Ok(v),
+                Some(CoordResp::Exists) => Outcome::Fail,
+                Some(CoordResp::Fail) => Outcome::Fail,
+                Some(CoordResp::NotLeader { .. }) | None => Outcome::Timeout,
+            }
+        })
     }
 
     /// Creates a persistent znode (recorded as a write).
     pub fn create(&self, neat: &mut Neat<CoordProc>, path: &str, val: u64) -> Outcome {
-        let start = neat.now();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                p.client_mut().session.request(
-                    ctx,
-                    CoordReq::Create {
-                        path: path.into(),
-                        val,
-                        ephemeral: false,
-                    },
-                )
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        self.finish(
-            neat,
-            op_id,
-            Op::Write {
-                key: path.into(),
-                val,
-            },
-            start,
-            false,
-        )
+        let req = CoordReq::Create {
+            path: path.into(),
+            val,
+            ephemeral: false,
+        };
+        let op = Op::Write {
+            key: path.into(),
+            val,
+        };
+        self.run(neat, op, |s, ctx| s.request(ctx, req))
     }
 
     /// Creates an ephemeral znode — the lock-acquire idiom (recorded as an
     /// acquire).
     pub fn acquire(&self, neat: &mut Neat<CoordProc>, path: &str) -> Outcome {
-        let start = neat.now();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                p.client_mut().session.request(
-                    ctx,
-                    CoordReq::Create {
-                        path: path.into(),
-                        val: 1,
-                        ephemeral: true,
-                    },
-                )
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        self.finish(neat, op_id, Op::Acquire { key: path.into() }, start, true)
+        let req = CoordReq::Create {
+            path: path.into(),
+            val: 1,
+            ephemeral: true,
+        };
+        self.run(neat, Op::Acquire { key: path.into() }, |s, ctx| s.request(ctx, req))
     }
 
     /// Updates a znode's value.
     pub fn set(&self, neat: &mut Neat<CoordProc>, path: &str, val: u64) -> Outcome {
-        let start = neat.now();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                p.client_mut().session.request(
-                    ctx,
-                    CoordReq::Set {
-                        path: path.into(),
-                        val,
-                    },
-                )
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        self.finish(
-            neat,
-            op_id,
-            Op::Write {
-                key: path.into(),
-                val,
-            },
-            start,
-            false,
-        )
+        let req = CoordReq::Set {
+            path: path.into(),
+            val,
+        };
+        let op = Op::Write {
+            key: path.into(),
+            val,
+        };
+        self.run(neat, op, |s, ctx| s.request(ctx, req))
     }
 
     /// Deletes a znode.
     pub fn delete(&self, neat: &mut Neat<CoordProc>, path: &str) -> Outcome {
-        let start = neat.now();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                p.client_mut()
-                    .session
-                    .request(ctx, CoordReq::Delete { path: path.into() })
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        self.finish(neat, op_id, Op::Delete { key: path.into() }, start, false)
+        let req = CoordReq::Delete { path: path.into() };
+        self.run(neat, Op::Delete { key: path.into() }, |s, ctx| s.request(ctx, req))
     }
 
     /// Reads a znode at a specific ensemble member (local read).
     pub fn get_at(&self, neat: &mut Neat<CoordProc>, server: NodeId, path: &str) -> Outcome {
-        let start = neat.now();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                p.client_mut()
-                    .session
-                    .request_at(ctx, server, CoordReq::Get { path: path.into() })
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        self.finish(neat, op_id, Op::Read { key: path.into() }, start, false)
+        let req = CoordReq::Get { path: path.into() };
+        self.run(neat, Op::Read { key: path.into() }, |s, ctx| {
+            s.request_at(ctx, server, req)
+        })
     }
 }

@@ -407,37 +407,27 @@ impl HbCluster {
 
     /// Synchronous put through the client at `rs`.
     pub fn put(&mut self, rs: NodeId, key: &str, val: u64) -> neat::Outcome {
-        let start = self.neat.now();
-        let k = key.to_string();
-        let op_id = self
-            .neat
-            .world
-            .call(self.client, |p, ctx| {
-                let c = p.client_mut();
-                c.next += 1;
-                let op_id = c.next;
-                ctx.send(rs, HbMsg::Put { op_id, key: k.clone(), val });
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
         let client = self.client;
-        let res = self
-            .neat
-            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().puts.remove(&op_id));
-        let outcome = match res {
-            Some(true) => neat::Outcome::Ok(None),
-            Some(false) => neat::Outcome::Fail,
-            None => neat::Outcome::Timeout,
-        };
-        let end = self.neat.now();
-        self.neat.record(neat::OpRecord {
-            client,
-            op: neat::Op::Write { key: key.into(), val },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        let op = neat::Op::Write { key: key.into(), val };
+        self.neat.recorded(client, op, |neat| {
+            let key = key.to_string();
+            let acked = neat.request(
+                client,
+                neat.op_timeout,
+                |p, ctx| {
+                    let c = p.client_mut();
+                    c.next += 1;
+                    ctx.send(rs, HbMsg::Put { op_id: c.next, key, val });
+                    c.next
+                },
+                |p, op_id| p.client_mut().puts.remove(&op_id),
+            );
+            match acked {
+                Some(true) => neat::Outcome::Ok(None),
+                Some(false) => neat::Outcome::Fail,
+                None => neat::Outcome::Timeout,
+            }
+        })
     }
 
     /// The region contents at whichever server the master considers serving.

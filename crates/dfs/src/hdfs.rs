@@ -303,55 +303,42 @@ impl HdfsCluster {
         }
     }
 
-    fn next_op(&mut self) -> u64 {
-        self.neat
-            .world
-            .call(self.client, |p, _| {
+    /// One client round trip: sends `msg(op_id)` to `to` and waits up to
+    /// `timeout` for `take` to find the reply.
+    fn ask<R>(
+        &mut self,
+        timeout: u64,
+        to: NodeId,
+        msg: impl FnOnce(u64) -> HdfsMsg,
+        mut take: impl FnMut(&mut HdfsClient, u64) -> Option<R>,
+    ) -> Option<R> {
+        self.neat.request(
+            self.client,
+            timeout,
+            |p, ctx| {
                 let c = p.client_mut();
                 c.next += 1;
+                ctx.send(to, msg(c.next));
                 c.next
-            })
-            .expect("client alive") // lint:allow(unwrap-expect)
+            },
+            |p, op_id| take(p.client_mut(), op_id),
+        )
     }
 
     /// One pipeline-write attempt: allocate, then write. Returns the
     /// DataNode used on success.
     fn write_attempt(&mut self, block: u64, excluded: &[NodeId]) -> Option<NodeId> {
-        let op = self.next_op();
-        let nn = self.nn;
-        let ex = excluded.to_vec();
-        self.neat
-            .world
-            .call(self.client, |_, ctx| {
-                ctx.send(
-                    nn,
-                    HdfsMsg::Alloc {
-                        op_id: op,
-                        block,
-                        excluded: ex.clone(),
-                    },
-                )
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let client = self.client;
+        let alloc = |op_id| HdfsMsg::Alloc {
+            op_id,
+            block,
+            excluded: excluded.to_vec(),
+        };
         let dn = self
-            .neat
-            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().allocs.remove(&op))
+            .ask(self.neat.op_timeout, self.nn, alloc, |c, op| c.allocs.remove(&op))
             .flatten()?;
         // Write to the allocated node with a short attempt timeout.
-        let op2 = self.next_op();
-        self.neat
-            .world
-            .call(self.client, |_, ctx| {
-                ctx.send(dn, HdfsMsg::WriteBlock { op_id: op2, block })
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let saved = self.neat.op_timeout;
-        self.neat.op_timeout = 300;
-        let acked = self
-            .neat
-            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().write_acks.remove(&op2));
-        self.neat.op_timeout = saved;
+        let write = |op_id| HdfsMsg::WriteBlock { op_id, block };
+        let acked = self.ask(300, dn, write, |c, op| c.write_acks.remove(&op));
         acked.map(|_| dn)
     }
 
@@ -385,44 +372,18 @@ impl HdfsCluster {
     pub fn read_block(&mut self, block: u64) -> (usize, bool) {
         let mut excluded: Vec<NodeId> = Vec::new();
         for attempt in 1..=3 {
-            let op = self.next_op();
-            let nn = self.nn;
-            let ex = excluded.clone();
-            self.neat
-                .world
-                .call(self.client, |_, ctx| {
-                    ctx.send(
-                        nn,
-                        HdfsMsg::Locate {
-                            op_id: op,
-                            block,
-                            excluded: ex.clone(),
-                        },
-                    )
-                })
-                .expect("client alive"); // lint:allow(unwrap-expect)
-            let client = self.client;
-            let Some(dn) = self
-                .neat
-                .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().locates.remove(&op))
-                .flatten()
-            else {
+            let locate = |op_id| HdfsMsg::Locate {
+                op_id,
+                block,
+                excluded: excluded.clone(),
+            };
+            let located =
+                self.ask(self.neat.op_timeout, self.nn, locate, |c, op| c.locates.remove(&op));
+            let Some(dn) = located.flatten() else {
                 continue;
             };
-            let op2 = self.next_op();
-            self.neat
-                .world
-                .call(self.client, |_, ctx| {
-                    ctx.send(dn, HdfsMsg::ReadBlock { op_id: op2, block })
-                })
-                .expect("client alive"); // lint:allow(unwrap-expect)
-            let saved = self.neat.op_timeout;
-            self.neat.op_timeout = 300;
-            let got = self
-                .neat
-                .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().reads.remove(&op2));
-            self.neat.op_timeout = saved;
-            match got {
+            let read = |op_id| HdfsMsg::ReadBlock { op_id, block };
+            match self.ask(300, dn, read, |c, op| c.reads.remove(&op)) {
                 Some(true) => return (attempt, true),
                 _ => excluded.push(dn),
             }

@@ -220,72 +220,47 @@ impl MooseCluster {
         }
     }
 
-    fn next_op(&mut self) -> u64 {
-        self.neat
-            .world
-            .call(self.client, |p, _| {
+    /// One client round trip: sends `msg(op_id)` to `to` and waits up to
+    /// `timeout` for `take` to find the reply.
+    fn ask<R>(
+        &mut self,
+        timeout: u64,
+        to: NodeId,
+        msg: impl FnOnce(u64) -> MooseMsg,
+        mut take: impl FnMut(&mut MooseClientState, u64) -> Option<R>,
+    ) -> Option<R> {
+        self.neat.request(
+            self.client,
+            timeout,
+            |p, ctx| {
                 let c = p.client_mut();
                 c.next += 1;
+                ctx.send(to, msg(c.next));
                 c.next
-            })
-            .expect("client alive") // lint:allow(unwrap-expect)
-    }
-
-    fn wait<R: 'static>(
-        &mut self,
-        mut take: impl FnMut(&mut MooseClientState) -> Option<R>,
-        timeout: u64,
-    ) -> Option<R> {
-        let client = self.client;
-        let saved = self.neat.op_timeout;
-        self.neat.op_timeout = timeout;
-        let r = self
-            .neat
-            .run_op(|_| Ok(()), |w| take(w.app_mut(client).client_mut()));
-        self.neat.op_timeout = saved;
-        r
+            },
+            |p, op_id| take(p.client_mut(), op_id),
+        )
     }
 
     /// The client write protocol: create (placement), write chunk, confirm.
     /// Retries with exclusions up to three times. Returns `(attempts, ok)`.
     pub fn write_file(&mut self, file: u64) -> (usize, bool) {
+        let master = self.master;
         let mut excluded = Vec::new();
         for attempt in 1..=3 {
-            let op = self.next_op();
-            let master = self.master;
-            let ex = excluded.clone();
-            self.neat
-                .world
-                .call(self.client, |_, ctx| {
-                    ctx.send(
-                        master,
-                        MooseMsg::Create {
-                            op_id: op,
-                            file,
-                            excluded: ex.clone(),
-                        },
-                    )
-                })
-                .expect("client alive"); // lint:allow(unwrap-expect)
-            let Some(cs) = self.wait(|c| c.creates.remove(&op), 500).flatten() else {
+            let create = |op_id| MooseMsg::Create {
+                op_id,
+                file,
+                excluded: excluded.clone(),
+            };
+            let placed = self.ask(500, master, create, |c, op| c.creates.remove(&op));
+            let Some(cs) = placed.flatten() else {
                 continue;
             };
-            let op2 = self.next_op();
-            self.neat
-                .world
-                .call(self.client, |_, ctx| {
-                    ctx.send(cs, MooseMsg::WriteChunk { op_id: op2, file })
-                })
-                .expect("client alive"); // lint:allow(unwrap-expect)
-            if self.wait(|c| c.write_acks.remove(&op2), 400).is_some() {
-                let op3 = self.next_op();
-                self.neat
-                    .world
-                    .call(self.client, |_, ctx| {
-                        ctx.send(master, MooseMsg::Confirm { op_id: op3, file })
-                    })
-                    .expect("client alive"); // lint:allow(unwrap-expect)
-                let _ = self.wait(|c| c.confirms.remove(&op3), 400);
+            let write = |op_id| MooseMsg::WriteChunk { op_id, file };
+            if self.ask(400, cs, write, |c, op| c.write_acks.remove(&op)).is_some() {
+                let confirm = |op_id| MooseMsg::Confirm { op_id, file };
+                let _ = self.ask(400, master, confirm, |c, op| c.confirms.remove(&op));
                 return (attempt, true);
             }
             excluded.push(cs);
@@ -296,31 +271,17 @@ impl MooseCluster {
     /// Client read: stat at the master, then read the chunk.
     /// Returns `(exists_in_metadata, data_found)`.
     pub fn read_file(&mut self, file: u64) -> (bool, bool) {
-        let op = self.next_op();
-        let master = self.master;
-        self.neat
-            .world
-            .call(self.client, |_, ctx| {
-                ctx.send(master, MooseMsg::Stat { op_id: op, file })
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let Some((exists, cs)) = self.wait(|c| c.stats.remove(&op), 500) else {
+        let stat = |op_id| MooseMsg::Stat { op_id, file };
+        let Some((exists, cs)) = self.ask(500, self.master, stat, |c, op| c.stats.remove(&op))
+        else {
             return (false, false);
         };
         let Some(cs) = cs else {
             return (exists, false);
         };
-        let op2 = self.next_op();
-        self.neat
-            .world
-            .call(self.client, |_, ctx| {
-                ctx.send(cs, MooseMsg::ReadChunk { op_id: op2, file })
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let found = self
-            .wait(|c| c.reads.remove(&op2), 400)
-            .unwrap_or(false);
-        (exists, found)
+        let read = |op_id| MooseMsg::ReadChunk { op_id, file };
+        let found = self.ask(400, cs, read, |c, op| c.reads.remove(&op));
+        (exists, found.unwrap_or(false))
     }
 }
 

@@ -243,6 +243,15 @@ pub struct ObjCluster {
     pub clients: Vec<NodeId>,
 }
 
+/// The outcome of a write or delete the primary answered.
+fn acked(ok: bool, _val: Option<u64>) -> neat::Outcome {
+    if ok {
+        neat::Outcome::Ok(None)
+    } else {
+        neat::Outcome::Fail
+    }
+}
+
 impl ObjCluster {
     /// Builds the deployment.
     pub fn build(flaws: ObjFlaws, seed: u64, record: bool) -> Self {
@@ -269,93 +278,52 @@ impl ObjCluster {
         }
     }
 
-    fn op(&mut self, client: NodeId, msg: impl FnOnce(u64) -> ObjMsg, to: NodeId) -> u64 {
-        self.neat
-            .world
-            .call(client, |p, ctx| {
-                let c = p.client_mut();
-                let op_id = (ctx.id().0 as u64) << 32 | c.next;
-                c.next += 1;
-                ctx.send(to, msg(op_id));
-                op_id
-            })
-            .expect("client alive") // lint:allow(unwrap-expect)
-    }
-
-    fn wait(&mut self, client: NodeId, op_id: u64) -> Option<(bool, Option<u64>)> {
-        self.neat
-            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().results.remove(&op_id))
+    /// One recorded round trip from client `i` to the primary; `answer`
+    /// turns the OSD's `(ok, value)` reply into the outcome.
+    fn run(
+        &mut self,
+        i: usize,
+        op: neat::Op,
+        msg: impl FnOnce(u64) -> ObjMsg,
+        answer: impl FnOnce(bool, Option<u64>) -> neat::Outcome,
+    ) -> neat::Outcome {
+        let (client, primary) = (self.clients[i], self.osds[0]);
+        self.neat.recorded(client, op, |neat| {
+            let reply = neat.request(
+                client,
+                neat.op_timeout,
+                |p, ctx| {
+                    let c = p.client_mut();
+                    let op_id = (ctx.id().0 as u64) << 32 | c.next;
+                    c.next += 1;
+                    ctx.send(primary, msg(op_id));
+                    op_id
+                },
+                |p, op_id| p.client_mut().results.remove(&op_id),
+            );
+            reply.map_or(neat::Outcome::Timeout, |(ok, val)| answer(ok, val))
+        })
     }
 
     /// A recorded write through client `i`.
     pub fn write(&mut self, i: usize, key: &str, val: u64) -> neat::Outcome {
-        let client = self.clients[i];
-        let primary = self.osds[0];
-        let start = self.neat.now();
-        let k = key.to_string();
-        let op_id = self.op(client, |op_id| ObjMsg::Write { op_id, key: k, val }, primary);
-        let outcome = match self.wait(client, op_id) {
-            Some((true, _)) => neat::Outcome::Ok(None),
-            Some((false, _)) => neat::Outcome::Fail,
-            None => neat::Outcome::Timeout,
-        };
-        let end = self.neat.now();
-        self.neat.record(neat::OpRecord {
-            client,
-            op: neat::Op::Write {
-                key: key.into(),
-                val,
-            },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        let op = neat::Op::Write { key: key.into(), val };
+        let key = key.to_string();
+        self.run(i, op, |op_id| ObjMsg::Write { op_id, key, val }, acked)
     }
 
     /// A recorded delete through client `i`.
     pub fn delete(&mut self, i: usize, key: &str) -> neat::Outcome {
-        let client = self.clients[i];
-        let primary = self.osds[0];
-        let start = self.neat.now();
-        let k = key.to_string();
-        let op_id = self.op(client, |op_id| ObjMsg::Delete { op_id, key: k }, primary);
-        let outcome = match self.wait(client, op_id) {
-            Some((true, _)) => neat::Outcome::Ok(None),
-            Some((false, _)) => neat::Outcome::Fail,
-            None => neat::Outcome::Timeout,
-        };
-        let end = self.neat.now();
-        self.neat.record(neat::OpRecord {
-            client,
-            op: neat::Op::Delete { key: key.into() },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        let op = neat::Op::Delete { key: key.into() };
+        let key = key.to_string();
+        self.run(i, op, |op_id| ObjMsg::Delete { op_id, key }, acked)
     }
 
     /// A recorded read through client `i` at the primary.
     pub fn read(&mut self, i: usize, key: &str) -> neat::Outcome {
-        let client = self.clients[i];
-        let primary = self.osds[0];
-        let start = self.neat.now();
-        let k = key.to_string();
-        let op_id = self.op(client, |op_id| ObjMsg::Read { op_id, key: k }, primary);
-        let outcome = match self.wait(client, op_id) {
-            Some((_, val)) => neat::Outcome::Ok(val),
-            None => neat::Outcome::Timeout,
-        };
-        let end = self.neat.now();
-        self.neat.record(neat::OpRecord {
-            client,
-            op: neat::Op::Read { key: key.into() },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        let op = neat::Op::Read { key: key.into() };
+        let key = key.to_string();
+        self.run(i, op, |op_id| ObjMsg::Read { op_id, key }, |_, val| neat::Outcome::Ok(val))
     }
 
     /// The primary's view of `key` after quiescing.

@@ -27,6 +27,7 @@
 //! (see `lint::scan`), so simulation crates stay single-threaded by
 //! construction.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -64,8 +65,7 @@ fn batch_size(jobs: usize, n: usize) -> usize {
 /// makes the output independent of scheduling. `jobs <= 1` degenerates to
 /// a plain serial loop with no threads at all.
 ///
-/// Panics in `f` propagate: the scope joins every worker first, so no
-/// work is silently dropped.
+/// A panic in `f` is re-raised naming its item; see [`grid`].
 pub fn map<T, F>(jobs: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -93,8 +93,38 @@ where
     grid(jobs, n, init, f).0
 }
 
+/// Runs item `i`. A panic in `f` becomes `Err(message)` and costs the
+/// worker its scratch, which the unwind may have left half-updated: the
+/// next item gets a fresh one from `init`.
+fn run_item<S, T>(
+    init: &impl Fn() -> S,
+    f: &impl Fn(&mut S, usize) -> T,
+    scratch: &mut S,
+    i: usize,
+) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(|| f(scratch, i))).map_err(|payload| {
+        *scratch = init();
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(|| "<panic payload is not a string>".into(), |m| m.to_string()),
+        }
+    })
+}
+
+/// Re-raises item `i`'s panic under its index.
+fn unwrap_item<T>(i: usize, item: Result<T, String>) -> T {
+    item.unwrap_or_else(|message| panic!("fleet item {i}: {message}"))
+}
+
 /// The full work-stealing grid: [`map_with`] plus the [`GridStats`]
 /// describing how the run was scheduled.
+///
+/// A panic in `f` is re-raised as `fleet item <i>: <original message>`
+/// for the lowest failed index, whatever `jobs` is: the serial loop stops
+/// at its first failure, and workers finish the rest of the grid, join,
+/// and only then is the lowest one raised.
 pub fn grid<S, T, IF, F>(jobs: usize, n: usize, init: IF, f: F) -> (Vec<T>, GridStats)
 where
     T: Send,
@@ -105,7 +135,9 @@ where
     let batch = batch_size(jobs, n.max(1));
     if jobs <= 1 {
         let mut scratch = init();
-        let out: Vec<T> = (0..n).map(|i| f(&mut scratch, i)).collect();
+        let out = (0..n)
+            .map(|i| unwrap_item(i, run_item(&init, &f, &mut scratch, i)))
+            .collect();
         let stats = GridStats {
             workers: 1,
             batch,
@@ -123,7 +155,7 @@ where
     let cursors: Vec<AtomicUsize> = bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect();
     let batches = AtomicU64::new(0);
     let steals = AtomicU64::new(0);
-    let merged: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let merged: Mutex<Vec<(usize, Result<T, String>)>> = Mutex::new(Vec::with_capacity(n));
     // The audited orchestration boundary: scoped workers execute
     // single-threaded deterministic simulations in parallel.
     #[allow(clippy::disallowed_methods)]
@@ -140,7 +172,7 @@ where
             // lint:allow(thread-spawn) -- audited worker of the fleet grid
             scope.spawn(move || {
                 let mut scratch = init();
-                let mut local: Vec<(usize, T)> = Vec::new();
+                let mut local = Vec::new();
                 // Own chunk first, then sweep the others as a thief. A
                 // victim's cursor hands out disjoint batches to however
                 // many thieves race on it, so coverage is exact: a chunk
@@ -155,7 +187,7 @@ where
                         }
                         let hi = (lo + batch).min(end);
                         for i in lo..hi {
-                            local.push((i, f(&mut scratch, i)));
+                            local.push((i, run_item(init, f, &mut scratch, i)));
                         }
                         batches.fetch_add(1, Ordering::Relaxed);
                         if q != w {
@@ -185,7 +217,7 @@ where
         batches: batches.into_inner(),
         steals: steals.into_inner(),
     };
-    (all.into_iter().map(|(_, v)| v).collect(), stats)
+    (all.into_iter().map(|(i, item)| unwrap_item(i, item)).collect(), stats)
 }
 
 #[cfg(test)]
@@ -269,6 +301,28 @@ mod tests {
                 steals: 0
             }
         );
+    }
+
+    #[test]
+    fn a_panicking_item_is_named_the_same_at_any_jobs() {
+        for jobs in [1, 4] {
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                grid(jobs, 40, || 0u32, |since_init, i| {
+                    // Item 7 dirties the scratch on its way down; whoever
+                    // runs next on that worker must get a fresh one.
+                    assert!(*since_init < 100, "item {i} inherited a torn scratch");
+                    *since_init = 100;
+                    assert!(i != 7 && i != 23, "arm {i} exploded");
+                    *since_init = 1;
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            let message = *caught.expect_err("the grid re-raises").downcast::<String>().expect("str");
+            assert_eq!(message, "fleet item 7: arm 7 exploded", "jobs={jobs}");
+            // Serial stops at item 7; workers finish the grid before raising.
+            assert_eq!(ran.into_inner(), if jobs == 1 { 7 } else { 38 }, "jobs={jobs}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use neat::{
     cluster::{boot, Node},
-    Neat, Op, OpRecord, Outcome,
+    Neat, Op, Outcome,
 };
 use simnet::{Ctx, NodeId};
 
@@ -105,36 +105,26 @@ impl GridClient {
 
     /// Executes one grid operation, recording it in the history.
     pub fn exec(&self, neat: &mut Neat<GridProc>, op: GridOp) -> Outcome {
-        let start = neat.now();
-        let target = self.target;
-        let wire = op.clone();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                let id = ctx.id();
-                let op_id = p.client_mut().next_op(id);
-                ctx.send(target, GridMsg::Req { op_id, op: wire.clone() });
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let node = self.node;
-        let res = neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id));
-        let outcome = match res {
-            Some(GridResp::Ok) => Outcome::Ok(None),
-            Some(GridResp::Value(v)) => Outcome::Ok(v),
-            Some(GridResp::Values(vs)) => Outcome::OkMany(vs),
-            Some(GridResp::Fail) => Outcome::Fail,
-            None => Outcome::Timeout,
-        };
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: node,
-            op: Self::history_op(&op),
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+        let Self { node, target } = *self;
+        neat.recorded(node, Self::history_op(&op), |neat| {
+            let resp = neat.request(
+                node,
+                neat.op_timeout,
+                |p, ctx| {
+                    let op_id = p.client_mut().next_op(ctx.id());
+                    ctx.send(target, GridMsg::Req { op_id, op });
+                    op_id
+                },
+                |p, op_id| p.client_mut().take(op_id),
+            );
+            match resp {
+                Some(GridResp::Ok) => Outcome::Ok(None),
+                Some(GridResp::Value(v)) => Outcome::Ok(v),
+                Some(GridResp::Values(vs)) => Outcome::OkMany(vs),
+                Some(GridResp::Fail) => Outcome::Fail,
+                None => Outcome::Timeout,
+            }
+        })
     }
 
     /// Cache write.

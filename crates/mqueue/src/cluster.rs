@@ -5,9 +5,9 @@ use std::collections::BTreeMap;
 use coord::{CoordFlaws, CoordServer};
 use neat::{
     cluster::{boot, Node},
-    Neat, Op, OpRecord, Outcome,
+    Neat, Op, Outcome,
 };
-use simnet::{Ctx, NodeId};
+use simnet::{Application, Ctx, NodeId};
 
 use crate::{
     autocluster::{AcFlaws, AcMsg, PeerBroker},
@@ -54,6 +54,110 @@ impl MqClientProc {
     }
 }
 
+/// What the one client implementation needs from a broker mode: where the
+/// client process sits in the mode's role enum, and how the mode's wire
+/// spells the two requests.
+pub trait MqMode: Application {
+    /// The client role's state; panics on any other role.
+    fn client_proc(&mut self) -> &mut MqClientProc;
+    /// Producer → broker.
+    fn send(op_id: u64, queue: String, val: u64) -> Self::Msg;
+    /// Consumer → broker.
+    fn recv(op_id: u64, queue: String) -> Self::Msg;
+}
+
+/// Synchronous client handle, the same in both modes.
+#[derive(Clone, Copy, Debug)]
+pub struct MqClient {
+    pub node: NodeId,
+}
+
+/// The autocluster deployment's name for its client handle.
+pub type AcClient = MqClient;
+
+impl MqClient {
+    /// Enqueues `val` through `broker`, recording the outcome against
+    /// `queue`.
+    pub fn send<P: MqMode>(
+        &self,
+        neat: &mut Neat<P>,
+        broker: NodeId,
+        queue: &str,
+        val: u64,
+    ) -> Outcome {
+        let op = Op::Enqueue {
+            key: queue.into(),
+            val,
+        };
+        neat.recorded(self.node, op, |neat| {
+            let queue = queue.to_string();
+            let res = neat.request(
+                self.node,
+                neat.op_timeout,
+                |p, ctx| {
+                    let op_id = p.client_proc().next_op(ctx.id(), true);
+                    ctx.send(broker, P::send(op_id, queue, val));
+                    op_id
+                },
+                |p, op_id| p.client_proc().take(op_id),
+            );
+            match res {
+                Some(MqResult::Sent(true)) => Outcome::Ok(None),
+                Some(MqResult::Sent(false)) => Outcome::Fail,
+                _ => Outcome::Timeout,
+            }
+        })
+    }
+
+    /// Dequeues one message through `broker`, recording the outcome
+    /// against `queue`.
+    pub fn recv<P: MqMode>(&self, neat: &mut Neat<P>, broker: NodeId, queue: &str) -> Outcome {
+        let op = Op::Dequeue { key: queue.into() };
+        neat.recorded(self.node, op, |neat| self.probe(neat, broker, queue))
+    }
+
+    /// One dequeue round trip that stays out of the history.
+    fn probe<P: MqMode>(&self, neat: &mut Neat<P>, broker: NodeId, queue: &str) -> Outcome {
+        let queue = queue.to_string();
+        let res = neat.request(
+            self.node,
+            neat.op_timeout,
+            |p, ctx| {
+                let op_id = p.client_proc().next_op(ctx.id(), false);
+                ctx.send(broker, P::recv(op_id, queue));
+                op_id
+            },
+            |p, op_id| p.client_proc().take(op_id),
+        );
+        match res {
+            Some(MqResult::Got(v)) => Outcome::Ok(v),
+            Some(MqResult::Refused) | Some(MqResult::Sent(_)) => Outcome::Fail,
+            None => Outcome::Timeout,
+        }
+    }
+
+    /// Drains the queue through `broker` until empty or a timeout; returns
+    /// the values and whether the drain completed (saw an empty answer).
+    /// The drain is the verification step, so it is NOT recorded in the
+    /// history — its results are passed to the checker as the final state.
+    pub fn drain<P: MqMode>(
+        &self,
+        neat: &mut Neat<P>,
+        broker: NodeId,
+        queue: &str,
+    ) -> (Vec<u64>, bool) {
+        let mut got = Vec::new();
+        for _ in 0..64 {
+            match self.probe(neat, broker, queue) {
+                Outcome::Ok(Some(v)) => got.push(v),
+                Outcome::Ok(None) => return (got, true),
+                _ => return (got, false),
+            }
+        }
+        (got, false)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator mode (ActiveMQ-like).
 // ---------------------------------------------------------------------------
@@ -85,111 +189,15 @@ fn master_of(neat: &Neat<MqProc>, brokers: &[NodeId]) -> Option<NodeId> {
         .find(|&b| world.is_alive(b) && world.app(b).broker().is_master())
 }
 
-/// Synchronous client handle (coordinator mode).
-#[derive(Clone, Copy, Debug)]
-pub struct MqClient {
-    pub node: NodeId,
-}
-
-impl MqClient {
-    /// Enqueues `val`, recording the outcome against `queue`.
-    pub fn send(&self, neat: &mut Neat<MqProc>, broker: NodeId, queue: &str, val: u64) -> Outcome {
-        let start = neat.now();
-        let q = queue.to_string();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                let id = ctx.id();
-                let op_id = p.client_mut().next_op(id, true);
-                ctx.send(
-                    broker,
-                    MqMsg::Send {
-                        op_id,
-                        queue: q.clone(),
-                        val,
-                    },
-                );
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let node = self.node;
-        let res = neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id));
-        let outcome = match res {
-            Some(MqResult::Sent(true)) => Outcome::Ok(None),
-            Some(MqResult::Sent(false)) => Outcome::Fail,
-            _ => Outcome::Timeout,
-        };
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: node,
-            op: Op::Enqueue {
-                key: queue.into(),
-                val,
-            },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+impl MqMode for MqProc {
+    fn client_proc(&mut self) -> &mut MqClientProc {
+        self.client_mut()
     }
-
-    /// Dequeues one message, recording the outcome against `queue`.
-    pub fn recv(&self, neat: &mut Neat<MqProc>, broker: NodeId, queue: &str) -> Outcome {
-        self.recv_inner(neat, broker, queue, true)
+    fn send(op_id: u64, queue: String, val: u64) -> MqMsg {
+        MqMsg::Send { op_id, queue, val }
     }
-
-    fn recv_inner(
-        &self,
-        neat: &mut Neat<MqProc>,
-        broker: NodeId,
-        queue: &str,
-        record: bool,
-    ) -> Outcome {
-        let start = neat.now();
-        let q = queue.to_string();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                let id = ctx.id();
-                let op_id = p.client_mut().next_op(id, false);
-                ctx.send(broker, MqMsg::Recv { op_id, queue: q.clone() });
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let node = self.node;
-        let res = neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id));
-        let outcome = match res {
-            Some(MqResult::Got(v)) => Outcome::Ok(v),
-            Some(MqResult::Refused) | Some(MqResult::Sent(_)) => Outcome::Fail,
-            None => Outcome::Timeout,
-        };
-        let end = neat.now();
-        if record {
-            neat.record(OpRecord {
-                client: node,
-                op: Op::Dequeue { key: queue.into() },
-                outcome: outcome.clone(),
-                start,
-                end,
-            });
-        }
-        outcome
-    }
-
-    /// Drains the queue through `broker` until empty or a timeout; returns
-    /// the values and whether the drain completed (saw an empty answer).
-    /// The drain is the verification step, so it is NOT recorded in the
-    /// history — its results are passed to the checker as the final state.
-    pub fn drain(&self, neat: &mut Neat<MqProc>, broker: NodeId, queue: &str) -> (Vec<u64>, bool) {
-        let mut got = Vec::new();
-        for _ in 0..64 {
-            match self.recv_inner(neat, broker, queue, false) {
-                Outcome::Ok(Some(v)) => got.push(v),
-                Outcome::Ok(None) => return (got, true),
-                _ => return (got, false),
-            }
-        }
-        (got, false)
+    fn recv(op_id: u64, queue: String) -> MqMsg {
+        MqMsg::Recv { op_id, queue }
     }
 }
 
@@ -277,108 +285,15 @@ neat::roles! {
     }
 }
 
-/// Synchronous client handle (autocluster mode).
-#[derive(Clone, Copy, Debug)]
-pub struct AcClient {
-    pub node: NodeId,
-}
-
-impl AcClient {
-    /// Enqueues `val` through `broker`.
-    pub fn send(&self, neat: &mut Neat<AcProc>, broker: NodeId, queue: &str, val: u64) -> Outcome {
-        let start = neat.now();
-        let q = queue.to_string();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                let id = ctx.id();
-                let op_id = p.client_mut().next_op(id, true);
-                ctx.send(
-                    broker,
-                    AcMsg::Send {
-                        op_id,
-                        queue: q.clone(),
-                        val,
-                    },
-                );
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let node = self.node;
-        let res = neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id));
-        let outcome = match res {
-            Some(MqResult::Sent(true)) => Outcome::Ok(None),
-            Some(MqResult::Sent(false)) => Outcome::Fail,
-            _ => Outcome::Timeout,
-        };
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: node,
-            op: Op::Enqueue {
-                key: queue.into(),
-                val,
-            },
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
+impl MqMode for AcProc {
+    fn client_proc(&mut self) -> &mut MqClientProc {
+        self.client_mut()
     }
-
-    /// Dequeues one message through `broker`.
-    pub fn recv(&self, neat: &mut Neat<AcProc>, broker: NodeId, queue: &str) -> Outcome {
-        self.recv_inner(neat, broker, queue, true)
+    fn send(op_id: u64, queue: String, val: u64) -> AcMsg {
+        AcMsg::Send { op_id, queue, val }
     }
-
-    fn recv_inner(
-        &self,
-        neat: &mut Neat<AcProc>,
-        broker: NodeId,
-        queue: &str,
-        record: bool,
-    ) -> Outcome {
-        let start = neat.now();
-        let q = queue.to_string();
-        let op_id = neat
-            .world
-            .call(self.node, |p, ctx| {
-                let id = ctx.id();
-                let op_id = p.client_mut().next_op(id, false);
-                ctx.send(broker, AcMsg::Recv { op_id, queue: q.clone() });
-                op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let node = self.node;
-        let res = neat.run_op(|_| Ok(()), |w| w.app_mut(node).client_mut().take(op_id));
-        let outcome = match res {
-            Some(MqResult::Got(v)) => Outcome::Ok(v),
-            Some(MqResult::Refused) | Some(MqResult::Sent(_)) => Outcome::Fail,
-            None => Outcome::Timeout,
-        };
-        let end = neat.now();
-        if record {
-            neat.record(OpRecord {
-                client: node,
-                op: Op::Dequeue { key: queue.into() },
-                outcome: outcome.clone(),
-                start,
-                end,
-            });
-        }
-        outcome
-    }
-
-    /// Drains the queue through `broker` (unrecorded verification step).
-    pub fn drain(&self, neat: &mut Neat<AcProc>, broker: NodeId, queue: &str) -> (Vec<u64>, bool) {
-        let mut got = Vec::new();
-        for _ in 0..64 {
-            match self.recv_inner(neat, broker, queue, false) {
-                Outcome::Ok(Some(v)) => got.push(v),
-                Outcome::Ok(None) => return (got, true),
-                _ => return (got, false),
-            }
-        }
-        (got, false)
+    fn recv(op_id: u64, queue: String) -> AcMsg {
+        AcMsg::Recv { op_id, queue }
     }
 }
 
@@ -433,4 +348,45 @@ impl AcCluster {
         ids
     }
 
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn booted() -> (MqCluster, NodeId) {
+        let mut cluster =
+            MqCluster::build(3, BrokerFlaws::fixed(), CoordFlaws::default(), 8, false);
+        let master = cluster.wait_for_master(3000, None).expect("master");
+        (cluster, master)
+    }
+
+    #[test]
+    fn a_down_client_times_out_at_once_and_is_still_recorded() {
+        let (mut cluster, master) = booted();
+        let client = cluster.client(0);
+        cluster.neat.crash(&[client.node]);
+        let t0 = cluster.neat.now();
+        let outcome = client.send(&mut cluster.neat, master, "q", 1);
+        assert_eq!(outcome, Outcome::Timeout);
+        assert_eq!(cluster.neat.now(), t0, "nothing was sent, so nothing is waited for");
+        let [rec] = cluster.neat.history().records() else {
+            panic!("one op, one record: {:?}", cluster.neat.history());
+        };
+        assert_eq!((&rec.outcome, rec.start, rec.end), (&Outcome::Timeout, t0, t0));
+        assert_eq!(client.drain(&mut cluster.neat, master, "q"), (vec![], false));
+    }
+
+    #[test]
+    fn drain_stays_out_of_the_history() {
+        let (mut cluster, master) = booted();
+        let client = cluster.client(0);
+        for val in [1, 2] {
+            assert_eq!(client.send(&mut cluster.neat, master, "q", val), Outcome::Ok(None));
+        }
+        assert_eq!(client.recv(&mut cluster.neat, master, "q"), Outcome::Ok(Some(1)));
+        assert_eq!(cluster.neat.history().len(), 3);
+        assert_eq!(client.drain(&mut cluster.neat, master, "q"), (vec![2], true));
+        assert_eq!(cluster.neat.history().len(), 3, "the drain is a probe, not an op");
+    }
 }

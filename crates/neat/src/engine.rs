@@ -1,13 +1,13 @@
 //! The NEAT test engine: globally ordered client operations, fault
 //! injection, node crashes, and virtual-time sleeps.
 
-use simnet::{Application, NodeId, SimError, Time, World};
+use simnet::{Application, Ctx, NodeId, Time, World};
 
 use crate::{
     checkers::Violation,
     fault::{Partition, PartitionSpec},
     gray::{Degrade, DegradeKind, DegradeSpec},
-    history::{History, OpRecord},
+    history::{History, Op, OpRecord, Outcome},
 };
 
 /// The test engine (the central node of the paper's Figure 4).
@@ -19,9 +19,9 @@ use crate::{
 /// - [`Neat::crash`] / [`Neat::restart`] — kill and revive node groups;
 /// - [`Neat::sleep`] — advance virtual time (e.g., past a leader-election
 ///   timeout, like `sleep(SLEEP_LEADER_ELECTION_PERIOD)` in Listing 1);
-/// - [`Neat::run_op`] — run one client operation to completion under a
-///   virtual-time timeout, giving the *global order of client operations*
-///   that the paper's RMI-based engine provides;
+/// - [`Neat::request`] / [`Neat::recorded`] — run one client round trip
+///   under a virtual-time timeout and log it: the *global order of client
+///   operations* that the paper's RMI-based engine provides;
 /// - [`Neat::history`] — the recorded operation log fed to the checkers.
 pub struct Neat<A: Application> {
     /// The simulated cluster. Public so harnesses can inspect node state.
@@ -30,7 +30,7 @@ pub struct Neat<A: Application> {
     active: Vec<Partition>,
     degraded: Vec<Degrade>,
     obs: obs::Recorder,
-    /// Timeout applied by [`Neat::run_op`], in virtual milliseconds.
+    /// The `timeout` family clients hand [`Neat::request`], virtual ms.
     pub op_timeout: Time,
 }
 
@@ -62,20 +62,34 @@ impl<A: Application> Neat<A> {
         &self.obs
     }
 
-    /// Appends a record to the history (called by system client wrappers)
-    /// and mirrors it into the observability stream.
-    pub fn record(&mut self, rec: OpRecord) {
+    /// Runs one *logical* client operation — a single [`Neat::request`] or
+    /// a whole retry loop — and logs it as one [`OpRecord`] spanning the
+    /// closure: appended to the history and mirrored into the
+    /// observability stream. A probe that must stay out of the history
+    /// calls [`Neat::request`] bare.
+    pub fn recorded(
+        &mut self,
+        client: NodeId,
+        op: Op,
+        run: impl FnOnce(&mut Self) -> Outcome,
+    ) -> Outcome {
+        let start = self.now();
+        let outcome = run(self);
+        let end = self.now();
         // Deferred details: when per-event recording is off (the campaign's
         // verdict-only sweeps) the closure never runs, so no key/desc/outcome
         // strings are formatted on the hot path.
-        self.obs.op_with(rec.start, rec.end, rec.client, || {
-            (
-                rec.op.key().to_string(),
-                format!("{:?}", rec.op),
-                format!("{:?}", rec.outcome),
-            )
+        self.obs.op_with(start, end, client, || {
+            (op.key().to_string(), format!("{op:?}"), format!("{outcome:?}"))
         });
-        self.history.push(rec);
+        self.history.push(OpRecord {
+            client,
+            op,
+            outcome: outcome.clone(),
+            start,
+            end,
+        });
+        outcome
     }
 
     /// Installs a partition described by `spec` and returns a handle for
@@ -279,22 +293,57 @@ impl<A: Application> Neat<A> {
         self.obs.timeline(self.world.trace())
     }
 
-    /// Runs one asynchronous client operation to completion.
+    /// One client round trip: `send` runs on the `client` node and returns
+    /// the id of the operation it sent; the simulation then advances until
+    /// `take(app, op_id)` finds the reply in the client's inbox or
+    /// `timeout` virtual milliseconds pass. `None` is the *Timeout* outcome
+    /// of the paper's histories — at once, with the clock unmoved, when
+    /// the client node is down.
     ///
-    /// `start` kicks the operation off (typically via [`World::call`] on a
-    /// client node); `poll` is invoked after every simulation step and
-    /// returns `Some(result)` once the operation completed. Returns `None`
-    /// if [`Neat::op_timeout`] virtual milliseconds elapse first — the
-    /// *Timeout* outcome of the paper's histories.
-    pub fn run_op<R>(
+    /// ```
+    /// use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+    ///
+    /// /// Node 1 echoes op ids; node 0 keeps the echo as its inbox.
+    /// struct Echo(Option<u64>);
+    /// impl Application for Echo {
+    ///     type Msg = u64;
+    ///     fn on_start(&mut self, _: &mut Ctx<'_, u64>) {}
+    ///     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, op_id: u64) {
+    ///         match ctx.id() {
+    ///             NodeId(1) => ctx.send(from, op_id),
+    ///             _ => self.0 = Some(op_id),
+    ///         }
+    ///     }
+    ///     fn on_timer(&mut self, _: &mut Ctx<'_, u64>, _: TimerId, _: u64) {}
+    /// }
+    ///
+    /// let mut neat = neat::Neat::new(WorldBuilder::new(1).build(2, |_| Echo(None)));
+    /// let send = |_: &mut Echo, ctx: &mut Ctx<'_, u64>| {
+    ///     ctx.send(NodeId(1), 7);
+    ///     7
+    /// };
+    /// let reply = neat.request(NodeId(0), 100, send, |app, op_id| app.0.filter(|&got| got == op_id));
+    /// assert_eq!(reply, Some(7));
+    /// ```
+    pub fn request<R>(
         &mut self,
-        start: impl FnOnce(&mut World<A>) -> Result<(), SimError>,
+        client: NodeId,
+        timeout: Time,
+        send: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> u64,
+        mut take: impl FnMut(&mut A, u64) -> Option<R>,
+    ) -> Option<R> {
+        let op_id = self.world.call(client, send).ok()?;
+        self.run_op(timeout, |w| take(w.app_mut(client), op_id))
+    }
+
+    /// Steps the world until `poll` answers or `timeout` virtual
+    /// milliseconds pass, polling after every step.
+    fn run_op<R>(
+        &mut self,
+        timeout: Time,
         mut poll: impl FnMut(&mut World<A>) -> Option<R>,
     ) -> Option<R> {
-        if start(&mut self.world).is_err() {
-            return None;
-        }
-        let deadline = self.world.now() + self.op_timeout;
+        let deadline = self.world.now() + timeout;
         loop {
             if let Some(r) = poll(&mut self.world) {
                 return Some(r);
@@ -349,13 +398,23 @@ mod tests {
         Neat::new(WorldBuilder::new(5).build(n, |_| AckServer::default()))
     }
 
+    /// Node 0 sends op 8 to node 1 and waits for its ack.
+    fn ping(neat: &mut Neat<AckServer>) -> Option<u64> {
+        neat.request(
+            NodeId(0),
+            neat.op_timeout,
+            |_, ctx| {
+                ctx.send(NodeId(1), 8);
+                8
+            },
+            |app, op_id| app.acked.filter(|&ack| ack == op_id + 1),
+        )
+    }
+
     #[test]
     fn run_op_completes_round_trip() {
         let mut neat = engine(2);
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, Some(9));
     }
 
@@ -365,12 +424,9 @@ mod tests {
         neat.op_timeout = 50;
         neat.partition_complete(&[NodeId(0)], &[NodeId(1)]);
         let t0 = neat.now();
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, None);
-        assert!(neat.now() >= t0 + 50, "timeout must consume virtual time");
+        assert_eq!(neat.now(), t0 + 50, "a timeout costs exactly the timeout");
     }
 
     #[test]
@@ -380,10 +436,7 @@ mod tests {
         assert_eq!(neat.active_partitions().len(), 1);
         neat.heal(&p);
         assert!(neat.active_partitions().is_empty());
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, Some(9));
     }
 
@@ -411,18 +464,12 @@ mod tests {
         assert!(neat.world.net().is_degraded(NodeId(0), NodeId(1)));
         // Total loss behaves like a partition for this round trip.
         neat.op_timeout = 50;
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, None);
         neat.heal_degrade(&d);
         neat.heal_degrade(&d); // second heal: no extra event
         assert!(neat.active_degrades().is_empty());
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, Some(9));
         let t = neat.observe(&[]);
         assert_eq!(t.counters.degrades_installed, 1);
@@ -530,15 +577,12 @@ mod tests {
         assert!(neat.obs().enabled());
         neat.sleep(10);
         let p = neat.partition_complete(&[NodeId(0)], &[NodeId(1)]);
-        neat.sleep(10);
-        neat.heal(&p);
-        neat.record(crate::history::OpRecord {
-            client: NodeId(0),
-            op: crate::history::Op::Read { key: "k".into() },
-            outcome: crate::history::Outcome::Timeout,
-            start: 12,
-            end: 25,
+        neat.sleep(2);
+        neat.recorded(NodeId(0), Op::Read { key: "k".into() }, |neat| {
+            neat.sleep(8);
+            Outcome::Timeout
         });
+        neat.heal(&p);
         let t = neat.observe(&[crate::checkers::Violation {
             kind: crate::checkers::ViolationKind::DataUnavailability,
             details: "k never answered".into(),
@@ -552,11 +596,35 @@ mod tests {
     #[test]
     fn run_op_on_crashed_client_is_none() {
         let mut neat = engine(2);
+        neat.sleep(7);
         neat.crash(&[NodeId(0)]);
-        let got = neat.run_op(
-            |w| w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 8)),
-            |w| w.app(NodeId(0)).acked,
-        );
+        let got = ping(&mut neat);
         assert_eq!(got, None);
+        assert_eq!(neat.now(), 7, "a down client answers at once");
+    }
+
+    #[test]
+    fn recorded_logs_one_op_spanning_its_closure() {
+        for recording in [false, true] {
+            let world = WorldBuilder::new(5)
+                .record_trace(recording)
+                .build(2, |_| AckServer::default());
+            let mut neat = Neat::new(world);
+            neat.sleep(3);
+            let op = Op::Read { key: "k".into() };
+            let outcome = neat.recorded(NodeId(0), op.clone(), |neat| {
+                neat.sleep(40);
+                Outcome::Fail
+            });
+            assert_eq!(outcome, Outcome::Fail);
+            let [rec] = neat.history().records() else {
+                panic!("one closure, one record: {:?}", neat.history());
+            };
+            assert_eq!((rec.client, &rec.op, &rec.outcome), (NodeId(0), &op, &outcome));
+            assert_eq!((rec.start, rec.end), (3, 43));
+            let t = neat.timeline();
+            assert_eq!(t.counters.ops_ordered, 1);
+            assert_eq!(t.len(), usize::from(recording), "mirrored only when recording");
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{cluster::Node, Neat, Op, OpRecord, Outcome, RetryPolicy};
+use neat::{cluster::Node, Neat, Op, Outcome, RetryPolicy};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -47,7 +47,8 @@ impl Node<Msg> for ClientProc {
 /// server — the `Client` wrapper class of the paper's NEAT API (§6.1).
 ///
 /// Every call drives the simulation until the operation completes or the
-/// engine's `op_timeout` elapses, records the [`OpRecord`] in the engine's
+/// engine's `op_timeout` elapses, re-sends it under [`KvClient::policy`]
+/// while it times out, records one [`neat::OpRecord`] in the engine's
 /// history, and returns the [`Outcome`].
 #[derive(Clone, Copy, Debug)]
 pub struct KvClient {
@@ -55,6 +56,8 @@ pub struct KvClient {
     pub node: NodeId,
     /// The server the client talks to.
     pub target: NodeId,
+    /// The backoff schedule applied to timed-out attempts.
+    pub policy: RetryPolicy,
 }
 
 impl KvClient {
@@ -63,70 +66,49 @@ impl KvClient {
         Self { target, ..self }
     }
 
-    /// Wraps this handle in a retry loop: operations that time out are
-    /// re-sent under `policy`'s backoff schedule.
-    pub fn retrying(self, policy: RetryPolicy) -> RetryingKvClient {
-        RetryingKvClient {
-            inner: self,
-            policy,
-        }
+    /// Re-sends operations that time out under `policy`'s backoff schedule
+    /// — the retry-with-backoff side of the paper's observation that
+    /// client-side handling decides a gray failure's impact. Retries of
+    /// non-idempotent operations ([`KvClient::incr`]) may execute
+    /// server-side more than once; the counter checker then sees more
+    /// increments than the history acknowledges.
+    pub fn retrying(self, policy: RetryPolicy) -> Self {
+        Self { policy, ..self }
     }
 
     /// One request/response attempt; does not touch the history.
-    fn attempt(&self, neat: &mut Neat<Proc>, req: &Req) -> Outcome {
-        let target = self.target;
-        let req = req.clone();
-        let started = neat.world.call(self.node, |p, ctx| {
-            p.client_mut().start(ctx, target, req.clone())
-        });
-        match started {
-            Err(_) => Outcome::Timeout,
-            Ok(op_id) => {
-                let node = self.node;
-                let resp = neat.run_op(
-                    |_| Ok(()),
-                    |w| w.app_mut(node).client_mut().take(op_id),
-                );
-                match resp {
-                    Some(Resp::Ok) => Outcome::Ok(None),
-                    Some(Resp::Value(v)) => Outcome::Ok(v),
-                    Some(Resp::Fail) => Outcome::Fail,
-                    None => Outcome::Timeout,
-                }
-            }
+    fn attempt(&self, neat: &mut Neat<Proc>, req: Req) -> Outcome {
+        let Self { node, target, .. } = *self;
+        let resp = neat.request(
+            node,
+            neat.op_timeout,
+            |p, ctx| p.client_mut().start(ctx, target, req),
+            |p, op_id| p.client_mut().take(op_id),
+        );
+        match resp {
+            Some(Resp::Ok) => Outcome::Ok(None),
+            Some(Resp::Value(v)) => Outcome::Ok(v),
+            Some(Resp::Fail) => Outcome::Fail,
+            None => Outcome::Timeout,
         }
     }
 
-    /// Runs one *logical* operation under `policy`, recording exactly one
-    /// history record no matter how many attempts were made — the checkers
+    /// Runs one *logical* operation under the policy, recording exactly one
+    /// history record — first attempt's start, last attempt's end, final
+    /// outcome — no matter how many attempts were made: the checkers
     /// judge what the client believes happened, not the wire traffic, so a
     /// retried non-idempotent op that executes twice server-side surfaces
     /// as data corruption rather than as two innocent-looking records.
-    fn run_with(&self, neat: &mut Neat<Proc>, req: Req, op: Op, policy: &RetryPolicy) -> Outcome {
-        let start = neat.now();
-        let mut outcome = Outcome::Timeout;
-        for attempt in 1..=policy.max_attempts.max(1) {
-            if attempt > 1 {
-                neat.sleep(policy.delay_before(attempt - 1));
-            }
-            outcome = self.attempt(neat, &req);
-            if !matches!(outcome, Outcome::Timeout) {
-                break;
-            }
-        }
-        let end = neat.now();
-        neat.record(OpRecord {
-            client: self.node,
-            op,
-            outcome: outcome.clone(),
-            start,
-            end,
-        });
-        outcome
-    }
-
     fn run(&self, neat: &mut Neat<Proc>, req: Req, op: Op) -> Outcome {
-        self.run_with(neat, req, op, &RetryPolicy::none())
+        neat.recorded(self.node, op, |neat| {
+            for retry in 1..self.policy.max_attempts {
+                match self.attempt(neat, req.clone()) {
+                    Outcome::Timeout => neat.sleep(self.policy.delay_before(retry)),
+                    answered => return answered,
+                }
+            }
+            self.attempt(neat, req)
+        })
     }
 
     /// Writes `val` to `key`.
@@ -191,73 +173,49 @@ impl KvClient {
     }
 }
 
-/// A [`KvClient`] that re-sends timed-out operations under a
-/// [`RetryPolicy`] — the retry-with-backoff side of the paper's
-/// observation that client-side handling decides a gray failure's impact.
-///
-/// Each logical operation still records exactly one [`OpRecord`]: the
-/// first attempt's start, the final attempt's end, and the final outcome.
-/// Retries of non-idempotent operations (e.g. [`RetryingKvClient::incr`])
-/// may execute server-side more than once; the counter checker then sees
-/// more increments than the history acknowledges.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryingKvClient {
-    /// The underlying single-shot client.
-    pub inner: KvClient,
-    /// The backoff schedule applied to timed-out attempts.
-    pub policy: RetryPolicy,
-}
+#[cfg(test)]
+mod tests {
+    use neat::DegradeSpec;
+    use simnet::DegradeRule;
 
-impl RetryingKvClient {
-    /// Points this handle at a different server.
-    pub fn via(self, target: NodeId) -> Self {
-        Self {
-            inner: self.inner.via(target),
-            ..self
-        }
-    }
+    use super::*;
+    use crate::{
+        cluster::{Cluster, ClusterSpec},
+        config::Config,
+    };
 
-    /// Writes `val` to `key`, retrying timeouts (idempotent: safe).
-    pub fn write(&self, neat: &mut Neat<Proc>, key: &str, val: u64) -> Outcome {
-        self.inner.run_with(
-            neat,
-            Req::Write {
-                key: key.into(),
-                val,
-            },
-            Op::Write {
-                key: key.into(),
-                val,
-            },
-            &self.policy,
-        )
-    }
+    #[test]
+    fn a_retried_op_is_one_record_spanning_every_attempt() {
+        let mut cluster = Cluster::build(ClusterSpec::three_by_two(Config::fixed(), 8));
+        let leader = cluster.wait_for_leader(3000).expect("leader");
+        // The client's link is dead for 600 ms from every multiple of 1200
+        // and healthy for the 600 ms after.
+        let (flap, timeout) = (600, 150);
+        cluster.neat.degrade(DegradeSpec::flapping(
+            vec![cluster.clients[0]],
+            vec![leader],
+            DegradeRule::lossy(1.0),
+            flap,
+        ));
+        let now = cluster.neat.now();
+        cluster.neat.sleep(2 * flap - now % (2 * flap) + 5);
+        cluster.neat.op_timeout = timeout;
 
-    /// Reads `key`, retrying timeouts (idempotent: safe).
-    pub fn read(&self, neat: &mut Neat<Proc>, key: &str) -> Outcome {
-        self.inner.run_with(
-            neat,
-            Req::Read { key: key.into() },
-            Op::Read { key: key.into() },
-            &self.policy,
-        )
-    }
+        let policy = RetryPolicy::backoff(4, 150, 8);
+        let client = cluster.client(0).via(leader).retrying(policy);
+        let start = cluster.neat.now();
+        assert_eq!(client.write(&mut cluster.neat, "k", 1), Outcome::Ok(None));
 
-    /// Adds `by` to the counter at `key`, retrying timeouts — dangerous:
-    /// the increment is not idempotent, so a retry whose predecessor
-    /// actually executed doubles the effect.
-    pub fn incr(&self, neat: &mut Neat<Proc>, key: &str, by: u64) -> Outcome {
-        self.inner.run_with(
-            neat,
-            Req::Incr {
-                key: key.into(),
-                by,
-            },
-            Op::Incr {
-                key: key.into(),
-                by,
-            },
-            &self.policy,
-        )
+        // Measured from `start`: the second attempt gives up inside the dead
+        // window, the third is sent after it.
+        let second_ends = 2 * timeout + policy.delay_before(1);
+        let third_starts = second_ends + policy.delay_before(2);
+        assert!(5 + second_ends <= flap && flap <= 5 + third_starts);
+        let [rec] = cluster.neat.history().records() else {
+            panic!("one logical op, one record: {:?}", cluster.neat.history());
+        };
+        assert_eq!((rec.start, &rec.outcome), (start, &Outcome::Ok(None)));
+        let third = rec.end - (start + third_starts);
+        assert!(third < timeout, "the third attempt was answered, after {third} ms");
     }
 }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use neat::{cluster::boot, Neat};
+use neat::{cluster::boot, Neat, RetryPolicy};
 use simnet::NodeId;
 
 use crate::{
@@ -103,6 +103,7 @@ impl Cluster {
         KvClient {
             node: self.clients[i],
             target: self.servers[0],
+            policy: RetryPolicy::none(),
         }
     }
 

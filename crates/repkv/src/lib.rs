@@ -24,7 +24,7 @@ pub mod msg;
 pub mod scenarios;
 pub mod server;
 
-pub use client::{KvClient, RetryingKvClient};
+pub use client::KvClient;
 pub use cluster::{Cluster, ClusterSpec, Proc};
 pub use config::{Config, ElectionPolicy, ReadPolicy, Replication};
 pub use msg::{Entry, EntryOp, LogSummary, Msg, Req, Resp};

@@ -132,8 +132,10 @@ pub fn load_retry_storm_gray_loss_with_ops(
     });
 
     cluster.neat.op_timeout = 200;
-    let client = cluster.client(0).via(leader);
-    let policy = RetryPolicy::backoff(4, 100, seed);
+    let mut client = cluster.client(0).via(leader);
+    if retry {
+        client = client.retrying(RetryPolicy::backoff(4, 100, seed));
+    }
 
     let mut driver = Driver::new(
         WorkloadSpec {
@@ -149,11 +151,7 @@ pub fn load_retry_storm_gray_loss_with_ops(
     while let Some(op) = driver.next_op() {
         pace(&mut cluster, op.at);
         let start = cluster.neat.now();
-        let outcome = if retry {
-            client.retrying(policy).incr(&mut cluster.neat, "counter", 1)
-        } else {
-            client.incr(&mut cluster.neat, "counter", 1)
-        };
+        let outcome = client.incr(&mut cluster.neat, "counter", 1);
         driver.complete(&op, start, cluster.neat.now(), status_of(&outcome));
         sample(&mut cluster, &driver, op.seq);
     }

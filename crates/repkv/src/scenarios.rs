@@ -398,19 +398,14 @@ pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> Scenari
     cluster.neat.sleep(2 * flap - (now % (2 * flap)) + 5);
     cluster.neat.op_timeout = 150;
 
-    let client = cluster.client(0).via(leader);
-    let outcomes = if retry {
-        let rc = client.retrying(RetryPolicy::backoff(4, 150, seed));
-        vec![
-            rc.write(&mut cluster.neat, "gray1", 1),
-            rc.write(&mut cluster.neat, "gray2", 2),
-        ]
-    } else {
-        vec![
-            client.write(&mut cluster.neat, "gray1", 1),
-            client.write(&mut cluster.neat, "gray2", 2),
-        ]
-    };
+    let mut client = cluster.client(0).via(leader);
+    if retry {
+        client = client.retrying(RetryPolicy::backoff(4, 150, seed));
+    }
+    let outcomes = [
+        client.write(&mut cluster.neat, "gray1", 1),
+        client.write(&mut cluster.neat, "gray2", 2),
+    ];
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.op_timeout = 1000;
@@ -447,14 +442,11 @@ pub fn gray_simplex_retry_double_incr(retry: bool, seed: u64, record: bool) -> S
     });
 
     cluster.neat.op_timeout = 300;
-    let client = cluster.client(0).via(leader);
+    let mut client = cluster.client(0).via(leader);
     if retry {
-        client
-            .retrying(RetryPolicy::backoff(3, 100, seed))
-            .incr(&mut cluster.neat, "counter", 5);
-    } else {
-        client.incr(&mut cluster.neat, "counter", 5);
+        client = client.retrying(RetryPolicy::backoff(3, 100, seed));
     }
+    client.incr(&mut cluster.neat, "counter", 5);
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.op_timeout = 1000;

@@ -174,20 +174,18 @@ impl DkCluster {
     /// (`None` = no answer).
     pub fn run_job(&mut self, job: u64) -> Option<bool> {
         let leader = self.leader;
-        let op_id = self
-            .neat
-            .world
-            .call(self.client, |p, ctx| {
+        self.neat.request(
+            self.client,
+            self.neat.op_timeout,
+            |p, ctx| {
                 let c = p.client_mut();
                 let op_id = c.next;
                 c.next += 1;
                 ctx.send(leader, DkMsg::RunJob { op_id, job });
                 op_id
-            })
-            .expect("client alive"); // lint:allow(unwrap-expect)
-        let client = self.client;
-        self.neat
-            .run_op(|_| Ok(()), |w| w.app_mut(client).client_mut().statuses.remove(&op_id))
+            },
+            |p, op_id| p.client_mut().statuses.remove(&op_id),
+        )
     }
 
     /// How many times `job`'s side effect ran on the leader.

@@ -433,13 +433,14 @@ impl MrCluster {
         }
     }
 
-    /// Submits `job` from the client node.
+    /// Submits `job` from the client node; a client that is down submits
+    /// nothing.
     pub fn submit(&mut self, job: u64) {
         let rm = self.rm;
-        self.neat
+        let _ = self
+            .neat
             .world
-            .call(self.client, |_, ctx| ctx.send(rm, MrMsg::Submit { job }))
-            .expect("client alive"); // lint:allow(unwrap-expect)
+            .call(self.client, |_, ctx| ctx.send(rm, MrMsg::Submit { job }));
     }
 
     /// Results delivered to the user for `job`.

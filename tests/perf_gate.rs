@@ -337,6 +337,21 @@ fn recording_costs_at_most_a_quarter_more_allocations_than_a_quiet_campaign() {
 }
 
 #[test]
+fn an_open_loop_read_allocates_little_more_than_its_two_keys() {
+    // The difference of two shard lengths cancels cluster construction.
+    // What is left per read is the key in the request and the key in the
+    // history record (ROADMAP: interning removes both); the client path
+    // used to clone the request twice more on its way to the wire (4.18).
+    let shard_allocs =
+        |ops| alloc_counter::count_allocations(|| repkv::load::open_loop_read_shard(0, ops)).1;
+    let extra = shard_allocs(4_000) - shard_allocs(2_000);
+    assert!(
+        extra * 10 <= 2_000 * 23,
+        "2,000 extra reads allocated {extra} times, more than 2.3 each"
+    );
+}
+
+#[test]
 fn event_volume_matches_the_committed_perf_artifact() {
     let d = bench::perf_bench::deterministic_counts(8);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_perf.json");
