@@ -15,7 +15,9 @@
 //!    [`alloc_counter::CountingAlloc`] (the streamed fingerprint must add
 //!    *zero* allocations over a plain traced run) and the total events
 //!    simulated across the campaign. `tests/perf_gate.rs` recomputes
-//!    these and diffs them against the committed JSON.
+//!    these and diffs them against the committed JSON. [`arm_costs`] is
+//!    the same kind of number per arm (`perf --arms`), kept out of the
+//!    artifact.
 //!
 //! Wall-clock time is banned workspace-wide by the determinism lint; like
 //! [`crate::fleet_bench`], this module is an audited exception that only
@@ -258,6 +260,51 @@ pub fn deterministic_counts(seed: u64) -> DeterministicCounts {
         render_allocs_sample,
         events_simulated_total: events_total,
     }
+}
+
+/// What one arm costs in Quick mode at a seed, in exact counts.
+#[derive(Clone, Debug)]
+pub struct ArmCost {
+    /// `<scenario>/<flawed|fixed>`.
+    pub arm: String,
+    /// Deliveries plus timer fires (`events_simulated`, always counted).
+    pub events: u64,
+    pub allocations: u64,
+}
+
+/// Every registry arm's cost, most allocations first (ties keep registry
+/// order). Both the `perf --arms` table and the allocations-per-event gate
+/// in `tests/perf_gate.rs` are this loop.
+pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
+    let mut costs: Vec<ArmCost> = campaign::arm_ids()
+        .iter()
+        .map(|arm| {
+            let (run, allocations) =
+                alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Quick));
+            ArmCost {
+                arm: arm.name.clone(),
+                events: run.timeline.counters.events_simulated,
+                allocations,
+            }
+        })
+        .collect();
+    costs.sort_by_key(|c| std::cmp::Reverse(c.allocations));
+    costs
+}
+
+/// The `perf --arms` table: one row per arm, then the total.
+pub fn render_arm_costs(costs: &[ArmCost]) -> String {
+    let total = ArmCost {
+        arm: format!("total ({} arms)", costs.len()),
+        events: costs.iter().map(|c| c.events).sum(),
+        allocations: costs.iter().map(|c| c.allocations).sum(),
+    };
+    let mut out = format!("{:<50} {:>7} {:>11} {:>17}\n", "arm", "events", "allocations", "allocations/event");
+    for c in costs.iter().chain([&total]) {
+        let per_event = c.allocations as f64 / c.events.max(1) as f64;
+        let _ = writeln!(out, "{:<50} {:>7} {:>11} {:>17.2}", c.arm, c.events, c.allocations, per_event);
+    }
+    out
 }
 
 /// Runs every layer. `sample_size` feeds the criterion shim (the binary

@@ -109,8 +109,8 @@ impl RaftCluster {
     }
 
     /// A server's committed KV state.
-    pub fn kv_of(&self, server: NodeId) -> BTreeMap<String, u64> {
-        self.neat.world.app(server).server().kv().clone()
+    pub fn kv_of(&self, server: NodeId) -> &BTreeMap<String, u64> {
+        self.neat.world.app(server).server().kv()
     }
 
     /// Final state of `keys` from the highest-term leader's committed store.

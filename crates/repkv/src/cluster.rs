@@ -1,6 +1,7 @@
 //! Cluster assembly: the process enum, builder, and inspection helpers.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use neat::{cluster::boot, Neat, RetryPolicy};
 use simnet::NodeId;
@@ -127,9 +128,9 @@ impl Cluster {
         self.neat.wait_until(max_ms, |neat| leader_of(neat, servers))
     }
 
-    /// Direct copy of a server's applied key-value state.
-    pub fn kv_of(&self, server: NodeId) -> BTreeMap<String, u64> {
-        self.neat.world.app(server).server().kv().clone()
+    /// A server's applied key-value state.
+    pub fn kv_of(&self, server: NodeId) -> &BTreeMap<Arc<str>, u64> {
+        self.neat.world.app(server).server().kv()
     }
 
     /// The final state of `keys` as stored on the current leader — the

@@ -27,6 +27,6 @@ pub mod server;
 pub use client::KvClient;
 pub use cluster::{Cluster, ClusterSpec, Proc};
 pub use config::{Config, ElectionPolicy, ReadPolicy, Replication};
-pub use msg::{Entry, EntryOp, LogSummary, Msg, Req, Resp};
+pub use msg::{Entry, EntryOp, Log, LogSummary, Msg, Req, Resp};
 pub use server::{Role, Server};
 pub use explorer::RepkvTarget;

@@ -417,9 +417,11 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
 /// matter how many fleet jobs ran them — that is the determinism claim
 /// `BENCH_workload.json` records.
 ///
-/// Reads only, on purpose: replication clones the full log per write, so
-/// a million-write stream would cost quadratic work. Reads leave the log
-/// at its seeded length and keep the million-op run linear.
+/// Reads only: the ladder measures steady-state delivery, and reads leave
+/// the log at its seeded four entries. Writes would no longer be ruled out
+/// by their cost — a log version is shared by the leader, its messages and
+/// its followers, so a write allocates the same however long the log is
+/// and copies the entries once, without their keys.
 pub fn open_loop_read_shard(shard: u64, ops: u64) -> workload::LoadReport {
     let seed = 0xB01D_FACE ^ shard.wrapping_mul(0x9E37_79B9);
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, false));

@@ -1,5 +1,7 @@
 //! Wire messages, log entries, and client request/response types.
 
+use std::sync::Arc;
+
 use simnet::{NodeId, Time};
 
 /// A log entry's effect on the key-value store.
@@ -21,9 +23,16 @@ pub struct Entry {
     pub term: u64,
     /// Primary-side timestamp, the `LatestTimestamp` election metric.
     pub ts: Time,
-    pub key: String,
+    /// Shared, so copying an entry into the next log version allocates
+    /// nothing.
+    pub key: Arc<str>,
     pub op: EntryOp,
 }
+
+/// One immutable version of a replicated log. The leader, every in-flight
+/// [`Msg::Replicate`] / [`Msg::SyncResp`] and every follower that adopted
+/// the version hold the same allocation; an append copies it once.
+pub type Log = Arc<Vec<Entry>>;
 
 /// A client request.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -88,11 +97,12 @@ pub enum Msg {
     Vote { term: u64, granted: bool },
     /// A voter (notably the arbiter) tells a superseded leader to step down.
     StepDown { term: u64 },
-    /// Leader → follower: full-log replication (logs are tiny in tests;
-    /// shipping the full log models the consolidation step directly).
+    /// Leader → follower: full-log replication — the follower *replaces*
+    /// its log, which models the consolidation step directly. The log
+    /// travels by reference, so a message costs no copy however long it is.
     Replicate {
         summary: LogSummary,
-        log: Vec<Entry>,
+        log: Log,
     },
     /// Follower → leader: acknowledged log length.
     ReplicateAck { term: u64, acked_len: usize },
@@ -101,7 +111,7 @@ pub enum Msg {
     /// Full-state answer to [`Msg::SyncReq`].
     SyncResp {
         summary: LogSummary,
-        log: Vec<Entry>,
+        log: Log,
     },
 }
 

@@ -17,7 +17,8 @@
 //!   (issue #2488), and an arbiter that grants a vote tells the old leader
 //!   to step down, producing the leadership thrashing of §4.4.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use neat::cluster::Node;
 use rand::Rng;
@@ -25,7 +26,7 @@ use simnet::{Ctx, NodeId, Time, TimerId};
 
 use crate::{
     config::{Config, ElectionPolicy, ReadPolicy, Replication},
-    msg::{Entry, EntryOp, LogSummary, Msg, Req, Resp},
+    msg::{Entry, EntryOp, Log, LogSummary, Msg, Req, Resp},
 };
 
 /// Timer tags.
@@ -63,14 +64,15 @@ pub struct Server {
     me: NodeId,
     /// All servers, including the arbiter, sorted.
     servers: Vec<NodeId>,
-    arbiter: Option<NodeId>,
+    /// Data replicas: everyone but the arbiter.
+    data_replicas: Vec<NodeId>,
     cfg: Config,
     /// `true` for the vote-only arbiter (MongoDB §4.4).
     pub is_arbiter: bool,
 
     // Persistent state (survives crashes).
     term: u64,
-    log: Vec<Entry>,
+    log: Log,
     committed: usize,
     voted_in: u64,
 
@@ -91,8 +93,11 @@ pub struct Server {
     match_len: BTreeMap<NodeId, usize>,
     /// Tail of an early-acked non-atomic batch, appended one entry per
     /// replication round trip (empty when `cfg.atomic_batch`).
-    batch_queue: Vec<(String, u64)>,
-    kv: BTreeMap<String, u64>,
+    batch_queue: VecDeque<(String, u64)>,
+    /// The visible store: always the fold of `log[..applied]`, advanced
+    /// (or, when that prefix is lost, replayed) by [`Server::rebuild_kv`].
+    kv: BTreeMap<Arc<str>, u64>,
+    applied: usize,
     /// Count of elections this node has won, for thrash measurements.
     pub elections_won: u64,
 }
@@ -102,14 +107,15 @@ impl Server {
     /// list on every node; `arbiter`, if any, must be one of them.
     pub fn new(me: NodeId, servers: Vec<NodeId>, arbiter: Option<NodeId>, cfg: Config) -> Self {
         let is_arbiter = arbiter == Some(me);
+        let data_replicas = servers.iter().copied().filter(|s| Some(*s) != arbiter).collect();
         Self {
             me,
             servers,
-            arbiter,
+            data_replicas,
             cfg,
             is_arbiter,
             term: 0,
-            log: Vec::new(),
+            log: Log::default(),
             committed: 0,
             voted_in: 0,
             role: Role::Follower,
@@ -122,8 +128,9 @@ impl Server {
             pending: BTreeMap::new(),
             coord_pending: BTreeMap::new(),
             match_len: BTreeMap::new(),
-            batch_queue: Vec::new(),
+            batch_queue: VecDeque::new(),
             kv: BTreeMap::new(),
+            applied: 0,
             elections_won: 0,
         }
     }
@@ -139,7 +146,7 @@ impl Server {
     }
 
     /// The applied key-value state (for final-state inspection).
-    pub fn kv(&self) -> &BTreeMap<String, u64> {
+    pub fn kv(&self) -> &BTreeMap<Arc<str>, u64> {
         &self.kv
     }
 
@@ -153,15 +160,6 @@ impl Server {
         self.committed
     }
 
-    /// Data replicas (everyone but the arbiter).
-    fn data_replicas(&self) -> Vec<NodeId> {
-        self.servers
-            .iter()
-            .copied()
-            .filter(|s| Some(*s) != self.arbiter)
-            .collect()
-    }
-
     /// Votes needed to win an election (majority of all servers).
     fn vote_majority(&self) -> usize {
         self.servers.len() / 2 + 1
@@ -169,7 +167,7 @@ impl Server {
 
     /// Total applies (including the leader's own) needed to ack a write.
     fn needed_acks(&self) -> usize {
-        let n = self.data_replicas().len();
+        let n = self.data_replicas.len();
         match self.cfg.replication {
             Replication::Async => 1,
             Replication::SyncMajority => n / 2 + 1,
@@ -200,28 +198,23 @@ impl Server {
         }
     }
 
-    /// Rebuilds the visible store by replaying the applied prefix.
+    /// Brings the visible store to the fold of `log[..apply_bound()]` — the
+    /// only writer of `kv` besides `on_crash`. It applies the entries past
+    /// `applied`, so a write costs its delta; only a bound that moved
+    /// backwards (a lower commit index, a shorter log) replays from empty.
+    /// Whoever replaces `log` must keep `log[..applied]` or reset `applied`
+    /// first ([`Server::adopt_log`]).
     fn rebuild_kv(&mut self) {
-        self.kv.clear();
         let bound = self.apply_bound();
-        for i in 0..bound {
-            let e = self.log[i].clone();
-            Self::apply_to(&mut self.kv, &e);
+        if bound < self.applied {
+            self.kv.clear();
+            self.applied = 0;
         }
-    }
-
-    fn apply_to(kv: &mut BTreeMap<String, u64>, e: &Entry) {
-        match &e.op {
-            EntryOp::Put(v) => {
-                kv.insert(e.key.clone(), *v);
-            }
-            EntryOp::Delete => {
-                kv.remove(&e.key);
-            }
-            EntryOp::Incr(by) => {
-                *kv.entry(e.key.clone()).or_insert(0) += by;
-            }
+        for e in &self.log[self.applied..bound] {
+            apply_to(&mut self.kv, e);
         }
+        self.applied = bound;
+        debug_assert_eq!(self.kv, replay(&self.log[..bound]));
     }
 
     /// Does a candidate with summary `cand` satisfy this voter's criterion?
@@ -302,7 +295,7 @@ impl Server {
         self.term += 1;
         self.role = Role::Candidate;
         self.voted_in = self.term;
-        self.votes = std::iter::once(self.me).collect();
+        reset_to(&mut self.votes, self.me);
         self.leader_hint = None;
         ctx.note(format!("starts election (term {})", self.term));
         if self.votes.len() >= self.vote_majority() {
@@ -318,7 +311,7 @@ impl Server {
         self.leader_hint = Some(self.me);
         self.missed_ack_rounds = 0;
         self.match_len.clear();
-        self.hb_acks = std::iter::once(self.me).collect();
+        reset_to(&mut self.hb_acks, self.me);
         // A majority just voted within the last round trip; that grant is a
         // valid read lease until the first heartbeat round takes over.
         self.lease_until = ctx.now() + self.lease_duration();
@@ -335,16 +328,8 @@ impl Server {
     }
 
     fn broadcast_replicate(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let summary = self.summary();
-        let log = self.log.clone();
-        let replicas = self.data_replicas();
-        ctx.broadcast(
-            &replicas,
-            Msg::Replicate {
-                summary,
-                log,
-            },
-        );
+        let (summary, log) = (self.summary(), Arc::clone(&self.log));
+        ctx.broadcast(&self.data_replicas, Msg::Replicate { summary, log });
     }
 
     fn reply(&self, ctx: &mut Ctx<'_, Msg>, to: &ReplyTo, resp: Resp) {
@@ -380,7 +365,7 @@ impl Server {
                     ReadPolicy::LeasedPrimary => ctx.now() < self.lease_until,
                 };
                 let resp = if allowed {
-                    Resp::Value(self.kv.get(&key).copied())
+                    Resp::Value(self.kv.get(key.as_str()).copied())
                 } else {
                     Resp::Fail
                 };
@@ -434,12 +419,14 @@ impl Server {
         let entry = Entry {
             term: self.term,
             ts: ctx.now(),
-            key,
+            key: key.into(),
             op,
         };
-        self.log.push(entry.clone());
+        // The one copy a write makes: followers and in-flight messages
+        // still hold the version this one extends.
+        Arc::make_mut(&mut self.log).push(entry);
         if self.cfg.apply_before_commit {
-            Self::apply_to(&mut self.kv, &entry);
+            self.rebuild_kv();
         }
     }
 
@@ -469,8 +456,16 @@ impl Server {
 
     /// Adopts another node's full log (consolidation / sync): the local log
     /// is *replaced*, which is exactly how divergent acknowledged writes
-    /// get truncated away in the studied systems.
-    fn adopt_log(&mut self, summary: LogSummary, log: Vec<Entry>) {
+    /// get truncated away in the studied systems. The store is advanced
+    /// from where it stands when the new log still carries the applied
+    /// prefix (the same version, or equal entries) and replayed otherwise.
+    fn adopt_log(&mut self, summary: LogSummary, log: Log) {
+        let keeps_applied = Arc::ptr_eq(&self.log, &log)
+            || log.get(..self.applied) == Some(&self.log[..self.applied]);
+        if !keeps_applied {
+            // Past every bound, so `rebuild_kv` below replays from empty.
+            self.applied = usize::MAX;
+        }
         self.log = log;
         self.committed = summary.committed.min(self.log.len());
         self.term = self.term.max(summary.term);
@@ -614,7 +609,7 @@ impl Server {
         ctx: &mut Ctx<'_, Msg>,
         from: NodeId,
         summary: LogSummary,
-        log: Vec<Entry>,
+        log: Log,
     ) {
         if self.is_arbiter {
             return;
@@ -678,19 +673,13 @@ impl Server {
         // how a new leader commits tail entries inherited from the previous
         // leadership instead of stranding them forever uncommitted.
         self.match_len.insert(from, acked_len.min(self.log.len()));
-        let mut lens: Vec<usize> = self
-            .data_replicas()
-            .iter()
-            .map(|r| {
-                if *r == self.me {
-                    self.log.len()
-                } else {
-                    self.match_len.get(r).copied().unwrap_or(0)
-                }
-            })
-            .collect();
-        lens.sort_unstable();
-        let quorum = lens[lens.len().saturating_sub(self.needed_acks().min(lens.len()))];
+        let held = |r: &NodeId| {
+            if *r == self.me { self.log.len() } else { self.match_len.get(r).copied().unwrap_or(0) }
+        };
+        // The longest prefix that `needed_acks` data replicas hold.
+        let replicas = &self.data_replicas;
+        let on_quorum = |len: &usize| replicas.iter().filter(|r| held(r) >= *len).count() >= self.needed_acks();
+        let quorum = replicas.iter().map(held).filter(on_quorum).max().unwrap_or(0);
         if quorum > self.committed {
             self.committed = quorum;
             if !self.cfg.apply_before_commit {
@@ -699,10 +688,11 @@ impl Server {
         }
         // Drip the next entry of an early-acked batch once the follower has
         // caught up to the log as broadcast — one entry per round trip.
-        if !self.batch_queue.is_empty() && acked_len >= self.log.len() {
-            let (key, val) = self.batch_queue.remove(0);
-            self.append_entry(ctx, key, EntryOp::Put(val));
-            self.broadcast_replicate(ctx);
+        if acked_len >= self.log.len() {
+            if let Some((key, val)) = self.batch_queue.pop_front() {
+                self.append_entry(ctx, key, EntryOp::Put(val));
+                self.broadcast_replicate(ctx);
+            }
         }
     }
 
@@ -723,7 +713,7 @@ impl Server {
             self.become_follower(ctx, self.term, None);
             return;
         }
-        self.hb_acks = std::iter::once(self.me).collect();
+        reset_to(&mut self.hb_acks, self.me);
         self.broadcast_heartbeat(ctx);
         ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
     }
@@ -811,8 +801,7 @@ impl Node<Msg> for Server {
             Msg::ReplicateAck { term, acked_len } => self.on_replicate_ack(ctx, from, term, acked_len),
             Msg::SyncReq => {
                 if self.role == Role::Leader {
-                    let summary = self.summary();
-                    let log = self.log.clone();
+                    let (summary, log) = (self.summary(), Arc::clone(&self.log));
                     ctx.send(from, Msg::SyncResp { summary, log });
                 }
             }
@@ -884,7 +873,36 @@ impl Node<Msg> for Server {
         self.batch_queue.clear();
         self.hb_acks.clear();
         self.kv.clear();
+        self.applied = 0;
     }
+}
+
+fn apply_to(kv: &mut BTreeMap<Arc<str>, u64>, e: &Entry) {
+    match &e.op {
+        EntryOp::Put(v) => {
+            kv.insert(e.key.clone(), *v);
+        }
+        EntryOp::Delete => {
+            kv.remove(&e.key);
+        }
+        EntryOp::Incr(by) => {
+            *kv.entry(e.key.clone()).or_insert(0) += by;
+        }
+    }
+}
+
+/// The store a log prefix folds to, from empty: what [`Server::kv`] must
+/// equal after every `rebuild_kv`, however it got there.
+pub fn replay(entries: &[Entry]) -> BTreeMap<Arc<str>, u64> {
+    let mut kv = BTreeMap::new();
+    entries.iter().for_each(|e| apply_to(&mut kv, e));
+    kv
+}
+
+/// Resets an ack set to this node alone, keeping its one tree node.
+fn reset_to(set: &mut BTreeSet<NodeId>, me: NodeId) {
+    set.retain(|n| *n == me);
+    set.insert(me);
 }
 
 #[cfg(test)]
@@ -908,10 +926,10 @@ mod tests {
 
     fn push_entries(s: &mut Server, n: usize, base_ts: Time) {
         for i in 0..n {
-            s.log.push(Entry {
+            Arc::make_mut(&mut s.log).push(Entry {
                 term: 1,
                 ts: base_ts + i as Time,
-                key: format!("k{i}"),
+                key: format!("k{i}").into(),
                 op: EntryOp::Put(i as u64),
             });
         }
@@ -1012,7 +1030,7 @@ mod tests {
             Some(NodeId(2)),
             Config::mongodb(),
         );
-        assert_eq!(s.data_replicas(), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(s.data_replicas, vec![NodeId(0), NodeId(1)]);
         assert_eq!(s.vote_majority(), 2, "the arbiter still votes");
     }
 
@@ -1032,12 +1050,12 @@ mod tests {
     #[test]
     fn rebuild_kv_replays_puts_deletes_incrs() {
         let mut s = server_with(Config::voltdb());
-        s.log = vec![
+        s.log = Arc::new(vec![
             Entry { term: 1, ts: 1, key: "a".into(), op: EntryOp::Put(5) },
             Entry { term: 1, ts: 2, key: "a".into(), op: EntryOp::Incr(3) },
             Entry { term: 1, ts: 3, key: "b".into(), op: EntryOp::Put(7) },
             Entry { term: 1, ts: 4, key: "b".into(), op: EntryOp::Delete },
-        ];
+        ]);
         s.rebuild_kv();
         assert_eq!(s.kv().get("a"), Some(&8));
         assert_eq!(s.kv().get("b"), None);

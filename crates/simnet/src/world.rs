@@ -103,16 +103,20 @@ impl<'a, M> Ctx<'a, M> {
         self.actions.push(Action::Send { to, msg });
     }
 
-    /// Sends `msg` to every node in `peers` except self.
+    /// Sends `msg` to every node in `peers` except self, in list order. The
+    /// last send takes `msg` itself, so k recipients cost k - 1 clones.
     pub fn broadcast(&mut self, peers: &[NodeId], msg: M)
     where
         M: Clone,
     {
-        for &p in peers {
-            if p != self.id {
-                self.send(p, msg.clone());
-            }
+        let me = self.id;
+        let mut others = peers.iter().copied().filter(|&p| p != me);
+        let Some(mut to) = others.next() else { return };
+        for next in others {
+            self.send(to, msg.clone());
+            to = next;
         }
+        self.send(to, msg);
     }
 
     /// Schedules a timer to fire after `delay` milliseconds with `tag`.
@@ -633,6 +637,49 @@ mod tests {
 
     fn two_nodes() -> World<Echo> {
         WorldBuilder::new(1).build(2, |_| Echo::new())
+    }
+
+    /// A message that counts how often it was cloned.
+    #[derive(Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(self.0.clone())
+        }
+    }
+
+    /// Broadcasts one `Counted` from node 1 to `peers`: (recipients, clones).
+    fn broadcast_from_node_1(peers: &[usize]) -> (Vec<usize>, usize) {
+        let peers: Vec<NodeId> = peers.iter().copied().map(NodeId).collect();
+        let clones = std::rc::Rc::new(std::cell::Cell::new(0));
+        let (mut rng, mut next_timer, mut actions) = (StdRng::seed_from_u64(1), 0, Vec::new());
+        let mut ctx = Ctx {
+            id: NodeId(1),
+            now: 0,
+            rng: &mut rng,
+            next_timer: &mut next_timer,
+            actions: &mut actions,
+        };
+        ctx.broadcast(&peers, Counted(clones.clone()));
+        let sent = actions
+            .iter()
+            .map(|a| match a {
+                Action::Send { to, .. } => to.0,
+                _ => panic!("broadcast buffered something other than a send"),
+            })
+            .collect();
+        (sent, clones.get())
+    }
+
+    #[test]
+    fn broadcast_clones_for_all_but_the_last_recipient() {
+        assert_eq!(broadcast_from_node_1(&[0, 1, 2, 3]), (vec![0, 2, 3], 2));
+        assert_eq!(broadcast_from_node_1(&[3, 0, 1]), (vec![3, 0], 1), "list order, self last");
+        assert_eq!(broadcast_from_node_1(&[1, 2]), (vec![2], 0), "one recipient takes the original");
+        assert_eq!(broadcast_from_node_1(&[1]), (vec![], 0), "self only");
+        assert_eq!(broadcast_from_node_1(&[]), (vec![], 0), "no peers");
     }
 
     #[test]
