@@ -14,41 +14,20 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-/// Writes to stdout, exiting non-zero on a write error (e.g. a closed
-/// pipe mid-stream) instead of panicking like the `print!` macros do.
-fn emit(content: &str) -> ExitCode {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    match out.write_all(content.as_bytes()).and_then(|()| out.flush()) {
+fn main() -> ExitCode {
+    let out = if std::env::args().skip(1).any(|a| a == "--jsonl") {
+        Ok(bench::reports::forensics_jsonl())
+    } else {
+        bench::emit_artifacts(&[
+            ("forensics_output.txt", bench::reports::forensics_report()),
+            ("BENCH_forensics.json", bench::reports::forensics_machine_json()),
+        ])
+    };
+    match out.and_then(|text| std::io::stdout().write_all(text.as_bytes()).map_err(|e| e.to_string())) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("forensics: failed to write to stdout: {e}");
+            eprintln!("forensics: {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--jsonl") {
-        return emit(&bench::reports::forensics_jsonl());
-    }
-    let text = bench::reports::forensics_report();
-    if args.iter().any(|a| a == "--print") {
-        return emit(&text);
-    }
-    // The manifest dir is crates/bench; the artifacts live at the root.
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    for (name, content) in [
-        ("forensics_output.txt", text),
-        ("BENCH_forensics.json", bench::reports::forensics_machine_json()),
-    ] {
-        let path = format!("{root}/{name}");
-        if let Err(e) = std::fs::write(&path, &content) {
-            eprintln!("forensics: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
 }

@@ -13,24 +13,12 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let json = bench::reports::gray_machine_json();
-    if std::env::args().skip(1).any(|a| a == "--print") {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        return match out.write_all(json.as_bytes()).and_then(|()| out.flush()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gray: failed to write to stdout: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let out = bench::emit_artifacts(&[("BENCH_gray.json", bench::reports::gray_machine_json())]);
+    match out.and_then(|text| std::io::stdout().write_all(text.as_bytes()).map_err(|e| e.to_string())) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("gray: {e}");
+            ExitCode::FAILURE
+        }
     }
-    // The manifest dir is crates/bench; the artifact lives at the root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gray.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("gray: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-    ExitCode::SUCCESS
 }

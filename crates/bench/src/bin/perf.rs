@@ -1,55 +1,68 @@
-//! Measures the fingerprinting and simulator hot paths and writes
-//! `BENCH_perf.json` at the repo root: simulator events/sec, full-campaign
-//! and audit wall-clock (streamed vs rendered fingerprints), and the
-//! deterministic allocation/event counters the perf gate asserts.
+//! Regenerates `BENCH_perf.json` at the repo root: the deterministic
+//! allocation and event counters of the campaign at the historical seed 8
+//! that `tests/perf_gate.rs` compares byte for byte. No clock is read;
+//! wall-clock numbers come from `bash benchmarks/run.sh`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin perf               # writes BENCH_perf.json
-//! cargo run --release -p bench --bin perf -- --print    # stdout only
-//! cargo run --release -p bench --bin perf -- --repeat 5 # min-of-5 wall clocks
+//! cargo run --release -p bench --bin perf            # writes the artifact
+//! cargo run --release -p bench --bin perf -- --print # JSON to stdout only
 //! cargo run --release -p bench --bin perf -- --arms [--seed N]
 //! ```
 //!
-//! `--arms` writes nothing and times nothing: it prints each arm's Quick-mode
-//! events, allocations and allocations per event at the seed (default 8),
-//! most allocations first — the table that names an arm paying more per
-//! event than its peers.
+//! `--arms` writes nothing: it prints each arm's Quick-mode events,
+//! allocations and allocations per event at the seed (default 8), most
+//! allocations first — the table that names an arm paying more per event
+//! than its peers.
 
+use std::io::Write;
 use std::process::ExitCode;
 
-// The allocation counters in the `deterministic` section only count when
-// the measuring binary routes its heap through the counting allocator.
+// The allocation counters only count when the measuring binary routes its
+// heap through the counting allocator.
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc;
 
+const USAGE: &str = "usage: perf [--print | --arms [--seed <n>]]";
+
+/// `Some(seed)` for the `--arms` table, `None` for the artifact
+/// (`--print` is read by [`bench::emit_artifacts`]).
+fn parse(mut args: impl Iterator<Item = String>) -> Result<Option<u64>, String> {
+    let (mut arms, mut seed) = (false, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--arms" => arms = true,
+            "--print" => {}
+            "--seed" => {
+                let n = args.next().ok_or("--seed requires a number")?;
+                seed = Some(n.parse().map_err(|_| format!("invalid seed `{n}`"))?);
+            }
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    match (arms, seed) {
+        (true, seed) => Ok(Some(seed.unwrap_or(8))),
+        (false, None) => Ok(None),
+        (false, Some(_)) => Err("--seed applies to --arms only; the artifact is pinned at seed 8".to_string()),
+    }
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| {
-        let i = args.iter().position(|a| a == flag)?;
-        args.get(i + 1)?.parse::<usize>().ok()
+    let arms_seed = match parse(std::env::args().skip(1)) {
+        Ok(arms_seed) => arms_seed,
+        Err(msg) => {
+            eprintln!("perf: {msg}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    if args.iter().any(|a| a == "--arms") {
-        let seed = value_of("--seed").unwrap_or(8) as u64;
-        print!("{}", bench::perf_bench::render_arm_costs(&bench::perf_bench::arm_costs(seed)));
-        return ExitCode::SUCCESS;
+    let out = match arms_seed {
+        Some(seed) => Ok(bench::perf_bench::render_arm_costs(&bench::perf_bench::arm_costs(seed))),
+        None => bench::emit_artifacts(&[("BENCH_perf.json", bench::perf_bench::machine_json())]),
+    };
+    match out.and_then(|text| std::io::stdout().write_all(text.as_bytes()).map_err(|e| e.to_string())) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("perf: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let print_only = args.iter().any(|a| a == "--print");
-    // `--repeat N`: rerun the wall-clock layers N times and keep each
-    // label's minimum, so the committed numbers are less noise-hostage.
-    let repeat = value_of("--repeat").unwrap_or(1);
-    let bench = bench::perf_bench::measure_repeat(8, 10, repeat);
-    let json = bench.to_pretty_json();
-    if print_only {
-        print!("{json}");
-        return ExitCode::SUCCESS;
-    }
-    // The manifest dir is crates/bench; the artifact lives at the root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_perf.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("perf: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-    print!("{json}");
-    ExitCode::SUCCESS
 }

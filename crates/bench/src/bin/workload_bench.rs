@@ -16,24 +16,12 @@ use std::process::ExitCode;
 const LADDER_OPS: u64 = 1_000_000;
 
 fn main() -> ExitCode {
-    let json = bench::reports::workload_machine_json(LADDER_OPS);
-    if std::env::args().skip(1).any(|a| a == "--print") {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        return match out.write_all(json.as_bytes()).and_then(|()| out.flush()) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("workload_bench: failed to write to stdout: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let out = bench::emit_artifacts(&[("BENCH_workload.json", bench::reports::workload_machine_json(LADDER_OPS))]);
+    match out.and_then(|text| std::io::stdout().write_all(text.as_bytes()).map_err(|e| e.to_string())) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("workload_bench: {e}");
+            ExitCode::FAILURE
+        }
     }
-    // The manifest dir is crates/bench; the artifact lives at the root.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workload.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("workload_bench: cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-    ExitCode::SUCCESS
 }

@@ -325,8 +325,7 @@ pub fn forensics_jsonl() -> String {
 }
 
 /// Exact content of `BENCH_forensics.json`: the simulation counters of
-/// the seed-8 forensics sweep, aggregate and per scenario. Unlike
-/// `BENCH_fleet.json` this records no wall-clock numbers, so it is fully
+/// the seed-8 forensics sweep, aggregate and per scenario. Fully
 /// deterministic and golden-tested byte-for-byte.
 pub fn forensics_machine_json() -> String {
     let reports = neat_repro::campaign::forensic_reports(8);
@@ -609,6 +608,14 @@ const EXPLORE_SHARDS: usize = 4;
 /// Trials per shard in the jobs-invariance check.
 const EXPLORE_SHARD_TRIALS: usize = 6;
 
+/// Independent exploration runs behind the §5.4 detection-probability
+/// curve: consecutive seeds from [`EXPLORE_SEED`], one curve point per
+/// trial budget up to [`CURVE_TRIALS`].
+const CURVE_SEEDS: usize = 32;
+
+/// Trial budget of each curve run — the `finding13` budget of `figures`.
+const CURVE_TRIALS: usize = 40;
+
 /// Runs one strategy at the standard budget and serializes its report.
 fn push_explore_arm(out: &mut String, label: &str, report: &neat::explore::ExplorationReport) {
     use std::fmt::Write as _;
@@ -663,7 +670,7 @@ fn explored_plan_facts<T: neat::explore::TestTarget>(
 /// Exact content of `BENCH_explore.json`: the coverage-guided exploration
 /// pipeline measured end to end at the historical seed 8.
 ///
-/// Three sections:
+/// Four sections:
 /// - `targets`: naive vs findings-guided vs coverage-guided hit rates and
 ///   distinct violation kinds on three real flawed systems at an equal
 ///   [`EXPLORE_TRIALS`]-trial budget, with the acceptance verdict
@@ -673,6 +680,12 @@ fn explored_plan_facts<T: neat::explore::TestTarget>(
 ///   jobs, compared byte-for-byte.
 /// - `minimized`: every delta-minimized registry regression — both arms'
 ///   verdicts at seed 8 plus a fresh 1-minimality proof by replay.
+/// - `detection_curve`: the §5.4 testability claim as a curve. Campaign
+///   scenarios detect deterministically (flat at 1.0 from budget 1 — see
+///   `SweepReport::detection_curve`), so the budget axis that moves is
+///   *exploration trials*: `points[b-1]` is the fraction of
+///   [`CURVE_SEEDS`] independent findings-guided runs against the VoltDB
+///   profile whose first violation arrived within `b` trials.
 ///
 /// All numbers are virtual-time and seed-pure, so the artifact is fully
 /// deterministic and golden-tested byte-for-byte.
@@ -819,10 +832,39 @@ pub fn explore_machine_json() -> String {
     }
     let _ = write!(
         out,
-        "],\"minimized_count\":{},\"explored_scenarios\":{}}}",
+        "],\"minimized_count\":{},\"explored_scenarios\":{}",
         explored.len(),
         explored.len(),
     );
+
+    // The §5.4 curve: budget `b` detects iff the run's first violation
+    // arrived within `b` trials.
+    let curve_seeds = fleet::cli::sweep_seeds(&fleet::cli::Opts {
+        seed: EXPLORE_SEED,
+        seeds: Some(CURVE_SEEDS),
+        ..fleet::cli::Opts::default()
+    });
+    let runs = fleet::explore::explore_sweep(
+        1,
+        &curve_seeds,
+        make,
+        &Strategy::findings_guided(),
+        CURVE_TRIALS,
+    );
+    let _ = write!(
+        out,
+        ",\"detection_curve\":{{\"sweep_seeds\":{CURVE_SEEDS},\"trials\":{CURVE_TRIALS},\
+         \"points\":["
+    );
+    for b in 1..=CURVE_TRIALS {
+        let hit = runs
+            .iter()
+            .filter(|r| r.first_violation_trial.is_some_and(|t| t <= b))
+            .count();
+        let sep = if b > 1 { "," } else { "" };
+        let _ = write!(out, "{sep}{:.3}", hit as f64 / CURVE_SEEDS as f64);
+    }
+    out.push_str("]}}");
     format!("{}\n", study::json::pretty(&out))
 }
 

@@ -28,8 +28,9 @@ pub fn sweep(seeds: &[u64], jobs: usize) -> SweepReport {
 }
 
 /// [`sweep`] plus the [`GridStats`] of the underlying work-stealing grid
-/// — the (seed × arm) fan-out BENCH_fleet records batch/steal counters
-/// for. Same bytes as `sweep` at any `jobs`; only the stats differ.
+/// — the (seed × arm) fan-out whose batch/steal counters the ledger's
+/// `sweep_parallel` workload reports (`fleet.grid_*`). Same bytes as
+/// `sweep` at any `jobs`; only the stats differ.
 pub fn sweep_grid(seeds: &[u64], jobs: usize) -> (SweepReport, GridStats) {
     let n = scenario_count();
     let (flat, stats) = pool::grid(jobs, n * seeds.len(), || (), |(), k| {

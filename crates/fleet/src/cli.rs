@@ -79,6 +79,10 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    // `sweep_seeds` covers `seed..seed+N`; the end must be representable.
+    if opts.seeds.is_some_and(|count| opts.seed.checked_add(count as u64).is_none()) {
+        return Err("--seed + --seeds overflows u64".to_string());
+    }
     Ok(opts)
 }
 
@@ -133,6 +137,10 @@ mod tests {
         assert!(parse(args(&["--jobs", "0"])).is_err());
         assert!(parse(args(&["--seeds", "0"])).is_err());
         assert!(parse(args(&["--frobnicate"])).is_err());
+        assert_eq!(
+            parse(args(&["--seeds", "2", "--seed", "18446744073709551615"])),
+            Err("--seed + --seeds overflows u64".to_string())
+        );
     }
 
     #[test]

@@ -31,8 +31,7 @@ use crate::pool;
 /// cannot leak state between seeds (the jobs-invariance test below pins
 /// that), but it lets the target's allocations — corpus buffers, report
 /// scratch, the exploration driver itself — warm up once instead of per
-/// work item. This is the fix for the `explore.speedup < 1` regression
-/// BENCH_fleet used to record: target construction was dominating the
+/// work item; constructing a target per seed used to dominate the
 /// per-item cost.
 pub fn explore_sweep<T, F>(
     jobs: usize,

@@ -15,8 +15,8 @@
 //! 3. `BENCH_forensics.json` `per_scenario` names and its `scenarios`
 //!    count agree with the registry (parsed with [`study::json`]);
 //! 4. every `BENCH_gray.json` scenario is registered;
-//! 5. every `"arms"`/`"scenarios"` counter in `BENCH_perf.json` and
-//!    `BENCH_fleet.json` matches the registry;
+//! 5. every `"arms"`/`"scenarios"` counter in `BENCH_perf.json` matches
+//!    the registry;
 //! 6. every scenario named by `table15` / `catalog_coverage` is
 //!    registered (dead internal references);
 //! 7. arm-shaped string literals (`…/flawed`, `…/fixed`) in the root
@@ -84,7 +84,6 @@ pub fn check_registry(root: &Path) -> RegistryReport {
     check_forensics_bench(root, &registered, &mut findings);
     check_gray_bench(root, &registered, &mut findings);
     check_counts(root, "BENCH_perf.json", registered.len(), arms, &mut findings);
-    check_counts(root, "BENCH_fleet.json", registered.len(), arms, &mut findings);
     check_internal_references(&registered, &mut findings);
     check_test_references(root, &registered, &mut findings);
     check_workload_bench(root, &mut findings);

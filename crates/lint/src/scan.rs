@@ -51,7 +51,7 @@ pub enum Rule {
     /// output stays part of the deterministic, testable byte stream. Bin
     /// targets (`src/bin/`, `main.rs`) print freely;
     /// `lint:allow(println-in-lib)` is honored only outside the
-    /// simulation crates (e.g. the vendored criterion shim).
+    /// simulation crates.
     PrintlnInLib,
     /// `std::env` in simulation crates: the process environment is an
     /// input the seed does not control. Bin targets parse their own CLI.
@@ -1151,7 +1151,7 @@ mod tests {
     fn println_allows_are_ignored_in_simulation_crates() {
         let src = "// lint:allow(println-in-lib)\nfn f() { println!(\"x\"); }\n";
         // Non-simulation library code may annotate audited exceptions…
-        assert!(scan_source("crates/shims/criterion/src/lib.rs", src).is_empty());
+        assert!(scan_source(LOOSE_FILE, src).is_empty());
         // …but a simulation crate cannot waive the rule.
         assert_eq!(rules(&scan_source(STRICT_FILE, src)), vec![Rule::PrintlnInLib]);
         assert_eq!(rules(&scan_source("src/campaign.rs", src)), vec![Rule::PrintlnInLib]);

@@ -11,7 +11,6 @@ const ARTIFACTS: &[&str] = &[
     "BENCH_forensics.json",
     "BENCH_gray.json",
     "BENCH_perf.json",
-    "BENCH_fleet.json",
     "BENCH_workload.json",
     "BENCH_explore.json",
 ];
@@ -52,7 +51,7 @@ fn real_registry_is_consistent() {
 
 #[test]
 fn untampered_copy_passes_clean() {
-    // The pass only reads the six artifacts plus tests/*.rs, so a
+    // The pass only reads `ARTIFACTS` plus tests/*.rs, so a
     // faithful copy must come out clean too.
     let root = scratch_root("registry_clean");
     let report = check_registry(&root);
@@ -104,7 +103,7 @@ fn renamed_scenario_fails_in_both_directions() {
 #[test]
 fn stale_arm_counter_fails() {
     let root = scratch_root("registry_stale_arms");
-    let path = root.join("BENCH_fleet.json");
+    let path = root.join("BENCH_perf.json");
     let text = std::fs::read_to_string(&path).expect("read copy");
     let tampered = text.replace("\"arms\": 93", "\"arms\": 92");
     assert_ne!(text, tampered, "expected arms counter not found");
@@ -112,7 +111,7 @@ fn stale_arm_counter_fails() {
 
     let msgs = messages(&check_registry(&root));
     assert!(
-        msgs.contains("BENCH_fleet.json: records 92 arms; the registry has 93"),
+        msgs.contains("BENCH_perf.json: records 92 arms; the registry has 93"),
         "{msgs}"
     );
 }

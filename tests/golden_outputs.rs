@@ -4,7 +4,7 @@
 //! byte-for-byte, so a behaviour change that forgets to refresh the
 //! checked-in files fails CI with the first diverging line.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use neat_repro::campaign::{scenarios_of, ScenarioClass};
 
@@ -81,9 +81,8 @@ fn forensics_output_is_fresh() {
     );
 }
 
-/// Unlike `BENCH_fleet.json`, the forensics counters carry no wall-clock
-/// numbers — the artifact is a pure function of the seed, so it gets the
-/// full byte-for-byte golden treatment.
+/// The forensics counters are a pure function of the seed, so the
+/// artifact gets the full byte-for-byte golden treatment.
 #[test]
 fn forensics_bench_artifact_is_fresh() {
     assert_fresh(
@@ -128,92 +127,6 @@ fn forensics_explains_every_campaign_violation() {
                 s.name
             );
         }
-    }
-}
-
-/// The fleet bench artifact records wall-clock timings, which no test can
-/// pin — but its *shape* must track the registry: scenario/arm counts, the
-/// jobs ladder, and the schema keys the README points at.
-#[test]
-fn fleet_bench_artifact_matches_the_registry_shape() {
-    let json = read("BENCH_fleet.json");
-    let expect = |needle: String| {
-        assert!(
-            json.contains(&needle),
-            "BENCH_fleet.json lacks `{needle}`; refresh with \
-             `cargo run --release -p bench --bin fleet_bench`"
-        );
-    };
-    expect(format!(
-        "\"scenarios\": {}",
-        neat_repro::campaign::scenario_count()
-    ));
-    expect(format!("\"arms\": {}", neat_repro::campaign::arm_ids().len()));
-    for key in [
-        "\"bench\": \"fleet\"",
-        "\"machine_workers\": ",
-        "\"wall_clock_ns\": ",
-        "\"speedup\": ",
-        "\"byte_identical\": true",
-        "\"jobs\": 4",
-        "\"identical\": true",
-    ] {
-        expect(key.to_string());
-    }
-    assert!(
-        !json.contains("\"byte_identical\": false"),
-        "a recorded fleet run diverged from serial — that is a determinism bug"
-    );
-    // Work-stealing grid counters for the top (8-job) campaign rung.
-    // `workers`, `batch`, and `batches` are pure functions of
-    // `(jobs, scenarios x seeds)`, so their exact values are pinned; the
-    // `steals` count depends on OS scheduling and only its presence is.
-    let items = neat_repro::campaign::scenario_count() * 8;
-    let batch = (items / (8 * 4)).clamp(1, 64);
-    let batches: usize = (0..8)
-        .map(|w| {
-            let chunk = (w + 1) * items / 8 - w * items / 8;
-            chunk.div_ceil(batch)
-        })
-        .sum();
-    expect("\"grid\": {".to_string());
-    expect("\"workers\": 8".to_string());
-    expect(format!("\"batch\": {batch}"));
-    expect(format!("\"batches\": {batches}"));
-    expect("\"steals\": ".to_string());
-    // The high-resolution §5.4 detection curve: 32 exploration seeds, one
-    // probability point per trial budget. The curve is a pure function of
-    // the seed list; pin its shape anchors (monotone 0→1 envelope).
-    expect("\"detection_curve\": {".to_string());
-    expect("\"sweep_seeds\": 32".to_string());
-    expect("\"trials\": 40".to_string());
-    expect("\"points\": [".to_string());
-    expect("1.000".to_string());
-}
-
-#[test]
-fn perf_bench_artifact_matches_the_registry_shape() {
-    let json = read("BENCH_perf.json");
-    let expect = |needle: String| {
-        assert!(
-            json.contains(&needle),
-            "BENCH_perf.json lacks `{needle}`; refresh with \
-             `cargo run --release -p bench --bin perf`"
-        );
-    };
-    expect(format!("\"arms\": {}", neat_repro::campaign::arm_ids().len()));
-    for key in [
-        "\"bench\": \"perf\"",
-        "\"label\": \"simnet/ping_pong/100000\"",
-        "\"events_per_sec\": ",
-        "\"campaign_wall_clock_ns\": ",
-        "\"streamed_wall_clock_ns\": ",
-        "\"rendered_wall_clock_ns\": ",
-        "\"counting_allocator\": true",
-        "\"fingerprint_alloc_delta_total\": 0",
-        "\"events_simulated_total\": ",
-    ] {
-        expect(key.to_string());
     }
 }
 
@@ -285,26 +198,31 @@ fn lint_bench_artifact_is_fresh() {
     );
 }
 
-/// Guard the guard: golden tests are only trustworthy if the artifacts
-/// they check are the ones the repo actually commits.
+/// Guard the guard, both ways: the gated artifacts are committed, and no
+/// root file shaped like an artifact is missing from the list — each entry
+/// has a test above, except `BENCH_perf.json`, which `tests/perf_gate.rs`
+/// compares (regenerating it needs the counting allocator).
 #[test]
 fn all_golden_artifacts_exist() {
-    for name in [
-        "campaign_output.txt",
-        "tables_output.txt",
-        "figures_output.txt",
-        "forensics_output.txt",
+    let listed = [
         "BENCH_explore.json",
-        "BENCH_fleet.json",
         "BENCH_forensics.json",
         "BENCH_gray.json",
         "BENCH_lint.json",
         "BENCH_perf.json",
         "BENCH_workload.json",
-    ] {
-        assert!(
-            Path::new(&root().join(name)).exists(),
-            "missing committed artifact {name}"
-        );
-    }
+        "campaign_output.txt",
+        "figures_output.txt",
+        "forensics_output.txt",
+        "tables_output.txt",
+    ];
+    let mut committed: Vec<String> = std::fs::read_dir(root())
+        .expect("read the repository root")
+        .map(|entry| entry.expect("read a root entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| {
+            (name.starts_with("BENCH_") && name.ends_with(".json")) || name.ends_with("_output.txt")
+        })
+        .collect();
+    committed.sort();
+    assert_eq!(committed, listed, "root artifacts vs the gated list");
 }
