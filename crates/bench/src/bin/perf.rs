@@ -10,9 +10,10 @@
 //! ```
 //!
 //! `--arms` writes nothing: it prints each arm's Quick-mode events,
-//! allocations and allocations per event at the seed (default 8), most
-//! allocations first — the table that names an arm paying more per event
-//! than its peers.
+//! allocations, allocations per event and deepest event queue (`qmax`) at
+//! the seed (default 8), most allocations first — the table that names an
+//! arm paying more per event than its peers, and shows how few events a
+//! world ever has pending.
 
 use std::io::Write;
 use std::process::ExitCode;

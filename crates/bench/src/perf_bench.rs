@@ -67,6 +67,8 @@ pub struct ArmCost {
     /// Deliveries plus timer fires (`events_simulated`, always counted).
     pub events: u64,
     pub allocations: u64,
+    /// The most events any of the arm's worlds ever had pending at once.
+    pub qmax: usize,
 }
 
 /// Every registry arm's cost, most allocations first (ties keep registry
@@ -76,12 +78,14 @@ pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
     let mut costs: Vec<ArmCost> = campaign::arm_ids()
         .iter()
         .map(|arm| {
-            let (run, allocations) =
-                alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Quick));
+            let ((run, allocations), qmax) = simnet::queue_high_water_during(|| {
+                alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Quick))
+            });
             ArmCost {
                 arm: arm.name.clone(),
                 events: run.timeline.counters.events_simulated,
                 allocations,
+                qmax,
             }
         })
         .collect();
@@ -95,11 +99,19 @@ pub fn render_arm_costs(costs: &[ArmCost]) -> String {
         arm: format!("total ({} arms)", costs.len()),
         events: costs.iter().map(|c| c.events).sum(),
         allocations: costs.iter().map(|c| c.allocations).sum(),
+        qmax: costs.iter().map(|c| c.qmax).max().unwrap_or(0),
     };
-    let mut out = format!("{:<50} {:>7} {:>11} {:>17}\n", "arm", "events", "allocations", "allocations/event");
+    let mut out = format!(
+        "{:<50} {:>7} {:>11} {:>17} {:>5}\n",
+        "arm", "events", "allocations", "allocations/event", "qmax"
+    );
     for c in costs.iter().chain([&total]) {
         let per_event = c.allocations as f64 / c.events.max(1) as f64;
-        let _ = writeln!(out, "{:<50} {:>7} {:>11} {:>17.2}", c.arm, c.events, c.allocations, per_event);
+        let _ = writeln!(
+            out,
+            "{:<50} {:>7} {:>11} {:>17.2} {:>5}",
+            c.arm, c.events, c.allocations, per_event, c.qmax
+        );
     }
     out
 }

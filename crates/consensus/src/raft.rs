@@ -205,16 +205,23 @@ impl RaftNode {
     /// RethinkDB tweak) therefore reverts to the initial membership — the
     /// heart of the reproduced failure.
     pub fn members(&self) -> Vec<NodeId> {
-        for e in self.log.iter().rev() {
-            if let Cmd::Config { members } = &e.cmd {
-                return members.clone();
-            }
-        }
-        self.initial_members.clone()
+        self.membership().to_vec()
+    }
+
+    /// [`members`](Self::members) without the copy: every heartbeat asks.
+    fn membership(&self) -> &[NodeId] {
+        self.log
+            .iter()
+            .rev()
+            .find_map(|e| match &e.cmd {
+                Cmd::Config { members } => Some(members.as_slice()),
+                _ => None,
+            })
+            .unwrap_or(&self.initial_members)
     }
 
     fn majority(&self) -> usize {
-        self.members().len() / 2 + 1
+        self.membership().len() / 2 + 1
     }
 
     fn last_log(&self) -> (u64, usize) {
@@ -223,14 +230,19 @@ impl RaftNode {
 
     /// Everyone this leader replicates to: the union of old and new
     /// memberships minus peers whose removal has committed.
-    fn replication_targets(&self) -> Vec<NodeId> {
-        let mut set: BTreeSet<NodeId> = self.initial_members.iter().copied().collect();
-        set.extend(self.members());
-        set.remove(&self.me);
-        for r in &self.removed_peers {
-            set.remove(r);
-        }
-        set.into_iter().collect()
+    /// In ascending id order, each once. Both lists hold a handful of ids,
+    /// so each step rescans them for the smallest id above the last one
+    /// rather than building a sorted set per heartbeat.
+    fn replication_targets(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let members = self.membership();
+        let mut last = None;
+        std::iter::from_fn(move || {
+            last = (self.initial_members.iter().chain(members).copied())
+                .filter(|n| *n != self.me && !self.removed_peers.contains(n))
+                .filter(|n| Some(*n) > last)
+                .min();
+            last
+        })
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
@@ -270,7 +282,7 @@ impl RaftNode {
         if self.removed && !self.tweaks.delete_log_on_remove {
             return;
         }
-        if !self.members().contains(&self.me) {
+        if !self.membership().contains(&self.me) {
             // A server that knows it is not a member must not campaign.
             return;
         }
@@ -279,16 +291,15 @@ impl RaftNode {
         self.voted_for = Some(self.me);
         self.votes = std::iter::once(self.me).collect();
         self.leader_hint = None;
-        ctx.note(format!("starts election (term {})", self.term));
+        ctx.note(|| format!("starts election (term {})", self.term));
         if self.votes.len() >= self.majority() {
             self.become_leader(ctx);
             return;
         }
         let (last_term, last_idx) = self.last_log();
         let term = self.term;
-        let peers = self.members();
         ctx.broadcast(
-            &peers,
+            self.membership(),
             RaftMsg::RequestVote {
                 term,
                 last_term,
@@ -302,7 +313,8 @@ impl RaftNode {
         self.leader_hint = Some(self.me);
         self.elections_won += 1;
         let len = self.log.len();
-        for p in self.replication_targets() {
+        let targets: Vec<NodeId> = self.replication_targets().collect();
+        for p in targets {
             self.next_idx.insert(p, len);
             self.match_idx.insert(p, 0);
         }
@@ -313,7 +325,7 @@ impl RaftNode {
         });
         self.lease_until = ctx.now() + self.tick_interval * 3;
         self.round_acks.clear();
-        ctx.note(format!("becomes leader (term {})", self.term));
+        ctx.note(|| format!("becomes leader (term {})", self.term));
         self.replicate_all(ctx);
         ctx.set_timer(self.tick_interval, TAG_TICK);
     }
@@ -461,7 +473,7 @@ impl RaftNode {
         if granted {
             self.voted_for = Some(from);
             self.last_leader_contact = ctx.now();
-            ctx.note(format!("votes for {from} (term {term})"));
+            ctx.note(|| format!("votes for {from} (term {term})"));
         }
         ctx.send(from, RaftMsg::VoteResp { term, granted });
     }
@@ -566,26 +578,23 @@ impl RaftNode {
     }
 
     fn advance_commit(&mut self, ctx: &mut Ctx<'_, RaftMsg>) {
-        let members = self.members();
+        let members = self.membership();
         let majority = self.majority();
-        let old_commit = self.commit;
-        for idx in (self.commit + 1..=self.log.len()).rev() {
-            // Only current-term entries commit by counting (Raft §5.4.2).
-            if self.log[idx - 1].term != self.term {
-                continue;
-            }
+        let replicated = |idx: usize| {
             let count = members
                 .iter()
                 .filter(|&&m| m == self.me || self.match_idx.get(&m).copied().unwrap_or(0) >= idx)
                 .count();
-            if count >= majority {
-                self.commit = idx;
-                break;
-            }
-        }
-        if self.commit == old_commit {
+            count >= majority
+        };
+        // Only current-term entries commit by counting (Raft §5.4.2).
+        let Some(commit) = (self.commit + 1..=self.log.len())
+            .rev()
+            .find(|&idx| self.log[idx - 1].term == self.term && replicated(idx))
+        else {
             return;
-        }
+        };
+        let old_commit = std::mem::replace(&mut self.commit, commit);
         self.reapply();
         // Answer committed client ops.
         let done: Vec<usize> = self
@@ -634,7 +643,7 @@ impl RaftNode {
         if self.tweaks.delete_log_on_remove {
             // RethinkDB issue #5289: the removed replica deletes its log —
             // including the config entry recording its removal.
-            ctx.note("removed from cluster; DELETING raft log (tweak)".to_string());
+            ctx.note(|| "removed from cluster; DELETING raft log (tweak)".to_string());
             self.log.clear();
             self.commit = 0;
             self.applied = 0;
@@ -644,7 +653,7 @@ impl RaftNode {
             self.leader_hint = None;
             self.removed = false; // It no longer remembers being removed.
         } else {
-            ctx.note("removed from cluster; retiring".to_string());
+            ctx.note(|| "removed from cluster; retiring".to_string());
             self.role = RaftRole::Follower;
         }
     }
@@ -761,10 +770,10 @@ mod tests {
         let mut n = node(5);
         n.log.push(config_entry(&[0, 1]));
         // Until removals commit, the leader still replicates to everyone.
-        assert_eq!(n.replication_targets().len(), 4);
+        assert_eq!(n.replication_targets().count(), 4);
         n.removed_peers.insert(NodeId(3));
         n.removed_peers.insert(NodeId(4));
-        assert_eq!(n.replication_targets(), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(n.replication_targets().collect::<Vec<_>>(), vec![NodeId(1), NodeId(2)]);
     }
 
     #[test]

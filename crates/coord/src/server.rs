@@ -227,7 +227,7 @@ impl CoordServer {
         self.voted_in = self.term;
         self.votes = std::iter::once(self.me).collect();
         self.leader_hint = None;
-        ctx.note(format!("coord: election (term {})", self.term));
+        ctx.note(|| format!("coord: election (term {})", self.term));
         if self.votes.len() >= self.majority() {
             self.become_leader(ctx);
             return;
@@ -244,7 +244,7 @@ impl CoordServer {
         self.leader_hint = Some(self.me);
         self.hb_acks = std::iter::once(self.me).collect();
         self.prev_round_full = true;
-        ctx.note(format!("coord: leader (term {})", self.term));
+        ctx.note(|| format!("coord: leader (term {})", self.term));
         let hb = CoordMsg::Heartbeat {
             term: self.term,
             zxid: self.zxid,
@@ -276,12 +276,12 @@ impl CoordServer {
             if self.flaws.skip_ephemeral_cleanup && !self.prev_round_full {
                 // ZOOKEEPER-2355: the cleanup proposal is lost because a
                 // follower is unreachable — and it is never retried.
-                ctx.note(format!(
+                ctx.note(|| format!(
                     "coord: LOST ephemeral cleanup for expired session {session} (flaw)"
                 ));
                 continue;
             }
-            ctx.note(format!("coord: expiring session {session}"));
+            ctx.note(|| format!("coord: expiring session {session}"));
             for path in paths {
                 self.commit_txn(ctx, TxnKind::Delete { path }, None);
             }
@@ -423,7 +423,7 @@ impl CoordServer {
                 // Trust the leader's zxid — exactly what makes the flawed
                 // log-with-a-hole sync silently corrupting.
                 self.zxid = self.zxid.max(to_zxid);
-                ctx.note(format!("coord: log-synced to zxid {}", self.zxid));
+                ctx.note(|| format!("coord: log-synced to zxid {}", self.zxid));
             }
             CoordMsg::SyncSnapshot { term, tree, zxid } => {
                 if term < self.term {
@@ -438,13 +438,13 @@ impl CoordServer {
                 if self.flaws.snapshot_skips_log {
                     // ZOOKEEPER-2099: storage sync updates the tree but NOT
                     // the in-memory transaction log.
-                    ctx.note(format!(
+                    ctx.note(|| format!(
                         "coord: SNAPSHOT-synced to zxid {zxid} (in-memory log untouched, flaw)"
                     ));
                 } else {
                     self.txnlog.clear();
                     self.log_base = zxid;
-                    ctx.note(format!("coord: snapshot-synced to zxid {zxid}"));
+                    ctx.note(|| format!("coord: snapshot-synced to zxid {zxid}"));
                 }
             }
             CoordMsg::SyncChunk {
@@ -466,7 +466,7 @@ impl CoordServer {
                     // target zxid on the FIRST chunk. An interrupted
                     // transfer leaves a half tree that looks up to date.
                     if part == 0 {
-                        ctx.note(format!(
+                        ctx.note(|| format!(
                             "coord: chunked sync started; zxid jumps to {zxid} (flaw)"
                         ));
                         self.tree.clear();
@@ -480,7 +480,7 @@ impl CoordServer {
                         self.tree.insert(k, v);
                     }
                     if part + 1 == total {
-                        ctx.note("coord: chunked sync complete".to_string());
+                        ctx.note(|| "coord: chunked sync complete".to_string());
                     }
                 } else {
                     // Fixed: stage chunks and install atomically at the end.
@@ -496,7 +496,7 @@ impl CoordServer {
                         self.zxid = zxid;
                         self.txnlog.clear();
                         self.log_base = zxid;
-                        ctx.note(format!("coord: chunked sync installed at zxid {zxid}"));
+                        ctx.note(|| format!("coord: chunked sync installed at zxid {zxid}"));
                     }
                 }
             }
@@ -730,7 +730,9 @@ impl<M: CoordWire> Node<M> for CoordServer {
                     return;
                 }
                 self.prev_round_full = self.hb_acks.len() >= self.peers.len();
-                self.hb_acks = std::iter::once(self.me).collect();
+                // Back to this node alone, keeping the set's one tree node.
+                self.hb_acks.retain(|n| *n == self.me);
+                self.hb_acks.insert(self.me);
                 let hb = CoordMsg::Heartbeat {
                     term: self.term,
                     zxid: self.zxid,

@@ -151,7 +151,7 @@ impl Node<HbMsg> for HMaster {
                         .copied()
                         .find(|&s| s != dead)
                         .expect("another region server exists"); // lint:allow(unwrap-expect)
-                    ctx.note(format!(
+                    ctx.note(|| format!(
                         "master reassigns region to {new_rs}, replaying {} entries",
                         gathered.len()
                     ));
@@ -174,7 +174,7 @@ impl Node<HbMsg> for HMaster {
             let stale = now.saturating_sub(self.last_hb.get(&rs).copied().unwrap_or(0))
                 > self.dead_after;
             if stale {
-                ctx.note(format!("master presumes {rs} dead; splitting its logs"));
+                ctx.note(|| format!("master presumes {rs} dead; splitting its logs"));
                 if self.flaws.fence_on_split {
                     ctx.send(self.store, HbMsg::Fence { rs });
                 }
@@ -262,7 +262,7 @@ impl Node<HbMsg> for RegionServer {
                     self.current_log += 1;
                     self.logs.push(self.current_log);
                     self.entries_in_log = 0;
-                    ctx.note(format!("{} rolls to log {}", self.me, self.current_log));
+                    ctx.note(|| format!("{} rolls to log {}", self.me, self.current_log));
                 }
                 self.entries_in_log += 1;
                 self.seq += 1;
@@ -302,14 +302,14 @@ impl Node<HbMsg> for RegionServer {
                 ctx.send(from, HbMsg::GetResp { op_id, val });
             }
             HbMsg::AssignRegion { entries } => {
-                ctx.note(format!("{} takes over the region", self.me));
+                ctx.note(|| format!("{} takes over the region", self.me));
                 self.serving = true;
                 for e in entries {
                     self.region.insert(e.key, e.val);
                 }
             }
             HbMsg::ZombieFence => {
-                ctx.note(format!("{} learns it was fenced; dropping the region", self.me));
+                ctx.note(|| format!("{} learns it was fenced; dropping the region", self.me));
                 self.serving = false;
                 self.fenced = true;
             }

@@ -205,7 +205,7 @@ impl GridNode {
         }
         let is_server = self.all_servers.contains(&from);
         if is_server && !self.view.contains(&from) && self.flaws.rejoin_after_heal {
-            ctx.note(format!("re-admits {from} to the view"));
+            ctx.note(|| format!("re-admits {from} to the view"));
             self.view.push(from);
             self.view.sort();
             // Converge after a merge: everyone re-offers its state at its
@@ -231,17 +231,13 @@ impl GridNode {
         // Quorum mode offers to every server (a quorum may span nodes the
         // view has dropped); flawed mode only reaches its own view — the
         // studied behaviour.
-        let peers: Vec<NodeId> = if self.flaws.ack_without_quorum {
-            self.view.iter().copied().filter(|&s| s != self.me).collect()
+        let peers = if self.flaws.ack_without_quorum {
+            &self.view
         } else {
-            self.all_servers
-                .iter()
-                .copied()
-                .filter(|&s| s != self.me)
-                .collect()
+            &self.all_servers
         };
         ctx.broadcast(
-            &peers,
+            peers,
             GridMsg::StateSync {
                 seq,
                 commits,
@@ -412,7 +408,7 @@ impl Node<GridMsg> for GridNode {
                     if self.flaws.wipe_before_download && self.downloading_from.is_none() {
                         // Hazelcast §4.4: step down, DELETE the local copy,
                         // and only then start downloading the winner's.
-                        ctx.note(format!(
+                        ctx.note(|| format!(
                             "WIPES local data, will download from {from} (flaw)"
                         ));
                         self.state = GridState::default();
@@ -476,13 +472,13 @@ impl Node<GridMsg> for GridNode {
                 // timeout, never a false failure (the repaired answer to
                 // the paper's ack-then-fail pattern).
                 self.pending = None;
-                ctx.note("mutation unacknowledged: no replication quorum".to_string());
+                ctx.note(|| "mutation unacknowledged: no replication quorum".to_string());
             }
             return;
         }
         if tag == TAG_DOWNLOAD {
             if let Some(src) = self.downloading_from.take() {
-                ctx.note(format!("downloading state from {src}"));
+                ctx.note(|| format!("downloading state from {src}"));
                 ctx.send(src, GridMsg::Pull);
             }
             return;
@@ -492,17 +488,14 @@ impl Node<GridMsg> for GridNode {
         }
         let now = ctx.now();
         // Suspect and remove unreachable members (both sides do this!).
-        let suspects: Vec<NodeId> = self
-            .view
-            .iter()
-            .copied()
-            .filter(|&s| s != self.me)
-            .filter(|s| now.saturating_sub(self.last_seen.get(s).copied().unwrap_or(0)) > self.suspect_after)
-            .collect();
-        for s in suspects {
-            ctx.note(format!("removes unreachable {s} from the view"));
-            self.view.retain(|&v| v != s);
-        }
+        self.view.retain(|&s| {
+            let seen = self.last_seen.get(&s).copied().unwrap_or(0);
+            let unreachable = s != self.me && now.saturating_sub(seen) > self.suspect_after;
+            if unreachable {
+                ctx.note(|| format!("removes unreachable {s} from the view"));
+            }
+            !unreachable
+        });
         // Reclaim permits of unreachable client holders (Ignite flaw).
         if self.flaws.reclaim_unreachable_holders && self.primary() == self.me {
             let dead: Vec<NodeId> = self
@@ -514,7 +507,7 @@ impl Node<GridMsg> for GridNode {
             for c in dead {
                 let n = self.state.reclaim_permits(c);
                 if n > 0 {
-                    ctx.note(format!("RECLAIMS {n} permit(s) from unreachable client {c}"));
+                    ctx.note(|| format!("RECLAIMS {n} permit(s) from unreachable client {c}"));
                     self.push_state(ctx);
                 }
                 self.tracked_holders.remove(&c);
@@ -527,17 +520,13 @@ impl Node<GridMsg> for GridNode {
             self.push_state_no_bump(ctx, false);
         }
         // Ping everyone we should know about.
-        let targets: Vec<NodeId> = if self.flaws.rejoin_after_heal {
-            self.all_servers.clone()
+        let targets = if self.flaws.rejoin_after_heal {
+            &self.all_servers
         } else {
-            self.view.clone()
+            &self.view
         };
-        for s in targets {
-            if s != self.me {
-                ctx.send(s, GridMsg::Ping);
-            }
-        }
-        for c in self.tracked_holders.keys().copied().collect::<Vec<_>>() {
+        ctx.broadcast(targets, GridMsg::Ping);
+        for &c in self.tracked_holders.keys() {
             ctx.send(c, GridMsg::Ping);
         }
         ctx.set_timer(self.ping_interval, TAG_PING);

@@ -190,7 +190,7 @@ impl Node<AcMsg> for PeerBroker {
             }
             AcMsg::ProbeResp { cluster, members } => {
                 if self.cluster.is_none() {
-                    ctx.note(format!("joining cluster {cluster}"));
+                    ctx.note(|| format!("joining cluster {cluster}"));
                     self.cluster = Some(cluster);
                     self.members = members.into_iter().collect();
                     self.members.insert(self.me);
@@ -246,7 +246,7 @@ impl Node<AcMsg> for PeerBroker {
         self.discovery_round += 1;
         if self.flaws.form_own_cluster_on_silence && self.discovery_round >= 2 {
             // rabbitmq #1455: "the rest of the cluster must be down."
-            ctx.note(format!("forming OWN cluster {} (flaw)", self.me.0));
+            ctx.note(|| format!("forming OWN cluster {} (flaw)", self.me.0));
             self.cluster = Some(self.me.0 as u64);
             self.members = std::iter::once(self.me).collect();
         } else {

@@ -198,14 +198,6 @@ impl Broker {
             .unwrap_or_default()
     }
 
-    fn replicas(&self) -> Vec<NodeId> {
-        self.brokers
-            .iter()
-            .copied()
-            .filter(|&b| b != self.me)
-            .collect()
-    }
-
     fn check_master(&mut self, ctx: &mut Ctx<'_, MqMsg>) {
         let op = self.session.request(
             ctx,
@@ -220,11 +212,11 @@ impl Broker {
         if self.flaws.deadlock_on_demotion && !self.pending.is_empty() {
             // rabbitmq #714: the follower thread starts while the leader
             // thread still holds the replication lock.
-            ctx.note("DEADLOCK: demoted with in-flight replication (flaw)".to_string());
+            ctx.note(|| "DEADLOCK: demoted with in-flight replication (flaw)".to_string());
             self.deadlocked = true;
             return;
         }
-        ctx.note("demoted to replica".to_string());
+        ctx.note(|| "demoted to replica".to_string());
         self.is_master = false;
         let pending = std::mem::take(&mut self.pending);
         for (_, p) in pending {
@@ -290,12 +282,10 @@ impl Broker {
                 self.inflight.insert(op, Intent::AcquireMaster);
             }
             (Intent::AcquireMaster, CoordResp::Ok) => {
-                ctx.note("became queue master".to_string());
+                ctx.note(|| "became queue master".to_string());
                 self.is_master = true;
                 self.known_master = Some(self.me);
-                let me = self.me;
-                let peers = self.replicas();
-                ctx.broadcast(&peers, MqMsg::MasterAnnounce { master: me });
+                ctx.broadcast(&self.brokers, MqMsg::MasterAnnounce { master: self.me });
             }
             _ => {}
         }
@@ -312,9 +302,8 @@ impl Broker {
             // local log has the message; replication runs behind.
             ctx.send(from, MqMsg::SendResp { op_id, ok: true });
             let seq = self.next_seq();
-            let peers = self.replicas();
             ctx.broadcast(
-                &peers,
+                &self.brokers,
                 MqMsg::Replicate {
                     seq,
                     queue,
@@ -371,9 +360,8 @@ impl Broker {
                 },
             );
             let seq = self.next_seq();
-            let peers = self.replicas();
             ctx.broadcast(
-                &peers,
+                &self.brokers,
                 MqMsg::Replicate {
                     seq,
                     queue,
@@ -402,7 +390,6 @@ impl Broker {
 
     fn replicate(&mut self, ctx: &mut Ctx<'_, MqMsg>, queue: String, op: QOp, spec: PendingSpec) {
         let seq = self.next_seq();
-        let replicas = self.replicas();
         // Majority quorum: the master's own copy plus `needed` replicas.
         let needed = (self.brokers.len() / 2 + 1).saturating_sub(1).max(1);
         self.pending.insert(
@@ -416,7 +403,7 @@ impl Broker {
                 queue: spec.queue,
             },
         );
-        ctx.broadcast(&replicas, MqMsg::Replicate { seq, queue, op });
+        ctx.broadcast(&self.brokers, MqMsg::Replicate { seq, queue, op });
         if !self.flaws.block_forever_on_replication {
             ctx.set_timer(self.replication_timeout, TAG_REPL + seq);
         }
@@ -508,8 +495,7 @@ impl Node<MqMsg> for Broker {
                         .iter()
                         .map(|(k, q)| (k.clone(), q.iter().copied().collect()))
                         .collect();
-                    let peers = self.replicas();
-                    ctx.broadcast(&peers, MqMsg::QueueSync { queues });
+                    ctx.broadcast(&self.brokers, MqMsg::QueueSync { queues });
                 }
                 ctx.set_timer(100, TAG_TICK);
             }
@@ -535,7 +521,7 @@ impl Node<MqMsg> for Broker {
                         ctx.send(p.client, MqMsg::SendResp { op_id: p.op_id, ok: false });
                     }
                     if self.is_master {
-                        ctx.note("master cannot replicate; releasing mastership".to_string());
+                        ctx.note(|| "master cannot replicate; releasing mastership".to_string());
                         self.is_master = false;
                         self.known_master = None;
                         self.acquire_backoff_until = ctx.now() + 2000;

@@ -264,12 +264,12 @@ mod tests {
     impl simnet::Application for Noter {
         type Msg = ();
         fn on_start(&mut self, ctx: &mut simnet::Ctx<'_, ()>) {
-            ctx.note("boot");
+            ctx.note(|| "boot".to_string());
             ctx.set_timer(10, 0);
         }
         fn on_message(&mut self, _: &mut simnet::Ctx<'_, ()>, _: NodeId, _: ()) {}
         fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, ()>, _: simnet::TimerId, _: u64) {
-            ctx.note("tick");
+            ctx.note(|| "tick".to_string());
         }
     }
 

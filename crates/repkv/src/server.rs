@@ -269,7 +269,7 @@ impl Server {
         self.leader_hint = leader;
         self.votes.clear();
         if was_leader {
-            ctx.note(format!("steps down (term {})", self.term));
+            ctx.note(|| format!("steps down (term {})", self.term));
             self.fail_all_pending(ctx);
             // The tail of an early-acked batch dies with the leadership —
             // the client was already told Ok (the torn-batch flaw).
@@ -297,7 +297,7 @@ impl Server {
         self.voted_in = self.term;
         reset_to(&mut self.votes, self.me);
         self.leader_hint = None;
-        ctx.note(format!("starts election (term {})", self.term));
+        ctx.note(|| format!("starts election (term {})", self.term));
         if self.votes.len() >= self.vote_majority() {
             self.become_leader(ctx);
             return;
@@ -316,7 +316,7 @@ impl Server {
         // valid read lease until the first heartbeat round takes over.
         self.lease_until = ctx.now() + self.lease_duration();
         self.elections_won += 1;
-        ctx.note(format!("becomes leader (term {})", self.term));
+        ctx.note(|| format!("becomes leader (term {})", self.term));
         self.broadcast_heartbeat(ctx);
         self.broadcast_replicate(ctx);
         ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
@@ -519,7 +519,7 @@ impl Server {
                 let mine = self.summary();
                 ctx.send(from, Msg::Heartbeat { summary: mine });
             } else {
-                ctx.note(format!("loses consolidation to {from}"));
+                ctx.note(|| format!("loses consolidation to {from}"));
                 self.become_follower(ctx, summary.term, Some(from));
                 self.last_leader_contact = ctx.now();
                 ctx.send(from, Msg::SyncReq);
@@ -587,7 +587,7 @@ impl Server {
         let granted = !already_voted && self.candidate_acceptable(&summary, from);
         if granted {
             self.voted_in = summary.term;
-            ctx.note(format!("votes for {from} (term {})", summary.term));
+            ctx.note(|| format!("votes for {from} (term {})", summary.term));
             // The paper's arbiter informs the superseded leader (§4.4).
             if self.is_arbiter {
                 if let Some(old) = self.leader_hint.filter(|l| *l != from) {
@@ -709,7 +709,7 @@ impl Server {
         }
         if self.cfg.step_down_on_lost_majority && self.missed_ack_rounds >= self.cfg.step_down_rounds
         {
-            ctx.note("lost majority; stepping down".to_string());
+            ctx.note(|| "lost majority; stepping down".to_string());
             self.become_follower(ctx, self.term, None);
             return;
         }
@@ -810,7 +810,7 @@ impl Node<Msg> for Server {
                 self.role = Role::Follower;
                 self.leader_hint = Some(from);
                 self.last_leader_contact = ctx.now();
-                ctx.note(format!(
+                ctx.note(|| format!(
                     "synced to {from}'s log ({} entries)",
                     self.log.len()
                 ));

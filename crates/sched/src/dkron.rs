@@ -73,7 +73,7 @@ impl Node<DkMsg> for DkNode {
                 }
                 // The job executes locally — the side effect happens NOW.
                 *self.executions.entry(job).or_default() += 1;
-                ctx.note(format!("leader executed job {job}"));
+                ctx.note(|| format!("leader executed job {job}"));
                 if self.flaws.status_requires_peer_ack {
                     let mut others: Vec<NodeId> =
                         self.peers.iter().copied().filter(|&p| p != self.me).collect();
@@ -112,7 +112,7 @@ impl Node<DkMsg> for DkNode {
             if let Some((client, job, _)) = self.pending.remove(&op_id) {
                 // dkron #379: the execution happened, but the user is told
                 // it failed.
-                ctx.note(format!("reporting job {job} as FAILED despite local success"));
+                ctx.note(|| format!("reporting job {job} as FAILED despite local success"));
                 ctx.send(client, DkMsg::JobStatus { op_id, job, ok: false });
             }
         }

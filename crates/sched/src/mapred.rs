@@ -98,7 +98,7 @@ impl Rm {
     fn start_attempt(&mut self, ctx: &mut Ctx<'_, MrMsg>, job: u64, attempt: u32) {
         // Round-robin AppMaster placement.
         let am_node = self.nms[(attempt as usize - 1) % self.nms.len()];
-        ctx.note(format!("RM starts AM attempt {attempt} for job {job} on {am_node}"));
+        ctx.note(|| format!("RM starts AM attempt {attempt} for job {job} on {am_node}"));
         self.jobs.insert(
             job,
             JobState {
@@ -149,7 +149,7 @@ impl Node<MrMsg> for Rm {
                         j.awaiting_check = false;
                         if committed {
                             j.finished = true;
-                            ctx.note(format!(
+                            ctx.note(|| format!(
                                 "RM: job {job} already committed; NOT relaunching"
                             ));
                             None
@@ -180,7 +180,7 @@ impl Node<MrMsg> for Rm {
             .map(|(job, j)| (*job, j.attempt))
             .collect();
         for (job, attempt) in stale {
-            ctx.note(format!("RM: AM attempt {attempt} of job {job} presumed dead"));
+            ctx.note(|| format!("RM: AM attempt {attempt} of job {job} presumed dead"));
             if self.flaws.relaunch_without_checking {
                 self.start_attempt(ctx, job, attempt + 1);
             } else {
@@ -255,7 +255,7 @@ impl Node<MrMsg> for Nm {
         };
         match msg {
             MrMsg::StartAm { job, attempt, tasks } => {
-                ctx.note(format!("AM attempt {attempt} for job {job} starting {tasks} tasks"));
+                ctx.note(|| format!("AM attempt {attempt} for job {job} starting {tasks} tasks"));
                 self.ams.insert(
                     job,
                     AmState {
@@ -288,7 +288,7 @@ impl Node<MrMsg> for Nm {
                     let am = self.ams.get_mut(&job).expect("present"); // lint:allow(unwrap-expect)
                     am.committed = true;
                     let attempt = am.attempt;
-                    ctx.note(format!("AM attempt {attempt} commits job {job} output"));
+                    ctx.note(|| format!("AM attempt {attempt} commits job {job} output"));
                     ctx.send(self.store, MrMsg::CommitOutput { job, attempt });
                     ctx.send(self.client, MrMsg::Result { job, attempt });
                     ctx.send(self.rm, MrMsg::JobDone { job, attempt });
@@ -361,7 +361,7 @@ impl Node<MrMsg> for Store {
         match msg {
             MrMsg::CommitOutput { job, attempt } => {
                 self.outputs.push((job, attempt));
-                ctx.note(format!("store: output of job {job} attempt {attempt} written"));
+                ctx.note(|| format!("store: output of job {job} attempt {attempt} written"));
             }
             MrMsg::CheckDone { job } => {
                 let committed = self.outputs.iter().any(|(j, _)| *j == job);

@@ -1,12 +1,11 @@
 //! A generational arena for event payloads.
 //!
-//! The event queue stores message payloads out-of-line so the ordering
-//! structures (heap keys, wheel entries) stay a few words wide. Payload
-//! slots are recycled through a free list, and every slot carries a
-//! generation counter that is bumped on each vacate — a [`Handle`] is only
-//! valid for the exact insertion that produced it, so a stale handle (a
-//! bug in the queue) is caught at `take` time instead of silently aliasing
-//! a newer payload.
+//! The event queue stores event payloads — messages and timers — out of
+//! line so its heap keys stay three words wide. Payload slots are recycled
+//! through a free list, and every slot carries a generation counter that
+//! is bumped on each vacate — a [`Handle`] is only valid for the exact
+//! insertion that produced it, so a stale handle (a bug in the queue) is
+//! caught when it is redeemed instead of silently aliasing a newer payload.
 //!
 //! Steady state — pending events oscillating below the high-water mark —
 //! allocates nothing: `insert` pops the free list and `take` pushes it.
@@ -76,6 +75,19 @@ impl<T> Arena<T> {
         }
     }
 
+    /// The value behind `handle`, which must not have been taken yet.
+    pub fn get(&self, handle: Handle) -> &T {
+        let slot = &self.slots[handle.index as usize];
+        assert_eq!(
+            slot.generation, handle.generation,
+            "stale arena handle: slot was recycled under it"
+        );
+        slot.value
+            .as_ref()
+            // Invariant: as in `take`.
+            .expect("arena handle addressed an empty slot") // lint:allow(unwrap-expect)
+    }
+
     /// Removes and returns the value behind `handle`.
     ///
     /// Panics when the handle is stale (its slot was vacated, or vacated
@@ -103,6 +115,12 @@ impl<T> Arena<T> {
     /// Number of stored values.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Number of slots ever created, occupied or free.
+    #[cfg(test)]
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -139,6 +157,16 @@ mod tests {
         a.take(h);
         a.insert(2u32); // recycles the slot with a bumped generation
         a.take(h); // stale: must panic, not alias the new payload
+    }
+
+    #[test]
+    #[should_panic(expected = "stale arena handle")]
+    fn reading_through_a_stale_handle_is_caught_too() {
+        let mut a = Arena::with_capacity(0);
+        let h = a.insert(1u32);
+        assert_eq!(*a.get(h), 1);
+        a.take(h);
+        a.get(h);
     }
 
     #[test]

@@ -48,13 +48,12 @@ pub(crate) mod arena;
 pub mod event;
 pub mod net;
 pub mod trace;
-pub(crate) mod wheel;
 pub mod world;
 
 pub use event::{Time, TimerId};
 pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
 pub use trace::{Span, Trace, TraceEvent};
-pub use world::{Application, Ctx, SimError, World, WorldBuilder};
+pub use world::{queue_high_water_during, Application, Ctx, SimError, World, WorldBuilder};
 
 /// Identifier of a simulated node (server, client, or auxiliary service).
 ///

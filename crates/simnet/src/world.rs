@@ -1,10 +1,12 @@
 //! The simulation world: nodes, the event loop, and the external control API.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
+    arena::Handle,
     event::{EventKind, EventQueue, Time, TimerId},
     net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Net},
     trace::{Trace, TraceEvent},
@@ -63,9 +65,10 @@ pub trait Application: 'static {
     }
 }
 
-/// Buffered effect produced by a handler.
-enum Action<M> {
-    Send { to: NodeId, msg: M },
+/// Buffered effect produced by a handler. A send's message is already in
+/// the queue's arena; only its handle waits here for a delivery time.
+enum Action {
+    Send { to: NodeId, handle: Handle },
     SetTimer { id: TimerId, at: Time, tag: u64 },
     CancelTimer(TimerId),
     Note(String),
@@ -77,12 +80,18 @@ enum Action<M> {
 pub struct Ctx<'a, M> {
     id: NodeId,
     now: Time,
+    /// The node's crash epoch, stamped on everything it sends.
+    epoch: u64,
+    /// Whether the world keeps its control-plane log; see [`Ctx::note`].
+    recording: bool,
     rng: &'a mut StdRng,
     next_timer: &'a mut u64,
+    /// Sent messages are written straight into the queue's arena.
+    queue: &'a mut EventQueue<M>,
     /// Borrowed from the world's reusable buffer: handler effects append
     /// here and are drained by `apply_actions`, so the steady-state
     /// delivery path allocates no fresh `Vec` per handler call.
-    actions: &'a mut Vec<Action<M>>,
+    actions: &'a mut Vec<Action>,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -100,7 +109,13 @@ impl<'a, M> Ctx<'a, M> {
     /// rules, and the destination being alive at delivery time. Sending to
     /// self is allowed and goes through the queue like any other message.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        let handle = self.queue.stash(EventKind::Deliver {
+            from: self.id,
+            to,
+            msg,
+            src_epoch: self.epoch,
+        });
+        self.actions.push(Action::Send { to, handle });
     }
 
     /// Sends `msg` to every node in `peers` except self, in list order. The
@@ -140,9 +155,12 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Emits a free-form annotation into the trace (visible in
-    /// [`Trace::summary`]).
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.actions.push(Action::Note(text.into()));
+    /// [`Trace::summary`]). `text` runs only in a world that records its
+    /// trace, so a quiet run never formats a note nobody reads.
+    pub fn note(&mut self, text: impl FnOnce() -> String) {
+        if self.recording {
+            self.actions.push(Action::Note(text()));
+        }
     }
 
     /// Deterministic per-world random number generator.
@@ -187,10 +205,11 @@ impl WorldBuilder {
         }
     }
 
-    /// Pre-sizes the event queue for `cap` concurrently pending events.
+    /// Pre-sizes the event queue — its heap and its payload arena — for
+    /// `cap` concurrently pending events.
     ///
     /// Scenario families pass their historical high-water mark (measured
-    /// via [`World::events_scheduled`]) so repeated arms of a campaign
+    /// via [`World::queue_high_water`]) so repeated arms of a campaign
     /// skip the queue's warm-up reallocations. A hint that is too small
     /// is only a missed optimisation, never a behaviour change — the
     /// capacity is an explicit constant rather than a learned cache so
@@ -253,7 +272,7 @@ impl WorldBuilder {
 /// by test harnesses (the role the NEAT *test engine* plays in the paper).
 pub struct World<A: Application> {
     slots: Vec<Slot<A>>,
-    queue: EventQueue<(A::Msg, u64)>,
+    queue: EventQueue<A::Msg>,
     next_timer: u64,
     now: Time,
     rng: StdRng,
@@ -262,7 +281,7 @@ pub struct World<A: Application> {
     trace: Trace,
     purge_in_flight_on_crash: bool,
     /// Reusable handler-effect buffer; see `with_handler`.
-    action_buf: Vec<Action<A::Msg>>,
+    action_buf: Vec<Action>,
 }
 
 impl<A: Application> World<A> {
@@ -420,60 +439,48 @@ impl<A: Application> World<A> {
         // drained by `apply_actions`, and its capacity survives for the
         // next call.
         let mut actions = std::mem::take(&mut self.action_buf);
+        let slot = &mut self.slots[id.0];
         let mut ctx = Ctx {
             id,
             now: self.now,
+            epoch: slot.epoch,
+            recording: self.trace.recording(),
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
+            queue: &mut self.queue,
             actions: &mut actions,
         };
-        let r = f(&mut self.slots[id.0].app, &mut ctx);
+        let r = f(&mut slot.app, &mut ctx);
         self.apply_actions(id, &mut actions);
         self.action_buf = actions;
         r
     }
 
-    fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<Action<A::Msg>>) {
-        let src_epoch = self.slots[from.0].epoch;
+    /// Applies a handler's effects in the order it produced them. Sends
+    /// get their delivery times here, after the handler returned, so the
+    /// fabric's RNG draws never interleave with the handler's own.
+    fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<Action>) {
+        let epoch = self.slots[from.0].epoch;
         for a in actions.drain(..) {
             match a {
-                Action::Send { to, msg } => {
+                Action::Send { to, handle } => {
                     self.trace.counters.sent += 1;
                     let at = self.net.delivery_time(self.now, from, to, &mut self.rng);
                     // Duplication is drawn once at send time (a duplicate is
                     // never re-duplicated) and the copy gets its own latency
                     // draw, so it can arrive before or after the original.
+                    // It is scheduled first: at equal times the copy fires
+                    // before the original.
                     if self.net.degrade_dup(self.now, from, to, &mut self.rng) {
                         self.trace.counters.duplicated += 1;
                         let at2 = self.net.delivery_time(self.now, from, to, &mut self.rng);
-                        self.queue.push(
-                            at2,
-                            EventKind::Deliver {
-                                from,
-                                to,
-                                msg: (msg.clone(), src_epoch),
-                            },
-                        );
+                        let copy = self.queue.stash_copy(handle);
+                        self.queue.schedule(at2, copy);
                     }
-                    self.queue.push(
-                        at,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            msg: (msg, src_epoch),
-                        },
-                    );
+                    self.queue.schedule(at, handle);
                 }
                 Action::SetTimer { id, at, tag } => {
-                    self.queue.push(
-                        at,
-                        EventKind::Timer {
-                            node: from,
-                            id,
-                            tag,
-                            epoch: src_epoch,
-                        },
-                    );
+                    self.queue.push(at, EventKind::Timer { node: from, id, tag, epoch });
                 }
                 Action::CancelTimer(id) => {
                     self.cancelled.insert(id);
@@ -502,7 +509,7 @@ impl<A: Application> World<A> {
         );
         self.now = ev.time;
         match ev.kind {
-            EventKind::Deliver { from, to, msg: (msg, src_epoch) } => {
+            EventKind::Deliver { from, to, msg, src_epoch } => {
                 self.deliver(from, to, msg, src_epoch);
             }
             EventKind::Timer { node, id, tag, epoch } => {
@@ -589,6 +596,38 @@ impl<A: Application> World<A> {
     pub fn events_scheduled(&self) -> u64 {
         self.queue.scheduled()
     }
+
+    /// The most events that were ever pending at once: the traffic the
+    /// queue's design is fitted to (a few dozen at most on every registry
+    /// arm; `tests/perf_gate.rs` holds that).
+    pub fn queue_high_water(&self) -> usize {
+        self.queue.high_water()
+    }
+}
+
+thread_local! {
+    /// Deepest queue of any world dropped on this thread; see
+    /// [`queue_high_water_during`].
+    static DEEPEST_QUEUE: Cell<usize> = const { Cell::new(0) };
+}
+
+impl<A: Application> Drop for World<A> {
+    fn drop(&mut self) {
+        DEEPEST_QUEUE.set(DEEPEST_QUEUE.get().max(self.queue.high_water()));
+    }
+}
+
+/// Runs `f` and returns, beside its result, the largest
+/// [`World::queue_high_water`] of the worlds dropped on this thread
+/// meanwhile. A scenario builds and drops its world behind a function that
+/// returns only an outcome; this is how a tool reads the counter anyway,
+/// without it entering any outcome (and so any fingerprint).
+pub fn queue_high_water_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let outer = DEEPEST_QUEUE.replace(0);
+    let r = f();
+    let inner = DEEPEST_QUEUE.get();
+    DEEPEST_QUEUE.set(outer.max(inner));
+    (r, inner)
 }
 
 #[cfg(test)]
@@ -655,11 +694,15 @@ mod tests {
         let peers: Vec<NodeId> = peers.iter().copied().map(NodeId).collect();
         let clones = std::rc::Rc::new(std::cell::Cell::new(0));
         let (mut rng, mut next_timer, mut actions) = (StdRng::seed_from_u64(1), 0, Vec::new());
+        let mut queue = EventQueue::new();
         let mut ctx = Ctx {
             id: NodeId(1),
             now: 0,
+            epoch: 0,
+            recording: false,
             rng: &mut rng,
             next_timer: &mut next_timer,
+            queue: &mut queue,
             actions: &mut actions,
         };
         ctx.broadcast(&peers, Counted(clones.clone()));
@@ -907,6 +950,49 @@ mod tests {
         assert_eq!(c.delivered, 2);
         // The reply direction is untouched: replies (odd values get none
         // here) would flow once.
+    }
+
+    #[test]
+    fn a_drawn_duplicate_is_scheduled_before_its_original() {
+        /// A message that knows whether it is a clone.
+        #[derive(Debug)]
+        struct Marked {
+            copy: bool,
+        }
+        impl Clone for Marked {
+            fn clone(&self) -> Self {
+                Marked { copy: true }
+            }
+        }
+        #[derive(Default)]
+        struct Sink(Vec<bool>);
+        impl Application for Sink {
+            type Msg = Marked;
+            fn on_start(&mut self, _: &mut Ctx<'_, Marked>) {}
+            fn on_message(&mut self, _: &mut Ctx<'_, Marked>, _: NodeId, msg: Marked) {
+                self.0.push(msg.copy);
+            }
+            fn on_timer(&mut self, _: &mut Ctx<'_, Marked>, _: TimerId, _: u64) {}
+        }
+        // No jitter: copy and original are due at the same instant, so the
+        // sequence number alone orders them.
+        let mut w = WorldBuilder::new(1)
+            .link(LinkConfig {
+                jitter: 0,
+                ..LinkConfig::default()
+            })
+            .build(2, |_| Sink::default());
+        w.degrade_pairs(
+            crate::net::simplex_pairs(&[NodeId(0)], &[NodeId(1)]),
+            DegradeRule::duplicating(1.0),
+        );
+        w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), Marked { copy: false })).unwrap();
+        assert_eq!(w.pending_events(), 2);
+        assert_eq!(w.events_scheduled(), 2);
+        w.run_until_idle();
+        assert_eq!(w.app(NodeId(1)).0, vec![true, false], "the copy takes the lower seq");
+        let c = w.trace().counters;
+        assert_eq!((c.sent, c.duplicated, c.delivered), (1, 1, 2));
     }
 
     #[test]

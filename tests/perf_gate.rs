@@ -93,24 +93,31 @@ impl Application for Storm {
     }
 }
 
-/// Warm 10k-step ping-pong window; `record` switches the trace on.
-fn delivery_window_allocs(record: bool) -> u64 {
-    // After a short warm-up (arena slots recycled, heap and action buffer
-    // at capacity, link matrix grown), ping-pong delivery must run
-    // allocation-free: pop reuses the arena slot its push freed.
-    let mut w = WorldBuilder::new(1)
-        .record_trace(record)
-        .event_capacity(16)
-        .build(2, |_| Pinger);
-    for _ in 0..100 {
-        w.step();
+/// Steps a world takes before a steady-state window opens. Everything that
+/// grows — the queue's heap and arena, the action buffer — grows with the
+/// number of events pending at once, which both worlds below reach in
+/// their first few steps.
+const WARM_UP_STEPS: usize = 200;
+
+/// Allocations of `steps` steps after the warm-up.
+fn window_allocs<A: Application>(mut w: World<A>, steps: usize) -> u64 {
+    for _ in 0..WARM_UP_STEPS {
+        assert!(w.step(), "the world ran dry during warm-up");
     }
     let (_, allocs) = alloc_counter::count_allocations(|| {
-        for _ in 0..10_000 {
+        for _ in 0..steps {
             w.step();
         }
     });
     allocs
+}
+
+/// Warm 10k-step ping-pong window; `record` switches the trace on.
+fn delivery_window_allocs(record: bool) -> u64 {
+    // Ping-pong delivery must run allocation-free: a send takes the arena
+    // slot the pop before it freed.
+    let w = WorldBuilder::new(1).record_trace(record).event_capacity(16).build(2, |_| Pinger);
+    window_allocs(w, 10_000)
 }
 
 #[test]
@@ -133,35 +140,9 @@ fn recorded_delivery_path_allocates_nothing() {
 
 /// Warm 5k-step timer-storm window; `record` switches the trace on.
 fn timer_window_allocs(record: bool) -> u64 {
-    // Wheel buckets are lazily grown Vecs, so the measured window must
-    // only touch buckets the warm-up already gave capacity. Delays here
-    // are <= 7 ms, which means: level-0 and level-1 slots all recur
-    // within one 4096 ms (level-2) rotation, but each 4096 boundary
-    // crossing parks timers in a *fresh* level-2 bucket. Warm one full
-    // rotation, stop right after a boundary, and keep the window well
-    // short of the next one. Virtual time is a pure function of the
-    // seed, so the window bound below is deterministic, not a timing.
-    let mut w = WorldBuilder::new(1)
-        .record_trace(record)
-        .event_capacity(64)
-        .build(4, |_| Storm);
-    // Three rotations, not one: bucket capacities keep creeping up for a
-    // while because each rotation packs slightly different timer batches
-    // into the same slots.
-    while w.now() < 3 * (1 << 12) {
-        assert!(w.step(), "timer storm ran dry during warm-up");
-    }
-    let (_, allocs) = alloc_counter::count_allocations(|| {
-        for _ in 0..5_000 {
-            w.step();
-        }
-    });
-    assert!(
-        w.now() < 4 * (1 << 12) - 8,
-        "measurement window reached the next level-2 boundary at t={}; shrink it",
-        w.now()
-    );
-    allocs
+    // 32 timers pending at every step: each fire re-arms one.
+    let w = WorldBuilder::new(1).record_trace(record).event_capacity(64).build(4, |_| Storm);
+    window_allocs(w, 5_000)
 }
 
 #[test]
@@ -169,7 +150,7 @@ fn steady_state_timer_path_allocates_nothing() {
     assert_eq!(
         timer_window_allocs(false),
         0,
-        "steady-state timer fire/re-arm allocated: the wheel hot path regressed"
+        "steady-state timer fire/re-arm allocated: the queue hot path regressed"
     );
 }
 
@@ -180,6 +161,58 @@ fn recorded_timer_path_allocates_nothing() {
         0,
         "a recorded world allocated per timer fire: fires are counted, not logged"
     );
+}
+
+/// Every node keeps one heartbeat timer armed and pings its successor on
+/// each beat; the successor answers. The shape of a healthy campaign arm.
+struct Heartbeat;
+impl Application for Heartbeat {
+    /// `true` asks for an answer.
+    type Msg = bool;
+    fn on_start(&mut self, ctx: &mut Ctx<'_, bool>) {
+        ctx.set_timer(10 + ctx.id().0 as u64, 0);
+    }
+    fn on_message(&mut self, ctx: &mut Ctx<'_, bool>, from: NodeId, ping: bool) {
+        if ping {
+            ctx.send(from, false);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, bool>, _: TimerId, _: u64) {
+        ctx.send(NodeId((ctx.id().0 + 1) % 5), true);
+        ctx.set_timer(10, 0);
+    }
+}
+
+#[test]
+fn a_fresh_world_stops_allocating_within_its_first_64_events() {
+    // No `event_capacity` hint and no long warm-up: a world as short-lived
+    // as an exploration trial (a few hundred events) must reach the state
+    // the steady-state gates pin almost at once, or they pin a state no
+    // real run is ever in.
+    let mut w = WorldBuilder::new(1).build(5, |_| Heartbeat);
+    for _ in 0..64 {
+        assert!(w.step());
+    }
+    let (_, allocs) = alloc_counter::count_allocations(|| {
+        for _ in 0..2_000 {
+            w.step();
+        }
+    });
+    assert_eq!(allocs, 0, "the queue still grew after a fresh world's first 64 events");
+    assert!(w.queue_high_water() <= 10, "{} events pending at once", w.queue_high_water());
+}
+
+#[test]
+fn no_arm_ever_has_more_than_64_events_pending() {
+    // The traffic the one-heap queue is fitted to, as a checked fact: at
+    // seed 8 the deepest queue of any arm is 31 events. A family that
+    // outgrows this by an order of magnitude should reopen the choice.
+    let deep: Vec<String> = bench::perf_bench::arm_costs(8)
+        .iter()
+        .filter(|c| c.qmax > 64)
+        .map(|c| format!("{} {}", c.arm, c.qmax))
+        .collect();
+    assert!(deep.is_empty(), "arms with more than 64 events pending (arm qmax):\n{}", deep.join("\n"));
 }
 
 /// Twelve gossiping nodes: each keeps one 4 ms timer armed and every firing
@@ -243,13 +276,10 @@ fn install_sixteen_rules(w: &mut World<Gossip>) {
 fn delivery_under_sixteen_live_rules_allocates_nothing() {
     // Rules are compiled into the per-link state when they are installed;
     // a message reads that state and must not allocate, however many rules
-    // cover its link. Warm-up and window follow `timer_window_allocs`: the
-    // twelve timers re-arm at a fixed 4 ms, so one level-2 wheel rotation
-    // brings every level-1 bucket to its capacity, and the window ends well
-    // before the next 4096 ms boundary parks them in a fresh level-2 bucket.
+    // cover its link.
     let mut w = gossip_world();
     install_sixteen_rules(&mut w);
-    while w.now() < 1 << 12 {
+    for _ in 0..WARM_UP_STEPS {
         assert!(w.step(), "gossip ran dry during warm-up");
     }
     let before = w.trace().counters;
@@ -258,7 +288,6 @@ fn delivery_under_sixteen_live_rules_allocates_nothing() {
             w.step();
         }
     });
-    assert!(w.now() < 2 * (1 << 12) - 64, "window reached t={}; shrink it", w.now());
     let c = w.trace().counters;
     assert!(
         c.dropped_partition > before.dropped_partition
@@ -311,17 +340,18 @@ fn campaign_allocs(mode: RunMode) -> u64 {
 
 #[test]
 fn a_quiet_campaign_allocates_no_more_than_when_repkv_stopped_copying_its_log() {
-    // 42,000 is the Quick-mode total of the 93 arms (41,571), rounded up to
-    // the next thousand, at the PR that made repkv ship its log by reference
-    // and apply it incrementally; re-copying the log per message had it at
-    // 146,233. Debug builds, which tier-1 runs, pay for the replay that
+    // 25,000 is the Quick-mode total of the 93 arms (24,484), rounded up to
+    // the next thousand, at the PR that replaced the timer wheel with one
+    // heap, wrote each message into the queue once and stopped formatting
+    // notes nobody records. Sharing repkv's log had brought it from 146,233
+    // to 41,571. Debug builds, which tier-1 runs, pay for the replay that
     // `rebuild_kv`'s debug assertion compares against: a release build
-    // takes 40,300.
+    // takes 23,213.
     let quick = campaign_allocs(RunMode::Quick);
     assert!(
-        quick <= 42_000,
-        "Quick-mode arms allocated {quick} times at seed 8, more than the 42,000 \
-         they take with the log shared"
+        quick <= 25_000,
+        "Quick-mode arms allocated {quick} times at seed 8, more than the 25,000 \
+         they take with one heap and payloads written once"
     );
 }
 
@@ -381,14 +411,16 @@ fn a_write_costs_the_same_however_long_the_log_is() {
 }
 
 #[test]
-fn recording_costs_at_most_a_quarter_more_allocations_than_a_quiet_campaign() {
+fn recording_adds_at_most_ten_thousand_allocations_to_a_quiet_campaign() {
     // What recording still allocates is what its readers read: the obs
-    // timeline, the control-plane log and the note strings (1.06x at seed
-    // 8). Rendering every message into the trace put this ratio at 2.43.
+    // timeline, the control-plane log and the note strings — 9,701 over the
+    // 93 arms at seed 8, about a hundred an arm. Rendering every message
+    // into the trace added some 60,000. A difference, not a ratio: making
+    // the quiet run cheaper must not fail the gate on recording.
     let (quick, hash) = (campaign_allocs(RunMode::Quick), campaign_allocs(RunMode::Hash));
     assert!(
-        hash * 4 <= quick * 5,
-        "Hash-mode arms allocated {hash} times against {quick} in Quick mode (> 1.25x)"
+        hash <= quick + 10_000,
+        "Hash-mode arms allocated {hash} times against {quick} in Quick mode (> 10,000 more)"
     );
 }
 
