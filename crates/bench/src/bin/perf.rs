@@ -10,10 +10,11 @@
 //! ```
 //!
 //! `--arms` writes nothing: it prints each arm's Quick-mode events,
-//! allocations, allocations per event and deepest event queue (`qmax`) at
-//! the seed (default 8), most allocations first — the table that names an
-//! arm paying more per event than its peers, and shows how few events a
-//! world ever has pending.
+//! allocations, allocations per event, deepest event queue (`qmax`) and
+//! events scheduled beyond the queue's window (`far`) at the seed (default
+//! 8), most allocations first — the table that names an arm paying more per
+//! event than its peers, and shows how few events a world ever has pending
+//! and how few of them are due far ahead.
 
 use std::io::Write;
 use std::process::ExitCode;

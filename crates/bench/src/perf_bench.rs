@@ -67,8 +67,10 @@ pub struct ArmCost {
     /// Deliveries plus timer fires (`events_simulated`, always counted).
     pub events: u64,
     pub allocations: u64,
-    /// The most events any of the arm's worlds ever had pending at once.
-    pub qmax: usize,
+    /// The arm's worlds' event queues, merged: `high_water` is the most
+    /// events any of them ever had pending at once (`qmax`), `far` how many
+    /// were scheduled beyond the queue's window.
+    pub queue: simnet::QueueStats,
 }
 
 /// Every registry arm's cost, most allocations first (ties keep registry
@@ -78,14 +80,14 @@ pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
     let mut costs: Vec<ArmCost> = campaign::arm_ids()
         .iter()
         .map(|arm| {
-            let ((run, allocations), qmax) = simnet::queue_high_water_during(|| {
+            let ((run, allocations), queue) = simnet::queue_stats_during(|| {
                 alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Quick))
             });
             ArmCost {
                 arm: arm.name.clone(),
                 events: run.timeline.counters.events_simulated,
                 allocations,
-                qmax,
+                queue,
             }
         })
         .collect();
@@ -95,22 +97,23 @@ pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
 
 /// The `perf --arms` table: one row per arm, then the total.
 pub fn render_arm_costs(costs: &[ArmCost]) -> String {
-    let total = ArmCost {
+    let mut total = ArmCost {
         arm: format!("total ({} arms)", costs.len()),
         events: costs.iter().map(|c| c.events).sum(),
         allocations: costs.iter().map(|c| c.allocations).sum(),
-        qmax: costs.iter().map(|c| c.qmax).max().unwrap_or(0),
+        queue: simnet::QueueStats::default(),
     };
+    costs.iter().for_each(|c| total.queue.merge(c.queue));
     let mut out = format!(
-        "{:<50} {:>7} {:>11} {:>17} {:>5}\n",
-        "arm", "events", "allocations", "allocations/event", "qmax"
+        "{:<50} {:>7} {:>11} {:>17} {:>5} {:>5}\n",
+        "arm", "events", "allocations", "allocations/event", "qmax", "far"
     );
     for c in costs.iter().chain([&total]) {
         let per_event = c.allocations as f64 / c.events.max(1) as f64;
         let _ = writeln!(
             out,
-            "{:<50} {:>7} {:>11} {:>17.2} {:>5}",
-            c.arm, c.events, c.allocations, per_event, c.qmax
+            "{:<50} {:>7} {:>11} {:>17.2} {:>5} {:>5}",
+            c.arm, c.events, c.allocations, per_event, c.queue.high_water, c.queue.far
         );
     }
     out

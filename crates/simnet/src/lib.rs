@@ -44,16 +44,15 @@
 //! assert_eq!(world.app(NodeId(1)).got, Some(NodeId(0)));
 //! ```
 
-pub(crate) mod arena;
 pub mod event;
 pub mod net;
 pub mod trace;
 pub mod world;
 
-pub use event::{Time, TimerId};
+pub use event::{QueueStats, Time, TimerId};
 pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
 pub use trace::{Span, Trace, TraceEvent};
-pub use world::{queue_high_water_during, Application, Ctx, SimError, World, WorldBuilder};
+pub use world::{queue_stats_during, Application, Ctx, SimError, World, WorldBuilder};
 
 /// Identifier of a simulated node (server, client, or auxiliary service).
 ///

@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
-    arena::Handle,
-    event::{EventKind, EventQueue, Time, TimerId},
+    event::{EventKind, EventQueue, Handle, QueueStats, Time, TimerId},
     net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Net},
     trace::{Trace, TraceEvent},
     NodeId,
@@ -66,11 +65,10 @@ pub trait Application: 'static {
 }
 
 /// Buffered effect produced by a handler. A send's message is already in
-/// the queue's arena; only its handle waits here for a delivery time.
+/// the queue's slab; only its handle waits here for a delivery time.
 enum Action {
     Send { to: NodeId, handle: Handle },
     SetTimer { id: TimerId, at: Time, tag: u64 },
-    CancelTimer(TimerId),
     Note(String),
 }
 
@@ -86,7 +84,7 @@ pub struct Ctx<'a, M> {
     recording: bool,
     rng: &'a mut StdRng,
     next_timer: &'a mut u64,
-    /// Sent messages are written straight into the queue's arena.
+    /// Sent messages are written straight into the queue's slab.
     queue: &'a mut EventQueue<M>,
     /// Borrowed from the world's reusable buffer: handler effects append
     /// here and are drained by `apply_actions`, so the steady-state
@@ -148,12 +146,6 @@ impl<'a, M> Ctx<'a, M> {
         id
     }
 
-    /// Cancels a pending timer. Cancelling a fired or unknown timer is a
-    /// no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push(Action::CancelTimer(id));
-    }
-
     /// Emits a free-form annotation into the trace (visible in
     /// [`Trace::summary`]). `text` runs only in a world that records its
     /// trace, so a quiet run never formats a note nobody reads.
@@ -205,11 +197,12 @@ impl WorldBuilder {
         }
     }
 
-    /// Pre-sizes the event queue — its heap and its payload arena — for
-    /// `cap` concurrently pending events.
+    /// Pre-sizes the event queue — its payload slab and its far heap — for
+    /// `cap` concurrently pending events. The ring of buckets in front of
+    /// the heap is part of the queue itself and needs no sizing.
     ///
     /// Scenario families pass their historical high-water mark (measured
-    /// via [`World::queue_high_water`]) so repeated arms of a campaign
+    /// via [`World::queue_stats`]) so repeated arms of a campaign
     /// skip the queue's warm-up reallocations. A hint that is too small
     /// is only a missed optimisation, never a behaviour change — the
     /// capacity is an explicit constant rather than a learned cache so
@@ -256,7 +249,6 @@ impl WorldBuilder {
             now: 0,
             rng: StdRng::seed_from_u64(self.seed),
             net: Net::new(self.link, n),
-            cancelled: BTreeSet::new(),
             trace: Trace::new(self.record_trace),
             purge_in_flight_on_crash: self.purge_in_flight_on_crash,
             action_buf: Vec::new(),
@@ -277,7 +269,6 @@ pub struct World<A: Application> {
     now: Time,
     rng: StdRng,
     net: Net,
-    cancelled: BTreeSet<TimerId>,
     trace: Trace,
     purge_in_flight_on_crash: bool,
     /// Reusable handler-effect buffer; see `with_handler`.
@@ -482,9 +473,6 @@ impl<A: Application> World<A> {
                 Action::SetTimer { id, at, tag } => {
                     self.queue.push(at, EventKind::Timer { node: from, id, tag, epoch });
                 }
-                Action::CancelTimer(id) => {
-                    self.cancelled.insert(id);
-                }
                 Action::Note(text) => {
                     self.trace.push(TraceEvent::Note {
                         at: self.now,
@@ -504,7 +492,7 @@ impl<A: Application> World<A> {
         };
         debug_assert!(ev.time >= self.now, "event queue went backwards");
         debug_assert!(
-            ev.seq < self.queue.scheduled(),
+            ev.seq < self.queue.stats().scheduled,
             "popped a sequence number that was never issued"
         );
         self.now = ev.time;
@@ -513,9 +501,6 @@ impl<A: Application> World<A> {
                 self.deliver(from, to, msg, src_epoch);
             }
             EventKind::Timer { node, id, tag, epoch } => {
-                if self.cancelled.remove(&id) {
-                    return true;
-                }
                 let slot = &self.slots[node.0];
                 if !slot.alive || slot.epoch != epoch {
                     return true;
@@ -590,43 +575,45 @@ impl<A: Application> World<A> {
         self.queue.len()
     }
 
-    /// Total events ever scheduled on this world (deliveries including
-    /// later drops and duplicates, plus timers) — a deterministic volume
-    /// proxy for perf gating.
-    pub fn events_scheduled(&self) -> u64 {
-        self.queue.scheduled()
-    }
-
-    /// The most events that were ever pending at once: the traffic the
-    /// queue's design is fitted to (a few dozen at most on every registry
-    /// arm; `tests/perf_gate.rs` holds that).
-    pub fn queue_high_water(&self) -> usize {
-        self.queue.high_water()
+    /// The traffic the queue's design is fitted to: the most events ever
+    /// pending at once (a few dozen at most on every registry arm), the
+    /// events ever scheduled (deliveries including later drops and
+    /// duplicates, plus timers — a deterministic volume proxy) and how many
+    /// of those were due beyond its window (`tests/perf_gate.rs` holds the
+    /// depth and the window share).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 }
 
 thread_local! {
-    /// Deepest queue of any world dropped on this thread; see
-    /// [`queue_high_water_during`].
-    static DEEPEST_QUEUE: Cell<usize> = const { Cell::new(0) };
+    /// The queue stats of every world dropped on this thread, merged; see
+    /// [`queue_stats_during`].
+    static DROPPED_QUEUES: Cell<QueueStats> = const {
+        Cell::new(QueueStats { high_water: 0, scheduled: 0, far: 0 })
+    };
 }
 
 impl<A: Application> Drop for World<A> {
     fn drop(&mut self) {
-        DEEPEST_QUEUE.set(DEEPEST_QUEUE.get().max(self.queue.high_water()));
+        let mut all = DROPPED_QUEUES.get();
+        all.merge(self.queue.stats());
+        DROPPED_QUEUES.set(all);
     }
 }
 
-/// Runs `f` and returns, beside its result, the largest
-/// [`World::queue_high_water`] of the worlds dropped on this thread
-/// meanwhile. A scenario builds and drops its world behind a function that
-/// returns only an outcome; this is how a tool reads the counter anyway,
-/// without it entering any outcome (and so any fingerprint).
-pub fn queue_high_water_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let outer = DEEPEST_QUEUE.replace(0);
+/// Runs `f` and returns, beside its result, the [`World::queue_stats`] of
+/// the worlds dropped on this thread meanwhile, merged: the deepest queue
+/// and the summed counts. A scenario builds and drops its world behind a
+/// function that returns only an outcome; this is how a tool reads the
+/// counters anyway, without them entering any outcome (and so any
+/// fingerprint).
+pub fn queue_stats_during<R>(f: impl FnOnce() -> R) -> (R, QueueStats) {
+    let mut outer = DROPPED_QUEUES.take();
     let r = f();
-    let inner = DEEPEST_QUEUE.get();
-    DEEPEST_QUEUE.set(outer.max(inner));
+    let inner = DROPPED_QUEUES.get();
+    outer.merge(inner);
+    DROPPED_QUEUES.set(outer);
     (r, inner)
 }
 
@@ -838,27 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_timer_prevents_fire() {
-        struct Canceller {
-            fired: bool,
-        }
-        impl Application for Canceller {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
-                let id = ctx.set_timer(10, 0);
-                ctx.cancel_timer(id);
-            }
-            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: TimerId, _: u64) {
-                self.fired = true;
-            }
-        }
-        let mut w = WorldBuilder::new(1).build(1, |_| Canceller { fired: false });
-        w.run_for(100);
-        assert!(!w.app(NodeId(0)).fired);
-    }
-
-    #[test]
     fn run_until_advances_clock_past_last_event() {
         let mut w = two_nodes();
         w.run_until(500);
@@ -988,7 +954,7 @@ mod tests {
         );
         w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), Marked { copy: false })).unwrap();
         assert_eq!(w.pending_events(), 2);
-        assert_eq!(w.events_scheduled(), 2);
+        assert_eq!(w.queue_stats().scheduled, 2);
         w.run_until_idle();
         assert_eq!(w.app(NodeId(1)).0, vec![true, false], "the copy takes the lower seq");
         let c = w.trace().counters;
