@@ -33,6 +33,7 @@ pub trait SeedableRng: Sized {
 pub trait Rng: RngCore {
     /// Uniform draw from a range, e.g. `rng.gen_range(0..n)` or
     /// `rng.gen_range(0..=max)`. Panics on an empty range.
+    #[inline]
     fn gen_range<T, R>(&mut self, range: R) -> T
     where
         R: SampleRange<T>,
@@ -63,16 +64,22 @@ pub trait SampleRange<T> {
 }
 
 /// Uniform `u64` in `[0, span)` by rejection sampling (no modulo bias).
+///
+/// A draw `v` is accepted when it lies below the largest multiple of `span`
+/// a `u64` holds, `(MAX / span) * span` — which is exactly when the multiple
+/// after `v`'s own, `v - v % span + span`, does not overflow. Testing that
+/// costs one division per draw instead of two and accepts the same draws.
+#[inline]
 pub(crate) fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span >= 1);
     if span.is_power_of_two() {
         return rng.next_u64() & (span - 1);
     }
-    let zone = (u64::MAX / span) * span;
     loop {
         let v = rng.next_u64();
-        if v < zone {
-            return v % span;
+        let r = v % span;
+        if (v - r).checked_add(span).is_some() {
+            return r;
         }
     }
 }
@@ -89,6 +96,7 @@ pub trait SampleUniform: Copy + PartialOrd {
 macro_rules! impl_sample_uniform {
     ($($t:ty => $u:ty),* $(,)?) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample_between<R: RngCore + ?Sized>(
                 rng: &mut R,
                 lo: $t,
@@ -118,12 +126,14 @@ impl_sample_uniform!(
 );
 
 impl<T: SampleUniform> SampleRange<T> for core::ops::Range<T> {
+    #[inline]
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         T::sample_between(rng, self.start, self.end, false)
     }
 }
 
 impl<T: SampleUniform> SampleRange<T> for core::ops::RangeInclusive<T> {
+    #[inline]
     fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> T {
         let (lo, hi) = self.into_inner();
         T::sample_between(rng, lo, hi, true)
@@ -187,5 +197,66 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let heads = (0..10_000).filter(|_| rng.gen_bool(0.5)).count();
         assert!((4500..5500).contains(&heads), "heads = {heads}");
+    }
+
+    /// The two-division rejection sampler `uniform_u64` replaced: the
+    /// acceptance zone computed up front, then one `%` per accepted draw.
+    fn uniform_u64_two_divisions<R: RngCore>(rng: &mut R, span: u64) -> u64 {
+        if span.is_power_of_two() {
+            return rng.next_u64() & (span - 1);
+        }
+        let zone = (u64::MAX / span) * span;
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % span;
+            }
+        }
+    }
+
+    /// A generator that counts the `next_u64` calls made of it.
+    struct Counting(StdRng, u64);
+
+    impl RngCore for Counting {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.next_u64()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Spans on the edges of the rejection zone: 1, 2^k ± 1 (2^63 + 1 and
+    /// 2^64 - 1 included, the first rejecting almost half of all draws),
+    /// `u64::MAX - 1`, and arbitrary small and large spans.
+    fn edge_span() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(1u64),
+            (1u32..64).prop_map(|k| (1u64 << k) - 1),
+            (1u32..64).prop_map(|k| (1u64 << k) + 1),
+            Just(u64::MAX),
+            Just(u64::MAX - 1),
+            1u64..1000,
+            1u64..=u64::MAX,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_division_draws_equal_the_two_division_reference(
+            seed in 0u64..=u64::MAX,
+            spans in proptest::collection::vec(edge_span(), 1..32),
+        ) {
+            let mut fast = Counting(StdRng::seed_from_u64(seed), 0);
+            let mut slow = Counting(StdRng::seed_from_u64(seed), 0);
+            for &span in &spans {
+                let v = uniform_u64(&mut fast, span);
+                prop_assert_eq!(v, uniform_u64_two_divisions(&mut slow, span), "span {}", span);
+                prop_assert!(v < span, "{} outside [0, {})", v, span);
+                prop_assert_eq!(fast.1, slow.1, "draws consumed, span {}", span);
+            }
+        }
     }
 }

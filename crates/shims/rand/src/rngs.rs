@@ -36,6 +36,7 @@ impl SeedableRng for StdRng {
 }
 
 impl RngCore for StdRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])

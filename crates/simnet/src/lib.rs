@@ -51,7 +51,7 @@ pub mod world;
 
 pub use event::{QueueStats, Time, TimerId};
 pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
-pub use trace::{Span, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};
 pub use world::{queue_stats_during, Application, Ctx, SimError, World, WorldBuilder};
 
 /// Identifier of a simulated node (server, client, or auxiliary service).

@@ -27,11 +27,14 @@
 //! the partitioner pays for a partition when it installs its drop rules and
 //! not once per packet per rule. Install adds a rule's pairs to a dense
 //! per-link matrix — a block refcount and the covering degrade rules, in id
-//! order, beside the link's FIFO clock — and heal takes them out again, so
-//! every per-message question (blocked? degraded? which rules draw, in which
-//! order?) is one index whatever the number of rules. The per-rule pair
-//! sets are kept only to say which pairs an id owns: heal walks them, and
-//! the rule counts count them.
+//! order, beside the link's FIFO clock — and heal takes them out again. A
+//! message asks its link twice, one index each whatever the number of
+//! rules: at send, when it arrives and whether it is duplicated; at
+//! delivery, whether it is lost and why. Each link also keeps one flag per
+//! degrade pass — some covering rule delays, duplicates, drops — so a pass
+//! no covering rule needs is skipped. The per-rule pair sets are kept only
+//! to say which pairs an id owns: heal walks them, and the rule counts
+//! count them.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -114,6 +117,7 @@ impl DegradeRule {
     }
 
     /// Whether the rule applies at virtual time `now` (flap phase check).
+    #[inline]
     pub fn active_at(&self, now: Time) -> bool {
         self.flap_period == 0 || (now / self.flap_period) % 2 == 0
     }
@@ -152,9 +156,34 @@ impl Default for LinkConfig {
     }
 }
 
+impl LinkConfig {
+    /// `now` plus the base latency and a jitter draw (none at zero jitter).
+    #[inline]
+    fn base_arrival(&self, now: Time, rng: &mut StdRng) -> Time {
+        let jitter = if self.jitter == 0 {
+            0
+        } else {
+            rng.gen_range(0..=self.jitter)
+        };
+        now + self.base_latency + jitter
+    }
+}
+
+/// Why the fabric lost a delivery; each cause has its own counter.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Loss {
+    /// A block rule covers the pair.
+    Partition,
+    /// The global background loss of [`LinkConfig::drop_probability`].
+    Flaky,
+    /// An active degrade rule drew the loss.
+    Degraded,
+}
+
 /// What the fabric keeps per directed link. Block and degrade rules are
 /// compiled into it when they are installed and taken out when they are
-/// healed, so every per-message question is one index into `Net::links`.
+/// healed, so a message indexes `Net::links` once at send and once at
+/// delivery.
 #[derive(Debug, Default)]
 struct Link {
     /// Last scheduled delivery time, for FIFO enforcement.
@@ -164,14 +193,68 @@ struct Link {
     /// Installed degrade rules covering this pair, in rule-id order (ids
     /// are monotonic, so install appends): the order they draw in.
     degrades: Vec<(DegradeRuleId, DegradeRule)>,
+    /// Whether some covering rule adds latency or jitter, duplicates, or
+    /// loses messages: one flag per degrade pass, recomputed by `compile`
+    /// whenever `degrades` changes. A pass whose flag is clear would add
+    /// nothing and draw nothing, so it is skipped.
+    delays: bool,
+    dups: bool,
+    drops: bool,
 }
 
 impl Link {
     /// Degrade rules covering this link that apply at `now`, in id order.
+    #[inline]
     fn active_degrades(&self, now: Time) -> impl Iterator<Item = &DegradeRule> {
         self.degrades
             .iter()
             .filter_map(move |(_, rule)| rule.active_at(now).then_some(rule))
+    }
+
+    /// Recomputes the pass flags from the covering rules.
+    fn compile(&mut self) {
+        let any = |f: fn(&DegradeRule) -> bool| self.degrades.iter().any(|(_, r)| f(r));
+        (self.delays, self.dups, self.drops) = (
+            any(|r| r.extra_latency > 0 || r.jitter > 0),
+            any(|r| r.dup_probability > 0.0),
+            any(|r| r.loss > 0.0),
+        );
+    }
+
+    /// The delivery time of a message sent at `now`: base latency and
+    /// jitter, the extra delay of the active covering rules in id order
+    /// (zero-jitter rules draw nothing), then the FIFO clock.
+    #[inline]
+    fn arrival(&mut self, config: &LinkConfig, now: Time, rng: &mut StdRng) -> Time {
+        let mut at = config.base_arrival(now, rng);
+        if self.delays {
+            for rule in self.active_degrades(now) {
+                at += rule.extra_latency;
+                if rule.jitter > 0 {
+                    at += rng.gen_range(0..=rule.jitter);
+                }
+            }
+        }
+        if config.fifo {
+            at = at.max(self.last);
+            self.last = at;
+        }
+        at
+    }
+
+    /// Whether an active rule hits a message at `now`: every active rule
+    /// whose `probability` is non-zero draws once, in id order, even after
+    /// an earlier one hit.
+    #[inline]
+    fn draw(&self, now: Time, rng: &mut StdRng, probability: impl Fn(&DegradeRule) -> f64) -> bool {
+        let mut hit = false;
+        for rule in self.active_degrades(now) {
+            let p = probability(rule);
+            if p > 0.0 && rng.gen_bool(p.min(1.0)) {
+                hit = true;
+            }
+        }
+        hit
     }
 }
 
@@ -215,6 +298,7 @@ impl Net {
     /// Index of `src → dst` in `links`. A pair naming a node the world does
     /// not have has no link and can never carry traffic: a rule keeps it
     /// (it counts in the rule's size), the matrix skips it.
+    #[inline]
     fn index(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         (src.0 < self.nodes && dst.0 < self.nodes).then(|| src.0 * self.nodes + dst.0)
     }
@@ -266,7 +350,10 @@ impl Net {
     ) -> DegradeRuleId {
         let id = DegradeRuleId(self.next_degrade);
         self.next_degrade += 1;
-        self.update_links(&pairs, |link| link.degrades.push((id, rule)));
+        self.update_links(&pairs, |link| {
+            link.degrades.push((id, rule));
+            link.compile();
+        });
         self.degrades.insert(id, pairs);
         id
     }
@@ -278,7 +365,10 @@ impl Net {
         let Some(pairs) = self.degrades.remove(&id) else {
             return false;
         };
-        self.update_links(&pairs, |link| link.degrades.retain(|&(owner, _)| owner != id));
+        self.update_links(&pairs, |link| {
+            link.degrades.retain(|&(owner, _)| owner != id);
+            link.compile();
+        });
         true
     }
 
@@ -294,88 +384,52 @@ impl Net {
         self.degrades.len()
     }
 
-    /// Degrade rules covering `src → dst` that apply at `now`, in id order.
-    fn active_degrades(
-        &self,
-        now: Time,
-        src: NodeId,
-        dst: NodeId,
-    ) -> impl Iterator<Item = &DegradeRule> {
-        self.index(src, dst)
-            .into_iter()
-            .flat_map(move |i| self.links[i].active_degrades(now))
-    }
-
-    /// Draws whether a message is lost to link flakiness.
-    pub(crate) fn flaky_drop(&self, rng: &mut StdRng) -> bool {
-        self.config.drop_probability > 0.0 && rng.gen_bool(self.config.drop_probability.min(1.0))
-    }
-
-    /// Draws whether a message on `src → dst` is lost to an active degrade
-    /// rule. Every active lossy rule draws once; zero-loss rules draw
-    /// nothing.
-    pub(crate) fn degrade_drop(
-        &self,
+    /// Routes a message sent at `now` on `src → dst`: its delivery time and,
+    /// when an active covering rule duplicates it, the copy's. The draws
+    /// come in one fixed order — the original's latency, every duplication
+    /// draw, then the copy's own latency (a copy is never re-duplicated) —
+    /// and both times go through the link's FIFO clock. A pair naming a
+    /// node the world does not have has no link: base latency and jitter
+    /// only.
+    #[inline]
+    pub(crate) fn route(
+        &mut self,
         now: Time,
         src: NodeId,
         dst: NodeId,
         rng: &mut StdRng,
-    ) -> bool {
-        let mut dropped = false;
-        for rule in self.active_degrades(now, src, dst) {
-            if rule.loss > 0.0 && rng.gen_bool(rule.loss.min(1.0)) {
-                dropped = true;
-            }
-        }
-        dropped
-    }
-
-    /// Draws whether a message on `src → dst` is duplicated by an active
-    /// degrade rule. Zero-probability rules draw nothing.
-    pub(crate) fn degrade_dup(
-        &self,
-        now: Time,
-        src: NodeId,
-        dst: NodeId,
-        rng: &mut StdRng,
-    ) -> bool {
-        let mut dup = false;
-        for rule in self.active_degrades(now, src, dst) {
-            if rule.dup_probability > 0.0 && rng.gen_bool(rule.dup_probability.min(1.0)) {
-                dup = true;
-            }
-        }
-        dup
-    }
-
-    /// Computes the delivery time for a message sent now on `src → dst`:
-    /// base latency and jitter, the extra delay of the active degrade rules
-    /// covering the link (zero-jitter rules draw nothing from the RNG), and
-    /// the link's FIFO clock.
-    pub(crate) fn delivery_time(&mut self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> Time {
-        let jitter = if self.config.jitter == 0 {
-            0
-        } else {
-            rng.gen_range(0..=self.config.jitter)
-        };
-        let mut at = now + self.config.base_latency + jitter;
+    ) -> (Time, Option<Time>) {
         let Some(i) = self.index(src, dst) else {
-            return at;
+            return (self.config.base_arrival(now, rng), None);
         };
-        let link = &mut self.links[i];
-        for rule in link.active_degrades(now) {
-            at += rule.extra_latency;
-            if rule.jitter > 0 {
-                at += rng.gen_range(0..=rule.jitter);
-            }
+        let (config, link) = (&self.config, &mut self.links[i]);
+        let at = link.arrival(config, now, rng);
+        let copy = link.dups && link.draw(now, rng, |r| r.dup_probability);
+        (at, copy.then(|| link.arrival(config, now, rng)))
+    }
+
+    /// Whether a message delivered at `now` on `src → dst` is lost, and
+    /// why: a block rule (no draw), else the global flaky-link draw, else
+    /// one draw per active lossy degrade rule.
+    #[inline]
+    pub(crate) fn admit(
+        &self,
+        now: Time,
+        src: NodeId,
+        dst: NodeId,
+        rng: &mut StdRng,
+    ) -> Option<Loss> {
+        let link = self.index(src, dst).map(|i| &self.links[i]);
+        let drop_p = self.config.drop_probability;
+        if link.is_some_and(|l| l.blocked > 0) {
+            Some(Loss::Partition)
+        } else if drop_p > 0.0 && rng.gen_bool(drop_p.min(1.0)) {
+            Some(Loss::Flaky)
+        } else if link.is_some_and(|l| l.drops && l.draw(now, rng, |r| r.loss)) {
+            Some(Loss::Degraded)
+        } else {
+            None
         }
-        if self.config.fifo {
-            if at < link.last {
-                at = link.last;
-            }
-            link.last = at;
-        }
-        at
     }
 
     /// Renders the connectivity matrix as a string of `1`/`0`/`~` rows, used
@@ -438,7 +492,7 @@ pub fn simplex_pairs(src: &[NodeId], dst: &[NodeId]) -> BTreeSet<(NodeId, NodeId
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ids(v: &[usize]) -> Vec<NodeId> {
         v.iter().copied().map(NodeId).collect()
@@ -503,9 +557,14 @@ mod tests {
         for (src, dst) in [(NodeId(0), ghost), (ghost, NodeId(0)), (ghost, ghost)] {
             assert!(!net.is_blocked(src, dst) && !net.is_degraded(src, dst));
         }
-        // No link, so no degrade delay and no FIFO clock either.
+        // No link, so no degrade delay, no duplicate, no loss and no FIFO
+        // clock either.
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(net.delivery_time(0, NodeId(0), ghost, &mut rng) <= 2);
+        assert!(matches!(
+            net.route(0, NodeId(0), ghost, &mut rng),
+            (0..=2, None)
+        ));
+        assert_eq!(net.admit(0, ghost, NodeId(0), &mut rng), None);
         assert_eq!(net.connectivity_matrix(8).lines().count(), 8);
         assert!(net.unblock(r) && net.undegrade(d));
         assert!(!net.is_blocked(NodeId(0), NodeId(1)) && !net.is_degraded(NodeId(0), NodeId(1)));
@@ -528,7 +587,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev = 0;
         for now in 0..50 {
-            let at = net.delivery_time(now, NodeId(0), NodeId(1), &mut rng);
+            let (at, _) = net.route(now, NodeId(0), NodeId(1), &mut rng);
             assert!(at >= prev, "FIFO link delivered out of order");
             prev = at;
         }
@@ -544,7 +603,7 @@ mod tests {
         });
         let mut rng = StdRng::seed_from_u64(3);
         let times: Vec<Time> = (0..50)
-            .map(|now| net.delivery_time(now, NodeId(0), NodeId(1), &mut rng))
+            .map(|now| net.route(now, NodeId(0), NodeId(1), &mut rng).0)
             .collect();
         assert!(
             times.windows(2).any(|w| w[1] < w[0]),
@@ -598,7 +657,14 @@ mod tests {
         );
         assert!(net.is_degraded(NodeId(0), NodeId(1)));
         assert!(net.is_degraded(NodeId(1), NodeId(0)));
+        // The pass flags follow the covering rules through install and heal.
+        let passes = |net: &Net| {
+            let link = &net.links[net.index(NodeId(0), NodeId(1)).unwrap()];
+            (link.delays, link.dups, link.drops)
+        };
+        assert_eq!(passes(&net), (false, true, true));
         net.undegrade(d2);
+        assert_eq!(passes(&net), (false, false, true));
         assert!(net.is_degraded(NodeId(0), NodeId(1)));
         assert!(!net.is_degraded(NodeId(1), NodeId(0)));
         net.undegrade(d1);
@@ -621,10 +687,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let before: u64 = rng.gen_range(0..u64::MAX);
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(!net.degrade_drop(0, NodeId(0), NodeId(1), &mut rng));
-        assert!(!net.degrade_dup(0, NodeId(0), NodeId(1), &mut rng));
-        let at = net.delivery_time(0, NodeId(0), NodeId(1), &mut rng);
-        assert_eq!(at, 1, "zero-knob rule must not delay");
+        assert_eq!(net.admit(0, NodeId(0), NodeId(1), &mut rng), None);
+        let (at, copy) = net.route(0, NodeId(0), NodeId(1), &mut rng);
+        assert_eq!(
+            (at, copy),
+            (1, None),
+            "zero-knob rule must not delay or duplicate"
+        );
         assert_eq!(
             rng.gen_range(0..u64::MAX),
             before,
@@ -649,11 +718,26 @@ mod tests {
             DegradeRule::slow(50, 0),
         );
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(net.degrade_drop(0, NodeId(0), NodeId(1), &mut rng));
+        assert_eq!(
+            net.admit(0, NodeId(0), NodeId(1), &mut rng),
+            Some(Loss::Degraded)
+        );
         // The uncovered direction is untouched.
-        assert!(!net.degrade_drop(0, NodeId(1), NodeId(0), &mut rng));
-        assert_eq!(net.delivery_time(0, NodeId(0), NodeId(1), &mut rng), 51);
-        assert_eq!(net.delivery_time(0, NodeId(1), NodeId(0), &mut rng), 1);
+        assert_eq!(net.admit(0, NodeId(1), NodeId(0), &mut rng), None);
+        assert_eq!(net.route(0, NodeId(0), NodeId(1), &mut rng), (51, None));
+        assert_eq!(net.route(0, NodeId(1), NodeId(0), &mut rng), (1, None));
+        // A block rule wins over the loss, and draws nothing.
+        net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
+        let before = rng.clone().next_u64();
+        assert_eq!(
+            net.admit(0, NodeId(0), NodeId(1), &mut rng),
+            Some(Loss::Partition)
+        );
+        assert_eq!(
+            rng.next_u64(),
+            before,
+            "a blocked delivery drew from the RNG"
+        );
     }
 
     #[test]
@@ -673,10 +757,218 @@ mod tests {
         });
         net.degrade_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])), rule);
         let mut rng = StdRng::seed_from_u64(3);
-        assert!(net.degrade_drop(50, NodeId(0), NodeId(1), &mut rng));
-        assert!(
-            !net.degrade_drop(150, NodeId(0), NodeId(1), &mut rng),
+        assert_eq!(
+            net.admit(50, NodeId(0), NodeId(1), &mut rng),
+            Some(Loss::Degraded)
+        );
+        assert_eq!(
+            net.admit(150, NodeId(0), NodeId(1), &mut rng),
+            None,
             "flapping rule must be inactive in its healthy window"
         );
+    }
+
+    /// The per-message path before `route` and `admit`: one question per
+    /// draw, each indexing the link again and walking every covering rule.
+    /// Kept as the oracle the compiled passes must match draw for draw.
+    impl Net {
+        fn active_degrades(
+            &self,
+            now: Time,
+            src: NodeId,
+            dst: NodeId,
+        ) -> impl Iterator<Item = &DegradeRule> {
+            self.index(src, dst)
+                .into_iter()
+                .flat_map(move |i| self.links[i].active_degrades(now))
+        }
+
+        fn flaky_drop(&self, rng: &mut StdRng) -> bool {
+            self.config.drop_probability > 0.0
+                && rng.gen_bool(self.config.drop_probability.min(1.0))
+        }
+
+        fn degrade_drop(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
+            let mut dropped = false;
+            for rule in self.active_degrades(now, src, dst) {
+                if rule.loss > 0.0 && rng.gen_bool(rule.loss.min(1.0)) {
+                    dropped = true;
+                }
+            }
+            dropped
+        }
+
+        fn degrade_dup(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
+            let mut dup = false;
+            for rule in self.active_degrades(now, src, dst) {
+                if rule.dup_probability > 0.0 && rng.gen_bool(rule.dup_probability.min(1.0)) {
+                    dup = true;
+                }
+            }
+            dup
+        }
+
+        fn delivery_time(&mut self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> Time {
+            let jitter = if self.config.jitter == 0 {
+                0
+            } else {
+                rng.gen_range(0..=self.config.jitter)
+            };
+            let mut at = now + self.config.base_latency + jitter;
+            let Some(i) = self.index(src, dst) else {
+                return at;
+            };
+            let link = &mut self.links[i];
+            for rule in link.active_degrades(now) {
+                at += rule.extra_latency;
+                if rule.jitter > 0 {
+                    at += rng.gen_range(0..=rule.jitter);
+                }
+            }
+            if self.config.fifo {
+                if at < link.last {
+                    at = link.last;
+                }
+                link.last = at;
+            }
+            at
+        }
+
+        /// What the world asked at send: the time, the duplication draws,
+        /// and the copy's time.
+        fn route_oracle(
+            &mut self,
+            now: Time,
+            src: NodeId,
+            dst: NodeId,
+            rng: &mut StdRng,
+        ) -> (Time, Option<Time>) {
+            let at = self.delivery_time(now, src, dst, rng);
+            let dup = self.degrade_dup(now, src, dst, rng);
+            (at, dup.then(|| self.delivery_time(now, src, dst, rng)))
+        }
+
+        /// What the world asked at delivery, in its order.
+        fn admit_oracle(
+            &self,
+            now: Time,
+            src: NodeId,
+            dst: NodeId,
+            rng: &mut StdRng,
+        ) -> Option<Loss> {
+            if self.is_blocked(src, dst) {
+                Some(Loss::Partition)
+            } else if self.flaky_drop(rng) {
+                Some(Loss::Flaky)
+            } else if self.degrade_drop(now, src, dst, rng) {
+                Some(Loss::Degraded)
+            } else {
+                None
+            }
+        }
+    }
+
+    /// One step of a fabric's life. Node ids run to 5 in a four-node
+    /// fabric, so pairs naming missing nodes come up in rules and traffic.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Block(Vec<(usize, usize)>),
+        Degrade(Vec<(usize, usize)>, DegradeRule),
+        /// Heals the rule with this id, installed or not, in any order.
+        Unblock(u64),
+        Undegrade(u64),
+        Send(Time, usize, usize),
+        Deliver(Time, usize, usize),
+    }
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn pair() -> impl Strategy<Value = (usize, usize)> {
+        (0usize..6, 0usize..6)
+    }
+
+    fn pairs(p: &[(usize, usize)]) -> BTreeSet<(NodeId, NodeId)> {
+        p.iter().map(|&(s, d)| (NodeId(s), NodeId(d))).collect()
+    }
+
+    /// Every knob, each zero or not; flap periods of 1, 7 and 50 ms against
+    /// message times up to 400 ms put sends on both sides of flap edges.
+    fn rule() -> impl Strategy<Value = DegradeRule> {
+        let knobs = (0usize..3, 0usize..3, 0u64..3, 0u64..4, 0usize..4);
+        knobs.prop_map(|(loss, dup, extra, jitter, flap)| DegradeRule {
+            loss: [0.0, 0.4, 1.0][loss],
+            dup_probability: [0.0, 0.5, 1.0][dup],
+            extra_latency: extra * 5,
+            jitter,
+            flap_period: [0, 1, 7, 50][flap],
+        })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            1 => vec(pair(), 0..10).prop_map(Op::Block),
+            3 => (vec(pair(), 0..10), rule()).prop_map(|(p, r)| Op::Degrade(p, r)),
+            1 => (0u64..8).prop_map(Op::Unblock),
+            2 => (0u64..8).prop_map(Op::Undegrade),
+            6 => (0u64..400, pair()).prop_map(|(t, (s, d))| Op::Send(t, s, d)),
+            6 => (0u64..400, pair()).prop_map(|(t, (s, d))| Op::Deliver(t, s, d)),
+        ]
+    }
+
+    fn config() -> impl Strategy<Value = LinkConfig> {
+        let knobs = (0u64..3, 0u64..3, proptest::bool::ANY, 0usize..3);
+        knobs.prop_map(|(base_latency, jitter, fifo, drop)| LinkConfig {
+            base_latency,
+            jitter,
+            fifo,
+            drop_probability: [0.0, 0.2, 1.0][drop],
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn route_and_admit_draw_exactly_like_the_per_question_path(
+            config in config(),
+            seed in 0u64..1_000,
+            ops in vec(op(), 0..80),
+        ) {
+            let (mut net, mut oracle) = (Net::new(config, 4), Net::new(config, 4));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = rng.clone();
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Block(ref p) => {
+                        prop_assert_eq!(net.block_pairs(pairs(p)), oracle.block_pairs(pairs(p)));
+                    }
+                    Op::Degrade(ref p, rule) => {
+                        let id = net.degrade_pairs(pairs(p), rule);
+                        prop_assert_eq!(id, oracle.degrade_pairs(pairs(p), rule));
+                    }
+                    Op::Unblock(id) => {
+                        let id = BlockRuleId(id);
+                        prop_assert_eq!(net.unblock(id), oracle.unblock(id));
+                    }
+                    Op::Undegrade(id) => {
+                        let id = DegradeRuleId(id);
+                        prop_assert_eq!(net.undegrade(id), oracle.undegrade(id));
+                    }
+                    Op::Send(now, s, d) => {
+                        let (s, d) = (NodeId(s), NodeId(d));
+                        let want = oracle.route_oracle(now, s, d, &mut oracle_rng);
+                        prop_assert_eq!(net.route(now, s, d, &mut rng), want, "step {}", step);
+                    }
+                    Op::Deliver(now, s, d) => {
+                        let (s, d) = (NodeId(s), NodeId(d));
+                        let want = oracle.admit_oracle(now, s, d, &mut oracle_rng);
+                        prop_assert_eq!(net.admit(now, s, d, &mut rng), want, "step {}", step);
+                    }
+                }
+                let (state, want) = (format!("{rng:?}"), format!("{oracle_rng:?}"));
+                prop_assert_eq!(state, want, "RNG state after step {}", step);
+            }
+        }
     }
 }

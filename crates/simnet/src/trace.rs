@@ -4,14 +4,12 @@
 //! per-timer total (sent, delivered, dropped by cause, duplicated, timers
 //! fired). The event log is a *control-plane* log: application notes, node
 //! crashes and restarts, and block/degrade rule installs and removals —
-//! the events its readers ([`Trace::summary`], [`Trace::spans`], `obs`)
-//! read. It is off by default and enabled with
-//! [`crate::WorldBuilder::record_trace`]; the figure reproductions use it to
-//! print manifestation sequences like the paper's Figures 2, 3, 5, and 6.
-//! Individual sends, deliveries, drops and timer fires are counted, never
-//! logged, so a recorded run pays nothing per message.
-//! [`Trace::spans`] derives typed intervals (partition lifetimes, node
-//! down-times) from the log for the forensics layer (`obs`).
+//! the events its readers ([`Trace::summary`], `obs`) read. It is off by
+//! default and enabled with [`crate::WorldBuilder::record_trace`]; the
+//! figure reproductions use it to print manifestation sequences like the
+//! paper's Figures 2, 3, 5, and 6. Individual sends, deliveries, drops and
+//! timer fires are counted, never logged, so a recorded run pays nothing
+//! per message.
 
 #![deny(missing_docs)]
 
@@ -150,75 +148,6 @@ pub struct Counters {
     pub restarts: u64,
 }
 
-/// A typed interval derived from the recorded events: the lifetime of a
-/// partition rule or the down-time of a crashed node.
-///
-/// Spans are the bridge between the flat [`TraceEvent`] stream and the
-/// window-based questions forensics asks ("which ops overlapped the
-/// fault?"). `end` is `None` while the interval was still open when the
-/// run finished.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Span {
-    /// A block rule's lifetime, from install to removal.
-    Partition {
-        /// Handle of the rule.
-        rule: BlockRuleId,
-        /// Directed pairs it blocked.
-        pairs: usize,
-        /// Virtual install time.
-        start: Time,
-        /// Virtual removal time (`None` = never healed).
-        end: Option<Time>,
-    },
-    /// A node's down-time, from crash to restart.
-    Down {
-        /// The node that was down.
-        node: NodeId,
-        /// Virtual crash time.
-        start: Time,
-        /// Virtual restart time (`None` = still down at the end).
-        end: Option<Time>,
-    },
-    /// A degrade rule's lifetime, from install to removal (the gray-failure
-    /// window; for flapping rules this is the envelope, not each flap).
-    Degrade {
-        /// Handle of the degrade rule.
-        rule: DegradeRuleId,
-        /// Directed pairs it degraded.
-        pairs: usize,
-        /// Virtual install time.
-        start: Time,
-        /// Virtual removal time (`None` = never restored).
-        end: Option<Time>,
-    },
-}
-
-impl Span {
-    /// Virtual start of the interval.
-    pub fn start(&self) -> Time {
-        match self {
-            Span::Partition { start, .. }
-            | Span::Down { start, .. }
-            | Span::Degrade { start, .. } => *start,
-        }
-    }
-
-    /// Virtual end of the interval (`None` = still open).
-    pub fn end(&self) -> Option<Time> {
-        match self {
-            Span::Partition { end, .. } | Span::Down { end, .. } | Span::Degrade { end, .. } => {
-                *end
-            }
-        }
-    }
-
-    /// Whether `[from, to]` overlaps this span (open spans extend to the
-    /// end of the run).
-    pub fn overlaps(&self, from: Time, to: Time) -> bool {
-        from <= self.end().unwrap_or(Time::MAX) && to >= self.start()
-    }
-}
-
 /// The execution trace: counters plus (optionally) the control-plane log.
 #[derive(Debug, Default)]
 pub struct Trace {
@@ -270,59 +199,6 @@ impl Trace {
         }
         out
     }
-
-    /// Derives typed [`Span`]s from the recorded events, ordered by start
-    /// time (insertion order within a tick). Empty unless recording was
-    /// enabled.
-    pub fn spans(&self) -> Vec<Span> {
-        let mut spans: Vec<Span> = Vec::new();
-        for ev in &self.events {
-            match ev {
-                TraceEvent::RuleInstalled { at, rule, pairs } => spans.push(Span::Partition {
-                    rule: *rule,
-                    pairs: *pairs,
-                    start: *at,
-                    end: None,
-                }),
-                TraceEvent::RuleRemoved { at, rule } => {
-                    if let Some(Span::Partition { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Partition { rule: r, end: None, .. } if r == rule)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                TraceEvent::DegradeRuleInstalled { at, rule, pairs } => {
-                    spans.push(Span::Degrade {
-                        rule: *rule,
-                        pairs: *pairs,
-                        start: *at,
-                        end: None,
-                    })
-                }
-                TraceEvent::DegradeRuleRemoved { at, rule } => {
-                    if let Some(Span::Degrade { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Degrade { rule: r, end: None, .. } if r == rule)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                TraceEvent::Crashed { at, node } => spans.push(Span::Down {
-                    node: *node,
-                    start: *at,
-                    end: None,
-                }),
-                TraceEvent::Restarted { at, node } => {
-                    if let Some(Span::Down { end, .. }) = spans.iter_mut().find(|s| {
-                        matches!(s, Span::Down { node: n, end: None, .. } if n == node)
-                    }) {
-                        *end = Some(*at);
-                    }
-                }
-                TraceEvent::Note { .. } => {}
-            }
-        }
-        spans
-    }
 }
 
 #[cfg(test)]
@@ -373,33 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn spans_pair_installs_with_removals() {
-        let mut t = Trace::new(true);
-        t.push(TraceEvent::RuleInstalled {
-            at: 10,
-            rule: BlockRuleId(0),
-            pairs: 4,
-        });
-        t.push(TraceEvent::Crashed {
-            at: 20,
-            node: NodeId(1),
-        });
-        t.push(TraceEvent::RuleRemoved {
-            at: 50,
-            rule: BlockRuleId(0),
-        });
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].start(), 10);
-        assert_eq!(spans[0].end(), Some(50));
-        assert_eq!(spans[1].end(), None, "unrestarted node stays open");
-        assert!(spans[0].overlaps(40, 60));
-        assert!(!spans[0].overlaps(51, 60));
-        assert!(spans[1].overlaps(99, 99), "open span extends to end of run");
-    }
-
-    #[test]
-    fn degrade_events_render_and_pair_into_spans() {
+    fn degrade_events_render_install_and_restore() {
         let inst = TraceEvent::DegradeRuleInstalled {
             at: 5,
             rule: DegradeRuleId(0),
@@ -413,16 +263,6 @@ mod tests {
             at: 40,
             rule: DegradeRuleId(0),
         });
-        let spans = t.spans();
-        assert_eq!(
-            spans,
-            vec![Span::Degrade {
-                rule: DegradeRuleId(0),
-                pairs: 2,
-                start: 5,
-                end: Some(40),
-            }]
-        );
         let s = t.summary();
         assert!(s.contains("degrade rule 0"));
         assert!(s.contains("restore rule 0"));

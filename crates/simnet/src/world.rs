@@ -7,7 +7,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
     event::{EventKind, EventQueue, Handle, QueueStats, Time, TimerId},
-    net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Net},
+    net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Loss, Net},
     trace::{Trace, TraceEvent},
     NodeId,
 };
@@ -161,6 +161,7 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Draws a uniform value in `[0, n)`; convenience over [`Ctx::rng`].
+    #[inline]
     pub fn rand_below(&mut self, n: u64) -> u64 {
         self.rng.gen_range(0..n)
     }
@@ -456,17 +457,14 @@ impl<A: Application> World<A> {
             match a {
                 Action::Send { to, handle } => {
                     self.trace.counters.sent += 1;
-                    let at = self.net.delivery_time(self.now, from, to, &mut self.rng);
-                    // Duplication is drawn once at send time (a duplicate is
-                    // never re-duplicated) and the copy gets its own latency
-                    // draw, so it can arrive before or after the original.
-                    // It is scheduled first: at equal times the copy fires
-                    // before the original.
-                    if self.net.degrade_dup(self.now, from, to, &mut self.rng) {
+                    let (at, copy_at) = self.net.route(self.now, from, to, &mut self.rng);
+                    // A drawn duplicate has its own latency, so it can arrive
+                    // before or after the original. It is scheduled first:
+                    // at equal times the copy fires before the original.
+                    if let Some(copy_at) = copy_at {
                         self.trace.counters.duplicated += 1;
-                        let at2 = self.net.delivery_time(self.now, from, to, &mut self.rng);
                         let copy = self.queue.stash_copy(handle);
-                        self.queue.schedule(at2, copy);
+                        self.queue.schedule(copy_at, copy);
                     }
                     self.queue.schedule(at, handle);
                 }
@@ -514,28 +512,24 @@ impl<A: Application> World<A> {
 
     /// Delivers or drops one message; either way only a counter records it.
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg, src_epoch: u64) {
+        let lost = self.net.admit(self.now, from, to, &mut self.rng);
+        // Destination down or not in this world, or the source crashed
+        // between send and delivery.
+        let dead = !self.is_alive(to)
+            || (self.purge_in_flight_on_crash && self.slots[from.0].epoch != src_epoch);
         let c = &mut self.trace.counters;
-        let dropped = if self.net.is_blocked(from, to) {
-            Some(&mut c.dropped_partition)
-        } else if self.net.flaky_drop(&mut self.rng) {
-            Some(&mut c.dropped_flaky)
-        } else if self.net.degrade_drop(self.now, from, to, &mut self.rng) {
-            Some(&mut c.dropped_degraded)
-        } else if !self.slots[to.0].alive
-            || (self.purge_in_flight_on_crash && self.slots[from.0].epoch != src_epoch)
-        {
-            // Destination down, or the source crashed between send and
-            // delivery.
-            Some(&mut c.dropped_dead)
-        } else {
-            None
+        let dropped = match lost {
+            Some(Loss::Partition) => &mut c.dropped_partition,
+            Some(Loss::Flaky) => &mut c.dropped_flaky,
+            Some(Loss::Degraded) => &mut c.dropped_degraded,
+            None if dead => &mut c.dropped_dead,
+            None => {
+                c.delivered += 1;
+                self.with_handler(to, |app, ctx| app.on_message(ctx, from, msg));
+                return;
+            }
         };
-        if let Some(counter) = dropped {
-            *counter += 1;
-            return;
-        }
-        c.delivered += 1;
-        self.with_handler(to, |app, ctx| app.on_message(ctx, from, msg));
+        *dropped += 1;
     }
 
     /// Processes every event scheduled up to and including virtual time `t`,
@@ -759,6 +753,15 @@ mod tests {
             "{}",
             w.trace().summary()
         );
+    }
+
+    #[test]
+    fn a_message_to_a_node_the_world_lacks_is_dropped_dead() {
+        let mut w = two_nodes();
+        w.call(NodeId(0), |_, ctx| ctx.send(NodeId(7), 2)).unwrap();
+        w.run_until_idle();
+        let c = w.trace().counters;
+        assert_eq!((c.sent, c.delivered, c.dropped_dead), (1, 0, 1), "{c:?}");
     }
 
     #[test]

@@ -309,37 +309,47 @@ impl ToJson for Value {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound a hostile document of a few kilobytes of `[`
+/// overflows the stack; the committed artifacts nest at most 8 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (the inverse of [`ToJson`]). Errors carry the
-/// byte offset of the offending character.
+/// byte offset of the offending character; nesting deeper than
+/// `MAX_DEPTH` (128) is an error at the first bracket beyond it.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let chars: Vec<(usize, char)> = input.char_indices().collect();
-    let mut p = Parser { chars, i: 0 };
-    let v = p.value()?;
+    let mut p = Parser { text: input, i: 0 };
+    let v = p.value(0)?;
     p.skip_ws();
-    if p.i < p.chars.len() {
+    if p.i < input.len() {
         return Err(format!("trailing input at byte {}", p.pos()));
     }
     Ok(v)
 }
 
-struct Parser {
-    chars: Vec<(usize, char)>,
+/// A cursor over the input's bytes. Every byte JSON gives a meaning to is
+/// ASCII and a string's other characters are copied a run at a time, so
+/// the cursor only ever rests on the first byte of a character.
+struct Parser<'a> {
+    text: &'a str,
     i: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
+    /// Byte offset of the cursor (the input's length at its end).
     fn pos(&self) -> usize {
-        self.chars.get(self.i).map_or(usize::MAX, |&(p, _)| p)
+        self.i
     }
 
+    /// The byte under the cursor, as a `char`: a byte of a non-ASCII
+    /// character reads as a Latin-1 one, which no JSON token starts with.
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.i).map(|&(_, c)| c)
+        self.text.as_bytes().get(self.i).map(|&b| char::from(b))
     }
 
     fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            self.i += 1;
-        }
+        let rest = &self.text.as_bytes()[self.i..];
+        self.i += rest.len() - rest.trim_ascii_start().len();
     }
 
     fn expect(&mut self, c: char) -> Result<(), String> {
@@ -353,20 +363,21 @@ impl Parser {
     }
 
     fn eat_lit(&mut self, lit: &str) -> bool {
-        let end = self.i + lit.chars().count();
-        if end <= self.chars.len()
-            && self.chars[self.i..end].iter().map(|&(_, c)| c).eq(lit.chars())
-        {
-            self.i = end;
-            true
-        } else {
-            false
+        let found = self.text.as_bytes()[self.i..].starts_with(lit.as_bytes());
+        if found {
+            self.i += lit.len();
         }
+        found
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// One value, `depth` arrays and objects deep.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
+            Some('{' | '[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos()
+            )),
             Some('{') => {
                 self.i += 1;
                 let mut fields = Vec::new();
@@ -379,7 +390,7 @@ impl Parser {
                     self.skip_ws();
                     let key = self.string()?;
                     self.expect(':')?;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     self.skip_ws();
                     match self.peek() {
                         Some(',') => self.i += 1,
@@ -400,7 +411,7 @@ impl Parser {
                     return Ok(Value::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(',') => self.i += 1,
@@ -417,15 +428,14 @@ impl Parser {
             Some('f') if self.eat_lit("false") => Ok(Value::Bool(false)),
             Some('n') if self.eat_lit("null") => Ok(Value::Null),
             Some(c) if c == '-' || c.is_ascii_digit() => {
-                let mut num = String::new();
-                while let Some(c) = self.peek() {
-                    if !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')) {
-                        break;
-                    }
-                    num.push(c);
+                let start = self.i;
+                while self
+                    .peek()
+                    .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
+                {
                     self.i += 1;
                 }
-                Ok(Value::Num(num))
+                Ok(Value::Num(self.text[start..self.i].to_string()))
             }
             _ => Err(format!("unexpected input at byte {}", self.pos())),
         }
@@ -438,6 +448,11 @@ impl Parser {
         self.i += 1;
         let mut out = String::new();
         loop {
+            let run = self.i;
+            while self.peek().is_some_and(|c| c != '"' && c != '\\') {
+                self.i += 1;
+            }
+            out.push_str(&self.text[run..self.i]);
             match self.peek() {
                 Some('"') => {
                     self.i += 1;
@@ -472,11 +487,7 @@ impl Parser {
                     }
                     self.i += 1;
                 }
-                Some(c) => {
-                    out.push(c);
-                    self.i += 1;
-                }
-                None => return Err("unterminated string".to_string()),
+                _ => return Err("unterminated string".to_string()),
             }
         }
     }
@@ -568,6 +579,118 @@ mod tests {
     fn parse_rejects_malformed_input() {
         for bad in ["{", "[1,", "{\"a\"}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_with_the_offending_offset() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        let err = parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse(&nested(" {\"k\":", "}", MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            err.ends_with(&format!("at byte {}", 1 + 6 * MAX_DEPTH)),
+            "{err}"
+        );
+    }
+
+    /// Without the cap, this many levels overflowed a test thread's stack
+    /// and aborted the whole process.
+    #[test]
+    fn a_hundred_thousand_levels_are_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&("[".repeat(100_000) + &"]".repeat(100_000))).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    /// The committed `BENCH_*.json` artifacts at the repository root, by name.
+    fn committed_artifacts() -> Vec<(String, String)> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut found: Vec<(String, String)> = std::fs::read_dir(&root)
+            .expect("read the repository root")
+            .filter_map(|entry| {
+                let name = entry.ok()?.file_name().into_string().ok()?;
+                (name.starts_with("BENCH_") && name.ends_with(".json")).then_some(name)
+            })
+            .map(|name| {
+                let text = std::fs::read_to_string(root.join(&name)).expect("read an artifact");
+                (name, text)
+            })
+            .collect();
+        found.sort();
+        assert!(
+            found.len() >= 6,
+            "expected the committed artifacts, found {found:?}"
+        );
+        found
+    }
+
+    #[test]
+    fn every_prefix_of_every_committed_artifact_parses_or_errs() {
+        for (name, text) in committed_artifacts() {
+            assert!(parse(&text).is_ok(), "{name} does not parse");
+            for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
+                let cut = parse(&text[..end]);
+                if !text[end..].trim().is_empty() {
+                    assert!(cut.is_err(), "{name} cut at byte {end} parsed");
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Mostly JSON's own alphabet, so inputs get past the first byte.
+    fn json_ish_char() -> impl Strategy<Value = char> {
+        const ALPHABET: &[char] = &[
+            '{', '}', '[', ']', ',', ':', '"', '\\', ' ', '\n', 't', 'r', 'u', 'e', 'f', 'a', 'l',
+            's', 'n', '0', '1', '9', '-', '+', '.', 'E', 'b', '/', '\u{e9}',
+        ];
+        prop_oneof![
+            4 => (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),
+            1 => (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_strings(
+            chars in proptest::collection::vec(json_ish_char(), 0..200),
+        ) {
+            let input: String = chars.into_iter().collect();
+            if let Ok(v) = parse(&input) {
+                // Whatever parses renders and parses back to itself.
+                prop_assert_eq!(parse(&v.to_json()), Ok(v));
+            }
+        }
+
+        #[test]
+        fn parse_never_panics_on_single_byte_mutations_of_the_artifacts(
+            file in 0usize..64,
+            at in 0usize..1 << 20,
+            byte in 0u8..=255,
+            kind in 0u8..3,
+        ) {
+            let artifacts = committed_artifacts();
+            let (_, text) = &artifacts[file % artifacts.len()];
+            let mut bytes = text.clone().into_bytes();
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+            let _ = parse(&String::from_utf8_lossy(&bytes));
         }
     }
 }
