@@ -317,6 +317,14 @@ pub fn forensics_report() -> String {
     neat_repro::campaign::render_forensics(8, &reports)
 }
 
+/// Exact content of `verdicts.txt`, the verdict oracle: every arm of the
+/// campaign, recorded, at seeds 8 and 42 (see
+/// [`neat_repro::campaign::render_verdicts`]). `tests/audit_gate.rs`
+/// regenerates it from the runs it already makes.
+pub fn verdicts_report() -> String {
+    [8, 42].into_iter().map(neat_repro::campaign::render_verdicts).collect()
+}
+
 /// The machine-readable companion stream (`--jsonl`): the same seed-8
 /// sweep as JSONL, one `report` header line per scenario followed by its
 /// timeline events.

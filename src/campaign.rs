@@ -529,6 +529,33 @@ pub fn forensics_jsonl(reports: &[neat::obs::ForensicReport]) -> String {
     out
 }
 
+/// One arm's block of the verdict oracle (`verdicts.txt`): the arm and
+/// seed, the timeline counters, every violation and every timeline event,
+/// one per line and each through its `Display`. The block says what the run
+/// observed, not how any outcome type is shaped, so it survives renaming
+/// and reshaping the outcome structs that the audit hashes cover.
+pub fn render_arm_verdicts(arm: &str, seed: u64, run: &RunArtifacts) -> String {
+    let mut out = format!(
+        "== {arm} seed {seed}\ncounters {}\n",
+        run.timeline.counters.render()
+    );
+    for v in &run.violations {
+        out.push_str(&format!("violation {v}\n"));
+    }
+    out.push_str(&run.timeline.render());
+    out
+}
+
+/// The verdict oracle at `seed`: [`render_arm_verdicts`] of every arm,
+/// recorded ([`RunMode::Trace`]), in [`arm_ids`] order. `verdicts.txt` is
+/// this at seeds 8 and 42.
+pub fn render_verdicts(seed: u64) -> String {
+    arm_ids()
+        .iter()
+        .map(|arm| render_arm_verdicts(&arm.name, seed, &run_arm(arm, seed, RunMode::Trace)))
+        .collect()
+}
+
 /// Runs every registered scenario arm with trace recording on and returns
 /// `(arm-name, fingerprint)` pairs — the auditor's and the seed-stability
 /// tests' view of the campaign.

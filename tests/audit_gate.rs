@@ -5,7 +5,11 @@
 //! way `lint --audit --jobs K` runs it (the outcomes are index-ordered,
 //! so the worker count cannot change what this test sees).
 
-use neat_repro::campaign::{arm_ids, run_arm, scenarios_of, RunMode, ScenarioClass};
+use std::sync::OnceLock;
+
+use neat_repro::campaign::{
+    arm_ids, render_arm_verdicts, run_arm, scenarios_of, RunArtifacts, RunMode, ScenarioClass,
+};
 
 #[test]
 fn every_scenario_arm_double_runs_identically() {
@@ -62,31 +66,83 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
     }
 }
 
+/// One arm at one seed, run in each of the three modes the harness uses.
+struct ModeRuns {
+    arm: String,
+    seed: u64,
+    quick: RunArtifacts,
+    trace: RunArtifacts,
+    hash: RunArtifacts,
+}
+
+/// Every arm at seeds 8 and 42 in `Quick`, `Trace` and `Hash` mode, run
+/// once and shared by the two tests that read them.
+fn mode_runs() -> &'static [ModeRuns] {
+    static RUNS: OnceLock<Vec<ModeRuns>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        [8, 42]
+            .into_iter()
+            .flat_map(|seed| {
+                arm_ids().into_iter().map(move |arm| ModeRuns {
+                    quick: run_arm(&arm, seed, RunMode::Quick),
+                    trace: run_arm(&arm, seed, RunMode::Trace),
+                    hash: run_arm(&arm, seed, RunMode::Hash),
+                    arm: arm.name,
+                    seed,
+                })
+            })
+            .collect()
+    })
+}
+
 /// Recording must not perturb a run (ROADMAP "Trust the verdicts" (b)):
 /// with the trace and the `obs` timeline off (`Quick`), on (`Trace`) and on
 /// with the fingerprint hashed (`Hash`), every arm reaches the same
 /// verdicts and the same always-on counters — events simulated, messages
-/// dropped, partition / heal / crash counts and the rest.
+/// dropped, partition / heal / crash counts and the rest — and both
+/// recording modes record the same timeline.
 #[test]
 fn recording_does_not_perturb_any_arm() {
-    for seed in [8, 42] {
-        for arm in arm_ids() {
-            let quiet = run_arm(&arm, seed, RunMode::Quick);
-            for mode in [RunMode::Trace, RunMode::Hash] {
-                let recorded = run_arm(&arm, seed, mode);
-                assert_eq!(
-                    recorded.violations, quiet.violations,
-                    "{} seed {seed}: {mode:?} verdicts differ from Quick",
-                    arm.name
-                );
-                assert_eq!(
-                    recorded.timeline.counters, quiet.timeline.counters,
-                    "{} seed {seed}: {mode:?} counters differ from Quick",
-                    arm.name
-                );
-            }
+    for r in mode_runs() {
+        let (name, seed) = (&r.arm, r.seed);
+        for (mode, recorded) in [(RunMode::Trace, &r.trace), (RunMode::Hash, &r.hash)] {
+            assert_eq!(
+                recorded.violations, r.quick.violations,
+                "{name} seed {seed}: {mode:?} verdicts differ from Quick"
+            );
+            assert_eq!(
+                recorded.timeline.counters, r.quick.timeline.counters,
+                "{name} seed {seed}: {mode:?} counters differ from Quick"
+            );
         }
+        assert_eq!(
+            r.hash.timeline.events, r.trace.timeline.events,
+            "{name} seed {seed}: Hash and Trace record different timelines"
+        );
     }
+}
+
+/// The verdict oracle: what every arm observed at seeds 8 and 42 — its
+/// counters, verdicts and timeline events, rendered through `Display` — is
+/// committed in `verdicts.txt`. Unlike `audit_hashes.txt` it does not
+/// depend on how the outcome types are named or laid out, so it is the
+/// file that must not move when they are reshaped.
+#[test]
+fn verdicts_match_the_committed_oracle() {
+    let regenerated: String = mode_runs()
+        .iter()
+        .map(|r| render_arm_verdicts(&r.arm, r.seed, &r.trace))
+        .collect();
+    let committed = include_str!("../verdicts.txt");
+    let first_diff = committed
+        .lines()
+        .zip(regenerated.lines())
+        .find(|(a, b)| a != b);
+    assert!(
+        committed == regenerated,
+        "verdicts.txt differs (first: {first_diff:?}); a behaviour change refreshes it with \
+         `cargo run --release -p bench --bin forensics`"
+    );
 }
 
 /// The refactoring invariant (ROADMAP aim 2): every `audit <arm>: ok <hash>`

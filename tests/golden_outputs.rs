@@ -201,7 +201,9 @@ fn lint_bench_artifact_is_fresh() {
 /// Guard the guard, both ways: the gated artifacts are committed, and no
 /// root file shaped like an artifact is missing from the list — each entry
 /// has a test above, except `BENCH_perf.json`, which `tests/perf_gate.rs`
-/// compares (regenerating it needs the counting allocator).
+/// compares (regenerating it needs the counting allocator), and
+/// `verdicts.txt`, which `tests/audit_gate.rs` compares against the runs
+/// it already makes.
 #[test]
 fn all_golden_artifacts_exist() {
     let listed = [
@@ -215,12 +217,15 @@ fn all_golden_artifacts_exist() {
         "figures_output.txt",
         "forensics_output.txt",
         "tables_output.txt",
+        "verdicts.txt",
     ];
     let mut committed: Vec<String> = std::fs::read_dir(root())
         .expect("read the repository root")
         .map(|entry| entry.expect("read a root entry").file_name().to_string_lossy().into_owned())
         .filter(|name| {
-            (name.starts_with("BENCH_") && name.ends_with(".json")) || name.ends_with("_output.txt")
+            (name.starts_with("BENCH_") && name.ends_with(".json"))
+                || name.ends_with("_output.txt")
+                || name == "verdicts.txt"
         })
         .collect();
     committed.sort();
