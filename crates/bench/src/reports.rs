@@ -168,45 +168,35 @@ fn figure1(out: &mut String) {
 fn figure2(out: &mut String) {
     w!(out, "== Figure 2: dirty read in VoltDB (ENG-10389) ==\n");
     let o = repkv::scenarios::dirty_and_stale_read(repkv::Config::voltdb(), 7, true);
-    w!(out, "{}", o.trace);
-    w!(out, "history:\n{}", o.history);
-    for v in &o.violations {
-        w!(out, "  VIOLATION: {v}");
-    }
+    w!(out, "{}", o.timeline.render());
     let fixed = repkv::scenarios::dirty_and_stale_read(repkv::Config::fixed(), 7, false);
     w!(out, "  fixed profile violations: {}\n", fixed.violations.len());
 }
 
 fn figure3(out: &mut String) {
     w!(out, "== Figure 3: MapReduce double execution (MAPREDUCE-4819) ==\n");
-    let (violations, trace, _timeline) = sched::double_execution(
+    let o = sched::double_execution(
         sched::MrFlaws {
             relaunch_without_checking: true,
         },
         81,
         true,
     );
-    w!(out, "{trace}");
-    for v in &violations {
-        w!(out, "  VIOLATION: {v}");
-    }
-    let (fixed, _, _) = sched::double_execution(
+    w!(out, "{}", o.timeline.render());
+    let fixed = sched::double_execution(
         sched::MrFlaws {
             relaunch_without_checking: false,
         },
         81,
         false,
     );
-    w!(out, "  fixed ResourceManager violations: {}\n", fixed.len());
+    w!(out, "  fixed ResourceManager violations: {}\n", fixed.violations.len());
 }
 
 fn figure5(out: &mut String) {
     w!(out, "== Figure 5: Ignite semaphore double locking (IGNITE-8882) ==\n");
     let o = gridstore::scenarios::semaphore_double_lock(gridstore::GridFlaws::flawed(), 61, true);
-    w!(out, "{}", o.trace);
-    for v in &o.violations {
-        w!(out, "  VIOLATION: {v}");
-    }
+    w!(out, "{}", o.timeline.render());
     let fixed =
         gridstore::scenarios::semaphore_double_lock(gridstore::GridFlaws::fixed(), 61, false);
     w!(
@@ -219,10 +209,7 @@ fn figure5(out: &mut String) {
 fn figure6(out: &mut String) {
     w!(out, "== Figure 6: ActiveMQ hangs under a partial partition (AMQ-7064) ==\n");
     let o = mqueue::scenarios::fig6_hang(mqueue::BrokerFlaws::flawed(), 41, true);
-    w!(out, "{}", o.trace);
-    for v in &o.violations {
-        w!(out, "  VIOLATION: {v}");
-    }
+    w!(out, "{}", o.timeline.render());
     let fixed = mqueue::scenarios::fig6_hang(mqueue::BrokerFlaws::fixed(), 41, false);
     w!(out, "  fixed brokers violations: {}\n", fixed.violations.len());
 }
@@ -234,10 +221,7 @@ fn bounded_timing(out: &mut String) {
         ..coord::CoordFlaws::default()
     };
     let o = coord::scenarios::sync_interrupted_corruption(flawed, 57, true);
-    w!(out, "{}", o.trace);
-    for v in &o.violations {
-        w!(out, "  VIOLATION: {v}");
-    }
+    w!(out, "{}", o.timeline.render());
     let fixed = coord::scenarios::sync_interrupted_corruption(coord::CoordFlaws::default(), 57, false);
     w!(
         out,
@@ -302,7 +286,7 @@ pub fn figures_report() -> String {
     w!(
         out,
         "(Figure 4 — the NEAT architecture — is this framework itself; its \
-              overhead is measured by `cargo bench -p bench`.)"
+              overhead is measured by the ledger in `benchmarks/`.)"
     );
     out
 }

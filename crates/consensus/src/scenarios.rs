@@ -5,33 +5,20 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    rest_of, Violation, ViolationKind,
+    rest_of, RunOutcome, Violation, ViolationKind,
 };
 use crate::{
     cluster::{RaftCluster, RaftClusterSpec},
     raft::RaftTweaks,
 };
 
-/// Result of the reconfiguration scenario.
+/// What the reconfiguration scenario observed beyond its verdicts.
 #[derive(Debug)]
-pub struct ReconfigOutcome {
-    /// Checker violations (data loss when the tweak is on).
-    pub violations: Vec<Violation>,
+pub struct SplitBrain {
     /// Whether two leaders each committed writes during the partition.
     pub dual_majorities: bool,
     /// Final per-key state from the surviving leader.
     pub final_state: BTreeMap<String, Option<u64>>,
-    /// Manifestation trace (when recorded).
-    pub trace: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
-}
-
-impl ReconfigOutcome {
-    /// `true` when a violation of `kind` was found.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
 }
 
 /// Issue #5289. Five replicas; a partial partition splits `{A, B}` from
@@ -43,7 +30,7 @@ pub fn rethinkdb_reconfig_split_brain(
     tweaks: RaftTweaks,
     seed: u64,
     record: bool,
-) -> ReconfigOutcome {
+) -> RunOutcome<SplitBrain> {
     let mut cluster = RaftCluster::build(RaftClusterSpec {
         servers: 5,
         clients: 2,
@@ -104,36 +91,16 @@ pub fn rethinkdb_reconfig_split_brain(
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    ReconfigOutcome {
-        violations,
-        dual_majorities,
-        final_state,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, SplitBrain { dual_majorities, final_state })
 }
 
-/// Result of the lossy-leader-link scenario.
+/// What the lossy-leader-link scenario observed beyond its verdicts.
 #[derive(Debug)]
-pub struct LossyLinkOutcome {
-    /// Checker violations plus the manufactured churn verdict.
-    pub violations: Vec<Violation>,
+pub struct Churn {
     /// How many terms leadership advanced while the link was degraded.
     pub term_churn: u64,
     /// Final per-key state from the surviving leader.
     pub final_state: BTreeMap<String, Option<u64>>,
-    /// Manifestation trace (when recorded).
-    pub trace: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
-}
-
-impl LossyLinkOutcome {
-    /// `true` when a violation of `kind` was found.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
 }
 
 /// Gray failure §2.1 against proven Raft: the leader's links to both
@@ -143,7 +110,7 @@ impl LossyLinkOutcome {
 /// survives (Raft stays *safe*) but availability collapses. With
 /// `lossy = false` the identical sequence runs over clean links and terms
 /// stay put.
-pub fn lossy_leader_link(lossy: bool, seed: u64, record: bool) -> LossyLinkOutcome {
+pub fn lossy_leader_link(lossy: bool, seed: u64, record: bool) -> RunOutcome<Churn> {
     let mut cluster = RaftCluster::build(RaftClusterSpec {
         servers: 3,
         clients: 1,
@@ -197,14 +164,7 @@ pub fn lossy_leader_link(lossy: bool, seed: u64, record: bool) -> LossyLinkOutco
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    LossyLinkOutcome {
-        violations,
-        term_churn,
-        final_state,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, Churn { term_churn, final_state })
 }
 
 #[cfg(test)]
@@ -214,17 +174,17 @@ mod tests {
     #[test]
     fn lossy_leader_link_churns_leadership_but_keeps_data() {
         let out = lossy_leader_link(true, 8, false);
-        assert!(out.term_churn >= 3, "only {} terms of churn", out.term_churn);
+        assert!(out.detail.term_churn >= 3, "only {} terms of churn", out.detail.term_churn);
         assert!(out.has(ViolationKind::Other), "{:?}", out.violations);
         // Raft safety holds: the committed write survives the churn.
-        assert_eq!(out.final_state.get("stable"), Some(&Some(1)));
+        assert_eq!(out.detail.final_state.get("stable"), Some(&Some(1)));
         assert!(!out.has(ViolationKind::DataLoss), "{:?}", out.violations);
     }
 
     #[test]
     fn clean_links_keep_leadership_stable() {
         let out = lossy_leader_link(false, 8, false);
-        assert!(out.term_churn <= 1, "unexpected churn: {}", out.term_churn);
+        assert!(out.detail.term_churn <= 1, "unexpected churn: {}", out.detail.term_churn);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
     }
 
@@ -237,14 +197,14 @@ mod tests {
             21,
             false,
         );
-        assert!(out.dual_majorities, "{:?}", out.final_state);
+        assert!(out.detail.dual_majorities, "{:?}", out.detail.final_state);
         assert!(out.has(ViolationKind::DataLoss), "{:?}", out.violations);
     }
 
     #[test]
     fn proven_raft_stays_safe_under_the_same_sequence() {
         let out = rethinkdb_reconfig_split_brain(RaftTweaks::default(), 21, false);
-        assert!(!out.dual_majorities);
+        assert!(!out.detail.dual_majorities);
         assert!(
             !out.has(ViolationKind::DataLoss),
             "{:?}",

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    rest_of, Violation, ViolationKind,
+    rest_of, RunOutcome, Violation, ViolationKind,
 };
 
 use crate::{
@@ -12,26 +12,10 @@ use crate::{
     server::CoordFlaws,
 };
 
-/// What a coordination scenario produced.
-#[derive(Debug)]
-pub struct CoordOutcome {
-    pub violations: Vec<Violation>,
-    pub trace: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
-}
-
-impl CoordOutcome {
-    /// `true` when a violation of `kind` was found.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
-}
-
 /// ZOOKEEPER-2099: a snapshot-synced node becomes leader and serves an
 /// in-memory-log sync with a hole; the learner's tree silently loses a
 /// create and resurrects a deleted znode — permanently (Finding 3).
-pub fn txnlog_sync_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> CoordOutcome {
+pub fn txnlog_sync_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = CoordCluster::build(3, 2, flaws, seed, record);
     let l = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let others = rest_of(&cluster.servers, &[l]);
@@ -104,19 +88,14 @@ pub fn txnlog_sync_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> Coo
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    CoordOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// redis #3899 (PSYNC2)-style: a partition interrupts a chunked storage
 /// sync; the flawed learner already claims the target zxid, so the half
 /// tree is never repaired — permanent corruption with the paper's §5.2
 /// *bounded* timing (the fault must overlap the internal sync operation).
-pub fn sync_interrupted_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> CoordOutcome {
+pub fn sync_interrupted_corruption(flaws: CoordFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = CoordCluster::build(3, 2, flaws, seed, record);
     // Throttled 2-znode chunks so the transfer spans ~200 ms.
     for &s in &cluster.servers.clone() {
@@ -180,18 +159,13 @@ pub fn sync_interrupted_corruption(flaws: CoordFlaws, seed: u64, record: bool) -
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    CoordOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// ZOOKEEPER-2355: an expired session's ephemeral znode survives because
 /// the cleanup proposal was abandoned while a follower was unreachable.
 /// The "lock" stays held by a dead client forever.
-pub fn ephemeral_never_deleted(flaws: CoordFlaws, seed: u64, record: bool) -> CoordOutcome {
+pub fn ephemeral_never_deleted(flaws: CoordFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = CoordCluster::build(3, 2, flaws, seed, record);
     let l = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let follower = rest_of(&cluster.servers, &[l])[0];
@@ -223,12 +197,7 @@ pub fn ephemeral_never_deleted(flaws: CoordFlaws, seed: u64, record: bool) -> Co
              the lock is permanently stuck",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    CoordOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use std::collections::BTreeMap;
 use neat::{
     checkers::{check_register, RegisterSemantics},
     cluster::{boot, Node},
-    Violation,
 };
 use simnet::{Ctx, NodeId, TimerId};
 
@@ -440,7 +439,7 @@ impl HbCluster {
 /// HBASE-2312: a partial partition separates the serving region server from
 /// the HMaster but not from the log store; writes acknowledged into a
 /// freshly rolled log are lost when the master's split misses that log.
-pub fn log_roll_data_loss(flaws: HbFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn log_roll_data_loss(flaws: HbFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = HbCluster::build(flaws, seed, record);
     cluster.neat.sleep(300);
     let rs1 = cluster.region_servers[0];
@@ -476,8 +475,7 @@ pub fn log_roll_data_loss(flaws: HbFlaws, seed: u64, record: bool) -> (Vec<Viola
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -499,7 +497,14 @@ mod tests {
 
     #[test]
     fn hbase2312_rolled_log_lost_with_the_flaw() {
-        let (violations, _, _) = log_roll_data_loss(HbFlaws { fence_on_split: false }, 141, false);
+        let violations = log_roll_data_loss(
+            HbFlaws {
+                fence_on_split: false,
+            },
+            141,
+            false,
+        )
+        .violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::DataLoss),
             "{violations:?}"
@@ -508,7 +513,14 @@ mod tests {
 
     #[test]
     fn hbase2312_fencing_prevents_acked_loss() {
-        let (violations, _, _) = log_roll_data_loss(HbFlaws { fence_on_split: true }, 141, false);
+        let violations = log_roll_data_loss(
+            HbFlaws {
+                fence_on_split: true,
+            },
+            141,
+            false,
+        )
+        .violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

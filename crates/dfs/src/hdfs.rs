@@ -406,7 +406,7 @@ impl HdfsCluster {
 
 /// HDFS-1384: the client cannot reach rack 0, but the NameNode can; the
 /// flawed placement keeps suggesting rack-0 nodes until the client gives up.
-pub fn rack_placement_retry(flaws: HdfsFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn rack_placement_retry(flaws: HdfsFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = HdfsCluster::build(flaws, seed, record);
     cluster.neat.sleep(300);
 
@@ -428,14 +428,13 @@ pub fn rack_placement_retry(flaws: HdfsFlaws, seed: u64, record: bool) -> (Vec<V
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 /// HDFS-577: a simplex partition leaves a DataNode able to heartbeat but
 /// unable to receive; the heartbeat-only health model keeps routing reads
 /// to it.
-pub fn simplex_healthy_node(flaws: HdfsFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn simplex_healthy_node(flaws: HdfsFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = HdfsCluster::build(flaws, seed, record);
     cluster.neat.sleep(300);
     let dn_bad = cluster.racks[0][0];
@@ -465,8 +464,7 @@ pub fn simplex_healthy_node(flaws: HdfsFlaws, seed: u64, record: bool) -> (Vec<V
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -500,7 +498,7 @@ mod tests {
 
     #[test]
     fn hdfs1384_rack_retry_fails_with_the_flaw() {
-        let (violations, _, _) = rack_placement_retry(flawed(), 101, false);
+        let violations = rack_placement_retry(flawed(), 101, false).violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::DataUnavailability),
             "{violations:?}"
@@ -509,19 +507,19 @@ mod tests {
 
     #[test]
     fn hdfs1384_write_succeeds_when_fixed() {
-        let (violations, _, _) = rack_placement_retry(fixed(), 101, false);
+        let violations = rack_placement_retry(fixed(), 101, false).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn hdfs577_degraded_reads_with_the_flaw() {
-        let (violations, _, _) = simplex_healthy_node(flawed(), 103, false);
+        let violations = simplex_healthy_node(flawed(), 103, false).violations;
         assert!(!violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn hdfs577_clean_reads_when_fixed() {
-        let (violations, _, _) = simplex_healthy_node(fixed(), 103, false);
+        let violations = simplex_healthy_node(fixed(), 103, false).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

@@ -287,7 +287,7 @@ impl MooseCluster {
 
 /// moosefs #132: the client cannot reach the chunkserver the master keeps
 /// suggesting; with the sticky placement the write never completes.
-pub fn client_hang(flaws: MooseFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn client_hang(flaws: MooseFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = MooseCluster::build(flaws, seed, record);
     cluster.neat.sleep(50);
 
@@ -307,14 +307,13 @@ pub fn client_hang(flaws: MooseFlaws, seed: u64, record: bool) -> (Vec<Violation
              write never completed although two healthy chunkservers existed",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 /// moosefs #131: the partition interrupts the chunk write after the master
 /// recorded the file; the file system is left inconsistent (metadata with
 /// no data).
-pub fn inconsistent_metadata(flaws: MooseFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn inconsistent_metadata(flaws: MooseFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = MooseCluster::build(flaws, seed, record);
     cluster.neat.sleep(50);
 
@@ -338,8 +337,7 @@ pub fn inconsistent_metadata(flaws: MooseFlaws, seed: u64, record: bool) -> (Vec
              inconsistent file-system state",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -371,7 +369,7 @@ mod tests {
 
     #[test]
     fn moosefs132_hang_with_the_flaw() {
-        let (violations, _, _) = client_hang(flawed(), 111, false);
+        let violations = client_hang(flawed(), 111, false).violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::SystemHang),
             "{violations:?}"
@@ -380,13 +378,13 @@ mod tests {
 
     #[test]
     fn moosefs132_retry_succeeds_when_fixed() {
-        let (violations, _, _) = client_hang(fixed(), 111, false);
+        let violations = client_hang(fixed(), 111, false).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]
     fn moosefs131_inconsistent_metadata_with_the_flaw() {
-        let (violations, _, _) = inconsistent_metadata(flawed(), 113, false);
+        let violations = inconsistent_metadata(flawed(), 113, false).violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::DataCorruption),
             "{violations:?}"
@@ -395,7 +393,7 @@ mod tests {
 
     #[test]
     fn moosefs131_consistent_when_fixed() {
-        let (violations, _, _) = inconsistent_metadata(fixed(), 113, false);
+        let violations = inconsistent_metadata(fixed(), 113, false).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

@@ -15,7 +15,6 @@ use std::collections::BTreeMap;
 use neat::{
     checkers::{check_register, RegisterSemantics},
     cluster::{boot, Node},
-    Violation,
 };
 use simnet::{Ctx, NodeId, TimerId};
 
@@ -336,7 +335,7 @@ impl ObjCluster {
 /// ceph #24193 (modelled): a partial partition isolates the lowest OSD;
 /// acknowledged writes and deletes commit on the majority; the flawed
 /// recovery then takes the stale OSD's copies as authoritative.
-pub fn recovery_resurrection(flaws: ObjFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn recovery_resurrection(flaws: ObjFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = ObjCluster::build(flaws, seed, record);
     cluster.neat.sleep(50);
 
@@ -385,8 +384,7 @@ pub fn recovery_resurrection(flaws: ObjFlaws, seed: u64, record: bool) -> (Vec<V
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -406,7 +404,14 @@ mod tests {
 
     #[test]
     fn ceph24193_resurrection_and_rollback_with_the_flaw() {
-        let (violations, _, _) = recovery_resurrection(ObjFlaws { naive_recovery: true }, 121, false);
+        let violations = recovery_resurrection(
+            ObjFlaws {
+                naive_recovery: true,
+            },
+            121,
+            false,
+        )
+        .violations;
         assert!(
             violations
                 .iter()
@@ -424,8 +429,8 @@ mod tests {
 
     #[test]
     fn ceph24193_clean_with_versioned_recovery() {
-        let (violations, _, _) =
-            recovery_resurrection(ObjFlaws { naive_recovery: false }, 121, false);
+        let violations =
+            recovery_resurrection(ObjFlaws { naive_recovery: false }, 121, false).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

@@ -10,7 +10,7 @@
 use neat::{
     explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
-    Violation,
+    RunOutcome,
 };
 use simnet::NodeId;
 
@@ -40,13 +40,12 @@ pub fn simplex_heal_write_plan(servers: &[NodeId], primary: NodeId) -> ScheduleP
 }
 
 /// Replays the minimized schedule against a grid running `flaws` at
-/// `seed`, returning the campaign triple (violations, rendered plan,
-/// timeline).
+/// `seed`, returning its verdicts and timeline.
 pub fn explored_simplex_heal_write(
     flaws: GridFlaws,
     seed: u64,
     record: bool,
-) -> (Vec<Violation>, String, neat::obs::Timeline) {
+) -> RunOutcome {
     replay_at_leader(&mut GridTarget::new(flaws), seed, record, 0, simplex_heal_write_plan)
 }
 
@@ -59,24 +58,16 @@ mod tests {
     #[test]
     fn replay_reproduces_data_loss_on_the_flawed_arm() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) =
-                explored_simplex_heal_write(GridFlaws::flawed(), seed, false);
-            assert!(
-                violations.iter().any(|v| v.kind == ViolationKind::DataLoss),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_simplex_heal_write(GridFlaws::flawed(), seed, false);
+            assert!(out.has(ViolationKind::DataLoss), "seed {seed}: {:?}", out.violations);
         }
     }
 
     #[test]
     fn replay_is_clean_on_the_protected_grid() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) =
-                explored_simplex_heal_write(GridFlaws::fixed(), seed, false);
-            assert!(
-                violations.is_empty(),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_simplex_heal_write(GridFlaws::fixed(), seed, false);
+            assert!(out.violations.is_empty(), "seed {seed}: {:?}", out.violations);
         }
     }
 

@@ -6,27 +6,11 @@ use neat::{
         check_counter, check_queue, check_register, check_semaphore, check_set,
         QueueExpectation, RegisterSemantics,
     },
-    rest_of, Violation, ViolationKind,
+    rest_of, RunOutcome, Violation, ViolationKind,
 };
 use simnet::NodeId;
 
 use crate::{cluster::GridCluster, node::GridFlaws};
-
-/// What a grid scenario produced.
-#[derive(Debug)]
-pub struct GridOutcome {
-    pub violations: Vec<Violation>,
-    pub trace: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
-}
-
-impl GridOutcome {
-    /// `true` when a violation of `kind` was found.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
-}
 
 /// Builds the canonical deployment: three servers, two clients, and a
 /// complete partition splitting server 0 + client 0 from the rest.
@@ -47,7 +31,7 @@ fn majority_state(cluster: &GridCluster) -> crate::state::GridState {
 
 /// Figure 5 / IGNITE-8882: a complete partition isolates one replica; both
 /// sides remove each other from the view and both grant the only permit.
-pub fn semaphore_double_lock(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn semaphore_double_lock(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
@@ -70,17 +54,12 @@ pub fn semaphore_double_lock(flaws: GridFlaws, seed: u64, record: bool) -> GridO
     cluster.neat.sleep(800);
 
     let violations = check_semaphore(cluster.neat.history(), "sem", 1);
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Ignite semaphore reclaim: an unreachable holder's permit is reclaimed;
 /// after the heal, the holder's release corrupts the semaphore.
-pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = GridCluster::build(3, 2, flaws, seed, record);
     cluster.neat.sleep(200);
     let holder = cluster.clients[0];
@@ -112,17 +91,12 @@ pub fn semaphore_reclaim_corruption(flaws: GridFlaws, seed: u64, record: bool) -
             "semaphore permits exceed capacity after the reclaimed holder's release",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// IGNITE-9768: atomic counters incremented on both sides of a split
 /// diverge; the surviving state misses acknowledged increments.
-pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
@@ -149,17 +123,12 @@ pub fn broken_atomics(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome 
         .copied()
         .unwrap_or(0);
     let violations = check_counter(cluster.neat.history(), "ctr", 0, final_value);
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// IGNITE-9762: cache reads on the isolated side return stale data while
 /// the majority moves on.
-pub fn cache_stale_read(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn cache_stale_read(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
@@ -188,16 +157,11 @@ pub fn cache_stale_read(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcom
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// IGNITE-9765: both sides of the split serve the same queue head.
-pub fn queue_double_dequeue(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn queue_double_dequeue(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
@@ -225,17 +189,12 @@ pub fn queue_double_dequeue(flaws: GridFlaws, seed: u64, record: bool) -> GridOu
             drained: None,
         }],
     );
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Terracotta #905/#906: values added on the minority side are lost; values
 /// removed on the minority side reappear.
-pub fn set_loss_and_reappearance(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn set_loss_and_reappearance(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
     let c0 = cluster.client(0).via(a);
@@ -267,18 +226,13 @@ pub fn set_loss_and_reappearance(flaws: GridFlaws, seed: u64, record: bool) -> G
     .into_iter()
     .collect();
     let violations = check_set(cluster.neat.history(), &final_state);
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Hazelcast §4.4: a partial partition makes a replica promote itself;
 /// on reconciliation the demoted side deletes its data and downloads from
 /// the winner — which permanently fails mid-download. The data is gone.
-pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     // The merge path must run for the wipe to trigger.
     flaws.rejoin_after_heal = true;
     let mut cluster = GridCluster::build(3, 2, flaws, seed, record);
@@ -316,17 +270,12 @@ pub fn demotion_wipe_data_loss(mut flaws: GridFlaws, seed: u64, record: bool) ->
         neat::checkers::RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Finding 3: with the flawed membership, the two half-clusters persist
 /// after the partition heals.
-pub fn lasting_split(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
+pub fn lasting_split(flaws: GridFlaws, seed: u64, record: bool) -> RunOutcome {
     let (mut cluster, a, _b) = split_cluster(flaws, seed, record);
     cluster.neat.sleep(200);
 
@@ -354,12 +303,7 @@ pub fn lasting_split(flaws: GridFlaws, seed: u64, record: bool) -> GridOutcome {
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    GridOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]

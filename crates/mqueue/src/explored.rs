@@ -10,7 +10,7 @@
 use neat::{
     explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
-    Violation,
+    RunOutcome,
 };
 use simnet::NodeId;
 
@@ -45,13 +45,12 @@ pub fn partition_double_dequeue_plan(servers: &[NodeId], master: NodeId) -> Sche
 }
 
 /// Replays the minimized schedule against brokers running `flaws` at
-/// `seed`, returning the campaign triple (violations, rendered plan,
-/// timeline).
+/// `seed`, returning its verdicts and timeline.
 pub fn explored_partition_double_dequeue(
     flaws: BrokerFlaws,
     seed: u64,
     record: bool,
-) -> (Vec<Violation>, String, neat::obs::Timeline) {
+) -> RunOutcome {
     // Fallback 1: `servers` leads with the coordinator; brokers follow.
     replay_at_leader(&mut MqTarget::new(flaws), seed, record, 1, partition_double_dequeue_plan)
 }
@@ -65,26 +64,16 @@ mod tests {
     #[test]
     fn replay_reproduces_double_dequeue_on_the_flawed_brokers() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) =
-                explored_partition_double_dequeue(BrokerFlaws::flawed(), seed, false);
-            assert!(
-                violations
-                    .iter()
-                    .any(|v| v.kind == ViolationKind::DoubleDequeue),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_partition_double_dequeue(BrokerFlaws::flawed(), seed, false);
+            assert!(out.has(ViolationKind::DoubleDequeue), "seed {seed}: {:?}", out.violations);
         }
     }
 
     #[test]
     fn replay_is_clean_on_the_fixed_brokers() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) =
-                explored_partition_double_dequeue(BrokerFlaws::fixed(), seed, false);
-            assert!(
-                violations.is_empty(),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_partition_double_dequeue(BrokerFlaws::fixed(), seed, false);
+            assert!(out.violations.is_empty(), "seed {seed}: {:?}", out.violations);
         }
     }
 

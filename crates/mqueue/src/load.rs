@@ -11,15 +11,11 @@
 //! and the tail of the stream lands at the new master.
 
 use coord::CoordFlaws;
-use neat::{DegradeSpec, Outcome, Violation, ViolationKind};
+use neat::{DegradeSpec, Outcome, RunOutcome, Violation, ViolationKind};
 use simnet::DegradeRule;
-use workload::{Arrival, Driver, Keyspace, Mix, OpStatus, Pacing, WorkloadSpec};
+use workload::{Arrival, Driver, Keyspace, LoadReport, Mix, OpStatus, Pacing, WorkloadSpec};
 
-use crate::{
-    broker::BrokerFlaws,
-    cluster::MqCluster,
-    scenarios::{align_to_flap, MqOutcome},
-};
+use crate::{broker::BrokerFlaws, cluster::MqCluster, scenarios::align_to_flap};
 
 /// Emit one [`obs`](neat::obs) load sample every this many driven ops.
 const SAMPLE_EVERY: u64 = 10;
@@ -41,7 +37,11 @@ fn status_of(o: &Outcome) -> OpStatus {
 /// stream after it times out — a system hang that only a sustained
 /// workload makes unambiguous (a single probe could always have been
 /// unlucky).
-pub fn load_backlog_leader_flap(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn load_backlog_leader_flap(
+    flaws: BrokerFlaws,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<LoadReport> {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     cluster.neat.op_timeout = 500;
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
@@ -148,16 +148,7 @@ pub fn load_backlog_leader_flap(flaws: BrokerFlaws, seed: u64, record: bool) -> 
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: format!(
-            "{} | load {}",
-            cluster.neat.world.trace().summary(),
-            report.render()
-        ),
-        timeline,
-    }
+    cluster.neat.outcome(violations, report)
 }
 
 #[cfg(test)]
@@ -177,9 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn load_report_lands_in_the_trace() {
+    fn load_report_lands_in_the_outcome() {
         let out = load_backlog_leader_flap(BrokerFlaws::fixed(), 8, true);
-        assert!(out.trace.contains("load issued=36"), "{}", out.trace);
+        assert_eq!(out.detail.issued, 36, "{:?}", out.detail);
         assert!(out.timeline.counters.load_samples > 0);
     }
 }

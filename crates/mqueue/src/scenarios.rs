@@ -3,7 +3,7 @@
 use coord::CoordFlaws;
 use neat::{
     checkers::{check_queue, QueueExpectation},
-    rest_of, DegradeSpec, Violation, ViolationKind,
+    rest_of, DegradeSpec, RunOutcome, Violation, ViolationKind,
 };
 use simnet::DegradeRule;
 
@@ -13,26 +13,10 @@ use crate::{
     cluster::{AcCluster, MqCluster},
 };
 
-/// What a queue scenario produced.
-#[derive(Debug)]
-pub struct MqOutcome {
-    pub violations: Vec<Violation>,
-    pub trace: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
-}
-
-impl MqOutcome {
-    /// `true` when a violation of `kind` was found.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
-}
-
 /// Figure 6 (AMQ-7064): a partial partition separates the master from the
 /// replicas but not from the coordination service. The master cannot
 /// replicate; the replicas see a healthy master; the whole system hangs.
-pub fn fig6_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn fig6_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
     let c1 = cluster.client(0);
@@ -69,12 +53,7 @@ pub fn fig6_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
              operation timed out although a majority of brokers was healthy",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Sleeps until the next flap window of the wanted phase begins, plus a
@@ -96,7 +75,7 @@ pub(crate) fn align_to_flap(cluster: &mut MqCluster, period: u64, lossy: bool) {
 /// quiet window still goes through (no partition detector would fire), but
 /// a replication started in a lossy window stalls; with the AMQ-7064 flaw
 /// the master blocks forever and the whole system hangs.
-pub fn flapping_link_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn flapping_link_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     cluster.neat.op_timeout = 500;
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
@@ -158,17 +137,12 @@ pub fn flapping_link_hang(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutc
              healthy half the time",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Listing 2 (AMQ-6978): a complete partition isolates the master with one
 /// client; both sides dequeue the same message.
-pub fn listing2_double_dequeue(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn listing2_double_dequeue(flaws: BrokerFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
     let c1 = cluster.client(0);
@@ -207,17 +181,12 @@ pub fn listing2_double_dequeue(flaws: BrokerFlaws, seed: u64, record: bool) -> M
             drained: drained.and_then(|(vals, complete)| complete.then_some(vals)),
         }],
     );
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// rabbitmq #714: a master demoted while replication is in flight
 /// deadlocks and never answers again — even after the partition heals.
-pub fn deadlock_on_demotion(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn deadlock_on_demotion(flaws: BrokerFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
     let c1 = cluster.client(0);
@@ -247,17 +216,12 @@ pub fn deadlock_on_demotion(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOu
             "old master deadlocked on demotion; it stays dead after the heal",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// Jepsen-Kafka: with `acks=1`, a message acknowledged by the isolated
 /// leader alone disappears when the majority fails over.
-pub fn kafka_acked_message_loss(flaws: BrokerFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn kafka_acked_message_loss(flaws: BrokerFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = MqCluster::build(3, flaws, CoordFlaws::default(), seed, record);
     let master = cluster.wait_for_master(3000, None).expect("master"); // lint:allow(unwrap-expect)
     let c1 = cluster.client(0);
@@ -291,18 +255,13 @@ pub fn kafka_acked_message_loss(flaws: BrokerFlaws, seed: u64, record: bool) -> 
             drained: drained.and_then(|(vals, complete)| complete.then_some(vals)),
         }],
     );
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 /// rabbitmq #1455: a partition during peer discovery makes the cut-off
 /// brokers form their own cluster; the clusters persist after the heal and
 /// messages published to one never reach consumers of the other.
-pub fn autocluster_split(flaws: AcFlaws, seed: u64, record: bool) -> MqOutcome {
+pub fn autocluster_split(flaws: AcFlaws, seed: u64, record: bool) -> RunOutcome {
     let mut cluster = AcCluster::build(4, flaws, seed, record);
     // The partition exists from the start, while discovery runs: brokers
     // {0,1} + client0 vs brokers {2,3} + client1.
@@ -342,12 +301,7 @@ pub fn autocluster_split(flaws: AcFlaws, seed: u64, record: bool) -> MqOutcome {
             drained: drained.1.then_some(drained.0),
         }],
     ));
-    let timeline = cluster.neat.observe(&violations);
-    MqOutcome {
-        violations,
-        trace: cluster.neat.world.trace().summary(),
-        timeline,
-    }
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]

@@ -4,11 +4,36 @@
 use simnet::{Application, Ctx, NodeId, Time, World};
 
 use crate::{
-    checkers::Violation,
+    checkers::{Violation, ViolationKind},
     fault::{Partition, PartitionSpec},
     gray::{Degrade, DegradeKind, DegradeSpec},
     history::{History, Op, OpRecord, Outcome},
 };
+
+/// What one scenario run produced: the checker verdicts, the run's
+/// [`obs::Timeline`] (events only when the world records them, counters
+/// always), and `detail`, whatever else the family observed — `()` for
+/// most. [`Neat::outcome`] builds it at the end of a run.
+///
+/// Every scenario of every family returns one, and the campaign
+/// fingerprints it whole through `Debug`, so each field is part of the
+/// audit hashes.
+#[derive(Debug)]
+pub struct RunOutcome<D = ()> {
+    /// Violations the checkers detected, in detection order.
+    pub violations: Vec<Violation>,
+    /// Faults, operations, notes and verdicts in virtual-time order.
+    pub timeline: obs::Timeline,
+    /// Family-specific observables beyond the verdicts.
+    pub detail: D,
+}
+
+impl<D> RunOutcome<D> {
+    /// `true` when a violation of `kind` was detected.
+    pub fn has(&self, kind: ViolationKind) -> bool {
+        self.violations.iter().any(|v| v.kind == kind)
+    }
+}
 
 /// The test engine (the central node of the paper's Figure 4).
 ///
@@ -272,20 +297,24 @@ impl<A: Application> Neat<A> {
         self.world.now()
     }
 
-    /// Records `violations` as verdict events and returns the run's
-    /// [`obs::Timeline`]: every fault, operation, and verdict in
-    /// virtual-time order, application notes merged in from the simnet
-    /// trace, and the fabric counters folded into [`obs::Counters`].
+    /// Ends a run: records `violations` as verdict events at the current
+    /// virtual time and packages them with the run's [`obs::Timeline`] —
+    /// every fault, operation and verdict in virtual-time order,
+    /// application notes merged in from the world, and the fabric counters
+    /// folded into [`obs::Counters`] — and the family's `detail`.
     ///
-    /// Call once per run, after the checkers — the idiom every scenario
-    /// outcome uses to fill its `timeline` field.
-    pub fn observe(&mut self, violations: &[Violation]) -> obs::Timeline {
+    /// Call once per run, after every checker.
+    pub fn outcome<D>(&mut self, violations: Vec<Violation>, detail: D) -> RunOutcome<D> {
         let now = self.world.now();
-        for v in violations {
+        for v in &violations {
             // Deferred: kind/details strings only materialize when recording.
             self.obs.verdict_with(now, || (v.kind.to_string(), v.details.clone()));
         }
-        self.timeline()
+        RunOutcome {
+            violations,
+            timeline: self.timeline(),
+            detail,
+        }
     }
 
     /// Snapshot of the observability timeline without recording verdicts.
@@ -471,7 +500,7 @@ mod tests {
         assert!(neat.active_degrades().is_empty());
         let got = ping(&mut neat);
         assert_eq!(got, Some(9));
-        let t = neat.observe(&[]);
+        let t = neat.timeline();
         assert_eq!(t.counters.degrades_installed, 1);
         assert_eq!(t.counters.degrade_heals, 1);
     }
@@ -562,12 +591,33 @@ mod tests {
         neat.crash(&[NodeId(1)]); // already down: skipped
         neat.restart(&[NodeId(1)]);
         neat.restart(&[NodeId(1)]); // already up: skipped
-        let t = neat.observe(&[]);
+        let t = neat.outcome(Vec::new(), ()).timeline;
         assert_eq!(t.counters.partitions_installed, 1);
         assert_eq!(t.counters.heals, 1);
         assert_eq!(t.counters.crashes, 1);
         assert_eq!(t.counters.restarts, 1);
         assert!(t.is_empty(), "recording off ⇒ counters only, no events");
+    }
+
+    #[test]
+    fn healing_twice_logs_one_heal() {
+        use crate::gray::DegradeSpec;
+        use simnet::DegradeRule;
+        let world = WorldBuilder::new(5).record_trace(true).build(2, |_| AckServer::default());
+        let mut neat = Neat::new(world);
+        let p = neat.partition_complete(&[NodeId(0)], &[NodeId(1)]);
+        neat.heal(&p);
+        neat.heal(&p);
+        let d = neat.degrade(DegradeSpec::Partial {
+            a: vec![NodeId(0)],
+            b: vec![NodeId(1)],
+            rule: DegradeRule::lossy(0.5),
+        });
+        neat.heal_degrade(&d);
+        neat.heal_degrade(&d);
+        let t = neat.timeline();
+        let labels: Vec<&str> = t.events.iter().map(|e| e.label()).collect();
+        assert_eq!(labels, ["partition", "heal", "degrade", "degrade-heal"], "{}", t.render());
     }
 
     #[test]
@@ -583,10 +633,12 @@ mod tests {
             Outcome::Timeout
         });
         neat.heal(&p);
-        let t = neat.observe(&[crate::checkers::Violation {
-            kind: crate::checkers::ViolationKind::DataUnavailability,
-            details: "k never answered".into(),
-        }]);
+        let out = neat.outcome(
+            vec![Violation::new(ViolationKind::DataUnavailability, "k never answered")],
+            (),
+        );
+        assert!(out.has(ViolationKind::DataUnavailability));
+        let t = out.timeline;
         let labels: Vec<&str> = t.events.iter().map(|e| e.label()).collect();
         assert_eq!(labels, vec!["partition", "op", "heal", "verdict"]);
         assert_eq!(t.counters.verdicts, 1);

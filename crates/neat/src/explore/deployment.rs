@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use simnet::{Application, NodeId, Time};
 
 use super::{run_schedule, EventChoice, SchedulePlan, TestTarget};
-use crate::{checkers::Violation, fault::PartitionSpec, gray::DegradeSpec, Neat};
+use crate::{checkers::Violation, fault::PartitionSpec, gray::DegradeSpec, Neat, RunOutcome};
 
 /// What a system family tells the explorer about itself. Every
 /// `Deployment` is a [`TestTarget`].
@@ -130,18 +130,22 @@ pub fn plan_at_leader(
 
 /// Replays a mined schedule whose victim is the leader elected at `seed`:
 /// resets `target`, aims [`plan_at_leader`] at it, runs the plan, and
-/// returns the campaign triple (violations, rendered plan, timeline).
+/// returns its verdicts with the trial's timeline — which, like every
+/// explorer trial's, records no verdict events.
 pub fn replay_at_leader(
     target: &mut dyn TestTarget,
     seed: u64,
     record: bool,
     fallback: usize,
     build_plan: fn(&[NodeId], NodeId) -> SchedulePlan,
-) -> (Vec<Violation>, String, obs::Timeline) {
+) -> RunOutcome {
     target.reset(seed, record);
     let plan = plan_at_leader(target, fallback, build_plan);
-    let violations = run_schedule(target, &plan);
-    (violations, plan.render(), target.timeline())
+    RunOutcome {
+        violations: run_schedule(target, &plan),
+        timeline: target.timeline(),
+        detail: (),
+    }
 }
 
 #[cfg(test)]
@@ -275,9 +279,18 @@ mod tests {
             }
         }
         let mut t = Probe::<0, 10>::new();
-        let (violations, rendered, _) = replay_at_leader(&mut t, 4, false, 2, plan);
-        assert!(violations.is_empty());
-        assert_eq!(rendered, "crash({2,0})");
+        let out = replay_at_leader(&mut t, 4, true, 2, plan);
+        assert!(out.violations.is_empty());
+        let crashed: Vec<NodeId> = out
+            .timeline
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                obs::Event::Crashed { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(crashed, [NodeId(2), NodeId(0)], "servers[2] stands in for the leader");
         assert_eq!(t.checked_at, Some(10));
     }
 }

@@ -10,7 +10,8 @@
 //! The pieces, mapped to the paper's Figure 4 architecture:
 //!
 //! - [`engine::Neat`] — the *test engine*: globally orders client operations,
-//!   crashes and restarts nodes, and advances virtual time (`sleep`).
+//!   crashes and restarts nodes, and advances virtual time (`sleep`); every
+//!   scenario ends in one [`RunOutcome`].
 //! - [`cluster`] — the *deployment*: the [`cluster::Node`] contract each
 //!   role of a system implements, the [`roles!`] macro that turns a list of
 //!   roles into a hosted process type, and [`cluster::boot`].
@@ -80,7 +81,7 @@ pub mod nemesis;
 pub mod retry;
 
 pub use checkers::{Violation, ViolationKind};
-pub use engine::Neat;
+pub use engine::{Neat, RunOutcome};
 pub use fault::{rest_of, Partition, PartitionKind, PartitionSpec};
 pub use gray::{Degrade, DegradeKind, DegradeSpec};
 pub use history::{History, Op, OpRecord, Outcome};

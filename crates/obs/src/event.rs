@@ -257,8 +257,9 @@ pub struct Counters {
     /// Discrete events simulated (message deliveries plus timer firings),
     /// copied from the [`simnet::trace::Counters`] of the run.
     pub events_simulated: u64,
-    /// Messages the fabric dropped (partition + flaky link + dead node),
-    /// copied from the [`simnet::trace::Counters`] of the run.
+    /// Messages the fabric dropped (partition + flaky link + degraded
+    /// link + dead node), summed from the [`simnet::trace::Counters`] of
+    /// the run.
     pub messages_dropped: u64,
     /// Client operations globally ordered through the engine.
     pub ops_ordered: u64,

@@ -144,14 +144,14 @@ mod tests {
         r.partition_installed(600, 0, PartitionClass::Partial, &[NodeId(0)], &[NodeId(1)], 2);
         r.op(700, 705, NodeId(1), "obj1".into(), "Write { .. }".into(), "Ok(None)".into());
         r.partition_healed(1450, 0);
-        r.verdict(2100, "data loss".into(), "acked write obj1=1 missing".into());
+        r.verdict(2100, "data loss".into(), "acked write \"obj1\"=1 missing".into());
         ForensicReport {
             scenario: "listing1_data_loss".into(),
             system: "Elasticsearch".into(),
             reference: "#2488 / Listing 1".into(),
             partition: "partial".into(),
             seed: 8,
-            violations: vec![("data loss".into(), "acked write obj1=1 missing".into())],
+            violations: vec![("data loss".into(), "acked write \"obj1\"=1 missing".into())],
             timeline: r.snapshot(),
         }
     }
@@ -161,7 +161,7 @@ mod tests {
         let text = report().render();
         assert!(text.contains("== listing1_data_loss — Elasticsearch (#2488 / Listing 1) =="));
         assert!(text.contains("injected: partial partition, seed 8"));
-        assert!(text.contains("- data loss: acked write obj1=1 missing"));
+        assert!(text.contains("- data loss: acked write \"obj1\"=1 missing"));
         assert!(text.contains("fault windows:"));
         assert!(text.contains("ops in flight during a fault:"));
         assert!(text.contains("first divergent op"));

@@ -12,9 +12,11 @@
 //!
 //! - [`Event`] — the typed record palette (partition install/heal, crash,
 //!   restart, client op, checker verdict, application note).
-//! - [`Recorder`] — the engine-side sink. Counters are always maintained;
-//!   the per-event stream obeys the same recording gate as
-//!   [`simnet::Trace`], so unrecorded runs stay cheap.
+//! - [`Recorder`] — the engine-side sink and the run's one event log; only
+//!   application notes come from elsewhere ([`simnet::Trace`]'s note log,
+//!   folded in by [`Recorder::timeline`]). Counters are always maintained;
+//!   the per-event stream obeys the same recording gate as the note log,
+//!   so unrecorded runs stay cheap.
 //! - [`Timeline`] — an ordered snapshot of one run: events plus
 //!   [`Counters`], with renderers for the human-readable listing and the
 //!   JSONL export (via `study::json`).
@@ -33,7 +35,7 @@
 //!                         &[NodeId(0)], &[NodeId(1)], 2);
 //! rec.op(700, 705, NodeId(1), "k".into(), "Write".into(), "Ok(None)".into());
 //! rec.partition_healed(1450, 0);
-//! rec.verdict(2000, "data loss".into(), "acked write to k missing".into());
+//! rec.verdict(2000, "data loss".into(), "acked write to \"k\" missing".into());
 //!
 //! let t: Timeline = rec.snapshot();
 //! assert_eq!(t.events.len(), 4);

@@ -1,19 +1,20 @@
 //! The engine-side event sink.
 
-use simnet::{
-    trace::{Trace, TraceEvent},
-    NodeId, Time,
-};
+use simnet::{trace::Trace, NodeId, Time};
 
 use crate::{Counters, DegradeClass, Event, PartitionClass, Timeline};
 
-/// Collects [`Event`]s and maintains [`Counters`] during a run.
+/// Collects [`Event`]s and maintains [`Counters`] during a run: the one
+/// record of its faults, crashes, restarts, operations and verdicts. The
+/// only events it does not record itself are application notes, which
+/// handlers emit into the world's [`simnet::trace::Trace`] and
+/// [`Recorder::timeline`] folds in.
 ///
-/// Mirrors the recording discipline of [`simnet::trace::Trace`]: counters
-/// are always maintained (they are cheap and the machine-readable exports
-/// want them for every run), while the per-event stream is only kept when
-/// `enabled` — which the engine ties to the world's `record_trace` flag,
-/// so one switch governs both layers.
+/// Mirrors the recording discipline of that trace: counters are always
+/// maintained (they are cheap and the machine-readable exports want them
+/// for every run), while the per-event stream is only kept when `enabled`
+/// — which the engine ties to the world's `record_trace` flag, so one
+/// switch governs both layers.
 #[derive(Debug, Default)]
 pub struct Recorder {
     enabled: bool,
@@ -173,7 +174,8 @@ impl Recorder {
         }
     }
 
-    /// Records a free-form note (used when merging application notes).
+    /// Records a free-form note. Runs take theirs from the world's note log
+    /// instead ([`Recorder::timeline`]); this is for timelines built by hand.
     pub fn note(&mut self, at: Time, node: NodeId, text: String) {
         self.push(Event::Note { at, node, text });
     }
@@ -210,16 +212,13 @@ impl Recorder {
         // One vector, one stable sort: recorder events first, then the
         // trace's notes, so within a tick recorder events precede notes and
         // each keeps its insertion order.
-        let log = if self.enabled { trace.events() } else { &[] };
-        let mut events = Vec::with_capacity(self.events.len() + log.len());
+        let notes = if self.enabled { trace.notes() } else { &[] };
+        let mut events = Vec::with_capacity(self.events.len() + notes.len());
         events.extend_from_slice(&self.events);
-        events.extend(log.iter().filter_map(|ev| match ev {
-            TraceEvent::Note { at, node, text } => Some(Event::Note {
-                at: *at,
-                node: *node,
-                text: text.clone(),
-            }),
-            _ => None,
+        events.extend(notes.iter().map(|n| Event::Note {
+            at: n.at,
+            node: n.node,
+            text: n.text.clone(),
         }));
         events.sort_by_key(Event::at);
         let mut t = Timeline {

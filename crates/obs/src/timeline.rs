@@ -103,9 +103,12 @@ impl Timeline {
             .collect()
     }
 
-    /// The first operation whose key is named by a verdict's evidence — a
-    /// heuristic for the "first divergent read" of the paper's listings.
-    /// `None` when there is no verdict or no op touches a blamed key.
+    /// The first operation whose key a verdict's evidence names, in quotes
+    /// the way the checkers quote keys (`"k"`) — a heuristic for the "first
+    /// divergent read" of the paper's listings. Matching the quoted key
+    /// keeps a short key such as `a` from being blamed for occurring inside
+    /// a word of the evidence. `None` when there is no verdict or no op
+    /// touches a named key.
     pub fn first_divergent_op(&self) -> Option<&Event> {
         let evidence: Vec<&str> = self
             .events
@@ -119,8 +122,9 @@ impl Timeline {
             return None;
         }
         self.events.iter().find(|e| match e {
-            Event::Op { key, .. } => {
-                !key.is_empty() && evidence.iter().any(|d| d.contains(key.as_str()))
+            Event::Op { key, .. } if !key.is_empty() => {
+                let quoted = format!("\"{key}\"");
+                evidence.iter().any(|d| d.contains(&quoted))
             }
             _ => false,
         })
@@ -263,7 +267,7 @@ mod tests {
         r.op(700, 705, NodeId(1), "obj1".into(), "Write { .. }".into(), "Ok(None)".into());
         r.partition_healed(1450, 0);
         r.op(2000, 2001, NodeId(0), "other".into(), "Read { .. }".into(), "Ok(None)".into());
-        r.verdict(2100, "data loss".into(), "acked write obj1=1 missing".into());
+        r.verdict(2100, "data loss".into(), "acked write \"obj1\"=1 missing".into());
         r.snapshot()
     }
 
@@ -324,6 +328,22 @@ mod tests {
         let t = sample();
         let op = t.first_divergent_op().expect("divergent op");
         assert!(matches!(op, Event::Op { key, .. } if key == "obj1"));
+    }
+
+    #[test]
+    fn first_divergent_op_needs_the_quoted_key_not_a_substring() {
+        let run = |evidence: &str| {
+            let mut r = Recorder::new(true);
+            r.op(10, 11, NodeId(3), "a".into(), "Write".into(), "Ok(None)".into());
+            r.op(20, 21, NodeId(3), "c".into(), "Write".into(), "Ok(None)".into());
+            r.verdict(30, "data loss".into(), evidence.into());
+            r.snapshot()
+        };
+        let t = run("acknowledged write of \"c\" lost");
+        let op = t.first_divergent_op().expect("the op on \"c\"");
+        assert!(matches!(op, Event::Op { key, .. } if key == "c"), "{op}");
+        let t = run("acknowledged enqueues hang");
+        assert_eq!(t.first_divergent_op(), None, "no quoted key, no blame");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use neat::{
     explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
-    Violation,
+    RunOutcome,
 };
 use simnet::NodeId;
 
@@ -41,12 +41,12 @@ pub fn simplex_leader_write_plan(servers: &[NodeId], leader: NodeId) -> Schedule
 }
 
 /// Replays the minimized schedule against `config` at `seed`, returning
-/// the campaign triple (violations, rendered plan, timeline).
+/// its verdicts and timeline.
 pub fn explored_simplex_leader_write(
     config: Config,
     seed: u64,
     record: bool,
-) -> (Vec<Violation>, String, neat::obs::Timeline) {
+) -> RunOutcome {
     replay_at_leader(&mut RepkvTarget::new(config), seed, record, 0, simplex_leader_write_plan)
 }
 
@@ -59,25 +59,16 @@ mod tests {
     #[test]
     fn replay_reproduces_data_corruption_on_the_flawed_arm() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) =
-                explored_simplex_leader_write(Config::voltdb(), seed, false);
-            assert!(
-                violations
-                    .iter()
-                    .any(|v| v.kind == ViolationKind::DataCorruption),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_simplex_leader_write(Config::voltdb(), seed, false);
+            assert!(out.has(ViolationKind::DataCorruption), "seed {seed}: {:?}", out.violations);
         }
     }
 
     #[test]
     fn replay_is_clean_on_the_repaired_baseline() {
         for seed in [8u64, 42] {
-            let (violations, plan, _) = explored_simplex_leader_write(Config::fixed(), seed, false);
-            assert!(
-                violations.is_empty(),
-                "seed {seed}: {plan} produced {violations:?}"
-            );
+            let out = explored_simplex_leader_write(Config::fixed(), seed, false);
+            assert!(out.violations.is_empty(), "seed {seed}: {:?}", out.violations);
         }
     }
 

@@ -15,16 +15,18 @@
 use std::collections::BTreeMap;
 
 use neat::{
-    checkers::{check_counter, check_register, RegisterSemantics},
-    rest_of, DegradeSpec, Outcome, RetryPolicy, Violation, ViolationKind,
+    checkers::{check_register, RegisterSemantics},
+    rest_of, DegradeSpec, Outcome, RetryPolicy, RunOutcome, Violation, ViolationKind,
 };
 use simnet::DegradeRule;
-use workload::{Arrival, Driver, Keyspace, Mix, OpKind, OpStatus, Pacing, WorkloadSpec};
+use workload::{
+    Arrival, Driver, Keyspace, LoadReport, Mix, OpKind, OpStatus, Pacing, WorkloadSpec,
+};
 
 use crate::{
     cluster::{Cluster, ClusterSpec},
     config::Config,
-    scenarios::ScenarioOutcome,
+    scenarios::counter_violations,
 };
 
 /// Emit one [`obs`](neat::obs) load sample every this many driven ops.
@@ -68,9 +70,15 @@ fn sample(cluster: &mut Cluster, driver: &Driver, seq: u64) {
     }
 }
 
-/// Runs the register checker and assembles the common outcome fields,
-/// folding the driver's final report into the trace summary.
-fn finish(cluster: &mut Cluster, keys: &[&str], driver: Driver) -> ScenarioOutcome {
+/// Takes the driver's final sample, runs the register checker over
+/// `keys`, appends `extra` (the scenario's own verdicts, judged
+/// beforehand) and ends the run with the driver's report as its detail.
+fn finish(
+    cluster: &mut Cluster,
+    keys: &[&str],
+    driver: Driver,
+    extra: Vec<Violation>,
+) -> RunOutcome<LoadReport> {
     let report = driver.into_report();
     cluster.neat.load_sample(
         report.issued,
@@ -79,20 +87,13 @@ fn finish(cluster: &mut Cluster, keys: &[&str], driver: Driver) -> ScenarioOutco
         report.behind,
     );
     let final_state = cluster.final_state(keys);
-    let violations = check_register(
+    let mut violations = check_register(
         cluster.neat.history(),
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    ScenarioOutcome {
-        violations,
-        elections: cluster.total_elections(),
-        trace: format!("{} | load {}", cluster.neat.world.trace().summary(), report.render()),
-        final_state,
-        history: cluster.neat.history().render(),
-        timeline,
-    }
+    violations.extend(extra);
+    cluster.neat.outcome(violations, report)
 }
 
 /// Retry storm under gray loss (§2.1): the leader→client direction drops
@@ -107,7 +108,7 @@ fn finish(cluster: &mut Cluster, keys: &[&str], driver: Driver) -> ScenarioOutco
 /// The violation is load-dependent by construction: see
 /// [`load_retry_storm_gray_loss_with_ops`] — a legacy low-op drive of the
 /// same choreography finds nothing at the campaign seed.
-pub fn load_retry_storm_gray_loss(retry: bool, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn load_retry_storm_gray_loss(retry: bool, seed: u64, record: bool) -> RunOutcome<LoadReport> {
     load_retry_storm_gray_loss_with_ops(retry, seed, record, 60)
 }
 
@@ -119,7 +120,7 @@ pub fn load_retry_storm_gray_loss_with_ops(
     seed: u64,
     record: bool,
     ops: u64,
-) -> ScenarioOutcome {
+) -> RunOutcome<LoadReport> {
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let c0 = cluster.clients[0];
@@ -160,15 +161,8 @@ pub fn load_retry_storm_gray_loss_with_ops(
     cluster.neat.op_timeout = 1000;
     cluster.neat.sleep(1000);
 
-    let leader_now = cluster.leader().unwrap_or(leader);
-    let final_counter = cluster.kv_of(leader_now).get("counter").copied().unwrap_or(0);
-    let mut outcome = finish(&mut cluster, &[], driver);
-    let extra = check_counter(cluster.neat.history(), "counter", 0, final_counter);
-    if !extra.is_empty() {
-        outcome.timeline = cluster.neat.observe(&extra);
-    }
-    outcome.violations.extend(extra);
-    outcome
+    let extra = counter_violations(&cluster, cluster.leader().unwrap_or(leader));
+    finish(&mut cluster, &[], driver, extra)
 }
 
 /// Overload during partition and heal: an open-loop rate ramp of reads
@@ -179,7 +173,11 @@ pub fn load_retry_storm_gray_loss_with_ops(
 /// failed values straight back — dirty reads at load, repeating as fast
 /// as the workload does. [`Config::fixed`] keeps failed writes invisible
 /// and fails reads once the lease lapses: clean.
-pub fn load_overload_during_heal(mut config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn load_overload_during_heal(
+    mut config: Config,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<LoadReport> {
     // The old leader must keep serving through the fault window.
     config.step_down_rounds = 30;
     let mut cluster = Cluster::build(spec(config, seed, record));
@@ -236,7 +234,7 @@ pub fn load_overload_during_heal(mut config: Config, seed: u64, record: bool) ->
 
     cluster.neat.op_timeout = 1000;
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &keys, driver)
+    finish(&mut cluster, &keys, driver, Vec::new())
 }
 
 /// Hot-key contention across a partial partition: a closed-loop pair of
@@ -247,7 +245,7 @@ pub fn load_overload_during_heal(mut config: Config, seed: u64, record: bool) ->
 /// is gone — data loss scaling with the traffic. The fixed profile never
 /// elects the second leader, so the minority client's writes fail
 /// honestly and nothing acknowledged is lost.
-pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> RunOutcome<LoadReport> {
     let mut cluster = Cluster::build(spec(config, seed, record));
     let s1 = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let others = rest_of(&cluster.servers, &[s1]);
@@ -284,7 +282,7 @@ pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> Scenar
     cluster.neat.heal(&p);
     cluster.neat.op_timeout = 1000;
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &keys, driver)
+    finish(&mut cluster, &keys, driver, Vec::new())
 }
 
 /// Batched-write atomicity under a simplex partition: the driver issues
@@ -297,7 +295,11 @@ pub fn load_hot_key_partition(config: Config, seed: u64, record: bool) -> Scenar
 /// whole (data loss). The fixed `atomic_batch` path acknowledges only
 /// after the entire batch commits, so the same choreography leaves
 /// nothing torn.
-pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn load_batched_write_atomicity(
+    config: Config,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<LoadReport> {
     let mut cluster = Cluster::build(spec(config, seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let followers = rest_of(&cluster.servers, &[leader]);
@@ -370,15 +372,14 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
 
     let all_keys: Vec<String> = (0..GROUPS).flat_map(|g| group_keys(g).to_vec()).collect();
     let key_refs: Vec<&str> = all_keys.iter().map(String::as_str).collect();
-    let mut outcome = finish(&mut cluster, &key_refs, driver);
-
     // All-or-nothing audit per group (the register checker cannot see
     // batch semantics — [`KvClient::batch`] records one opaque op).
+    let final_state = cluster.final_state(&key_refs);
     let mut extra = Vec::new();
     for (g, acked) in &last_acked {
         let vals: Vec<Option<u64>> = group_keys(*g)
             .iter()
-            .map(|k| outcome.final_state.get(k.as_str()).copied().flatten())
+            .map(|k| final_state.get(k.as_str()).copied().flatten())
             .collect();
         let uniform = vals.windows(2).all(|w| w[0] == w[1]);
         if !uniform {
@@ -403,11 +404,7 @@ pub fn load_batched_write_atomicity(config: Config, seed: u64, record: bool) -> 
             }
         }
     }
-    if !extra.is_empty() {
-        outcome.timeline = cluster.neat.observe(&extra);
-    }
-    outcome.violations.extend(extra);
-    outcome
+    finish(&mut cluster, &key_refs, driver, extra)
 }
 
 /// One shard of the sharded open-loop read ladder: a healthy fixed-profile
@@ -558,6 +555,6 @@ mod tests {
                 .any(|e| e.label() == "load"),
             "recorded timeline should carry load events"
         );
-        assert!(out.trace.contains("load issued="));
+        assert_eq!(out.detail.issued, 60);
     }
 }

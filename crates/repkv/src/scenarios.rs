@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_counter, check_register, RegisterSemantics},
-    rest_of, DegradeSpec, RetryPolicy, Violation, ViolationKind,
+    rest_of, DegradeSpec, RetryPolicy, RunOutcome, Violation, ViolationKind,
 };
 use simnet::{DegradeRule, NodeId};
 
@@ -19,54 +19,33 @@ use crate::{
     server::Role,
 };
 
-/// What a scenario produced.
+/// What a repkv run observed beyond its verdicts.
 #[derive(Debug)]
-pub struct ScenarioOutcome {
-    /// Violations the NEAT checkers detected.
-    pub violations: Vec<Violation>,
+pub struct KvDetail {
     /// Total elections won across servers (thrash metric).
     pub elections: u64,
-    /// Manifestation-sequence summary (non-empty when tracing was on).
-    pub trace: String,
     /// The final per-key state used by the register checker.
     pub final_state: BTreeMap<String, Option<u64>>,
-    /// Rendered operation history, one line per op.
-    pub history: String,
-    /// Typed observability timeline (faults, ops, verdicts; see `obs`).
-    pub timeline: neat::obs::Timeline,
 }
 
-impl ScenarioOutcome {
-    /// Kinds of the detected violations, deduplicated and sorted.
-    pub fn kinds(&self) -> Vec<ViolationKind> {
-        let mut ks: Vec<ViolationKind> = self.violations.iter().map(|v| v.kind).collect();
-        ks.sort();
-        ks.dedup();
-        ks
-    }
-
-    /// `true` when a violation of `kind` was detected.
-    pub fn has(&self, kind: ViolationKind) -> bool {
-        self.violations.iter().any(|v| v.kind == kind)
-    }
-}
-
-fn finish(cluster: &mut Cluster, keys: &[&str]) -> ScenarioOutcome {
+/// Runs the register checker over `keys`, appends `extra` (the scenario's
+/// own verdicts, judged beforehand) and ends the run.
+fn finish(cluster: &mut Cluster, keys: &[&str], extra: Vec<Violation>) -> RunOutcome<KvDetail> {
     let final_state = cluster.final_state(keys);
-    let violations = check_register(
+    let mut violations = check_register(
         cluster.neat.history(),
         RegisterSemantics::Strong,
         &final_state,
     );
-    let timeline = cluster.neat.observe(&violations);
-    ScenarioOutcome {
-        violations,
-        elections: cluster.total_elections(),
-        trace: cluster.neat.world.trace().summary(),
-        final_state,
-        history: cluster.neat.history().render(),
-        timeline,
-    }
+    violations.extend(extra);
+    let elections = cluster.total_elections();
+    cluster.neat.outcome(violations, KvDetail { elections, final_state })
+}
+
+/// The counter checker's verdicts on `"counter"` as `holder` stores it.
+pub(crate) fn counter_violations(cluster: &Cluster, holder: NodeId) -> Vec<Violation> {
+    let final_counter = cluster.kv_of(holder).get("counter").copied().unwrap_or(0);
+    check_counter(cluster.neat.history(), "counter", 0, final_counter)
 }
 
 /// Waits (up to 1200 ms) for a server other than `old` to claim
@@ -90,7 +69,7 @@ fn spec(config: Config, seed: u64, record: bool) -> ClusterSpec {
 /// Figure 2: a complete partition isolates the master; a write at the old
 /// master fails yet stays visible (dirty read), and after the majority
 /// elects a new master, the old one still serves the old value (stale read).
-pub fn dirty_and_stale_read(mut config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn dirty_and_stale_read(mut config: Config, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     // The old master must keep serving through the overlap window — the
     // paper's "period of time in which each partition has a leader".
     config.step_down_rounds = 30;
@@ -122,13 +101,13 @@ pub fn dirty_and_stale_read(mut config: Config, seed: u64, record: bool) -> Scen
 
     cluster.neat.heal(&p);
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &["dirty_key", "stale_key"])
+    finish(&mut cluster, &["dirty_key", "stale_key"], Vec::new())
 }
 
 /// ENG-10486: the longest-log election criterion lets an old minority
 /// master with *failed* (uncommitted) writes win the post-heal election and
 /// erase the majority's committed write.
-pub fn longest_log_data_loss(mut config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn longest_log_data_loss(mut config: Config, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     // The old master must survive as leader until the heal so the two logs
     // meet while its (longer) log is still authoritative.
     config.step_down_rounds = 60;
@@ -154,14 +133,14 @@ pub fn longest_log_data_loss(mut config: Config, seed: u64, record: bool) -> Sce
 
     cluster.neat.heal(&p);
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &["k1", "k2", "k3", "k4", "k5"])
+    finish(&mut cluster, &["k1", "k2", "k3", "k4", "k5"], Vec::new())
 }
 
 /// Listing 1: a partial partition with an intersecting bridge node yields
 /// two simultaneous leaders; writes succeed on both sides; after healing,
 /// the election criterion picks one log and the other side's acknowledged
 /// write is lost.
-pub fn listing1_data_loss(config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn listing1_data_loss(config: Config, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(config, seed, record));
     let s1 = cluster.wait_for_leader(3000).expect("initial leader"); // lint:allow(unwrap-expect)
     let others = rest_of(&cluster.servers, &[s1]);
@@ -190,15 +169,18 @@ pub fn listing1_data_loss(config: Config, seed: u64, record: bool) -> ScenarioOu
     c2.read(&mut cluster.neat, "obj1");
     c2.read(&mut cluster.neat, "obj2");
 
-    finish(&mut cluster, &["obj1", "obj2"])
+    finish(&mut cluster, &["obj1", "obj2"], Vec::new())
 }
 
 /// Issue #9967: a simplex partition drops the primary→coordinator
 /// direction; the coordinator reports failure although the primary applied
 /// and committed the operation. A retried increment executes twice
 /// (data corruption), and a "failed" write remains visible (dirty read).
-pub fn coordinator_double_execution(config: Config, seed: u64, record: bool) -> ScenarioOutcome {
-    let coordinator_routing = config.coordinator_routing;
+pub fn coordinator_double_execution(
+    config: Config,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(config, seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let coordinator = rest_of(&cluster.servers, &[leader])[0];
@@ -220,26 +202,19 @@ pub fn coordinator_double_execution(config: Config, seed: u64, record: bool) -> 
     let c2 = cluster.client(1).via(leader_now);
     c2.read(&mut cluster.neat, "w");
 
-    let mut outcome = finish(&mut cluster, &["w"]);
-    let final_counter = cluster
-        .kv_of(leader_now)
-        .get("counter")
-        .copied()
-        .unwrap_or(0);
-    let extra = check_counter(cluster.neat.history(), "counter", 0, final_counter);
-    if !extra.is_empty() {
-        outcome.timeline = cluster.neat.observe(&extra);
-    }
-    outcome.violations.extend(extra);
     // Without request routing the operations are refused up front and
     // nothing double-executes; with it, the counter shows the flaw.
-    let _ = coordinator_routing;
-    outcome
+    let extra = counter_violations(&cluster, leader_now);
+    finish(&mut cluster, &["w"], extra)
 }
 
 /// Jepsen-Redis: asynchronous replication acknowledges writes that exist
 /// only on the isolated master; failover then rolls them back.
-pub fn async_replication_data_loss(mut config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn async_replication_data_loss(
+    mut config: Config,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<KvDetail> {
     config.step_down_rounds = 20;
     let mut cluster = Cluster::build(spec(config, seed, record));
     let old = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
@@ -255,7 +230,7 @@ pub fn async_replication_data_loss(mut config: Config, seed: u64, record: bool) 
     cluster.neat.sleep(600);
     cluster.neat.heal(&p);
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &["k"])
+    finish(&mut cluster, &["k"], Vec::new())
 }
 
 /// Aerospike [140]-style: the latest-operation-timestamp consolidation
@@ -266,7 +241,7 @@ pub fn timestamp_consolidation_reappearance(
     mut config: Config,
     seed: u64,
     record: bool,
-) -> ScenarioOutcome {
+) -> RunOutcome<KvDetail> {
     config.step_down_rounds = 60; // the old leader survives to the heal
     let mut cluster = Cluster::build(spec(config, seed, record));
     let old = cluster.wait_for_leader(3000).expect("initial leader"); // lint:allow(unwrap-expect)
@@ -290,13 +265,13 @@ pub fn timestamp_consolidation_reappearance(
 
     cluster.neat.heal(&p);
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &["doomed"])
+    finish(&mut cluster, &["doomed"], Vec::new())
 }
 
 /// SERVER-14885: a replica with absolute election priority vetoes every
 /// other candidate; isolating it leaves the majority unable to elect a
 /// leader at all — total write unavailability.
-pub fn priority_livelock(config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn priority_livelock(config: Config, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(config, seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let rest = rest_of(&cluster.servers, &[leader]);
@@ -318,22 +293,20 @@ pub fn priority_livelock(config: Config, seed: u64, record: bool) -> ScenarioOut
     cluster.neat.heal(&p);
     cluster.neat.sleep(2000);
 
-    let mut outcome = finish(&mut cluster, &[]);
+    let mut extra = Vec::new();
     if majority_leader.is_none() && !w.is_ok() {
-        let v = Violation::new(
+        extra.push(Violation::new(
             ViolationKind::DataUnavailability,
             "majority side could not elect a leader; writes unavailable for the whole partition",
-        );
-        outcome.timeline = cluster.neat.observe(std::slice::from_ref(&v));
-        outcome.violations.push(v);
+        ));
     }
-    outcome
+    finish(&mut cluster, &[], extra)
 }
 
 /// §4.4 MongoDB arbiter thrashing: a partial partition separates the two
 /// data replicas while the arbiter reaches both; leadership ping-pongs
 /// until the partition heals.
-pub fn arbiter_thrashing(mut config: Config, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn arbiter_thrashing(mut config: Config, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     // Pre-pv1 MongoDB arbiters vote even while they see a healthy primary.
     config.vote_while_connected_to_leader = true;
     let mut cluster = Cluster::build(ClusterSpec {
@@ -355,19 +328,18 @@ pub fn arbiter_thrashing(mut config: Config, seed: u64, record: bool) -> Scenari
     cluster.neat.heal(&p);
     cluster.neat.sleep(1500);
 
-    let mut outcome = finish(&mut cluster, &[]);
-    outcome.elections = thrash;
+    let mut extra = Vec::new();
     if thrash >= 4 {
-        let v = Violation::new(
+        extra.push(Violation::new(
             ViolationKind::Other,
             format!(
                 "leadership thrashed {thrash} times during the partial partition \
                  (availability degradation, §4.4)"
             ),
-        );
-        outcome.timeline = cluster.neat.observe(std::slice::from_ref(&v));
-        outcome.violations.push(v);
+        ));
     }
+    let mut outcome = finish(&mut cluster, &[], extra);
+    outcome.detail.elections = thrash;
     outcome
 }
 
@@ -377,7 +349,7 @@ pub fn arbiter_thrashing(mut config: Config, seed: u64, record: bool) -> Scenari
 /// collapses although the cluster itself is healthy; a client retrying
 /// with backoff (`retry = true`) rides out the flaps and every write
 /// lands. Client-side handling decides the impact.
-pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let c0 = cluster.clients[0];
@@ -411,17 +383,15 @@ pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> Scenari
     cluster.neat.op_timeout = 1000;
     cluster.neat.sleep(1000);
 
-    let mut outcome = finish(&mut cluster, &["gray1", "gray2"]);
+    let mut extra = Vec::new();
     if outcomes.iter().all(|o| !o.is_ok()) {
-        let v = Violation::new(
+        extra.push(Violation::new(
             ViolationKind::DataUnavailability,
             "every client write was lost to the flapping link; \
              without retries the service is unavailable although the cluster is healthy",
-        );
-        outcome.timeline = cluster.neat.observe(std::slice::from_ref(&v));
-        outcome.violations.push(v);
+        ));
     }
-    outcome
+    finish(&mut cluster, &["gray1", "gray2"], extra)
 }
 
 /// Gray failure §2.1, simplex: the leader→client direction silently drops
@@ -430,7 +400,11 @@ pub fn gray_lossy_client_writes(retry: bool, seed: u64, record: bool) -> Scenari
 /// once per attempt — the history acknowledges at most one increment, the
 /// counter shows three: data corruption. A no-retry client (`retry =
 /// false`) leaves one ambiguous timeout, which the checker accepts.
-pub fn gray_simplex_retry_double_incr(retry: bool, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn gray_simplex_retry_double_incr(
+    retry: bool,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let c0 = cluster.clients[0];
@@ -452,19 +426,8 @@ pub fn gray_simplex_retry_double_incr(retry: bool, seed: u64, record: bool) -> S
     cluster.neat.op_timeout = 1000;
     cluster.neat.sleep(1000);
 
-    let mut outcome = finish(&mut cluster, &[]);
-    let leader_now = cluster.leader().unwrap_or(leader);
-    let final_counter = cluster
-        .kv_of(leader_now)
-        .get("counter")
-        .copied()
-        .unwrap_or(0);
-    let extra = check_counter(cluster.neat.history(), "counter", 0, final_counter);
-    if !extra.is_empty() {
-        outcome.timeline = cluster.neat.observe(&extra);
-    }
-    outcome.violations.extend(extra);
-    outcome
+    let extra = counter_violations(&cluster, cluster.leader().unwrap_or(leader));
+    finish(&mut cluster, &[], extra)
 }
 
 /// Gray failure §2.1: a duplicating client→leader link delivers every
@@ -472,7 +435,11 @@ pub fn gray_simplex_retry_double_incr(retry: bool, seed: u64, record: bool) -> S
 /// executes twice while the history acknowledges it once — data
 /// corruption; an idempotent put (`idempotent = true`) is harmlessly
 /// re-applied and the checkers stay quiet.
-pub fn gray_duplicating_link_incr(idempotent: bool, seed: u64, record: bool) -> ScenarioOutcome {
+pub fn gray_duplicating_link_incr(
+    idempotent: bool,
+    seed: u64,
+    record: bool,
+) -> RunOutcome<KvDetail> {
     let mut cluster = Cluster::build(spec(Config::fixed(), seed, record));
     let leader = cluster.wait_for_leader(3000).expect("leader"); // lint:allow(unwrap-expect)
     let c0 = cluster.clients[0];
@@ -493,22 +460,12 @@ pub fn gray_duplicating_link_incr(idempotent: bool, seed: u64, record: bool) -> 
     cluster.neat.heal_degrade(&d);
     cluster.neat.sleep(1000);
 
-    let keys: &[&str] = if idempotent { &["dup_key"] } else { &[] };
-    let mut outcome = finish(&mut cluster, keys);
-    if !idempotent {
-        let leader_now = cluster.leader().unwrap_or(leader);
-        let final_counter = cluster
-            .kv_of(leader_now)
-            .get("counter")
-            .copied()
-            .unwrap_or(0);
-        let extra = check_counter(cluster.neat.history(), "counter", 0, final_counter);
-        if !extra.is_empty() {
-            outcome.timeline = cluster.neat.observe(&extra);
-        }
-        outcome.violations.extend(extra);
+    if idempotent {
+        finish(&mut cluster, &["dup_key"], Vec::new())
+    } else {
+        let extra = counter_violations(&cluster, cluster.leader().unwrap_or(leader));
+        finish(&mut cluster, &[], extra)
     }
-    outcome
 }
 
 /// Gray failure §2.1: the leader's outbound links degrade to a crawl —
@@ -522,7 +479,7 @@ pub fn gray_slow_replication_dirty_read(
     mut config: Config,
     seed: u64,
     record: bool,
-) -> ScenarioOutcome {
+) -> RunOutcome<KvDetail> {
     // The leader's own heartbeat acks come back late too; it must not step
     // down before serving the read that exposes the dirty value.
     config.step_down_rounds = 30;
@@ -545,7 +502,7 @@ pub fn gray_slow_replication_dirty_read(
 
     cluster.neat.heal_degrade(&d);
     cluster.neat.sleep(2000);
-    finish(&mut cluster, &["slow_key"])
+    finish(&mut cluster, &["slow_key"], Vec::new())
 }
 
 #[cfg(test)]
@@ -576,7 +533,7 @@ mod tests {
         let out = longest_log_data_loss(Config::voltdb(), 5, false);
         assert!(out.has(ViolationKind::DataLoss), "{:?}", out.violations);
         // Specifically, the majority's k5 must be the casualty.
-        assert_eq!(out.final_state.get("k5"), Some(&None));
+        assert_eq!(out.detail.final_state.get("k5"), Some(&None));
     }
 
     #[test]
@@ -669,7 +626,7 @@ mod tests {
     #[test]
     fn arbiter_thrashing_under_partial_partition() {
         let out = arbiter_thrashing(Config::mongodb(), 19, false);
-        assert!(out.elections >= 4, "only {} elections", out.elections);
+        assert!(out.detail.elections >= 4, "only {} elections", out.detail.elections);
         assert!(out.has(ViolationKind::Other));
     }
 
@@ -688,8 +645,8 @@ mod tests {
         let out = gray_lossy_client_writes(true, 8, false);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         // The retried writes actually landed.
-        assert_eq!(out.final_state.get("gray1"), Some(&Some(1)));
-        assert_eq!(out.final_state.get("gray2"), Some(&Some(2)));
+        assert_eq!(out.detail.final_state.get("gray1"), Some(&Some(1)));
+        assert_eq!(out.detail.final_state.get("gray2"), Some(&Some(2)));
     }
 
     #[test]
@@ -722,7 +679,7 @@ mod tests {
     fn idempotent_puts_tolerate_duplication() {
         let out = gray_duplicating_link_incr(true, 8, false);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
-        assert_eq!(out.final_state.get("dup_key"), Some(&Some(7)));
+        assert_eq!(out.detail.final_state.get("dup_key"), Some(&Some(7)));
     }
 
     #[test]

@@ -197,7 +197,7 @@ impl DkCluster {
 
 /// dkron #379: partial partition leader | followers (client bridges); the
 /// job runs but is reported failed; the client's retry runs it twice.
-pub fn misleading_status(flaws: DkFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn misleading_status(flaws: DkFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = DkCluster::build(flaws, seed, record);
     cluster.neat.sleep(50);
 
@@ -224,8 +224,7 @@ pub fn misleading_status(flaws: DkFlaws, seed: u64, record: bool) -> (Vec<Violat
             ),
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -248,13 +247,13 @@ mod tests {
 
     #[test]
     fn misleading_status_with_the_flaw() {
-        let (violations, _, _) = misleading_status(
+        let violations = misleading_status(
             DkFlaws {
                 status_requires_peer_ack: true,
             },
             91,
             false,
-        );
+        ).violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::DataCorruption),
             "{violations:?}"
@@ -263,13 +262,13 @@ mod tests {
 
     #[test]
     fn truthful_status_when_fixed() {
-        let (violations, _, _) = misleading_status(
+        let violations = misleading_status(
             DkFlaws {
                 status_requires_peer_ack: false,
             },
             91,
             false,
-        );
+        ).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 

@@ -463,7 +463,7 @@ impl MrCluster {
 
 /// Figure 3: submit a job, partially partition the AppMaster's node from
 /// the ResourceManager mid-run, and count how many times the job executed.
-pub fn double_execution(flaws: MrFlaws, seed: u64, record: bool) -> (Vec<Violation>, String, neat::obs::Timeline) {
+pub fn double_execution(flaws: MrFlaws, seed: u64, record: bool) -> neat::RunOutcome {
     let mut cluster = MrCluster::build(flaws, seed, record);
     cluster.submit(7);
     cluster.neat.sleep(150); // the AM is placed and running
@@ -499,8 +499,7 @@ pub fn double_execution(flaws: MrFlaws, seed: u64, record: bool) -> (Vec<Violati
             "the job never produced a result",
         ));
     }
-    let timeline = cluster.neat.observe(&violations);
-    (violations, cluster.neat.world.trace().summary(), timeline)
+    cluster.neat.outcome(violations, ())
 }
 
 #[cfg(test)]
@@ -524,13 +523,13 @@ mod tests {
 
     #[test]
     fn fig3_double_execution_with_the_flaw() {
-        let (violations, _, _) = double_execution(
+        let violations = double_execution(
             MrFlaws {
                 relaunch_without_checking: true,
             },
             81,
             false,
-        );
+        ).violations;
         assert!(
             violations.iter().any(|v| v.kind == ViolationKind::DoubleExecution),
             "{violations:?}"
@@ -543,13 +542,13 @@ mod tests {
 
     #[test]
     fn fig3_single_execution_when_fixed() {
-        let (violations, _, _) = double_execution(
+        let violations = double_execution(
             MrFlaws {
                 relaunch_without_checking: false,
             },
             81,
             false,
-        );
+        ).violations;
         assert!(violations.is_empty(), "{violations:?}");
     }
 

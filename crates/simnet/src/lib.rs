@@ -13,9 +13,8 @@
 //! - per-link [`net::DegradeRule`]s for *gray failures* — targeted loss,
 //!   extra latency, jitter, and duplication, optionally flapping — the
 //!   flaky-link causes the paper traces partial partitions to (§2.1),
-//! - a [`trace::Trace`]: always-on per-message counters plus an opt-in
-//!   control-plane log (notes, crashes, rule changes), used by the figure
-//!   reproductions to print manifestation sequences.
+//! - a [`trace::Trace`]: always-on per-message counters plus an opt-in log
+//!   of application notes, which `obs` folds into a run's timeline.
 //!
 //! # Examples
 //!
@@ -51,7 +50,7 @@ pub mod world;
 
 pub use event::{QueueStats, Time, TimerId};
 pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Note, Trace};
 pub use world::{queue_stats_during, Application, Ctx, SimError, World, WorldBuilder};
 
 /// Identifier of a simulated node (server, client, or auxiliary service).

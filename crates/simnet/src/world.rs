@@ -8,7 +8,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::{
     event::{EventKind, EventQueue, Handle, QueueStats, Time, TimerId},
     net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Loss, Net},
-    trace::{Trace, TraceEvent},
+    trace::{Note, Trace},
     NodeId,
 };
 
@@ -80,7 +80,7 @@ pub struct Ctx<'a, M> {
     now: Time,
     /// The node's crash epoch, stamped on everything it sends.
     epoch: u64,
-    /// Whether the world keeps its control-plane log; see [`Ctx::note`].
+    /// Whether the world keeps its note log; see [`Ctx::note`].
     recording: bool,
     rng: &'a mut StdRng,
     next_timer: &'a mut u64,
@@ -146,9 +146,10 @@ impl<'a, M> Ctx<'a, M> {
         id
     }
 
-    /// Emits a free-form annotation into the trace (visible in
-    /// [`Trace::summary`]). `text` runs only in a world that records its
-    /// trace, so a quiet run never formats a note nobody reads.
+    /// Emits a free-form annotation into the note log ([`Trace::notes`]),
+    /// which `obs` folds into the run's timeline. `text` runs only in a
+    /// world that records its trace, so a quiet run never formats a note
+    /// nobody reads.
     pub fn note(&mut self, text: impl FnOnce() -> String) {
         if self.recording {
             self.actions.push(Action::Note(text()));
@@ -219,8 +220,7 @@ impl WorldBuilder {
         self
     }
 
-    /// Enables the control-plane log ([`Trace::events`]): notes, crashes and
-    /// restarts, rule installs and removals. Counters are always on.
+    /// Enables the note log ([`Trace::notes`]). Counters are always on.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -334,22 +334,13 @@ impl<A: Application> World<A> {
     /// Installs a block rule over explicit directed pairs. Most callers use
     /// the partition helpers in the `neat` crate instead.
     pub fn block_pairs(&mut self, pairs: BTreeSet<(NodeId, NodeId)>) -> BlockRuleId {
-        let n = pairs.len();
-        let id = self.net.block_pairs(pairs);
-        self.trace.push(TraceEvent::RuleInstalled {
-            at: self.now,
-            rule: id,
-            pairs: n,
-        });
-        id
+        self.net.block_pairs(pairs)
     }
 
     /// Removes a block rule (heals that partition). Healing a rule that is
-    /// not installed is a no-op and logs nothing.
+    /// not installed is a no-op.
     pub fn unblock(&mut self, id: BlockRuleId) {
-        if self.net.unblock(id) {
-            self.trace.push(TraceEvent::RuleRemoved { at: self.now, rule: id });
-        }
+        self.net.unblock(id);
     }
 
     /// Installs a degrade rule (gray failure) over explicit directed pairs.
@@ -359,25 +350,13 @@ impl<A: Application> World<A> {
         pairs: BTreeSet<(NodeId, NodeId)>,
         rule: DegradeRule,
     ) -> DegradeRuleId {
-        let n = pairs.len();
-        let id = self.net.degrade_pairs(pairs, rule);
-        self.trace.push(TraceEvent::DegradeRuleInstalled {
-            at: self.now,
-            rule: id,
-            pairs: n,
-        });
-        id
+        self.net.degrade_pairs(pairs, rule)
     }
 
     /// Removes a degrade rule (restores those links). Restoring a rule that
-    /// is not installed is a no-op and logs nothing.
+    /// is not installed is a no-op.
     pub fn undegrade(&mut self, id: DegradeRuleId) {
-        if self.net.undegrade(id) {
-            self.trace.push(TraceEvent::DegradeRuleRemoved {
-                at: self.now,
-                rule: id,
-            });
-        }
+        self.net.undegrade(id);
     }
 
     /// Crashes a node: volatile state is cleared via
@@ -392,7 +371,6 @@ impl<A: Application> World<A> {
         slot.epoch += 1;
         slot.app.on_crash();
         self.trace.counters.crashes += 1;
-        self.trace.push(TraceEvent::Crashed { at: self.now, node: id });
         Ok(())
     }
 
@@ -404,7 +382,6 @@ impl<A: Application> World<A> {
         }
         slot.alive = true;
         self.trace.counters.restarts += 1;
-        self.trace.push(TraceEvent::Restarted { at: self.now, node: id });
         self.with_handler(id, |app, ctx| app.on_restart(ctx));
         Ok(())
     }
@@ -472,7 +449,7 @@ impl<A: Application> World<A> {
                     self.queue.push(at, EventKind::Timer { node: from, id, tag, epoch });
                 }
                 Action::Note(text) => {
-                    self.trace.push(TraceEvent::Note {
+                    self.trace.push(Note {
                         at: self.now,
                         node: from,
                         text,
@@ -728,31 +705,6 @@ mod tests {
         w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 4)).unwrap();
         w.run_until_idle();
         assert_eq!(w.app(NodeId(1)).seen, vec![4]);
-    }
-
-    #[test]
-    fn healing_twice_logs_one_removal() {
-        let mut w = WorldBuilder::new(1).record_trace(true).build(2, |_| Echo::new());
-        let pairs = || bidirectional_pairs(&[NodeId(0)], &[NodeId(1)]);
-        let rule = w.block_pairs(pairs());
-        w.unblock(rule);
-        w.unblock(rule);
-        let d = w.degrade_pairs(pairs(), DegradeRule::lossy(0.5));
-        w.undegrade(d);
-        w.undegrade(d);
-        assert!(
-            matches!(
-                w.trace().events(),
-                [
-                    TraceEvent::RuleInstalled { .. },
-                    TraceEvent::RuleRemoved { .. },
-                    TraceEvent::DegradeRuleInstalled { .. },
-                    TraceEvent::DegradeRuleRemoved { .. },
-                ]
-            ),
-            "{}",
-            w.trace().summary()
-        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn fingerprint(seed: u64) -> String {
     w.unblock(rule);
     w.run_for(300);
     let logs: Vec<_> = (0..n).map(|i| w.app(NodeId(i)).seen.clone()).collect();
-    format!("{logs:?}\n{}\n{:?}", w.trace().summary(), w.trace().counters)
+    format!("{logs:?}\n{:?}\n{:?}", w.trace().notes(), w.trace().counters)
 }
 
 proptest! {

@@ -10,10 +10,7 @@ fn main() {
     println!("Listing 2 — ActiveMQ double dequeue under a complete partition\n");
     println!("flawed brokers (consumer acknowledged before replication):");
     let flawed = scenarios::listing2_double_dequeue(BrokerFlaws::flawed(), 43, true);
-    println!("{}", flawed.trace);
-    for v in &flawed.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("{}", flawed.timeline.render());
     assert!(flawed.has(ViolationKind::DoubleDequeue));
 
     println!("\nfixed brokers (dequeue delivered only after the removal replicates):");

@@ -11,10 +11,7 @@ use neat_repro::neat::ViolationKind;
 fn main() {
     println!("Figure 6 — ActiveMQ hangs under a partial partition\n");
     let out = scenarios::fig6_hang(BrokerFlaws::flawed(), 41, true);
-    println!("manifestation sequence:\n{}", out.trace);
-    for v in &out.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("manifestation sequence:\n{}", out.timeline.render());
     assert!(out.has(ViolationKind::SystemHang));
 
     let fixed = scenarios::fig6_hang(BrokerFlaws::fixed(), 41, false);

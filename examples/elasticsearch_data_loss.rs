@@ -10,16 +10,13 @@ fn main() {
     println!("Listing 1 — Elasticsearch data loss under a partial partition\n");
     println!("flawed profile (lowest-id election, votes while connected):");
     let flawed = scenarios::listing1_data_loss(Config::elasticsearch(), 3, true);
-    println!("{}", flawed.trace);
-    println!("final state: {:?}", flawed.final_state);
-    for v in &flawed.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("{}", flawed.timeline.render());
+    println!("final state: {:?}", flawed.detail.final_state);
     assert!(flawed.has(ViolationKind::DataLoss));
 
     println!("\nfixed profile (majority-freshest election, sticky votes):");
     let fixed = scenarios::listing1_data_loss(Config::fixed(), 3, false);
-    println!("final state: {:?}", fixed.final_state);
+    println!("final state: {:?}", fixed.detail.final_state);
     println!("violations: {}", fixed.violations.len());
     assert!(!fixed.has(ViolationKind::DataLoss));
     println!("\nThe acknowledged write on the second leader's side was lost only");

@@ -10,10 +10,7 @@ use neat_repro::neat::ViolationKind;
 fn main() {
     println!("Figure 5 — semaphore double locking in the data grid\n");
     let out = scenarios::semaphore_double_lock(GridFlaws::flawed(), 61, true);
-    println!("manifestation sequence:\n{}", out.trace);
-    for v in &out.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("manifestation sequence:\n{}", out.timeline.render());
     assert!(out.has(ViolationKind::DoubleLocking));
 
     let protected = scenarios::semaphore_double_lock(GridFlaws::fixed(), 61, false);

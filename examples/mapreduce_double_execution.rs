@@ -10,21 +10,18 @@ use neat_repro::sched::{double_execution, MrFlaws};
 
 fn main() {
     println!("Figure 3 — MapReduce double execution under a partial partition\n");
-    let (violations, trace, _timeline) = double_execution(
+    let out = double_execution(
         MrFlaws {
             relaunch_without_checking: true,
         },
         81,
         true,
     );
-    println!("manifestation sequence:\n{trace}");
-    for v in &violations {
-        println!("  VIOLATION: {v}");
-    }
-    assert!(violations.iter().any(|v| v.kind == ViolationKind::DoubleExecution));
-    assert!(violations.iter().any(|v| v.kind == ViolationKind::DataCorruption));
+    print!("manifestation sequence:\n{}", out.timeline.render());
+    assert!(out.has(ViolationKind::DoubleExecution));
+    assert!(out.has(ViolationKind::DataCorruption));
 
-    let (fixed, _, _) = double_execution(
+    let fixed = double_execution(
         MrFlaws {
             relaunch_without_checking: false,
         },
@@ -34,7 +31,7 @@ fn main() {
     println!(
         "\nfixed ResourceManager (checks the output store before relaunching): \
          {} violations",
-        fixed.len()
+        fixed.violations.len()
     );
-    assert!(fixed.is_empty());
+    assert!(fixed.violations.is_empty());
 }

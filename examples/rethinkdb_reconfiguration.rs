@@ -17,22 +17,19 @@ fn main() {
         21,
         true,
     );
-    println!("manifestation sequence (tweaked Raft):\n{}", tweaked.trace);
-    println!("two majorities committed concurrently: {}", tweaked.dual_majorities);
-    println!("final state: {:?}", tweaked.final_state);
-    for v in &tweaked.violations {
-        println!("  VIOLATION: {v}");
-    }
-    assert!(tweaked.dual_majorities);
+    print!("manifestation sequence (tweaked Raft):\n{}", tweaked.timeline.render());
+    println!("two majorities committed concurrently: {}", tweaked.detail.dual_majorities);
+    println!("final state: {:?}", tweaked.detail.final_state);
+    assert!(tweaked.detail.dual_majorities);
     assert!(tweaked.has(ViolationKind::DataLoss));
 
     let proven = scenarios::rethinkdb_reconfig_split_brain(RaftTweaks::default(), 21, false);
     println!(
         "\nproven Raft under the same sequence: dual majorities = {}, violations = {}",
-        proven.dual_majorities,
+        proven.detail.dual_majorities,
         proven.violations.len()
     );
-    assert!(!proven.dual_majorities);
+    assert!(!proven.detail.dual_majorities);
     println!("\nThe paper's point exactly: \"systems that implement proven protocols");
     println!("often tweak these protocols in unproven ways\" (§2.2).");
 }

@@ -13,12 +13,8 @@ use neat_repro::repkv::{scenarios, Config};
 fn main() {
     println!("Figure 2 — dirty read in the VoltDB-like profile\n");
     let out = scenarios::dirty_and_stale_read(Config::voltdb(), 7, true);
-    println!("manifestation sequence:\n{}", out.trace);
-    println!("history:\n{}", out.history);
-    println!("final state: {:?}", out.final_state);
-    for v in &out.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("manifestation sequence:\n{}", out.timeline.render());
+    println!("final state: {:?}", out.detail.final_state);
     assert!(out.has(ViolationKind::DirtyRead), "step (3): the failed write was read");
     assert!(out.has(ViolationKind::StaleRead), "the old master also served stale data");
 

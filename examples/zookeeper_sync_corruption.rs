@@ -20,10 +20,7 @@ fn main() {
         31,
         true,
     );
-    println!("manifestation sequence:\n{}", flawed.trace);
-    for v in &flawed.violations {
-        println!("  VIOLATION: {v}");
-    }
+    print!("manifestation sequence:\n{}", flawed.timeline.render());
     assert!(flawed.has(ViolationKind::DataLoss));
     assert!(flawed.has(ViolationKind::ReappearanceOfDeletedData));
     assert!(flawed.has(ViolationKind::DataCorruption));

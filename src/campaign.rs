@@ -18,7 +18,7 @@ use coord::{scenarios as zk, CoordFlaws};
 use dfs::{hbase, hdfs, moose, objstore};
 use gridstore::{scenarios as grid, GridFlaws};
 use mqueue::{scenarios as mq, AcFlaws, BrokerFlaws};
-use neat::{Violation, ViolationKind};
+use neat::{RunOutcome, Violation, ViolationKind};
 use repkv::{load as kv_load, scenarios as kv, Config};
 use sched::{dkron, mapred};
 
@@ -54,9 +54,10 @@ fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
 }
 
 /// How much fingerprint work one arm execution performs. The fingerprint
-/// covers every observable of the run (trace summary, operation history,
-/// final state, violations) via its pretty `Debug` rendering; most callers
-/// never need the rendered bytes, so the mode picks the cheapest form.
+/// covers every observable of the run — its [`RunOutcome`]: violations,
+/// timeline and the family's detail — via its pretty `Debug` rendering;
+/// most callers never need the rendered bytes, so the mode picks the
+/// cheapest form.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunMode {
     /// Checker verdicts only: trace recording off, no fingerprint.
@@ -74,9 +75,9 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Whether this mode records the trace log and the `obs` timeline.
-    /// Everything except [`RunMode::Quick`] records: the fingerprint must
-    /// cover both.
+    /// Whether this mode records the `obs` timeline, application notes
+    /// included. Everything except [`RunMode::Quick`] records: the
+    /// fingerprint must cover it.
     pub fn records(self) -> bool {
         !matches!(self, RunMode::Quick)
     }
@@ -124,49 +125,18 @@ pub struct RunArtifacts {
     pub timeline: neat::obs::Timeline,
 }
 
-/// Scenario outputs that can feed both the campaign and the auditor.
-trait ScenarioRun: std::fmt::Debug {
-    fn into_parts(self) -> (Vec<Violation>, neat::obs::Timeline);
-}
-
-macro_rules! impl_scenario_run {
-    ($($t:ty),* $(,)?) => {$(
-        impl ScenarioRun for $t {
-            fn into_parts(self) -> (Vec<Violation>, neat::obs::Timeline) {
-                (self.violations, self.timeline)
-            }
-        }
-    )*};
-}
-
-impl_scenario_run!(
-    repkv::scenarios::ScenarioOutcome,
-    consensus::scenarios::ReconfigOutcome,
-    consensus::scenarios::LossyLinkOutcome,
-    coord::scenarios::CoordOutcome,
-    mqueue::scenarios::MqOutcome,
-    gridstore::scenarios::GridOutcome,
-);
-
-impl ScenarioRun for (Vec<Violation>, String, neat::obs::Timeline) {
-    fn into_parts(self) -> (Vec<Violation>, neat::obs::Timeline) {
-        (self.0, self.2)
-    }
-}
-
 /// Runs one arm and packages what `mode` asked for.
-fn arm<O: ScenarioRun>(mode: RunMode, run: impl FnOnce(bool) -> O) -> RunArtifacts {
+fn arm<D: std::fmt::Debug>(mode: RunMode, run: impl FnOnce(bool) -> RunOutcome<D>) -> RunArtifacts {
     let o = run(mode.records());
     let fingerprint = match mode {
         RunMode::Quick | RunMode::Trace => Fingerprint::None,
         RunMode::Hash => Fingerprint::Hash(neat::audit::stream_hash(&o)),
         RunMode::Render => Fingerprint::Rendered(format!("{o:#?}")),
     };
-    let (violations, timeline) = o.into_parts();
     RunArtifacts {
-        violations,
+        violations: o.violations,
         fingerprint,
-        timeline,
+        timeline: o.timeline,
     }
 }
 

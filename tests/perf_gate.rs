@@ -366,7 +366,9 @@ fn a_quiet_campaign_allocates_no_more_than_when_repkv_stopped_copying_its_log() 
     // notes nobody records. Sharing repkv's log had brought it from 146,233
     // to 41,571. Debug builds, which tier-1 runs, pay for the replay that
     // `rebuild_kv`'s debug assertion compares against: a release build
-    // takes 23,120 since the queue's free list moved into its slab.
+    // takes 23,120 since the queue's free list moved into its slab, and
+    // 21,367 since outcomes stopped rendering repkv's history and the load
+    // reports.
     let quick = campaign_allocs(RunMode::Quick);
     assert!(
         quick <= 25_000,
@@ -433,10 +435,12 @@ fn a_write_costs_the_same_however_long_the_log_is() {
 #[test]
 fn recording_adds_at_most_ten_thousand_allocations_to_a_quiet_campaign() {
     // What recording still allocates is what its readers read: the obs
-    // timeline, the control-plane log and the note strings — 9,701 over the
-    // 93 arms at seed 8, about a hundred an arm. Rendering every message
-    // into the trace added some 60,000. A difference, not a ratio: making
-    // the quiet run cheaper must not fail the gate on recording.
+    // timeline and the note strings — 8,747 over the 93 arms at seed 8,
+    // about ninety an arm (9,701 while simnet logged every crash and rule
+    // change a second time and outcomes rendered that log into a summary).
+    // Rendering every message into the trace added some 60,000. A
+    // difference, not a ratio: making the quiet run cheaper must not fail
+    // the gate on recording.
     let (quick, hash) = (campaign_allocs(RunMode::Quick), campaign_allocs(RunMode::Hash));
     assert!(
         hash <= quick + 10_000,
