@@ -1,9 +1,9 @@
 //! The deterministic hot-path counters behind `BENCH_perf.json`.
 //!
 //! Numbers a test can gate exactly, because no clock is involved: per-arm
-//! allocation deltas under [`alloc_counter::CountingAlloc`] (the streamed
-//! fingerprint must add *zero* allocations over a plain traced run) and
-//! the total events simulated across the campaign. `tests/perf_gate.rs`
+//! allocation counts under [`alloc_counter::CountingAlloc`] (the streamed
+//! fingerprint must allocate *nothing*) and the total events simulated
+//! across the campaign. `tests/perf_gate.rs`
 //! regenerates [`machine_json`] and compares it with the committed file
 //! byte for byte. [`arm_costs`] is the same kind of number per arm
 //! (`perf --arms`), kept out of the artifact. Wall-clock numbers live in
@@ -20,13 +20,15 @@ pub struct DeterministicCounts {
     /// installed; allocation counts are only meaningful when true.
     pub counting_allocator: bool,
     pub arms: usize,
-    /// Σ over arms of |allocations(Hash run) − allocations(Trace run)|.
-    /// The streaming fingerprint's whole point is that this is **0**.
+    /// Σ over arms of the allocations of `neat::audit::stream_hash` over
+    /// the recorded outcome — what [`RunMode::Hash`] adds to a recorded
+    /// run. The streaming fingerprint's whole point is that this is **0**.
     pub fingerprint_alloc_delta_total: u64,
-    /// Allocations the *rendered* fingerprint adds over a traced run for
-    /// the first arm — the cost the fast path avoids per arm, per run.
+    /// Allocations of rendering the first arm's fingerprint (`{:#?}` of
+    /// its recorded outcome) — the cost the fast path avoids per arm, per
+    /// run.
     pub render_allocs_sample: u64,
-    /// Σ over arms of the traced run's `events_simulated` counter.
+    /// Σ over arms of the recorded run's `events_simulated` counter.
     pub events_simulated_total: u64,
 }
 
@@ -38,16 +40,11 @@ pub fn deterministic_counts(seed: u64) -> DeterministicCounts {
     let mut events_total = 0u64;
     let mut render_allocs_sample = 0u64;
     for (i, arm) in arms.iter().enumerate() {
-        let (traced, trace_allocs) =
-            alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Trace));
-        let (_, hash_allocs) =
-            alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Hash));
-        delta_total += hash_allocs.abs_diff(trace_allocs);
-        events_total += traced.timeline.counters.events_simulated;
+        let o = campaign::arm_outcome(arm, seed, true);
+        delta_total += alloc_counter::count_allocations(|| neat::audit::stream_hash(&o)).1;
+        events_total += o.timeline.counters.events_simulated;
         if i == 0 {
-            let (_, render_allocs) =
-                alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Render));
-            render_allocs_sample = render_allocs.saturating_sub(trace_allocs);
+            render_allocs_sample = alloc_counter::count_allocations(|| format!("{o:#?}")).1;
         }
     }
     DeterministicCounts {

@@ -411,8 +411,8 @@ pub fn gray_machine_json() -> String {
         if i > 0 {
             out.push(',');
         }
-        let flawed = (s.flawed)(8, neat_repro::campaign::RunMode::Trace);
-        let fixed = s.fixed.map(|f| f(8, neat_repro::campaign::RunMode::Trace));
+        let flawed = (s.flawed)(8, true);
+        let fixed = s.fixed.map(|f| f(8, true));
         out.push_str("{\"scenario\":");
         study::json::push_json_str(&mut out, s.name);
         out.push_str(",\"partition\":");
@@ -466,8 +466,8 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         if i > 0 {
             out.push(',');
         }
-        let flawed = (s.flawed)(8, neat_repro::campaign::RunMode::Trace);
-        let fixed = s.fixed.map(|f| f(8, neat_repro::campaign::RunMode::Trace));
+        let flawed = (s.flawed)(8, true);
+        let fixed = s.fixed.map(|f| f(8, true));
         out.push_str("{\"scenario\":");
         study::json::push_json_str(&mut out, s.name);
         out.push_str(",\"partition\":");
@@ -783,10 +783,8 @@ pub fn explore_machine_json() -> String {
         if i > 0 {
             out.push(',');
         }
-        let flawed = (s.flawed)(EXPLORE_SEED, neat_repro::campaign::RunMode::Quick);
-        let fixed = s
-            .fixed
-            .map(|f| f(EXPLORE_SEED, neat_repro::campaign::RunMode::Quick));
+        let flawed = (s.flawed)(EXPLORE_SEED, false);
+        let fixed = s.fixed.map(|f| f(EXPLORE_SEED, false));
         let (steps, plan, one_minimal) = match s.name {
             "explored_simplex_leader_write" => explored_plan_facts(
                 repkv::RepkvTarget::new(repkv::Config::voltdb()),

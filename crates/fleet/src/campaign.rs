@@ -8,7 +8,7 @@
 
 use neat::audit::{audit_double_run, AuditOutcome};
 use neat_repro::campaign::{
-    arm_ids, forensic_at, run_arm, run_scenario_at, scenario_count, RunMode, ScenarioResult,
+    arm_ids, arm_outcome, forensic_at, render_arm, run_scenario_at, scenario_count, ScenarioResult,
     SweepReport,
 };
 
@@ -50,14 +50,7 @@ pub fn sweep_grid(seeds: &[u64], jobs: usize) -> (SweepReport, GridStats) {
 /// run with trace recording on, sharded by arm.
 pub fn fingerprints(seed: u64, jobs: usize) -> Vec<(String, String)> {
     let arms = arm_ids();
-    pool::map(jobs, arms.len(), |i| {
-        let arm = &arms[i];
-        let rendered = run_arm(arm, seed, RunMode::Render)
-            .fingerprint
-            .into_rendered()
-            .expect("Render mode always yields a rendered fingerprint");
-        (arm.name.clone(), rendered)
-    })
+    pool::map(jobs, arms.len(), |i| (arms[i].name.clone(), render_arm(&arms[i], seed)))
 }
 
 /// Parallel [`neat_repro::campaign::forensic_reports`]: the flawed arm of
@@ -83,18 +76,8 @@ pub fn audit(seed: u64, jobs: usize) -> Vec<AuditOutcome> {
             result: audit_double_run(
                 &arm.name,
                 seed,
-                |s| {
-                    run_arm(arm, s, RunMode::Hash)
-                        .fingerprint
-                        .hash()
-                        .expect("Hash mode always yields a fingerprint hash")
-                },
-                |s| {
-                    run_arm(arm, s, RunMode::Render)
-                        .fingerprint
-                        .into_rendered()
-                        .expect("Render mode always yields a rendered fingerprint")
-                },
+                |s| neat::audit::stream_hash(&arm_outcome(arm, s, true)),
+                |s| render_arm(arm, s),
             ),
         }
     })

@@ -35,6 +35,10 @@ impl Default for Opts {
     }
 }
 
+/// The widest sweep `--seeds` accepts. A million campaigns is already
+/// days of work; a wider one would not even fit its seed list in memory.
+const MAX_SEEDS: usize = 1_000_000;
+
 pub fn usage() -> &'static str {
     "usage: [--seed <n>] [--seeds <count>] [--jobs <k>] [--trace]\n\
      \n\
@@ -61,8 +65,8 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
             "--seeds" => {
                 let n = args.next().ok_or("--seeds requires a count")?;
                 let count: usize = n.parse().map_err(|_| format!("invalid seed count `{n}`"))?;
-                if count == 0 {
-                    return Err("--seeds must be at least 1".to_string());
+                if !(1..=MAX_SEEDS).contains(&count) {
+                    return Err(format!("--seeds must be between 1 and {MAX_SEEDS}"));
                 }
                 opts.seeds = Some(count);
             }
@@ -89,7 +93,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
 /// The seeds a sweep covers: `seed..seed+N`.
 pub fn sweep_seeds(opts: &Opts) -> Vec<u64> {
     let n = opts.seeds.unwrap_or(1) as u64;
-    (opts.seed..opts.seed + n).collect()
+    (0..n).map(|i| opts.seed + i).collect()
 }
 
 /// Executes the campaign described by `opts` and renders the report —
@@ -144,7 +148,47 @@ mod tests {
     }
 
     #[test]
+    fn sweeps_are_bounded_and_reach_the_last_seed() {
+        // An unbounded count parsed, then failed to allocate its seed list.
+        let huge = parse(args(&["--seed", "0", "--seeds", "18446744073709551615"]));
+        assert_eq!(huge, Err("--seeds must be between 1 and 1000000".to_string()));
+        let last = parse(args(&["--seed", "18446744073709551615"])).expect("the last seed");
+        assert_eq!(sweep_seeds(&last), vec![u64::MAX]);
+    }
+
+    #[test]
     fn help_is_the_empty_error() {
         assert_eq!(parse(args(&["--help"])), Err(String::new()));
+    }
+
+    use proptest::prelude::*;
+
+    /// Flags, numbers at and past the `u64` / `usize` edges, and junk.
+    fn arg() -> impl Strategy<Value = String> {
+        const WORDS: &[&str] = &[
+            "--seed", "--seeds", "--jobs", "--trace", "--help", "-h", "0", "1", "8",
+            "18446744073709551615", "18446744073709551616", "-1", "+3", "", " ", "x", "--",
+            "--seed=3", "\u{e9}",
+        ];
+        prop_oneof![
+            4 => (0..WORDS.len()).prop_map(|i| WORDS[i].to_string()),
+            1 => proptest::collection::vec(0u32..0x11_0000, 0..8).prop_map(|cs| {
+                cs.into_iter().map(|c| char::from_u32(c).unwrap_or('\u{fffd}')).collect()
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parse_never_panics_and_accepts_only_runnable_options(
+            argv in proptest::collection::vec(arg(), 0..8),
+        ) {
+            if let Ok(opts) = parse(argv) {
+                prop_assert!(opts.jobs >= 1);
+                prop_assert_eq!(sweep_seeds(&opts).len(), opts.seeds.unwrap_or(1));
+            }
+        }
     }
 }

@@ -29,6 +29,11 @@ pub struct Imports {
     pub use_decls: usize,
 }
 
+/// How deep `{…}` groups of one use-tree are followed. Real trees nest a
+/// few levels; a group deeper than this is skipped over like a stray
+/// token, so hostile input cannot recurse the stack away.
+const MAX_GROUP_DEPTH: usize = 32;
+
 /// Items a glob import of a watched `std` module would bring into scope.
 /// Only the names the rules care about need to be here.
 fn glob_items(module: &[String]) -> &'static [&'static str] {
@@ -60,7 +65,7 @@ impl Imports {
         while i < sig.len() {
             if sig[i].kind == TokenKind::Ident && sig[i].text == "use" {
                 imports.use_decls += 1;
-                i = imports.parse_tree(&sig, i + 1, &[]);
+                i = imports.parse_tree(&sig, i + 1, &[], 0);
             } else {
                 i += 1;
             }
@@ -69,9 +74,15 @@ impl Imports {
     }
 
     /// Parses one use-tree starting at `sig[i]` with `prefix` already
-    /// accumulated; returns the index just past the tree (after `;`,
-    /// `,`, or the group's closing `}`).
-    fn parse_tree(&mut self, sig: &[&Token<'_>], mut i: usize, prefix: &[String]) -> usize {
+    /// accumulated inside `depth` enclosing groups; returns the index just
+    /// past the tree (after `;`, `,`, or the group's closing `}`).
+    fn parse_tree(
+        &mut self,
+        sig: &[&Token<'_>],
+        mut i: usize,
+        prefix: &[String],
+        depth: usize,
+    ) -> usize {
         let mut path: Vec<String> = prefix.to_vec();
         loop {
             match sig.get(i) {
@@ -111,7 +122,7 @@ impl Imports {
                     self.globs.push(path.clone());
                     return self.skip_to_end(sig, i + 1);
                 }
-                Some(t) if t.is_punct('{') => {
+                Some(t) if t.is_punct('{') && depth < MAX_GROUP_DEPTH => {
                     i += 1;
                     loop {
                         match sig.get(i) {
@@ -120,7 +131,7 @@ impl Imports {
                                 break;
                             }
                             Some(t) if t.is_punct(',') => i += 1,
-                            Some(_) => i = self.parse_tree(sig, i, &path),
+                            Some(_) => i = self.parse_tree(sig, i, &path, depth + 1),
                             None => return i,
                         }
                     }

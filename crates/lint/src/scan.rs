@@ -846,12 +846,19 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
     Ok(())
 }
 
-/// Analyzes every `.rs` file under `root` (skipping `target/`, `fixtures/`
-/// and dot directories), in sorted path order for deterministic output.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+/// Every `.rs` file under `root` (skipping `target/`, `fixtures/` and dot
+/// directories) as a `/`-separated path relative to `root`, sorted.
+pub fn workspace_files(root: &Path) -> std::io::Result<Vec<String>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();
+    Ok(files)
+}
+
+/// Analyzes every [`workspace_files`] entry, in sorted path order for
+/// deterministic output.
+pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+    let files = workspace_files(root)?;
     let mut findings = Vec::new();
     let mut unused_allows = Vec::new();
     let mut stats = ScanStats {

@@ -6,7 +6,7 @@ use simnet::{Application, Ctx, NodeId, Time, World};
 use crate::{
     checkers::{Violation, ViolationKind},
     fault::{Partition, PartitionSpec},
-    gray::{Degrade, DegradeKind, DegradeSpec},
+    gray::{Degrade, DegradeSpec},
     history::{History, Op, OpRecord, Outcome},
 };
 
@@ -121,16 +121,12 @@ impl<A: Application> Neat<A> {
     /// healing it.
     pub fn partition(&mut self, spec: PartitionSpec) -> Partition {
         // Borrow the groups; the recorder clones them only when recording.
-        let (class, a, b): (obs::PartitionClass, &[NodeId], &[NodeId]) = match &spec {
-            PartitionSpec::Complete { a, b } => (obs::PartitionClass::Complete, a, b),
-            PartitionSpec::Partial { a, b } => (obs::PartitionClass::Partial, a, b),
-            PartitionSpec::Simplex { src, dst } => (obs::PartitionClass::Simplex, src, dst),
-        };
+        let (a, b) = spec.groups();
         let set = spec.pairs();
         let pairs = set.len();
         let rule = self.world.block_pairs(set);
         self.obs
-            .partition_installed(self.world.now(), rule.0, class, a, b, pairs);
+            .partition_installed(self.world.now(), rule.0, spec.kind(), a, b, pairs);
         let p = Partition { rule, spec };
         self.active.push(p.clone());
         p
@@ -169,11 +165,16 @@ impl<A: Application> Neat<A> {
         self.active.retain(|q| q.rule != p.rule);
     }
 
-    /// Heals every partition installed through this engine.
+    /// Heals every partition, then every gray failure, installed through
+    /// this engine.
     pub fn heal_all(&mut self) {
         for p in std::mem::take(&mut self.active) {
             self.obs.partition_healed(self.world.now(), p.rule.0);
             self.world.unblock(p.rule);
+        }
+        for d in std::mem::take(&mut self.degraded) {
+            self.obs.degrade_healed(self.world.now(), d.rule.0);
+            self.world.undegrade(d.rule);
         }
     }
 
@@ -187,30 +188,12 @@ impl<A: Application> Neat<A> {
     /// rather than severed — links.
     pub fn degrade(&mut self, spec: DegradeSpec) -> Degrade {
         // Borrow the groups; the recorder clones them only when recording.
-        let flapping = spec.kind() == DegradeKind::Flapping;
-        let (class, a, b): (obs::DegradeClass, &[NodeId], &[NodeId]) = match &spec {
-            DegradeSpec::Partial { a, b, .. } => {
-                let class = if flapping {
-                    obs::DegradeClass::Flapping
-                } else {
-                    obs::DegradeClass::GrayPartial
-                };
-                (class, a, b)
-            }
-            DegradeSpec::Simplex { src, dst, .. } => {
-                let class = if flapping {
-                    obs::DegradeClass::Flapping
-                } else {
-                    obs::DegradeClass::GraySimplex
-                };
-                (class, src, dst)
-            }
-        };
+        let (a, b) = spec.groups();
         let set = spec.pairs();
         let pairs = set.len();
         let rule = self.world.degrade_pairs(set, spec.rule());
         self.obs
-            .degrade_installed(self.world.now(), rule.0, class, a, b, pairs);
+            .degrade_installed(self.world.now(), rule.0, spec.kind(), a, b, pairs);
         let d = Degrade { rule, spec };
         self.degraded.push(d.clone());
         d
@@ -223,14 +206,6 @@ impl<A: Application> Neat<A> {
         }
         self.world.undegrade(d.rule);
         self.degraded.retain(|q| q.rule != d.rule);
-    }
-
-    /// Heals every gray failure installed through this engine.
-    pub fn heal_all_degrades(&mut self) {
-        for d in std::mem::take(&mut self.degraded) {
-            self.obs.degrade_healed(self.world.now(), d.rule.0);
-            self.world.undegrade(d.rule);
-        }
     }
 
     /// Gray failures currently installed.
@@ -506,24 +481,33 @@ mod tests {
     }
 
     #[test]
-    fn heal_all_degrades_clears_every_rule() {
+    fn heal_all_heals_partitions_then_degrades() {
         use crate::gray::DegradeSpec;
         use simnet::DegradeRule;
-        let mut neat = engine(3);
+        let world = WorldBuilder::new(5).record_trace(true).build(3, |_| AckServer::default());
+        let mut neat = Neat::new(world);
         neat.degrade(DegradeSpec::Partial {
             a: vec![NodeId(0)],
             b: vec![NodeId(1)],
             rule: DegradeRule::lossy(0.5),
         });
+        neat.partition_complete(&[NodeId(0)], &[NodeId(2)]);
         neat.degrade(DegradeSpec::Simplex {
             src: vec![NodeId(1)],
             dst: vec![NodeId(2)],
             rule: DegradeRule::duplicating(1.0),
         });
         assert_eq!(neat.world.net().degrade_count(), 2);
-        neat.heal_all_degrades();
-        assert!(neat.active_degrades().is_empty());
+        neat.heal_all();
+        assert!(neat.active_partitions().is_empty() && neat.active_degrades().is_empty());
+        assert_eq!(neat.world.net().rule_count(), 0);
         assert_eq!(neat.world.net().degrade_count(), 0);
+        let t = neat.timeline();
+        let labels: Vec<&str> = t.events.iter().map(|e| e.label()).collect();
+        assert_eq!(
+            labels,
+            ["degrade", "partition", "degrade", "heal", "degrade-heal", "degrade-heal"]
+        );
     }
 
     #[test]

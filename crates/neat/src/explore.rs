@@ -26,7 +26,7 @@ pub mod schedule;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rand::{rngs::StdRng, seq::SliceRandom, Rng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use simnet::{DegradeRule, NodeId, Time};
 
 use crate::{
@@ -141,11 +141,10 @@ pub struct Strategy {
     pub partition_first: bool,
     /// Maximum number of client events per trial (Table 7: 83% need ≤ 3).
     pub max_events: usize,
-    /// Split the cluster leader-vs-rest instead of a random split
-    /// (Finding 9 / Table 10).
+    /// Isolate the leader instead of a random server (Finding 9 /
+    /// Table 10). The partition kind is drawn uniformly from
+    /// [`PartitionKind::ALL`].
     pub isolate_leader: bool,
-    /// Partition kinds to draw from.
-    pub kinds: Vec<PartitionKind>,
     /// Sort events into their natural order (write before read, …).
     pub natural_order: bool,
     /// Percent chance (0–100) of scheduling a heal *mid-trial*, after the
@@ -167,11 +166,6 @@ impl Strategy {
             partition_first: true,
             max_events: 3,
             isolate_leader: true,
-            kinds: vec![
-                PartitionKind::Complete,
-                PartitionKind::Partial,
-                PartitionKind::Simplex,
-            ],
             natural_order: true,
             heal_percent: 30,
             composite_percent: 0,
@@ -186,11 +180,6 @@ impl Strategy {
             partition_first: false,
             max_events,
             isolate_leader: false,
-            kinds: vec![
-                PartitionKind::Complete,
-                PartitionKind::Partial,
-                PartitionKind::Simplex,
-            ],
             natural_order: false,
             heal_percent: 25,
             composite_percent: 0,
@@ -205,11 +194,6 @@ impl Strategy {
             partition_first: false,
             max_events,
             isolate_leader: false,
-            kinds: vec![
-                PartitionKind::Complete,
-                PartitionKind::Partial,
-                PartitionKind::Simplex,
-            ],
             natural_order: false,
             heal_percent: 25,
             composite_percent: 50,
@@ -305,43 +289,21 @@ where
     merged
 }
 
-/// Picks the partition groups for a trial.
-fn choose_spec(
-    kind: PartitionKind,
+/// Draws the trial's partition: a kind from [`PartitionKind::ALL`], then
+/// its victim — the leader when `isolate_leader` and one is known, else a
+/// random server.
+fn draw_partition(
+    isolate_leader: bool,
     servers: &[NodeId],
     leader: Option<NodeId>,
-    isolate_leader: bool,
     rng: &mut StdRng,
 ) -> PartitionSpec {
-    let victim = if isolate_leader {
-        leader.unwrap_or_else(|| servers[rng.gen_range(0..servers.len())])
-    } else {
-        servers[rng.gen_range(0..servers.len())]
+    let kind = PartitionKind::ALL[rng.gen_range(0..PartitionKind::ALL.len())];
+    let victim = match leader.filter(|_| isolate_leader) {
+        Some(leader) => leader,
+        None => servers[rng.gen_range(0..servers.len())],
     };
-    let others = rest_of(servers, &[victim]);
-    match kind {
-        PartitionKind::Complete => PartitionSpec::Complete {
-            a: vec![victim],
-            b: others,
-        },
-        PartitionKind::Partial => {
-            // Disconnect the victim from a strict subset, keeping at least
-            // one bridge node connected to both sides (Figure 1.b).
-            let cut = if others.len() > 1 {
-                others[..others.len() - 1].to_vec()
-            } else {
-                others
-            };
-            PartitionSpec::Partial {
-                a: vec![victim],
-                b: cut,
-            }
-        }
-        PartitionKind::Simplex => PartitionSpec::Simplex {
-            src: others,
-            dst: vec![victim],
-        },
-    }
+    PartitionSpec::isolating(kind, victim, servers)
 }
 
 /// The gray-rule menu the composite generator draws from.
@@ -386,16 +348,7 @@ fn random_step(
     rng: &mut StdRng,
 ) -> ScheduleStep {
     match rng.gen_range(0..6u32) {
-        0 => {
-            let kind = strategy.kinds[rng.gen_range(0..strategy.kinds.len())];
-            ScheduleStep::Partition(choose_spec(
-                kind,
-                servers,
-                leader,
-                strategy.isolate_leader,
-                rng,
-            ))
-        }
+        0 => ScheduleStep::Partition(draw_partition(strategy.isolate_leader, servers, leader, rng)),
         1 => {
             let victim = servers[rng.gen_range(0..servers.len())];
             ScheduleStep::Degrade(random_degrade(servers, victim, rng))
@@ -431,8 +384,7 @@ pub fn generate_plan(
     palette: &[EventChoice],
     rng: &mut StdRng,
 ) -> SchedulePlan {
-    let kind = strategy.kinds[rng.gen_range(0..strategy.kinds.len())];
-    let spec = choose_spec(kind, servers, leader, strategy.isolate_leader, rng);
+    let spec = draw_partition(strategy.isolate_leader, servers, leader, rng);
 
     let n_events = if palette.is_empty() {
         0
@@ -615,17 +567,6 @@ pub fn explore(
     seed: u64,
 ) -> ExplorationReport {
     explore_full(target, strategy, trials, seed).report
-}
-
-/// Draws a random non-trivial bipartition of `servers` — exposed for
-/// adapters that want naive splits for other purposes.
-pub fn random_split(servers: &[NodeId], rng: &mut StdRng) -> (Vec<NodeId>, Vec<NodeId>) {
-    assert!(servers.len() >= 2, "need at least two servers to split");
-    let mut shuffled = servers.to_vec();
-    shuffled.shuffle(rng);
-    let cut = rng.gen_range(1..shuffled.len());
-    let (a, b) = shuffled.split_at(cut);
-    (a.to_vec(), b.to_vec())
 }
 
 #[cfg(test)]
@@ -934,39 +875,6 @@ mod tests {
         let r = explore(&mut target, &Strategy::naive(3), 0, 3);
         assert_eq!(r.trials_with_violation, 0);
         assert_eq!(r.hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn random_split_is_a_partition_of_the_input() {
-        let servers: Vec<NodeId> = (0..5).map(NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            let (a, b) = random_split(&servers, &mut rng);
-            assert!(!a.is_empty() && !b.is_empty());
-            let mut all: Vec<NodeId> = a.iter().chain(b.iter()).copied().collect();
-            all.sort();
-            assert_eq!(all, servers);
-        }
-    }
-
-    #[test]
-    fn choose_spec_partial_leaves_a_bridge() {
-        let servers: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let mut rng = StdRng::seed_from_u64(1);
-        let spec = choose_spec(
-            PartitionKind::Partial,
-            &servers,
-            Some(NodeId(0)),
-            true,
-            &mut rng,
-        );
-        match spec {
-            PartitionSpec::Partial { a, b } => {
-                assert_eq!(a, vec![NodeId(0)]);
-                assert!(b.len() < 3, "a bridge node must remain connected");
-            }
-            other => panic!("expected partial, got {other:?}"),
-        }
     }
 
     #[test]

@@ -83,9 +83,7 @@ impl<D: Deployment> TestTarget for D {
     }
 
     fn heal_all(&mut self) {
-        let neat = self.neat();
-        neat.heal_all();
-        neat.heal_all_degrades();
+        self.neat().heal_all();
     }
 
     fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng) {

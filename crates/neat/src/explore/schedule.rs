@@ -56,15 +56,12 @@ impl ScheduleStep {
             }
             out
         }
+        let fault = |name: &str, kind: &dyn std::fmt::Display, (a, b): (&[NodeId], &[NodeId])| {
+            format!("{name}({kind} {{{}}}|{{{}}})", ids(a), ids(b))
+        };
         match self {
-            ScheduleStep::Partition(spec) => {
-                let (a, b) = match spec {
-                    PartitionSpec::Complete { a, b } | PartitionSpec::Partial { a, b } => (a, b),
-                    PartitionSpec::Simplex { src, dst } => (src, dst),
-                };
-                format!("partition({} {{{}}}|{{{}}})", spec.kind(), ids(a), ids(b))
-            }
-            ScheduleStep::Degrade(spec) => format!("degrade({})", spec.kind()),
+            ScheduleStep::Partition(spec) => fault("partition", &spec.kind(), spec.groups()),
+            ScheduleStep::Degrade(spec) => fault("degrade", &spec.kind(), spec.groups()),
             ScheduleStep::Crash(nodes) => format!("crash({{{}}})", ids(nodes)),
             ScheduleStep::Restart(nodes) => format!("restart({{{}}})", ids(nodes)),
             ScheduleStep::Heal => "heal".to_string(),
@@ -162,14 +159,20 @@ mod tests {
                 ScheduleStep::Heal,
                 ScheduleStep::Sleep(250),
                 ScheduleStep::Client(EventChoice::Read, 8),
+                ScheduleStep::Degrade(DegradeSpec::Simplex {
+                    src: vec![NodeId(2)],
+                    dst: vec![NodeId(0), NodeId(1)],
+                    rule: simnet::DegradeRule::lossy(0.5),
+                }),
             ],
         };
         assert_eq!(
             plan.render(),
-            "partition(complete {0}|{1,2}) -> write -> heal -> sleep(250) -> read"
+            "partition(complete {0}|{1,2}) -> write -> heal -> sleep(250) -> read \
+             -> degrade(gray-simplex {2}|{0,1})"
         );
         assert_eq!(plan.client_events(), 2);
-        assert_eq!(plan.fault_steps(), 1);
+        assert_eq!(plan.fault_steps(), 2);
         assert!(plan.heals_mid_schedule());
         assert_eq!(SchedulePlan::default().render(), "(empty)");
     }

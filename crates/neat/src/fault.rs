@@ -7,27 +7,7 @@ use simnet::{
     BlockRuleId, NodeId,
 };
 
-/// The three partition types studied by the paper (Table 6).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum PartitionKind {
-    /// The cluster is split into two disconnected halves (Figure 1.a).
-    Complete,
-    /// Two groups are disconnected while a third group still reaches both
-    /// (Figure 1.b).
-    Partial,
-    /// Traffic flows in one direction only (Figure 1.c).
-    Simplex,
-}
-
-impl std::fmt::Display for PartitionKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PartitionKind::Complete => "complete",
-            PartitionKind::Partial => "partial",
-            PartitionKind::Simplex => "simplex",
-        })
-    }
-}
+pub use obs::PartitionKind;
 
 /// A network-partitioning fault to inject.
 ///
@@ -57,13 +37,20 @@ impl PartitionSpec {
         }
     }
 
+    /// The two groups: `(a, b)`, or `(src, dst)` for a simplex fault.
+    pub fn groups(&self) -> (&[NodeId], &[NodeId]) {
+        match self {
+            PartitionSpec::Complete { a, b } | PartitionSpec::Partial { a, b } => (a, b),
+            PartitionSpec::Simplex { src, dst } => (src, dst),
+        }
+    }
+
     /// The directed pairs this fault blocks.
     pub fn pairs(&self) -> BTreeSet<(NodeId, NodeId)> {
-        match self {
-            PartitionSpec::Complete { a, b } | PartitionSpec::Partial { a, b } => {
-                bidirectional_pairs(a, b)
-            }
-            PartitionSpec::Simplex { src, dst } => simplex_pairs(src, dst),
+        let (a, b) = self.groups();
+        match self.kind() {
+            PartitionKind::Simplex => simplex_pairs(a, b),
+            PartitionKind::Complete | PartitionKind::Partial => bidirectional_pairs(a, b),
         }
     }
 
@@ -73,6 +60,25 @@ impl PartitionSpec {
         PartitionSpec::Complete {
             a: vec![node],
             b: rest,
+        }
+    }
+
+    /// A fault of `kind` aimed at `victim`, the rest of `servers` on the
+    /// other side: complete `[victim] | rest`; partial `[victim] | rest`
+    /// minus its last node, which stays a bridge to both sides (Figure
+    /// 1.b) whenever `rest` has two or more nodes; simplex `rest ->
+    /// [victim]`, so the victim still sends but hears nothing.
+    pub fn isolating(kind: PartitionKind, victim: NodeId, servers: &[NodeId]) -> Self {
+        let mut rest = rest_of(servers, &[victim]);
+        match kind {
+            PartitionKind::Complete => PartitionSpec::Complete { a: vec![victim], b: rest },
+            PartitionKind::Partial => {
+                if rest.len() > 1 {
+                    rest.pop();
+                }
+                PartitionSpec::Partial { a: vec![victim], b: rest }
+            }
+            PartitionKind::Simplex => PartitionSpec::Simplex { src: rest, dst: vec![victim] },
         }
     }
 }
@@ -139,6 +145,26 @@ mod tests {
         let s = PartitionSpec::isolate(NodeId(2), ids(&[0, 1]));
         assert_eq!(s.kind(), PartitionKind::Complete);
         assert_eq!(s.pairs().len(), 4);
+    }
+
+    #[test]
+    fn isolating_partial_leaves_a_bridge() {
+        let servers = ids(&[0, 1, 2, 3]);
+        let spec = PartitionSpec::isolating(PartitionKind::Partial, NodeId(0), &servers);
+        assert_eq!(spec, PartitionSpec::Partial { a: ids(&[0]), b: ids(&[1, 2]) });
+        // Two servers leave no bridge to keep: the victim is cut off.
+        let pair = PartitionSpec::isolating(PartitionKind::Partial, NodeId(1), &ids(&[0, 1]));
+        assert_eq!(pair.groups(), (&ids(&[1])[..], &ids(&[0])[..]));
+    }
+
+    #[test]
+    fn isolating_aims_every_kind_at_the_victim() {
+        let servers = ids(&[0, 1, 2]);
+        let complete = PartitionSpec::isolating(PartitionKind::Complete, NodeId(1), &servers);
+        assert_eq!(complete, PartitionSpec::isolate(NodeId(1), ids(&[0, 2])));
+        let simplex = PartitionSpec::isolating(PartitionKind::Simplex, NodeId(1), &servers);
+        assert_eq!(simplex.groups(), (&ids(&[0, 2])[..], &ids(&[1])[..]));
+        assert_eq!(simplex.pairs().len(), 2);
     }
 
     #[test]

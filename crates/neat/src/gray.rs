@@ -17,28 +17,7 @@ use simnet::{
     DegradeRule, DegradeRuleId, NodeId, Time,
 };
 
-/// The gray-failure taxonomy buckets (the paper's §2.1 flaky-link causes).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum DegradeKind {
-    /// Both directions between two groups are degraded — the "one flaky
-    /// NIC" cause behind most partial partitions.
-    GrayPartial,
-    /// One direction only is degraded; replies still flow cleanly.
-    GraySimplex,
-    /// The degradation alternates between active and healthy windows
-    /// (`flap_period` of the underlying rule is nonzero).
-    Flapping,
-}
-
-impl std::fmt::Display for DegradeKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DegradeKind::GrayPartial => "gray-partial",
-            DegradeKind::GraySimplex => "gray-simplex",
-            DegradeKind::Flapping => "flapping",
-        })
-    }
-}
+pub use obs::DegradeKind;
 
 /// A gray-failure fault to inject.
 ///
@@ -82,11 +61,20 @@ impl DegradeSpec {
         }
     }
 
+    /// The two groups: `(a, b)`, or `(src, dst)` for a simplex fault.
+    pub fn groups(&self) -> (&[NodeId], &[NodeId]) {
+        match self {
+            DegradeSpec::Partial { a, b, .. } => (a, b),
+            DegradeSpec::Simplex { src, dst, .. } => (src, dst),
+        }
+    }
+
     /// The directed pairs this fault degrades.
     pub fn pairs(&self) -> BTreeSet<(NodeId, NodeId)> {
+        let (a, b) = self.groups();
         match self {
-            DegradeSpec::Partial { a, b, .. } => bidirectional_pairs(a, b),
-            DegradeSpec::Simplex { src, dst, .. } => simplex_pairs(src, dst),
+            DegradeSpec::Partial { .. } => bidirectional_pairs(a, b),
+            DegradeSpec::Simplex { .. } => simplex_pairs(a, b),
         }
     }
 

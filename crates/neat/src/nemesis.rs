@@ -9,12 +9,11 @@
 //! dozens of partition/heal cycles deterministically.
 
 use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
-use simnet::{Application, DegradeRule, NodeId, Time};
+use simnet::{Application, NodeId, Time};
 
 use crate::{
     engine::Neat,
-    fault::{rest_of, PartitionKind, PartitionSpec},
-    gray::DegradeSpec,
+    fault::{PartitionKind, PartitionSpec},
 };
 
 /// One timed fault action.
@@ -22,9 +21,7 @@ use crate::{
 pub enum NemesisAction {
     /// Install this partition.
     Partition(PartitionSpec),
-    /// Install this gray failure (degraded, not severed, links).
-    Degrade(DegradeSpec),
-    /// Heal everything currently installed (partitions and degradations).
+    /// Heal every partition currently installed.
     HealAll,
     /// Crash these nodes.
     Crash(Vec<NodeId>),
@@ -39,31 +36,11 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Total virtual duration covered by the schedule.
-    pub fn horizon(&self) -> Time {
-        self.steps.last().map(|(t, _)| *t).unwrap_or(0)
-    }
-
     /// Number of fault injections (not counting heals/restarts).
     pub fn fault_count(&self) -> usize {
         self.steps
             .iter()
-            .filter(|(_, a)| {
-                matches!(
-                    a,
-                    NemesisAction::Partition(_)
-                        | NemesisAction::Degrade(_)
-                        | NemesisAction::Crash(_)
-                )
-            })
-            .count()
-    }
-
-    /// Number of gray-failure injections among the faults.
-    pub fn gray_count(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|(_, a)| matches!(a, NemesisAction::Degrade(_)))
+            .filter(|(_, a)| matches!(a, NemesisAction::Partition(_) | NemesisAction::Crash(_)))
             .count()
     }
 }
@@ -77,18 +54,12 @@ pub struct Nemesis {
     pub fault_duration: Time,
     /// Quiet gap between heal and the next fault, ms.
     pub gap: Time,
-    /// Partition kinds to draw from (empty = crashes only).
+    /// Partition kinds to draw from (empty = complete partitions only,
+    /// with no RNG draw for the kind).
     pub kinds: Vec<PartitionKind>,
     /// Probability that a cycle crashes a node instead of partitioning.
     // lint:allow(float-nondet) -- probability knob compared against a single RNG draw, never accumulated
     pub crash_probability: f64,
-    /// Probability that a cycle degrades a link (gray failure) instead of
-    /// cutting it cleanly. Zero keeps schedules byte-identical to
-    /// pre-gray nemeses: no extra RNG draws are made.
-    // lint:allow(float-nondet) -- probability knob compared against a single RNG draw, never accumulated
-    pub gray_probability: f64,
-    /// The degradation applied during gray cycles.
-    pub gray_rule: DegradeRule,
 }
 
 impl Nemesis {
@@ -101,20 +72,6 @@ impl Nemesis {
             gap: 1200,
             kinds: vec![PartitionKind::Complete, PartitionKind::Partial],
             crash_probability: 0.0,
-            gray_probability: 0.0,
-            gray_rule: DegradeRule::default(),
-        }
-    }
-
-    /// A nemesis that alternates clean cuts with gray periods: half the
-    /// cycles install a lossy-link degradation instead of a partition —
-    /// the paper's observation that real outages mix severed and merely
-    /// flaky links (§2.1).
-    pub fn gray_flicker(servers: Vec<NodeId>) -> Self {
-        Self {
-            gray_probability: 0.5,
-            gray_rule: DegradeRule::lossy(0.4),
-            ..Self::flicker(servers)
         }
     }
 
@@ -132,14 +89,6 @@ impl Nemesis {
             let action = if self.crash_probability > 0.0 && rng.gen_bool(self.crash_probability) {
                 let victim = *self.servers.choose(&mut rng).expect("non-empty"); // lint:allow(unwrap-expect)
                 NemesisAction::Crash(vec![victim])
-            } else if self.gray_probability > 0.0 && rng.gen_bool(self.gray_probability) {
-                let victim = *self.servers.choose(&mut rng).expect("non-empty"); // lint:allow(unwrap-expect)
-                let others = rest_of(&self.servers, &[victim]);
-                NemesisAction::Degrade(DegradeSpec::Partial {
-                    a: vec![victim],
-                    b: others,
-                    rule: self.gray_rule,
-                })
             } else {
                 let kind = if self.kinds.is_empty() {
                     PartitionKind::Complete
@@ -147,29 +96,7 @@ impl Nemesis {
                     self.kinds[rng.gen_range(0..self.kinds.len())]
                 };
                 let victim = *self.servers.choose(&mut rng).expect("non-empty"); // lint:allow(unwrap-expect)
-                let others = rest_of(&self.servers, &[victim]);
-                let spec = match kind {
-                    PartitionKind::Complete => PartitionSpec::Complete {
-                        a: vec![victim],
-                        b: others,
-                    },
-                    PartitionKind::Partial => {
-                        let cut = if others.len() > 1 {
-                            others[..others.len() - 1].to_vec()
-                        } else {
-                            others
-                        };
-                        PartitionSpec::Partial {
-                            a: vec![victim],
-                            b: cut,
-                        }
-                    }
-                    PartitionKind::Simplex => PartitionSpec::Simplex {
-                        src: others,
-                        dst: vec![victim],
-                    },
-                };
-                NemesisAction::Partition(spec)
+                NemesisAction::Partition(PartitionSpec::isolating(kind, victim, &self.servers))
             };
             steps.push((t, action));
             t += self.fault_duration;
@@ -198,13 +125,7 @@ pub fn replay<A: Application>(
             NemesisAction::Partition(spec) => {
                 neat.partition(spec.clone());
             }
-            NemesisAction::Degrade(spec) => {
-                neat.degrade(spec.clone());
-            }
-            NemesisAction::HealAll => {
-                neat.heal_all();
-                neat.heal_all_degrades();
-            }
+            NemesisAction::HealAll => neat.heal_all(),
             NemesisAction::Crash(nodes) => neat.crash(nodes),
             NemesisAction::RestartAll => {
                 let all = neat.world.node_ids();
@@ -248,7 +169,7 @@ mod tests {
         }
         // First fault at `gap`; each cycle adds `fault_duration + gap`;
         // the last heal lands exactly at cycles * (fault_duration + gap).
-        assert_eq!(s.horizon(), 10 * (800 + 1200));
+        assert_eq!(s.steps.last().map(|(t, _)| *t), Some(10 * (800 + 1200)));
     }
 
     #[test]
@@ -272,37 +193,23 @@ mod tests {
         });
         assert!(seen_active >= 3, "partitions were active between steps");
         assert!(engine.active_partitions().is_empty(), "all healed at the end");
-        assert_eq!(engine.now(), s.horizon());
+        assert_eq!(Some(engine.now()), s.steps.last().map(|(t, _)| *t));
     }
 
     #[test]
-    fn gray_flicker_mixes_cuts_and_degradations() {
-        let n = Nemesis::gray_flicker(servers(3));
-        let s = n.schedule(20, 4);
-        assert_eq!(s.fault_count(), 20);
-        let gray = s.gray_count();
-        assert!(gray > 0 && gray < 20, "both fault classes appear: {gray}/20");
-        let mut engine = Neat::new(WorldBuilder::new(1).build(3, |_| Idle));
-        let mut saw_degrade = false;
-        replay(&mut engine, &s, |e| {
-            saw_degrade |= !e.active_degrades().is_empty();
-        });
-        assert!(saw_degrade, "degradations were active between steps");
-        assert!(engine.active_partitions().is_empty(), "all healed at the end");
-        assert!(engine.active_degrades().is_empty(), "all restored at the end");
-        assert_eq!(engine.world.net().degrade_count(), 0);
-    }
-
-    #[test]
-    fn zero_gray_probability_preserves_legacy_schedules() {
-        // The gray knobs must not perturb the RNG draw order when off.
-        let legacy = Nemesis::flicker(servers(3));
-        let mut gray_off = Nemesis::gray_flicker(servers(3));
-        gray_off.gray_probability = 0.0;
-        assert_eq!(
-            format!("{:?}", legacy.schedule(8, 9)),
-            format!("{:?}", gray_off.schedule(8, 9)),
-        );
+    fn no_kinds_means_complete_partitions() {
+        let mut n = Nemesis::flicker(servers(3));
+        n.kinds.clear();
+        let kinds: Vec<PartitionKind> = n
+            .schedule(12, 5)
+            .steps
+            .iter()
+            .filter_map(|(_, action)| match action {
+                NemesisAction::Partition(spec) => Some(spec.kind()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, [PartitionKind::Complete; 12], "a partition every cycle, not a crash");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! values full of escapes, newlines, and multi-byte unicode.
 
 use neat::audit::{stream_hash, trace_hash};
-use neat::obs::{PartitionClass, Recorder};
+use neat::obs::{PartitionKind, Recorder};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use simnet::NodeId;
@@ -40,7 +40,7 @@ fn apply(rec: &mut Recorder, &(kind, time, node, s): &Action) {
         0 => rec.partition_installed(
             time,
             node,
-            PartitionClass::Partial,
+            PartitionKind::Partial,
             &[n],
             &[NodeId((node as usize + 1) % 7)],
             2,

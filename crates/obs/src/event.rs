@@ -4,50 +4,57 @@ use simnet::{NodeId, Time};
 
 use crate::group;
 
-/// Partition taxonomy bucket (the paper's Figure 1 / Table 6).
+/// The three partition types studied by the paper (Figure 1 / Table 6).
 ///
-/// Mirrors `neat::PartitionKind` without depending on `neat` — `obs` sits
-/// below the engine so the engine can emit into it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PartitionClass {
-    /// The cluster is split into two disconnected halves.
+/// The one definition of the taxonomy: `obs` sits below the engine so the
+/// engine can emit into it, and `neat` re-exports it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum PartitionKind {
+    /// The cluster is split into two disconnected halves (Figure 1.a).
     Complete,
-    /// Two groups are disconnected while a third reaches both.
+    /// Two groups are disconnected while a third group still reaches both
+    /// (Figure 1.b).
     Partial,
-    /// Traffic is dropped in one direction only.
+    /// Traffic flows in one direction only (Figure 1.c).
     Simplex,
 }
 
-impl std::fmt::Display for PartitionClass {
+impl PartitionKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [PartitionKind; 3] =
+        [PartitionKind::Complete, PartitionKind::Partial, PartitionKind::Simplex];
+}
+
+impl std::fmt::Display for PartitionKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            PartitionClass::Complete => "complete",
-            PartitionClass::Partial => "partial",
-            PartitionClass::Simplex => "simplex",
+            PartitionKind::Complete => "complete",
+            PartitionKind::Partial => "partial",
+            PartitionKind::Simplex => "simplex",
         })
     }
 }
 
-/// Gray-failure taxonomy bucket (the paper's §2.1 flaky-link causes).
-///
-/// Mirrors `neat::DegradeKind` without depending on `neat`, exactly as
-/// [`PartitionClass`] mirrors `neat::PartitionKind`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DegradeClass {
-    /// Both directions of the named links are degraded.
+/// The gray-failure taxonomy buckets (the paper's §2.1 flaky-link causes),
+/// defined here beside [`PartitionKind`] and re-exported by `neat`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub enum DegradeKind {
+    /// Both directions between two groups are degraded — the "one flaky
+    /// NIC" cause behind most partial partitions.
     GrayPartial,
-    /// Only one direction of the named links is degraded.
+    /// One direction only is degraded; replies still flow cleanly.
     GraySimplex,
-    /// The degradation alternates between active and healthy windows.
+    /// The degradation alternates between active and healthy windows
+    /// (`flap_period` of the underlying rule is nonzero).
     Flapping,
 }
 
-impl std::fmt::Display for DegradeClass {
+impl std::fmt::Display for DegradeKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            DegradeClass::GrayPartial => "gray-partial",
-            DegradeClass::GraySimplex => "gray-simplex",
-            DegradeClass::Flapping => "flapping",
+            DegradeKind::GrayPartial => "gray-partial",
+            DegradeKind::GraySimplex => "gray-simplex",
+            DegradeKind::Flapping => "flapping",
         })
     }
 }
@@ -67,7 +74,7 @@ pub enum Event {
         /// Block-rule id, matching [`Event::PartitionHealed::rule`].
         rule: u64,
         /// Taxonomy bucket of the fault.
-        kind: PartitionClass,
+        kind: PartitionKind,
         /// First group (the `src` group for simplex faults).
         a: Vec<NodeId>,
         /// Second group (the `dst` group for simplex faults).
@@ -90,7 +97,7 @@ pub enum Event {
         /// A separate id namespace from partition block rules.
         rule: u64,
         /// Taxonomy bucket of the gray failure.
-        kind: DegradeClass,
+        kind: DegradeKind,
         /// First group (the `src` group for simplex degradations).
         a: Vec<NodeId>,
         /// Second group (the `dst` group for simplex degradations).
@@ -206,7 +213,7 @@ impl std::fmt::Display for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Event::PartitionInstalled { at, rule, kind, a, b, pairs } => {
-                let sep = if *kind == PartitionClass::Simplex { "->" } else { "|" };
+                let sep = if *kind == PartitionKind::Simplex { "->" } else { "|" };
                 write!(
                     f,
                     "[{at:>6}] fault  install {kind} partition {} {sep} {} (rule {rule}, {pairs} pairs)",
@@ -218,7 +225,7 @@ impl std::fmt::Display for Event {
                 write!(f, "[{at:>6}] fault  heal rule {rule}")
             }
             Event::DegradeInstalled { at, rule, kind, a, b, pairs } => {
-                let sep = if *kind == DegradeClass::GraySimplex { "~>" } else { "~" };
+                let sep = if *kind == DegradeKind::GraySimplex { "~>" } else { "~" };
                 write!(
                     f,
                     "[{at:>6}] fault  degrade {kind} {} {sep} {} (rule {rule}, {pairs} pairs)",
@@ -326,7 +333,7 @@ mod tests {
         let ev = Event::PartitionInstalled {
             at: 600,
             rule: 0,
-            kind: PartitionClass::Partial,
+            kind: PartitionKind::Partial,
             a: vec![NodeId(0), NodeId(3)],
             b: vec![NodeId(1)],
             pairs: 4,
@@ -351,7 +358,7 @@ mod tests {
         let ev = Event::DegradeInstalled {
             at: 400,
             rule: 1,
-            kind: DegradeClass::GrayPartial,
+            kind: DegradeKind::GrayPartial,
             a: vec![NodeId(0)],
             b: vec![NodeId(2)],
             pairs: 2,
@@ -364,7 +371,7 @@ mod tests {
         let simplex = Event::DegradeInstalled {
             at: 1,
             rule: 0,
-            kind: DegradeClass::GraySimplex,
+            kind: DegradeKind::GraySimplex,
             a: vec![NodeId(1)],
             b: vec![NodeId(0)],
             pairs: 1,
@@ -381,7 +388,7 @@ mod tests {
         let ev = Event::PartitionInstalled {
             at: 5,
             rule: 2,
-            kind: PartitionClass::Simplex,
+            kind: PartitionKind::Simplex,
             a: vec![NodeId(0)],
             b: vec![NodeId(1)],
             pairs: 1,

@@ -50,26 +50,20 @@ impl ForensicReport {
                 w(&mut out, format!("     - {kind}: {details}"));
             }
         }
-        let windows = self.timeline.fault_windows();
-        if !windows.is_empty() {
-            w(&mut out, "   fault windows:".to_string());
+        for (title, rule_label, windows) in [
+            ("fault", "rule", self.timeline.fault_windows()),
+            ("degrade", "degrade rule", self.timeline.degrade_windows()),
+        ] {
+            if windows.is_empty() {
+                continue;
+            }
+            w(&mut out, format!("   {title} windows:"));
             for (rule, from, to) in &windows {
                 let until = match to {
                     Some(t) => format!("{t:>6}"),
                     None => "  open".to_string(),
                 };
-                w(&mut out, format!("     [{from:>6}..{until}] rule {rule}"));
-            }
-        }
-        let degrades = self.timeline.degrade_windows();
-        if !degrades.is_empty() {
-            w(&mut out, "   degrade windows:".to_string());
-            for (rule, from, to) in &degrades {
-                let until = match to {
-                    Some(t) => format!("{t:>6}"),
-                    None => "  open".to_string(),
-                };
-                w(&mut out, format!("     [{from:>6}..{until}] degrade rule {rule}"));
+                w(&mut out, format!("     [{from:>6}..{until}] {rule_label} {rule}"));
             }
         }
         let inflight = self.timeline.ops_in_flight();
@@ -136,12 +130,12 @@ impl ForensicReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PartitionClass, Recorder};
+    use crate::{PartitionKind, Recorder};
     use simnet::NodeId;
 
     fn report() -> ForensicReport {
         let mut r = Recorder::new(true);
-        r.partition_installed(600, 0, PartitionClass::Partial, &[NodeId(0)], &[NodeId(1)], 2);
+        r.partition_installed(600, 0, PartitionKind::Partial, &[NodeId(0)], &[NodeId(1)], 2);
         r.op(700, 705, NodeId(1), "obj1".into(), "Write { .. }".into(), "Ok(None)".into());
         r.partition_healed(1450, 0);
         r.verdict(2100, "data loss".into(), "acked write \"obj1\"=1 missing".into());

@@ -10,6 +10,9 @@
 //!
 //! The pieces:
 //!
+//! - [`PartitionKind`] and [`DegradeKind`] — the fault taxonomy (the
+//!   paper's Figure 1 partitions and §2.1 gray failures), defined once
+//!   here; `neat` re-exports both for its fault specs.
 //! - [`Event`] — the typed record palette (partition install/heal, crash,
 //!   restart, client op, checker verdict, application note).
 //! - [`Recorder`] — the engine-side sink and the run's one event log; only
@@ -27,11 +30,11 @@
 //! # Example
 //!
 //! ```
-//! use obs::{Event, PartitionClass, Recorder, Timeline};
+//! use obs::{Event, PartitionKind, Recorder, Timeline};
 //! use simnet::NodeId;
 //!
 //! let mut rec = Recorder::new(true);
-//! rec.partition_installed(600, 0, PartitionClass::Partial,
+//! rec.partition_installed(600, 0, PartitionKind::Partial,
 //!                         &[NodeId(0)], &[NodeId(1)], 2);
 //! rec.op(700, 705, NodeId(1), "k".into(), "Write".into(), "Ok(None)".into());
 //! rec.partition_healed(1450, 0);
@@ -50,7 +53,7 @@ pub mod forensics;
 pub mod recorder;
 pub mod timeline;
 
-pub use event::{Counters, DegradeClass, Event, PartitionClass};
+pub use event::{Counters, DegradeKind, Event, PartitionKind};
 pub use forensics::ForensicReport;
 pub use recorder::Recorder;
 pub use timeline::Timeline;

@@ -2,7 +2,7 @@
 
 use simnet::{trace::Trace, NodeId, Time};
 
-use crate::{Counters, DegradeClass, Event, PartitionClass, Timeline};
+use crate::{Counters, DegradeKind, Event, PartitionKind, Timeline};
 
 /// Collects [`Event`]s and maintains [`Counters`] during a run: the one
 /// record of its faults, crashes, restarts, operations and verdicts. The
@@ -61,7 +61,7 @@ impl Recorder {
         &mut self,
         at: Time,
         rule: u64,
-        kind: PartitionClass,
+        kind: PartitionKind,
         a: &[NodeId],
         b: &[NodeId],
         pairs: usize,
@@ -91,7 +91,7 @@ impl Recorder {
         &mut self,
         at: Time,
         rule: u64,
-        kind: DegradeClass,
+        kind: DegradeKind,
         a: &[NodeId],
         b: &[NodeId],
         pairs: usize,
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn counters_live_even_when_disabled() {
         let mut r = Recorder::new(false);
-        r.partition_installed(1, 0, PartitionClass::Complete, &[NodeId(0)], &[NodeId(1)], 2);
+        r.partition_installed(1, 0, PartitionKind::Complete, &[NodeId(0)], &[NodeId(1)], 2);
         r.op(2, 3, NodeId(0), "k".into(), "Read".into(), "Timeout".into());
         r.op_with(4, 5, NodeId(1), || unreachable!("disabled path must not build strings"));
         assert!(r.events().is_empty(), "recording gate ignored");
@@ -252,7 +252,7 @@ mod tests {
     fn snapshot_orders_by_virtual_time() {
         let mut r = Recorder::new(true);
         r.verdict(50, "data loss".into(), "k".into());
-        r.partition_installed(10, 0, PartitionClass::Complete, &[NodeId(0)], &[NodeId(1)], 2);
+        r.partition_installed(10, 0, PartitionKind::Complete, &[NodeId(0)], &[NodeId(1)], 2);
         let t = r.snapshot();
         assert_eq!(t.events[0].at(), 10);
         assert_eq!(t.events[1].at(), 50);

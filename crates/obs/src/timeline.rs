@@ -1,6 +1,6 @@
 //! An ordered snapshot of one run's observability stream.
 
-use simnet::Time;
+use simnet::{NodeId, Time};
 use study::json::push_json_str;
 
 use crate::{Counters, Event};
@@ -42,37 +42,28 @@ impl Timeline {
     /// The lifetime of every partition installed during the run, in
     /// install order.
     pub fn fault_windows(&self) -> Vec<FaultWindow> {
-        let mut windows: Vec<FaultWindow> = Vec::new();
-        for ev in &self.events {
-            match ev {
-                Event::PartitionInstalled { at, rule, .. } => {
-                    windows.push((*rule, *at, None));
-                }
-                Event::PartitionHealed { at, rule } => {
-                    if let Some(w) = windows
-                        .iter_mut()
-                        .find(|w| w.0 == *rule && w.2.is_none())
-                    {
-                        w.2 = Some(*at);
-                    }
-                }
-                _ => {}
-            }
-        }
-        windows
+        self.windows(false)
     }
 
     /// The lifetime of every gray-failure (degrade) rule installed during
     /// the run, in install order. Degrade rules live in their own id
     /// namespace, so these windows never alias partition windows.
     pub fn degrade_windows(&self) -> Vec<FaultWindow> {
+        self.windows(true)
+    }
+
+    /// Pairs each install of one rule namespace (partitions, or degrades
+    /// when `gray`) with the first later heal of the same rule.
+    fn windows(&self, gray: bool) -> Vec<FaultWindow> {
         let mut windows: Vec<FaultWindow> = Vec::new();
         for ev in &self.events {
-            match ev {
-                Event::DegradeInstalled { at, rule, .. } => {
+            match (ev, gray) {
+                (Event::PartitionInstalled { at, rule, .. }, false)
+                | (Event::DegradeInstalled { at, rule, .. }, true) => {
                     windows.push((*rule, *at, None));
                 }
-                Event::DegradeHealed { at, rule } => {
+                (Event::PartitionHealed { at, rule }, false)
+                | (Event::DegradeHealed { at, rule }, true) => {
                     if let Some(w) = windows
                         .iter_mut()
                         .find(|w| w.0 == *rule && w.2.is_none())
@@ -188,36 +179,10 @@ impl Timeline {
             out.push_str(&format!(",\"seq\":{seq},\"type\":\"{}\"", ev.label()));
             match ev {
                 Event::PartitionInstalled { at, rule, kind, a, b, pairs } => {
-                    out.push_str(&format!(",\"at\":{at},\"rule\":{rule},\"kind\":\"{kind}\""));
-                    let ids = |out: &mut String, name: &str, g: &[simnet::NodeId]| {
-                        out.push_str(&format!(",\"{name}\":["));
-                        for (i, n) in g.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            out.push_str(&n.0.to_string());
-                        }
-                        out.push(']');
-                    };
-                    ids(out, "a", a);
-                    ids(out, "b", b);
-                    out.push_str(&format!(",\"pairs\":{pairs}"));
+                    push_install(out, *at, *rule, kind, a, b, *pairs);
                 }
                 Event::DegradeInstalled { at, rule, kind, a, b, pairs } => {
-                    out.push_str(&format!(",\"at\":{at},\"rule\":{rule},\"kind\":\"{kind}\""));
-                    let ids = |out: &mut String, name: &str, g: &[simnet::NodeId]| {
-                        out.push_str(&format!(",\"{name}\":["));
-                        for (i, n) in g.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            out.push_str(&n.0.to_string());
-                        }
-                        out.push(']');
-                    };
-                    ids(out, "a", a);
-                    ids(out, "b", b);
-                    out.push_str(&format!(",\"pairs\":{pairs}"));
+                    push_install(out, *at, *rule, kind, a, b, *pairs);
                 }
                 Event::PartitionHealed { at, rule } | Event::DegradeHealed { at, rule } => {
                     out.push_str(&format!(",\"at\":{at},\"rule\":{rule}"));
@@ -255,15 +220,39 @@ impl Timeline {
     }
 }
 
+/// The JSONL fields of a partition or degrade install, after `type`.
+fn push_install(
+    out: &mut String,
+    at: Time,
+    rule: u64,
+    kind: &dyn std::fmt::Display,
+    a: &[NodeId],
+    b: &[NodeId],
+    pairs: usize,
+) {
+    out.push_str(&format!(",\"at\":{at},\"rule\":{rule},\"kind\":\"{kind}\""));
+    for (name, group) in [("a", a), ("b", b)] {
+        out.push_str(&format!(",\"{name}\":["));
+        for (i, n) in group.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&n.0.to_string());
+        }
+        out.push(']');
+    }
+    out.push_str(&format!(",\"pairs\":{pairs}"));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PartitionClass, Recorder};
+    use crate::{PartitionKind, Recorder};
     use simnet::NodeId;
 
     fn sample() -> Timeline {
         let mut r = Recorder::new(true);
-        r.partition_installed(600, 0, PartitionClass::Partial, &[NodeId(0)], &[NodeId(1)], 2);
+        r.partition_installed(600, 0, PartitionKind::Partial, &[NodeId(0)], &[NodeId(1)], 2);
         r.op(700, 705, NodeId(1), "obj1".into(), "Write { .. }".into(), "Ok(None)".into());
         r.partition_healed(1450, 0);
         r.op(2000, 2001, NodeId(0), "other".into(), "Read { .. }".into(), "Ok(None)".into());
@@ -280,7 +269,7 @@ mod tests {
     #[test]
     fn unhealed_partitions_stay_open() {
         let mut r = Recorder::new(true);
-        r.partition_installed(5, 3, PartitionClass::Complete, &[NodeId(0)], &[NodeId(1)], 2);
+        r.partition_installed(5, 3, PartitionKind::Complete, &[NodeId(0)], &[NodeId(1)], 2);
         assert_eq!(r.snapshot().fault_windows(), vec![(3, 5, None)]);
     }
 
@@ -290,7 +279,7 @@ mod tests {
         r.degrade_installed(
             100,
             0,
-            crate::DegradeClass::GrayPartial,
+            crate::DegradeKind::GrayPartial,
             &[NodeId(0)],
             &[NodeId(1)],
             2,
@@ -300,7 +289,7 @@ mod tests {
         r.degrade_installed(
             950,
             1,
-            crate::DegradeClass::Flapping,
+            crate::DegradeKind::Flapping,
             &[NodeId(1)],
             &[NodeId(2)],
             2,

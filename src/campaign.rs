@@ -53,91 +53,52 @@ fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
     ks
 }
 
-/// How much fingerprint work one arm execution performs. The fingerprint
-/// covers every observable of the run — its [`RunOutcome`]: violations,
-/// timeline and the family's detail — via its pretty `Debug` rendering;
-/// most callers never need the rendered bytes, so the mode picks the
-/// cheapest form.
+/// One arm's run with the family's `detail` type-erased, so every
+/// registry arm has one signature. A `Box` prints its contents unchanged
+/// through `Debug` (and `Box<()>` does not allocate), so the fingerprint —
+/// the pretty `Debug` rendering of this whole value — is the family's own
+/// [`RunOutcome`]'s.
+pub type ArmOutcome = RunOutcome<Box<dyn std::fmt::Debug>>;
+
+fn erase<D: std::fmt::Debug + 'static>(o: RunOutcome<D>) -> ArmOutcome {
+    RunOutcome {
+        violations: o.violations,
+        timeline: o.timeline,
+        detail: Box::new(o.detail),
+    }
+}
+
+/// What [`run_arm`] records and fingerprints.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunMode {
-    /// Checker verdicts only: trace recording off, no fingerprint.
+    /// Checker verdicts only: recording off, no fingerprint.
     Quick,
-    /// Trace recording on (timeline populated), no fingerprint — the
-    /// forensics and gray-bench path.
-    Trace,
-    /// Trace recording on; the fingerprint is folded into an FNV-1a hash
-    /// as `Debug` emits it — the audit fast path, which never materializes
-    /// the fingerprint string.
+    /// Recording on (timeline and application notes); the fingerprint is
+    /// folded into an FNV-1a hash as `Debug` emits it, never materialized.
+    /// [`render_arm`] re-runs an arm for the rendered bytes.
     Hash,
-    /// Trace recording on; the fingerprint is fully rendered — the
-    /// divergence-diff and byte-equivalence path.
-    Render,
 }
 
-impl RunMode {
-    /// Whether this mode records the `obs` timeline, application notes
-    /// included. Everything except [`RunMode::Quick`] records: the
-    /// fingerprint must cover it.
-    pub fn records(self) -> bool {
-        !matches!(self, RunMode::Quick)
-    }
-}
-
-/// One arm execution's fingerprint, in whichever form [`RunMode`] asked
-/// for. The hash and the rendered string cover the identical byte stream
-/// (`neat::audit::stream_hash` ≡ `trace_hash` of the rendering).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Fingerprint {
-    /// No fingerprint was requested ([`RunMode::Quick`] / [`RunMode::Trace`]).
-    None,
-    /// Streaming FNV-1a hash of the fingerprint bytes ([`RunMode::Hash`]).
-    Hash(u64),
-    /// The fully rendered fingerprint ([`RunMode::Render`]).
-    Rendered(String),
-}
+/// One arm execution's fingerprint hash, taken in [`RunMode::Hash`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Fingerprint(Option<u64>);
 
 impl Fingerprint {
-    /// The FNV-1a hash of the fingerprint byte stream, if one was taken
-    /// (hashing a rendered fingerprint on demand).
+    /// The FNV-1a hash of the fingerprint byte stream (`None` in
+    /// [`RunMode::Quick`]); equal to `neat::audit::trace_hash` of
+    /// [`render_arm`]'s bytes.
     pub fn hash(&self) -> Option<u64> {
-        match self {
-            Fingerprint::None => None,
-            Fingerprint::Hash(h) => Some(*h),
-            Fingerprint::Rendered(s) => Some(neat::audit::trace_hash(s)),
-        }
-    }
-
-    /// The rendered fingerprint, if the run was asked to materialize it.
-    pub fn into_rendered(self) -> Option<String> {
-        match self {
-            Fingerprint::Rendered(s) => Some(s),
-            Fingerprint::None | Fingerprint::Hash(_) => None,
-        }
+        self.0
     }
 }
 
 /// What one run of one scenario arm produced: the checker verdicts plus
-/// the execution fingerprint in the form the [`RunMode`] requested.
+/// the execution fingerprint the [`RunMode`] asked for.
 pub struct RunArtifacts {
     pub violations: Vec<Violation>,
     pub fingerprint: Fingerprint,
     /// Typed observability timeline of the run (empty when not recording).
     pub timeline: neat::obs::Timeline,
-}
-
-/// Runs one arm and packages what `mode` asked for.
-fn arm<D: std::fmt::Debug>(mode: RunMode, run: impl FnOnce(bool) -> RunOutcome<D>) -> RunArtifacts {
-    let o = run(mode.records());
-    let fingerprint = match mode {
-        RunMode::Quick | RunMode::Trace => Fingerprint::None,
-        RunMode::Hash => Fingerprint::Hash(neat::audit::stream_hash(&o)),
-        RunMode::Render => Fingerprint::Rendered(format!("{o:#?}")),
-    };
-    RunArtifacts {
-        violations: o.violations,
-        fingerprint,
-        timeline: o.timeline,
-    }
 }
 
 /// What kind of fault a scenario injects — the one reading of the
@@ -155,15 +116,15 @@ pub enum ScenarioClass {
 }
 
 /// One campaign scenario: metadata plus the flawed and repaired arms, each
-/// a plain function of `(seed, mode)`.
+/// a plain function of `(seed, record)`.
 pub struct ScenarioSpec {
     pub name: &'static str,
     pub system: &'static str,
     pub reference: &'static str,
     pub partition: &'static str,
-    pub flawed: fn(u64, RunMode) -> RunArtifacts,
+    pub flawed: fn(u64, bool) -> ArmOutcome,
     /// `None` when the repaired arm is asserted by unit tests instead.
-    pub fixed: Option<fn(u64, RunMode) -> RunArtifacts>,
+    pub fixed: Option<fn(u64, bool) -> ArmOutcome>,
 }
 
 impl ScenarioSpec {
@@ -194,12 +155,12 @@ macro_rules! scenario {
             system: $system,
             reference: $reference,
             partition: $partition,
-            flawed: |seed, mode| arm(mode, |rec| $run($flawed, seed, rec)),
+            flawed: |seed, rec| erase($run($flawed, seed, rec)),
             fixed: scenario!(@fixed $run $(, $fixed)?),
         }
     };
     (@fixed $run:path, $fixed:expr) => {
-        Some(|seed, mode| arm(mode, |rec| $run($fixed, seed, rec)))
+        Some(|seed, rec| erase($run($fixed, seed, rec)))
     };
     (@fixed $run:path) => {
         None
@@ -370,10 +331,10 @@ fn result_of(s: &ScenarioSpec, seed: u64) -> ScenarioResult {
         system: s.system,
         reference: s.reference,
         partition: s.partition,
-        flawed: kinds(&(s.flawed)(seed, RunMode::Quick).violations),
+        flawed: kinds(&(s.flawed)(seed, false).violations),
         fixed: s
             .fixed
-            .map(|f| kinds(&f(seed, RunMode::Quick).violations))
+            .map(|f| kinds(&f(seed, false).violations))
             .unwrap_or_default(),
     }
 }
@@ -427,18 +388,36 @@ pub fn arm_ids() -> Vec<ArmId> {
     arms
 }
 
-/// Runs one arm by address. Panics if the arm does not exist (callers
-/// enumerate via [`arm_ids`], which only yields real arms).
-pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
+/// Runs one arm by address, recording when `record`, and returns its whole
+/// outcome. Panics if the arm does not exist (callers enumerate via
+/// [`arm_ids`], which only yields real arms).
+pub fn arm_outcome(arm: &ArmId, seed: u64, record: bool) -> ArmOutcome {
     let spec = &registry()[arm.scenario];
     if arm.fixed {
         match spec.fixed {
-            Some(fixed) => fixed(seed, mode),
+            Some(fixed) => fixed(seed, record),
             None => panic!("{} has no fixed arm", spec.name),
         }
     } else {
-        (spec.flawed)(seed, mode)
+        (spec.flawed)(seed, record)
     }
+}
+
+/// Runs one arm by address and packages what `mode` asked for.
+pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
+    let o = arm_outcome(arm, seed, mode == RunMode::Hash);
+    let hash = (mode == RunMode::Hash).then(|| neat::audit::stream_hash(&o));
+    RunArtifacts {
+        violations: o.violations,
+        fingerprint: Fingerprint(hash),
+        timeline: o.timeline,
+    }
+}
+
+/// One arm's execution fingerprint, rendered: the pretty `Debug` of its
+/// recorded [`ArmOutcome`] — the bytes [`RunMode::Hash`] hashes.
+pub fn render_arm(arm: &ArmId, seed: u64) -> String {
+    format!("{:#?}", arm_outcome(arm, seed, true))
 }
 
 /// Runs the *flawed* arm of the scenario at `index` (registry order) with
@@ -447,7 +426,7 @@ pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
 /// fleet's forensics work item.
 pub fn forensic_at(index: usize, seed: u64) -> neat::obs::ForensicReport {
     let s = &registry()[index];
-    let run = (s.flawed)(seed, RunMode::Trace);
+    let run = (s.flawed)(seed, true);
     neat::obs::ForensicReport {
         scenario: s.name.to_string(),
         system: s.system.to_string(),
@@ -504,25 +483,29 @@ pub fn forensics_jsonl(reports: &[neat::obs::ForensicReport]) -> String {
 /// one per line and each through its `Display`. The block says what the run
 /// observed, not how any outcome type is shaped, so it survives renaming
 /// and reshaping the outcome structs that the audit hashes cover.
-pub fn render_arm_verdicts(arm: &str, seed: u64, run: &RunArtifacts) -> String {
-    let mut out = format!(
-        "== {arm} seed {seed}\ncounters {}\n",
-        run.timeline.counters.render()
-    );
-    for v in &run.violations {
+pub fn render_arm_verdicts(
+    arm: &str,
+    seed: u64,
+    violations: &[Violation],
+    timeline: &neat::obs::Timeline,
+) -> String {
+    let mut out = format!("== {arm} seed {seed}\ncounters {}\n", timeline.counters.render());
+    for v in violations {
         out.push_str(&format!("violation {v}\n"));
     }
-    out.push_str(&run.timeline.render());
+    out.push_str(&timeline.render());
     out
 }
 
 /// The verdict oracle at `seed`: [`render_arm_verdicts`] of every arm,
-/// recorded ([`RunMode::Trace`]), in [`arm_ids`] order. `verdicts.txt` is
-/// this at seeds 8 and 42.
+/// recorded, in [`arm_ids`] order. `verdicts.txt` is this at seeds 8 and 42.
 pub fn render_verdicts(seed: u64) -> String {
     arm_ids()
         .iter()
-        .map(|arm| render_arm_verdicts(&arm.name, seed, &run_arm(arm, seed, RunMode::Trace)))
+        .map(|arm| {
+            let o = arm_outcome(arm, seed, true);
+            render_arm_verdicts(&arm.name, seed, &o.violations, &o.timeline)
+        })
         .collect()
 }
 
@@ -533,8 +516,8 @@ pub fn scenario_fingerprints(seed: u64) -> Vec<(String, String)> {
     arm_ids()
         .into_iter()
         .map(|arm| {
-            let run = run_arm(&arm, seed, RunMode::Render);
-            (arm.name, run.fingerprint.into_rendered().unwrap_or_default())
+            let fingerprint = render_arm(&arm, seed);
+            (arm.name, fingerprint)
         })
         .collect()
 }

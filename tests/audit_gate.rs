@@ -66,17 +66,16 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
     }
 }
 
-/// One arm at one seed, run in each of the three modes the harness uses.
+/// One arm at one seed, run in both modes.
 struct ModeRuns {
     arm: String,
     seed: u64,
     quick: RunArtifacts,
-    trace: RunArtifacts,
     hash: RunArtifacts,
 }
 
-/// Every arm at seeds 8 and 42 in `Quick`, `Trace` and `Hash` mode, run
-/// once and shared by the two tests that read them.
+/// Every arm at seeds 8 and 42 in `Quick` and `Hash` mode, run once and
+/// shared by the two tests that read them.
 fn mode_runs() -> &'static [ModeRuns] {
     static RUNS: OnceLock<Vec<ModeRuns>> = OnceLock::new();
     RUNS.get_or_init(|| {
@@ -85,7 +84,6 @@ fn mode_runs() -> &'static [ModeRuns] {
             .flat_map(|seed| {
                 arm_ids().into_iter().map(move |arm| ModeRuns {
                     quick: run_arm(&arm, seed, RunMode::Quick),
-                    trace: run_arm(&arm, seed, RunMode::Trace),
                     hash: run_arm(&arm, seed, RunMode::Hash),
                     arm: arm.name,
                     seed,
@@ -96,28 +94,21 @@ fn mode_runs() -> &'static [ModeRuns] {
 }
 
 /// Recording must not perturb a run (ROADMAP "Trust the verdicts" (b)):
-/// with the trace and the `obs` timeline off (`Quick`), on (`Trace`) and on
-/// with the fingerprint hashed (`Hash`), every arm reaches the same
-/// verdicts and the same always-on counters — events simulated, messages
-/// dropped, partition / heal / crash counts and the rest — and both
-/// recording modes record the same timeline.
+/// with the note log and the `obs` timeline off (`Quick`) and on with the
+/// fingerprint hashed (`Hash`), every arm reaches the same verdicts and the
+/// same always-on counters — events simulated, messages dropped, partition
+/// / heal / crash counts and the rest.
 #[test]
 fn recording_does_not_perturb_any_arm() {
     for r in mode_runs() {
         let (name, seed) = (&r.arm, r.seed);
-        for (mode, recorded) in [(RunMode::Trace, &r.trace), (RunMode::Hash, &r.hash)] {
-            assert_eq!(
-                recorded.violations, r.quick.violations,
-                "{name} seed {seed}: {mode:?} verdicts differ from Quick"
-            );
-            assert_eq!(
-                recorded.timeline.counters, r.quick.timeline.counters,
-                "{name} seed {seed}: {mode:?} counters differ from Quick"
-            );
-        }
         assert_eq!(
-            r.hash.timeline.events, r.trace.timeline.events,
-            "{name} seed {seed}: Hash and Trace record different timelines"
+            r.hash.violations, r.quick.violations,
+            "{name} seed {seed}: recorded verdicts differ from Quick"
+        );
+        assert_eq!(
+            r.hash.timeline.counters, r.quick.timeline.counters,
+            "{name} seed {seed}: recorded counters differ from Quick"
         );
     }
 }
@@ -131,7 +122,7 @@ fn recording_does_not_perturb_any_arm() {
 fn verdicts_match_the_committed_oracle() {
     let regenerated: String = mode_runs()
         .iter()
-        .map(|r| render_arm_verdicts(&r.arm, r.seed, &r.trace))
+        .map(|r| render_arm_verdicts(&r.arm, r.seed, &r.hash.violations, &r.hash.timeline))
         .collect();
     let committed = include_str!("../verdicts.txt");
     let first_diff = committed

@@ -125,16 +125,8 @@ proptest! {
         let run = |jobs: usize| -> Vec<String> {
             fleet::pool::map(jobs, load.len(), |i| {
                 let s = load[i];
-                let flawed = (s.flawed)(seed, neat_repro::campaign::RunMode::Hash);
-                let fixed = s
-                    .fixed
-                    .map(|f| f(seed, neat_repro::campaign::RunMode::Hash));
-                format!(
-                    "{} {:?} {:?}",
-                    s.name,
-                    flawed.fingerprint,
-                    fixed.map(|a| a.fingerprint)
-                )
+                let hash = |arm: fn(u64, bool) -> _| neat::audit::stream_hash(&arm(seed, true));
+                format!("{} {} {:?}", s.name, hash(s.flawed), s.fixed.map(hash))
             })
         };
         prop_assert_eq!(run(1), run(jobs), "load arms diverged at seed {}", seed);

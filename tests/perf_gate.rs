@@ -4,9 +4,9 @@
 //! machine), so this gate pins the two proxies that are pure functions of
 //! the seed: the *allocation count* of a run under the counting global
 //! allocator, and the *event volume* of the campaign. The headline
-//! property of the streaming fingerprint pipeline — the audit fast path
-//! (`RunMode::Hash`) adds **zero** allocations over a plain traced run —
-//! is asserted per arm, across every arm in the registry.
+//! property of the streaming fingerprint pipeline — hashing a recorded
+//! outcome (`RunMode::Hash`) allocates **nothing** — is asserted per arm,
+//! across every arm in the registry.
 //!
 //! The committed `BENCH_perf.json` is regenerated here
 //! (`bench::perf_bench::machine_json`) and compared byte for byte, so a
@@ -35,7 +35,7 @@ fn stream_hash_allocates_nothing() {
     // Warm one run so lazy one-time setup cannot be billed to the
     // measured call, then hash a value with plenty of nested structure.
     let arm = &campaign::arm_ids()[0];
-    let artifacts = campaign::run_arm(arm, 8, RunMode::Trace);
+    let artifacts = campaign::run_arm(arm, 8, RunMode::Hash);
     let _ = neat::audit::stream_hash(&artifacts.timeline);
     let (_, allocs) =
         alloc_counter::count_allocations(|| neat::audit::stream_hash(&artifacts.timeline));
@@ -52,14 +52,13 @@ fn fingerprint_fast_path_allocates_nothing_across_every_arm() {
     assert!(d.arms >= 70, "registry shrank: only {} arms counted", d.arms);
     assert_eq!(
         d.fingerprint_alloc_delta_total, 0,
-        "a Hash-mode run allocated more than the identical Trace-mode run: \
-         the streaming fingerprint fast path regressed"
+        "hashing a recorded outcome allocated: the streaming fingerprint fast path regressed"
     );
     // The rendered fingerprint is the cost the fast path avoids — if
     // rendering were free too, this gate would be testing nothing.
     assert!(
         d.render_allocs_sample > 0,
-        "Render mode allocated nothing extra; the zero-delta assertion above is vacuous"
+        "rendering a fingerprint allocated nothing; the zero-delta assertion above is vacuous"
     );
 }
 
