@@ -5,8 +5,8 @@
 //! single-threaded and deterministic, the *allocation count* of a run is
 //! a pure function of the seed — a perf metric that can be asserted
 //! exactly in CI, unlike wall-clock time. The perf gate
-//! (`tests/perf_gate.rs`) and `bench --bin perf` install it with
-//! `#[global_allocator]` and compare counts across
+//! (`tests/perf_gate.rs`) and `bench --bin {perf,artifacts}` install it
+//! with `#[global_allocator]` and compare counts across
 //! fingerprinting modes: the audit fast path must add *zero* allocations
 //! over a plain traced run.
 //!

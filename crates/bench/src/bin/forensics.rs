@@ -1,32 +1,23 @@
-//! Regenerates the failure-forensics artifacts at the repo root: every
-//! flawed arm of the campaign, run at the historical seed 8 with trace
-//! recording on, explained as Listing-1/2-style failure timelines
-//! (`forensics_output.txt`) with the simulation counters in
-//! `BENCH_forensics.json`, plus the verdict oracle `verdicts.txt` (every
-//! arm's counters, verdicts and timeline at seeds 8 and 42). All are fully
-//! deterministic, so the tier-1 golden tests regenerate the identical
-//! bytes in-process.
+//! Prints the failure-forensics sweep as a JSONL stream: every flawed arm
+//! of the campaign, run at the historical seed 8 with trace recording on,
+//! as one `report` header line per scenario followed by its timeline
+//! events. The same sweep's narrative (`forensics_output.txt`) and
+//! counters (`BENCH_forensics.json`) are committed artifacts, written by
+//! `bench --bin artifacts`.
 //!
 //! ```text
-//! cargo run --release -p bench --bin forensics            # writes all three artifacts
-//! cargo run --release -p bench --bin forensics -- --print # narrative to stdout only
-//! cargo run --release -p bench --bin forensics -- --jsonl # JSONL stream to stdout
+//! cargo run --release -p bench --bin forensics > forensics.jsonl
 //! ```
 
 use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let out = if std::env::args().skip(1).any(|a| a == "--jsonl") {
-        Ok(bench::reports::forensics_jsonl())
-    } else {
-        bench::emit_artifacts(&[
-            ("forensics_output.txt", bench::reports::forensics_report()),
-            ("BENCH_forensics.json", bench::reports::forensics_machine_json()),
-            ("verdicts.txt", bench::reports::verdicts_report()),
-        ])
-    };
-    match out.and_then(|text| std::io::stdout().write_all(text.as_bytes()).map_err(|e| e.to_string())) {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: forensics (takes no arguments)");
+        return ExitCode::from(2);
+    }
+    match std::io::stdout().write_all(bench::reports::forensics_jsonl().as_bytes()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("forensics: {e}");

@@ -3,11 +3,10 @@
 //! Numbers a test can gate exactly, because no clock is involved: per-arm
 //! allocation counts under [`alloc_counter::CountingAlloc`] (the streamed
 //! fingerprint must allocate *nothing*) and the total events simulated
-//! across the campaign. `tests/perf_gate.rs`
-//! regenerates [`machine_json`] and compares it with the committed file
-//! byte for byte. [`arm_costs`] is the same kind of number per arm
-//! (`perf --arms`), kept out of the artifact. Wall-clock numbers live in
-//! `benchmarks/` only.
+//! across the campaign. [`machine_json`] is the `BENCH_perf.json` row of
+//! [`crate::ARTIFACTS`]. [`arm_costs`] is the same kind of number per arm
+//! (the `perf` binary), kept out of the artifact. Wall-clock numbers live
+//! in `benchmarks/` only.
 
 use std::fmt::Write as _;
 
@@ -71,7 +70,7 @@ pub struct ArmCost {
 }
 
 /// Every registry arm's cost, most allocations first (ties keep registry
-/// order). Both the `perf --arms` table and the allocations-per-event gate
+/// order). Both the `perf` table and the allocations-per-event gate
 /// in `tests/perf_gate.rs` are this loop.
 pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
     let mut costs: Vec<ArmCost> = campaign::arm_ids()
@@ -92,7 +91,7 @@ pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
     costs
 }
 
-/// The `perf --arms` table: one row per arm, then the total.
+/// The `perf` table: one row per arm, then the total.
 pub fn render_arm_costs(costs: &[ArmCost]) -> String {
     let mut total = ArmCost {
         arm: format!("total ({} arms)", costs.len()),
@@ -118,8 +117,8 @@ pub fn render_arm_costs(costs: &[ArmCost]) -> String {
 
 /// Exact content of `BENCH_perf.json`: [`deterministic_counts`] at the
 /// historical seed 8. Only a binary that installs the counting allocator
-/// (`bench --bin perf`, `tests/perf_gate.rs`) reproduces the committed
-/// bytes.
+/// (`bench --bin artifacts`, `tests/golden_outputs.rs`) reproduces the
+/// committed bytes.
 pub fn machine_json() -> String {
     let d = deterministic_counts(8);
     let out = format!(

@@ -1,9 +1,10 @@
-//! The exact stdout of the `campaign`, `tables`, and `figures` binaries.
+//! The exact bytes of every committed artifact but `BENCH_perf.json`
+//! (see [`crate::perf_bench`]).
 //!
-//! Everything here returns the full byte stream the corresponding binary
-//! writes, so the tier-1 golden tests can regenerate the committed
-//! `*_output.txt` artifacts in-process and fail the build when they go
-//! stale. The binaries call these functions and `print!` the result.
+//! Everything here returns a full byte stream, so the rows of
+//! [`crate::ARTIFACTS`] regenerate the committed files in-process and the
+//! tier-1 golden test fails the build when one goes stale. The `campaign`,
+//! `tables` and `figures` binaries `print!` the same streams.
 
 use std::fmt::Write as _;
 
@@ -303,15 +304,23 @@ pub fn forensics_report() -> String {
 
 /// Exact content of `verdicts.txt`, the verdict oracle: every arm of the
 /// campaign, recorded, at seeds 8 and 42 (see
-/// [`neat_repro::campaign::render_verdicts`]). `tests/audit_gate.rs`
-/// regenerates it from the runs it already makes.
+/// [`neat_repro::campaign::render_verdicts`]).
 pub fn verdicts_report() -> String {
     [8, 42].into_iter().map(neat_repro::campaign::render_verdicts).collect()
 }
 
-/// The machine-readable companion stream (`--jsonl`): the same seed-8
-/// sweep as JSONL, one `report` header line per scenario followed by its
-/// timeline events.
+/// Exact content of `audit_hashes.txt`: the stdout of `lint --audit` at
+/// seeds 8 and 42, one execution-fingerprint hash per arm and seed. A
+/// change that moves one byte of any arm's fingerprint moves a line here.
+pub fn audit_hashes_report() -> String {
+    [8, 42]
+        .into_iter()
+        .map(|seed| lint::audit_text(seed, &fleet::campaign::audit(seed, 1)))
+        .collect()
+}
+
+/// The `forensics` binary's stdout: the seed-8 sweep as JSONL, one
+/// `report` header line per scenario followed by its timeline events.
 pub fn forensics_jsonl() -> String {
     neat_repro::campaign::forensics_jsonl(&neat_repro::campaign::forensic_reports(8))
 }
@@ -443,6 +452,9 @@ const LADDER_SHARDS: usize = 8;
 /// The `--jobs` rungs the determinism ladder climbs.
 const LADDER_JOBS: [usize; 4] = [1, 2, 4, 8];
 
+/// Total operations of the committed artifact's open-loop read ladder.
+pub const LADDER_OPS: u64 = 1_000_000;
+
 /// Exact content of `BENCH_workload.json`: every load-driven scenario of
 /// the campaign at the historical seed 8 — both arms' checker verdicts,
 /// the flawed arm's per-op outcome counts and latency percentiles from
@@ -450,7 +462,7 @@ const LADDER_JOBS: [usize; 4] = [1, 2, 4, 8];
 /// `ladder_ops` operations split over [`LADDER_SHARDS`] shards, run at
 /// every [`LADDER_JOBS`] rung, with the merged reports compared
 /// byte-for-byte. All numbers are virtual-time, so the artifact is fully
-/// deterministic; the binary runs the ladder at a million ops.
+/// deterministic; the committed file runs the ladder at [`LADDER_OPS`].
 pub fn workload_machine_json(ladder_ops: u64) -> String {
     let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
     let arms: usize = load
@@ -963,7 +975,7 @@ mod tests {
 
     #[test]
     fn workload_machine_json_covers_every_load_scenario() {
-        // A small ladder keeps the test quick; the binary runs a million.
+        // A small ladder keeps the test quick; the artifact runs a million.
         let json = workload_machine_json(4000);
         assert!(json.contains("\"bench\": \"workload\""), "{json}");
         let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();

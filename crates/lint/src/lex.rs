@@ -1,6 +1,6 @@
 //! A hand-rolled, zero-dependency Rust lexer.
 //!
-//! The v1 scanner ([`crate::v1`]) stripped literals with a line-oriented
+//! The v1 scanner (since deleted) stripped literals with a line-oriented
 //! state machine and matched identifiers in what was left. That loses
 //! structure the rules need (paths, attributes, adjacency) and had real
 //! bugs around `'\\'` char literals and raw identifiers. This module

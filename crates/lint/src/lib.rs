@@ -18,13 +18,12 @@
 //!   `derive(Debug)` structs that leak hash-ordered maps into
 //!   fingerprints. `// lint:allow(<rule>[, <rule>…])` is the escape
 //!   hatch for audited exceptions; `--unused-allows` reports directives
-//!   that no longer suppress anything. The frozen previous scanner lives
-//!   in [`v1`] with pinning tests for the bugs that motivated the
-//!   rewrite.
-//! - **Registry consistency** ([`registry`]): the scenario/arm IDs in
-//!   `src/campaign.rs` are cross-checked against the committed golden
-//!   artifacts and the arm literals in the workspace tests, so a renamed
-//!   or unregistered scenario fails `lint` instead of silently decaying.
+//!   that no longer suppress anything.
+//! - **Registry consistency** ([`registry`]): the scenario names that
+//!   Table 15, the catalog coverage map and the arm literals in the
+//!   workspace tests repeat are cross-checked against the registry in
+//!   `src/campaign.rs`, so a renamed or unregistered scenario fails
+//!   `lint` instead of silently decaying.
 //! - **Dynamically** (`cargo run -p lint -- --audit`): every scenario in
 //!   [`neat_repro::campaign::registry`] is run twice with the same seed
 //!   and the rendered execution fingerprints are compared byte for byte
@@ -41,10 +40,27 @@ pub mod lex;
 pub mod registry;
 pub mod resolve;
 pub mod scan;
-pub mod v1;
 
 pub use registry::{check_registry, RegistryFinding, RegistryReport};
 pub use scan::{
     analyze_source, analyze_workspace, findings_to_json, scan_source, scan_workspace, FileReport,
     Finding, Rule, ScanStats, UnusedAllow, WorkspaceReport,
 };
+
+/// The stdout of `lint --audit` at `seed`: one `audit <arm>: ok <hash>`
+/// line per arm that double-ran identically, then the summary line. The
+/// committed `audit_hashes.txt` is this at seeds 8 and 42. Divergent arms
+/// are left out; the CLI reports them on stderr.
+pub fn audit_text(seed: u64, outcomes: &[neat::audit::AuditOutcome]) -> String {
+    let mut out = String::new();
+    for o in outcomes.iter().filter(|o| o.is_ok()) {
+        out.push_str(&o.render());
+        out.push('\n');
+    }
+    let divergences = outcomes.iter().filter(|o| !o.is_ok()).count();
+    out.push_str(&format!(
+        "audit: {} scenario arm(s) double-run with seed {seed}, {divergences} divergence(s)\n",
+        outcomes.len()
+    ));
+    out
+}

@@ -4,7 +4,6 @@
 //! cargo run -p lint                 # static pass + registry consistency
 //! cargo run -p lint -- --json      # same, machine-readable findings
 //! cargo run -p lint -- --unused-allows  # report stale lint:allow sites
-//! cargo run -p lint -- --registry  # registry-consistency pass only
 //! cargo run -p lint -- --audit     # dynamic double-run trace audit
 //! cargo run -p lint -- --audit --seed 7
 //! cargo run -p lint -- --audit --jobs 4   # fleet-sharded, same bytes
@@ -21,25 +20,24 @@ struct Opts {
     json: bool,
     audit: bool,
     unused_allows: bool,
-    registry: bool,
     root: Option<PathBuf>,
     seed: u64,
     jobs: usize,
 }
 
 fn usage() -> &'static str {
-    "usage: lint [--json] [--root <dir>] [--unused-allows] [--registry]\n\
+    "usage: lint [--json] [--root <dir>] [--unused-allows]\n\
      \x20           [--audit] [--seed <n>] [--jobs <k>]\n\
      \n\
      Default mode scans every .rs file under the workspace for the\n\
      determinism rules (hash-iteration, wall-clock, os-entropy,\n\
      thread-spawn, unsafe-code, unwrap-expect, println-in-lib,\n\
      env-read, io-in-sim, float-nondet, debug-hash-leak), then\n\
-     cross-checks the scenario/arm registry against the committed\n\
-     golden artifacts when they are present under the root.\n\
+     cross-checks the scenario names the campaign tables and the\n\
+     tests under the root repeat against the registry (with --json,\n\
+     those findings go to stderr).\n\
      --unused-allows instead reports lint:allow directives that no\n\
-     longer suppress any finding; --registry runs only the\n\
-     registry-consistency pass. --audit runs every registered\n\
+     longer suppress any finding. --audit runs every registered\n\
      scenario twice with the same seed and compares the execution\n\
      fingerprints; --jobs K shards the audit across K fleet workers\n\
      with byte-identical output."
@@ -50,7 +48,6 @@ fn parse_args() -> Result<Opts, String> {
         json: false,
         audit: false,
         unused_allows: false,
-        registry: false,
         root: None,
         seed: 42,
         jobs: 1,
@@ -61,7 +58,6 @@ fn parse_args() -> Result<Opts, String> {
             "--json" => opts.json = true,
             "--audit" => opts.audit = true,
             "--unused-allows" => opts.unused_allows = true,
-            "--registry" => opts.registry = true,
             "--root" => {
                 let dir = args.next().ok_or("--root requires a directory")?;
                 opts.root = Some(PathBuf::from(dir));
@@ -116,39 +112,25 @@ fn run_scan(opts: &Opts) -> ExitCode {
         }
         eprintln!("lint: {} violation(s)", findings.len());
     }
-    let mut failures = findings.len();
-    // The registry pass only applies when the tree carries the golden
-    // artifacts (i.e. the workspace root, not an arbitrary --root dir).
-    if !opts.json && lint::registry::artifacts_present(&root) {
-        failures += run_registry_checks(&root);
+    // The registry pass reads no artifact, so it runs on any root; with
+    // --json its findings go to stderr and stdout stays one JSON array.
+    let registry = lint::check_registry(&root);
+    for f in &registry.findings {
+        if opts.json {
+            eprintln!("{f}");
+        } else {
+            println!("{f}");
+        }
     }
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Prints registry findings; returns how many there were.
-fn run_registry_checks(root: &std::path::Path) -> usize {
-    let report = lint::check_registry(root);
-    for f in &report.findings {
-        println!("{f}");
-    }
-    if report.findings.is_empty() {
+    if !registry.findings.is_empty() {
+        eprintln!("lint: {} registry inconsistency(ies)", registry.findings.len());
+    } else if !opts.json {
         println!(
             "lint: registry consistent ({} scenarios, {} arms)",
-            report.scenarios, report.arms
+            registry.scenarios, registry.arms
         );
-    } else {
-        eprintln!("lint: {} registry inconsistency(ies)", report.findings.len());
     }
-    report.findings.len()
-}
-
-fn run_registry(opts: &Opts) -> ExitCode {
-    let root = workspace_root(opts.root.clone());
-    if run_registry_checks(&root) == 0 {
+    if findings.is_empty() && registry.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -181,21 +163,12 @@ fn run_unused_allows(opts: &Opts) -> ExitCode {
 
 fn run_audit(opts: &Opts) -> ExitCode {
     let outcomes = fleet::campaign::audit(opts.seed, opts.jobs);
-    let mut failures = 0usize;
-    for outcome in &outcomes {
-        if outcome.is_ok() {
-            println!("{}", outcome.render());
-        } else {
-            eprintln!("{}", outcome.render());
-            failures += 1;
-        }
+    let divergent: Vec<_> = outcomes.iter().filter(|o| !o.is_ok()).collect();
+    for outcome in &divergent {
+        eprintln!("{}", outcome.render());
     }
-    println!(
-        "audit: {} scenario arm(s) double-run with seed {}, {failures} divergence(s)",
-        outcomes.len(),
-        opts.seed
-    );
-    if failures == 0 {
+    print!("{}", lint::audit_text(opts.seed, &outcomes));
+    if divergent.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -216,8 +189,6 @@ fn main() -> ExitCode {
     };
     if opts.audit {
         run_audit(&opts)
-    } else if opts.registry {
-        run_registry(&opts)
     } else if opts.unused_allows {
         run_unused_allows(&opts)
     } else {

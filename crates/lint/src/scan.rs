@@ -1,6 +1,6 @@
 //! The static pass: lexer-accurate determinism analysis.
 //!
-//! v2 of the scanner. Where v1 ([`crate::v1`]) stripped literals line by
+//! v2 of the scanner. Where v1 (since deleted) stripped literals line by
 //! line and matched identifiers in the residue, this pass lexes each
 //! file into spanned tokens ([`crate::lex`]), collects the per-file
 //! import table ([`crate::resolve`]), and walks the token stream with a

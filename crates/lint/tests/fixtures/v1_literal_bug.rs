@@ -1,8 +1,5 @@
-//! Fixture: the two v1 literal-handling bugs, kept as regression input.
-//! In `take`, v1's escape handling steps past the `'\\'` literal's
-//! closing tick and swallows the rest of the line — including the
-//! `.unwrap()`. In `shadow`, `r#unsafe` is a raw identifier, not the
-//! `unsafe` keyword, but v1 matched the stripped name.
+//! Fixture: the deleted v1 scanner missed the `.unwrap()` after the `'\\'`
+//! literal in `take` and flagged the raw identifier `r#unsafe` in `shadow`.
 
 pub fn shadow() -> u32 { let r#unsafe = 1; r#unsafe }
 

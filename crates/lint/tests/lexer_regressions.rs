@@ -1,7 +1,5 @@
-//! The literal-stripping bugs that motivated the lexer rewrite, pinned
-//! against the frozen v1 scanner and the committed fixtures. Each test
-//! shows v1 getting a fixture *wrong* and the v2 pass getting it right;
-//! if a v1 assertion starts failing, the frozen baseline was touched.
+//! The literal-handling cases that motivated the lexer rewrite, pinned
+//! against the committed fixtures.
 
 use lint::{scan_source, Rule};
 
@@ -13,20 +11,10 @@ fn rules(findings: &[lint::Finding]) -> Vec<Rule> {
 }
 
 #[test]
-fn v1_swallows_the_line_after_a_backslash_char_literal() {
+fn unwrap_after_a_backslash_char_literal_is_seen_and_raw_unsafe_is_not() {
+    // The `.unwrap()` after `'\\'` is found; the raw identifier
+    // `r#unsafe` is not the `unsafe` keyword.
     let src = include_str!("fixtures/v1_literal_bug.rs");
-    let v1 = lint::v1::scan_source(STRICT, src);
-    // v1 never sees the `.unwrap()` after `'\\'` …
-    assert!(
-        !rules(&v1).contains(&Rule::UnwrapExpect),
-        "v1 bug disappeared: {v1:?}"
-    );
-    // … but false-positives on the raw identifier `r#unsafe`.
-    assert!(
-        rules(&v1).contains(&Rule::UnsafeCode),
-        "v1 bug disappeared: {v1:?}"
-    );
-
     let v2 = scan_source(STRICT, src);
     assert_eq!(rules(&v2), vec![Rule::UnwrapExpect], "{v2:?}");
 }

@@ -44,7 +44,7 @@ pub fn wrong_role(role: &str) -> ! {
 /// Pending events (deliveries and timers) a world is pre-sized for, per
 /// node, so the event queue's payload slab and far heap do not regrow
 /// mid-run. The deepest campaign arms (two repkv `load_*` arms) hold 31 at
-/// once (`perf --arms`, seed 8); a hint that is too small costs a
+/// once (`bench --bin perf`, seed 8); a hint that is too small costs a
 /// reallocation, never a behaviour change.
 const EVENTS_PER_NODE: usize = 8;
 

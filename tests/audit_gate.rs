@@ -3,13 +3,11 @@
 //! execution fingerprints. This is the `cargo run -p lint -- --audit`
 //! check wired into `cargo test`, sharded across the fleet pool the same
 //! way `lint --audit --jobs K` runs it (the outcomes are index-ordered,
-//! so the worker count cannot change what this test sees).
+//! so the worker count cannot change what this test sees). The committed
+//! `audit_hashes.txt` and `verdicts.txt` are rows of `bench::ARTIFACTS`,
+//! regenerated here and compared byte for byte.
 
-use std::sync::OnceLock;
-
-use neat_repro::campaign::{
-    arm_ids, render_arm_verdicts, run_arm, scenarios_of, RunArtifacts, RunMode, ScenarioClass,
-};
+use neat_repro::campaign::{arm_ids, run_arm, scenarios_of, RunMode, ScenarioClass};
 
 #[test]
 fn every_scenario_arm_double_runs_identically() {
@@ -66,50 +64,26 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
     }
 }
 
-/// One arm at one seed, run in both modes.
-struct ModeRuns {
-    arm: String,
-    seed: u64,
-    quick: RunArtifacts,
-    hash: RunArtifacts,
-}
-
-/// Every arm at seeds 8 and 42 in `Quick` and `Hash` mode, run once and
-/// shared by the two tests that read them.
-fn mode_runs() -> &'static [ModeRuns] {
-    static RUNS: OnceLock<Vec<ModeRuns>> = OnceLock::new();
-    RUNS.get_or_init(|| {
-        [8, 42]
-            .into_iter()
-            .flat_map(|seed| {
-                arm_ids().into_iter().map(move |arm| ModeRuns {
-                    quick: run_arm(&arm, seed, RunMode::Quick),
-                    hash: run_arm(&arm, seed, RunMode::Hash),
-                    arm: arm.name,
-                    seed,
-                })
-            })
-            .collect()
-    })
-}
-
 /// Recording must not perturb a run (ROADMAP "Trust the verdicts" (b)):
 /// with the note log and the `obs` timeline off (`Quick`) and on with the
 /// fingerprint hashed (`Hash`), every arm reaches the same verdicts and the
 /// same always-on counters — events simulated, messages dropped, partition
-/// / heal / crash counts and the rest.
+/// / heal / crash counts and the rest — at seeds 8 and 42.
 #[test]
 fn recording_does_not_perturb_any_arm() {
-    for r in mode_runs() {
-        let (name, seed) = (&r.arm, r.seed);
-        assert_eq!(
-            r.hash.violations, r.quick.violations,
-            "{name} seed {seed}: recorded verdicts differ from Quick"
-        );
-        assert_eq!(
-            r.hash.timeline.counters, r.quick.timeline.counters,
-            "{name} seed {seed}: recorded counters differ from Quick"
-        );
+    for seed in [8, 42] {
+        for arm in arm_ids() {
+            let (quick, hash) = (run_arm(&arm, seed, RunMode::Quick), run_arm(&arm, seed, RunMode::Hash));
+            let name = &arm.name;
+            assert_eq!(
+                hash.violations, quick.violations,
+                "{name} seed {seed}: recorded verdicts differ from Quick"
+            );
+            assert_eq!(
+                hash.timeline.counters, quick.timeline.counters,
+                "{name} seed {seed}: recorded counters differ from Quick"
+            );
+        }
     }
 }
 
@@ -120,20 +94,7 @@ fn recording_does_not_perturb_any_arm() {
 /// file that must not move when they are reshaped.
 #[test]
 fn verdicts_match_the_committed_oracle() {
-    let regenerated: String = mode_runs()
-        .iter()
-        .map(|r| render_arm_verdicts(&r.arm, r.seed, &r.hash.violations, &r.hash.timeline))
-        .collect();
-    let committed = include_str!("../verdicts.txt");
-    let first_diff = committed
-        .lines()
-        .zip(regenerated.lines())
-        .find(|(a, b)| a != b);
-    assert!(
-        committed == regenerated,
-        "verdicts.txt differs (first: {first_diff:?}); a behaviour change refreshes it with \
-         `cargo run --release -p bench --bin forensics`"
-    );
+    bench::check_fresh("verdicts.txt").unwrap_or_else(|stale| panic!("{stale}"));
 }
 
 /// The refactoring invariant (ROADMAP aim 2): every `audit <arm>: ok <hash>`
@@ -142,28 +103,5 @@ fn verdicts_match_the_committed_oracle() {
 /// execution fingerprint fails here.
 #[test]
 fn audit_hashes_match_the_committed_file() {
-    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get()).min(8);
-    let mut regenerated = String::new();
-    for seed in [8, 42] {
-        let outcomes = fleet::campaign::audit(seed, jobs);
-        for o in &outcomes {
-            regenerated.push_str(&o.render());
-            regenerated.push('\n');
-        }
-        regenerated.push_str(&format!(
-            "audit: {} scenario arm(s) double-run with seed {seed}, 0 divergence(s)\n",
-            outcomes.len()
-        ));
-    }
-    let committed = include_str!("../audit_hashes.txt");
-    let first_diff = committed
-        .lines()
-        .zip(regenerated.lines())
-        .find(|(a, b)| a != b);
-    assert!(
-        committed == regenerated,
-        "audit_hashes.txt differs (first: {first_diff:?}); a behaviour change refreshes it with \
-         `(cargo run --release -p lint -- --audit --seed 8; \
-         cargo run --release -p lint -- --audit --seed 42) > audit_hashes.txt`"
-    );
+    bench::check_fresh("audit_hashes.txt").unwrap_or_else(|stale| panic!("{stale}"));
 }

@@ -53,9 +53,10 @@ fn workspace_has_no_unused_allows() {
 }
 
 /// The scenario/arm registry in `src/campaign.rs` must agree with the
-/// committed golden artifacts and the arm literals in these tests —
-/// e.g. `"dirty_and_stale_read/flawed"` here is itself checked against
-/// the registry by the pass.
+/// Table 15 mappings and the arm literals in these tests — e.g.
+/// `"dirty_and_stale_read/flawed"` here is itself checked against the
+/// registry by the pass. The golden artifacts that repeat scenario names
+/// are regenerated and compared byte for byte by `tests/golden_outputs.rs`.
 #[test]
 fn registry_is_consistent_with_golden_artifacts() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -8,9 +8,10 @@
 //! outcome (`RunMode::Hash`) allocates **nothing** — is asserted per arm,
 //! across every arm in the registry.
 //!
-//! The committed `BENCH_perf.json` is regenerated here
-//! (`bench::perf_bench::machine_json`) and compared byte for byte, so a
-//! hot-path regression both fails here and shows up as a stale artifact.
+//! The committed `BENCH_perf.json` (`bench::perf_bench::machine_json`) is
+//! a row of `bench::ARTIFACTS`, regenerated here and compared byte for
+//! byte, so a hot-path regression both fails here and shows up as a stale
+//! artifact.
 
 use neat_repro::campaign::{self, RunMode};
 use simnet::net::{bidirectional_pairs, simplex_pairs};
@@ -465,13 +466,6 @@ fn an_open_loop_read_allocates_little_more_than_its_two_keys() {
 #[test]
 fn perf_bench_artifact_is_fresh() {
     // This binary installs the counting allocator, so it regenerates the
-    // exact bytes `bench --bin perf` writes.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_perf.json");
-    let committed = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read committed artifact {path}: {e}"));
-    assert_eq!(
-        committed,
-        bench::perf_bench::machine_json(),
-        "BENCH_perf.json is stale; refresh with `cargo run --release -p bench --bin perf`"
-    );
+    // exact bytes `bench --bin artifacts` writes.
+    bench::check_fresh("BENCH_perf.json").unwrap_or_else(|stale| panic!("{stale}"));
 }
