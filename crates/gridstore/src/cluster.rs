@@ -69,13 +69,13 @@ impl GridClient {
     fn history_op(op: &GridOp) -> Op {
         match op {
             GridOp::Put { key, val } => Op::Write {
-                key: key.clone(),
+                key: key.as_str().into(),
                 val: *val,
             },
-            GridOp::Get { key } => Op::Read { key: key.clone() },
-            GridOp::Remove { key } => Op::Delete { key: key.clone() },
+            GridOp::Get { key } => Op::Read { key: key.as_str().into() },
+            GridOp::Remove { key } => Op::Delete { key: key.as_str().into() },
             GridOp::Incr { key, by } => Op::Incr {
-                key: key.clone(),
+                key: key.as_str().into(),
                 by: *by,
             },
             GridOp::Cas { key, .. } => Op::Other {
@@ -84,22 +84,22 @@ impl GridClient {
             GridOp::SemCreate { key, .. } => Op::Other {
                 label: format!("sem_create:{key}"),
             },
-            GridOp::SemAcquire { key } => Op::Acquire { key: key.clone() },
-            GridOp::SemRelease { key } => Op::Release { key: key.clone() },
+            GridOp::SemAcquire { key } => Op::Acquire { key: key.as_str().into() },
+            GridOp::SemRelease { key } => Op::Release { key: key.as_str().into() },
             GridOp::Enq { key, val } => Op::Enqueue {
-                key: key.clone(),
+                key: key.as_str().into(),
                 val: *val,
             },
-            GridOp::Deq { key } => Op::Dequeue { key: key.clone() },
+            GridOp::Deq { key } => Op::Dequeue { key: key.as_str().into() },
             GridOp::SetAdd { key, val } => Op::Add {
-                key: key.clone(),
+                key: key.as_str().into(),
                 val: *val,
             },
             GridOp::SetRemove { key, val } => Op::Remove {
-                key: key.clone(),
+                key: key.as_str().into(),
                 val: *val,
             },
-            GridOp::SetRead { key } => Op::Read { key: key.clone() },
+            GridOp::SetRead { key } => Op::Read { key: key.as_str().into() },
         }
     }
 

@@ -1,6 +1,8 @@
 //! The NEAT test engine: globally ordered client operations, fault
 //! injection, node crashes, and virtual-time sleeps.
 
+use std::sync::Arc;
+
 use simnet::{Application, Ctx, NodeId, Time, World};
 
 use crate::{
@@ -80,6 +82,13 @@ impl<A: Application> Neat<A> {
     /// The recorded operation history.
     pub fn history(&self) -> &History {
         &self.history
+    }
+
+    /// This run's one shared allocation of `key`, interned in the history:
+    /// a client that puts it in its [`Op`] and in its request allocates a
+    /// key once per run, not twice per operation.
+    pub fn key(&mut self, key: &str) -> Arc<str> {
+        self.history.intern(key)
     }
 
     /// The observability recorder (counters and typed events so far).

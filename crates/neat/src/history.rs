@@ -4,35 +4,41 @@
 //! operation. The [`crate::checkers`] turn a [`History`] (plus the final
 //! state read after healing) into typed violations.
 
+use std::{collections::BTreeSet, sync::Arc};
+
 use simnet::{NodeId, Time};
 
 /// An abstract client operation, covering the event palette of the paper's
 /// Table 8 (read, write, delete, lock, unlock, enqueue/dequeue, admin ops).
+///
+/// Keys are shared: [`crate::Neat::key`] hands every operation on a key the
+/// same allocation, which the client may also put on the wire. An
+/// `Arc<str>` prints exactly as the `String` it replaced.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Op {
     /// Write `val` to `key`. Values are unique per test so reads identify
     /// their originating write.
-    Write { key: String, val: u64 },
+    Write { key: Arc<str>, val: u64 },
     /// Read `key`.
-    Read { key: String },
+    Read { key: Arc<str> },
     /// Delete `key`.
-    Delete { key: String },
+    Delete { key: Arc<str> },
     /// Append `val` to the queue named `key`.
-    Enqueue { key: String, val: u64 },
+    Enqueue { key: Arc<str>, val: u64 },
     /// Pop from the queue named `key`.
-    Dequeue { key: String },
+    Dequeue { key: Arc<str> },
     /// Acquire the lock / a semaphore permit named `key`.
-    Acquire { key: String },
+    Acquire { key: Arc<str> },
     /// Release the lock / a semaphore permit named `key`.
-    Release { key: String },
+    Release { key: Arc<str> },
     /// Add `val` to the set named `key`.
-    Add { key: String, val: u64 },
+    Add { key: Arc<str>, val: u64 },
     /// Remove `val` from the set named `key`.
-    Remove { key: String, val: u64 },
+    Remove { key: Arc<str>, val: u64 },
     /// Add `by` to the counter named `key`.
-    Incr { key: String, by: u64 },
+    Incr { key: Arc<str>, by: u64 },
     /// Submit a job named `key` (schedulers).
-    Submit { key: String },
+    Submit { key: Arc<str> },
     /// Anything else, labelled for the trace.
     Other { label: String },
 }
@@ -114,16 +120,30 @@ impl OpRecord {
     }
 }
 
-/// An append-only log of [`OpRecord`]s in global invocation order.
+/// An append-only log of [`OpRecord`]s in global invocation order, and the
+/// keys its operations share.
 #[derive(Clone, Debug, Default)]
 pub struct History {
     records: Vec<OpRecord>,
+    /// Every key [`History::intern`] has handed out, one allocation each.
+    interned: BTreeSet<Arc<str>>,
 }
 
 impl History {
     /// Creates an empty history.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// `key` as a shared allocation: the first call with a given text
+    /// allocates it, every later one returns the same `Arc`.
+    pub fn intern(&mut self, key: &str) -> Arc<str> {
+        if let Some(k) = self.interned.get(key) {
+            return Arc::clone(k);
+        }
+        let k: Arc<str> = key.into();
+        self.interned.insert(Arc::clone(&k));
+        k
     }
 
     /// Appends a record.
@@ -242,6 +262,17 @@ mod tests {
             assert_eq!(op.key(), "k");
         }
         assert_eq!(Op::Other { label: "boot".into() }.key(), "boot");
+    }
+
+    #[test]
+    fn intern_shares_one_allocation_per_key() {
+        let mut h = History::new();
+        let (a, b, c) = (h.intern("k"), h.intern("k"), h.intern("j"));
+        assert!(Arc::ptr_eq(&a, &b), "a second intern of one key must not allocate");
+        assert_eq!((&*a, &*c), ("k", "j"));
+        // An interned key prints as the `String` it replaced.
+        let op = Op::Write { key: a, val: 1 };
+        assert_eq!(format!("{op:?}"), "Write { key: \"k\", val: 1 }");
     }
 
     #[test]

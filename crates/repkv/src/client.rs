@@ -113,35 +113,20 @@ impl KvClient {
 
     /// Writes `val` to `key`.
     pub fn write(&self, neat: &mut Neat<Proc>, key: &str, val: u64) -> Outcome {
-        self.run(
-            neat,
-            Req::Write {
-                key: key.into(),
-                val,
-            },
-            Op::Write {
-                key: key.into(),
-                val,
-            },
-        )
+        let key = neat.key(key);
+        self.run(neat, Req::Write { key: key.clone(), val }, Op::Write { key, val })
     }
 
     /// Reads `key`.
     pub fn read(&self, neat: &mut Neat<Proc>, key: &str) -> Outcome {
-        self.run(
-            neat,
-            Req::Read { key: key.into() },
-            Op::Read { key: key.into() },
-        )
+        let key = neat.key(key);
+        self.run(neat, Req::Read { key: key.clone() }, Op::Read { key })
     }
 
     /// Deletes `key`.
     pub fn delete(&self, neat: &mut Neat<Proc>, key: &str) -> Outcome {
-        self.run(
-            neat,
-            Req::Delete { key: key.into() },
-            Op::Delete { key: key.into() },
-        )
+        let key = neat.key(key);
+        self.run(neat, Req::Delete { key: key.clone() }, Op::Delete { key })
     }
 
     /// Writes every `(key, val)` pair as one batch the client expects to
@@ -159,17 +144,8 @@ impl KvClient {
 
     /// Adds `by` to the counter at `key` (non-idempotent).
     pub fn incr(&self, neat: &mut Neat<Proc>, key: &str, by: u64) -> Outcome {
-        self.run(
-            neat,
-            Req::Incr {
-                key: key.into(),
-                by,
-            },
-            Op::Incr {
-                key: key.into(),
-                by,
-            },
-        )
+        let key = neat.key(key);
+        self.run(neat, Req::Incr { key: key.clone(), by }, Op::Incr { key, by })
     }
 }
 

@@ -34,13 +34,15 @@ pub struct Entry {
 /// the version hold the same allocation; an append copies it once.
 pub type Log = Arc<Vec<Entry>>;
 
-/// A client request.
+/// A client request. A single-key request carries the key its history
+/// record holds ([`neat::Neat::key`]), so sending it allocates nothing and
+/// the leader's log entry shares the key too.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Req {
-    Write { key: String, val: u64 },
-    Read { key: String },
-    Delete { key: String },
-    Incr { key: String, by: u64 },
+    Write { key: Arc<str>, val: u64 },
+    Read { key: Arc<str> },
+    Delete { key: Arc<str> },
+    Incr { key: Arc<str>, by: u64 },
     /// A multi-key write the client expects to land atomically — either
     /// every `(key, val)` pair or none (the `atomic_batch` config toggle
     /// decides whether the server honours that).

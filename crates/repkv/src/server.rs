@@ -365,7 +365,7 @@ impl Server {
                     ReadPolicy::LeasedPrimary => ctx.now() < self.lease_until,
                 };
                 let resp = if allowed {
-                    Resp::Value(self.kv.get(key.as_str()).copied())
+                    Resp::Value(self.kv.get(&key).copied())
                 } else {
                     Resp::Fail
                 };
@@ -393,7 +393,7 @@ impl Server {
                     // answered once the *last* entry commits, so either every
                     // entry is durable or the client never saw an Ok.
                     for (key, val) in ops {
-                        self.append_entry(ctx, key, EntryOp::Put(val));
+                        self.append_entry(ctx, key.into(), EntryOp::Put(val));
                     }
                     let idx = self.log.len();
                     self.ack_at(ctx, idx, reply);
@@ -403,7 +403,7 @@ impl Server {
                     // partition mid-batch strands the unreplicated suffix.
                     let mut ops = ops.into_iter();
                     if let Some((key, val)) = ops.next() {
-                        self.append_entry(ctx, key, EntryOp::Put(val));
+                        self.append_entry(ctx, key.into(), EntryOp::Put(val));
                     }
                     self.batch_queue.extend(ops);
                     self.reply(ctx, &reply, Resp::Ok);
@@ -415,11 +415,11 @@ impl Server {
 
     /// Appends one entry under the current term, applying it immediately
     /// when the profile applies before commit.
-    fn append_entry(&mut self, ctx: &mut Ctx<'_, Msg>, key: String, op: EntryOp) {
+    fn append_entry(&mut self, ctx: &mut Ctx<'_, Msg>, key: Arc<str>, op: EntryOp) {
         let entry = Entry {
             term: self.term,
             ts: ctx.now(),
-            key: key.into(),
+            key,
             op,
         };
         // The one copy a write makes: followers and in-flight messages
@@ -690,7 +690,7 @@ impl Server {
         // caught up to the log as broadcast — one entry per round trip.
         if acked_len >= self.log.len() {
             if let Some((key, val)) = self.batch_queue.pop_front() {
-                self.append_entry(ctx, key, EntryOp::Put(val));
+                self.append_entry(ctx, key.into(), EntryOp::Put(val));
                 self.broadcast_replicate(ctx);
             }
         }

@@ -130,7 +130,7 @@ impl Harness {
                 assert_eq!(self.server().role(), Role::Leader);
             }
             Step::Write { key, kind } => {
-                let key = format!("k{key}");
+                let key: Arc<str> = format!("k{key}").into();
                 let req = match kind {
                     0 => Req::Write { key, val: self.ops },
                     1 => Req::Delete { key },

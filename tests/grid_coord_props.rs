@@ -152,7 +152,7 @@ proptest! {
             if let neat_repro::neat::Op::Write { key, .. } = &r.op {
                 if r.outcome.is_ok() {
                     prop_assert!(
-                        reference.contains_key(key.as_str()),
+                        reference.contains_key(&**key),
                         "acknowledged znode {} missing after heal",
                         key
                     );

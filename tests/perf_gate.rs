@@ -449,18 +449,16 @@ fn recording_adds_at_most_ten_thousand_allocations_to_a_quiet_campaign() {
 }
 
 #[test]
-fn an_open_loop_read_allocates_little_more_than_its_two_keys() {
+fn an_open_loop_read_allocates_nothing_once_its_key_is_interned() {
     // The difference of two shard lengths cancels cluster construction.
-    // What is left per read is the key in the request and the key in the
-    // history record (ROADMAP: interning removes both); the client path
-    // used to clone the request twice more on its way to the wire (4.18).
+    // A read's request and history record share the key `Neat::key`
+    // interned at its first use, so what is left is the history's growth.
+    // Each read used to allocate its key twice (about 4,000 here) and,
+    // before that, clone its request twice more on its way to the wire.
     let shard_allocs =
         |ops| alloc_counter::count_allocations(|| repkv::load::open_loop_read_shard(0, ops)).1;
-    let extra = shard_allocs(4_000) - shard_allocs(2_000);
-    assert!(
-        extra * 10 <= 2_000 * 23,
-        "2,000 extra reads allocated {extra} times, more than 2.3 each"
-    );
+    let extra = shard_allocs(4_000).saturating_sub(shard_allocs(2_000));
+    assert!(extra < 100, "2,000 extra reads allocated {extra} times");
 }
 
 #[test]
