@@ -23,10 +23,13 @@ pub struct DeterministicCounts {
     /// the recorded outcome — what [`RunMode::Hash`] adds to a recorded
     /// run. The streaming fingerprint's whole point is that this is **0**.
     pub fingerprint_alloc_delta_total: u64,
-    /// Allocations of rendering the first arm's fingerprint (`{:#?}` of
-    /// its recorded outcome) — the cost the fast path avoids per arm, per
-    /// run.
+    /// Allocations of rendering the first arm's fingerprint
+    /// (`neat::audit::fingerprint` of its recorded outcome) — the cost the
+    /// fast path avoids per arm, per run.
     pub render_allocs_sample: u64,
+    /// Σ over arms of the rendered fingerprint's length in bytes: what one
+    /// run of every arm gives the audit to hash.
+    pub fingerprint_bytes_total: u64,
     /// Σ over arms of the recorded run's `events_simulated` counter.
     pub events_simulated_total: u64,
 }
@@ -36,14 +39,18 @@ pub struct DeterministicCounts {
 pub fn deterministic_counts(seed: u64) -> DeterministicCounts {
     let arms = campaign::arm_ids();
     let mut delta_total = 0u64;
+    let mut bytes_total = 0u64;
     let mut events_total = 0u64;
     let mut render_allocs_sample = 0u64;
     for (i, arm) in arms.iter().enumerate() {
         let o = campaign::arm_outcome(arm, seed, true);
         delta_total += alloc_counter::count_allocations(|| neat::audit::stream_hash(&o)).1;
         events_total += o.timeline.counters.events_simulated;
+        let (fingerprint, allocs) =
+            alloc_counter::count_allocations(|| neat::audit::fingerprint(&o));
+        bytes_total += fingerprint.len() as u64;
         if i == 0 {
-            render_allocs_sample = alloc_counter::count_allocations(|| format!("{o:#?}")).1;
+            render_allocs_sample = allocs;
         }
     }
     DeterministicCounts {
@@ -51,6 +58,7 @@ pub fn deterministic_counts(seed: u64) -> DeterministicCounts {
         arms: arms.len(),
         fingerprint_alloc_delta_total: delta_total,
         render_allocs_sample,
+        fingerprint_bytes_total: bytes_total,
         events_simulated_total: events_total,
     }
 }
@@ -124,11 +132,12 @@ pub fn machine_json() -> String {
     let out = format!(
         "{{\"bench\":\"perf\",\"seed\":8,\"deterministic\":{{\"counting_allocator\":{},\
          \"arms\":{},\"fingerprint_alloc_delta_total\":{},\"render_allocs_sample\":{},\
-         \"events_simulated_total\":{}}}}}",
+         \"fingerprint_bytes_total\":{},\"events_simulated_total\":{}}}}}",
         d.counting_allocator,
         d.arms,
         d.fingerprint_alloc_delta_total,
         d.render_allocs_sample,
+        d.fingerprint_bytes_total,
         d.events_simulated_total,
     );
     format!("{}\n", study::json::pretty(&out))

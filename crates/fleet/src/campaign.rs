@@ -64,9 +64,9 @@ pub fn forensics(seed: u64, jobs: usize) -> Vec<neat::obs::ForensicReport> {
 /// The double-run trace audit (`lint --audit`), sharded by arm: each
 /// worker runs its arm twice at `seed` and compares streaming fingerprint
 /// hashes — no fingerprint string is allocated unless the hashes diverge,
-/// in which case both runs are re-rendered for the line diff. Outcomes
-/// come back in registry order, so the auditor's output is byte-identical
-/// to the serial audit for any `jobs`.
+/// in which case both runs are re-rendered to find the first differing
+/// byte. Outcomes come back in registry order, so the auditor's output is
+/// byte-identical to the serial audit for any `jobs`.
 pub fn audit(seed: u64, jobs: usize) -> Vec<AuditOutcome> {
     let arms = arm_ids();
     pool::map(jobs, arms.len(), |i| {

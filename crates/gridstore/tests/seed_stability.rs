@@ -21,7 +21,7 @@ proptest! {
         let (ha, hb) = (neat::audit::stream_hash(&oa), neat::audit::stream_hash(&ob));
         prop_assert_eq!(ha, hb);
         // ...and equal byte-for-byte to hashing the rendered fingerprint.
-        let (a, b) = (format!("{oa:#?}"), format!("{ob:#?}"));
+        let (a, b) = (format!("{oa:?}"), format!("{ob:?}"));
         prop_assert_eq!(ha, neat::audit::trace_hash(&a));
         prop_assert_eq!(hb, neat::audit::trace_hash(&b));
         prop_assert_eq!(a, b);

@@ -65,8 +65,8 @@ pub enum Rule {
     /// carry a `lint:allow(float-nondet)`.
     FloatNondet,
     /// A `#[derive(Debug)]` type in a simulation crate holding a
-    /// `HashMap`/`HashSet` field: execution fingerprints hash the `{:#?}`
-    /// rendering, and Debug iterates hash containers in nondeterministic
+    /// `HashMap`/`HashSet` field: execution fingerprints hash the compact
+    /// `{:?}` rendering, and Debug iterates hash containers in nondeterministic
     /// order — a direct fingerprint-poisoning vector.
     DebugHashLeak,
 }

@@ -1,5 +1,5 @@
 //! Fixture: a Debug-derived type holding a hash container. Execution
-//! fingerprints hash the `{:#?}` rendering, and Debug iterates hash
+//! fingerprints hash the `{:?}` rendering, and Debug iterates hash
 //! containers in nondeterministic order — a direct fingerprint-poisoning
 //! vector v1 could not see (it had no notion of type bodies or derives).
 use std::collections::HashMap; // lint:allow(hash-iteration)

@@ -10,12 +10,14 @@
 //! operation history, checker verdicts, final state, and (since the
 //! forensics layer landed) the full `obs` event timeline.
 //!
-//! The fast path never materializes a fingerprint: [`FingerHasher`] folds
-//! the `{:#?}` byte stream into FNV-1a as `Debug` emits it, so the two
-//! runs of an arm cost two hashes, not two multi-megabyte `String`s. Only
-//! when the hashes disagree does the auditor re-render both runs in full
-//! and line-diff them via [`compare_runs`] to recover the first diverging
-//! line — the actual debugging handle.
+//! An execution fingerprint is the compact `Debug` (`{:?}`) of what a run
+//! returned: every field, on one line ([`fingerprint`]). The fast path
+//! never materializes it: [`FingerHasher`] folds the byte stream into
+//! FNV-1a as `Debug` emits it, so the two runs of an arm cost two hashes,
+//! not two `String`s. Only when the hashes disagree does the auditor
+//! render both runs and hand them to [`compare_runs`], which names the
+//! first differing byte and shows both runs around it — the actual
+//! debugging handle.
 
 #![deny(missing_docs)]
 
@@ -34,12 +36,12 @@ pub fn trace_hash(fingerprint: &str) -> u64 {
 }
 
 /// An incremental FNV-1a 64 hasher that doubles as a [`std::fmt::Write`]
-/// sink, so `write!(hasher, "{:#?}", value)` hashes **exactly the byte
-/// stream** that `format!("{:#?}", value)` would have collected into a
+/// sink, so `write!(hasher, "{:?}", value)` hashes **exactly the byte
+/// stream** that `format!("{:?}", value)` would have collected into a
 /// `String` — without ever allocating it. The formatting machinery routes
 /// every fragment through `write_str`, and FNV-1a folds bytes one at a
 /// time, so fragment boundaries cannot change the result:
-/// `stream_hash(&v) == trace_hash(&format!("{v:#?}"))` byte-for-byte.
+/// `stream_hash(&v) == trace_hash(&fingerprint(&v))` byte-for-byte.
 #[derive(Clone, Copy, Debug)]
 pub struct FingerHasher {
     h: u64,
@@ -82,44 +84,51 @@ impl std::fmt::Write for FingerHasher {
     }
 }
 
-/// Hashes `value`'s pretty `Debug` rendering without allocating it:
-/// exactly `trace_hash(&format!("{value:#?}"))`, minus the `String`.
+/// `value`'s execution fingerprint: its compact `Debug`, the bytes
+/// [`stream_hash`] folds. `Debug` escapes the line breaks inside strings,
+/// so a derived `Debug` renders on one line.
+pub fn fingerprint<T: std::fmt::Debug + ?Sized>(value: &T) -> String {
+    format!("{value:?}")
+}
+
+/// Hashes `value`'s execution fingerprint without allocating it: exactly
+/// `trace_hash(&fingerprint(value))`, minus the `String`.
 pub fn stream_hash<T: std::fmt::Debug + ?Sized>(value: &T) -> u64 {
     use std::fmt::Write as _;
     let mut h = FingerHasher::new();
     // Infallible: FingerHasher::write_str never errors.
-    let _ = write!(h, "{value:#?}");
+    let _ = write!(h, "{value:?}");
     h.finish()
 }
 
+/// Bytes of each run a divergence report shows on either side of the
+/// first difference.
+const CONTEXT: usize = 48;
+
 /// Compares two same-seed fingerprints; `None` means bit-identical.
+///
+/// Otherwise the report names the first differing byte offset and shows
+/// each run from 48 bytes before it to 48 bytes after, both ends cut back
+/// to a char boundary and `Debug`-escaped, so the report is one line. When
+/// one run is a strict prefix of the other, it gives both lengths and the
+/// longer run's first extra bytes.
 pub fn compare_runs(scenario: &str, seed: u64, a: &str, b: &str) -> Option<Divergence> {
     if a == b {
         return None;
     }
-    let first_diff = a
-        .lines()
-        .zip(b.lines())
-        .enumerate()
-        .find(|(_, (la, lb))| la != lb)
-        .map(|(i, (la, lb))| format!("line {}: `{la}` vs `{lb}`", i + 1))
-        .unwrap_or_else(|| {
-            // Every shared line matched, so one fingerprint is a strict
-            // prefix of the other (or they differ only in a trailing
-            // newline). The first *extra* line is the debugging handle.
-            let (la, lb) = (a.lines().count(), b.lines().count());
-            let extra = if la > lb {
-                a.lines().nth(lb).map(|l| (lb + 1, l))
-            } else {
-                b.lines().nth(la).map(|l| (la + 1, l))
-            };
-            match extra {
-                Some((n, line)) => format!(
-                    "run lengths differ: {la} vs {lb} lines; first extra line ({n}): `{line}`"
-                ),
-                None => format!("run lengths differ: {la} vs {lb} lines"),
-            }
-        });
+    let at = a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count();
+    let first_diff = if at < a.len().min(b.len()) {
+        format!("byte {at}: {:?} vs {:?}", window(a, at), window(b, at))
+    } else {
+        // `at` ends the shorter run, a char boundary of both.
+        let longer = if a.len() > b.len() { a } else { b };
+        let extra = &longer[at..boundary(longer, at + CONTEXT)];
+        format!(
+            "run lengths differ: {} vs {} bytes; first extra bytes at {at}: {extra:?}",
+            a.len(),
+            b.len()
+        )
+    };
     Some(Divergence {
         scenario: scenario.to_string(),
         seed,
@@ -127,6 +136,20 @@ pub fn compare_runs(scenario: &str, seed: u64, a: &str, b: &str) -> Option<Diver
         hash_b: trace_hash(b),
         first_diff,
     })
+}
+
+/// `s` from `CONTEXT` bytes before `at` to `CONTEXT` bytes after it.
+fn window(s: &str, at: usize) -> &str {
+    &s[boundary(s, at.saturating_sub(CONTEXT))..boundary(s, at + CONTEXT)]
+}
+
+/// The last char boundary of `s` at or before `i` (`s.len()` past the end).
+fn boundary(s: &str, i: usize) -> usize {
+    let mut i = i.min(s.len());
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
 }
 
 /// One divergence between two same-seed runs of a scenario.
@@ -140,8 +163,9 @@ pub struct Divergence {
     pub hash_a: u64,
     /// Fingerprint hash of the second run.
     pub hash_b: u64,
-    /// The first line at which the rendered fingerprints differ — the
-    /// actual debugging handle, since the hashes only say "different".
+    /// Where the rendered fingerprints first differ — a byte offset and
+    /// both runs around it — the actual debugging handle, since the hashes
+    /// only say "different".
     pub first_diff: String,
 }
 
@@ -149,7 +173,7 @@ impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}: seed {} diverged: {:016x} != {:016x}\n  first differing line: {}",
+            "{}: seed {} diverged: {:016x} != {:016x}\n  first difference: {}",
             self.scenario, self.seed, self.hash_a, self.hash_b, self.first_diff
         )
     }
@@ -188,7 +212,7 @@ impl AuditOutcome {
 /// function of the seed — that is the property under test); the fast path
 /// compares the two hashes and allocates nothing. Only on mismatch does
 /// the auditor call `render_run` to materialize both fingerprints and
-/// recover the first diverging line. If the divergence then fails to
+/// find the first differing byte. If the divergence then fails to
 /// reproduce under re-rendering (flaky nondeterminism), the original
 /// hashes are still reported so the failure is never swallowed.
 pub fn audit_double_run<H, R>(
@@ -260,7 +284,8 @@ mod tests {
             counts: vec![0, 1, u64::MAX],
             pair: (true, Some(-7)),
         };
-        assert_eq!(stream_hash(&v), trace_hash(&format!("{v:#?}")));
+        assert_eq!(stream_hash(&v), trace_hash(&format!("{v:?}")));
+        assert_eq!(fingerprint(&v).lines().count(), 1, "{}", fingerprint(&v));
     }
 
     #[test]
@@ -311,7 +336,11 @@ mod tests {
         )
         .expect_err("diverging runs must fail");
         assert_eq!(err.seed, 7);
-        assert!(err.first_diff.contains("line 2"), "{}", err.first_diff);
+        // "line one\nline two " is 18 bytes; the runs differ at the next.
+        assert_eq!(
+            err.first_diff,
+            r#"byte 18: "line one\nline two true" vs "line one\nline two false""#
+        );
         assert_ne!(err.hash_a, err.hash_b);
     }
 
@@ -345,18 +374,33 @@ mod tests {
     #[test]
     fn strict_prefix_divergence_reports_the_first_extra_line() {
         let d = compare_runs("s", 1, "a\nb", "a\nb\nextra line").expect("diverges");
-        assert!(d.first_diff.contains("lengths differ"), "{}", d.first_diff);
-        assert!(
-            d.first_diff.contains("first extra line (3): `extra line`"),
-            "{}",
-            d.first_diff
+        assert_eq!(
+            d.first_diff,
+            r#"run lengths differ: 3 vs 14 bytes; first extra bytes at 3: "\nextra line""#
         );
         // Symmetric: the longer run may be the first one.
         let d = compare_runs("s", 1, "a\nb\nc\nd", "a").expect("diverges");
-        assert!(
-            d.first_diff.contains("first extra line (2): `b`"),
-            "{}",
-            d.first_diff
+        assert_eq!(
+            d.first_diff,
+            r#"run lengths differ: 7 vs 1 bytes; first extra bytes at 1: "\nb\nc\nd""#
+        );
+    }
+
+    #[test]
+    fn the_report_window_is_bounded_and_cut_on_char_boundaries() {
+        // 'é' is two bytes, so a window edge can fall inside one.
+        let pad = "é".repeat(CONTEXT);
+        let d = compare_runs("s", 1, &format!("{pad}x{pad}"), &format!("{pad}y{pad}"))
+            .expect("diverges");
+        let (before, after) = ("é".repeat(CONTEXT.div_ceil(2)), "é".repeat((CONTEXT - 1) / 2));
+        assert_eq!(
+            d.first_diff,
+            format!(
+                "byte {}: {:?} vs {:?}",
+                2 * CONTEXT,
+                format!("{before}x{after}"),
+                format!("{before}y{after}")
+            )
         );
     }
 

@@ -1,5 +1,5 @@
 //! Property: for any value, `neat::audit::stream_hash(&v)` equals
-//! `neat::audit::trace_hash(&format!("{v:#?}"))`.
+//! `neat::audit::trace_hash(&format!("{v:?}"))`.
 //!
 //! This is the invariant the whole zero-allocation audit path rests on:
 //! the streaming `FingerHasher` must fold exactly the byte stream the
@@ -74,7 +74,7 @@ proptest! {
         let timeline = rec.snapshot();
         prop_assert_eq!(
             stream_hash(&timeline),
-            trace_hash(&format!("{timeline:#?}")),
+            trace_hash(&format!("{timeline:?}")),
             "streamed and rendered hashes diverged for {} events",
             timeline.events.len()
         );
@@ -110,6 +110,6 @@ proptest! {
             pair: (pair.0 - 1, pair.1),
             inner: Some(Box::new(leaf)),
         };
-        prop_assert_eq!(stream_hash(&value), trace_hash(&format!("{value:#?}")));
+        prop_assert_eq!(stream_hash(&value), trace_hash(&format!("{value:?}")));
     }
 }

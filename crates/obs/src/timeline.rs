@@ -8,7 +8,7 @@ use crate::{Counters, Event};
 /// The events of one run in virtual-time order, plus aggregate counters.
 ///
 /// `Timeline` derives `Debug` and `PartialEq` so outcome structs that
-/// embed one fold the whole event stream into their `format!("{:#?}")`
+/// embed one fold the whole event stream into their compact `Debug`
 /// execution fingerprints — the double-run auditor then enforces
 /// byte-identity of traces, not just of verdicts.
 #[derive(Clone, Debug, Default, PartialEq)]

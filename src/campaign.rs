@@ -56,7 +56,7 @@ fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
 /// One arm's run with the family's `detail` type-erased, so every
 /// registry arm has one signature. A `Box` prints its contents unchanged
 /// through `Debug` (and `Box<()>` does not allocate), so the fingerprint —
-/// the pretty `Debug` rendering of this whole value — is the family's own
+/// the compact `Debug` rendering of this whole value — is the family's own
 /// [`RunOutcome`]'s.
 pub type ArmOutcome = RunOutcome<Box<dyn std::fmt::Debug>>;
 
@@ -414,10 +414,10 @@ pub fn run_arm(arm: &ArmId, seed: u64, mode: RunMode) -> RunArtifacts {
     }
 }
 
-/// One arm's execution fingerprint, rendered: the pretty `Debug` of its
-/// recorded [`ArmOutcome`] — the bytes [`RunMode::Hash`] hashes.
+/// One arm's execution fingerprint, rendered: [`neat::audit::fingerprint`]
+/// of its recorded [`ArmOutcome`] — the bytes [`RunMode::Hash`] hashes.
 pub fn render_arm(arm: &ArmId, seed: u64) -> String {
-    format!("{:#?}", arm_outcome(arm, seed, true))
+    neat::audit::fingerprint(&arm_outcome(arm, seed, true))
 }
 
 /// Runs the *flawed* arm of the scenario at `index` (registry order) with

@@ -7,7 +7,7 @@
 //! `audit_hashes.txt` and `verdicts.txt` are rows of `bench::ARTIFACTS`,
 //! regenerated here and compared byte for byte.
 
-use neat_repro::campaign::{arm_ids, run_arm, scenarios_of, RunMode, ScenarioClass};
+use neat_repro::campaign::{arm_ids, render_arm, run_arm, scenarios_of, RunMode, ScenarioClass};
 
 #[test]
 fn every_scenario_arm_double_runs_identically() {
@@ -61,6 +61,35 @@ fn streamed_audit_hashes_equal_rendered_fingerprint_hashes() {
             Ok(neat::audit::trace_hash(fingerprint)),
             "{name}: streamed audit hash disagrees with the rendered fingerprint bytes"
         );
+        assert_eq!(fingerprint.lines().count(), 1, "{name}: a fingerprint is one line");
+    }
+}
+
+/// A divergence report is a byte offset and both runs around it: add one
+/// to the first op's `end` in a recorded arm's fingerprint, and the report
+/// names a byte inside that number and shows both values.
+#[test]
+fn a_doctored_op_end_is_named_by_its_byte_offset() {
+    let real = arm_ids()
+        .iter()
+        .map(|arm| render_arm(arm, 8))
+        .find(|f| f.contains("Op { start: "))
+        .expect("some arm records an op at seed 8");
+    let op = real.find("Op { start: ").expect("found above");
+    let end = op + real[op..].find("end: ").expect("an op has an end") + "end: ".len();
+    let digits = real[end..].bytes().take_while(u8::is_ascii_digit).count();
+    let value: u64 = real[end..end + digits].parse().expect("an end is a virtual time");
+    let doctored = format!("{}{}{}", &real[..end], value + 1, &real[end + digits..]);
+    let d = neat::audit::compare_runs("arm", 8, &real, &doctored).expect("the runs differ");
+    let offset: usize = d
+        .first_diff
+        .strip_prefix("byte ")
+        .and_then(|rest| rest.split(':').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no byte offset in {}", d.first_diff));
+    assert!((end..end + digits).contains(&offset), "byte {offset} is outside `end: {value}`");
+    for v in [value, value + 1] {
+        assert!(d.first_diff.contains(&format!("end: {v},")), "{}", d.first_diff);
     }
 }
 

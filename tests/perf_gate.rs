@@ -61,6 +61,16 @@ fn fingerprint_fast_path_allocates_nothing_across_every_arm() {
         d.render_allocs_sample > 0,
         "rendering a fingerprint allocated nothing; the zero-delta assertion above is vacuous"
     );
+    // What the audit hashes twice an arm: the compact `Debug` of the 93
+    // recorded outcomes is 221,188 bytes at seed 8 (513,729 pretty-printed).
+    // A bloated `Debug` or a return to pretty-printing fails here instead
+    // of only slowing the ledger.
+    assert!(
+        d.fingerprint_bytes_total <= 240_000,
+        "the {} fingerprints are {} bytes at seed 8, over 240,000",
+        d.arms,
+        d.fingerprint_bytes_total
+    );
 }
 
 /// Ping-pong forever between two nodes: every step is one delivery.
