@@ -157,4 +157,29 @@ mod tests {
             b.fingerprint_alloc_delta_total
         );
     }
+
+    #[test]
+    fn the_cost_table_ends_with_one_total_row_over_every_arm() {
+        let arm = |arm: &str, events, allocations, high_water, far| ArmCost {
+            arm: arm.to_string(),
+            events,
+            allocations,
+            queue: simnet::QueueStats {
+                high_water,
+                scheduled: events,
+                far,
+            },
+        };
+        let costs = [arm("a/flawed", 300, 900, 12, 40), arm("b/fixed", 100, 50, 31, 2)];
+        let table = render_arm_costs(&costs);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 4, "a header, two arms and the total:\n{table}");
+        // Events and allocations summed, allocations per event over the
+        // sums, the deepest queue, the far events summed.
+        let total = concat!(
+            "total (2 arms)                                    ",
+            "     400         950              2.38    31    42"
+        );
+        assert_eq!(lines[3], total);
+    }
 }

@@ -46,30 +46,13 @@ impl CoordSession {
     pub fn request<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>, req: CoordReq) -> u64 {
         let op_id = (ctx.id().0 as u64) << 32 | self.next_op;
         self.next_op += 1;
-        match &req {
-            CoordReq::Get { .. } => {
-                // Local read: ask one member (the first) to keep a single
-                // authoritative answer per op.
-                ctx.send(
-                    self.servers[0],
-                    M::from_coord(CoordMsg::Req {
-                        op_id,
-                        req: req.clone(),
-                    }),
-                );
-            }
-            _ => {
-                for &s in &self.servers {
-                    ctx.send(
-                        s,
-                        M::from_coord(CoordMsg::Req {
-                            op_id,
-                            req: req.clone(),
-                        }),
-                    );
-                }
-            }
-        }
+        let to = match req {
+            // Local read: ask one member (the first) to keep a single
+            // authoritative answer per op.
+            CoordReq::Get { .. } => &self.servers[..1],
+            _ => &self.servers[..],
+        };
+        ctx.broadcast(to, M::from_coord(CoordMsg::Req { op_id, req }));
         op_id
     }
 
@@ -186,53 +169,48 @@ impl CoordClient {
 
     /// Creates a persistent znode (recorded as a write).
     pub fn create(&self, neat: &mut Neat<CoordProc>, path: &str, val: u64) -> Outcome {
+        let path = neat.key(path);
         let req = CoordReq::Create {
-            path: path.into(),
+            path: path.clone(),
             val,
             ephemeral: false,
         };
-        let op = Op::Write {
-            key: path.into(),
-            val,
-        };
-        self.run(neat, op, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Write { key: path, val }, |s, ctx| s.request(ctx, req))
     }
 
     /// Creates an ephemeral znode — the lock-acquire idiom (recorded as an
     /// acquire).
     pub fn acquire(&self, neat: &mut Neat<CoordProc>, path: &str) -> Outcome {
+        let path = neat.key(path);
         let req = CoordReq::Create {
-            path: path.into(),
+            path: path.clone(),
             val: 1,
             ephemeral: true,
         };
-        self.run(neat, Op::Acquire { key: path.into() }, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Acquire { key: path }, |s, ctx| s.request(ctx, req))
     }
 
     /// Updates a znode's value.
     pub fn set(&self, neat: &mut Neat<CoordProc>, path: &str, val: u64) -> Outcome {
+        let path = neat.key(path);
         let req = CoordReq::Set {
-            path: path.into(),
+            path: path.clone(),
             val,
         };
-        let op = Op::Write {
-            key: path.into(),
-            val,
-        };
-        self.run(neat, op, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Write { key: path, val }, |s, ctx| s.request(ctx, req))
     }
 
     /// Deletes a znode.
     pub fn delete(&self, neat: &mut Neat<CoordProc>, path: &str) -> Outcome {
-        let req = CoordReq::Delete { path: path.into() };
-        self.run(neat, Op::Delete { key: path.into() }, |s, ctx| s.request(ctx, req))
+        let path = neat.key(path);
+        let req = CoordReq::Delete { path: path.clone() };
+        self.run(neat, Op::Delete { key: path }, |s, ctx| s.request(ctx, req))
     }
 
     /// Reads a znode at a specific ensemble member (local read).
     pub fn get_at(&self, neat: &mut Neat<CoordProc>, server: NodeId, path: &str) -> Outcome {
-        let req = CoordReq::Get { path: path.into() };
-        self.run(neat, Op::Read { key: path.into() }, |s, ctx| {
-            s.request_at(ctx, server, req)
-        })
+        let path = neat.key(path);
+        let req = CoordReq::Get { path: path.clone() };
+        self.run(neat, Op::Read { key: path }, |s, ctx| s.request_at(ctx, server, req))
     }
 }

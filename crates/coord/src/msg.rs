@@ -4,7 +4,7 @@
 //! message queue crate embeds a coordination ensemble in its own world, the
 //! way ActiveMQ embeds ZooKeeper) wrap these messages in their own enum.
 
-use std::collections::BTreeMap;
+use std::{collections::BTreeMap, sync::Arc};
 
 use simnet::NodeId;
 
@@ -55,26 +55,29 @@ impl TxnKind {
     }
 }
 
-/// Client requests.
+/// Client requests. Paths are shared: a client that asks about one znode
+/// over and over keeps one allocation for it, and a request sent to the
+/// whole ensemble shares it across the copies. An `Arc<str>` prints
+/// exactly as a `String`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CoordReq {
     /// Create a znode; fails with [`CoordResp::Exists`] when present.
     /// Ephemeral creates bind the node to the requesting session.
     Create {
-        path: String,
+        path: Arc<str>,
         val: u64,
         ephemeral: bool,
     },
     Set {
-        path: String,
+        path: Arc<str>,
         val: u64,
     },
     Delete {
-        path: String,
+        path: Arc<str>,
     },
     /// Local read at whatever server receives it (ZooKeeper semantics).
     Get {
-        path: String,
+        path: Arc<str>,
     },
 }
 

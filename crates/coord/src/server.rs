@@ -611,7 +611,7 @@ impl CoordServer {
     ) {
         // Reads are served locally by any member (ZooKeeper semantics).
         if let CoordReq::Get { path } = &req {
-            let v = self.tree.get(path).map(|z| z.val);
+            let v = self.tree.get(&**path).map(|z| z.val);
             self.send(
                 ctx,
                 from,
@@ -642,7 +642,7 @@ impl CoordServer {
                 val,
                 ephemeral,
             } => {
-                if self.tree.contains_key(&path) {
+                if self.tree.contains_key(&*path) {
                     self.send(
                         ctx,
                         from,
@@ -654,6 +654,7 @@ impl CoordServer {
                     return;
                 }
                 let owner = ephemeral.then_some(from);
+                let path = path.to_string();
                 self.commit_txn(
                     ctx,
                     TxnKind::Create { path, val, owner },
@@ -661,7 +662,7 @@ impl CoordServer {
                 );
             }
             CoordReq::Set { path, val } => {
-                if !self.tree.contains_key(&path) {
+                if !self.tree.contains_key(&*path) {
                     self.send(
                         ctx,
                         from,
@@ -672,10 +673,11 @@ impl CoordServer {
                     );
                     return;
                 }
+                let path = path.to_string();
                 self.commit_txn(ctx, TxnKind::Set { path, val }, Some((from, op_id, CoordResp::Ok)));
             }
             CoordReq::Delete { path } => {
-                if !self.tree.contains_key(&path) {
+                if !self.tree.contains_key(&*path) {
                     self.send(
                         ctx,
                         from,
@@ -686,6 +688,7 @@ impl CoordServer {
                     );
                     return;
                 }
+                let path = path.to_string();
                 self.commit_txn(ctx, TxnKind::Delete { path }, Some((from, op_id, CoordResp::Ok)));
             }
             CoordReq::Get { .. } => unreachable!("handled above"),

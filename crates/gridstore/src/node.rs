@@ -19,7 +19,7 @@
 //!   never rejoins (the clusters stay separate after the partition heals —
 //!   lasting damage, Finding 3).
 
-use std::collections::BTreeMap;
+use std::{collections::BTreeMap, sync::Arc};
 
 use neat::cluster::Node;
 use simnet::{Ctx, NodeId, Time, TimerId};
@@ -101,16 +101,18 @@ pub enum GridMsg {
         client: NodeId,
         resp: GridResp,
     },
-    /// Primary → view members: authoritative state. `commits` counts the
-    /// quorum-committed mutations on the sender's branch. Ordinary offers
-    /// are adopted only when strictly newer by `(commits, seq)`; heal-time
-    /// `merge` offers additionally break exact ties by origin id so two
-    /// equally ranked divergent branches still converge.
+    /// Primary → view members: authoritative state, shared with the
+    /// sender (a node mutating a shared state copies it first, so an offer
+    /// is a snapshot). `commits` counts the quorum-committed mutations on
+    /// the sender's branch. Ordinary offers are adopted only when strictly
+    /// newer by `(commits, seq)`; heal-time `merge` offers additionally
+    /// break exact ties by origin id so two equally ranked divergent
+    /// branches still converge.
     StateSync {
         seq: u64,
         commits: u64,
         merge: bool,
-        state: GridState,
+        state: Arc<GridState>,
     },
     /// Member → primary: adopted the state at `seq` (quorum-ack mode).
     StateSyncAck { seq: u64 },
@@ -125,7 +127,7 @@ pub struct GridNode {
     flaws: GridFlaws,
     /// Current membership view (servers only).
     view: Vec<NodeId>,
-    state: GridState,
+    state: Arc<GridState>,
     state_seq: u64,
     /// Mutations that achieved a replication quorum on this state's branch.
     commit_count: u64,
@@ -165,7 +167,7 @@ impl GridNode {
             view: all_servers.clone(),
             all_servers,
             flaws,
-            state: GridState::default(),
+            state: Arc::default(),
             state_seq: 0,
             commit_count: 0,
             state_origin: me,
@@ -227,7 +229,7 @@ impl GridNode {
     fn push_state_no_bump(&mut self, ctx: &mut Ctx<'_, GridMsg>, merge: bool) {
         let seq = self.state_seq;
         let commits = self.commit_count;
-        let state = self.state.clone();
+        let state = Arc::clone(&self.state);
         // Quorum mode offers to every server (a quorum may span nodes the
         // view has dropped); flawed mode only reaches its own view — the
         // studied behaviour.
@@ -281,10 +283,9 @@ impl GridNode {
             self.answer(ctx, &route, GridResp::Fail);
             return;
         }
-        let before = self.state.clone();
-        let resp = self
-            .state
-            .apply(client, op, self.flaws.strict_semaphore_release);
+        let before = Arc::clone(&self.state);
+        let resp =
+            Arc::make_mut(&mut self.state).apply(client, op, self.flaws.strict_semaphore_release);
         if matches!(op, GridOp::SemAcquire { .. }) && resp == GridResp::Ok {
             self.tracked_holders.insert(client, ctx.now());
         }
@@ -411,7 +412,7 @@ impl Node<GridMsg> for GridNode {
                         ctx.note(|| format!(
                             "WIPES local data, will download from {from} (flaw)"
                         ));
-                        self.state = GridState::default();
+                        self.state = Arc::default();
                         self.state_seq = 0;
                         self.commit_count = 0;
                         self.state_origin = self.me;
@@ -432,7 +433,7 @@ impl Node<GridMsg> for GridNode {
             GridMsg::Pull => {
                 let seq = self.state_seq;
                 let commits = self.commit_count;
-                let state = self.state.clone();
+                let state = Arc::clone(&self.state);
                 ctx.send(
                     from,
                     GridMsg::StateSync {
@@ -505,7 +506,7 @@ impl Node<GridMsg> for GridNode {
                 .map(|(c, _)| *c)
                 .collect();
             for c in dead {
-                let n = self.state.reclaim_permits(c);
+                let n = Arc::make_mut(&mut self.state).reclaim_permits(c);
                 if n > 0 {
                     ctx.note(|| format!("RECLAIMS {n} permit(s) from unreachable client {c}"));
                     self.push_state(ctx);
@@ -534,7 +535,7 @@ impl Node<GridMsg> for GridNode {
 
     /// Crash loses the in-memory grid.
     fn on_crash(&mut self) {
-        self.state = GridState::default();
+        self.state = Arc::default();
         self.view.clear();
         self.tracked_holders.clear();
     }

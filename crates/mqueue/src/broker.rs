@@ -19,10 +19,16 @@
 //!   anything again.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use coord::{CoordMsg, CoordReq, CoordResp, CoordSession, CoordWire};
 use neat::cluster::Node;
 use simnet::{Ctx, NodeId, Time, TimerId};
+
+/// Every broker's queues, keyed by name. The master's copy is shared, not
+/// copied, with every replica it syncs; whoever mutates a shared copy
+/// takes a private one first (`Arc::make_mut`), so a sync is a snapshot.
+type Queues = Arc<BTreeMap<String, VecDeque<u64>>>;
 
 /// Timer tags (brokers).
 const TAG_TICK: u64 = 21;
@@ -103,7 +109,7 @@ pub enum MqMsg {
     ReplicateAck { seq: u64 },
     /// Master → replicas: authoritative queue contents (keeps copies
     /// convergent across failovers).
-    QueueSync { queues: Vec<(String, Vec<u64>)> },
+    QueueSync { queues: Queues },
     /// New master announcement.
     MasterAnnounce { master: NodeId },
 }
@@ -150,7 +156,9 @@ pub struct Broker {
     is_master: bool,
     /// rabbitmq #714: once deadlocked, the broker ignores everything.
     pub deadlocked: bool,
-    queues: BTreeMap<String, VecDeque<u64>>,
+    queues: Queues,
+    /// The master znode's path, shared by every coordination request.
+    master_path: Arc<str>,
     repl_seq: u64,
     pending: BTreeMap<u64, PendingRepl>,
     replication_timeout: Time,
@@ -172,7 +180,8 @@ impl Broker {
             known_master: None,
             is_master: false,
             deadlocked: false,
-            queues: BTreeMap::new(),
+            queues: Queues::default(),
+            master_path: "/mq/master".into(),
             repl_seq: 0,
             pending: BTreeMap::new(),
             replication_timeout: 400,
@@ -202,7 +211,7 @@ impl Broker {
         let op = self.session.request(
             ctx,
             CoordReq::Get {
-                path: "/mq/master".into(),
+                path: Arc::clone(&self.master_path),
             },
         );
         self.inflight.insert(op, Intent::CheckMaster);
@@ -222,7 +231,7 @@ impl Broker {
         for (_, p) in pending {
             match p.deliver {
                 Some(v) => {
-                    self.queues.entry(p.queue.clone()).or_default().push_front(v);
+                    Arc::make_mut(&mut self.queues).entry(p.queue).or_default().push_front(v);
                     ctx.send(
                         p.client,
                         MqMsg::RecvResp {
@@ -274,7 +283,7 @@ impl Broker {
                 let op = self.session.request(
                     ctx,
                     CoordReq::Create {
-                        path: "/mq/master".into(),
+                        path: Arc::clone(&self.master_path),
                         val: self.me.0 as u64,
                         ephemeral: true,
                     },
@@ -296,7 +305,7 @@ impl Broker {
             ctx.send(from, MqMsg::SendResp { op_id, ok: false });
             return;
         }
-        self.queues.entry(queue.clone()).or_default().push_back(val);
+        Arc::make_mut(&mut self.queues).entry(queue.clone()).or_default().push_back(val);
         if self.flaws.ack_producer_locally {
             // Jepsen-Kafka: the producer hears OK the moment the leader's
             // local log has the message; replication runs behind.
@@ -337,7 +346,7 @@ impl Broker {
             );
             return;
         }
-        let popped = self.queues.entry(queue.clone()).or_default().pop_front();
+        let popped = Arc::make_mut(&mut self.queues).entry(queue.clone()).or_default().pop_front();
         let Some(val) = popped else {
             ctx.send(
                 from,
@@ -428,7 +437,7 @@ impl Node<MqMsg> for Broker {
             MqMsg::Send { op_id, queue, val } => self.on_send(ctx, from, op_id, queue, val),
             MqMsg::Recv { op_id, queue } => self.on_recv(ctx, from, op_id, queue),
             MqMsg::Replicate { seq, queue, op } => {
-                let q = self.queues.entry(queue).or_default();
+                let q = Arc::make_mut(&mut self.queues).entry(queue).or_default();
                 match op {
                     QOp::Push(v) => q.push_back(v),
                     QOp::Pop(v) => {
@@ -464,10 +473,7 @@ impl Node<MqMsg> for Broker {
             }
             MqMsg::QueueSync { queues } => {
                 if !self.is_master {
-                    self.queues = queues
-                        .into_iter()
-                        .map(|(k, v)| (k, v.into_iter().collect()))
-                        .collect();
+                    self.queues = queues;
                 }
             }
             MqMsg::MasterAnnounce { master } => {
@@ -490,11 +496,7 @@ impl Node<MqMsg> for Broker {
                 self.session.heartbeat(ctx);
                 self.check_master(ctx);
                 if self.is_master {
-                    let queues: Vec<(String, Vec<u64>)> = self
-                        .queues
-                        .iter()
-                        .map(|(k, q)| (k.clone(), q.iter().copied().collect()))
-                        .collect();
+                    let queues = Arc::clone(&self.queues);
                     ctx.broadcast(&self.brokers, MqMsg::QueueSync { queues });
                 }
                 ctx.set_timer(100, TAG_TICK);
@@ -508,7 +510,7 @@ impl Node<MqMsg> for Broker {
                     // Fixed behaviour: abort, restore state, step down so a
                     // connected replica can take over.
                     if let Some(v) = p.deliver {
-                        self.queues.entry(p.queue.clone()).or_default().push_front(v);
+                        Arc::make_mut(&mut self.queues).entry(p.queue).or_default().push_front(v);
                         ctx.send(
                             p.client,
                             MqMsg::RecvResp {
@@ -528,7 +530,7 @@ impl Node<MqMsg> for Broker {
                         let op = self.session.request(
                             ctx,
                             CoordReq::Delete {
-                                path: "/mq/master".into(),
+                                path: Arc::clone(&self.master_path),
                             },
                         );
                         self.inflight.insert(op, Intent::ReleaseMaster);
@@ -545,7 +547,7 @@ impl Node<MqMsg> for Broker {
         self.known_master = None;
         self.pending.clear();
         self.inflight.clear();
-        self.queues.clear();
+        self.queues = Queues::default();
         self.deadlocked = false;
     }
 }

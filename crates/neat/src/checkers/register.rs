@@ -44,9 +44,9 @@ struct Mutation<'a> {
     val: Option<u64>,
 }
 
-fn mutations<'a>(hist: &'a History, key: &'a str) -> Vec<Mutation<'a>> {
-    hist.for_key(key)
-        .filter_map(|r| match &r.op {
+fn mutations<'a>(recs: &[&'a OpRecord]) -> Vec<Mutation<'a>> {
+    recs.iter()
+        .filter_map(|&r| match &r.op {
             Op::Write { val, .. } => Some(Mutation {
                 rec: r,
                 val: Some(*val),
@@ -69,24 +69,29 @@ pub fn check_register(
     final_state: &BTreeMap<String, Option<u64>>,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    for key in hist.keys() {
-        let muts = mutations(hist, &key);
-        check_reads(hist, &key, &muts, semantics, &mut out);
-        if let Some(final_val) = final_state.get(&key) {
-            check_final(&key, &muts, *final_val, &mut out);
+    // Group the records by key in one stable sort: keys in `&str` order,
+    // invocation order within each key.
+    let mut recs: Vec<&OpRecord> = hist.records().iter().collect();
+    recs.sort_by(|a, b| a.op.key().cmp(b.op.key()));
+    for recs in recs.chunk_by(|a, b| a.op.key() == b.op.key()) {
+        let key = recs[0].op.key();
+        let muts = mutations(recs);
+        check_reads(key, recs, &muts, semantics, &mut out);
+        if let Some(final_val) = final_state.get(key) {
+            check_final(key, &muts, *final_val, &mut out);
         }
     }
     out
 }
 
 fn check_reads(
-    hist: &History,
     key: &str,
+    recs: &[&OpRecord],
     muts: &[Mutation<'_>],
     semantics: RegisterSemantics,
     out: &mut Vec<Violation>,
 ) {
-    for read in hist.for_key(key) {
+    for &read in recs {
         if !matches!(read.op, Op::Read { .. }) {
             continue;
         }
@@ -95,9 +100,8 @@ fn check_reads(
         };
         // Dirty read: the returned value only exists as a failed write.
         if let Some(v) = ret {
-            let writers: Vec<&Mutation<'_>> =
-                muts.iter().filter(|m| m.val == Some(v)).collect();
-            if !writers.is_empty() && writers.iter().all(|m| m.rec.outcome == Outcome::Fail) {
+            let mut writers = muts.iter().filter(|m| m.val == Some(v)).peekable();
+            if writers.peek().is_some() && writers.all(|m| m.rec.outcome == Outcome::Fail) {
                 out.push(Violation::new(
                     ViolationKind::DirtyRead,
                     format!("read of {key:?} returned {v}, written only by a FAILED write"),

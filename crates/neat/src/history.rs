@@ -171,14 +171,6 @@ impl History {
         self.records.iter().filter(move |r| r.op.key() == key)
     }
 
-    /// Distinct keys appearing in the history, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        let mut ks: Vec<String> = self.records.iter().map(|r| r.op.key().to_string()).collect();
-        ks.sort();
-        ks.dedup();
-        ks
-    }
-
     /// Renders the history one line per operation, like the paper's test
     /// listings print their workload.
     pub fn render(&self) -> String {
@@ -230,7 +222,6 @@ mod tests {
         ));
         h.push(rec(Op::Read { key: "b".into() }, Outcome::Ok(None), 2, 3));
         assert_eq!(h.for_key("a").count(), 1);
-        assert_eq!(h.keys(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]

@@ -369,21 +369,21 @@ fn campaign_allocs(mode: RunMode) -> u64 {
 }
 
 #[test]
-fn a_quiet_campaign_allocates_no_more_than_when_repkv_stopped_copying_its_log() {
-    // 25,000 is the Quick-mode total of the 93 arms (24,484), rounded up to
-    // the next thousand, at the PR that replaced the timer wheel with one
-    // heap, wrote each message into the queue once and stopped formatting
-    // notes nobody records. Sharing repkv's log had brought it from 146,233
-    // to 41,571. Debug builds, which tier-1 runs, pay for the replay that
-    // `rebuild_kv`'s debug assertion compares against: a release build
-    // takes 23,120 since the queue's free list moved into its slab, and
-    // 21,367 since outcomes stopped rendering repkv's history and the load
-    // reports.
+fn a_quiet_campaign_allocates_no_more_than_when_sync_payloads_stopped_copying() {
+    // 12,000 is the Quick-mode total of the 93 arms in the debug build
+    // tier-1 runs (11,898), rounded up to the next thousand, at the PR that
+    // made periodic sync messages share their sender's state: mqueue's
+    // queues, gridstore's grid state and the coordination session's paths
+    // (21,338 before it; in release, 20,067 before and 10,627 after).
+    // Earlier caps followed repkv sharing its log (146,233 to 41,571), one
+    // event heap with payloads written once (24,484), and outcomes that
+    // stopped rendering repkv's history. Debug builds pay for the replay
+    // that `rebuild_kv`'s debug assertion compares against.
     let quick = campaign_allocs(RunMode::Quick);
     assert!(
-        quick <= 25_000,
-        "Quick-mode arms allocated {quick} times at seed 8, more than the 25,000 \
-         they take with one heap and payloads written once"
+        quick <= 12_000,
+        "Quick-mode arms allocated {quick} times at seed 8, more than the 12,000 \
+         they take with shared sync payloads"
     );
 }
 
@@ -469,6 +469,83 @@ fn an_open_loop_read_allocates_nothing_once_its_key_is_interned() {
         |ops| alloc_counter::count_allocations(|| repkv::load::open_loop_read_shard(0, ops)).1;
     let extra = shard_allocs(4_000).saturating_sub(shard_allocs(2_000));
     assert!(extra < 100, "2,000 extra reads allocated {extra} times");
+}
+
+/// Allocations and events (deliveries plus timer fires) of 2,000 virtual
+/// ms of `neat`'s world after 1,000 ms to settle.
+fn settled_window_allocs<A: simnet::Application>(neat: &mut neat::Neat<A>) -> (u64, u64) {
+    let events = |neat: &neat::Neat<A>| {
+        let c = neat.world.trace().counters;
+        c.delivered + c.timers_fired
+    };
+    neat.sleep(1_000);
+    let before = events(neat);
+    let (_, allocs) = alloc_counter::count_allocations(|| neat.sleep(2_000));
+    (allocs, events(neat) - before)
+}
+
+#[test]
+fn a_settled_deployment_ticks_without_allocating() {
+    // A settled deployment's traffic is periodic: pings, session
+    // heartbeats, master checks, and the primary's state re-offered to
+    // every replica. Each sync shares the sender's state instead of
+    // copying it, so ticking allocates nothing. Copying the queues for
+    // every replica cost 320 allocations over this window; copying the
+    // grid state for anti-entropy cost 400.
+    let mut mq = mqueue::MqCluster::build(
+        3,
+        mqueue::BrokerFlaws::fixed(),
+        coord::CoordFlaws::default(),
+        8,
+        false,
+    );
+    let master = mq.wait_for_master(3_000, None).expect("a healthy deployment elects a master");
+    for val in 1..=3 {
+        let sent = mq.client(0).send(&mut mq.neat, master, "q", val);
+        assert_eq!(sent, neat::Outcome::Ok(None), "enqueue {val}");
+    }
+    let (allocs, events) = settled_window_allocs(&mut mq.neat);
+    assert!(events > 100, "the queue window ran only {events} events");
+    assert_eq!(allocs, 0, "a settled 3-broker queue allocated over {events} events");
+
+    let mut grid = gridstore::GridCluster::build(3, 1, gridstore::GridFlaws::fixed(), 8, false);
+    grid.neat.sleep(100);
+    let client = grid.client(0);
+    assert!(client.put(&mut grid.neat, "k", 5).is_ok());
+    assert!(client.incr(&mut grid.neat, "n", 2).is_ok());
+    assert!(client.enq(&mut grid.neat, "q", 7).is_ok());
+    assert!(client.set_add(&mut grid.neat, "s", 9).is_ok());
+    let (allocs, events) = settled_window_allocs(&mut grid.neat);
+    assert!(events > 100, "the grid window ran only {events} events");
+    assert_eq!(allocs, 0, "a settled 3-server grid allocated over {events} events");
+}
+
+#[test]
+fn the_register_checker_allocates_per_key_not_per_operation() {
+    // 10,000 sequential operations over eight keys, alternating a write
+    // and a read of it per key. Grouping by key takes one sort of one
+    // vector, so what is left is per key; listing the keys by copying
+    // every record's key allocated at least once per operation.
+    let mut hist = neat::History::new();
+    let keys: Vec<_> = (0..8).map(|k| hist.intern(&format!("k{k}"))).collect();
+    let mut last = std::collections::BTreeMap::new();
+    for i in 0..10_000u64 {
+        let key = keys[i as usize % 8].clone();
+        let (op, outcome) = if (i / 8) % 2 == 0 {
+            last.insert(key.to_string(), Some(i));
+            (neat::Op::Write { key, val: i }, neat::Outcome::Ok(None))
+        } else {
+            let seen = last[&*key];
+            (neat::Op::Read { key }, neat::Outcome::Ok(seen))
+        };
+        let (start, end) = (2 * i, 2 * i + 1);
+        hist.push(neat::OpRecord { client: NodeId(9), op, outcome, start, end });
+    }
+    let strong = neat::checkers::RegisterSemantics::Strong;
+    let (violations, allocs) =
+        alloc_counter::count_allocations(|| neat::checkers::check_register(&hist, strong, &last));
+    assert!(violations.is_empty(), "a clean history: {violations:?}");
+    assert!(allocs < 200, "checking 10,000 operations over 8 keys allocated {allocs} times");
 }
 
 #[test]
