@@ -5,13 +5,13 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use study::ToJson;
+use study::json::Value;
 
 fn run() -> std::io::Result<()> {
-    let catalog = study::catalog();
+    let catalog = Value::Arr(study::catalog().iter().map(Value::from).collect());
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    writeln!(out, "{}", study::json::pretty(&catalog.to_json()))?;
+    writeln!(out, "{}", catalog.pretty())?;
     out.flush()
 }
 

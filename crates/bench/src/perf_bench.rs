@@ -129,18 +129,19 @@ pub fn render_arm_costs(costs: &[ArmCost]) -> String {
 /// committed bytes.
 pub fn machine_json() -> String {
     let d = deterministic_counts(8);
-    let out = format!(
-        "{{\"bench\":\"perf\",\"seed\":8,\"deterministic\":{{\"counting_allocator\":{},\
-         \"arms\":{},\"fingerprint_alloc_delta_total\":{},\"render_allocs_sample\":{},\
-         \"fingerprint_bytes_total\":{},\"events_simulated_total\":{}}}}}",
-        d.counting_allocator,
-        d.arms,
-        d.fingerprint_alloc_delta_total,
-        d.render_allocs_sample,
-        d.fingerprint_bytes_total,
-        d.events_simulated_total,
-    );
-    format!("{}\n", study::json::pretty(&out))
+    let doc = study::obj! {
+        "bench" => "perf",
+        "seed" => 8u64,
+        "deterministic" => study::obj! {
+            "counting_allocator" => d.counting_allocator,
+            "arms" => d.arms,
+            "fingerprint_alloc_delta_total" => d.fingerprint_alloc_delta_total,
+            "render_allocs_sample" => d.render_allocs_sample,
+            "fingerprint_bytes_total" => d.fingerprint_bytes_total,
+            "events_simulated_total" => d.events_simulated_total,
+        },
+    };
+    format!("{}\n", doc.pretty())
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! `tables` and `figures` binaries `print!` the same streams.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 use neat::explore::{explore, Strategy};
 use neat_repro::campaign::{scenarios_of, ScenarioClass};
 use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
-use study::{catalog, stats, PartitionType, Source, Timing};
+use study::{catalog, json::Value, obj, stats, PartitionType, Source, Timing};
 
 /// `writeln!` into a `String` (which cannot fail).
 macro_rules! w {
@@ -335,68 +336,51 @@ pub fn forensics_machine_json() -> String {
     for r in &reports {
         total.merge(&r.timeline.counters);
     }
-    let counters = |out: &mut String, c: &neat::obs::Counters| {
-        let _ = write!(
-            out,
-            "{{\"events_simulated\":{},\"messages_dropped\":{},\"ops_ordered\":{},\
-             \"partitions_installed\":{},\"heals\":{},\"degrades_installed\":{},\
-             \"degrade_heals\":{},\"crashes\":{},\"restarts\":{},\
-             \"verdicts\":{},\"load_samples\":{}}}",
-            c.events_simulated,
-            c.messages_dropped,
-            c.ops_ordered,
-            c.partitions_installed,
-            c.heals,
-            c.degrades_installed,
-            c.degrade_heals,
-            c.crashes,
-            c.restarts,
-            c.verdicts,
-            c.load_samples,
-        );
-    };
-    let mut out = format!(
-        "{{\"bench\":\"forensics\",\"seed\":8,\"scenarios\":{},\"detected\":{detected},\
-         \"counters\":",
-        reports.len()
-    );
-    counters(&mut out, &total);
-    out.push_str(",\"per_scenario\":[");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let counters = |c: &neat::obs::Counters| {
+        obj! {
+            "events_simulated" => c.events_simulated,
+            "messages_dropped" => c.messages_dropped,
+            "ops_ordered" => c.ops_ordered,
+            "partitions_installed" => c.partitions_installed,
+            "heals" => c.heals,
+            "degrades_installed" => c.degrades_installed,
+            "degrade_heals" => c.degrade_heals,
+            "crashes" => c.crashes,
+            "restarts" => c.restarts,
+            "verdicts" => c.verdicts,
+            "load_samples" => c.load_samples,
         }
-        out.push_str("{\"scenario\":");
-        study::json::push_json_str(&mut out, &r.scenario);
-        let _ = write!(
-            out,
-            ",\"violations\":{},\"events\":{},\"counters\":",
-            r.violations.len(),
-            r.timeline.len()
-        );
-        counters(&mut out, &r.timeline.counters);
-        out.push('}');
-    }
-    out.push_str("]}");
-    format!("{}\n", study::json::pretty(&out))
+    };
+    let per_scenario: Vec<Value> = reports
+        .iter()
+        .map(|r| {
+            obj! {
+                "scenario" => r.scenario.as_str(),
+                "violations" => r.violations.len(),
+                "events" => r.timeline.len(),
+                "counters" => counters(&r.timeline.counters),
+            }
+        })
+        .collect();
+    let doc = obj! {
+        "bench" => "forensics",
+        "seed" => 8u64,
+        "scenarios" => reports.len(),
+        "detected" => detected,
+        "counters" => counters(&total),
+        "per_scenario" => per_scenario,
+    };
+    format!("{}\n", doc.pretty())
 }
 
 // --- gray failures -------------------------------------------------------
 
-/// Appends the distinct violation kinds in `vs`, sorted by name, as a JSON
-/// array of strings.
-fn push_kinds(out: &mut String, vs: &[neat::Violation]) {
+/// The distinct violation kinds in `vs`, sorted by name.
+fn kinds(vs: &[neat::Violation]) -> Value {
     let mut kinds: Vec<String> = vs.iter().map(|v| v.kind.to_string()).collect();
     kinds.sort();
     kinds.dedup();
-    out.push('[');
-    for (i, kind) in kinds.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        study::json::push_json_str(out, kind);
-    }
-    out.push(']');
+    kinds.into()
 }
 
 /// Exact content of `BENCH_gray.json`: every gray-failure scenario of the
@@ -411,35 +395,32 @@ pub fn gray_machine_json() -> String {
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
         .sum();
-    let mut out = format!(
-        "{{\"bench\":\"gray\",\"seed\":8,\"scenarios\":{},\"arms\":{arms},\
-         \"per_scenario\":[",
-        gray.len()
-    );
-    for (i, s) in gray.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let flawed = (s.flawed)(8, true);
-        let fixed = s.fixed.map(|f| f(8, true));
-        out.push_str("{\"scenario\":");
-        study::json::push_json_str(&mut out, s.name);
-        out.push_str(",\"partition\":");
-        study::json::push_json_str(&mut out, s.partition);
-        out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &flawed.violations);
-        out.push_str(",\"fixed\":");
-        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
-        let c = &flawed.timeline.counters;
-        let _ = write!(
-            out,
-            ",\"degrades_installed\":{},\"degrade_heals\":{},\
-             \"messages_dropped\":{},\"verdicts\":{}}}",
-            c.degrades_installed, c.degrade_heals, c.messages_dropped, c.verdicts,
-        );
-    }
-    out.push_str("]}");
-    format!("{}\n", study::json::pretty(&out))
+    let per_scenario: Vec<Value> = gray
+        .iter()
+        .map(|s| {
+            let flawed = (s.flawed)(8, true);
+            let fixed = s.fixed.map(|f| f(8, true));
+            let c = &flawed.timeline.counters;
+            obj! {
+                "scenario" => s.name,
+                "partition" => s.partition,
+                "flawed" => kinds(&flawed.violations),
+                "fixed" => kinds(fixed.as_ref().map_or(&[], |f| &f.violations)),
+                "degrades_installed" => c.degrades_installed,
+                "degrade_heals" => c.degrade_heals,
+                "messages_dropped" => c.messages_dropped,
+                "verdicts" => c.verdicts,
+            }
+        })
+        .collect();
+    let doc = obj! {
+        "bench" => "gray",
+        "seed" => 8u64,
+        "scenarios" => gray.len(),
+        "arms" => arms,
+        "per_scenario" => per_scenario,
+    };
+    format!("{}\n", doc.pretty())
 }
 
 // --- load workloads ------------------------------------------------------
@@ -469,40 +450,33 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         .iter()
         .map(|s| 1 + usize::from(s.fixed.is_some()))
         .sum();
-    let mut out = format!(
-        "{{\"bench\":\"workload\",\"seed\":8,\"load_scenarios\":{},\"arms\":{arms},\
-         \"per_scenario\":[",
-        load.len()
-    );
-    for (i, s) in load.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let flawed = (s.flawed)(8, true);
-        let fixed = s.fixed.map(|f| f(8, true));
-        out.push_str("{\"scenario\":");
-        study::json::push_json_str(&mut out, s.name);
-        out.push_str(",\"partition\":");
-        study::json::push_json_str(&mut out, s.partition);
-        out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &flawed.violations);
-        out.push_str(",\"fixed\":");
-        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
-        let (ok, fail, timeout) = flawed.timeline.op_outcome_counts();
-        let (p50, p99, p999, max) = flawed
-            .timeline
-            .latency_percentiles()
-            .unwrap_or((0, 0, 0, 0));
-        let _ = write!(
-            out,
-            ",\"ops\":{},\"ok\":{ok},\"fail\":{fail},\"timeout\":{timeout},\
-             \"p50\":{p50},\"p99\":{p99},\"p999\":{p999},\"max\":{max},\
-             \"load_samples\":{}}}",
-            ok + fail + timeout,
-            flawed.timeline.counters.load_samples,
-        );
-    }
-    out.push_str("],\"open_loop\":");
+    let per_scenario: Vec<Value> = load
+        .iter()
+        .map(|s| {
+            let flawed = (s.flawed)(8, true);
+            let fixed = s.fixed.map(|f| f(8, true));
+            let (ok, fail, timeout) = flawed.timeline.op_outcome_counts();
+            let (p50, p99, p999, max) = flawed
+                .timeline
+                .latency_percentiles()
+                .unwrap_or((0, 0, 0, 0));
+            obj! {
+                "scenario" => s.name,
+                "partition" => s.partition,
+                "flawed" => kinds(&flawed.violations),
+                "fixed" => kinds(fixed.as_ref().map_or(&[], |f| &f.violations)),
+                "ops" => ok + fail + timeout,
+                "ok" => ok,
+                "fail" => fail,
+                "timeout" => timeout,
+                "p50" => p50,
+                "p99" => p99,
+                "p999" => p999,
+                "max" => max,
+                "load_samples" => flawed.timeline.counters.load_samples,
+            }
+        })
+        .collect();
 
     // The determinism ladder: the same sharded run at every jobs rung
     // must merge to the same bytes (fleet's index-sorted reduce plus
@@ -524,75 +498,71 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
         rendered.push(total.render());
     }
     let byte_identical = rendered.iter().all(|r| *r == rendered[0]);
-    let _ = write!(
-        out,
-        "{{\"ops\":{},\"shards\":{LADDER_SHARDS},\"jobs\":[1,2,4,8],\
-         \"byte_identical\":{byte_identical},\"issued\":{},\"ok\":{},\
-         \"fail\":{},\"timeout\":{},\"p50\":{},\"p99\":{},\"p999\":{},\
-         \"max\":{},\"report\":",
-        per_shard * LADDER_SHARDS as u64,
-        merged.issued,
-        merged.ok,
-        merged.failed,
-        merged.timed_out,
-        merged.latency.p50().unwrap_or(0),
-        merged.latency.p99().unwrap_or(0),
-        merged.latency.p999().unwrap_or(0),
-        merged.latency.max().unwrap_or(0),
-    );
-    study::json::push_json_str(&mut out, &rendered[0]);
-    out.push_str("}}");
-    format!("{}\n", study::json::pretty(&out))
+    let doc = obj! {
+        "bench" => "workload",
+        "seed" => 8u64,
+        "load_scenarios" => load.len(),
+        "arms" => arms,
+        "per_scenario" => per_scenario,
+        "open_loop" => obj! {
+            "ops" => per_shard * LADDER_SHARDS as u64,
+            "shards" => LADDER_SHARDS,
+            "jobs" => LADDER_JOBS.to_vec(),
+            "byte_identical" => byte_identical,
+            "issued" => merged.issued,
+            "ok" => merged.ok,
+            "fail" => merged.failed,
+            "timeout" => merged.timed_out,
+            "p50" => merged.latency.p50().unwrap_or(0),
+            "p99" => merged.latency.p99().unwrap_or(0),
+            "p999" => merged.latency.p999().unwrap_or(0),
+            "max" => merged.latency.max().unwrap_or(0),
+            "report" => rendered[0].as_str(),
+        },
+    };
+    format!("{}\n", doc.pretty())
 }
 
 // --- lint scan counters --------------------------------------------------
 
-/// Exact content of `BENCH_lint.json`: the determinism-lint scan of the
-/// whole workspace reduced to deterministic counters — files, lines, and
-/// tokens scanned, `use` declarations resolved, allow sites and how many
-/// of them suppress something, per-rule finding/allow counts, and the
+/// Exact content of `BENCH_lint.json` for the workspace at `root`: the
+/// determinism-lint scan reduced to deterministic counters — files, lines,
+/// and tokens scanned, `use` declarations resolved, allow sites and how
+/// many of them suppress something, per-rule finding/allow counts, and the
 /// registry-consistency verdict. A pure function of the committed source
-/// tree (no wall-clock numbers), so it is golden-tested byte-for-byte
-/// and regenerating it flags any scan regression as a diff.
-pub fn lint_machine_json() -> String {
-    use std::fmt::Write as _;
-
-    let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let report = match lint::analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => panic!("lint scan of {} failed: {e}", root.display()),
-    };
+/// tree (no wall-clock numbers), so it is golden-tested byte-for-byte and
+/// regenerating it flags any scan regression as a diff. `Err` names
+/// `root` when the scan cannot read it.
+pub fn lint_machine_json(root: &Path) -> Result<String, String> {
+    let report = lint::analyze_workspace(root)
+        .map_err(|e| format!("lint scan of {} failed: {e}", root.display()))?;
     let registry = lint::check_registry(root);
     let s = &report.stats;
-    let mut out = format!(
-        "{{\"bench\":\"lint\",\"files\":{},\"lines\":{},\"tokens\":{},\
-         \"use_decls\":{},\"allow_sites\":{},\"allows_used\":{},\
-         \"unused_allows\":{},\"findings_total\":{},\"per_rule\":[",
-        s.files,
-        s.lines,
-        s.tokens,
-        s.use_decls,
-        s.allow_sites,
-        s.allows_used,
-        report.unused_allows.len(),
-        report.findings.len(),
-    );
-    for (i, (rule, findings, allows)) in s.per_rule.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"rule\":");
-        study::json::push_json_str(&mut out, rule.name());
-        let _ = write!(out, ",\"findings\":{findings},\"allows\":{allows}}}");
-    }
-    let _ = write!(
-        out,
-        "],\"registry\":{{\"scenarios\":{},\"arms\":{},\"findings\":{}}}}}",
-        registry.scenarios,
-        registry.arms,
-        registry.findings.len(),
-    );
-    format!("{}\n", study::json::pretty(&out))
+    let per_rule: Vec<Value> = s
+        .per_rule
+        .iter()
+        .map(|(rule, findings, allows)| {
+            obj! { "rule" => rule.name(), "findings" => *findings, "allows" => *allows }
+        })
+        .collect();
+    let doc = obj! {
+        "bench" => "lint",
+        "files" => s.files,
+        "lines" => s.lines,
+        "tokens" => s.tokens,
+        "use_decls" => s.use_decls,
+        "allow_sites" => s.allow_sites,
+        "allows_used" => s.allows_used,
+        "unused_allows" => report.unused_allows.len(),
+        "findings_total" => report.findings.len(),
+        "per_rule" => per_rule,
+        "registry" => obj! {
+            "scenarios" => registry.scenarios,
+            "arms" => registry.arms,
+            "findings" => registry.findings.len(),
+        },
+    };
+    Ok(format!("{}\n", doc.pretty()))
 }
 
 // --- coverage-guided exploration -----------------------------------------
@@ -620,34 +590,15 @@ const CURVE_SEEDS: usize = 32;
 /// Trial budget of each curve run — the `finding13` budget of `figures`.
 const CURVE_TRIALS: usize = 40;
 
-/// Runs one strategy at the standard budget and serializes its report.
-fn push_explore_arm(out: &mut String, label: &str, report: &neat::explore::ExplorationReport) {
-    use std::fmt::Write as _;
-
-    out.push('"');
-    out.push_str(label);
-    out.push_str("\":{\"hits\":");
-    let _ = write!(out, "{}", report.trials_with_violation);
-    out.push_str(",\"first\":");
-    match report.first_violation_trial {
-        Some(t) => {
-            let _ = write!(out, "{t}");
-        }
-        None => out.push_str("null"),
+/// One strategy's report at the standard budget.
+fn explore_arm(report: &neat::explore::ExplorationReport) -> Value {
+    obj! {
+        "hits" => report.trials_with_violation,
+        "first" => report.first_violation_trial,
+        "distinct_kinds" => report.distinct_kinds(),
+        "signatures" => report.signatures.len(),
+        "kinds" => report.kinds.keys().map(ToString::to_string).collect::<Vec<_>>(),
     }
-    let _ = write!(
-        out,
-        ",\"distinct_kinds\":{},\"signatures\":{},\"kinds\":[",
-        report.distinct_kinds(),
-        report.signatures.len()
-    );
-    for (i, kind) in report.kinds.keys().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        study::json::push_json_str(out, &kind.to_string());
-    }
-    out.push_str("]}");
 }
 
 /// Builds the baked plan for one explored registry scenario at
@@ -692,16 +643,10 @@ fn explored_plan_facts<T: neat::explore::TestTarget>(
 ///   profile whose first violation arrived within `b` trials.
 ///
 /// All numbers are virtual-time and seed-pure, so the artifact is fully
-/// deterministic and golden-tested byte-for-byte.
-pub fn explore_machine_json() -> String {
-    use std::fmt::Write as _;
-
-    use neat::explore::{explore, Strategy, TestTarget};
-
-    let mut out = format!(
-        "{{\"bench\":\"explore\",\"seed\":{EXPLORE_SEED},\
-         \"trials_per_strategy\":{EXPLORE_TRIALS},\"targets\":["
-    );
+/// deterministic and golden-tested byte-for-byte. `Err` names an explored
+/// scenario this function has no plan builder for.
+pub fn explore_machine_json() -> Result<String, String> {
+    use neat::explore::TestTarget;
 
     // Strategy comparison at equal budget on three real flawed systems.
     type MakeTarget = Box<dyn Fn() -> Box<dyn TestTarget>>;
@@ -722,10 +667,8 @@ pub fn explore_machine_json() -> String {
         ),
     ];
     let mut strictly_better = 0usize;
-    for (i, (name, make)) in targets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut compared = Vec::new();
+    for (name, make) in &targets {
         let mut target = make();
         let naive = explore(target.as_mut(), &Strategy::naive(4), EXPLORE_TRIALS, EXPLORE_SEED);
         let guided = explore(
@@ -742,17 +685,14 @@ pub fn explore_machine_json() -> String {
         );
         let beats = coverage.distinct_kinds() > naive.distinct_kinds();
         strictly_better += usize::from(beats);
-        out.push_str("{\"target\":");
-        study::json::push_json_str(&mut out, name);
-        out.push(',');
-        push_explore_arm(&mut out, "naive", &naive);
-        out.push(',');
-        push_explore_arm(&mut out, "guided", &guided);
-        out.push(',');
-        push_explore_arm(&mut out, "coverage", &coverage);
-        let _ = write!(out, ",\"coverage_beats_naive\":{beats}}}");
+        compared.push(obj! {
+            "target" => *name,
+            "naive" => explore_arm(&naive),
+            "guided" => explore_arm(&guided),
+            "coverage" => explore_arm(&coverage),
+            "coverage_beats_naive" => beats,
+        });
     }
-    let _ = write!(out, "],\"coverage_strictly_better_targets\":{strictly_better}");
 
     // Sharded merge invariance: serial vs 2 and 4 jobs, byte-for-byte.
     let make = || repkv::RepkvTarget::new(repkv::Config::voltdb());
@@ -776,25 +716,12 @@ pub fn explore_machine_json() -> String {
         );
         format!("{parallel:?}") == format!("{serial:?}")
     });
-    let _ = write!(
-        out,
-        ",\"sharded\":{{\"shards\":{EXPLORE_SHARDS},\
-         \"trials_per_shard\":{EXPLORE_SHARD_TRIALS},\"jobs\":[1,2,4],\
-         \"byte_identical\":{byte_identical},\"corpus\":{},\"finds\":{},\
-         \"signatures\":{}}}",
-        serial.corpus.len(),
-        serial.finds.len(),
-        serial.report.signatures.len(),
-    );
 
     // Delta-minimized registry regressions: both arms at seed 8 plus a
     // fresh 1-minimality proof by replay.
     let explored: Vec<_> = scenarios_of(ScenarioClass::Explored).collect();
-    out.push_str(",\"minimized\":[");
-    for (i, s) in explored.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut minimized = Vec::new();
+    for s in &explored {
         let flawed = (s.flawed)(EXPLORE_SEED, false);
         let fixed = s.fixed.map(|f| f(EXPLORE_SEED, false));
         let (steps, plan, one_minimal) = match s.name {
@@ -816,28 +743,19 @@ pub fn explore_machine_json() -> String {
                 mqueue::explored::partition_double_dequeue_plan,
                 neat::ViolationKind::DoubleDequeue,
             ),
-            other => panic!("explored scenario {other} has no plan builder in the bench"),
+            other => return Err(format!("explored scenario {other} has no plan builder")),
         };
-        out.push_str("{\"scenario\":");
-        study::json::push_json_str(&mut out, s.name);
-        out.push_str(",\"system\":");
-        study::json::push_json_str(&mut out, s.system);
-        out.push_str(",\"partition\":");
-        study::json::push_json_str(&mut out, s.partition);
-        let _ = write!(out, ",\"steps\":{steps},\"plan\":");
-        study::json::push_json_str(&mut out, &plan);
-        out.push_str(",\"flawed\":");
-        push_kinds(&mut out, &flawed.violations);
-        out.push_str(",\"fixed\":");
-        push_kinds(&mut out, fixed.as_ref().map_or(&[], |f| &f.violations));
-        let _ = write!(out, ",\"one_minimal\":{one_minimal}}}");
+        minimized.push(obj! {
+            "scenario" => s.name,
+            "system" => s.system,
+            "partition" => s.partition,
+            "steps" => steps,
+            "plan" => plan,
+            "flawed" => kinds(&flawed.violations),
+            "fixed" => kinds(fixed.as_ref().map_or(&[], |f| &f.violations)),
+            "one_minimal" => one_minimal,
+        });
     }
-    let _ = write!(
-        out,
-        "],\"minimized_count\":{},\"explored_scenarios\":{}",
-        explored.len(),
-        explored.len(),
-    );
 
     // The §5.4 curve: budget `b` detects iff the run's first violation
     // arrived within `b` trials.
@@ -853,21 +771,41 @@ pub fn explore_machine_json() -> String {
         &Strategy::findings_guided(),
         CURVE_TRIALS,
     );
-    let _ = write!(
-        out,
-        ",\"detection_curve\":{{\"sweep_seeds\":{CURVE_SEEDS},\"trials\":{CURVE_TRIALS},\
-         \"points\":["
-    );
-    for b in 1..=CURVE_TRIALS {
-        let hit = runs
-            .iter()
-            .filter(|r| r.first_violation_trial.is_some_and(|t| t <= b))
-            .count();
-        let sep = if b > 1 { "," } else { "" };
-        let _ = write!(out, "{sep}{:.3}", hit as f64 / CURVE_SEEDS as f64);
-    }
-    out.push_str("]}}");
-    format!("{}\n", study::json::pretty(&out))
+    let points: Vec<Value> = (1..=CURVE_TRIALS)
+        .map(|b| {
+            let hit = runs
+                .iter()
+                .filter(|r| r.first_violation_trial.is_some_and(|t| t <= b))
+                .count();
+            Value::Num(format!("{:.3}", hit as f64 / CURVE_SEEDS as f64))
+        })
+        .collect();
+
+    let doc = obj! {
+        "bench" => "explore",
+        "seed" => EXPLORE_SEED,
+        "trials_per_strategy" => EXPLORE_TRIALS,
+        "targets" => compared,
+        "coverage_strictly_better_targets" => strictly_better,
+        "sharded" => obj! {
+            "shards" => EXPLORE_SHARDS,
+            "trials_per_shard" => EXPLORE_SHARD_TRIALS,
+            "jobs" => vec![1usize, 2, 4],
+            "byte_identical" => byte_identical,
+            "corpus" => serial.corpus.len(),
+            "finds" => serial.finds.len(),
+            "signatures" => serial.report.signatures.len(),
+        },
+        "minimized" => minimized,
+        "minimized_count" => explored.len(),
+        "explored_scenarios" => explored.len(),
+        "detection_curve" => obj! {
+            "sweep_seeds" => CURVE_SEEDS,
+            "trials" => CURVE_TRIALS,
+            "points" => points,
+        },
+    };
+    Ok(format!("{}\n", doc.pretty()))
 }
 
 #[cfg(test)]
@@ -920,82 +858,95 @@ mod tests {
         assert!(stream.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
+    /// The artifact parsed, with its `bench` name checked.
+    fn parse_artifact(json: &str, bench: &str) -> Value {
+        assert!(json.ends_with('\n'));
+        let doc = study::json::parse(json).expect("the artifact parses");
+        assert_eq!(doc.get("bench").and_then(Value::as_str), Some(bench), "{json}");
+        doc
+    }
+
+    /// The rows under `key`: one per scenario of `class`, in registry
+    /// order, each detecting a violation on its flawed arm and none on its
+    /// repaired one (an absent repaired arm reads as clean).
+    fn verdict_rows<'a>(doc: &'a Value, key: &str, class: ScenarioClass) -> &'a [Value] {
+        let rows = doc.get(key).and_then(Value::as_array).expect("the rows");
+        let names = rows.iter().map(|r| r.get("scenario").and_then(Value::as_str));
+        assert!(names.eq(scenarios_of(class).map(|s| Some(s.name))), "{rows:?}");
+        for row in rows {
+            let kinds = |arm| row.get(arm).and_then(Value::as_array).map(<[Value]>::len);
+            assert!(kinds("flawed") > Some(0), "flawed arm detects nothing: {row:?}");
+            assert_eq!(kinds("fixed"), Some(0), "repaired arm is not clean: {row:?}");
+        }
+        rows
+    }
+
     #[test]
     fn explore_machine_json_meets_the_acceptance_criteria() {
-        let json = explore_machine_json();
-        assert!(json.contains("\"bench\": \"explore\""), "{json}");
-        let compact: String = json.chars().filter(|c| !c.is_whitespace()).collect();
+        let json = explore_machine_json().expect("every explored scenario has a plan builder");
+        let doc = parse_artifact(&json, "explore");
         // Acceptance: coverage-guided search finds strictly more distinct
         // violation kinds than naive random testing at the same trial
         // budget on at least two real targets.
-        let better: usize = compact
-            .split("\"coverage_strictly_better_targets\":")
-            .nth(1)
-            .and_then(|s| s.split(',').next())
-            .and_then(|s| s.parse().ok())
+        let better = doc
+            .get("coverage_strictly_better_targets")
+            .and_then(Value::as_u64)
             .expect("coverage_strictly_better_targets present");
         assert!(better >= 2, "coverage beat naive on {better} targets: {json}");
         // Sharded exploration must merge byte-identically at every rung.
-        assert!(compact.contains("\"byte_identical\":true"), "{json}");
+        let sharded = doc.get("sharded").and_then(|s| s.get("byte_identical"));
+        assert_eq!(sharded.and_then(Value::as_bool), Some(true), "{json}");
         // Every shipped regression is 1-minimal, reproduces when flawed,
         // and is clean when repaired.
-        assert!(!compact.contains("\"one_minimal\":false"), "{json}");
-        assert!(!compact.contains("\"flawed\":[]"), "{json}");
-        assert!(compact.contains("\"fixed\":[]"), "{json}");
-        let explored: Vec<_> = scenarios_of(ScenarioClass::Explored).collect();
-        assert!(explored.len() >= 2, "only {} explored scenarios", explored.len());
-        for s in &explored {
-            assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
+        let minimized = verdict_rows(&doc, "minimized", ScenarioClass::Explored);
+        assert!(minimized.len() >= 2, "only {} explored scenarios", minimized.len());
+        for m in minimized {
+            assert_eq!(m.get("one_minimal").and_then(Value::as_bool), Some(true), "{m:?}");
         }
-        assert!(
-            compact.contains(&format!("\"minimized_count\":{}", explored.len())),
-            "{json}"
-        );
-        assert!(json.ends_with('\n'));
+        let count = doc.get("minimized_count").and_then(Value::as_u64);
+        assert_eq!(count, Some(minimized.len() as u64));
     }
 
     #[test]
     fn gray_machine_json_covers_every_gray_scenario() {
-        let json = gray_machine_json();
-        assert!(json.contains("\"bench\": \"gray\""), "{json}");
-        let gray: Vec<_> = scenarios_of(ScenarioClass::Gray).collect();
-        assert!(gray.len() >= 6, "only {} gray scenarios", gray.len());
-        for s in &gray {
-            assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
-        }
+        let doc = parse_artifact(&gray_machine_json(), "gray");
         // Every gray scenario installs at least one degradation, detects a
-        // violation when flawed, and is clean when repaired. (The pretty
-        // printer spreads arrays over lines, so compare whitespace-free.)
-        let compact: String = json.chars().filter(|c| !c.is_whitespace()).collect();
-        assert!(!compact.contains("\"degrades_installed\":0"), "{json}");
-        assert!(!compact.contains("\"flawed\":[]"), "{json}");
-        assert!(compact.contains("\"fixed\":[]"), "{json}");
-        assert!(json.ends_with('\n'));
+        // violation when flawed, and is clean when repaired.
+        let per_scenario = verdict_rows(&doc, "per_scenario", ScenarioClass::Gray);
+        assert!(per_scenario.len() >= 6, "only {} gray scenarios", per_scenario.len());
+        for row in per_scenario {
+            let degrades = row.get("degrades_installed").and_then(Value::as_u64);
+            assert!(degrades > Some(0), "{row:?}");
+        }
     }
 
     #[test]
     fn workload_machine_json_covers_every_load_scenario() {
         // A small ladder keeps the test quick; the artifact runs a million.
-        let json = workload_machine_json(4000);
-        assert!(json.contains("\"bench\": \"workload\""), "{json}");
-        let load: Vec<_> = scenarios_of(ScenarioClass::Load).collect();
-        assert!(load.len() >= 5, "only {} load scenarios", load.len());
-        for s in &load {
-            assert!(json.contains(&format!("\"{}\"", s.name)), "missing {}", s.name);
-        }
+        let doc = parse_artifact(&workload_machine_json(4000), "workload");
         // Every load scenario drives real traffic, samples the stream,
         // detects when flawed, and is clean when repaired; the ladder
         // merges byte-identically at every jobs rung.
-        let compact: String = json.chars().filter(|c| !c.is_whitespace()).collect();
-        assert!(!compact.contains("\"ops\":0,"), "{json}");
-        assert!(!compact.contains("\"load_samples\":0"), "{json}");
-        assert!(!compact.contains("\"flawed\":[]"), "{json}");
-        assert!(compact.contains("\"fixed\":[]"), "{json}");
-        assert!(compact.contains("\"byte_identical\":true"), "{json}");
+        let per_scenario = verdict_rows(&doc, "per_scenario", ScenarioClass::Load);
+        assert!(per_scenario.len() >= 5, "only {} load scenarios", per_scenario.len());
+        for row in per_scenario {
+            for counter in ["ops", "load_samples"] {
+                assert!(row.get(counter).and_then(Value::as_u64) > Some(0), "{row:?}");
+            }
+        }
+        let ladder = doc.get("open_loop").expect("open_loop present");
+        assert_eq!(ladder.get("byte_identical").and_then(Value::as_bool), Some(true));
         // Healthy-cluster ladder shards must answer every read: a shard
         // streaming against a stale leader shows up as fails here.
-        assert!(compact.contains("\"issued\":4000,\"ok\":4000,\"fail\":0"), "{json}");
-        assert!(json.ends_with('\n'));
+        let answered = ["issued", "ok", "fail"].map(|k| ladder.get(k).and_then(Value::as_u64));
+        assert_eq!(answered, [Some(4000), Some(4000), Some(0)], "{ladder:?}");
+    }
+
+    #[test]
+    fn lint_machine_json_names_a_root_it_cannot_scan() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-workspace");
+        let err = lint_machine_json(&root).expect_err("nothing to scan there");
+        assert!(err.contains(&root.display().to_string()), "{err}");
     }
 
     #[test]

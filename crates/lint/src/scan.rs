@@ -908,25 +908,20 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
 /// The output parses back through `study::json::parse` — see the
 /// round-trip test in `tests/lint_gate.rs`.
 pub fn findings_to_json(findings: &[Finding]) -> String {
-    use study::json::push_json_str;
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"path\":");
-        push_json_str(&mut out, &f.path);
-        out.push_str(&format!(",\"line\":{},\"rule\":", f.line));
-        push_json_str(&mut out, f.rule.name());
-        out.push_str(",\"message\":");
-        push_json_str(&mut out, &f.message);
-        out.push('}');
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push(']');
-    out
+    let rows: Vec<String> = findings
+        .iter()
+        .map(|f| {
+            let row = study::obj! {
+                "path" => f.path.as_str(),
+                "line" => f.line,
+                "rule" => f.rule.name(),
+                "message" => f.message.as_str(),
+            };
+            format!("\n  {}", row.to_json())
+        })
+        .collect();
+    let end = if findings.is_empty() { "" } else { "\n" };
+    format!("[{}{end}]", rows.join(","))
 }
 
 #[cfg(test)]

@@ -4,7 +4,8 @@
 //! this checker is the general-purpose fallback: it decides whether a
 //! register history has *any* valid linearization. It is exponential in the
 //! worst case and intended for the short histories NEAT tests produce
-//! (≲ 20 operations per key).
+//! (≲ 20 operations per key); the done-set grows with the history, so a
+//! long sequential one is checked too.
 
 use std::collections::BTreeSet;
 
@@ -35,20 +36,15 @@ struct Entry {
 /// Returns a [`ViolationKind::NotLinearizable`] violation when no
 /// linearization exists. Failed mutations and timed-out reads constrain
 /// nothing and are dropped before the search.
-///
-/// # Panics
-///
-/// Panics if more than 63 operations constrain the search (the done-set is a
-/// bitmask); NEAT histories are far smaller.
 pub fn check_linearizable_register(
     hist: &History,
     key: &str,
     initial: Option<u64>,
 ) -> Vec<Violation> {
     let entries = normalize(hist, key);
-    assert!(entries.len() <= 63, "history too large for the checker");
+    let mut done = vec![0u64; entries.len().div_ceil(64)];
     let mut memo = BTreeSet::new();
-    if search(&entries, 0, initial, &mut memo) {
+    if search(&entries, &mut done, entries.len(), initial, &mut memo) {
         Vec::new()
     } else {
         vec![Violation::new(
@@ -101,50 +97,51 @@ fn to_lin_op(r: &OpRecord) -> Option<LinOp> {
     }
 }
 
-/// Key for the memo table: which ops are done plus the register value.
-fn memo_key(done: u64, value: Option<u64>) -> (u64, u64, bool) {
-    (done, value.unwrap_or(0), value.is_some())
+/// Whether operation `i` is in the done-set, a bitset of 64-bit words.
+fn is_done(done: &[u64], i: usize) -> bool {
+    done[i / 64] & (1 << (i % 64)) != 0
 }
 
+/// Searches for a linearization of the `left` operations not in `done`,
+/// starting from register `value`. The memo holds every (done-set, value)
+/// state already shown to lead nowhere.
 fn search(
     entries: &[Entry],
-    done: u64,
+    done: &mut [u64],
+    left: usize,
     value: Option<u64>,
-    memo: &mut BTreeSet<(u64, u64, bool)>,
+    memo: &mut BTreeSet<(Vec<u64>, Option<u64>)>,
 ) -> bool {
-    if done == (1u64 << entries.len()) - 1 {
+    if left == 0 {
         return true;
     }
-    if !memo.insert(memo_key(done, value)) {
+    if !memo.insert((done.to_vec(), value)) {
         return false;
     }
     for (i, e) in entries.iter().enumerate() {
-        if done & (1 << i) != 0 {
+        if is_done(done, i) {
             continue;
         }
         // Minimality: no other pending op must fully precede `e`.
-        let minimal = entries.iter().enumerate().all(|(j, p)| {
-            j == i || done & (1 << j) != 0 || p.end >= e.start
-        });
+        let minimal = entries
+            .iter()
+            .enumerate()
+            .all(|(j, p)| j == i || is_done(done, j) || p.end >= e.start);
         if !minimal {
             continue;
         }
-        let next_done = done | (1 << i);
-        match e.op {
+        done[i / 64] |= 1 << (i % 64);
+        let found = match e.op {
+            // A timed-out mutation may also never take effect.
             LinOp::Mutate { to, definite } => {
-                if search(entries, next_done, to, memo) {
-                    return true;
-                }
-                // A timed-out mutation may also never take effect.
-                if !definite && search(entries, next_done, value, memo) {
-                    return true;
-                }
+                search(entries, done, left - 1, to, memo)
+                    || (!definite && search(entries, done, left - 1, value, memo))
             }
-            LinOp::Read { ret } => {
-                if ret == value && search(entries, next_done, value, memo) {
-                    return true;
-                }
-            }
+            LinOp::Read { ret } => ret == value && search(entries, done, left - 1, value, memo),
+        };
+        done[i / 64] &= !(1 << (i % 64));
+        if found {
+            return true;
         }
     }
     false
@@ -278,5 +275,31 @@ mod tests {
         let h = hist(vec![r(Some(9), 0, 2)]);
         assert!(check_linearizable_register(&h, "k", Some(9)).is_empty());
         assert!(!check_linearizable_register(&h, "k", None).is_empty());
+    }
+
+    /// 50 write/read pairs, one after another: 100 operations, past the
+    /// 63 a one-word done-set could hold.
+    fn hundred_sequential_ops() -> Vec<OpRecord> {
+        (0..50u64)
+            .flat_map(|i| {
+                [
+                    w(i, Outcome::Ok(None), 20 * i, 20 * i + 5),
+                    r(Some(i), 20 * i + 10, 20 * i + 15),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_hundred_sequential_ops_are_linearizable() {
+        assert!(linearizable(&hist(hundred_sequential_ops())));
+    }
+
+    #[test]
+    fn a_stale_read_after_a_hundred_ops_is_not_linearizable() {
+        let mut ops = hundred_sequential_ops();
+        let last = ops.last_mut().expect("a non-empty history");
+        last.outcome = Outcome::Ok(Some(48));
+        assert!(!linearizable(&hist(ops)));
     }
 }

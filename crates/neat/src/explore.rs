@@ -235,8 +235,9 @@ impl ExplorationReport {
 }
 
 /// A violating trial: the schedule, the seed that reproduces it, and the
-/// distinct verdict kinds it produced. Feed to
-/// [`minimize::minimize_for_kind`] to shrink.
+/// distinct verdict kinds it produced. Shrink its `plan.steps` with
+/// [`minimize::ddmin`] under a predicate that resets the target at
+/// `trial_seed` and replays the candidate.
 #[derive(Clone, Debug)]
 pub struct Find {
     /// The schedule that tripped a checker.

@@ -7,27 +7,19 @@
 //! every run or on none — and because client steps carry their own RNG
 //! seeds ([`super::schedule`]), so deleting a step never perturbs the
 //! steps that survive. Minimized schedules are small enough to read and
-//! stable enough to commit as permanent regression scenarios.
+//! stable enough to commit as permanent regression scenarios. Neither
+//! [`ddmin`] nor [`is_one_minimal`] knows what a step is: the caller's
+//! predicate replays whatever sequence is being shrunk.
 
 #![deny(missing_docs)]
 
-use crate::checkers::ViolationKind;
-
-use super::{
-    schedule::{run_schedule, SchedulePlan, ScheduleStep},
-    TestTarget,
-};
-
-/// Zeller's ddmin over schedule steps: returns a subsequence of `steps`
-/// (in original order) on which `test` still holds, 1-minimal with
-/// respect to single-step removal.
+/// Zeller's ddmin over any sequence — schedule steps, action ordinals:
+/// returns a subsequence of `steps` (in original order) on which `test`
+/// still holds, 1-minimal with respect to single-step removal.
 ///
 /// `test` must hold on `steps` itself; callers check that before
-/// minimizing (see [`minimize_for_kind`]).
-pub fn ddmin(
-    steps: &[ScheduleStep],
-    mut test: impl FnMut(&[ScheduleStep]) -> bool,
-) -> Vec<ScheduleStep> {
+/// minimizing.
+pub fn ddmin<T: Clone>(steps: &[T], mut test: impl FnMut(&[T]) -> bool) -> Vec<T> {
     let mut current = steps.to_vec();
     let mut granularity = 2usize;
     while current.len() >= 2 {
@@ -80,10 +72,7 @@ pub fn ddmin(
 
 /// `true` when `test` holds on `steps` but on no variant with one step
 /// removed — the 1-minimality certificate the bench artifact records.
-pub fn is_one_minimal(
-    steps: &[ScheduleStep],
-    mut test: impl FnMut(&[ScheduleStep]) -> bool,
-) -> bool {
+pub fn is_one_minimal<T: Clone>(steps: &[T], mut test: impl FnMut(&[T]) -> bool) -> bool {
     if !test(steps) {
         return false;
     }
@@ -97,46 +86,10 @@ pub fn is_one_minimal(
     true
 }
 
-/// Replays `steps` on a freshly reset target and reports whether a
-/// violation of `kind` was detected. The reset seed makes this a pure
-/// function of `(target construction, seed, steps)`.
-pub fn reproduces(
-    target: &mut dyn TestTarget,
-    steps: &[ScheduleStep],
-    seed: u64,
-    kind: ViolationKind,
-) -> bool {
-    target.reset(seed, false);
-    if target.servers().is_empty() {
-        return false;
-    }
-    let plan = SchedulePlan {
-        steps: steps.to_vec(),
-    };
-    run_schedule(target, &plan).iter().any(|v| v.kind == kind)
-}
-
-/// Shrinks `plan` to a 1-minimal schedule that still reproduces a
-/// violation of `kind` on `target` at `seed`. Returns `None` when the
-/// full plan does not reproduce it in the first place (a flaky find —
-/// impossible under deterministic replay unless the seed is wrong).
-pub fn minimize_for_kind(
-    target: &mut dyn TestTarget,
-    plan: &SchedulePlan,
-    seed: u64,
-    kind: ViolationKind,
-) -> Option<SchedulePlan> {
-    if !reproduces(target, &plan.steps, seed, kind) {
-        return None;
-    }
-    let steps = ddmin(&plan.steps, |s| reproduces(target, s, seed, kind));
-    Some(SchedulePlan { steps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::EventChoice;
+    use crate::explore::{EventChoice, ScheduleStep};
 
     fn client(ev: EventChoice, seed: u64) -> ScheduleStep {
         ScheduleStep::Client(ev, seed)
@@ -172,7 +125,10 @@ mod tests {
     fn ddmin_shrinks_to_the_two_essential_steps() {
         let min = ddmin(&noisy_plan(), write_then_read);
         assert_eq!(min.len(), 2, "{min:?}");
-        assert!(matches!(min[0], ScheduleStep::Client(EventChoice::Write, 2)));
+        assert!(matches!(
+            min[0],
+            ScheduleStep::Client(EventChoice::Write, 2)
+        ));
         assert!(matches!(min[1], ScheduleStep::Client(EventChoice::Read, 4)));
     }
 
@@ -215,5 +171,15 @@ mod tests {
         };
         assert_eq!(ddmin(&plan, has_write).len(), 1);
         assert_eq!(ddmin(&[], has_write).len(), 0);
+    }
+
+    #[test]
+    fn ddmin_minimizes_action_ordinals_too() {
+        // A repro that needs actions 3 and 7, in any order, among ten.
+        let needs_3_and_7 = |s: &[u32]| s.contains(&3) && s.contains(&7);
+        let actions: Vec<u32> = (0..10).collect();
+        let min = ddmin(&actions, needs_3_and_7);
+        assert_eq!(min, vec![3, 7]);
+        assert!(is_one_minimal(&min, needs_3_and_7));
     }
 }

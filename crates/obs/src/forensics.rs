@@ -1,6 +1,6 @@
 //! The failure-forensics renderer: one detected violation, explained.
 
-use study::json::push_json_str;
+use study::{json::Value, obj};
 
 use crate::Timeline;
 
@@ -91,33 +91,29 @@ impl ForensicReport {
     /// metadata and verdicts, then one line per timeline event (see
     /// [`Timeline::write_jsonl`]).
     pub fn write_jsonl(&self, out: &mut String) {
-        out.push_str("{\"type\":\"report\",\"scenario\":");
-        push_json_str(out, &self.scenario);
-        out.push_str(",\"system\":");
-        push_json_str(out, &self.system);
-        out.push_str(",\"reference\":");
-        push_json_str(out, &self.reference);
-        out.push_str(",\"partition\":");
-        push_json_str(out, &self.partition);
-        out.push_str(&format!(",\"seed\":{}", self.seed));
-        out.push_str(",\"violations\":[");
-        for (i, (kind, details)) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"kind\":");
-            push_json_str(out, kind);
-            out.push_str(",\"details\":");
-            push_json_str(out, details);
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "],\"events\":{},\"counters\":{{\"events_simulated\":{},\"messages_dropped\":{},\"ops_ordered\":{}}}}}\n",
-            self.timeline.len(),
-            self.timeline.counters.events_simulated,
-            self.timeline.counters.messages_dropped,
-            self.timeline.counters.ops_ordered,
-        ));
+        let violations = self
+            .violations
+            .iter()
+            .map(|(kind, details)| obj! { "kind" => kind.as_str(), "details" => details.as_str() })
+            .collect();
+        let c = &self.timeline.counters;
+        let header = obj! {
+            "type" => "report",
+            "scenario" => self.scenario.as_str(),
+            "system" => self.system.as_str(),
+            "reference" => self.reference.as_str(),
+            "partition" => self.partition.as_str(),
+            "seed" => self.seed,
+            "violations" => Value::Arr(violations),
+            "events" => self.timeline.len(),
+            "counters" => obj! {
+                "events_simulated" => c.events_simulated,
+                "messages_dropped" => c.messages_dropped,
+                "ops_ordered" => c.ops_ordered,
+            },
+        };
+        out.push_str(&header.to_json());
+        out.push('\n');
         self.timeline.write_jsonl(&self.scenario, out);
     }
 

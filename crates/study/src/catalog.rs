@@ -584,8 +584,7 @@ mod tests {
     #[test]
     fn catalog_exports_as_json() {
         let c = catalog();
-        use crate::json::ToJson;
-        let json = c.to_json();
+        let json = crate::json::Value::Arr(c.iter().map(Into::into).collect()).to_json();
         assert!(json.contains("\"MongoDb\"") || json.contains("\"MongoDB\""));
         // Every entry carries its citation key.
         assert!(c.iter().all(|f| f.reference.starts_with('[')));

@@ -1,23 +1,15 @@
-//! Hand-rolled JSON export for the failure catalog.
+//! The workspace's one JSON document model.
 //!
 //! The workspace vendors its dependencies (no crates.io access), so instead
-//! of a serde derive the schema types serialize through this module. The
-//! output matches what `serde_json` produced for the old derives: unit enum
-//! variants as `"VariantName"` strings, `Option` as the value or `null`,
-//! structs as objects in field-declaration order.
+//! of serde every JSON document — the catalog export, the committed
+//! `BENCH_*.json` artifacts, `lint --json` and the forensic report headers —
+//! is a [`Value`] built with [`obj!`](crate::obj) and the `From` impls
+//! below, and rendered by [`Value::to_json`] (compact) or [`Value::pretty`]
+//! (two-space indented). The output matches what `serde_json` produced for
+//! the old derives: unit enum variants as `"VariantName"` strings, `Option`
+//! as the value or `null`, structs as objects in field-declaration order.
 
 use crate::types::Failure;
-
-/// Types that know how to write themselves as a JSON value.
-pub trait ToJson {
-    fn write_json(&self, out: &mut String);
-
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-}
 
 /// JSON string literal with the escapes the catalog data can contain.
 pub fn push_json_str(out: &mut String, s: &str) {
@@ -38,204 +30,32 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-impl ToJson for &str {
-    fn write_json(&self, out: &mut String) {
-        push_json_str(out, self);
-    }
-}
-
-impl ToJson for bool {
-    fn write_json(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
-    }
-}
-
-macro_rules! impl_tojson_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn write_json(&self, out: &mut String) {
-                out.push_str(&self.to_string());
-            }
-        }
-    )*};
-}
-
-impl_tojson_int!(u8, u16, u32, u64, usize);
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Some(v) => v.write_json(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn write_json(&self, out: &mut String) {
-        self.as_slice().write_json(out);
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn write_json(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.write_json(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn write_json(&self, out: &mut String) {
-        (**self).write_json(out);
-    }
-}
-
-/// Unit enums serialize as their variant name, exactly like serde's derive;
-/// `Debug` prints the same identifier, so it is the single source of truth.
-macro_rules! impl_tojson_unit_enum {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn write_json(&self, out: &mut String) {
-                push_json_str(out, &format!("{self:?}"));
-            }
-        }
-    )*};
-}
-
-impl_tojson_unit_enum!(
-    crate::types::System,
-    crate::types::Source,
-    crate::types::Impact,
-    crate::types::PartitionType,
-    crate::types::Timing,
-    crate::types::Mechanism,
-    crate::types::LeaderElectionFlaw,
-    crate::types::ClientAccess,
-    crate::types::EventType,
-    crate::types::Ordering,
-    crate::types::Connectivity,
-    crate::types::Resolution
-);
-
-macro_rules! push_fields {
-    ($out:expr, $self:expr, $($field:ident),+ $(,)?) => {{
-        $out.push('{');
-        let mut first = true;
-        $(
-            if !first {
-                $out.push(',');
-            }
-            first = false;
-            let _ = first;
-            push_json_str($out, stringify!($field));
-            $out.push(':');
-            $self.$field.write_json($out);
-        )+
-        $out.push('}');
-    }};
-}
-
-impl ToJson for Failure {
-    fn write_json(&self, out: &mut String) {
-        push_fields!(
-            out,
-            self,
-            id,
-            system,
-            source,
-            reference,
-            impact,
-            partition,
-            timing,
-            catastrophic,
-            mechanisms,
-            leader_flaw,
-            client_access,
-            min_events,
-            event_types,
-            ordering,
-            connectivity,
-            single_node_isolation,
-            nodes_needed,
-            partitions_required,
-            reproducible,
-            resolution,
-            resolution_days,
-        );
-    }
-}
-
-/// Re-indents a compact JSON document (as produced by [`ToJson`]) with
-/// two-space indentation — the `serde_json::to_string_pretty` analogue for
-/// the `export` binary.
-pub fn pretty(compact: &str) -> String {
-    let mut out = String::with_capacity(compact.len() * 2);
-    let mut indent = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let newline = |out: &mut String, indent: usize| {
-        out.push('\n');
-        for _ in 0..indent {
-            out.push_str("  ");
-        }
-    };
-    for c in compact.chars() {
-        if in_string {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                out.push(c);
-                indent += 1;
-                newline(&mut out, indent);
-            }
-            '}' | ']' => {
-                indent = indent.saturating_sub(1);
-                newline(&mut out, indent);
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                newline(&mut out, indent);
-            }
-            ':' => out.push_str(": "),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A parsed JSON document. Object keys keep insertion order and numbers
-/// keep their exact source text, so a parse → [`Value::write_json`] round
-/// trip reproduces the compact input byte for byte — which is what the
-/// lint gate relies on to prove `lint --json` speaks real JSON.
+/// A JSON document. Object keys keep insertion order and numbers keep
+/// their exact text, so a parse → [`Value::to_json`] round trip reproduces
+/// the compact input byte for byte — which is what the lint gate relies on
+/// to prove `lint --json` speaks real JSON.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Value {
     Null,
     Bool(bool),
-    /// The number's source text, verbatim (`"1e-3"` stays `"1e-3"`).
+    /// The number's text, verbatim (`"1e-3"` stays `"1e-3"`).
     Num(String),
     Str(String),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
+}
+
+/// Builds a [`Value::Obj`] with fields in the order written:
+/// `obj! { "bench" => "perf", "seed" => 8u64 }`. Each value goes through
+/// `Value::from`, so it may be anything with a `From` impl, a `Value`
+/// included.
+#[macro_export]
+macro_rules! obj {
+    ($($key:expr => $value:expr),* $(,)?) => {
+        $crate::json::Value::Obj(vec![
+            $(($key.to_string(), $crate::json::Value::from($value))),*
+        ])
+    };
 }
 
 impl Value {
@@ -274,37 +94,168 @@ impl Value {
             _ => None,
         }
     }
-}
 
-impl ToJson for Value {
-    fn write_json(&self, out: &mut String) {
+    /// The document on one line, no whitespace outside strings.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None);
+        out
+    }
+
+    /// The document with two-space indentation, one element or field a
+    /// line and `": "` after keys — the `serde_json::to_string_pretty`
+    /// layout, except that an empty container still opens a line:
+    /// `[\n<indent + 1>\n<indent>]`, as every committed artifact has it.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, Some(0));
+        out
+    }
+
+    /// Appends the document, `indent` levels deep when pretty and on one
+    /// line when `None`.
+    fn render(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|level| level + 1);
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(b) => b.write_json(out),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Num(n) => out.push_str(n),
             Value::Str(s) => push_json_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
+                newline(out, inner);
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
+                        newline(out, inner);
                     }
-                    v.write_json(out);
+                    v.render(out, inner);
                 }
+                newline(out, indent);
                 out.push(']');
             }
             Value::Obj(fields) => {
                 out.push('{');
+                newline(out, inner);
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
+                        newline(out, inner);
                     }
                     push_json_str(out, k);
-                    out.push(':');
-                    v.write_json(out);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.render(out, inner);
                 }
+                newline(out, indent);
                 out.push('}');
             }
+        }
+    }
+}
+
+/// A line break and `indent` levels of two spaces; nothing when compact.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(level) = indent {
+        out.push('\n');
+        for _ in 0..level {
+            out.push_str("  ");
+        }
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Self {
+                Value::Num(n.to_string())
+            }
+        }
+    )*};
+}
+
+from_integer!(u8, u16, u32, u64, usize);
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::Str(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(items: Vec<T>) -> Self {
+        Value::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Unit enums serialize as their variant name, exactly like serde's derive;
+/// `Debug` prints the same identifier, so it is the single source of truth.
+macro_rules! from_debug_name {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::Str(format!("{v:?}"))
+            }
+        }
+    )*};
+}
+
+from_debug_name!(
+    crate::types::System,
+    crate::types::Source,
+    crate::types::Impact,
+    crate::types::PartitionType,
+    crate::types::Timing,
+    crate::types::Mechanism,
+    crate::types::LeaderElectionFlaw,
+    crate::types::ClientAccess,
+    crate::types::EventType,
+    crate::types::Ordering,
+    crate::types::Connectivity,
+    crate::types::Resolution
+);
+
+impl From<&Failure> for Value {
+    fn from(f: &Failure) -> Self {
+        obj! {
+            "id" => f.id,
+            "system" => f.system,
+            "source" => f.source,
+            "reference" => f.reference,
+            "impact" => f.impact,
+            "partition" => f.partition,
+            "timing" => f.timing,
+            "catastrophic" => f.catastrophic,
+            "mechanisms" => f.mechanisms.clone(),
+            "leader_flaw" => f.leader_flaw,
+            "client_access" => f.client_access,
+            "min_events" => f.min_events,
+            "event_types" => f.event_types.clone(),
+            "ordering" => f.ordering,
+            "connectivity" => f.connectivity,
+            "single_node_isolation" => f.single_node_isolation,
+            "nodes_needed" => f.nodes_needed,
+            "partitions_required" => f.partitions_required,
+            "reproducible" => f.reproducible,
+            "resolution" => f.resolution,
+            "resolution_days" => f.resolution_days,
         }
     }
 }
@@ -314,7 +265,7 @@ impl ToJson for Value {
 /// overflows the stack; the committed artifacts nest at most 8 deep.
 const MAX_DEPTH: usize = 128;
 
-/// Parses a JSON document (the inverse of [`ToJson`]). Errors carry the
+/// Parses a JSON document (the inverse of [`Value::to_json`]). Errors carry the
 /// byte offset of the offending character; nesting deeper than
 /// `MAX_DEPTH` (128) is an error at the first bracket beyond it.
 pub fn parse(input: &str) -> Result<Value, String> {
@@ -506,21 +457,21 @@ mod tests {
 
     #[test]
     fn options_and_vecs_render() {
-        assert_eq!(Some(3u32).to_json(), "3");
-        assert_eq!((None as Option<u32>).to_json(), "null");
-        assert_eq!(vec![1u8, 2, 3].to_json(), "[1,2,3]");
+        assert_eq!(Value::from(Some(3u32)).to_json(), "3");
+        assert_eq!(Value::from(None as Option<u32>).to_json(), "null");
+        assert_eq!(Value::from(vec![1u8, 2, 3]).to_json(), "[1,2,3]");
     }
 
     #[test]
     fn enums_render_like_serde_derives() {
-        assert_eq!(crate::types::System::MongoDb.to_json(), "\"MongoDb\"");
-        assert_eq!(crate::types::Impact::DataLoss.to_json(), "\"DataLoss\"");
+        assert_eq!(Value::from(crate::types::System::MongoDb).to_json(), "\"MongoDb\"");
+        assert_eq!(Value::from(crate::types::Impact::DataLoss).to_json(), "\"DataLoss\"");
     }
 
     #[test]
     fn pretty_round_trips_structure() {
         let compact = "{\"a\":[1,2],\"b\":\"x{,}\"}";
-        let p = pretty(compact);
+        let p = parse(compact).expect("parse").pretty();
         assert!(p.contains("\"a\": [\n"));
         // Braces inside strings are untouched.
         assert!(p.contains("\"x{,}\""));
@@ -549,6 +500,13 @@ mod tests {
                 .collect()
         };
         assert_eq!(stripped, compact);
+        // An empty container still opens a line one level deeper.
+        let empty = obj! { "fixed" => Value::Arr(Vec::new()), "e" => obj! {} };
+        assert_eq!(
+            empty.pretty(),
+            "{\n  \"fixed\": [\n    \n  ],\n  \"e\": {\n    \n  }\n}"
+        );
+        assert_eq!(empty.to_json(), "{\"fixed\":[],\"e\":{}}");
     }
 
     #[test]
@@ -557,7 +515,7 @@ mod tests {
         let v = parse(compact).expect("parse");
         assert_eq!(v.to_json(), compact);
         // Pretty output parses back to the same tree.
-        assert_eq!(parse(&pretty(compact)).expect("parse pretty"), v);
+        assert_eq!(parse(&v.pretty()).expect("parse pretty"), v);
     }
 
     #[test]
@@ -633,7 +591,9 @@ mod tests {
     #[test]
     fn every_prefix_of_every_committed_artifact_parses_or_errs() {
         for (name, text) in committed_artifacts() {
-            assert!(parse(&text).is_ok(), "{name} does not parse");
+            let doc = parse(&text).map_err(|e| format!("{name} does not parse: {e}"));
+            // Each golden is exactly what the one document model renders.
+            assert_eq!(doc.map(|v| v.pretty() + "\n"), Ok(text.clone()), "{name}");
             for end in (0..text.len()).filter(|&end| text.is_char_boundary(end)) {
                 let cut = parse(&text[..end]);
                 if !text[end..].trim().is_empty() {

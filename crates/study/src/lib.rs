@@ -7,7 +7,6 @@ pub mod stats;
 pub mod types;
 
 pub use catalog::{catalog, APPENDIX_A, APPENDIX_B};
-pub use json::ToJson;
 pub use types::{
     ClientAccess, Connectivity, EventType, Failure, Impact, LeaderElectionFlaw, Mechanism,
     Ordering, PartitionType, Resolution, Source, System, Timing,

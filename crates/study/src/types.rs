@@ -394,8 +394,7 @@ mod tests {
             resolution: None,
             resolution_days: None,
         };
-        use crate::json::ToJson;
-        let s = f.to_json();
+        let s = crate::json::Value::from(&f).to_json();
         assert!(s.contains("\"Redis\""));
         assert!(s.contains("\"leader_flaw\":\"OverlappingLeaders\""));
         assert!(s.contains("\"resolution\":null"));

@@ -105,7 +105,6 @@ fn bad() -> HashMap<u64, u64> {
         assert_eq!(row.get("rule").and_then(|v| v.as_str()), Some(f.rule.name()));
     }
     // Byte-level round trip: parse(render(parse(x))) == parse(x).
-    use study::json::ToJson;
     let re_rendered = doc.to_json();
     let re_parsed = study::json::parse(&re_rendered).expect("re-rendered JSON must parse");
     assert_eq!(format!("{doc:?}"), format!("{re_parsed:?}"));
