@@ -3,7 +3,11 @@
 //! events scheduled beyond the queue's window (`far`), most allocations
 //! first — the table that names an arm paying more per event than its
 //! peers, and shows how few events a world ever has pending and how few
-//! of them are due far ahead. Exact counts, no clock: wall-clock numbers
+//! of them are due far ahead. A second table gives each explorer target's
+//! trial tails over 50 coverage-guided trials at the seed: how many
+//! virtual ms and events its trials spent between the final heal and the
+//! checkers, and how many never settled and ran to the quiesce cap.
+//! Exact counts, no clock: wall-clock numbers
 //! come from `bash benchmarks/run.sh`. The campaign-wide counters are the
 //! committed `BENCH_perf.json`, written by `bench --bin artifacts`.
 //!
@@ -43,7 +47,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let table = bench::perf_bench::render_arm_costs(&bench::perf_bench::arm_costs(seed));
+    use bench::perf_bench::{arm_costs, explore_tails, render_arm_costs, render_explore_tails};
+    let table =
+        render_arm_costs(&arm_costs(seed)) + "\n" + &render_explore_tails(&explore_tails(seed));
     match std::io::stdout().write_all(table.as_bytes()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -5,11 +5,13 @@
 //! fingerprint must allocate *nothing*) and the total events simulated
 //! across the campaign. [`machine_json`] is the `BENCH_perf.json` row of
 //! [`crate::ARTIFACTS`]. [`arm_costs`] is the same kind of number per arm
-//! (the `perf` binary), kept out of the artifact. Wall-clock numbers live
-//! in `benchmarks/` only.
+//! (the `perf` binary), kept out of the artifact, and so is
+//! [`explore_tails`], what the explorer's trials cost between their final
+//! heal and their checkers. Wall-clock numbers live in `benchmarks/` only.
 
 use std::fmt::Write as _;
 
+use neat::explore::{explore_full, quiesce_stats_during, QuiesceStats, Strategy, TestTarget};
 use neat_repro::campaign::{self, RunMode};
 
 /// Exactly reproducible numbers — the part `tests/perf_gate.rs` asserts.
@@ -123,6 +125,56 @@ pub fn render_arm_costs(costs: &[ArmCost]) -> String {
     out
 }
 
+/// The quiesce of one explorer target's trials: heal to check.
+#[derive(Clone, Debug)]
+pub struct ExploreTail {
+    /// The family: `repkv` (VoltDB profile), `gridstore` and `mqueue`
+    /// (flawed), or `consensus` (proven Raft, three servers).
+    pub target: &'static str,
+    pub quiesce: QuiesceStats,
+}
+
+/// The tails of `explore_full(target, &Strategy::coverage_guided(4), 50,
+/// seed)` on each of the four targets the `explore_cov` benchmark
+/// workload explores, in its order.
+pub fn explore_tails(seed: u64) -> Vec<ExploreTail> {
+    use mqueue::explorer::MqTarget;
+    let targets: [(&'static str, Box<dyn TestTarget>); 4] = [
+        ("repkv", Box::new(repkv::RepkvTarget::new(repkv::Config::voltdb()))),
+        ("gridstore", Box::new(gridstore::GridTarget::new(gridstore::GridFlaws::flawed()))),
+        ("mqueue", Box::new(MqTarget::new(mqueue::BrokerFlaws::flawed()))),
+        ("consensus", Box::new(consensus::RaftTarget::new(Default::default(), 3))),
+    ];
+    let strategy = Strategy::coverage_guided(4);
+    targets
+        .into_iter()
+        .map(|(target, mut t)| ExploreTail {
+            target,
+            quiesce: quiesce_stats_during(|| explore_full(t.as_mut(), &strategy, 50, seed)).1,
+        })
+        .collect()
+}
+
+/// The `perf` tail table: one row per explorer target, then the total.
+pub fn render_explore_tails(tails: &[ExploreTail]) -> String {
+    let mut total = QuiesceStats::default();
+    tails.iter().for_each(|c| total.merge(c.quiesce));
+    let mut out = format!(
+        "{:<50} {:>7} {:>11} {:>7} {:>6} {:>14}\n",
+        "explorer target", "trials", "quiesced ms", "events", "capped", "events/trial"
+    );
+    let rows = tails.iter().map(|c| (c.target, c.quiesce));
+    for (target, q) in rows.chain([("total", total)]) {
+        let per_trial = q.events as f64 / q.trials.max(1) as f64;
+        let _ = writeln!(
+            out,
+            "{:<50} {:>7} {:>11} {:>7} {:>6} {:>14.1}",
+            target, q.trials, q.quiesced_ms, q.events, q.capped, per_trial
+        );
+    }
+    out
+}
+
 /// Exact content of `BENCH_perf.json`: [`deterministic_counts`] at the
 /// historical seed 8. Only a binary that installs the counting allocator
 /// (`bench --bin artifacts`, `tests/golden_outputs.rs`) reproduces the
@@ -180,6 +232,23 @@ mod tests {
         let total = concat!(
             "total (2 arms)                                    ",
             "     400         950              2.38    31    42"
+        );
+        assert_eq!(lines[3], total);
+    }
+
+    #[test]
+    fn the_tail_table_sums_every_target() {
+        let tail = |target, trials, quiesced_ms, events, capped| ExploreTail {
+            target,
+            quiesce: QuiesceStats { trials, quiesced_ms, events, capped },
+        };
+        let tails = [tail("a", 50, 40_000, 3_400, 2), tail("b", 50, 30_000, 2_200, 0)];
+        let table = render_explore_tails(&tails);
+        let lines: Vec<&str> = table.lines().collect();
+        assert_eq!(lines.len(), 4, "a header, two targets and the total:\n{table}");
+        let total = concat!(
+            "total                                              ",
+            "    100       70000    5600      2           56.0"
         );
         assert_eq!(lines[3], total);
     }

@@ -44,6 +44,8 @@ impl RaftTarget {
 
 impl Deployment for RaftTarget {
     type Proc = RaftProc;
+    /// The leader and its committed value of each of `KEYS`.
+    type View = (NodeId, [Option<u64>; 3]);
     const FAULT_SETTLE_MS: Time = 0;
     const QUIESCE_MS: Time = 3000;
 
@@ -98,6 +100,18 @@ impl Deployment for RaftTarget {
         }
     }
 
+    fn detection_period(&mut self) -> Time {
+        let cluster = self.cluster();
+        cluster.neat.world.app(cluster.servers[0]).server().election_timeout()
+    }
+
+    fn settled_view(&mut self) -> Option<Self::View> {
+        let cluster = self.cluster();
+        let leader = cluster.leader()?;
+        let kv = cluster.kv_of(leader);
+        Some((leader, KEYS.map(|k| kv.get(k).copied())))
+    }
+
     fn check(&mut self) -> Vec<Violation> {
         let cluster = self.cluster();
         check_register(
@@ -111,7 +125,7 @@ impl Deployment for RaftTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{explore, Strategy};
+    use neat::explore::{explore, explore_full, Strategy};
 
     #[test]
     fn proven_raft_survives_guided_exploration() {
@@ -121,6 +135,16 @@ mod tests {
             report.trials_with_violation, 0,
             "proven Raft must not produce violations: {report:?}"
         );
+    }
+
+    #[test]
+    fn proven_raft_stays_clean_when_a_trial_ends_early() {
+        // A settled view that counted a leaderless cluster as settled
+        // ended one of these trials before a leader was back, and the
+        // register checker then read a follower's store: a false DataLoss.
+        let mut target = RaftTarget::new(RaftTweaks::default(), 3);
+        let ex = explore_full(&mut target, &Strategy::coverage_guided(4), 50, 543);
+        assert_eq!(ex.report.trials_with_violation, 0, "{:?}", ex.report);
     }
 
     #[test]

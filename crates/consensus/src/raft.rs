@@ -175,6 +175,12 @@ impl RaftNode {
         }
     }
 
+    /// Virtual ms a follower waits without hearing from a leader before
+    /// it starts an election (jittered upwards per timer).
+    pub fn election_timeout(&self) -> Time {
+        self.election_timeout
+    }
+
     /// Current role.
     pub fn role(&self) -> RaftRole {
         self.role

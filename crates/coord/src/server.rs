@@ -137,6 +137,11 @@ impl CoordServer {
         }
     }
 
+    /// Virtual ms the leader keeps a session alive without a heartbeat.
+    pub fn session_timeout(&self) -> Time {
+        self.session_timeout
+    }
+
     /// Current role.
     pub fn role(&self) -> CoordRole {
         self.role

@@ -40,6 +40,8 @@ impl GridTarget {
 
 impl Deployment for GridTarget {
     type Proc = GridProc;
+    /// The counter `check` reads off `servers[1]`.
+    type View = u64;
     /// Gives the membership layer time to diverge (or pause), as the
     /// paper's tests sleep past the detection period.
     const FAULT_SETTLE_MS: Time = 600;
@@ -113,6 +115,16 @@ impl Deployment for GridTarget {
         }
     }
 
+    fn detection_period(&mut self) -> Time {
+        let cluster = self.cluster();
+        cluster.neat.world.app(cluster.servers[0]).server().suspect_after()
+    }
+
+    fn settled_view(&mut self) -> Option<u64> {
+        let cluster = self.cluster();
+        Some(final_ctr(cluster))
+    }
+
     fn check(&mut self) -> Vec<Violation> {
         let cluster = self.cluster();
         let mut violations = check_semaphore(cluster.neat.history(), "sem", 1);
@@ -123,15 +135,15 @@ impl Deployment for GridTarget {
                 drained: None,
             }],
         ));
-        let final_ctr = cluster
-            .state_of(cluster.servers[1])
-            .atomics
-            .get("ctr")
-            .copied()
-            .unwrap_or(0);
-        violations.extend(check_counter(cluster.neat.history(), "ctr", 0, final_ctr));
+        violations.extend(check_counter(cluster.neat.history(), "ctr", 0, final_ctr(cluster)));
         violations
     }
+}
+
+/// `servers[1]`'s value of the counter every `Write` increments.
+fn final_ctr(cluster: &GridCluster) -> u64 {
+    let server = cluster.neat.world.app(cluster.servers[1]).server();
+    server.state().atomics.get("ctr").copied().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -185,6 +185,11 @@ impl GridNode {
         &self.view
     }
 
+    /// Virtual ms without a ping before a member is suspected.
+    pub fn suspect_after(&self) -> Time {
+        self.suspect_after
+    }
+
     /// The grid state at this node.
     pub fn state(&self) -> &GridState {
         &self.state

@@ -201,10 +201,12 @@ impl Broker {
 
     /// Current queue contents (for assertions and final drains).
     pub fn queue(&self, name: &str) -> Vec<u64> {
-        self.queues
-            .get(name)
-            .map(|q| q.iter().copied().collect())
-            .unwrap_or_default()
+        self.queue_iter(name).collect()
+    }
+
+    /// [`Broker::queue`] without the copy: the contents, head first.
+    pub fn queue_iter(&self, name: &str) -> impl Iterator<Item = u64> + '_ {
+        self.queues.get(name).into_iter().flatten().copied()
     }
 
     fn check_master(&mut self, ctx: &mut Ctx<'_, MqMsg>) {

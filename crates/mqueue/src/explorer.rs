@@ -5,6 +5,7 @@
 
 use coord::CoordFlaws;
 use neat::{
+    audit::FingerHasher,
     checkers::{check_queue, QueueExpectation},
     explore::{Deployment, EventChoice},
     Neat, Violation,
@@ -45,6 +46,8 @@ impl MqTarget {
 
 impl Deployment for MqTarget {
     type Proc = MqProc;
+    /// The master and a digest of its copy of [`QUEUE`].
+    type View = (NodeId, u64);
     /// Lets mastership churn past the coordination session timeout, as
     /// the hand-written scenarios do.
     const FAULT_SETTLE_MS: Time = 600;
@@ -99,6 +102,21 @@ impl Deployment for MqTarget {
             }
             _ => {}
         }
+    }
+
+    fn detection_period(&mut self) -> Time {
+        let cluster = self.cluster();
+        cluster.neat.world.app(cluster.coord).coord().session_timeout()
+    }
+
+    fn settled_view(&mut self) -> Option<Self::View> {
+        let cluster = self.cluster();
+        let master = cluster.master()?;
+        let mut digest = FingerHasher::new();
+        for val in cluster.neat.world.app(master).broker().queue_iter(QUEUE) {
+            digest.write_bytes(&val.to_le_bytes());
+        }
+        Some((master, digest.finish()))
     }
 
     fn check(&mut self) -> Vec<Violation> {

@@ -36,7 +36,9 @@ use crate::{
 };
 
 pub use coverage::{Corpus, Signature};
-pub use deployment::{plan_at_leader, replay_at_leader, Deployment};
+pub use deployment::{
+    plan_at_leader, quiesce_stats_during, replay_at_leader, Deployment, QuiesceStats,
+};
 pub use schedule::{run_schedule, SchedulePlan, ScheduleStep};
 
 /// The client/admin event palette of the paper's Table 8.

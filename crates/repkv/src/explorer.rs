@@ -41,6 +41,8 @@ impl RepkvTarget {
 
 impl Deployment for RepkvTarget {
     type Proc = Proc;
+    /// The leader and its applied value of each of `KEYS`.
+    type View = (NodeId, [Option<u64>; 3]);
     const FAULT_SETTLE_MS: Time = 0;
     const QUIESCE_MS: Time = 2500;
 
@@ -95,6 +97,17 @@ impl Deployment for RepkvTarget {
         }
     }
 
+    fn detection_period(&mut self) -> Time {
+        self.config.election_timeout
+    }
+
+    fn settled_view(&mut self) -> Option<Self::View> {
+        let cluster = self.cluster();
+        let leader = cluster.leader()?;
+        let kv = cluster.kv_of(leader);
+        Some((leader, KEYS.map(|k| kv.get(k).copied())))
+    }
+
     fn check(&mut self) -> Vec<Violation> {
         let cluster = self.cluster();
         check_register(
@@ -108,8 +121,8 @@ impl Deployment for RepkvTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{explore, Strategy, TestTarget};
-    use neat::PartitionSpec;
+    use neat::explore::{explore, explore_full, Strategy, TestTarget};
+    use neat::{PartitionSpec, ViolationKind};
 
     #[test]
     fn guided_exploration_finds_bugs_in_the_flawed_profile() {
@@ -119,6 +132,24 @@ mod tests {
             report.trials_with_violation > 0,
             "guided exploration should hit the VoltDB flaws: {report:?}"
         );
+    }
+
+    #[test]
+    fn ending_trials_once_settled_keeps_every_corruption_find() {
+        // The counts of the fixed 2,500 ms quiesce. A settle window of
+        // 1.5 election timeouts ended some of these trials before the
+        // corrupted value reached the leader's store, and lost finds.
+        use ViolationKind::{DataCorruption, DataLoss};
+        let expected = [
+            (1143, 6, vec![(DataLoss, 1), (DataCorruption, 5)]),
+            (100_624, 7, vec![(DataCorruption, 7)]),
+        ];
+        let mut target = RepkvTarget::new(Config::voltdb());
+        for (seed, trials, kinds) in expected {
+            let ex = explore_full(&mut target, &Strategy::coverage_guided(4), 50, seed);
+            assert_eq!(ex.report.trials_with_violation, trials, "seed {seed}");
+            assert_eq!(ex.report.kinds, kinds.into_iter().collect(), "seed {seed}");
+        }
     }
 
     #[test]

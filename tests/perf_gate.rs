@@ -229,8 +229,8 @@ fn no_arm_ever_has_more_than_64_events_pending() {
 #[test]
 fn most_events_are_due_inside_the_queue_window() {
     // The traffic the ring of millisecond buckets is fitted to, as a
-    // checked fact: at seed 8, 84.5 % of the events the 93 arms schedule
-    // (33,669 of 39,831) are due within the ring's 64 ms of the last pop,
+    // checked fact: at seed 8, 84.6 % of the events the 93 arms schedule
+    // (32,585 of 38,533) are due within the ring's 64 ms of the last pop,
     // so they never touch the far heap; nearly all the rest are periodic
     // timers. The gate is that share rounded down to 5 %.
     let mut all = simnet::QueueStats::default();
@@ -546,6 +546,35 @@ fn the_register_checker_allocates_per_key_not_per_operation() {
         alloc_counter::count_allocations(|| neat::checkers::check_register(&hist, strong, &last));
     assert!(violations.is_empty(), "a clean history: {violations:?}");
     assert!(allocs < 200, "checking 10,000 operations over 8 keys allocated {allocs} times");
+}
+
+#[test]
+fn explorer_trials_end_once_their_cluster_has_settled() {
+    // Events simulated between a trial's final heal and its checkers,
+    // per trial, over 50 coverage-guided trials at seed 8. The fixed
+    // 2,500 ms quiesce (3,000 ms for consensus) cost 271.0 (repkv),
+    // 282.3 (gridstore), 403.1 (mqueue) and 323.3 (consensus); ending a
+    // trial once its settled view has held for two detection periods
+    // costs 70.1, 90.2, 168.8 and 67.4. Each bound is that count plus
+    // about a tenth, rounded up to ten.
+    let bounds = [
+        ("repkv", 80),
+        ("gridstore", 100),
+        ("mqueue", 190),
+        ("consensus", 80),
+    ];
+    let tails = bench::perf_bench::explore_tails(8);
+    assert_eq!(tails.len(), bounds.len());
+    for (tail, (target, bound)) in tails.iter().zip(bounds) {
+        assert_eq!(tail.target, target);
+        let q = tail.quiesce;
+        assert_eq!(q.trials, 50, "{target}: {q:?}");
+        assert!(
+            q.events <= bound * q.trials,
+            "{target}: {} events in 50 trial tails, over {bound} a trial ({q:?})",
+            q.events
+        );
+    }
 }
 
 #[test]
