@@ -27,10 +27,10 @@ pub fn sweep(seeds: &[u64], jobs: usize) -> SweepReport {
     sweep_grid(seeds, jobs).0
 }
 
-/// [`sweep`] plus the [`GridStats`] of the underlying work-stealing grid
-/// — the (seed × arm) fan-out whose batch/steal counters the ledger's
-/// `sweep_parallel` workload reports (`fleet.grid_*`). Same bytes as
-/// `sweep` at any `jobs`; only the stats differ.
+/// [`sweep`] plus the [`GridStats`] of the underlying grid — the
+/// (seed × arm) fan-out whose counters the ledger's `sweep_parallel`
+/// workload reports (`fleet.grid_*`). Same bytes as `sweep` at any
+/// `jobs`; only the stats differ.
 pub fn sweep_grid(seeds: &[u64], jobs: usize) -> (SweepReport, GridStats) {
     let n = scenario_count();
     let (flat, stats) = pool::grid(jobs, n * seeds.len(), || (), |(), k| {

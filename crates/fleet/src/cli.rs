@@ -39,6 +39,20 @@ impl Default for Opts {
 /// days of work; a wider one would not even fit its seed list in memory.
 const MAX_SEEDS: usize = 1_000_000;
 
+/// The most workers `--jobs` accepts. The pool starts one OS thread per
+/// worker (up to one per item), and a campaign has a few hundred items.
+pub const MAX_JOBS: usize = 256;
+
+/// Parses a `--jobs` worker count: an integer in `1..=MAX_JOBS`. Shared
+/// with `lint --audit --jobs`.
+pub fn parse_jobs(n: &str) -> Result<usize, String> {
+    let jobs: usize = n.parse().map_err(|_| format!("invalid job count `{n}`"))?;
+    if !(1..=MAX_JOBS).contains(&jobs) {
+        return Err(format!("--jobs must be between 1 and {MAX_JOBS}"));
+    }
+    Ok(jobs)
+}
+
 pub fn usage() -> &'static str {
     "usage: [--seed <n>] [--seeds <count>] [--jobs <k>] [--trace]\n\
      \n\
@@ -72,11 +86,7 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
             }
             "--jobs" => {
                 let n = args.next().ok_or("--jobs requires a worker count")?;
-                let jobs: usize = n.parse().map_err(|_| format!("invalid job count `{n}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = jobs;
+                opts.jobs = parse_jobs(&n)?;
             }
             "--trace" => opts.trace = true,
             "--help" | "-h" => return Err(String::new()),
@@ -148,6 +158,16 @@ mod tests {
     }
 
     #[test]
+    fn jobs_are_bounded() {
+        // An unbounded count parsed, then the pool started one OS thread
+        // per item.
+        let huge = parse(args(&["--jobs", "18446744073709551615", "--seeds", "1000000"]));
+        assert_eq!(huge, Err("--jobs must be between 1 and 256".to_string()));
+        assert_eq!(parse(args(&["--jobs", "256"])).map(|o| o.jobs), Ok(MAX_JOBS));
+        assert!(parse(args(&["--jobs", "257"])).is_err());
+    }
+
+    #[test]
     fn sweeps_are_bounded_and_reach_the_last_seed() {
         // An unbounded count parsed, then failed to allocate its seed list.
         let huge = parse(args(&["--seed", "0", "--seeds", "18446744073709551615"]));
@@ -186,7 +206,7 @@ mod tests {
             argv in proptest::collection::vec(arg(), 0..8),
         ) {
             if let Ok(opts) = parse(argv) {
-                prop_assert!(opts.jobs >= 1);
+                prop_assert!((1..=MAX_JOBS).contains(&opts.jobs));
                 prop_assert_eq!(sweep_seeds(&opts).len(), opts.seeds.unwrap_or(1));
             }
         }

@@ -1,4 +1,4 @@
-//! The worker pool: a deterministic work-stealing grid over indexed work.
+//! The worker pool: a shared atomic cursor over indexed work.
 //!
 //! Every simulation in the workspace is single-threaded and a pure
 //! function of its seed (enforced by `crates/lint` and the double-run
@@ -8,18 +8,13 @@
 //! they pull next, and the reduce step restores index order, so the
 //! merged result is byte-identical for any worker count.
 //!
-//! Scheduling is a work-stealing grid rather than the old single shared
-//! cursor: the index range is pre-split into one contiguous chunk per
-//! worker, each chunk fronted by its own atomic cursor, and workers claim
-//! *batches* of indices with one `fetch_add` instead of one index at a
-//! time. A worker that drains its own chunk turns thief and claims
-//! batches from the other chunks' cursors — the same disjoint-claim
-//! `fetch_add`, so no index is ever run twice and none is lost, whichever
-//! worker gets there first. Batching amortises the contended atomic to
-//! one RMW per `batch` items; chunk affinity keeps neighbouring items
-//! (same seed, adjacent arms) on one worker, which is what lets
-//! [`map_with`] reuse a per-worker scratch state (a test target, an
-//! arena) across consecutive trials.
+//! Scheduling is one shared cursor: each worker claims the next index
+//! with a `fetch_add(1)` until the cursor passes the end, so no index is
+//! ever run twice and none is lost. An item is a whole simulation, so one
+//! atomic per item costs nothing next to it, and a worker that finishes
+//! early simply takes the next item. Each worker keeps one scratch state
+//! across the items it runs, which is what lets [`map_with`] reuse a test
+//! target or an arena across consecutive trials.
 //!
 //! This module is the **only** place in the workspace allowed to start OS
 //! threads. Each `lint:allow(thread-spawn)` below is an audited exception;
@@ -28,34 +23,25 @@
 //! construction.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Counters describing how a grid run was scheduled.
 ///
-/// `workers`, `batch`, and `batches` are pure functions of `(jobs, n)` —
-/// the total number of successful batch claims is `Σ ceil(chunk/batch)`
-/// over the per-worker chunks regardless of which worker claimed what —
-/// so they are safe to pin in goldens. `steals` (claims served from
-/// another worker's chunk) depends on OS scheduling and is only
-/// shape-gated, never value-gated.
+/// All four are pure functions of `(jobs, n)`, so they are safe to pin in
+/// goldens. The cursor claims one index at a time and never steals, so
+/// `batch` is always 1, `batches` is `n` and `steals` is 0; the fields
+/// keep the shape the benchmark ledger reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GridStats {
     /// Worker threads used (1 means the serial fast path, no threads).
     pub workers: usize,
-    /// Indices claimed per cursor `fetch_add`.
+    /// Indices claimed per cursor `fetch_add`: always 1.
     pub batch: usize,
-    /// Total successful batch claims across all workers (deterministic).
+    /// Total successful claims across all workers: one per item.
     pub batches: u64,
-    /// Batch claims served from a foreign chunk (nondeterministic).
+    /// Claims served from another worker's share: always 0.
     pub steals: u64,
-}
-
-/// Batch size for a grid of `n` items over `jobs` workers: large enough
-/// to amortise the atomic claim, small enough that every worker sees
-/// several batches per chunk (so stealing has something to steal).
-fn batch_size(jobs: usize, n: usize) -> usize {
-    (n / (jobs * 4)).clamp(1, 64)
 }
 
 /// Applies `f` to every index in `0..n` using up to `jobs` worker
@@ -118,8 +104,8 @@ fn unwrap_item<T>(i: usize, item: Result<T, String>) -> T {
     item.unwrap_or_else(|message| panic!("fleet item {i}: {message}"))
 }
 
-/// The full work-stealing grid: [`map_with`] plus the [`GridStats`]
-/// describing how the run was scheduled.
+/// The full grid: [`map_with`] plus the [`GridStats`] describing how
+/// the run was scheduled.
 ///
 /// A panic in `f` is re-raised as `fleet item <i>: <original message>`
 /// for the lowest failed index, whatever `jobs` is: the serial loop stops
@@ -132,68 +118,39 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
 {
     let jobs = jobs.max(1).min(n.max(1));
-    let batch = batch_size(jobs, n.max(1));
+    let stats = GridStats {
+        workers: jobs,
+        batch: 1,
+        batches: n as u64,
+        steals: 0,
+    };
     if jobs <= 1 {
         let mut scratch = init();
         let out = (0..n)
             .map(|i| unwrap_item(i, run_item(&init, &f, &mut scratch, i)))
             .collect();
-        let stats = GridStats {
-            workers: 1,
-            batch,
-            batches: (n as u64).div_ceil(batch as u64),
-            steals: 0,
-        };
         return (out, stats);
     }
 
-    // One contiguous chunk per worker; chunk w covers
-    // [w*n/jobs, (w+1)*n/jobs). Each chunk has its own claim cursor.
-    let bounds: Vec<(usize, usize)> = (0..jobs)
-        .map(|w| (w * n / jobs, (w + 1) * n / jobs))
-        .collect();
-    let cursors: Vec<AtomicUsize> = bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect();
-    let batches = AtomicU64::new(0);
-    let steals = AtomicU64::new(0);
+    let cursor = AtomicUsize::new(0);
     let merged: Mutex<Vec<(usize, Result<T, String>)>> = Mutex::new(Vec::with_capacity(n));
     // The audited orchestration boundary: scoped workers execute
     // single-threaded deterministic simulations in parallel.
     #[allow(clippy::disallowed_methods)]
     // lint:allow(thread-spawn) -- audited: deterministic index-sorted reduce
     std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let bounds = &bounds;
-            let cursors = &cursors;
-            let batches = &batches;
-            let steals = &steals;
-            let merged = &merged;
-            let init = &init;
-            let f = &f;
+        for _ in 0..jobs {
+            let (cursor, merged, init, f) = (&cursor, &merged, &init, &f);
             // lint:allow(thread-spawn) -- audited worker of the fleet grid
             scope.spawn(move || {
                 let mut scratch = init();
                 let mut local = Vec::new();
-                // Own chunk first, then sweep the others as a thief. A
-                // victim's cursor hands out disjoint batches to however
-                // many thieves race on it, so coverage is exact: a chunk
-                // is abandoned only once its cursor has passed its end.
-                for k in 0..jobs {
-                    let q = (w + k) % jobs;
-                    let end = bounds[q].1;
-                    loop {
-                        let lo = cursors[q].fetch_add(batch, Ordering::Relaxed);
-                        if lo >= end {
-                            break;
-                        }
-                        let hi = (lo + batch).min(end);
-                        for i in lo..hi {
-                            local.push((i, run_item(init, f, &mut scratch, i)));
-                        }
-                        batches.fetch_add(1, Ordering::Relaxed);
-                        if q != w {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        }
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
+                    local.push((i, run_item(init, f, &mut scratch, i)));
                 }
                 match merged.lock() {
                     Ok(mut all) => all.extend(local),
@@ -211,12 +168,6 @@ where
     };
     all.sort_by_key(|&(i, _)| i);
     assert_eq!(all.len(), n, "fleet reduce lost work items");
-    let stats = GridStats {
-        workers: jobs,
-        batch,
-        batches: batches.into_inner(),
-        steals: steals.into_inner(),
-    };
     (all.into_iter().map(|(i, item)| unwrap_item(i, item)).collect(), stats)
 }
 
@@ -271,36 +222,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_claims_are_deterministic_for_fixed_jobs_and_n() {
-        // batches = Σ ceil(chunk/batch): every cursor is pumped until it
-        // passes its end, so the claim count is scheduling-independent.
-        let (_, s1) = grid(4, 103, || (), |(), i| i);
-        let (_, s2) = grid(4, 103, || (), |(), i| i);
-        assert_eq!(s1.batches, s2.batches);
-        assert_eq!(s1.batch, s2.batch);
-        assert_eq!(s1.workers, 4);
-        let expect: u64 = (0..4)
-            .map(|w| {
-                let chunk = ((w + 1) * 103 / 4 - w * 103 / 4) as u64;
-                chunk.div_ceil(s1.batch as u64)
-            })
-            .sum();
-        assert_eq!(s1.batches, expect);
-    }
-
-    #[test]
-    fn serial_grid_reports_one_worker_and_no_steals() {
-        let (out, stats) = grid(1, 10, || (), |(), i| i);
-        assert_eq!(out.len(), 10);
-        assert_eq!(
-            stats,
-            GridStats {
-                workers: 1,
-                batch: batch_size(1, 10),
-                batches: (10u64).div_ceil(batch_size(1, 10) as u64),
-                steals: 0
-            }
-        );
+    fn grid_stats_are_one_claim_per_item_and_no_steals() {
+        for (jobs, workers) in [(1, 1), (4, 4)] {
+            let (out, stats) = grid(jobs, 103, || (), |(), i| i);
+            assert_eq!(out, (0..103).collect::<Vec<_>>(), "jobs={jobs}");
+            let want = GridStats {
+                workers,
+                batch: 1,
+                batches: 103,
+                steals: 0,
+            };
+            assert_eq!(stats, want, "jobs={jobs}");
+        }
+        // More workers than items: one worker per item.
+        assert_eq!(grid(4, 3, || (), |(), i| i).1.workers, 3);
     }
 
     #[test]

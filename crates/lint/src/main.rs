@@ -68,11 +68,7 @@ fn parse_args() -> Result<Opts, String> {
             }
             "--jobs" => {
                 let n = args.next().ok_or("--jobs requires a worker count")?;
-                let jobs: usize = n.parse().map_err(|_| format!("invalid job count `{n}`"))?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = jobs;
+                opts.jobs = fleet::cli::parse_jobs(&n)?;
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),

@@ -78,8 +78,6 @@ pub struct Config {
     /// are vetoed — combined with a freshness veto this reproduces
     /// MongoDB's conflicting-criteria livelock (SERVER-14885).
     pub priority_node: Option<usize>,
-    /// Whether a leader steps down after losing contact with a majority.
-    pub step_down_on_lost_majority: bool,
     /// Append multi-key batches to the log as one unit and acknowledge only
     /// once the whole batch commits (`true` = fixed). The flawed default
     /// acknowledges on the first entry's append and drips the tail out one
@@ -92,7 +90,8 @@ pub struct Config {
     /// How long a leader waits for replication acks before giving up, ms.
     pub replication_timeout: Time,
     /// How many heartbeat rounds without a majority of acks before the
-    /// leader steps down.
+    /// leader steps down (every profile steps down; only the patience
+    /// varies).
     pub step_down_rounds: u32,
     /// Coordinator wait before reporting a forwarded request failed, ms.
     pub coordinator_timeout: Time,
@@ -111,7 +110,6 @@ impl Config {
             followers_accept_any_leader: false,
             coordinator_routing: false,
             priority_node: None,
-            step_down_on_lost_majority: true,
             atomic_batch: false,
             heartbeat_interval: 50,
             election_timeout: 300,

@@ -707,8 +707,7 @@ impl Server {
         } else {
             self.missed_ack_rounds += 1;
         }
-        if self.cfg.step_down_on_lost_majority && self.missed_ack_rounds >= self.cfg.step_down_rounds
-        {
+        if self.missed_ack_rounds >= self.cfg.step_down_rounds {
             ctx.note(|| "lost majority; stepping down".to_string());
             self.become_follower(ctx, self.term, None);
             return;

@@ -29,15 +29,9 @@ pub struct TimerId(pub u64);
 /// What a scheduled event does when it fires.
 #[derive(Clone, Debug)]
 pub(crate) enum EventKind<M> {
-    /// Deliver `msg` from `from` to `to`, unless a block rule or a crash
-    /// intercepts it at delivery time. `src_epoch` is the sender's epoch at
-    /// send time, for worlds that purge a crashed node's in-flight messages.
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        src_epoch: u64,
-    },
+    /// Deliver `msg` from `from` to `to`, unless a rule or a crashed
+    /// destination intercepts it at delivery time.
+    Deliver { from: NodeId, to: NodeId, msg: M },
     /// Fire timer `id` with `tag` at node `node`, unless the node crashed
     /// since it was set (`epoch` mismatch).
     Timer {
@@ -318,7 +312,6 @@ mod tests {
             from: NodeId(0),
             to: NodeId(to),
             msg: 0,
-            src_epoch: 0,
         }
     }
 
@@ -421,7 +414,6 @@ mod tests {
                 from: NodeId(4),
                 to: NodeId(5),
                 msg: 1234u32,
-                src_epoch: 3,
             },
         );
         q.push(
@@ -440,8 +432,8 @@ mod tests {
             other => panic!("expected timer, got {other:?}"),
         }
         match q.pop().expect("deliver second").kind {
-            EventKind::Deliver { from, to, msg, src_epoch } => {
-                assert_eq!((from, to, msg, src_epoch), (NodeId(4), NodeId(5), 1234, 3));
+            EventKind::Deliver { from, to, msg } => {
+                assert_eq!((from, to, msg), (NodeId(4), NodeId(5), 1234));
             }
             other => panic!("expected deliver, got {other:?}"),
         }
@@ -600,7 +592,6 @@ mod tests {
                             from: NodeId(node),
                             to: NodeId((node + 1) % NODES),
                             msg: next_id,
-                            src_epoch: knob as u64,
                         };
                         let handle = q.stash(k.clone());
                         if knob % 4 == 0 {

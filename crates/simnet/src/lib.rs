@@ -7,9 +7,10 @@
 //!   program ⇒ identical execution, byte for byte),
 //! - nodes implementing the [`Application`] trait (message and timer
 //!   handlers, crash/restart lifecycle),
-//! - a network fabric with a configurable latency model and stacked
-//!   *directional block rules*, the primitive from which complete, partial,
-//!   and simplex network partitions (Figure 1 of the paper) are built,
+//! - a network fabric with one fixed latency model (1 ms plus a 0–1 ms
+//!   jitter draw, FIFO per directed link) and stacked *directional block
+//!   rules*, the primitive from which complete, partial, and simplex
+//!   network partitions (Figure 1 of the paper) are built,
 //! - per-link [`net::DegradeRule`]s for *gray failures* — targeted loss,
 //!   extra latency, jitter, and duplication, optionally flapping — the
 //!   flaky-link causes the paper traces partial partitions to (§2.1),
@@ -49,7 +50,7 @@ pub mod trace;
 pub mod world;
 
 pub use event::{QueueStats, Time, TimerId};
-pub use net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig};
+pub use net::{BlockRuleId, DegradeRule, DegradeRuleId};
 pub use trace::{Note, Trace};
 pub use world::{queue_stats_during, Application, Ctx, SimError, World, WorldBuilder};
 

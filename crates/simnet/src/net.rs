@@ -123,50 +123,17 @@ impl DegradeRule {
     }
 }
 
-/// Latency model for every link in the fabric.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkConfig {
-    /// Fixed one-way latency applied to every message, in milliseconds.
-    pub base_latency: Time,
-    /// Maximum extra latency; the actual jitter is drawn uniformly from
-    /// `0..=jitter` using the world's seeded RNG.
-    pub jitter: Time,
-    /// When `true` (the default), messages on the same directed link are
-    /// delivered in send order, like a TCP connection. When `false`, jitter
-    /// may reorder them, like UDP.
-    pub fifo: bool,
-    /// Probability in `[0, 1]` that any message — on *any* link — is
-    /// silently dropped. This is a global background-noise knob; it cannot
-    /// model the paper's flaky-link cause of partial partitions (§2.1),
-    /// because every pair degrades equally. For targeted per-link loss,
-    /// latency, or duplication install a [`DegradeRule`] instead.
-    /// Deterministic given the world seed.
-    // lint:allow(float-nondet) -- probability knob compared against a single RNG draw, never accumulated
-    pub drop_probability: f64,
-}
+/// Fixed one-way latency of every message, in milliseconds.
+const BASE_LATENCY: Time = 1;
 
-impl Default for LinkConfig {
-    fn default() -> Self {
-        Self {
-            base_latency: 1,
-            jitter: 1,
-            fifo: true,
-            drop_probability: 0.0,
-        }
-    }
-}
+/// Maximum extra latency of every message; the draw is uniform over
+/// `0..=BASE_JITTER` from the world's seeded RNG.
+const BASE_JITTER: Time = 1;
 
-impl LinkConfig {
-    /// `now` plus the base latency and a jitter draw (none at zero jitter).
-    #[inline]
-    fn base_arrival(&self, now: Time, rng: &mut StdRng) -> Time {
-        let jitter = if self.jitter == 0 {
-            0
-        } else {
-            rng.gen_range(0..=self.jitter)
-        };
-        now + self.base_latency + jitter
-    }
+/// `now` plus the base latency and its jitter draw.
+#[inline]
+fn base_arrival(now: Time, rng: &mut StdRng) -> Time {
+    now + BASE_LATENCY + rng.gen_range(0..=BASE_JITTER)
 }
 
 /// Why the fabric lost a delivery; each cause has its own counter.
@@ -174,8 +141,6 @@ impl LinkConfig {
 pub(crate) enum Loss {
     /// A block rule covers the pair.
     Partition,
-    /// The global background loss of [`LinkConfig::drop_probability`].
-    Flaky,
     /// An active degrade rule drew the loss.
     Degraded,
 }
@@ -186,7 +151,8 @@ pub(crate) enum Loss {
 /// delivery.
 #[derive(Debug, Default)]
 struct Link {
-    /// Last scheduled delivery time, for FIFO enforcement.
+    /// Last scheduled delivery time: links are FIFO, like a TCP
+    /// connection, so no message is due before the one sent ahead of it.
     last: Time,
     /// Installed block rules covering this pair; it is blocked while > 0.
     blocked: u32,
@@ -225,8 +191,8 @@ impl Link {
     /// jitter, the extra delay of the active covering rules in id order
     /// (zero-jitter rules draw nothing), then the FIFO clock.
     #[inline]
-    fn arrival(&mut self, config: &LinkConfig, now: Time, rng: &mut StdRng) -> Time {
-        let mut at = config.base_arrival(now, rng);
+    fn arrival(&mut self, now: Time, rng: &mut StdRng) -> Time {
+        let mut at = base_arrival(now, rng);
         if self.delays {
             for rule in self.active_degrades(now) {
                 at += rule.extra_latency;
@@ -235,10 +201,8 @@ impl Link {
                 }
             }
         }
-        if config.fifo {
-            at = at.max(self.last);
-            self.last = at;
-        }
+        at = at.max(self.last);
+        self.last = at;
         at
     }
 
@@ -262,7 +226,6 @@ impl Link {
 /// pair currently blocked?".
 #[derive(Debug)]
 pub struct Net {
-    config: LinkConfig,
     /// The pairs each installed block rule owns. No message looks here:
     /// the map is what heal walks to take a rule back out of `links`, and
     /// what [`Net::rule_count`] counts.
@@ -281,9 +244,8 @@ pub struct Net {
 
 impl Net {
     /// A fabric for a world of `nodes` nodes.
-    pub(crate) fn new(config: LinkConfig, nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            config,
             rules: BTreeMap::new(),
             next_rule: 0,
             degrades: BTreeMap::new(),
@@ -400,17 +362,17 @@ impl Net {
         rng: &mut StdRng,
     ) -> (Time, Option<Time>) {
         let Some(i) = self.index(src, dst) else {
-            return (self.config.base_arrival(now, rng), None);
+            return (base_arrival(now, rng), None);
         };
-        let (config, link) = (&self.config, &mut self.links[i]);
-        let at = link.arrival(config, now, rng);
+        let link = &mut self.links[i];
+        let at = link.arrival(now, rng);
         let copy = link.dups && link.draw(now, rng, |r| r.dup_probability);
-        (at, copy.then(|| link.arrival(config, now, rng)))
+        (at, copy.then(|| link.arrival(now, rng)))
     }
 
     /// Whether a message delivered at `now` on `src → dst` is lost, and
-    /// why: a block rule (no draw), else the global flaky-link draw, else
-    /// one draw per active lossy degrade rule.
+    /// why: a block rule (no draw), else one draw per active lossy degrade
+    /// rule.
     #[inline]
     pub(crate) fn admit(
         &self,
@@ -420,11 +382,8 @@ impl Net {
         rng: &mut StdRng,
     ) -> Option<Loss> {
         let link = self.index(src, dst).map(|i| &self.links[i]);
-        let drop_p = self.config.drop_probability;
         if link.is_some_and(|l| l.blocked > 0) {
             Some(Loss::Partition)
-        } else if drop_p > 0.0 && rng.gen_bool(drop_p.min(1.0)) {
-            Some(Loss::Flaky)
         } else if link.is_some_and(|l| l.drops && l.draw(now, rng, |r| r.loss)) {
             Some(Loss::Degraded)
         } else {
@@ -499,13 +458,13 @@ mod tests {
     }
 
     /// The fabric of a three-node world.
-    fn fabric(config: LinkConfig) -> Net {
-        Net::new(config, 3)
+    fn fabric() -> Net {
+        Net::new(3)
     }
 
     #[test]
     fn bidirectional_blocks_both_ways() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         let rule = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1, 2])));
         assert!(net.is_blocked(NodeId(0), NodeId(1)));
         assert!(net.is_blocked(NodeId(1), NodeId(0)));
@@ -517,7 +476,7 @@ mod tests {
 
     #[test]
     fn simplex_blocks_one_way_only() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         net.block_pairs(simplex_pairs(&ids(&[1]), &ids(&[0])));
         assert!(net.is_blocked(NodeId(1), NodeId(0)));
         assert!(!net.is_blocked(NodeId(0), NodeId(1)));
@@ -525,7 +484,7 @@ mod tests {
 
     #[test]
     fn rules_stack_independently() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         let r1 = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1])));
         let r2 = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1, 2])));
         net.unblock(r2);
@@ -538,7 +497,7 @@ mod tests {
 
     #[test]
     fn double_heal_is_noop() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         let r = net.block_pairs(bidirectional_pairs(&ids(&[0]), &ids(&[1])));
         net.unblock(r);
         net.unblock(r);
@@ -547,7 +506,7 @@ mod tests {
 
     #[test]
     fn pairs_naming_a_missing_node_count_in_the_rule_and_answer_false() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         let ghost = NodeId(7);
         let pairs = bidirectional_pairs(&ids(&[0]), &[NodeId(1), ghost]);
         let r = net.block_pairs(pairs.clone());
@@ -578,12 +537,8 @@ mod tests {
 
     #[test]
     fn fifo_links_never_reorder() {
-        let mut net = fabric(LinkConfig {
-            base_latency: 1,
-            jitter: 10,
-            fifo: true,
-            drop_probability: 0.0,
-        });
+        let mut net = fabric();
+        net.degrade_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])), DegradeRule::slow(0, 10));
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev = 0;
         for now in 0..50 {
@@ -594,26 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn non_fifo_links_can_reorder() {
-        let mut net = fabric(LinkConfig {
-            base_latency: 1,
-            jitter: 10,
-            fifo: false,
-            drop_probability: 0.0,
-        });
-        let mut rng = StdRng::seed_from_u64(3);
-        let times: Vec<Time> = (0..50)
-            .map(|now| net.route(now, NodeId(0), NodeId(1), &mut rng).0)
-            .collect();
-        assert!(
-            times.windows(2).any(|w| w[1] < w[0]),
-            "expected at least one reordering with jitter 10"
-        );
-    }
-
-    #[test]
     fn connectivity_matrix_renders_partition() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let m = net.connectivity_matrix(2);
         assert_eq!(m, "1 0\n1 1\n");
@@ -621,7 +558,7 @@ mod tests {
 
     #[test]
     fn connectivity_matrix_distinguishes_lossy_from_severed() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let d = net.degrade_pairs(
             bidirectional_pairs(&ids(&[1]), &ids(&[2])),
@@ -635,7 +572,7 @@ mod tests {
 
     #[test]
     fn block_rule_wins_over_degrade_in_matrix() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         net.degrade_pairs(
             simplex_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::lossy(0.9),
@@ -646,7 +583,7 @@ mod tests {
 
     #[test]
     fn degrade_rules_stack_and_heal_independently() {
-        let mut net = fabric(LinkConfig::default());
+        let mut net = fabric();
         let d1 = net.degrade_pairs(
             simplex_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::lossy(0.5),
@@ -674,41 +611,34 @@ mod tests {
 
     #[test]
     fn zero_knob_rules_consume_no_rng() {
-        let mut net = fabric(LinkConfig {
-            base_latency: 1,
-            jitter: 0,
-            fifo: true,
-            drop_probability: 0.0,
-        });
+        let (mut net, mut bare) = (fabric(), fabric());
         net.degrade_pairs(
             bidirectional_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::default(),
         );
         let mut rng = StdRng::seed_from_u64(7);
-        let before: u64 = rng.gen_range(0..u64::MAX);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut bare_rng = rng.clone();
         assert_eq!(net.admit(0, NodeId(0), NodeId(1), &mut rng), None);
-        let (at, copy) = net.route(0, NodeId(0), NodeId(1), &mut rng);
         assert_eq!(
-            (at, copy),
-            (1, None),
+            rng.clone().next_u64(),
+            bare_rng.clone().next_u64(),
+            "zero-knob rule drew at delivery"
+        );
+        assert_eq!(
+            net.route(0, NodeId(0), NodeId(1), &mut rng),
+            bare.route(0, NodeId(0), NodeId(1), &mut bare_rng),
             "zero-knob rule must not delay or duplicate"
         );
         assert_eq!(
-            rng.gen_range(0..u64::MAX),
-            before,
-            "zero-knob rule drew from the RNG"
+            rng.next_u64(),
+            bare_rng.next_u64(),
+            "zero-knob rule drew beyond the base jitter"
         );
     }
 
     #[test]
     fn total_loss_always_drops_and_slow_rules_delay() {
-        let mut net = fabric(LinkConfig {
-            base_latency: 1,
-            jitter: 0,
-            fifo: false,
-            drop_probability: 0.0,
-        });
+        let mut net = fabric();
         net.degrade_pairs(
             simplex_pairs(&ids(&[0]), &ids(&[1])),
             DegradeRule::lossy(1.0),
@@ -724,8 +654,8 @@ mod tests {
         );
         // The uncovered direction is untouched.
         assert_eq!(net.admit(0, NodeId(1), NodeId(0), &mut rng), None);
-        assert_eq!(net.route(0, NodeId(0), NodeId(1), &mut rng), (51, None));
-        assert_eq!(net.route(0, NodeId(1), NodeId(0), &mut rng), (1, None));
+        assert!(matches!(net.route(0, NodeId(0), NodeId(1), &mut rng), (51..=52, None)));
+        assert!(matches!(net.route(0, NodeId(1), NodeId(0), &mut rng), (1..=2, None)));
         // A block rule wins over the loss, and draws nothing.
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let before = rng.clone().next_u64();
@@ -749,12 +679,7 @@ mod tests {
         assert!(!rule.active_at(199));
         assert!(rule.active_at(200));
 
-        let mut net = fabric(LinkConfig {
-            base_latency: 1,
-            jitter: 0,
-            fifo: false,
-            drop_probability: 0.0,
-        });
+        let mut net = fabric();
         net.degrade_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])), rule);
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(
@@ -783,11 +708,6 @@ mod tests {
                 .flat_map(move |i| self.links[i].active_degrades(now))
         }
 
-        fn flaky_drop(&self, rng: &mut StdRng) -> bool {
-            self.config.drop_probability > 0.0
-                && rng.gen_bool(self.config.drop_probability.min(1.0))
-        }
-
         fn degrade_drop(&self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
             let mut dropped = false;
             for rule in self.active_degrades(now, src, dst) {
@@ -809,12 +729,7 @@ mod tests {
         }
 
         fn delivery_time(&mut self, now: Time, src: NodeId, dst: NodeId, rng: &mut StdRng) -> Time {
-            let jitter = if self.config.jitter == 0 {
-                0
-            } else {
-                rng.gen_range(0..=self.config.jitter)
-            };
-            let mut at = now + self.config.base_latency + jitter;
+            let mut at = now + BASE_LATENCY + rng.gen_range(0..=BASE_JITTER);
             let Some(i) = self.index(src, dst) else {
                 return at;
             };
@@ -825,12 +740,10 @@ mod tests {
                     at += rng.gen_range(0..=rule.jitter);
                 }
             }
-            if self.config.fifo {
-                if at < link.last {
-                    at = link.last;
-                }
-                link.last = at;
+            if at < link.last {
+                at = link.last;
             }
+            link.last = at;
             at
         }
 
@@ -858,8 +771,6 @@ mod tests {
         ) -> Option<Loss> {
             if self.is_blocked(src, dst) {
                 Some(Loss::Partition)
-            } else if self.flaky_drop(rng) {
-                Some(Loss::Flaky)
             } else if self.degrade_drop(now, src, dst, rng) {
                 Some(Loss::Degraded)
             } else {
@@ -916,26 +827,15 @@ mod tests {
         ]
     }
 
-    fn config() -> impl Strategy<Value = LinkConfig> {
-        let knobs = (0u64..3, 0u64..3, proptest::bool::ANY, 0usize..3);
-        knobs.prop_map(|(base_latency, jitter, fifo, drop)| LinkConfig {
-            base_latency,
-            jitter,
-            fifo,
-            drop_probability: [0.0, 0.2, 1.0][drop],
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn route_and_admit_draw_exactly_like_the_per_question_path(
-            config in config(),
             seed in 0u64..1_000,
             ops in vec(op(), 0..80),
         ) {
-            let (mut net, mut oracle) = (Net::new(config, 4), Net::new(config, 4));
+            let (mut net, mut oracle) = (Net::new(4), Net::new(4));
             let mut rng = StdRng::seed_from_u64(seed);
             let mut oracle_rng = rng.clone();
             for (step, op) in ops.iter().enumerate() {

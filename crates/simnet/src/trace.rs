@@ -34,7 +34,9 @@ pub struct Counters {
     pub delivered: u64,
     /// Messages dropped by an active block rule.
     pub dropped_partition: u64,
-    /// Messages dropped by the flaky-link model.
+    /// Always 0: the fabric has no global loss, and per-link loss counts
+    /// in `dropped_degraded`. Kept because readers of the counters (the
+    /// `obs` drop total, the benchmark harness) still name it.
     pub dropped_flaky: u64,
     /// Messages dropped by a per-link degrade rule.
     pub dropped_degraded: u64,

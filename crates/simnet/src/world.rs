@@ -7,7 +7,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::{
     event::{EventKind, EventQueue, Handle, QueueStats, Time, TimerId},
-    net::{BlockRuleId, DegradeRule, DegradeRuleId, LinkConfig, Loss, Net},
+    net::{BlockRuleId, DegradeRule, DegradeRuleId, Loss, Net},
     trace::{Note, Trace},
     NodeId,
 };
@@ -78,8 +78,6 @@ enum Action {
 pub struct Ctx<'a, M> {
     id: NodeId,
     now: Time,
-    /// The node's crash epoch, stamped on everything it sends.
-    epoch: u64,
     /// Whether the world keeps its note log; see [`Ctx::note`].
     recording: bool,
     rng: &'a mut StdRng,
@@ -104,15 +102,12 @@ impl<'a, M> Ctx<'a, M> {
     }
 
     /// Sends `msg` to `to`. Delivery is subject to the latency model, block
-    /// rules, and the destination being alive at delivery time. Sending to
-    /// self is allowed and goes through the queue like any other message.
+    /// and degrade rules, and the destination being alive at delivery
+    /// time; a message already sent arrives even if its sender crashes
+    /// first, like a packet already on the wire. Sending to self is
+    /// allowed and goes through the queue like any other message.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let handle = self.queue.stash(EventKind::Deliver {
-            from: self.id,
-            to,
-            msg,
-            src_epoch: self.epoch,
-        });
+        let handle = self.queue.stash(EventKind::Deliver { from: self.id, to, msg });
         self.actions.push(Action::Send { to, handle });
     }
 
@@ -171,8 +166,8 @@ impl<'a, M> Ctx<'a, M> {
 struct Slot<A> {
     app: A,
     alive: bool,
-    /// Bumped on every crash; stale timers and (optionally) in-flight
-    /// messages carry the epoch at which they were created.
+    /// Bumped on every crash; timers carry the epoch at which they were
+    /// set, so a timer set before a crash never fires after it.
     epoch: u64,
 }
 
@@ -180,21 +175,18 @@ struct Slot<A> {
 #[derive(Clone, Copy, Debug)]
 pub struct WorldBuilder {
     seed: u64,
-    link: LinkConfig,
     record_trace: bool,
-    purge_in_flight_on_crash: bool,
     event_capacity: usize,
 }
 
 impl WorldBuilder {
-    /// Creates a builder with the given RNG seed and default link model
-    /// (1 ms base latency, 1 ms jitter, FIFO links).
+    /// Creates a builder with the given RNG seed. Every world has the same
+    /// link model: 1 ms base latency plus a 0–1 ms jitter draw, FIFO
+    /// links; degrade rules add loss, delay and duplication per pair.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            link: LinkConfig::default(),
             record_trace: false,
-            purge_in_flight_on_crash: false,
             event_capacity: 0,
         }
     }
@@ -214,23 +206,9 @@ impl WorldBuilder {
         self
     }
 
-    /// Overrides the link latency model.
-    pub fn link(mut self, link: LinkConfig) -> Self {
-        self.link = link;
-        self
-    }
-
     /// Enables the note log ([`Trace::notes`]). Counters are always on.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
-        self
-    }
-
-    /// When enabled, messages still in flight from a node are dropped if the
-    /// node crashes before they are delivered. The default (`false`) models
-    /// a process crash: packets already on the wire still arrive.
-    pub fn purge_in_flight_on_crash(mut self, on: bool) -> Self {
-        self.purge_in_flight_on_crash = on;
         self
     }
 
@@ -249,9 +227,8 @@ impl WorldBuilder {
             next_timer: 0,
             now: 0,
             rng: StdRng::seed_from_u64(self.seed),
-            net: Net::new(self.link, n),
+            net: Net::new(n),
             trace: Trace::new(self.record_trace),
-            purge_in_flight_on_crash: self.purge_in_flight_on_crash,
             action_buf: Vec::new(),
         };
         for i in 0..n {
@@ -271,7 +248,6 @@ pub struct World<A: Application> {
     rng: StdRng,
     net: Net,
     trace: Trace,
-    purge_in_flight_on_crash: bool,
     /// Reusable handler-effect buffer; see `with_handler`.
     action_buf: Vec<Action>,
 }
@@ -412,7 +388,6 @@ impl<A: Application> World<A> {
         let mut ctx = Ctx {
             id,
             now: self.now,
-            epoch: slot.epoch,
             recording: self.trace.recording(),
             rng: &mut self.rng,
             next_timer: &mut self.next_timer,
@@ -472,9 +447,7 @@ impl<A: Application> World<A> {
         );
         self.now = ev.time;
         match ev.kind {
-            EventKind::Deliver { from, to, msg, src_epoch } => {
-                self.deliver(from, to, msg, src_epoch);
-            }
+            EventKind::Deliver { from, to, msg } => self.deliver(from, to, msg),
             EventKind::Timer { node, id, tag, epoch } => {
                 let slot = &self.slots[node.0];
                 if !slot.alive || slot.epoch != epoch {
@@ -488,16 +461,13 @@ impl<A: Application> World<A> {
     }
 
     /// Delivers or drops one message; either way only a counter records it.
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg, src_epoch: u64) {
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         let lost = self.net.admit(self.now, from, to, &mut self.rng);
-        // Destination down or not in this world, or the source crashed
-        // between send and delivery.
-        let dead = !self.is_alive(to)
-            || (self.purge_in_flight_on_crash && self.slots[from.0].epoch != src_epoch);
+        // Destination down or not in this world.
+        let dead = !self.is_alive(to);
         let c = &mut self.trace.counters;
         let dropped = match lost {
             Some(Loss::Partition) => &mut c.dropped_partition,
-            Some(Loss::Flaky) => &mut c.dropped_flaky,
             Some(Loss::Degraded) => &mut c.dropped_degraded,
             None if dead => &mut c.dropped_dead,
             None => {
@@ -592,7 +562,6 @@ pub fn queue_stats_during<R>(f: impl FnOnce() -> R) -> (R, QueueStats) {
 mod tests {
     use super::*;
     use crate::net::bidirectional_pairs;
-    use crate::net::LinkConfig;
 
     /// Echo: replies `x + 1` to every message; counts received values.
     struct Echo {
@@ -656,7 +625,6 @@ mod tests {
         let mut ctx = Ctx {
             id: NodeId(1),
             now: 0,
-            epoch: 0,
             recording: false,
             rng: &mut rng,
             next_timer: &mut next_timer,
@@ -742,6 +710,19 @@ mod tests {
     }
 
     #[test]
+    fn a_message_sent_before_its_sender_crashes_still_arrives() {
+        // A crash stops a process, not the packets it already put on the
+        // wire.
+        let mut w = two_nodes();
+        w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 3)).unwrap();
+        w.crash(NodeId(0)).unwrap();
+        w.run_until_idle();
+        assert_eq!(w.app(NodeId(1)).seen, vec![3]);
+        let c = w.trace().counters;
+        assert_eq!((c.sent, c.delivered, c.dropped_dead), (1, 1, 0), "{c:?}");
+    }
+
+    #[test]
     fn restart_runs_on_restart_and_revives_delivery() {
         let mut w = two_nodes();
         w.crash(NodeId(1)).unwrap();
@@ -806,33 +787,14 @@ mod tests {
     }
 
     #[test]
-    fn flaky_links_drop_a_fraction_of_messages() {
-        let mut w = WorldBuilder::new(5)
-            .link(LinkConfig {
-                drop_probability: 0.3,
-                ..LinkConfig::default()
-            })
-            .build(2, |_| Echo::new());
-        for i in 0..200u64 {
-            w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1)).unwrap();
-        }
-        w.run_for(1000);
-        let c = w.trace().counters;
-        assert_eq!(c.sent, 200);
-        assert!(c.dropped_flaky > 20, "{c:?}");
-        assert!(c.delivered > 100, "{c:?}");
-        assert_eq!(c.delivered + c.dropped_flaky, 200, "{c:?}");
-    }
-
-    #[test]
     fn zero_drop_probability_loses_nothing() {
         let mut w = WorldBuilder::new(5).build(2, |_| Echo::new());
         for i in 0..50u64 {
             w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1)).unwrap();
         }
         w.run_for(1000);
-        assert_eq!(w.trace().counters.dropped_flaky, 0);
-        assert_eq!(w.trace().counters.delivered, 50);
+        let c = w.trace().counters;
+        assert_eq!((c.dropped_flaky, c.delivered), (0, 50), "{c:?}");
     }
 
     #[test]
@@ -885,24 +847,20 @@ mod tests {
                 Marked { copy: true }
             }
         }
+        /// Each delivery: whether it was the copy, and when it arrived.
         #[derive(Default)]
-        struct Sink(Vec<bool>);
+        struct Sink(Vec<(bool, Time)>);
         impl Application for Sink {
             type Msg = Marked;
             fn on_start(&mut self, _: &mut Ctx<'_, Marked>) {}
-            fn on_message(&mut self, _: &mut Ctx<'_, Marked>, _: NodeId, msg: Marked) {
-                self.0.push(msg.copy);
+            fn on_message(&mut self, ctx: &mut Ctx<'_, Marked>, _: NodeId, msg: Marked) {
+                self.0.push((msg.copy, ctx.now()));
             }
             fn on_timer(&mut self, _: &mut Ctx<'_, Marked>, _: TimerId, _: u64) {}
         }
-        // No jitter: copy and original are due at the same instant, so the
-        // sequence number alone orders them.
-        let mut w = WorldBuilder::new(1)
-            .link(LinkConfig {
-                jitter: 0,
-                ..LinkConfig::default()
-            })
-            .build(2, |_| Sink::default());
+        // At this seed both jitter draws put copy and original at the same
+        // instant, so the sequence number alone orders them.
+        let mut w = WorldBuilder::new(1).build(2, |_| Sink::default());
         w.degrade_pairs(
             crate::net::simplex_pairs(&[NodeId(0)], &[NodeId(1)]),
             DegradeRule::duplicating(1.0),
@@ -911,7 +869,9 @@ mod tests {
         assert_eq!(w.pending_events(), 2);
         assert_eq!(w.queue_stats().scheduled, 2);
         w.run_until_idle();
-        assert_eq!(w.app(NodeId(1)).0, vec![true, false], "the copy takes the lower seq");
+        let got = &w.app(NodeId(1)).0;
+        assert_eq!(got[0].1, got[1].1, "precondition: copy and original tie");
+        assert_eq!([got[0].0, got[1].0], [true, false], "the copy takes the lower seq");
         let c = w.trace().counters;
         assert_eq!((c.sent, c.duplicated, c.delivered), (1, 1, 2));
     }

@@ -4,19 +4,21 @@
 
 use proptest::prelude::*;
 use simnet::{
-    net::bidirectional_pairs, Application, Ctx, LinkConfig, NodeId, TimerId, WorldBuilder,
+    net::bidirectional_pairs, Application, Ctx, DegradeRule, NodeId, Time, TimerId,
+    WorldBuilder,
 };
 
 #[derive(Default)]
 struct Echo {
-    seen: Vec<(NodeId, u64)>,
+    /// Every delivery: when, from whom, what.
+    seen: Vec<(Time, NodeId, u64)>,
 }
 
 impl Application for Echo {
     type Msg = u64;
     fn on_start(&mut self, _ctx: &mut Ctx<'_, u64>) {}
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
-        self.seen.push((from, msg));
+        self.seen.push((ctx.now(), from, msg));
         if msg % 3 == 0 {
             ctx.send(from, msg + 1);
         }
@@ -28,16 +30,11 @@ impl Application for Echo {
 /// crash/restart, then renders everything observable about it.
 fn fingerprint(seed: u64) -> String {
     let n = 3;
-    let mut w = WorldBuilder::new(seed)
-        .link(LinkConfig {
-            base_latency: 1,
-            jitter: 9,
-            fifo: false,
-            drop_probability: 0.0,
-        })
-        .build(n, |_| Echo::default());
-    // Burst sends so many messages are in flight at once; with non-FIFO
-    // links the jitter draws decide the interleaving.
+    let mut w = WorldBuilder::new(seed).build(n, |_| Echo::default());
+    let all: Vec<NodeId> = (0..n).map(NodeId).collect();
+    w.degrade_pairs(bidirectional_pairs(&all, &all), DegradeRule::slow(0, 9));
+    // Burst sends so many messages are in flight at once; the jitter draws
+    // decide how the links' traffic interleaves at each receiver.
     for k in 0..12u64 {
         let from = NodeId((k as usize) % n);
         let to = NodeId((k as usize + 1) % n);

@@ -6,8 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use simnet::{
     net::{bidirectional_pairs, simplex_pairs},
-    Application, BlockRuleId, Ctx, DegradeRule, DegradeRuleId, LinkConfig, NodeId, TimerId,
-    WorldBuilder,
+    Application, BlockRuleId, Ctx, DegradeRule, DegradeRuleId, NodeId, TimerId, WorldBuilder,
 };
 
 /// Records every delivery in order; replies to even payloads.
@@ -148,9 +147,8 @@ proptest! {
     /// FIFO links never reorder messages between a fixed pair.
     #[test]
     fn fifo_per_link(seed in 0u64..1000, vals in proptest::collection::vec(0u64..10_000, 1..50)) {
-        let mut w = WorldBuilder::new(seed)
-            .link(LinkConfig { base_latency: 1, jitter: 5, fifo: true, drop_probability: 0.0 })
-            .build(2, |_| Recorder::default());
+        let mut w = WorldBuilder::new(seed).build(2, |_| Recorder::default());
+        w.degrade_pairs(simplex_pairs(&[NodeId(0)], &[NodeId(1)]), DegradeRule::slow(0, 5));
         // Tag messages with their sequence (odd values avoid replies).
         for (i, v) in vals.iter().enumerate() {
             let payload = (i as u64) * 20_000 + (v * 2 + 1);
