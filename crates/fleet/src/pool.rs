@@ -222,20 +222,39 @@ mod tests {
     }
 
     #[test]
-    fn grid_stats_are_one_claim_per_item_and_no_steals() {
-        for (jobs, workers) in [(1, 1), (4, 4)] {
-            let (out, stats) = grid(jobs, 103, || (), |(), i| i);
-            assert_eq!(out, (0..103).collect::<Vec<_>>(), "jobs={jobs}");
-            let want = GridStats {
-                workers,
+    fn batch_claims_are_deterministic_for_fixed_jobs_and_n() {
+        // One claim per item whichever worker takes it, so the stats are a
+        // pure function of (jobs, n) and never report a steal.
+        let (out, s1) = grid(4, 103, || (), |(), i| i);
+        let (_, s2) = grid(4, 103, || (), |(), i| i);
+        assert_eq!(out, (0..103).collect::<Vec<_>>());
+        assert_eq!(s1, s2);
+        assert_eq!(
+            s1,
+            GridStats {
+                workers: 4,
                 batch: 1,
                 batches: 103,
-                steals: 0,
-            };
-            assert_eq!(stats, want, "jobs={jobs}");
-        }
+                steals: 0
+            }
+        );
         // More workers than items: one worker per item.
         assert_eq!(grid(4, 3, || (), |(), i| i).1.workers, 3);
+    }
+
+    #[test]
+    fn serial_grid_reports_one_worker_and_no_steals() {
+        let (out, stats) = grid(1, 10, || (), |(), i| i);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            stats,
+            GridStats {
+                workers: 1,
+                batch: 1,
+                batches: 10,
+                steals: 0
+            }
+        );
     }
 
     #[test]
