@@ -1,8 +1,10 @@
-//! Client process and synchronous wrapper for the Raft cluster.
+//! The client role's reply inbox and synchronous wrapper for the Raft
+//! cluster.
 
-use std::collections::BTreeMap;
-
-use neat::{cluster::Node, Neat, Op, Outcome};
+use neat::{
+    cluster::{Mailbox, Node},
+    Neat, Op, Outcome,
+};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -10,32 +12,10 @@ use crate::{
     raft::{RaftMsg, RaftReq, RaftResp},
 };
 
-/// Client-side process: sends requests and collects responses by id.
-#[derive(Default)]
-pub struct ClientProc {
-    next_op: u64,
-    results: BTreeMap<u64, RaftResp>,
-}
-
-impl ClientProc {
-    /// Sends `req` to `server`, returning the operation id.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, RaftMsg>, server: NodeId, req: RaftReq) -> u64 {
-        let op_id = (ctx.id().0 as u64) << 32 | self.next_op;
-        self.next_op += 1;
-        ctx.send(server, RaftMsg::ClientReq { op_id, req });
-        op_id
-    }
-
-    /// Removes and returns the response for `op_id`, if present.
-    pub fn take(&mut self, op_id: u64) -> Option<RaftResp> {
-        self.results.remove(&op_id)
-    }
-}
-
-impl Node<RaftMsg> for ClientProc {
+impl Node<RaftMsg> for Mailbox<RaftResp> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, RaftMsg>, _from: NodeId, msg: RaftMsg) {
         if let RaftMsg::ClientResp { op_id, resp } = msg {
-            self.results.insert(op_id, resp);
+            self.put(op_id, resp);
         }
     }
 }
@@ -59,8 +39,8 @@ impl RaftClient {
             let resp = neat.request(
                 node,
                 neat.op_timeout,
-                |p, ctx| p.client_mut().start(ctx, target, req),
-                |p, op_id| p.client_mut().take(op_id),
+                RaftProc::client_mut,
+                |_, ctx, op_id| ctx.send(target, RaftMsg::ClientReq { op_id, req }),
             );
             match resp {
                 Some(RaftResp::Ok) => Outcome::Ok(None),

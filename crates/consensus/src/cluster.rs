@@ -2,19 +2,22 @@
 
 use std::collections::BTreeMap;
 
-use neat::{cluster::boot, Neat};
+use neat::{
+    cluster::{boot, Mailbox},
+    Neat,
+};
 use simnet::NodeId;
 
 use crate::{
-    client::{ClientProc, RaftClient},
-    raft::{RaftMsg, RaftNode, RaftRole, RaftTweaks},
+    client::RaftClient,
+    raft::{RaftMsg, RaftNode, RaftResp, RaftRole, RaftTweaks},
 };
 
 neat::roles! {
     /// A node of the Raft deployment.
     pub enum RaftProc: RaftMsg {
         Server(RaftNode) => server / server_mut,
-        Client(ClientProc) => client / client_mut,
+        Client(Mailbox<RaftResp>) => client / client_mut,
     }
 }
 
@@ -74,7 +77,7 @@ impl RaftCluster {
             if id.0 < spec.servers {
                 RaftProc::Server(RaftNode::new(id, servers.clone(), spec.tweaks))
             } else {
-                RaftProc::Client(ClientProc::default())
+                RaftProc::Client(Mailbox::default())
             }
         });
         Self {

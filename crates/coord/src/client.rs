@@ -1,8 +1,9 @@
 //! Coordination clients: the embeddable session and the test wrapper.
 
-use std::collections::BTreeMap;
-
-use neat::{cluster::Node, Neat, Op, Outcome};
+use neat::{
+    cluster::{Mailbox, Node},
+    Neat, Op, Outcome,
+};
 use simnet::{Ctx, NodeId, TimerId};
 
 use crate::{
@@ -15,12 +16,13 @@ use crate::{
 /// Host applications (e.g., message-queue brokers tracking their master
 /// through the coordination service, as ActiveMQ does with ZooKeeper) own
 /// one of these: they call [`CoordSession::heartbeat`] from a periodic
-/// timer, fire requests with [`CoordSession::request`], and feed every
-/// unwrapped [`CoordMsg`] to [`CoordSession::on_message`].
+/// timer, fire requests with [`CoordSession::request`], feed every
+/// unwrapped [`CoordMsg`] to [`CoordSession::on_message`], and take the
+/// answers from [`CoordSession::mailbox`].
 pub struct CoordSession {
     servers: Vec<NodeId>,
-    next_op: u64,
-    results: BTreeMap<u64, CoordResp>,
+    /// Definitive answers to this session's requests, by op id.
+    pub mailbox: Mailbox<CoordResp>,
 }
 
 impl CoordSession {
@@ -28,8 +30,7 @@ impl CoordSession {
     pub fn new(servers: Vec<NodeId>) -> Self {
         Self {
             servers,
-            next_op: 0,
-            results: BTreeMap::new(),
+            mailbox: Mailbox::default(),
         }
     }
 
@@ -40,12 +41,18 @@ impl CoordSession {
         }
     }
 
-    /// Sends `req` to the whole ensemble (only the leader acts on writes;
-    /// reads are answered locally by each member, first answer wins) and
-    /// returns the operation id to poll with [`CoordSession::take`].
+    /// Opens an op id for `req`, [`send`](CoordSession::send)s it, and
+    /// returns the id to take the answer by.
     pub fn request<M: CoordWire>(&mut self, ctx: &mut Ctx<'_, M>, req: CoordReq) -> u64 {
-        let op_id = (ctx.id().0 as u64) << 32 | self.next_op;
-        self.next_op += 1;
+        let op_id = self.mailbox.open(ctx.id());
+        self.send(ctx, op_id, req);
+        op_id
+    }
+
+    /// Sends op `op_id`'s `req` to the whole ensemble (only the leader acts
+    /// on writes; reads are answered locally by each member, first answer
+    /// wins).
+    pub fn send<M: CoordWire>(&self, ctx: &mut Ctx<'_, M>, op_id: u64, req: CoordReq) {
         let to = match req {
             // Local read: ask one member (the first) to keep a single
             // authoritative answer per op.
@@ -53,45 +60,15 @@ impl CoordSession {
             _ => &self.servers[..],
         };
         ctx.broadcast(to, M::from_coord(CoordMsg::Req { op_id, req }));
-        op_id
     }
 
-    /// Like [`CoordSession::request`] but aimed at one specific member —
-    /// used to read a particular (possibly corrupted) replica.
-    pub fn request_at<M: CoordWire>(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        server: NodeId,
-        req: CoordReq,
-    ) -> u64 {
-        let op_id = (ctx.id().0 as u64) << 32 | self.next_op;
-        self.next_op += 1;
-        ctx.send(server, M::from_coord(CoordMsg::Req { op_id, req }));
-        op_id
-    }
-
-    /// Records responses; ignores non-response traffic.
+    /// Keeps the first definitive answer per op; a `NotLeader` redirect is
+    /// no answer, and non-response traffic is ignored.
     pub fn on_message(&mut self, msg: CoordMsg) {
-        if let CoordMsg::Resp { op_id, resp } = msg {
-            // First definitive answer wins; NotLeader redirects only fill
-            // the slot if nothing better arrived.
-            match self.results.get(&op_id) {
-                None => {
-                    self.results.insert(op_id, resp);
-                }
-                Some(CoordResp::NotLeader { .. }) => {
-                    self.results.insert(op_id, resp);
-                }
-                Some(_) => {}
-            }
-        }
-    }
-
-    /// Removes and returns a definitive response for `op_id`.
-    pub fn take(&mut self, op_id: u64) -> Option<CoordResp> {
-        match self.results.get(&op_id) {
-            Some(CoordResp::NotLeader { .. }) | None => None,
-            Some(_) => self.results.remove(&op_id),
+        match msg {
+            CoordMsg::Resp { resp: CoordResp::NotLeader { .. }, .. } => {}
+            CoordMsg::Resp { op_id, resp } => self.mailbox.put(op_id, resp),
+            _ => {}
         }
     }
 }
@@ -141,21 +118,21 @@ pub struct CoordClient {
 }
 
 impl CoordClient {
-    /// One recorded round trip: `send` fires the request from the session
-    /// and returns its op id.
+    /// One recorded round trip: `send` puts the request for the op id on
+    /// the wire, from the session.
     fn run(
         &self,
         neat: &mut Neat<CoordProc>,
         op: Op,
-        send: impl FnOnce(&mut CoordSession, &mut Ctx<'_, CoordMsg>) -> u64,
+        send: impl FnOnce(&CoordSession, &mut Ctx<'_, CoordMsg>, u64),
     ) -> Outcome {
         let node = self.node;
         neat.recorded(node, op, |neat| {
             let resp = neat.request(
                 node,
                 neat.op_timeout,
-                |p, ctx| send(&mut p.client_mut().session, ctx),
-                |p, op_id| p.client_mut().session.take(op_id),
+                |p| &mut p.client_mut().session.mailbox,
+                |p, ctx, op_id| send(&p.client_mut().session, ctx, op_id),
             );
             match resp {
                 Some(CoordResp::Ok) => Outcome::Ok(None),
@@ -175,7 +152,7 @@ impl CoordClient {
             val,
             ephemeral: false,
         };
-        self.run(neat, Op::Write { key: path, val }, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Write { key: path, val }, |s, ctx, op_id| s.send(ctx, op_id, req))
     }
 
     /// Creates an ephemeral znode — the lock-acquire idiom (recorded as an
@@ -187,7 +164,7 @@ impl CoordClient {
             val: 1,
             ephemeral: true,
         };
-        self.run(neat, Op::Acquire { key: path }, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Acquire { key: path }, |s, ctx, op_id| s.send(ctx, op_id, req))
     }
 
     /// Updates a znode's value.
@@ -197,20 +174,22 @@ impl CoordClient {
             path: path.clone(),
             val,
         };
-        self.run(neat, Op::Write { key: path, val }, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Write { key: path, val }, |s, ctx, op_id| s.send(ctx, op_id, req))
     }
 
     /// Deletes a znode.
     pub fn delete(&self, neat: &mut Neat<CoordProc>, path: &str) -> Outcome {
         let path = neat.key(path);
         let req = CoordReq::Delete { path: path.clone() };
-        self.run(neat, Op::Delete { key: path }, |s, ctx| s.request(ctx, req))
+        self.run(neat, Op::Delete { key: path }, |s, ctx, op_id| s.send(ctx, op_id, req))
     }
 
     /// Reads a znode at a specific ensemble member (local read).
     pub fn get_at(&self, neat: &mut Neat<CoordProc>, server: NodeId, path: &str) -> Outcome {
         let path = neat.key(path);
         let req = CoordReq::Get { path: path.clone() };
-        self.run(neat, Op::Read { key: path }, |s, ctx| s.request_at(ctx, server, req))
+        self.run(neat, Op::Read { key: path }, |_, ctx, op_id| {
+            ctx.send(server, CoordMsg::Req { op_id, req })
+        })
     }
 }

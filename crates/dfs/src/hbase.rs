@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
 };
 use simnet::{Ctx, NodeId, TimerId};
 
@@ -47,9 +47,6 @@ pub enum HbMsg {
     /// Client → region server.
     Put { op_id: u64, key: String, val: u64 },
     PutResp { op_id: u64, ok: bool },
-    /// Client → any region server: read from the serving region.
-    Get { op_id: u64, key: String },
-    GetResp { op_id: u64, val: Option<u64> },
     /// Region server → store: append to `(rs, log)`.
     Append {
         seq: u64,
@@ -292,14 +289,6 @@ impl Node<HbMsg> for RegionServer {
                     ctx.send(p.client, HbMsg::PutResp { op_id: p.op_id, ok });
                 }
             }
-            HbMsg::Get { op_id, key } => {
-                let val = if self.serving {
-                    self.region.get(&key).copied()
-                } else {
-                    None
-                };
-                ctx.send(from, HbMsg::GetResp { op_id, val });
-            }
             HbMsg::AssignRegion { entries } => {
                 ctx.note(|| format!("{} takes over the region", self.me));
                 self.serving = true;
@@ -327,24 +316,11 @@ impl Node<HbMsg> for RegionServer {
     }
 }
 
-/// The client process.
-#[derive(Default)]
-pub struct HbClient {
-    next: u64,
-    puts: BTreeMap<u64, bool>,
-    gets: BTreeMap<u64, Option<u64>>,
-}
-
-impl Node<HbMsg> for HbClient {
+/// The client role: put acknowledgements by op id.
+impl Node<HbMsg> for Mailbox<bool> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, HbMsg>, _from: NodeId, msg: HbMsg) {
-        match msg {
-            HbMsg::PutResp { op_id, ok } => {
-                self.puts.insert(op_id, ok);
-            }
-            HbMsg::GetResp { op_id, val } => {
-                self.gets.insert(op_id, val);
-            }
-            _ => {}
+        if let HbMsg::PutResp { op_id, ok } = msg {
+            self.put(op_id, ok);
         }
     }
 }
@@ -355,7 +331,7 @@ neat::roles! {
         Master(HMaster) => master / master_mut,
         Rs(RegionServer) => rs / rs_mut,
         Store(LogStore) => store / store_mut,
-        Client(HbClient) => client / client_mut,
+        Client(Mailbox<bool>) => client / client_mut,
     }
 }
 
@@ -392,7 +368,7 @@ impl HbCluster {
             } else if id == store {
                 HbProc::Store(LogStore::default())
             } else {
-                HbProc::Client(HbClient::default())
+                HbProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -413,13 +389,8 @@ impl HbCluster {
             let acked = neat.request(
                 client,
                 neat.op_timeout,
-                |p, ctx| {
-                    let c = p.client_mut();
-                    c.next += 1;
-                    ctx.send(rs, HbMsg::Put { op_id: c.next, key, val });
-                    c.next
-                },
-                |p, op_id| p.client_mut().puts.remove(&op_id),
+                HbProc::client_mut,
+                |_, ctx, op_id| ctx.send(rs, HbMsg::Put { op_id, key, val }),
             );
             match acked {
                 Some(true) => neat::Outcome::Ok(None),

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use neat::{
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
     Violation, ViolationKind,
 };
 use simnet::{Ctx, NodeId, Time, TimerId};
@@ -224,32 +224,14 @@ impl Node<HdfsMsg> for DataNode {
     }
 }
 
-/// The HDFS client: drives multi-attempt writes and reads.
-#[derive(Default)]
-pub struct HdfsClient {
-    next: u64,
-    /// Completed allocation / write / read results by op id.
-    allocs: BTreeMap<u64, Option<NodeId>>,
-    write_acks: BTreeMap<u64, bool>,
-    locates: BTreeMap<u64, Option<NodeId>>,
-    reads: BTreeMap<u64, bool>,
-}
-
-impl Node<HdfsMsg> for HdfsClient {
+/// The HDFS client role: every reply, kept whole until its op is taken.
+impl Node<HdfsMsg> for Mailbox<HdfsMsg> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, HdfsMsg>, _from: NodeId, msg: HdfsMsg) {
         match msg {
-            HdfsMsg::AllocResp { op_id, dn } => {
-                self.allocs.insert(op_id, dn);
-            }
-            HdfsMsg::WriteAck { op_id } => {
-                self.write_acks.insert(op_id, true);
-            }
-            HdfsMsg::LocateResp { op_id, dn } => {
-                self.locates.insert(op_id, dn);
-            }
-            HdfsMsg::ReadResp { op_id, found } => {
-                self.reads.insert(op_id, found);
-            }
+            HdfsMsg::AllocResp { op_id, .. }
+            | HdfsMsg::WriteAck { op_id }
+            | HdfsMsg::LocateResp { op_id, .. }
+            | HdfsMsg::ReadResp { op_id, .. } => self.put(op_id, msg),
             _ => {}
         }
     }
@@ -260,7 +242,7 @@ neat::roles! {
     pub enum HdfsProc: HdfsMsg {
         Nn(NameNode) => nn / nn_mut,
         Dn(DataNode) => dn / dn_mut,
-        Client(HdfsClient) => client / client_mut,
+        Client(Mailbox<HdfsMsg>) => client / client_mut,
     }
 }
 
@@ -292,7 +274,7 @@ impl HdfsCluster {
                     nn,
                 })
             } else {
-                HdfsProc::Client(HdfsClient::default())
+                HdfsProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -304,24 +286,18 @@ impl HdfsCluster {
     }
 
     /// One client round trip: sends `msg(op_id)` to `to` and waits up to
-    /// `timeout` for `take` to find the reply.
-    fn ask<R>(
+    /// `timeout` for the reply.
+    fn ask(
         &mut self,
         timeout: u64,
         to: NodeId,
         msg: impl FnOnce(u64) -> HdfsMsg,
-        mut take: impl FnMut(&mut HdfsClient, u64) -> Option<R>,
-    ) -> Option<R> {
+    ) -> Option<HdfsMsg> {
         self.neat.request(
             self.client,
             timeout,
-            |p, ctx| {
-                let c = p.client_mut();
-                c.next += 1;
-                ctx.send(to, msg(c.next));
-                c.next
-            },
-            |p, op_id| take(p.client_mut(), op_id),
+            HdfsProc::client_mut,
+            |_, ctx, op_id| ctx.send(to, msg(op_id)),
         )
     }
 
@@ -333,12 +309,14 @@ impl HdfsCluster {
             block,
             excluded: excluded.to_vec(),
         };
-        let dn = self
-            .ask(self.neat.op_timeout, self.nn, alloc, |c, op| c.allocs.remove(&op))
-            .flatten()?;
+        let Some(HdfsMsg::AllocResp { dn: Some(dn), .. }) =
+            self.ask(self.neat.op_timeout, self.nn, alloc)
+        else {
+            return None;
+        };
         // Write to the allocated node with a short attempt timeout.
         let write = |op_id| HdfsMsg::WriteBlock { op_id, block };
-        let acked = self.ask(300, dn, write, |c, op| c.write_acks.remove(&op));
+        let acked = self.ask(300, dn, write);
         acked.map(|_| dn)
     }
 
@@ -377,14 +355,13 @@ impl HdfsCluster {
                 block,
                 excluded: excluded.clone(),
             };
-            let located =
-                self.ask(self.neat.op_timeout, self.nn, locate, |c, op| c.locates.remove(&op));
-            let Some(dn) = located.flatten() else {
+            let located = self.ask(self.neat.op_timeout, self.nn, locate);
+            let Some(HdfsMsg::LocateResp { dn: Some(dn), .. }) = located else {
                 continue;
             };
             let read = |op_id| HdfsMsg::ReadBlock { op_id, block };
-            match self.ask(300, dn, read, |c, op| c.reads.remove(&op)) {
-                Some(true) => return (attempt, true),
+            match self.ask(300, dn, read) {
+                Some(HdfsMsg::ReadResp { found: true, .. }) => return (attempt, true),
                 _ => excluded.push(dn),
             }
         }

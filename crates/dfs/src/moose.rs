@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use neat::{
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
     Violation, ViolationKind,
 };
 use simnet::{Ctx, NodeId};
@@ -142,35 +142,15 @@ impl Node<MooseMsg> for ChunkServer {
     }
 }
 
-/// The client process.
-#[derive(Default)]
-pub struct MooseClientState {
-    next: u64,
-    creates: BTreeMap<u64, Option<NodeId>>,
-    write_acks: BTreeMap<u64, bool>,
-    confirms: BTreeMap<u64, bool>,
-    stats: BTreeMap<u64, (bool, Option<NodeId>)>,
-    reads: BTreeMap<u64, bool>,
-}
-
-impl Node<MooseMsg> for MooseClientState {
+/// The client role: every reply, kept whole until its op is taken.
+impl Node<MooseMsg> for Mailbox<MooseMsg> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, MooseMsg>, _from: NodeId, msg: MooseMsg) {
         match msg {
-            MooseMsg::CreateResp { op_id, cs } => {
-                self.creates.insert(op_id, cs);
-            }
-            MooseMsg::WriteChunkAck { op_id } => {
-                self.write_acks.insert(op_id, true);
-            }
-            MooseMsg::ConfirmAck { op_id } => {
-                self.confirms.insert(op_id, true);
-            }
-            MooseMsg::StatResp { op_id, exists, cs } => {
-                self.stats.insert(op_id, (exists, cs));
-            }
-            MooseMsg::ReadChunkResp { op_id, found } => {
-                self.reads.insert(op_id, found);
-            }
+            MooseMsg::CreateResp { op_id, .. }
+            | MooseMsg::WriteChunkAck { op_id }
+            | MooseMsg::ConfirmAck { op_id }
+            | MooseMsg::StatResp { op_id, .. }
+            | MooseMsg::ReadChunkResp { op_id, .. } => self.put(op_id, msg),
             _ => {}
         }
     }
@@ -181,7 +161,7 @@ neat::roles! {
     pub enum MooseProc: MooseMsg {
         Master(Master) => master / master_mut,
         Cs(ChunkServer) => cs / cs_mut,
-        Client(MooseClientState) => client / client_mut,
+        Client(Mailbox<MooseMsg>) => client / client_mut,
     }
 }
 
@@ -209,7 +189,7 @@ impl MooseCluster {
             } else if id.0 <= 3 {
                 MooseProc::Cs(ChunkServer::default())
             } else {
-                MooseProc::Client(MooseClientState::default())
+                MooseProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -221,24 +201,18 @@ impl MooseCluster {
     }
 
     /// One client round trip: sends `msg(op_id)` to `to` and waits up to
-    /// `timeout` for `take` to find the reply.
-    fn ask<R>(
+    /// `timeout` for the reply.
+    fn ask(
         &mut self,
         timeout: u64,
         to: NodeId,
         msg: impl FnOnce(u64) -> MooseMsg,
-        mut take: impl FnMut(&mut MooseClientState, u64) -> Option<R>,
-    ) -> Option<R> {
+    ) -> Option<MooseMsg> {
         self.neat.request(
             self.client,
             timeout,
-            |p, ctx| {
-                let c = p.client_mut();
-                c.next += 1;
-                ctx.send(to, msg(c.next));
-                c.next
-            },
-            |p, op_id| take(p.client_mut(), op_id),
+            MooseProc::client_mut,
+            |_, ctx, op_id| ctx.send(to, msg(op_id)),
         )
     }
 
@@ -253,14 +227,14 @@ impl MooseCluster {
                 file,
                 excluded: excluded.clone(),
             };
-            let placed = self.ask(500, master, create, |c, op| c.creates.remove(&op));
-            let Some(cs) = placed.flatten() else {
+            let Some(MooseMsg::CreateResp { cs: Some(cs), .. }) = self.ask(500, master, create)
+            else {
                 continue;
             };
             let write = |op_id| MooseMsg::WriteChunk { op_id, file };
-            if self.ask(400, cs, write, |c, op| c.write_acks.remove(&op)).is_some() {
+            if self.ask(400, cs, write).is_some() {
                 let confirm = |op_id| MooseMsg::Confirm { op_id, file };
-                let _ = self.ask(400, master, confirm, |c, op| c.confirms.remove(&op));
+                let _ = self.ask(400, master, confirm);
                 return (attempt, true);
             }
             excluded.push(cs);
@@ -272,16 +246,15 @@ impl MooseCluster {
     /// Returns `(exists_in_metadata, data_found)`.
     pub fn read_file(&mut self, file: u64) -> (bool, bool) {
         let stat = |op_id| MooseMsg::Stat { op_id, file };
-        let Some((exists, cs)) = self.ask(500, self.master, stat, |c, op| c.stats.remove(&op))
-        else {
+        let Some(MooseMsg::StatResp { exists, cs, .. }) = self.ask(500, self.master, stat) else {
             return (false, false);
         };
         let Some(cs) = cs else {
             return (exists, false);
         };
         let read = |op_id| MooseMsg::ReadChunk { op_id, file };
-        let found = self.ask(400, cs, read, |c, op| c.reads.remove(&op));
-        (exists, found.unwrap_or(false))
+        let found = self.ask(400, cs, read);
+        (exists, matches!(found, Some(MooseMsg::ReadChunkResp { found: true, .. })))
     }
 }
 

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
 };
 use simnet::{Ctx, NodeId, TimerId};
 
@@ -212,17 +212,11 @@ impl Node<ObjMsg> for Osd {
     }
 }
 
-/// The client process.
-#[derive(Default)]
-pub struct ObjClientState {
-    next: u64,
-    results: BTreeMap<u64, (bool, Option<u64>)>,
-}
-
-impl Node<ObjMsg> for ObjClientState {
+/// The client role: each answer's `(ok, value)` by op id.
+impl Node<ObjMsg> for Mailbox<(bool, Option<u64>)> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, ObjMsg>, _from: NodeId, msg: ObjMsg) {
         if let ObjMsg::Resp { op_id, ok, val } = msg {
-            self.results.insert(op_id, (ok, val));
+            self.put(op_id, (ok, val));
         }
     }
 }
@@ -231,7 +225,7 @@ neat::roles! {
     /// A node of the object-store deployment.
     pub enum ObjProc: ObjMsg {
         Osd(Osd) => osd / osd_mut,
-        Client(ObjClientState) => client / client_mut,
+        Client(Mailbox<(bool, Option<u64>)>) => client / client_mut,
     }
 }
 
@@ -267,7 +261,7 @@ impl ObjCluster {
                     pending: BTreeMap::new(),
                 })
             } else {
-                ObjProc::Client(ObjClientState::default())
+                ObjProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -291,14 +285,8 @@ impl ObjCluster {
             let reply = neat.request(
                 client,
                 neat.op_timeout,
-                |p, ctx| {
-                    let c = p.client_mut();
-                    let op_id = (ctx.id().0 as u64) << 32 | c.next;
-                    c.next += 1;
-                    ctx.send(primary, msg(op_id));
-                    op_id
-                },
-                |p, op_id| p.client_mut().results.remove(&op_id),
+                ObjProc::client_mut,
+                |_, ctx, op_id| ctx.send(primary, msg(op_id)),
             );
             reply.map_or(neat::Outcome::Timeout, |(ok, val)| answer(ok, val))
         })

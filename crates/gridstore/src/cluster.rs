@@ -1,9 +1,7 @@
 //! Grid deployment assembly and the synchronous client.
 
-use std::collections::BTreeMap;
-
 use neat::{
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
     Neat, Op, Outcome,
 };
 use simnet::{Ctx, NodeId};
@@ -13,32 +11,11 @@ use crate::{
     state::{GridOp, GridResp, GridState},
 };
 
-/// Client process: collects responses, answers liveness pings.
-#[derive(Default)]
-pub struct GridClientProc {
-    next: u64,
-    results: BTreeMap<u64, GridResp>,
-}
-
-impl GridClientProc {
-    fn next_op(&mut self, me: NodeId) -> u64 {
-        let id = (me.0 as u64) << 32 | self.next;
-        self.next += 1;
-        id
-    }
-
-    /// Removes a completed response.
-    pub fn take(&mut self, op_id: u64) -> Option<GridResp> {
-        self.results.remove(&op_id)
-    }
-}
-
-impl Node<GridMsg> for GridClientProc {
+/// The client role: collects responses, answers liveness pings.
+impl Node<GridMsg> for Mailbox<GridResp> {
     fn on_message(&mut self, ctx: &mut Ctx<'_, GridMsg>, from: NodeId, msg: GridMsg) {
         match msg {
-            GridMsg::Resp { op_id, resp } => {
-                self.results.insert(op_id, resp);
-            }
+            GridMsg::Resp { op_id, resp } => self.put(op_id, resp),
             GridMsg::Ping => ctx.send(from, GridMsg::Pong),
             _ => {}
         }
@@ -49,7 +26,7 @@ neat::roles! {
     /// A node of the grid deployment.
     pub enum GridProc: GridMsg {
         Server(GridNode) => server / server_mut,
-        Client(GridClientProc) => client / client_mut,
+        Client(Mailbox<GridResp>) => client / client_mut,
     }
 }
 
@@ -110,12 +87,8 @@ impl GridClient {
             let resp = neat.request(
                 node,
                 neat.op_timeout,
-                |p, ctx| {
-                    let op_id = p.client_mut().next_op(ctx.id());
-                    ctx.send(target, GridMsg::Req { op_id, op });
-                    op_id
-                },
-                |p, op_id| p.client_mut().take(op_id),
+                GridProc::client_mut,
+                |_, ctx, op_id| ctx.send(target, GridMsg::Req { op_id, op }),
             );
             match resp {
                 Some(GridResp::Ok) => Outcome::Ok(None),
@@ -194,7 +167,7 @@ impl GridCluster {
             if id.0 < servers {
                 GridProc::Server(GridNode::new(id, server_ids.clone(), flaws))
             } else {
-                GridProc::Client(GridClientProc::default())
+                GridProc::Client(Mailbox::default())
             }
         });
         Self {

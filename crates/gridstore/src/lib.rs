@@ -15,7 +15,7 @@ pub mod node;
 pub mod scenarios;
 pub mod state;
 
-pub use cluster::{GridClient, GridClientProc, GridCluster, GridProc};
+pub use cluster::{GridClient, GridCluster, GridProc};
 pub use explorer::GridTarget;
 pub use node::{GridFlaws, GridMsg, GridNode};
 pub use state::{GridOp, GridResp, GridState, SemState};

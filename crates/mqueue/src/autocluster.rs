@@ -42,7 +42,8 @@ pub enum AcMsg {
     },
     /// Any member → its cluster's queue owner.
     Forward { op_id: u64, client: NodeId, queue: String, push: Option<u64> },
-    ForwardResp { op_id: u64, client: NodeId, val: Option<u64>, ok: bool },
+    /// The owner's answer; `push` is whether the forwarded op was a push.
+    ForwardResp { op_id: u64, client: NodeId, push: bool, val: Option<u64>, ok: bool },
 }
 
 /// A peer-discovered broker.
@@ -100,12 +101,6 @@ impl PeerBroker {
     fn arm_discovery(&mut self, ctx: &mut Ctx<'_, AcMsg>) {
         let jitter = ctx.rand_below(200);
         ctx.set_timer(200 + jitter, TAG_DISCOVERY);
-    }
-
-    /// Routing cannot tell a successful push from an empty pop by shape
-    /// alone; pushes are tagged in the low bit of the op id by the client.
-    fn is_push_resp(&self, op_id: u64) -> bool {
-        op_id & 1 == 1
     }
 
     fn route(
@@ -217,17 +212,19 @@ impl Node<AcMsg> for PeerBroker {
                 push,
             } => {
                 let (val, ok) = self.apply(queue, push);
-                ctx.send(from, AcMsg::ForwardResp { op_id, client, val, ok });
+                let push = push.is_some();
+                ctx.send(from, AcMsg::ForwardResp { op_id, client, push, val, ok });
             }
             AcMsg::ForwardResp {
                 op_id,
                 client,
+                push,
                 val,
                 ok,
             } => {
-                // Relay the owner's answer to the client; the op id's low
-                // bit says whether this was a send or a receive.
-                let msg = if self.is_push_resp(op_id) {
+                // Relay the owner's answer to the client as the reply its
+                // request expects.
+                let msg = if push {
                     AcMsg::SendResp { op_id, ok }
                 } else {
                     AcMsg::RecvResp { op_id, val, ok }

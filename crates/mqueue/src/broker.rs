@@ -256,7 +256,7 @@ impl Broker {
         self.session.on_message(cm);
         if let Some(op_id) = op {
             if let Some(intent) = self.inflight.get(&op_id).copied() {
-                if let Some(resp) = self.session.take(op_id) {
+                if let Some(resp) = self.session.mailbox.take(op_id) {
                     self.inflight.remove(&op_id);
                     self.handle_intent(ctx, intent, resp);
                 }

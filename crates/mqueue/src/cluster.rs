@@ -1,10 +1,8 @@
 //! Deployment assembly for both broker modes, plus client processes.
 
-use std::collections::BTreeMap;
-
 use coord::{CoordFlaws, CoordServer};
 use neat::{
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
     Neat, Op, Outcome,
 };
 use simnet::{Application, Ctx, NodeId};
@@ -23,43 +21,23 @@ pub enum MqResult {
     Refused,
 }
 
-/// Client process shared by both modes (parameterized by message type via
-/// the per-mode `Proc` enums below).
-#[derive(Default)]
-pub struct MqClientProc {
-    next: u64,
-    results: BTreeMap<u64, MqResult>,
-}
-
-impl MqClientProc {
-    /// Allocates an op id; the low bit distinguishes sends from receives.
-    fn next_op(&mut self, me: NodeId, is_send: bool) -> u64 {
-        let id = (me.0 as u64) << 32 | self.next << 1 | u64::from(is_send);
-        self.next += 1;
-        id
-    }
-
-    /// Removes a completed result.
-    pub fn take(&mut self, op_id: u64) -> Option<MqResult> {
-        self.results.remove(&op_id)
-    }
-
-    fn record_send(&mut self, op_id: u64, ok: bool) {
-        self.results.insert(op_id, MqResult::Sent(ok));
-    }
-
-    fn record_recv(&mut self, op_id: u64, val: Option<u64>, ok: bool) {
-        let r = if ok { MqResult::Got(val) } else { MqResult::Refused };
-        self.results.insert(op_id, r);
+impl MqResult {
+    /// A receive's answer: the value, or [`MqResult::Refused`] when not `ok`.
+    fn received(val: Option<u64>, ok: bool) -> Self {
+        if ok {
+            MqResult::Got(val)
+        } else {
+            MqResult::Refused
+        }
     }
 }
 
 /// What the one client implementation needs from a broker mode: where the
-/// client process sits in the mode's role enum, and how the mode's wire
+/// client's mailbox sits in the mode's role enum, and how the mode's wire
 /// spells the two requests.
 pub trait MqMode: Application {
-    /// The client role's state; panics on any other role.
-    fn client_proc(&mut self) -> &mut MqClientProc;
+    /// The client role's mailbox; panics on any other role.
+    fn mailbox(&mut self) -> &mut Mailbox<MqResult>;
     /// Producer → broker.
     fn send(op_id: u64, queue: String, val: u64) -> Self::Msg;
     /// Consumer → broker.
@@ -91,16 +69,9 @@ impl MqClient {
         };
         neat.recorded(self.node, op, |neat| {
             let queue = queue.to_string();
-            let res = neat.request(
-                self.node,
-                neat.op_timeout,
-                |p, ctx| {
-                    let op_id = p.client_proc().next_op(ctx.id(), true);
-                    ctx.send(broker, P::send(op_id, queue, val));
-                    op_id
-                },
-                |p, op_id| p.client_proc().take(op_id),
-            );
+            let res = neat.request(self.node, neat.op_timeout, P::mailbox, |_, ctx, op_id| {
+                ctx.send(broker, P::send(op_id, queue, val))
+            });
             match res {
                 Some(MqResult::Sent(true)) => Outcome::Ok(None),
                 Some(MqResult::Sent(false)) => Outcome::Fail,
@@ -119,16 +90,9 @@ impl MqClient {
     /// One dequeue round trip that stays out of the history.
     fn probe<P: MqMode>(&self, neat: &mut Neat<P>, broker: NodeId, queue: &str) -> Outcome {
         let queue = queue.to_string();
-        let res = neat.request(
-            self.node,
-            neat.op_timeout,
-            |p, ctx| {
-                let op_id = p.client_proc().next_op(ctx.id(), false);
-                ctx.send(broker, P::recv(op_id, queue));
-                op_id
-            },
-            |p, op_id| p.client_proc().take(op_id),
-        );
+        let res = neat.request(self.node, neat.op_timeout, P::mailbox, |_, ctx, op_id| {
+            ctx.send(broker, P::recv(op_id, queue))
+        });
         match res {
             Some(MqResult::Got(v)) => Outcome::Ok(v),
             Some(MqResult::Refused) | Some(MqResult::Sent(_)) => Outcome::Fail,
@@ -162,11 +126,12 @@ impl MqClient {
 // Coordinator mode (ActiveMQ-like).
 // ---------------------------------------------------------------------------
 
-impl Node<MqMsg> for MqClientProc {
+/// The client role of both modes: a refused receive is [`MqResult::Refused`].
+impl Node<MqMsg> for Mailbox<MqResult> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, MqMsg>, _from: NodeId, msg: MqMsg) {
         match msg {
-            MqMsg::SendResp { op_id, ok } => self.record_send(op_id, ok),
-            MqMsg::RecvResp { op_id, val, ok } => self.record_recv(op_id, val, ok),
+            MqMsg::SendResp { op_id, ok } => self.put(op_id, MqResult::Sent(ok)),
+            MqMsg::RecvResp { op_id, val, ok } => self.put(op_id, MqResult::received(val, ok)),
             _ => {}
         }
     }
@@ -177,7 +142,7 @@ neat::roles! {
     pub enum MqProc: MqMsg {
         Coord(CoordServer) => coord / coord_mut,
         Broker(Broker) => broker / broker_mut,
-        Client(MqClientProc) => client / client_mut,
+        Client(Mailbox<MqResult>) => client / client_mut,
     }
 }
 
@@ -190,7 +155,7 @@ fn master_of(neat: &Neat<MqProc>, brokers: &[NodeId]) -> Option<NodeId> {
 }
 
 impl MqMode for MqProc {
-    fn client_proc(&mut self) -> &mut MqClientProc {
+    fn mailbox(&mut self) -> &mut Mailbox<MqResult> {
         self.client_mut()
     }
     fn send(op_id: u64, queue: String, val: u64) -> MqMsg {
@@ -228,7 +193,7 @@ impl MqCluster {
             } else if id.0 <= brokers {
                 MqProc::Broker(Broker::new(id, broker_ids.clone(), vec![coord_id], broker_flaws))
             } else {
-                MqProc::Client(MqClientProc::default())
+                MqProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -267,11 +232,11 @@ impl MqCluster {
 // Autocluster mode (RabbitMQ-like).
 // ---------------------------------------------------------------------------
 
-impl Node<AcMsg> for MqClientProc {
+impl Node<AcMsg> for Mailbox<MqResult> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, AcMsg>, _from: NodeId, msg: AcMsg) {
         match msg {
-            AcMsg::SendResp { op_id, ok } => self.record_send(op_id, ok),
-            AcMsg::RecvResp { op_id, val, ok } => self.record_recv(op_id, val, ok),
+            AcMsg::SendResp { op_id, ok } => self.put(op_id, MqResult::Sent(ok)),
+            AcMsg::RecvResp { op_id, val, ok } => self.put(op_id, MqResult::received(val, ok)),
             _ => {}
         }
     }
@@ -281,12 +246,12 @@ neat::roles! {
     /// A node of the autocluster deployment.
     pub enum AcProc: AcMsg {
         Broker(PeerBroker) => broker / broker_mut,
-        Client(MqClientProc) => client / client_mut,
+        Client(Mailbox<MqResult>) => client / client_mut,
     }
 }
 
 impl MqMode for AcProc {
-    fn client_proc(&mut self) -> &mut MqClientProc {
+    fn mailbox(&mut self) -> &mut Mailbox<MqResult> {
         self.client_mut()
     }
     fn send(op_id: u64, queue: String, val: u64) -> AcMsg {
@@ -317,7 +282,7 @@ impl AcCluster {
                 }
                 AcProc::Broker(b)
             } else {
-                AcProc::Client(MqClientProc::default())
+                AcProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -388,5 +353,24 @@ mod tests {
         assert_eq!(cluster.neat.history().len(), 3);
         assert_eq!(client.drain(&mut cluster.neat, master, "q"), (vec![2], true));
         assert_eq!(cluster.neat.history().len(), 3, "the drain is a probe, not an op");
+    }
+
+    #[test]
+    fn ops_relayed_through_a_non_owner_come_back_as_the_reply_they_asked_for() {
+        let flaws = AcFlaws { form_own_cluster_on_silence: false };
+        let mut cluster = AcCluster::build(3, flaws, 8, false);
+        let brokers = cluster.brokers.clone();
+        let joined = cluster.neat.wait_until(3000, |neat| {
+            let member = |&b: &NodeId| neat.world.app(b).broker().cluster == Some(0);
+            brokers.iter().all(member).then_some(())
+        });
+        assert_eq!(joined, Some(()), "every broker joined broker 0's cluster");
+        // Broker 0, the lowest member, owns the queues; 1 and 2 forward.
+        let (client, relay) = (cluster.client(0), brokers[1]);
+        // `send` answers `Ok(None)` only for `Sent(true)`, and `recv`
+        // answers `Ok(_)` only for `Got(_)`: an empty pop is not a push.
+        assert_eq!(client.send(&mut cluster.neat, relay, "q", 7), Outcome::Ok(None));
+        assert_eq!(client.recv(&mut cluster.neat, relay, "q"), Outcome::Ok(Some(7)));
+        assert_eq!(client.recv(&mut cluster.neat, brokers[2], "q"), Outcome::Ok(None));
     }
 }

@@ -11,8 +11,12 @@
 //! - [`roles!`](crate::roles) — from one list of `Variant(RoleType)`
 //!   pairs, the family's process enum, its [`simnet::Application`]
 //!   forwarding, and its panicking role accessors.
+//! - [`Mailbox`] — every family's client role: the one op-id layout and
+//!   the inbox holding replies until [`Neat::request`] takes them.
 //! - [`boot`] — the one construction site: seed and recording flag in, a
 //!   started world wrapped in the [`Neat`] engine out.
+
+use std::collections::BTreeMap;
 
 use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
 
@@ -33,6 +37,47 @@ pub trait Node<M> {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _timer: TimerId, _tag: u64) {}
     /// Called when the node crashes; clears volatile state.
     fn on_crash(&mut self) {}
+}
+
+/// A client's op ids and the replies to them, held until taken.
+///
+/// Each family's client role is a `Mailbox<Reply>` with a one-arm
+/// [`Node`] impl that [`put`](Mailbox::put)s every reply by its op id;
+/// [`Neat::request`] opens the id and polls [`take`](Mailbox::take).
+pub struct Mailbox<R> {
+    next: u64,
+    inbox: BTreeMap<u64, R>,
+}
+
+impl<R> Default for Mailbox<R> {
+    fn default() -> Self {
+        Self {
+            next: 0,
+            inbox: BTreeMap::new(),
+        }
+    }
+}
+
+impl<R> Mailbox<R> {
+    /// Allocates the next op id of client `me`: the node in the high 32
+    /// bits, a per-client count in the low, so ids are unique across the
+    /// deployment (repkv's coordinators key timers by them).
+    pub fn open(&mut self, me: NodeId) -> u64 {
+        let id = (me.0 as u64) << 32 | self.next;
+        self.next += 1;
+        id
+    }
+
+    /// Keeps `reply` for `op_id` unless a reply is already waiting: the
+    /// first answer wins.
+    pub fn put(&mut self, op_id: u64, reply: R) {
+        self.inbox.entry(op_id).or_insert(reply);
+    }
+
+    /// Removes and returns the reply to `op_id`, if one arrived.
+    pub fn take(&mut self, op_id: u64) -> Option<R> {
+        self.inbox.remove(&op_id)
+    }
 }
 
 /// The panic behind every generated role accessor.
@@ -271,6 +316,87 @@ mod tests {
         neat.restart(&[NodeId(1)]);
         neat.sleep(50);
         assert_eq!(neat.world.app(NodeId(0)).server().heard, 5);
+    }
+
+    #[test]
+    fn mailbox_ids_never_collide_and_increase_per_client() {
+        let (mut a, mut b) = (Mailbox::<()>::default(), Mailbox::<()>::default());
+        let ids_a: Vec<u64> = (0..3).map(|_| a.open(NodeId(1))).collect();
+        let ids_b: Vec<u64> = (0..3).map(|_| b.open(NodeId(2))).collect();
+        assert!(ids_a.windows(2).all(|w| w[0] < w[1]), "{ids_a:?}");
+        assert!(ids_b.windows(2).all(|w| w[0] < w[1]), "{ids_b:?}");
+        assert!(
+            ids_a.iter().all(|id| !ids_b.contains(id)),
+            "{ids_a:?} vs {ids_b:?}"
+        );
+    }
+
+    #[test]
+    fn mailbox_keeps_the_first_reply() {
+        let mut m = Mailbox::default();
+        let op = m.open(NodeId(0));
+        m.put(op, "first");
+        m.put(op, "second");
+        assert_eq!(m.take(op), Some("first"));
+        assert_eq!(m.take(op), None, "taken once");
+    }
+
+    /// A server that echoes each op id 100 virtual ms after it arrives.
+    #[derive(Default)]
+    struct Slow {
+        queued: std::collections::VecDeque<(NodeId, u64)>,
+    }
+
+    impl Node<u64> for Slow {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, op_id: u64) {
+            self.queued.push_back((from, op_id));
+            ctx.set_timer(100, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u64>, _: TimerId, _: u64) {
+            if let Some((to, op_id)) = self.queued.pop_front() {
+                ctx.send(to, op_id);
+            }
+        }
+    }
+
+    impl Node<u64> for Mailbox<u64> {
+        fn on_message(&mut self, _: &mut Ctx<'_, u64>, _: NodeId, op_id: u64) {
+            self.put(op_id, op_id);
+        }
+    }
+
+    roles! {
+        enum SlowProc: u64 {
+            Server(Slow) => server / server_mut,
+            Client(Mailbox<u64>) => client / client_mut,
+        }
+    }
+
+    fn ask_slow(neat: &mut Neat<SlowProc>, timeout: u64) -> Option<u64> {
+        neat.request(NodeId(1), timeout, SlowProc::client_mut, |_, ctx, op_id| {
+            ctx.send(NodeId(0), op_id)
+        })
+    }
+
+    #[test]
+    fn a_reply_to_a_timed_out_op_never_answers_a_later_op() {
+        let mut neat = boot(4, false, 2, |id| match id.0 {
+            0 => SlowProc::Server(Slow::default()),
+            _ => SlowProc::Client(Mailbox::default()),
+        });
+        let (first, second) = (1 << 32, 1 << 32 | 1);
+        assert_eq!(
+            ask_slow(&mut neat, 50),
+            None,
+            "the server answers after 100 ms"
+        );
+        // The first op's late reply lands while the second op waits…
+        assert_eq!(ask_slow(&mut neat, 300), Some(second));
+        // …and stays in the mailbox, unclaimed.
+        assert_eq!(
+            neat.world.app_mut(NodeId(1)).client_mut().take(first),
+            Some(first)
+        );
     }
 
     #[test]

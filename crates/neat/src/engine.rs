@@ -7,6 +7,7 @@ use simnet::{Application, Ctx, NodeId, Time, World};
 
 use crate::{
     checkers::{Violation, ViolationKind},
+    cluster::Mailbox,
     fault::{Partition, PartitionSpec},
     gray::{Degrade, DegradeSpec},
     history::{History, Op, OpRecord, Outcome},
@@ -306,47 +307,67 @@ impl<A: Application> Neat<A> {
         self.obs.timeline(self.world.trace())
     }
 
-    /// One client round trip: `send` runs on the `client` node and returns
-    /// the id of the operation it sent; the simulation then advances until
-    /// `take(app, op_id)` finds the reply in the client's inbox or
-    /// `timeout` virtual milliseconds pass. `None` is the *Timeout* outcome
-    /// of the paper's histories — at once, with the clock unmoved, when
-    /// the client node is down.
+    /// One client round trip. The engine opens the next op id of the
+    /// `client` node's [`Mailbox`] (reached through `mailbox`, usually the
+    /// family's generated `client_mut` accessor), `send` puts the request
+    /// for that id on the wire, and the simulation advances until the
+    /// reply is in the mailbox or `timeout` virtual milliseconds pass.
+    /// `None` is the *Timeout* outcome of the paper's histories — at once,
+    /// with the clock unmoved, when the client node is down.
     ///
     /// ```
-    /// use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
+    /// use neat::cluster::{Mailbox, Node};
+    /// use simnet::{Ctx, NodeId};
     ///
-    /// /// Node 1 echoes op ids; node 0 keeps the echo as its inbox.
-    /// struct Echo(Option<u64>);
-    /// impl Application for Echo {
-    ///     type Msg = u64;
-    ///     fn on_start(&mut self, _: &mut Ctx<'_, u64>) {}
-    ///     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, op_id: u64) {
-    ///         match ctx.id() {
-    ///             NodeId(1) => ctx.send(from, op_id),
-    ///             _ => self.0 = Some(op_id),
-    ///         }
+    /// /// An op id on the wire.
+    /// #[derive(Clone, Debug)]
+    /// pub struct Ping(u64);
+    ///
+    /// /// Node 1 echoes every ping.
+    /// pub struct Echo;
+    /// impl Node<Ping> for Echo {
+    ///     fn on_message(&mut self, ctx: &mut Ctx<'_, Ping>, from: NodeId, ping: Ping) {
+    ///         ctx.send(from, ping);
     ///     }
-    ///     fn on_timer(&mut self, _: &mut Ctx<'_, u64>, _: TimerId, _: u64) {}
+    /// }
+    /// /// Node 0's mailbox keeps each echo as the reply to its op.
+    /// impl Node<Ping> for Mailbox<u64> {
+    ///     fn on_message(&mut self, _: &mut Ctx<'_, Ping>, _: NodeId, Ping(op_id): Ping) {
+    ///         self.put(op_id, op_id);
+    ///     }
+    /// }
+    /// neat::roles! {
+    ///     pub enum EchoProc: Ping {
+    ///         Client(Mailbox<u64>) => client / client_mut,
+    ///         Server(Echo) => server / server_mut,
+    ///     }
     /// }
     ///
-    /// let mut neat = neat::Neat::new(WorldBuilder::new(1).build(2, |_| Echo(None)));
-    /// let send = |_: &mut Echo, ctx: &mut Ctx<'_, u64>| {
-    ///     ctx.send(NodeId(1), 7);
-    ///     7
-    /// };
-    /// let reply = neat.request(NodeId(0), 100, send, |app, op_id| app.0.filter(|&got| got == op_id));
-    /// assert_eq!(reply, Some(7));
+    /// let mut neat = neat::cluster::boot(1, false, 2, |id| match id.0 {
+    ///     0 => EchoProc::Client(Mailbox::default()),
+    ///     _ => EchoProc::Server(Echo),
+    /// });
+    /// let reply = neat.request(NodeId(0), 100, EchoProc::client_mut, |_, ctx, op_id| {
+    ///     ctx.send(NodeId(1), Ping(op_id))
+    /// });
+    /// assert_eq!(reply, Some(0), "node 0's first op id");
     /// ```
     pub fn request<R>(
         &mut self,
         client: NodeId,
         timeout: Time,
-        send: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> u64,
-        mut take: impl FnMut(&mut A, u64) -> Option<R>,
+        mailbox: impl Fn(&mut A) -> &mut Mailbox<R>,
+        send: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>, u64),
     ) -> Option<R> {
-        let op_id = self.world.call(client, send).ok()?;
-        self.run_op(timeout, |w| take(w.app_mut(client), op_id))
+        let op_id = self
+            .world
+            .call(client, |app, ctx| {
+                let op_id = mailbox(app).open(ctx.id());
+                send(app, ctx, op_id);
+                op_id
+            })
+            .ok()?;
+        self.run_op(timeout, |w| mailbox(w.app_mut(client)).take(op_id))
     }
 
     /// Steps the world until `poll` answers or `timeout` virtual
@@ -388,10 +409,11 @@ mod tests {
     use super::*;
     use simnet::{Ctx, TimerId, WorldBuilder};
 
-    /// A node that acks every request after one hop.
+    /// A node that acks every request after one hop: op `n` goes out as
+    /// `2n`, its ack comes back as `2n + 1`.
     #[derive(Default)]
     struct AckServer {
-        acked: Option<u64>,
+        mailbox: Mailbox<()>,
     }
 
     impl Application for AckServer {
@@ -401,7 +423,7 @@ mod tests {
             if msg.is_multiple_of(2) {
                 ctx.send(from, msg + 1);
             } else {
-                self.acked = Some(msg);
+                self.mailbox.put(msg / 2, ());
             }
         }
         fn on_timer(&mut self, _: &mut Ctx<'_, u64>, _: TimerId, _: u64) {}
@@ -411,16 +433,13 @@ mod tests {
         Neat::new(WorldBuilder::new(5).build(n, |_| AckServer::default()))
     }
 
-    /// Node 0 sends op 8 to node 1 and waits for its ack.
-    fn ping(neat: &mut Neat<AckServer>) -> Option<u64> {
+    /// Node 0 sends its next op to node 1 and waits for the ack.
+    fn ping(neat: &mut Neat<AckServer>) -> Option<()> {
         neat.request(
             NodeId(0),
             neat.op_timeout,
-            |_, ctx| {
-                ctx.send(NodeId(1), 8);
-                8
-            },
-            |app, op_id| app.acked.filter(|&ack| ack == op_id + 1),
+            |app| &mut app.mailbox,
+            |_, ctx, op_id| ctx.send(NodeId(1), 2 * op_id),
         )
     }
 
@@ -428,7 +447,7 @@ mod tests {
     fn run_op_completes_round_trip() {
         let mut neat = engine(2);
         let got = ping(&mut neat);
-        assert_eq!(got, Some(9));
+        assert_eq!(got, Some(()));
     }
 
     #[test]
@@ -450,7 +469,7 @@ mod tests {
         neat.heal(&p);
         assert!(neat.active_partitions().is_empty());
         let got = ping(&mut neat);
-        assert_eq!(got, Some(9));
+        assert_eq!(got, Some(()));
     }
 
     #[test]
@@ -483,7 +502,7 @@ mod tests {
         neat.heal_degrade(&d); // second heal: no extra event
         assert!(neat.active_degrades().is_empty());
         let got = ping(&mut neat);
-        assert_eq!(got, Some(9));
+        assert_eq!(got, Some(()));
         let t = neat.timeline();
         assert_eq!(t.counters.degrades_installed, 1);
         assert_eq!(t.counters.degrade_heals, 1);

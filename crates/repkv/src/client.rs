@@ -1,8 +1,10 @@
-//! Client process and the synchronous client wrapper used by tests.
+//! The client role's reply inbox and the synchronous client wrapper used by
+//! tests.
 
-use std::collections::BTreeMap;
-
-use neat::{cluster::Node, Neat, Op, Outcome, RetryPolicy};
+use neat::{
+    cluster::{Mailbox, Node},
+    Neat, Op, Outcome, RetryPolicy,
+};
 use simnet::{Ctx, NodeId};
 
 use crate::{
@@ -10,35 +12,10 @@ use crate::{
     msg::{Msg, Req, Resp},
 };
 
-/// The client-side process: fires requests at a server and collects
-/// responses by operation id.
-#[derive(Default)]
-pub struct ClientProc {
-    next_op: u64,
-    results: BTreeMap<u64, Resp>,
-}
-
-impl ClientProc {
-    /// Sends `req` to `server`, returning the operation id to poll.
-    pub fn start(&mut self, ctx: &mut Ctx<'_, Msg>, server: NodeId, req: Req) -> u64 {
-        // Operation ids are globally unique (client id in the high bits) so
-        // coordinator timers on different servers never collide.
-        let op_id = (ctx.id().0 as u64) << 32 | self.next_op;
-        self.next_op += 1;
-        ctx.send(server, Msg::ClientReq { op_id, req });
-        op_id
-    }
-
-    /// Removes and returns the response for `op_id`, if it arrived.
-    pub fn take(&mut self, op_id: u64) -> Option<Resp> {
-        self.results.remove(&op_id)
-    }
-}
-
-impl Node<Msg> for ClientProc {
+impl Node<Msg> for Mailbox<Resp> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         if let Msg::ClientResp { op_id, resp } = msg {
-            self.results.insert(op_id, resp);
+            self.put(op_id, resp);
         }
     }
 }
@@ -79,12 +56,9 @@ impl KvClient {
     /// One request/response attempt; does not touch the history.
     fn attempt(&self, neat: &mut Neat<Proc>, req: Req) -> Outcome {
         let Self { node, target, .. } = *self;
-        let resp = neat.request(
-            node,
-            neat.op_timeout,
-            |p, ctx| p.client_mut().start(ctx, target, req),
-            |p, op_id| p.client_mut().take(op_id),
-        );
+        let resp = neat.request(node, neat.op_timeout, Proc::client_mut, |_, ctx, op_id| {
+            ctx.send(target, Msg::ClientReq { op_id, req })
+        });
         match resp {
             Some(Resp::Ok) => Outcome::Ok(None),
             Some(Resp::Value(v)) => Outcome::Ok(v),

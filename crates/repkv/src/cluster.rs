@@ -3,13 +3,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use neat::{cluster::boot, Neat, RetryPolicy};
+use neat::{
+    cluster::{boot, Mailbox},
+    Neat, RetryPolicy,
+};
 use simnet::NodeId;
 
 use crate::{
-    client::{ClientProc, KvClient},
+    client::KvClient,
     config::Config,
-    msg::Msg,
+    msg::{Msg, Resp},
     server::{Role, Server},
 };
 
@@ -17,7 +20,7 @@ neat::roles! {
     /// A node of the replicated KV deployment: replica server or client.
     pub enum Proc: Msg {
         Server(Server) => server / server_mut,
-        Client(ClientProc) => client / client_mut,
+        Client(Mailbox<Resp>) => client / client_mut,
     }
 }
 
@@ -84,7 +87,7 @@ impl Cluster {
             if id.0 < spec.servers {
                 Proc::Server(Server::new(id, servers.clone(), arbiter, spec.config.clone()))
             } else {
-                Proc::Client(ClientProc::default())
+                Proc::Client(Mailbox::default())
             }
         });
         Self {

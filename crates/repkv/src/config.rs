@@ -5,8 +5,6 @@
 //! can run as a *flawed* profile (reproducing a studied failure) or as a
 //! *fixed* baseline (the ablation the benches compare against).
 
-use simnet::Time;
-
 /// Leader-election victory criterion (Table 4's "electing bad leaders" all
 /// stem from the first three).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,8 +43,6 @@ pub enum Replication {
     Async,
     /// Acknowledge after a majority of data replicas applied the write.
     SyncMajority,
-    /// Acknowledge after every data replica applied the write.
-    SyncAll,
 }
 
 /// Tunable protocol parameters and flaw toggles.
@@ -83,18 +79,10 @@ pub struct Config {
     /// acknowledges on the first entry's append and drips the tail out one
     /// entry per replication round trip, so a partition mid-batch tears it.
     pub atomic_batch: bool,
-    /// Heartbeat broadcast interval, ms.
-    pub heartbeat_interval: Time,
-    /// Base follower election timeout, ms (jittered up to +50%).
-    pub election_timeout: Time,
-    /// How long a leader waits for replication acks before giving up, ms.
-    pub replication_timeout: Time,
     /// How many heartbeat rounds without a majority of acks before the
     /// leader steps down (every profile steps down; only the patience
     /// varies).
     pub step_down_rounds: u32,
-    /// Coordinator wait before reporting a forwarded request failed, ms.
-    pub coordinator_timeout: Time,
 }
 
 impl Config {
@@ -111,11 +99,7 @@ impl Config {
             coordinator_routing: false,
             priority_node: None,
             atomic_batch: false,
-            heartbeat_interval: 50,
-            election_timeout: 300,
-            replication_timeout: 200,
             step_down_rounds: 3,
-            coordinator_timeout: 250,
         }
     }
 

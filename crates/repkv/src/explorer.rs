@@ -98,7 +98,7 @@ impl Deployment for RepkvTarget {
     }
 
     fn detection_period(&mut self) -> Time {
-        self.config.election_timeout
+        crate::server::ELECTION_TIMEOUT
     }
 
     fn settled_view(&mut self) -> Option<Self::View> {

@@ -37,6 +37,15 @@ const TAG_REPL: u64 = 1_000;
 /// Coordinator deadline for the forwarded op `tag - TAG_COORD`.
 const TAG_COORD: u64 = 2_000_000;
 
+/// Heartbeat broadcast interval, ms.
+const HEARTBEAT_INTERVAL: Time = 50;
+/// Base follower election timeout, ms (jittered up to +50%).
+pub(crate) const ELECTION_TIMEOUT: Time = 300;
+/// How long a leader waits for replication acks before giving up, ms.
+const REPLICATION_TIMEOUT: Time = 200;
+/// Coordinator wait before reporting a forwarded request failed, ms.
+const COORDINATOR_TIMEOUT: Time = 250;
+
 /// A server's replication role.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Role {
@@ -171,12 +180,11 @@ impl Server {
         match self.cfg.replication {
             Replication::Async => 1,
             Replication::SyncMajority => n / 2 + 1,
-            Replication::SyncAll => n,
         }
     }
 
     fn lease_duration(&self) -> Time {
-        self.cfg.heartbeat_interval * 3
+        HEARTBEAT_INTERVAL * 3
     }
 
     /// This node's log summary.
@@ -257,7 +265,7 @@ impl Server {
     }
 
     fn arm_election_timer(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let base = self.cfg.election_timeout;
+        let base = ELECTION_TIMEOUT;
         let jitter = ctx.rng().gen_range(0..=base / 2);
         ctx.set_timer(base + jitter, TAG_ELECTION);
     }
@@ -319,7 +327,7 @@ impl Server {
         ctx.note(|| format!("becomes leader (term {})", self.term));
         self.broadcast_heartbeat(ctx);
         self.broadcast_replicate(ctx);
-        ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
     }
 
     fn broadcast_heartbeat(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -450,7 +458,7 @@ impl Server {
                     needed,
                 },
             );
-            ctx.set_timer(self.cfg.replication_timeout, TAG_REPL + idx as u64);
+            ctx.set_timer(REPLICATION_TIMEOUT, TAG_REPL + idx as u64);
         }
     }
 
@@ -495,7 +503,7 @@ impl Server {
                         req,
                     },
                 );
-                ctx.set_timer(self.cfg.coordinator_timeout, TAG_COORD + op_id);
+                ctx.set_timer(COORDINATOR_TIMEOUT, TAG_COORD + op_id);
                 return;
             }
         }
@@ -558,7 +566,7 @@ impl Server {
             && self.role != Role::Leader
             && self.leader_hint.is_some()
             && self.leader_hint != Some(from)
-            && ctx.now().saturating_sub(self.last_leader_contact) < self.cfg.election_timeout;
+            && ctx.now().saturating_sub(self.last_leader_contact) < ELECTION_TIMEOUT;
         if connected_veto {
             ctx.send(
                 from,
@@ -714,7 +722,7 @@ impl Server {
         }
         reset_to(&mut self.hb_acks, self.me);
         self.broadcast_heartbeat(ctx);
-        ctx.set_timer(self.cfg.heartbeat_interval, TAG_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
     }
 }
 
@@ -823,7 +831,7 @@ impl Node<Msg> for Server {
             TAG_ELECTION => {
                 if self.role != Role::Leader
                     && ctx.now().saturating_sub(self.last_leader_contact)
-                        >= self.cfg.election_timeout
+                        >= ELECTION_TIMEOUT
                 {
                     self.start_election(ctx);
                 }
@@ -1015,9 +1023,7 @@ mod tests {
         cfg.replication = Replication::Async;
         assert_eq!(server_with(cfg.clone()).needed_acks(), 1);
         cfg.replication = Replication::SyncMajority;
-        assert_eq!(server_with(cfg.clone()).needed_acks(), 2);
-        cfg.replication = Replication::SyncAll;
-        assert_eq!(server_with(cfg).needed_acks(), 3);
+        assert_eq!(server_with(cfg).needed_acks(), 2);
     }
 
     #[test]

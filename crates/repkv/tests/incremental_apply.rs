@@ -12,11 +12,9 @@
 
 use std::sync::Arc;
 
+use neat::cluster::Mailbox;
 use proptest::prelude::*;
-use repkv::{
-    client::ClientProc, server::replay, Config, Entry, EntryOp, LogSummary, Msg, Proc, Req, Role,
-    Server,
-};
+use repkv::{server::replay, Config, Entry, EntryOp, LogSummary, Msg, Proc, Req, Role, Server};
 use simnet::{Application, NodeId, World, WorldBuilder};
 
 const ME: NodeId = NodeId(0);
@@ -81,7 +79,7 @@ impl Harness {
         let servers = vec![ME, PEER, RIVAL];
         let world = WorldBuilder::new(seed).build(4, |id| match id {
             ME => Proc::Server(Server::new(ME, servers.clone(), None, cfg.clone())),
-            _ => Proc::Client(ClientProc::default()),
+            _ => Proc::Client(Mailbox::default()),
         });
         Self { world, apply_before_commit, ops: 0 }
     }

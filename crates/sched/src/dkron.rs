@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use neat::{
-    cluster::{boot, Node},
+    cluster::{boot, Mailbox, Node},
     Violation, ViolationKind,
 };
 use simnet::{Ctx, NodeId, TimerId};
@@ -119,17 +119,11 @@ impl Node<DkMsg> for DkNode {
     }
 }
 
-/// Client process: collects statuses.
-#[derive(Default)]
-pub struct DkClient {
-    next: u64,
-    statuses: BTreeMap<u64, bool>,
-}
-
-impl Node<DkMsg> for DkClient {
+/// The client role: reported job statuses by op id.
+impl Node<DkMsg> for Mailbox<bool> {
     fn on_message(&mut self, _ctx: &mut Ctx<'_, DkMsg>, _from: NodeId, msg: DkMsg) {
         if let DkMsg::JobStatus { op_id, ok, .. } = msg {
-            self.statuses.insert(op_id, ok);
+            self.put(op_id, ok);
         }
     }
 }
@@ -138,7 +132,7 @@ neat::roles! {
     /// A node of the scheduler deployment.
     pub enum DkProc: DkMsg {
         Node(DkNode) => node / node_mut,
-        Client(DkClient) => client / client_mut,
+        Client(Mailbox<bool>) => client / client_mut,
     }
 }
 
@@ -159,7 +153,7 @@ impl DkCluster {
             if id.0 < 3 {
                 DkProc::Node(DkNode::new(id, nodes.clone(), id.0 == 0, flaws))
             } else {
-                DkProc::Client(DkClient::default())
+                DkProc::Client(Mailbox::default())
             }
         });
         Self {
@@ -177,14 +171,8 @@ impl DkCluster {
         self.neat.request(
             self.client,
             self.neat.op_timeout,
-            |p, ctx| {
-                let c = p.client_mut();
-                let op_id = c.next;
-                c.next += 1;
-                ctx.send(leader, DkMsg::RunJob { op_id, job });
-                op_id
-            },
-            |p, op_id| p.client_mut().statuses.remove(&op_id),
+            DkProc::client_mut,
+            |_, ctx, op_id| ctx.send(leader, DkMsg::RunJob { op_id, job }),
         )
     }
 

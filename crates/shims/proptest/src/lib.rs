@@ -158,7 +158,6 @@ macro_rules! prop_oneof {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::strategy::Strategy as _;
     use crate::test_runner::TestRng;
 
     #[test]

@@ -17,18 +17,6 @@ pub enum Arrival {
         /// Mean arrivals per second. Audited rate knob.
         rate: f64, // lint:allow(float-nondet) -- audited arrival-rate knob, seeded draws only
     },
-    /// A Poisson baseline with periodic bursts: every `period_ms` the rate
-    /// switches to `burst` for `burst_ms`, then falls back to `base`.
-    Bursty {
-        /// Baseline arrivals per second. Audited rate knob.
-        base: f64, // lint:allow(float-nondet) -- audited arrival-rate knob, seeded draws only
-        /// In-burst arrivals per second. Audited rate knob.
-        burst: f64, // lint:allow(float-nondet) -- audited arrival-rate knob, seeded draws only
-        /// Burst period, virtual ms.
-        period_ms: u64,
-        /// Burst length, virtual ms (`< period_ms`).
-        burst_ms: u64,
-    },
     /// A linear rate ramp from `from` to `to` arrivals per second over
     /// `ramp_ms`, flat at `to` afterwards.
     Ramp {
@@ -46,18 +34,6 @@ impl Arrival {
     fn rate_at(&self, at: u64) -> f64 {
         match self {
             Arrival::Poisson { rate } => *rate,
-            Arrival::Bursty {
-                base,
-                burst,
-                period_ms,
-                burst_ms,
-            } => {
-                if *period_ms > 0 && at % *period_ms < *burst_ms {
-                    *burst
-                } else {
-                    *base
-                }
-            }
             Arrival::Ramp { from, to, ramp_ms } => {
                 if *ramp_ms == 0 || at >= *ramp_ms {
                     *to
@@ -92,20 +68,6 @@ mod tests {
         let total: u64 = (0..4000).map(|_| a.gap(&mut rng, 0)).sum();
         let mean = total / 4000;
         assert!((40..60).contains(&mean), "mean gap = {mean}");
-    }
-
-    #[test]
-    fn bursty_rate_switches_inside_the_window() {
-        let a = Arrival::Bursty {
-            base: 10.0,
-            burst: 1000.0,
-            period_ms: 1000,
-            burst_ms: 200,
-        };
-        let mut rng = StdRng::seed_from_u64(2);
-        let in_burst: u64 = (0..200).map(|_| a.gap(&mut rng, 100)).sum();
-        let off_burst: u64 = (0..200).map(|_| a.gap(&mut rng, 500)).sum();
-        assert!(in_burst * 10 < off_burst, "{in_burst} vs {off_burst}");
     }
 
     #[test]

@@ -84,11 +84,10 @@ proptest! {
         let pacing = if closed {
             Pacing::Closed { clients: 3, think_ms: 20 }
         } else {
-            Pacing::Open(Arrival::Bursty {
-                base: 40.0,
-                burst: 400.0,
-                period_ms: 500,
-                burst_ms: 100,
+            Pacing::Open(Arrival::Ramp {
+                from: 40.0,
+                to: 400.0,
+                ramp_ms: 500,
             })
         };
         let spec = WorkloadSpec {

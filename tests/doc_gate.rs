@@ -54,3 +54,44 @@ fn forensics_layer_docs_build_without_warnings() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Every `` `path.rs:N` `` citation in ARCHITECTURE.md points at a real
+/// line: the file exists and has at least N lines, and where a backticked
+/// name introduces the citation (`` `Name` (`path.rs:N` ``) line N holds
+/// the name's last path segment (`Neat::request` → `request`).
+#[test]
+fn architecture_citations_point_at_their_lines() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("ARCHITECTURE.md")).expect("read ARCHITECTURE.md");
+    // Prose only: fenced blocks are diagrams, not citations.
+    let prose: String = doc.split("```").step_by(2).collect::<Vec<_>>().join("\n");
+    let ticks: Vec<usize> = prose.match_indices('`').map(|(at, _)| at).collect();
+    // Inline code spans as (open tick, close tick).
+    let spans: Vec<(usize, usize)> = ticks.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+    let mut cited = 0;
+    let mut stale = Vec::new();
+    for (i, &(open, close)) in spans.iter().enumerate() {
+        let span = &prose[open + 1..close];
+        let Some((path, line)) = span.split_once(".rs:") else { continue };
+        let Ok(line) = line.parse::<usize>() else { continue };
+        cited += 1;
+        let path = format!("{path}.rs");
+        let src = std::fs::read_to_string(root.join(&path)).unwrap_or_default();
+        let Some(text) = line.checked_sub(1).and_then(|n| src.lines().nth(n)) else {
+            stale.push(format!("{path}:{line}: no such file or line"));
+            continue;
+        };
+        let Some(&(name_open, name_close)) = i.checked_sub(1).map(|p| &spans[p]) else { continue };
+        if prose[name_close + 1..open].trim() != "(" {
+            continue;
+        }
+        let name = &prose[name_open + 1..name_close];
+        let last = name.rsplit("::").next().unwrap_or(name);
+        let ident: String = last.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        if !text.contains(&ident) {
+            stale.push(format!("{path}:{line}: `{name}` is not on this line: {:?}", text.trim()));
+        }
+    }
+    assert!(cited > 100, "only {cited} citations found; is the parser broken?");
+    assert!(stale.is_empty(), "stale ARCHITECTURE.md citations:\n{}", stale.join("\n"));
+}
