@@ -12,10 +12,10 @@
 //! degradations, crash/restart, mid-schedule heal, client events in virtual
 //! time), its [`obs::Timeline`] is folded into a [`Signature`], and plans
 //! that reached an unseen signature become mutation seeds in a [`Corpus`].
-//! Violating plans are shrunk to 1-minimal repros by [`minimize`]. The
-//! `exploration` bench and `explore_bench` compare the three strategies'
-//! bug-finding efficiency, reproducing the paper's testability claim
-//! (Finding 13).
+//! Violating plans are shrunk to 1-minimal repros by [`minimize`].
+//! `BENCH_explore.json` (written by `bench --bin artifacts`) and
+//! `examples/exploration.rs` compare the three strategies' bug-finding
+//! efficiency, reproducing the paper's testability claim (Finding 13).
 
 #![deny(missing_docs)]
 

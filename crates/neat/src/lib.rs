@@ -77,7 +77,6 @@ pub mod explore;
 pub mod fault;
 pub mod gray;
 pub mod history;
-pub mod nemesis;
 pub mod retry;
 
 pub use checkers::{Violation, ViolationKind};
@@ -85,5 +84,4 @@ pub use engine::{Neat, RunOutcome};
 pub use fault::{rest_of, Partition, PartitionKind, PartitionSpec};
 pub use gray::{Degrade, DegradeKind, DegradeSpec};
 pub use history::{History, Op, OpRecord, Outcome};
-pub use nemesis::{Nemesis, NemesisAction, Schedule};
 pub use retry::RetryPolicy;

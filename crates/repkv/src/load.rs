@@ -60,7 +60,7 @@ fn pace(cluster: &mut Cluster, at: u64) {
 
 /// Emits a periodic load sample into the observability stream.
 fn sample(cluster: &mut Cluster, driver: &Driver, seq: u64) {
-    if seq % SAMPLE_EVERY == 0 {
+    if seq.is_multiple_of(SAMPLE_EVERY) {
         cluster.neat.load_sample(
             driver.issued(),
             driver.report().completed,

@@ -119,7 +119,7 @@ impl DegradeRule {
     /// Whether the rule applies at virtual time `now` (flap phase check).
     #[inline]
     pub fn active_at(&self, now: Time) -> bool {
-        self.flap_period == 0 || (now / self.flap_period) % 2 == 0
+        self.flap_period == 0 || (now / self.flap_period).is_multiple_of(2)
     }
 }
 

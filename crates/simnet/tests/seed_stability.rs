@@ -19,7 +19,7 @@ impl Application for Echo {
     fn on_start(&mut self, _ctx: &mut Ctx<'_, u64>) {}
     fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, from: NodeId, msg: u64) {
         self.seen.push((ctx.now(), from, msg));
-        if msg % 3 == 0 {
+        if msg.is_multiple_of(3) {
             ctx.send(from, msg + 1);
         }
     }

@@ -192,18 +192,22 @@ mod tests {
 
     #[test]
     fn report_merge_and_render_are_stable() {
-        let mut a = LoadReport::default();
-        a.issued = 3;
-        a.completed = 3;
-        a.ok = 2;
-        a.timed_out = 1;
+        let mut a = LoadReport {
+            issued: 3,
+            completed: 3,
+            ok: 2,
+            timed_out: 1,
+            ..LoadReport::default()
+        };
         a.latency.record(5);
         a.latency.record(7);
-        let mut b = LoadReport::default();
-        b.issued = 1;
-        b.completed = 1;
-        b.failed = 1;
-        b.max_lag = 9;
+        let mut b = LoadReport {
+            issued: 1,
+            completed: 1,
+            failed: 1,
+            max_lag: 9,
+            ..LoadReport::default()
+        };
         b.latency.record(11);
         let mut m = a.clone();
         m.merge(&b);

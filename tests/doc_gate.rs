@@ -58,7 +58,9 @@ fn forensics_layer_docs_build_without_warnings() {
 /// Every `` `path.rs:N` `` citation in ARCHITECTURE.md points at a real
 /// line: the file exists and has at least N lines, and where a backticked
 /// name introduces the citation (`` `Name` (`path.rs:N` ``) line N holds
-/// the name's last path segment (`Neat::request` → `request`).
+/// the name's last path segment (`Neat::request` → `request`). A path
+/// cited without a line (`` `dir/file.rs` ``, braces expanded, globs
+/// skipped) must exist too.
 #[test]
 fn architecture_citations_point_at_their_lines() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -68,10 +70,19 @@ fn architecture_citations_point_at_their_lines() {
     let ticks: Vec<usize> = prose.match_indices('`').map(|(at, _)| at).collect();
     // Inline code spans as (open tick, close tick).
     let spans: Vec<(usize, usize)> = ticks.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-    let mut cited = 0;
+    let (mut cited, mut files) = (0, 0);
     let mut stale = Vec::new();
     for (i, &(open, close)) in spans.iter().enumerate() {
         let span = &prose[open + 1..close];
+        if span.ends_with(".rs") && span.contains('/') && !span.contains(['*', ' ']) {
+            for path in expand_braces(span) {
+                files += 1;
+                if !root.join(&path).is_file() {
+                    stale.push(format!("{path}: no such file"));
+                }
+            }
+            continue;
+        }
         let Some((path, line)) = span.split_once(".rs:") else { continue };
         let Ok(line) = line.parse::<usize>() else { continue };
         cited += 1;
@@ -93,5 +104,15 @@ fn architecture_citations_point_at_their_lines() {
         }
     }
     assert!(cited > 100, "only {cited} citations found; is the parser broken?");
+    assert!(files > 20, "only {files} line-less paths found; is the parser broken?");
     assert!(stale.is_empty(), "stale ARCHITECTURE.md citations:\n{}", stale.join("\n"));
+}
+
+/// `crates/{a,b}/src/x.rs` → `crates/a/src/x.rs`, `crates/b/src/x.rs`.
+fn expand_braces(path: &str) -> Vec<String> {
+    let Some((head, rest)) = path.split_once('{') else { return vec![path.to_string()] };
+    let Some((alts, tail)) = rest.split_once('}') else { return vec![path.to_string()] };
+    alts.split(',')
+        .flat_map(|alt| expand_braces(&format!("{head}{alt}{tail}")))
+        .collect()
 }

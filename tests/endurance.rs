@@ -1,173 +1,126 @@
 //! Endurance tests: dozens of partition/heal cycles (the production
 //! pattern the paper cites — partitions recur weekly and last for long
-//! stretches) against the fixed baselines, with client traffic between
-//! every fault step. Nothing may break, ever.
+//! stretches) against the fixed baselines, with client traffic while each
+//! fault lasts and after each repair. Nothing may break, ever.
+//!
+//! Each storm is an ordinary [`SchedulePlan`] run by [`run_schedule`], the
+//! explorer's own interpreter, so a storm that breaks a system can be
+//! rendered and shrunk to a 1-minimal repro like any explored schedule.
 
-use neat_repro::consensus::{RaftCluster, RaftClusterSpec};
-use neat_repro::neat::{
-    checkers::{check_register, RegisterSemantics},
-    nemesis::{replay, Nemesis},
-    PartitionKind,
+use neat_repro::consensus::{RaftTarget, RaftTweaks};
+use neat_repro::neat::explore::{
+    minimize::{ddmin, is_one_minimal},
+    run_schedule, Deployment, EventChoice, SchedulePlan, ScheduleStep, TestTarget,
 };
-use neat_repro::repkv::{Cluster, ClusterSpec, Config};
+use neat_repro::neat::{PartitionKind, PartitionSpec};
+use neat_repro::repkv::{Config, RepkvTarget};
+use neat_repro::simnet::NodeId;
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+
+/// A storm's fault palette: `Some(kind)` isolates the victim with that
+/// kind of partition, `None` crashes it.
+type Palette = [Option<PartitionKind>];
+
+/// Complete and partial partitions, alternating with heals.
+const FLICKER: &Palette = &[Some(PartitionKind::Complete), Some(PartitionKind::Partial)];
+
+/// All three partition kinds, and a crash in one cycle of four.
+const FLICKER_AND_CRASH: &Palette = &[
+    Some(PartitionKind::Complete),
+    Some(PartitionKind::Partial),
+    Some(PartitionKind::Simplex),
+    None,
+];
+
+/// A seeded flicker storm over `servers`: after a 1200 ms quiet start,
+/// `cycles` rounds of a fault drawn from `palette` against a random
+/// victim, a write and a read while it lasts 800 ms, a heal and a restart
+/// of every server, another write and read, and a 1200 ms quiet gap.
+fn storm(servers: &[NodeId], palette: &Palette, cycles: usize, seed: u64) -> SchedulePlan {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut steps = vec![ScheduleStep::Sleep(1200)];
+    for _ in 0..cycles {
+        let fault = palette[rng.gen_range(0..palette.len())];
+        let victim = servers[rng.gen_range(0..servers.len())];
+        steps.push(match fault {
+            Some(kind) => ScheduleStep::Partition(PartitionSpec::isolating(kind, victim, servers)),
+            None => ScheduleStep::Crash(vec![victim]),
+        });
+        let mut traffic = |steps: &mut Vec<ScheduleStep>| {
+            steps.push(ScheduleStep::Client(EventChoice::Write, rng.next_u64()));
+            steps.push(ScheduleStep::Client(EventChoice::Read, rng.next_u64()));
+        };
+        traffic(&mut steps);
+        steps.extend([
+            ScheduleStep::Sleep(800),
+            ScheduleStep::Heal,
+            ScheduleStep::Restart(servers.to_vec()),
+        ]);
+        traffic(&mut steps);
+        steps.push(ScheduleStep::Sleep(1200));
+    }
+    SchedulePlan { steps }
+}
 
 #[test]
 fn raft_survives_twenty_flicker_cycles() {
-    let mut cluster = RaftCluster::build(RaftClusterSpec::baseline(3, 77));
-    cluster.wait_for_leader(3000).expect("initial leader");
-    let servers = cluster.servers.clone();
-    let clients = (cluster.client(0), cluster.client(1));
+    let mut target = RaftTarget::new(RaftTweaks::default(), 3);
+    target.reset(77, false);
+    assert!(target.leader().is_some(), "initial leader");
+    let plan = storm(&target.servers(), FLICKER_AND_CRASH, 20, 7);
+    let violations = run_schedule(&mut target, &plan);
+    let history = target.neat().history().render();
+    assert!(violations.is_empty(), "{violations:?}\n{history}");
 
-    let mut nemesis = Nemesis::flicker(servers);
-    nemesis.kinds = vec![
-        PartitionKind::Complete,
-        PartitionKind::Partial,
-        PartitionKind::Simplex,
-    ];
-    nemesis.crash_probability = 0.25;
-    let schedule = nemesis.schedule(20, 7);
-
-    let mut val = 0u64;
-    // Collect leaders outside the closure: replay borrows the engine.
-    let mut ops = Vec::new();
-    {
-        let RaftCluster { neat, servers, .. } = &mut cluster;
-        let servers = servers.clone();
-        replay(neat, &schedule, |engine| {
-            val += 1;
-            // Find the current leader through the engine (best effort).
-            let leader = servers
-                .iter()
-                .copied()
-                .filter(|&s| engine.world.is_alive(s))
-                .find(|&s| {
-                    engine.world.app(s).server().role()
-                        == neat_repro::consensus::RaftRole::Leader
-                });
-            if let Some(l) = leader {
-                let key = format!("k{}", val % 2);
-                let cl = clients.0.via(l);
-                let outcome = cl.put(engine, &key, val);
-                ops.push((key, val, outcome));
-            }
-        });
-    }
-    cluster.neat.heal_all();
-    let servers = cluster.servers.clone();
-    cluster.neat.restart(&servers);
-    cluster.neat.sleep(4000);
-
+    let counters = target.neat().world.trace().counters;
+    assert!(counters.crashes > 0, "the storm must crash a server: {}", plan.render());
+    assert_eq!(counters.crashes, counters.restarts, "every crashed server came back");
     assert!(
-        cluster.wait_for_leader(4000).is_some(),
+        target.primary().is_some(),
         "a leader must re-emerge after the flicker storm"
     );
-    assert!(
-        ops.iter().filter(|(_, _, o)| o.is_ok()).count() > 5,
-        "the cluster must have made progress between faults: {ops:?}"
-    );
-    let final_state = cluster.final_state(&["k0", "k1"]);
-    let violations = check_register(
-        cluster.neat.history(),
-        RegisterSemantics::Strong,
-        &final_state,
-    );
-    assert!(
-        violations.is_empty(),
-        "{violations:?}\n{}",
-        cluster.neat.history().render()
-    );
+    let ok = target.neat().history().records().iter().filter(|r| r.outcome.is_ok()).count();
+    assert!(ok > 5, "the cluster must have made progress between faults:\n{history}");
 }
 
 #[test]
 fn fixed_repkv_survives_fifteen_flicker_cycles() {
-    let mut cluster = Cluster::build(ClusterSpec::three_by_two(Config::fixed(), 88));
-    cluster.wait_for_leader(3000).expect("initial leader");
-    let servers = cluster.servers.clone();
-    let nemesis = Nemesis::flicker(servers.clone());
-    let schedule = nemesis.schedule(15, 9);
-
-    let client0 = cluster.client(0);
-    let mut val = 0u64;
-    {
-        let Cluster { neat, .. } = &mut cluster;
-        replay(neat, &schedule, |engine| {
-            val += 1;
-            let leader = servers
-                .iter()
-                .copied()
-                .filter(|&s| engine.world.is_alive(s))
-                .find(|&s| {
-                    engine.world.app(s).server().role() == neat_repro::repkv::Role::Leader
-                });
-            if let Some(l) = leader {
-                let cl = client0.via(l);
-                cl.write(engine, "k", val);
-                cl.read(engine, "k");
-            }
-        });
-    }
-    cluster.neat.heal_all();
-    cluster.neat.sleep(4000);
-
-    let final_state = cluster.final_state(&["k"]);
-    let violations = check_register(
-        cluster.neat.history(),
-        RegisterSemantics::Strong,
-        &final_state,
-    );
+    let mut target = RepkvTarget::new(Config::fixed());
+    target.reset(88, false);
+    assert!(target.leader().is_some(), "initial leader");
+    let plan = storm(&target.servers(), FLICKER, 15, 9);
+    let violations = run_schedule(&mut target, &plan);
     assert!(
         violations.is_empty(),
         "{violations:?}\n{}",
-        cluster.neat.history().render()
+        target.neat().history().render()
     );
 }
 
 #[test]
 fn flawed_profile_breaks_under_the_same_storm() {
-    // The control experiment: the identical nemesis schedule against the
-    // flawed VoltDB-like profile does produce violations.
-    let mut any_violation = false;
+    // The control experiment: the identical storm against the flawed
+    // VoltDB-like profile does produce violations, and shrinks to a
+    // 1-minimal schedule that still does.
+    let mut target = RepkvTarget::new(Config::voltdb());
     for seed in [86, 99, 101] {
-        let mut cluster = Cluster::build(ClusterSpec::three_by_two(Config::voltdb(), seed));
-        cluster.wait_for_leader(3000).expect("initial leader");
-        let servers = cluster.servers.clone();
-        let nemesis = Nemesis::flicker(servers.clone());
-        let schedule = nemesis.schedule(15, 9);
-        let client0 = cluster.client(0);
-        let mut val = 0u64;
-        {
-            let Cluster { neat, .. } = &mut cluster;
-            replay(neat, &schedule, |engine| {
-                val += 1;
-                let leader = servers
-                    .iter()
-                    .copied()
-                    .filter(|&s| engine.world.is_alive(s))
-                    .find(|&s| {
-                        engine.world.app(s).server().role() == neat_repro::repkv::Role::Leader
-                    });
-                if let Some(l) = leader {
-                    let cl = client0.via(l);
-                    cl.write(engine, "k", val);
-                    cl.read(engine, "k");
-                }
-            });
+        target.reset(seed, false);
+        let plan = storm(&target.servers(), FLICKER, 15, 9);
+        let mut breaks = |steps: &[ScheduleStep]| {
+            target.reset(seed, false);
+            let plan = SchedulePlan { steps: steps.to_vec() };
+            !run_schedule(&mut target, &plan).is_empty()
+        };
+        if !breaks(&plan.steps) {
+            continue;
         }
-        cluster.neat.heal_all();
-        cluster.neat.sleep(4000);
-        let final_state = cluster.final_state(&["k"]);
-        let violations = check_register(
-            cluster.neat.history(),
-            RegisterSemantics::Strong,
-            &final_state,
+        let minimal = SchedulePlan { steps: ddmin(&plan.steps, &mut breaks) };
+        assert!(
+            is_one_minimal(&minimal.steps, &mut breaks),
+            "seed {seed}: not 1-minimal: {}",
+            minimal.render()
         );
-        if !violations.is_empty() {
-            any_violation = true;
-            break;
-        }
+        return;
     }
-    assert!(
-        any_violation,
-        "the flawed profile should break somewhere in a 15-cycle storm"
-    );
+    panic!("the flawed profile should break somewhere in a 15-cycle storm");
 }
