@@ -6,7 +6,6 @@
 //!   findings, paper value vs recomputed value.
 //! - `cargo run -p bench --bin figures` — Figures 1, 2, 3, 5, 6 and the
 //!   Finding-13 exploration experiment, with manifestation traces.
-//! - `cargo run -p bench --bin campaign` — the §6.4 campaign and Table 15.
 //! - `cargo run -p bench --bin export` — the failure catalog as JSON (the
 //!   paper's released data set).
 //! - `cargo run -p bench --bin forensics` — the seed-8 forensics sweep as
@@ -16,6 +15,9 @@
 //! - `cargo run --release -p bench --bin artifacts` — rewrites every row
 //!   of [`ARTIFACTS`] at the repository root; `-- --print <file>` prints
 //!   one row to stdout instead.
+//!
+//! The §6.4 campaign and Table 15 are `cargo run -p fleet`; its default
+//! output is the `campaign_output.txt` row.
 //!
 //! Every committed artifact is one row of [`ARTIFACTS`]: its file name and
 //! the function in [`reports`] or [`perf_bench`] that regenerates its

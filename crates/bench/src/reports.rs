@@ -3,8 +3,8 @@
 //!
 //! Everything here returns a full byte stream, so the rows of
 //! [`crate::ARTIFACTS`] regenerate the committed files in-process and the
-//! tier-1 golden test fails the build when one goes stale. The `campaign`,
-//! `tables` and `figures` binaries `print!` the same streams.
+//! tier-1 golden test fails the build when one goes stale. `cargo run -p
+//! fleet` and the `tables` and `figures` binaries `print!` the same streams.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -22,7 +22,7 @@ macro_rules! w {
 
 // --- campaign ------------------------------------------------------------
 
-/// Exact stdout of `cargo run -p bench --bin campaign` with no arguments:
+/// Exact stdout of `cargo run -p fleet` with no arguments:
 /// the full serial campaign at the historical seed 8.
 pub fn campaign_report() -> String {
     format!("{}\n", fleet::cli::report(&fleet::cli::Opts::default()))
@@ -602,17 +602,18 @@ fn explore_arm(report: &neat::explore::ExplorationReport) -> Value {
 }
 
 /// Builds the baked plan for one explored registry scenario at
-/// [`EXPLORE_SEED`] and re-proves its 1-minimality by replay.
+/// [`EXPLORE_SEED`] with the plan function its replay uses, and re-proves
+/// its 1-minimality by replay.
 fn explored_plan_facts<T: neat::explore::TestTarget>(
     mut probe: T,
     mut target: T,
-    build: fn(&[simnet::NodeId], simnet::NodeId) -> neat::explore::SchedulePlan,
+    plan: fn(&mut T) -> neat::explore::SchedulePlan,
     kind: neat::ViolationKind,
 ) -> (usize, String, bool) {
-    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, SchedulePlan};
+    use neat::explore::{minimize::is_one_minimal, run_schedule, SchedulePlan};
 
     probe.reset(EXPLORE_SEED, false);
-    let plan = plan_at_leader(&mut probe, 0, build);
+    let plan = plan(&mut probe);
     let one_minimal = is_one_minimal(&plan.steps, |steps| {
         target.reset(EXPLORE_SEED, false);
         run_schedule(&mut target, &SchedulePlan { steps: steps.to_vec() })

@@ -1,10 +1,9 @@
-//! Shared CLI for the campaign runners.
+//! The campaign runner's CLI.
 //!
-//! Both `cargo run -p fleet` and `cargo run -p bench --bin campaign`
-//! parse and execute through this module, so their outputs are
-//! byte-identical by construction: same defaults (seed 8, serial, single
-//! seed — the pre-fleet campaign behaviour), same report text for any
-//! `--jobs`.
+//! `cargo run -p fleet` parses and executes through this module: its
+//! defaults (seed 8, serial, single seed — the pre-fleet campaign
+//! behaviour) print `campaign_output.txt`, and the report text is the same
+//! for any `--jobs`.
 
 use neat_repro::campaign::{render, render_forensics, render_sweep};
 
@@ -107,8 +106,8 @@ pub fn sweep_seeds(opts: &Opts) -> Vec<u64> {
 }
 
 /// Executes the campaign described by `opts` and renders the report —
-/// the exact stdout (minus the trailing newline `println!` adds) of both
-/// campaign binaries.
+/// the exact stdout (minus the trailing newline `println!` adds) of
+/// `cargo run -p fleet`.
 pub fn report(opts: &Opts) -> String {
     if opts.trace {
         let reports = crate::campaign::forensics(opts.seed, opts.jobs);

@@ -55,8 +55,8 @@ where
 /// Shard `i` explores `trials_per_shard` trials at seed
 /// `base_seed + i as u64`; the shard [`Exploration`]s then fold in shard
 /// order: reports merge via [`merge_reports`], corpora via
-/// [`neat::explore::Corpus::merge`] (novelty is re-judged against the
-/// accumulated signature set, so duplicated discoveries collapse), and
+/// [`neat::explore::Corpus::merge`] (an entry whose signature the merged
+/// corpus already holds is skipped, so duplicated discoveries collapse), and
 /// finds concatenate. The result is independent of `jobs` — asserted
 /// byte-for-byte by the fleet equivalence suite.
 pub fn explore_sharded<T, F>(
@@ -78,9 +78,8 @@ where
     merge_explorations(&per_shard)
 }
 
-/// Folds shard explorations in order into one [`Exploration`]. Exposed so
-/// report generators can re-merge or inspect per-shard results.
-pub fn merge_explorations(shards: &[Exploration]) -> Exploration {
+/// Folds shard explorations in order into one [`Exploration`].
+fn merge_explorations(shards: &[Exploration]) -> Exploration {
     let mut merged = Exploration {
         report: merge_reports(shards.iter().map(|e| &e.report)),
         ..Default::default()

@@ -14,8 +14,8 @@
 //!   and the `lint --audit --jobs` backend.
 //! - [`explore`] — `neat::explore` fan-out across seeds for the §5.4
 //!   detection-probability statistics.
-//! - [`cli`] — argument parsing and report rendering shared by
-//!   `cargo run -p fleet` and `cargo run -p bench --bin campaign`.
+//! - [`cli`] — argument parsing and report rendering behind
+//!   `cargo run -p fleet`.
 //!
 //! The `thread-spawn` lint rule stays in force everywhere else: the
 //! scanner only honours `lint:allow(thread-spawn)` under `crates/fleet`

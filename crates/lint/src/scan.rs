@@ -1130,7 +1130,7 @@ mod tests {
         );
         assert_eq!(rules(&scan_source(LOOSE_FILE, src)), vec![Rule::PrintlnInLib, Rule::PrintlnInLib]);
         // Bin targets own stdout.
-        assert!(scan_source("crates/bench/src/bin/campaign.rs", src).is_empty());
+        assert!(scan_source("crates/bench/src/bin/tables.rs", src).is_empty());
         assert!(scan_source("crates/lint/src/main.rs", src).is_empty());
         // Tests and examples print freely.
         assert!(scan_source("crates/simnet/tests/t.rs", src).is_empty());

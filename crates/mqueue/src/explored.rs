@@ -8,7 +8,7 @@
 //! enqueue so the drain exposes the duplicate delivery.
 
 use neat::{
-    explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
+    explore::{plan_at_leader, replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
     RunOutcome,
 };
@@ -23,15 +23,16 @@ pub const DEQUEUE_SEED: u64 = 15_581_098_189_771_731_905;
 /// Op seed of the post-partition enqueue that keeps the drain honest.
 pub const ENQUEUE_AGAIN_SEED: u64 = 15_259_824_729_178_401_601;
 
-/// The 1-minimal schedule: enqueue, complete-partition the master away
-/// from the coordinator and its peers, dequeue (the deposed master acks
-/// the consumer locally without replicating), enqueue once more. After
-/// heal the drained queue redelivers the first element —
-/// [`DoubleDequeue`].
+/// The 1-minimal schedule aimed at the master of a just-reset `target`:
+/// enqueue, complete-partition the master away from the coordinator and
+/// its peers, dequeue (the deposed master acks the consumer locally
+/// without replicating), enqueue once more. After heal the drained queue
+/// redelivers the first element — [`DoubleDequeue`].
 ///
 /// [`DoubleDequeue`]: neat::ViolationKind::DoubleDequeue
-pub fn partition_double_dequeue_plan(servers: &[NodeId], master: NodeId) -> SchedulePlan {
-    SchedulePlan {
+pub fn partition_double_dequeue_plan(target: &mut MqTarget) -> SchedulePlan {
+    // Fallback 1: `servers` leads with the coordinator; brokers follow.
+    plan_at_leader(target, 1, |servers: &[NodeId], master| SchedulePlan {
         steps: vec![
             ScheduleStep::Client(EventChoice::Enqueue, ENQUEUE_SEED),
             ScheduleStep::Partition(PartitionSpec::Complete {
@@ -41,7 +42,7 @@ pub fn partition_double_dequeue_plan(servers: &[NodeId], master: NodeId) -> Sche
             ScheduleStep::Client(EventChoice::Dequeue, DEQUEUE_SEED),
             ScheduleStep::Client(EventChoice::Enqueue, ENQUEUE_AGAIN_SEED),
         ],
-    }
+    })
 }
 
 /// Replays the minimized schedule against brokers running `flaws` at
@@ -51,14 +52,13 @@ pub fn explored_partition_double_dequeue(
     seed: u64,
     record: bool,
 ) -> RunOutcome {
-    // Fallback 1: `servers` leads with the coordinator; brokers follow.
-    replay_at_leader(&mut MqTarget::new(flaws), seed, record, 1, partition_double_dequeue_plan)
+    replay_at_leader(&mut MqTarget::new(flaws), seed, record, partition_double_dequeue_plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, TestTarget};
+    use neat::explore::{minimize::is_one_minimal, run_schedule, TestTarget};
     use neat::ViolationKind;
 
     #[test]
@@ -81,7 +81,7 @@ mod tests {
     fn the_baked_schedule_is_one_minimal() {
         let mut probe = MqTarget::new(BrokerFlaws::flawed());
         probe.reset(8, false);
-        let plan = plan_at_leader(&mut probe, 1, partition_double_dequeue_plan);
+        let plan = partition_double_dequeue_plan(&mut probe);
         let mut target = MqTarget::new(BrokerFlaws::flawed());
         assert!(is_one_minimal(&plan.steps, |steps| {
             target.reset(8, false);

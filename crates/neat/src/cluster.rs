@@ -43,9 +43,12 @@ pub trait Node<M> {
 ///
 /// Each family's client role is a `Mailbox<Reply>` with a one-arm
 /// [`Node`] impl that [`put`](Mailbox::put)s every reply by its op id;
-/// [`Neat::request`] opens the id and polls [`take`](Mailbox::take).
+/// [`Neat::request`] opens the id, polls [`take`](Mailbox::take) and
+/// closes the op, answered or timed out.
 pub struct Mailbox<R> {
     next: u64,
+    /// The lowest op id a reply is still kept for.
+    floor: u64,
     inbox: BTreeMap<u64, R>,
 }
 
@@ -53,6 +56,7 @@ impl<R> Default for Mailbox<R> {
     fn default() -> Self {
         Self {
             next: 0,
+            floor: 0,
             inbox: BTreeMap::new(),
         }
     }
@@ -68,15 +72,23 @@ impl<R> Mailbox<R> {
         id
     }
 
-    /// Keeps `reply` for `op_id` unless a reply is already waiting: the
-    /// first answer wins.
+    /// Keeps `reply` for `op_id` unless a reply is already waiting (the
+    /// first answer wins) or the op is closed (a late reply is dropped).
     pub fn put(&mut self, op_id: u64, reply: R) {
-        self.inbox.entry(op_id).or_insert(reply);
+        if op_id >= self.floor {
+            self.inbox.entry(op_id).or_insert(reply);
+        }
     }
 
     /// Removes and returns the reply to `op_id`, if one arrived.
     pub fn take(&mut self, op_id: u64) -> Option<R> {
         self.inbox.remove(&op_id)
+    }
+
+    /// Closes `op_id` and every id opened before it: replies to them are
+    /// dropped from now on.
+    pub(crate) fn close(&mut self, op_id: u64) {
+        self.floor = self.floor.max(op_id + 1);
     }
 }
 
@@ -392,11 +404,9 @@ mod tests {
         );
         // The first op's late reply lands while the second op waits…
         assert_eq!(ask_slow(&mut neat, 300), Some(second));
-        // …and stays in the mailbox, unclaimed.
-        assert_eq!(
-            neat.world.app_mut(NodeId(1)).client_mut().take(first),
-            Some(first)
-        );
+        // …and was dropped on arrival: its op was closed when it timed out.
+        let inbox = &neat.world.app(NodeId(1)).client().inbox;
+        assert!(!inbox.contains_key(&first), "late reply kept: {:?}", inbox.keys());
     }
 
     #[test]

@@ -312,8 +312,10 @@ impl<A: Application> Neat<A> {
     /// family's generated `client_mut` accessor), `send` puts the request
     /// for that id on the wire, and the simulation advances until the
     /// reply is in the mailbox or `timeout` virtual milliseconds pass.
-    /// `None` is the *Timeout* outcome of the paper's histories — at once,
-    /// with the clock unmoved, when the client node is down.
+    /// Either way the op is then closed, so a reply that arrives after a
+    /// timeout is dropped rather than kept for the rest of the run. `None`
+    /// is the *Timeout* outcome of the paper's histories — at once, with
+    /// the clock unmoved, when the client node is down.
     ///
     /// ```
     /// use neat::cluster::{Mailbox, Node};
@@ -367,7 +369,9 @@ impl<A: Application> Neat<A> {
                 op_id
             })
             .ok()?;
-        self.run_op(timeout, |w| mailbox(w.app_mut(client)).take(op_id))
+        let reply = self.run_op(timeout, |w| mailbox(w.app_mut(client)).take(op_id));
+        mailbox(self.world.app_mut(client)).close(op_id);
+        reply
     }
 
     /// Steps the world until `poll` answers or `timeout` virtual

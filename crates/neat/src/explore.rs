@@ -41,7 +41,7 @@ pub use deployment::{
 };
 pub use schedule::{run_schedule, SchedulePlan, ScheduleStep};
 
-/// The client/admin event palette of the paper's Table 8.
+/// The client event palette of the paper's Table 8.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum EventChoice {
     /// Write a value to a key/register.
@@ -58,10 +58,6 @@ pub enum EventChoice {
     Enqueue,
     /// Dequeue a message.
     Dequeue,
-    /// Admin operation: add a node to the cluster.
-    AdminAddNode,
-    /// Admin operation: remove a node from the cluster.
-    AdminRemoveNode,
 }
 
 impl EventChoice {
@@ -72,7 +68,6 @@ impl EventChoice {
             EventChoice::Write | EventChoice::Acquire | EventChoice::Enqueue => 0,
             EventChoice::Read | EventChoice::Release | EventChoice::Dequeue => 1,
             EventChoice::Delete => 2,
-            EventChoice::AdminAddNode | EventChoice::AdminRemoveNode => 3,
         }
     }
 
@@ -86,8 +81,6 @@ impl EventChoice {
             EventChoice::Release => "release",
             EventChoice::Enqueue => "enqueue",
             EventChoice::Dequeue => "dequeue",
-            EventChoice::AdminAddNode => "admin-add",
-            EventChoice::AdminRemoveNode => "admin-remove",
         }
     }
 }
@@ -124,7 +117,7 @@ pub trait TestTarget {
     fn advance(&mut self, _ms: Time) {}
     /// Heals every injected partition and degradation.
     fn heal_all(&mut self);
-    /// Applies one client/admin event.
+    /// Applies one client event.
     fn apply_event(&mut self, ev: EventChoice, rng: &mut StdRng);
     /// Heals (if not already healed), quiesces, runs checkers.
     fn finish_and_check(&mut self) -> Vec<Violation>;
@@ -136,70 +129,68 @@ pub trait TestTarget {
     }
 }
 
-/// Knobs of the test-case generator.
+/// The test-case generator: the three strategies the paper's Finding 13
+/// comparison runs.
 #[derive(Clone, Debug)]
-pub struct Strategy {
-    /// Inject the partition before any client event (Table 9: 84%).
-    pub partition_first: bool,
-    /// Maximum number of client events per trial (Table 7: 83% need ≤ 3).
-    pub max_events: usize,
-    /// Isolate the leader instead of a random server (Finding 9 /
-    /// Table 10). The partition kind is drawn uniformly from
-    /// [`PartitionKind::ALL`].
-    pub isolate_leader: bool,
-    /// Sort events into their natural order (write before read, …).
-    pub natural_order: bool,
-    /// Percent chance (0–100) of scheduling a heal *mid-trial*, after the
-    /// partition — Table 9 manifestation sequences include heal before
-    /// the triggering op.
-    pub heal_percent: u8,
-    /// Percent chance (0–100) of splicing a composite nemesis into the
-    /// plan: a gray degradation, a crash/restart pair, or a pause.
-    pub composite_percent: u8,
-    /// Feed trial signatures into a novelty [`Corpus`] and mutate kept
-    /// schedules instead of always generating fresh ones.
-    pub coverage_guided: bool,
+pub enum Strategy {
+    /// The paper's Chapter 5 findings: the partition first (Table 9: 84%),
+    /// at most three client events (Table 7: 83% need ≤ 3) in their
+    /// natural order (write before read, …), the leader isolated (Finding
+    /// 9 / Table 10), and a mid-trial heal in 30% of plans.
+    FindingsGuided,
+    /// Uniform random baseline: any victim, the fault at any position, up
+    /// to `max_events` client events in drawn order, a mid-trial heal in
+    /// 25% of plans.
+    Naive {
+        /// Most client events per plan.
+        max_events: usize,
+    },
+    /// Coverage-guided search: naive plans with a composite nemesis
+    /// fragment (degrade, crash/restart or pause) spliced into half of
+    /// them, trials recorded and folded into [`Signature`]s, and plans that
+    /// reached a new one kept in a [`Corpus`] and mutated.
+    CoverageGuided {
+        /// Most client events per fresh plan.
+        max_events: usize,
+    },
 }
 
 impl Strategy {
     /// The strategy encoding the paper's Chapter 5 findings.
     pub fn findings_guided() -> Self {
-        Self {
-            partition_first: true,
-            max_events: 3,
-            isolate_leader: true,
-            natural_order: true,
-            heal_percent: 30,
-            composite_percent: 0,
-            coverage_guided: false,
-        }
+        Strategy::FindingsGuided
     }
 
-    /// Uniform random baseline: any split, any position of the fault, up to
-    /// `max_events` events in arbitrary order.
+    /// Uniform random baseline with up to `max_events` client events.
     pub fn naive(max_events: usize) -> Self {
-        Self {
-            partition_first: false,
-            max_events,
-            isolate_leader: false,
-            natural_order: false,
-            heal_percent: 25,
-            composite_percent: 0,
-            coverage_guided: false,
-        }
+        Strategy::Naive { max_events }
     }
 
-    /// Coverage-guided search: the naive generator for fresh plans, the
-    /// full composite nemesis vocabulary, and novelty-corpus mutation.
+    /// Coverage-guided search with up to `max_events` client events per
+    /// fresh plan.
     pub fn coverage_guided(max_events: usize) -> Self {
-        Self {
-            partition_first: false,
-            max_events,
-            isolate_leader: false,
-            natural_order: false,
-            heal_percent: 25,
-            composite_percent: 50,
-            coverage_guided: true,
+        Strategy::CoverageGuided { max_events }
+    }
+}
+
+/// Read-only facts of a [`Strategy`], reached through its `Deref`.
+///
+/// Kept for the benchmark harness (`benchmarks/`), whose frozen source
+/// resets a find's target with `strategy.coverage_guided` as the `record`
+/// flag.
+#[derive(Debug)]
+pub struct StrategyFacts {
+    /// `true` for [`Strategy::CoverageGuided`]: its trials are recorded.
+    pub coverage_guided: bool,
+}
+
+impl std::ops::Deref for Strategy {
+    type Target = StrategyFacts;
+
+    fn deref(&self) -> &StrategyFacts {
+        match self {
+            Strategy::CoverageGuided { .. } => &StrategyFacts { coverage_guided: true },
+            _ => &StrategyFacts { coverage_guided: false },
         }
     }
 }
@@ -220,15 +211,6 @@ pub struct ExplorationReport {
 }
 
 impl ExplorationReport {
-    /// Fraction of trials that found a violation.
-    pub fn hit_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.trials_with_violation as f64 / self.trials as f64
-        }
-    }
-
     /// Number of distinct [`ViolationKind`]s found — the metric the
     /// acceptance bench compares across strategies at equal budget.
     pub fn distinct_kinds(&self) -> usize {
@@ -293,19 +275,10 @@ where
 }
 
 /// Draws the trial's partition: a kind from [`PartitionKind::ALL`], then
-/// its victim — the leader when `isolate_leader` and one is known, else a
-/// random server.
-fn draw_partition(
-    isolate_leader: bool,
-    servers: &[NodeId],
-    leader: Option<NodeId>,
-    rng: &mut StdRng,
-) -> PartitionSpec {
+/// its victim — `victim` when given, else a random server.
+fn draw_partition(victim: Option<NodeId>, servers: &[NodeId], rng: &mut StdRng) -> PartitionSpec {
     let kind = PartitionKind::ALL[rng.gen_range(0..PartitionKind::ALL.len())];
-    let victim = match leader.filter(|_| isolate_leader) {
-        Some(leader) => leader,
-        None => servers[rng.gen_range(0..servers.len())],
-    };
+    let victim = victim.unwrap_or_else(|| servers[rng.gen_range(0..servers.len())]);
     PartitionSpec::isolating(kind, victim, servers)
 }
 
@@ -343,15 +316,9 @@ fn composite_fragment(servers: &[NodeId], rng: &mut StdRng) -> Vec<ScheduleStep>
 }
 
 /// One random step of any kind — the mutation operator's raw material.
-fn random_step(
-    strategy: &Strategy,
-    servers: &[NodeId],
-    leader: Option<NodeId>,
-    palette: &[EventChoice],
-    rng: &mut StdRng,
-) -> ScheduleStep {
+fn random_step(servers: &[NodeId], palette: &[EventChoice], rng: &mut StdRng) -> ScheduleStep {
     match rng.gen_range(0..6u32) {
-        0 => ScheduleStep::Partition(draw_partition(strategy.isolate_leader, servers, leader, rng)),
+        0 => ScheduleStep::Partition(draw_partition(None, servers, rng)),
         1 => {
             let victim = servers[rng.gen_range(0..servers.len())];
             ScheduleStep::Degrade(random_degrade(servers, victim, rng))
@@ -362,79 +329,66 @@ fn random_step(
             ScheduleStep::Client(palette[rng.gen_range(0..palette.len())], rng.next_u64())
         }
         _ => {
-            let victim = servers[rng.gen_range(0..servers.len())];
-            vec![
-                ScheduleStep::Crash(vec![victim]),
-                ScheduleStep::Restart(vec![victim]),
-            ]
-            .swap_remove(rng.gen_range(0..2))
+            let victim = vec![servers[rng.gen_range(0..servers.len())]];
+            match rng.gen_range(0..2usize) {
+                0 => ScheduleStep::Crash(victim),
+                _ => ScheduleStep::Restart(victim),
+            }
         }
     }
 }
 
-/// Generates a fresh [`SchedulePlan`] under `strategy`.
-///
-/// The base shape is the PR-3 generator — pick a partition spec, draw up
-/// to `max_events` client events (satellite fix: the draw is from the
-/// *configured* bound, not silently capped by palette size), sort them
-/// into natural order when asked, inject first or at a random position —
-/// extended with a mid-schedule heal (`heal_percent`) and composite
-/// nemesis fragments (`composite_percent`).
-pub fn generate_plan(
+/// Generates a fresh [`SchedulePlan`] under `strategy`: a partition, up
+/// to the strategy's bound of client events, sometimes a mid-trial heal
+/// after the partition (Table 9 sequences heal before the triggering op)
+/// and, under coverage-guided search, sometimes a composite fragment.
+fn generate_plan(
     strategy: &Strategy,
     servers: &[NodeId],
     leader: Option<NodeId>,
     palette: &[EventChoice],
     rng: &mut StdRng,
 ) -> SchedulePlan {
-    let spec = draw_partition(strategy.isolate_leader, servers, leader, rng);
+    let (guided, max_events) = match *strategy {
+        Strategy::FindingsGuided => (true, 3),
+        Strategy::Naive { max_events } | Strategy::CoverageGuided { max_events } => {
+            (false, max_events)
+        }
+    };
+    let spec = draw_partition(leader.filter(|_| guided), servers, rng);
 
     let n_events = if palette.is_empty() {
         0
     } else {
-        rng.gen_range(0..=strategy.max_events)
+        rng.gen_range(0..=max_events)
     };
     let mut events: Vec<(EventChoice, u64)> = (0..n_events)
         .map(|_| (palette[rng.gen_range(0..palette.len())], rng.next_u64()))
         .collect();
-    if strategy.natural_order {
+    if guided {
         // Stable sort: equal-rank events keep their drawn order and seeds.
         events.sort_by_key(|(ev, _)| ev.natural_rank());
     }
 
-    let inject_at = if strategy.partition_first {
+    let inject_at = if guided {
         0
     } else {
         rng.gen_range(0..=events.len())
     };
-
     let mut steps: Vec<ScheduleStep> = Vec::with_capacity(events.len() + 3);
-    let mut partition_at = None;
-    for (i, (ev, op_seed)) in events.iter().enumerate() {
-        if i == inject_at {
-            partition_at = Some(steps.len());
-            steps.push(ScheduleStep::Partition(spec.clone()));
-        }
-        steps.push(ScheduleStep::Client(*ev, *op_seed));
-    }
-    if partition_at.is_none() {
-        partition_at = Some(steps.len());
-        steps.push(ScheduleStep::Partition(spec));
-    }
+    steps.extend(events.iter().map(|&(ev, op_seed)| ScheduleStep::Client(ev, op_seed)));
+    steps.insert(inject_at, ScheduleStep::Partition(spec));
 
-    // Satellite fix: heal as a schedulable mid-trial event (Table 9).
-    if rng.gen_range(0..100u32) < u32::from(strategy.heal_percent) {
-        let after = partition_at.unwrap_or(0) + 1;
-        let at = rng.gen_range(after.min(steps.len())..=steps.len());
+    let heal_percent = if guided { 30 } else { 25 };
+    if rng.gen_range(0..100u32) < heal_percent {
+        let at = rng.gen_range(inject_at + 1..=steps.len());
         steps.insert(at, ScheduleStep::Heal);
     }
 
-    if rng.gen_range(0..100u32) < u32::from(strategy.composite_percent) {
+    if matches!(strategy, Strategy::CoverageGuided { .. }) && rng.gen_range(0..100u32) < 50 {
         let fragment = composite_fragment(servers, rng);
         let at = rng.gen_range(0..=steps.len());
-        for (k, step) in fragment.into_iter().enumerate() {
-            steps.insert(at + k, step);
-        }
+        steps.splice(at..at, fragment);
     }
 
     SchedulePlan { steps }
@@ -442,11 +396,9 @@ pub fn generate_plan(
 
 /// Mutates a corpus schedule: 1–2 edits from {insert random step, remove a
 /// step, swap two steps, replace a step, re-seed a client event}.
-pub fn mutate_plan(
+fn mutate_plan(
     plan: &SchedulePlan,
-    strategy: &Strategy,
     servers: &[NodeId],
-    leader: Option<NodeId>,
     palette: &[EventChoice],
     rng: &mut StdRng,
 ) -> SchedulePlan {
@@ -455,7 +407,7 @@ pub fn mutate_plan(
     for _ in 0..edits {
         match rng.gen_range(0..5u32) {
             0 => {
-                let step = random_step(strategy, servers, leader, palette, rng);
+                let step = random_step(servers, palette, rng);
                 let at = rng.gen_range(0..=steps.len());
                 steps.insert(at, step);
             }
@@ -469,7 +421,7 @@ pub fn mutate_plan(
             }
             3 if !steps.is_empty() => {
                 let at = rng.gen_range(0..steps.len());
-                steps[at] = random_step(strategy, servers, leader, palette, rng);
+                steps[at] = random_step(servers, palette, rng);
             }
             4 => {
                 let clients: Vec<usize> = steps
@@ -503,6 +455,7 @@ pub fn explore_full(
     trials: usize,
     seed: u64,
 ) -> Exploration {
+    let coverage = matches!(strategy, Strategy::CoverageGuided { .. });
     let mut out = Exploration {
         report: ExplorationReport {
             trials,
@@ -516,7 +469,7 @@ pub fn explore_full(
             .wrapping_add(trial as u64);
         let mut rng = StdRng::seed_from_u64(trial_seed);
         // Recording is only needed when signatures feed the corpus.
-        target.reset(trial_seed, strategy.coverage_guided);
+        target.reset(trial_seed, coverage);
 
         let servers = target.servers();
         if servers.is_empty() {
@@ -525,21 +478,23 @@ pub fn explore_full(
         let leader = target.leader();
         let palette = target.supported_events();
 
-        let plan = if strategy.coverage_guided
-            && !out.corpus.is_empty()
-            && rng.gen_range(0..100u32) < 60
-        {
-            let base = out.corpus.pick(&mut rng).cloned().unwrap_or_default();
-            mutate_plan(&base, strategy, &servers, leader, &palette, &mut rng)
+        let base = if coverage && !out.corpus.is_empty() && rng.gen_range(0..100u32) < 60 {
+            out.corpus.pick(&mut rng)
         } else {
-            generate_plan(strategy, &servers, leader, &palette, &mut rng)
+            None
+        };
+        let plan = match base {
+            Some(base) => mutate_plan(base, &servers, &palette, &mut rng),
+            None => generate_plan(strategy, &servers, leader, &palette, &mut rng),
         };
 
         let violations = run_schedule(target, &plan);
         let timeline = target.timeline();
         let sig = Signature::of(&timeline, &violations);
-        out.report.signatures.insert(sig.clone());
-        out.corpus.observe(&plan, sig);
+        if !out.report.signatures.contains(&sig) {
+            out.report.signatures.insert(sig.clone());
+            out.corpus.keep(plan.clone(), sig);
+        }
 
         if !violations.is_empty() {
             out.report.trials_with_violation += 1;
@@ -580,6 +535,7 @@ mod tests {
     /// A toy target that fails only under the paper's canonical sequence:
     /// partition injected first, then a write, then a read, with the leader
     /// (node 0) isolated.
+    #[derive(Default)]
     struct ToyTarget {
         injected_first: bool,
         leader_isolated: bool,
@@ -588,21 +544,9 @@ mod tests {
         events_seen: usize,
     }
 
-    impl ToyTarget {
-        fn new() -> Self {
-            Self {
-                injected_first: false,
-                leader_isolated: false,
-                wrote: false,
-                read_after_write: false,
-                events_seen: 0,
-            }
-        }
-    }
-
     impl TestTarget for ToyTarget {
         fn reset(&mut self, _seed: u64, _record: bool) {
-            *self = ToyTarget::new();
+            *self = ToyTarget::default();
         }
         fn servers(&self) -> Vec<NodeId> {
             vec![NodeId(0), NodeId(1), NodeId(2)]
@@ -641,28 +585,19 @@ mod tests {
         }
     }
 
-    /// Satellite regression: a bug that manifests only when the heal
-    /// itself happens mid-schedule — partition, heal, then a write *after*
+    /// A bug that manifests only when the heal itself happens
+    /// mid-schedule — partition, heal, then a write *after*
     /// the heal (Table 9's heal-before-triggering-op shape).
+    #[derive(Default)]
     struct HealBugTarget {
         injected: bool,
         healed_after_inject: bool,
         wrote_after_heal: bool,
     }
 
-    impl HealBugTarget {
-        fn new() -> Self {
-            Self {
-                injected: false,
-                healed_after_inject: false,
-                wrote_after_heal: false,
-            }
-        }
-    }
-
     impl TestTarget for HealBugTarget {
         fn reset(&mut self, _seed: u64, _record: bool) {
-            *self = HealBugTarget::new();
+            *self = HealBugTarget::default();
         }
         fn servers(&self) -> Vec<NodeId> {
             vec![NodeId(0), NodeId(1), NodeId(2)]
@@ -730,7 +665,7 @@ mod tests {
 
     #[test]
     fn findings_guided_beats_naive_on_the_toy_bug() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let guided = explore(&mut target, &Strategy::findings_guided(), 200, 11);
         let naive = explore(&mut target, &Strategy::naive(3), 200, 11);
         assert!(
@@ -739,30 +674,23 @@ mod tests {
             guided.trials_with_violation,
             naive.trials_with_violation
         );
-        assert!(guided.hit_rate() > 0.1, "{}", guided.hit_rate());
+        assert!(
+            guided.trials_with_violation * 10 > guided.trials,
+            "guided hit {} of {} trials",
+            guided.trials_with_violation,
+            guided.trials
+        );
     }
 
     #[test]
     fn heal_is_schedulable_mid_trial() {
-        let mut target = HealBugTarget::new();
-        let mut with_heal = Strategy::findings_guided();
-        with_heal.heal_percent = 100;
-        let hits = explore(&mut target, &with_heal, 80, 5);
+        let mut target = HealBugTarget::default();
+        let hits = explore(&mut target, &Strategy::findings_guided(), 80, 5);
         assert!(
             hits.trials_with_violation > 0,
             "heal-then-op bug never found with heal scheduling on"
         );
         assert!(hits.kinds.contains_key(&ViolationKind::DataLoss));
-
-        let mut without_heal = Strategy::findings_guided();
-        without_heal.heal_percent = 0;
-        without_heal.composite_percent = 0;
-        let misses = explore(&mut target, &without_heal, 80, 5);
-        assert_eq!(
-            misses.trials_with_violation, 0,
-            "without mid-trial heal the bug is unreachable — the old \
-             explore() could never find it"
-        );
     }
 
     #[test]
@@ -773,9 +701,7 @@ mod tests {
             events_this_trial: 0,
             max_seen: 0,
         };
-        let mut strategy = Strategy::naive(6);
-        strategy.heal_percent = 0;
-        explore(&mut target, &strategy, 120, 7);
+        explore(&mut target, &Strategy::naive(6), 120, 7);
         assert_eq!(
             target.max_seen, 6,
             "max_events=6 with a 1-event palette must still reach 6 events"
@@ -784,7 +710,7 @@ mod tests {
 
     #[test]
     fn coverage_guided_builds_a_corpus_and_tracks_signatures() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let exploration = explore_full(&mut target, &Strategy::coverage_guided(3), 60, 17);
         assert!(!exploration.corpus.is_empty());
         assert!(!exploration.report.signatures.is_empty());
@@ -792,6 +718,11 @@ mod tests {
             exploration.corpus.len() <= exploration.report.trials,
             "corpus holds at most one entry per trial"
         );
+        // One novelty set: one corpus entry per distinct signature.
+        let kept: BTreeSet<&Signature> =
+            exploration.corpus.entries().iter().map(|(_, sig)| sig).collect();
+        assert_eq!(kept.len(), exploration.corpus.len());
+        assert!(kept.into_iter().eq(exploration.report.signatures.iter()));
         // Every find must carry its repro seed and at least one kind.
         for find in &exploration.finds {
             assert!(!find.kinds.is_empty());
@@ -805,7 +736,7 @@ mod tests {
 
     #[test]
     fn report_tracks_first_trial_and_kinds() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let guided = explore(&mut target, &Strategy::findings_guided(), 50, 3);
         assert!(guided.first_violation_trial.is_some());
         assert!(guided.kinds.contains_key(&ViolationKind::StaleRead));
@@ -839,7 +770,7 @@ mod tests {
 
     #[test]
     fn merge_unions_signatures() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let a = explore(&mut target, &Strategy::coverage_guided(3), 20, 1);
         let b = explore(&mut target, &Strategy::coverage_guided(3), 20, 2);
         let merged = merge_reports([&a, &b]);
@@ -849,7 +780,7 @@ mod tests {
 
     #[test]
     fn merge_matches_one_serial_run_over_the_same_trials() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let strategy = Strategy::findings_guided();
         // explore() derives each trial's seed from (seed, trial index), so
         // two half-size batches at the same seed are NOT the same trials
@@ -874,10 +805,9 @@ mod tests {
 
     #[test]
     fn zero_trials_is_empty_report() {
-        let mut target = ToyTarget::new();
+        let mut target = ToyTarget::default();
         let r = explore(&mut target, &Strategy::naive(3), 0, 3);
         assert_eq!(r.trials_with_violation, 0);
-        assert_eq!(r.hit_rate(), 0.0);
     }
 
     #[test]
@@ -890,7 +820,7 @@ mod tests {
             let plan = generate_plan(&strategy, &servers, Some(NodeId(0)), &palette, &mut rng);
             assert!(
                 matches!(plan.steps[0], ScheduleStep::Partition(_)),
-                "partition_first must put the fault at step 0: {}",
+                "findings-guided plans put the fault at step 0: {}",
                 plan.render()
             );
             let ranks: Vec<u8> = plan
@@ -913,12 +843,11 @@ mod tests {
     fn mutate_plan_changes_something_eventually() {
         let servers: Vec<NodeId> = (0..3).map(NodeId).collect();
         let palette = [EventChoice::Read, EventChoice::Write];
-        let strategy = Strategy::coverage_guided(3);
         let mut rng = StdRng::seed_from_u64(5);
-        let base = generate_plan(&strategy, &servers, None, &palette, &mut rng);
+        let base = generate_plan(&Strategy::coverage_guided(3), &servers, None, &palette, &mut rng);
         let mut changed = false;
         for _ in 0..20 {
-            let mutated = mutate_plan(&base, &strategy, &servers, None, &palette, &mut rng);
+            let mutated = mutate_plan(&base, &servers, &palette, &mut rng);
             if format!("{:?}", mutated.steps) != format!("{:?}", base.steps) {
                 changed = true;
                 break;

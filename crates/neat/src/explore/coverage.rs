@@ -12,8 +12,6 @@
 
 #![deny(missing_docs)]
 
-use std::collections::BTreeSet;
-
 use rand::{rngs::StdRng, Rng};
 
 use crate::checkers::{Violation, ViolationKind};
@@ -92,25 +90,23 @@ impl Signature {
 /// The novelty corpus: schedules that reached a signature no earlier
 /// trial reached, in discovery order.
 ///
+/// Novelty is judged by the caller — [`explore_full`] against its
+/// report's signature set — so the corpus keeps only the entries.
 /// Discovery order is part of the contract — merging shard corpora folds
 /// entries in shard order, so a merged corpus is a pure function of the
 /// shard results regardless of how many worker threads produced them.
+///
+/// [`explore_full`]: super::explore_full
 #[derive(Clone, Debug, Default)]
 pub struct Corpus {
-    seen: BTreeSet<Signature>,
     entries: Vec<(SchedulePlan, Signature)>,
 }
 
 impl Corpus {
-    /// Records a trial. Returns `true` — and keeps the schedule as a
-    /// mutation seed — when the signature is new.
-    pub fn observe(&mut self, plan: &SchedulePlan, sig: Signature) -> bool {
-        if self.seen.insert(sig.clone()) {
-            self.entries.push((plan.clone(), sig));
-            true
-        } else {
-            false
-        }
+    /// Keeps `plan` as a mutation seed for `sig`, a signature the caller
+    /// has judged new.
+    pub(super) fn keep(&mut self, plan: SchedulePlan, sig: Signature) {
+        self.entries.push((plan, sig));
     }
 
     /// Number of schedules kept (equals the number of distinct signatures).
@@ -131,19 +127,17 @@ impl Corpus {
     /// Picks one kept schedule uniformly, favouring none — the mutation
     /// pressure comes from novelty alone, as in AFL's simplest queue.
     pub fn pick(&self, rng: &mut StdRng) -> Option<&SchedulePlan> {
-        if self.entries.is_empty() {
-            None
-        } else {
-            Some(&self.entries[rng.gen_range(0..self.entries.len())].0)
-        }
+        (!self.entries.is_empty()).then(|| &self.entries[rng.gen_range(0..self.entries.len())].0)
     }
 
-    /// Folds `other` into `self` in `other`'s discovery order. Duplicated
-    /// signatures are dropped; the result is deterministic for a fixed
-    /// sequence of merges.
+    /// Folds `other` into `self` in `other`'s discovery order, skipping
+    /// every entry whose signature `self` already holds; the result is
+    /// deterministic for a fixed sequence of merges.
     pub fn merge(&mut self, other: &Corpus) {
         for (plan, sig) in &other.entries {
-            self.observe(plan, sig.clone());
+            if !self.entries.iter().any(|(_, held)| held == sig) {
+                self.keep(plan.clone(), sig.clone());
+            }
         }
     }
 }
@@ -180,23 +174,25 @@ mod tests {
 
     #[test]
     fn corpus_keeps_only_novel_signatures() {
-        let mut corpus = Corpus::default();
         let plan = SchedulePlan::default();
-        assert!(corpus.observe(&plan, sig(vec![], 1)));
-        assert!(!corpus.observe(&plan, sig(vec![], 1)), "duplicate signature");
-        assert!(corpus.observe(&plan, sig(vec![], 2)), "new partition count");
-        assert!(corpus.observe(&plan, sig(vec![ViolationKind::StaleRead], 2)));
-        assert_eq!(corpus.len(), 3);
+        let mut shard = Corpus::default();
+        shard.keep(plan.clone(), sig(vec![], 1));
+        shard.keep(plan.clone(), sig(vec![], 2));
+        shard.keep(plan.clone(), sig(vec![ViolationKind::StaleRead], 2));
+        let mut corpus = Corpus::default();
+        corpus.merge(&shard);
+        corpus.merge(&shard);
+        assert_eq!(corpus.len(), 3, "a held signature is never kept twice");
     }
 
     #[test]
     fn merge_is_a_deterministic_fold() {
         let plan = SchedulePlan::default();
         let mut a = Corpus::default();
-        a.observe(&plan, sig(vec![], 1));
+        a.keep(plan.clone(), sig(vec![], 1));
         let mut b = Corpus::default();
-        b.observe(&plan, sig(vec![], 1));
-        b.observe(&plan, sig(vec![], 2));
+        b.keep(plan.clone(), sig(vec![], 1));
+        b.keep(plan.clone(), sig(vec![], 2));
         let mut merged1 = Corpus::default();
         merged1.merge(&a);
         merged1.merge(&b);

@@ -233,18 +233,18 @@ pub fn plan_at_leader(
 }
 
 /// Replays a mined schedule whose victim is the leader elected at `seed`:
-/// resets `target`, aims [`plan_at_leader`] at it, runs the plan, and
-/// returns its verdicts with the trial's timeline — which, like every
-/// explorer trial's, records no verdict events.
-pub fn replay_at_leader(
-    target: &mut dyn TestTarget,
+/// resets `target`, aims `plan` at it (a [`plan_at_leader`] wrapper that
+/// carries the plan's builder and fallback), runs the plan, and returns
+/// its verdicts with the trial's timeline — which, like every explorer
+/// trial's, records no verdict events.
+pub fn replay_at_leader<T: TestTarget>(
+    target: &mut T,
     seed: u64,
     record: bool,
-    fallback: usize,
-    build_plan: fn(&[NodeId], NodeId) -> SchedulePlan,
+    plan: fn(&mut T) -> SchedulePlan,
 ) -> RunOutcome {
     target.reset(seed, record);
-    let plan = plan_at_leader(target, fallback, build_plan);
+    let plan = plan(target);
     RunOutcome {
         violations: run_schedule(target, &plan),
         timeline: target.timeline(),
@@ -396,13 +396,13 @@ mod tests {
 
     #[test]
     fn replay_at_leader_falls_back_when_no_leader_is_visible() {
-        fn plan(servers: &[NodeId], leader: NodeId) -> SchedulePlan {
-            SchedulePlan {
+        fn plan(t: &mut Probe<0, 10>) -> SchedulePlan {
+            plan_at_leader(t, 2, |servers: &[NodeId], leader| SchedulePlan {
                 steps: vec![ScheduleStep::Crash(vec![leader, servers[0]])],
-            }
+            })
         }
         let mut t = Probe::<0, 10>::new(leaderless);
-        let out = replay_at_leader(&mut t, 4, true, 2, plan);
+        let out = replay_at_leader(&mut t, 4, true, plan);
         assert!(out.violations.is_empty());
         let crashed: Vec<NodeId> = out
             .timeline

@@ -38,7 +38,7 @@ pub enum ScheduleStep {
     Heal,
     /// Advance virtual time by this many milliseconds.
     Sleep(Time),
-    /// Issue one client/admin event. The embedded seed fixes the
+    /// Issue one client event. The embedded seed fixes the
     /// adapter's random choices for this step alone.
     Client(EventChoice, u64),
 }
@@ -80,27 +80,6 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// Number of client events in the plan (the paper's Table 7 budget).
-    pub fn client_events(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| matches!(s, ScheduleStep::Client(..)))
-            .count()
-    }
-
-    /// Number of fault injections (partition, degrade, crash).
-    pub fn fault_steps(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s,
-                    ScheduleStep::Partition(_) | ScheduleStep::Degrade(_) | ScheduleStep::Crash(_)
-                )
-            })
-            .count()
-    }
-
     /// `true` when the plan heals mid-schedule (before its last step).
     pub fn heals_mid_schedule(&self) -> bool {
         self.steps
@@ -171,8 +150,6 @@ mod tests {
             "partition(complete {0}|{1,2}) -> write -> heal -> sleep(250) -> read \
              -> degrade(gray-simplex {2}|{0,1})"
         );
-        assert_eq!(plan.client_events(), 2);
-        assert_eq!(plan.fault_steps(), 2);
         assert!(plan.heals_mid_schedule());
         assert_eq!(SchedulePlan::default().render(), "(empty)");
     }

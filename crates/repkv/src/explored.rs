@@ -10,7 +10,7 @@
 //! clean on the repaired baseline.
 
 use neat::{
-    explore::{replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
+    explore::{plan_at_leader, replay_at_leader, EventChoice, SchedulePlan, ScheduleStep},
     fault::{rest_of, PartitionSpec},
     RunOutcome,
 };
@@ -22,14 +22,16 @@ use crate::{explorer::RepkvTarget, Config};
 /// trial so the replayed client draws the same key and client index.
 pub const WRITE_SEED: u64 = 10_492_150_018_496_043_109;
 
-/// The 1-minimal schedule: simplex-silence the leader (followers cannot
-/// reach it, it still reaches them), then issue one write. The leader
-/// keeps accepting the write while the deposed majority elects a rival —
-/// the divergent histories consolidate into [`DataCorruption`] at heal.
+/// The 1-minimal schedule aimed at the leader of a just-reset `target`
+/// (server 0 when none is visible): simplex-silence the leader (followers
+/// cannot reach it, it still reaches them), then issue one write. The
+/// leader keeps accepting the write while the deposed majority elects a
+/// rival — the divergent histories consolidate into [`DataCorruption`] at
+/// heal.
 ///
 /// [`DataCorruption`]: neat::ViolationKind::DataCorruption
-pub fn simplex_leader_write_plan(servers: &[NodeId], leader: NodeId) -> SchedulePlan {
-    SchedulePlan {
+pub fn simplex_leader_write_plan(target: &mut RepkvTarget) -> SchedulePlan {
+    plan_at_leader(target, 0, |servers: &[NodeId], leader| SchedulePlan {
         steps: vec![
             ScheduleStep::Partition(PartitionSpec::Simplex {
                 src: rest_of(servers, &[leader]),
@@ -37,7 +39,7 @@ pub fn simplex_leader_write_plan(servers: &[NodeId], leader: NodeId) -> Schedule
             }),
             ScheduleStep::Client(EventChoice::Write, WRITE_SEED),
         ],
-    }
+    })
 }
 
 /// Replays the minimized schedule against `config` at `seed`, returning
@@ -47,13 +49,13 @@ pub fn explored_simplex_leader_write(
     seed: u64,
     record: bool,
 ) -> RunOutcome {
-    replay_at_leader(&mut RepkvTarget::new(config), seed, record, 0, simplex_leader_write_plan)
+    replay_at_leader(&mut RepkvTarget::new(config), seed, record, simplex_leader_write_plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, TestTarget};
+    use neat::explore::{minimize::is_one_minimal, run_schedule, TestTarget};
     use neat::ViolationKind;
 
     #[test]
@@ -76,7 +78,7 @@ mod tests {
     fn the_baked_schedule_is_one_minimal() {
         let mut probe = RepkvTarget::new(Config::voltdb());
         probe.reset(8, false);
-        let plan = plan_at_leader(&mut probe, 0, simplex_leader_write_plan);
+        let plan = simplex_leader_write_plan(&mut probe);
         let mut target = RepkvTarget::new(Config::voltdb());
         assert!(is_one_minimal(&plan.steps, |steps| {
             target.reset(8, false);

@@ -8,7 +8,8 @@
 //! and every other rustdoc lint fail `cargo test` instead of rotting
 //! silently.
 
-use std::path::Path;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The gray-failure modules were born `#![deny(missing_docs)]`; keep it
@@ -106,6 +107,72 @@ fn architecture_citations_point_at_their_lines() {
     assert!(cited > 100, "only {cited} citations found; is the parser broken?");
     assert!(files > 20, "only {files} line-less paths found; is the parser broken?");
     assert!(stale.is_empty(), "stale ARCHITECTURE.md citations:\n{}", stale.join("\n"));
+}
+
+/// Every `cargo run … [-p <pkg>] [--bin <b>] [--example <e>]` in the
+/// user-facing docs names a workspace package and a binary or example it
+/// has; without `--bin` or `--example` the package needs a `src/main.rs`.
+#[test]
+fn documented_cargo_run_commands_name_real_targets() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path:?}: {e}"))
+    };
+    let workspace = read(&root.join("Cargo.toml"));
+    let members = workspace
+        .split_once("members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map_or("", |(list, _)| list);
+    let mut packages: BTreeMap<String, PathBuf> = BTreeMap::new();
+    for dir in std::iter::once(".").chain(members.split('"').skip(1).step_by(2)) {
+        let manifest = read(&root.join(dir).join("Cargo.toml"));
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .unwrap_or_else(|| panic!("{dir}/Cargo.toml names no package"));
+        packages.insert(name.to_string(), root.join(dir));
+    }
+
+    let (mut checked, mut stale) = (0, Vec::new());
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md"] {
+        let text = read(&root.join(doc));
+        for (at, _) in text.match_indices("cargo run") {
+            // The command ends at its code span's close or a comment.
+            let rest = &text[at + "cargo run".len()..];
+            let command = &rest[..rest.find(['`', '#']).unwrap_or(rest.len())];
+            let mut words = command.split_whitespace();
+            let (mut package, mut bin, mut example) = ("neat-repro", None, None);
+            while let Some(word) = words.next() {
+                let slot = match word {
+                    "--release" => continue,
+                    "-p" => &mut package,
+                    "--bin" => bin.insert(""),
+                    "--example" => example.insert(""),
+                    _ => break,
+                };
+                *slot = words.next().unwrap_or("").trim_end_matches([',', '.', ')', ';', ':']);
+            }
+            checked += 1;
+            let Some(dir) = packages.get(package) else {
+                stale.push(format!("{doc}: `cargo run{command}`: no package {package}"));
+                continue;
+            };
+            let found = match (bin, example) {
+                (_, Some(e)) => dir.join("examples").join(format!("{e}.rs")).is_file(),
+                (Some(b), None) => {
+                    dir.join("src/bin").join(format!("{b}.rs")).is_file()
+                        || dir.join("src/bin").join(b).join("main.rs").is_file()
+                        || (b == package && dir.join("src/main.rs").is_file())
+                }
+                (None, None) => dir.join("src/main.rs").is_file(),
+            };
+            if !found {
+                stale.push(format!("{doc}: `cargo run{}`: no such target", command.trim_end()));
+            }
+        }
+    }
+    assert!(checked > 30, "only {checked} commands found; is the parser broken?");
+    assert!(stale.is_empty(), "documented commands that cannot run:\n{}", stale.join("\n"));
 }
 
 /// `crates/{a,b}/src/x.rs` → `crates/a/src/x.rs`, `crates/b/src/x.rs`.

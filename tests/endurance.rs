@@ -124,3 +124,28 @@ fn flawed_profile_breaks_under_the_same_storm() {
     }
     panic!("the flawed profile should break somewhere in a 15-cycle storm");
 }
+
+#[test]
+fn flawed_profile_breaks_again_after_the_first_heal() {
+    // Recurrence, not one cycle: the same storm with everything up to and
+    // including its first heal dropped must still break the flawed
+    // profile, so the violation does not rest on the first fault alone.
+    let mut target = RepkvTarget::new(Config::voltdb());
+    let mut tried = Vec::new();
+    for seed in [86, 99, 101] {
+        target.reset(seed, false);
+        let storm = storm(&target.servers(), FLICKER, 15, 9);
+        let first_heal = storm
+            .steps
+            .iter()
+            .position(|s| matches!(s, ScheduleStep::Heal))
+            .expect("a storm heals every cycle");
+        let rest = SchedulePlan { steps: storm.steps[first_heal + 1..].to_vec() };
+        target.reset(seed, false);
+        if !run_schedule(&mut target, &rest).is_empty() {
+            return;
+        }
+        tried.push(seed);
+    }
+    panic!("no violation after the first heal at seeds {tried:?}");
+}
