@@ -2,10 +2,6 @@
 //!
 //! The binaries:
 //!
-//! - `cargo run -p bench --bin tables` — Tables 1–13 plus the headline
-//!   findings, paper value vs recomputed value.
-//! - `cargo run -p bench --bin figures` — Figures 1, 2, 3, 5, 6 and the
-//!   Finding-13 exploration experiment, with manifestation traces.
 //! - `cargo run -p bench --bin export` — the failure catalog as JSON (the
 //!   paper's released data set).
 //! - `cargo run -p bench --bin forensics` — the seed-8 forensics sweep as
@@ -14,7 +10,10 @@
 //!   events, allocations and queue depth.
 //! - `cargo run --release -p bench --bin artifacts` — rewrites every row
 //!   of [`ARTIFACTS`] at the repository root; `-- --print <file>` prints
-//!   one row to stdout instead.
+//!   one row to stdout instead — `tables_output.txt` (Tables 1–13 plus the
+//!   headline findings, paper value vs recomputed value) and
+//!   `figures_output.txt` (Figures 1, 2, 3, 5, 6 and the Finding-13
+//!   exploration experiment) are read this way.
 //!
 //! The §6.4 campaign and Table 15 are `cargo run -p fleet`; its default
 //! output is the `campaign_output.txt` row.
@@ -132,6 +131,30 @@ mod tests {
         assert_eq!(bar(0.0), "");
         assert_eq!(bar(100.0).len(), 50);
         assert_eq!(bar(10.0).len(), 5);
+    }
+
+    /// Every row of `mutants.txt` still applies: its anchor matches
+    /// exactly one place of its file, and its replacement has as many
+    /// lines, so the table cannot rot silently as the code moves.
+    #[test]
+    fn every_mutant_anchor_matches_exactly_one_place() {
+        let table = include_str!("../mutants.txt");
+        let mut rows = 0;
+        for row in table.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
+            let cols: Vec<&str> = row.split('\t').collect();
+            let [id, file, anchor, replacement, _mechanism, _result] = cols[..] else {
+                panic!("mutants.txt row {row:?} has {} columns, not 6", cols.len());
+            };
+            let anchor: Vec<&str> = anchor.split("\\n").collect();
+            assert_eq!(anchor.len(), replacement.split("\\n").count(), "{id}: line counts differ");
+            let source = std::fs::read_to_string(repo_root().join(file))
+                .unwrap_or_else(|e| panic!("{id}: cannot read {file}: {e}"));
+            let lines: Vec<&str> = source.lines().map(str::trim).collect();
+            let places = lines.windows(anchor.len()).filter(|w| *w == &anchor[..]).count();
+            assert_eq!(places, 1, "{id}: the anchor matches {places} places of {file}");
+            rows += 1;
+        }
+        assert!(rows >= 7, "only {rows} mutants");
     }
 
     #[test]

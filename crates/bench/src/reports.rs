@@ -4,7 +4,8 @@
 //! Everything here returns a full byte stream, so the rows of
 //! [`crate::ARTIFACTS`] regenerate the committed files in-process and the
 //! tier-1 golden test fails the build when one goes stale. `cargo run -p
-//! fleet` and the `tables` and `figures` binaries `print!` the same streams.
+//! fleet` prints the campaign stream, and `cargo run -p bench --bin
+//! artifacts -- --print <file>` prints any of them.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -69,8 +70,8 @@ fn render_appendix(out: &mut String) {
     w!(out);
 }
 
-/// Exact stdout of `cargo run -p bench --bin tables`. `Err` carries the
-/// diagnostic the binary prints to stderr before exiting non-zero.
+/// Exact content of `tables_output.txt`: Tables 1–13 and the headline
+/// findings, paper value vs recomputed value. `Err` is a diagnostic.
 pub fn tables_report() -> Result<String, String> {
     let mut out = String::new();
     w!(out, "== An Analysis of Network-Partitioning Failures in Cloud Systems ==");
@@ -275,7 +276,9 @@ fn finding13(out: &mut String) {
     );
 }
 
-/// Exact stdout of `cargo run -p bench --bin figures`.
+/// Exact content of `figures_output.txt`: Figures 1, 2, 3, 5, 6 as
+/// executable scenarios with manifestation traces, plus the Finding-13
+/// exploration experiment.
 pub fn figures_report() -> String {
     let mut out = String::new();
     figure1(&mut out);
@@ -310,13 +313,13 @@ pub fn verdicts_report() -> String {
     [8, 42].into_iter().map(neat_repro::campaign::render_verdicts).collect()
 }
 
-/// Exact content of `audit_hashes.txt`: the stdout of `lint --audit` at
+/// Exact content of `audit_hashes.txt`: the stdout of `fleet --audit` at
 /// seeds 8 and 42, one execution-fingerprint hash per arm and seed. A
 /// change that moves one byte of any arm's fingerprint moves a line here.
 pub fn audit_hashes_report() -> String {
     [8, 42]
         .into_iter()
-        .map(|seed| lint::audit_text(seed, &fleet::campaign::audit(seed, 1)))
+        .map(|seed| fleet::campaign::audit_text(seed, &fleet::campaign::audit(seed, 1)))
         .collect()
 }
 
@@ -528,15 +531,14 @@ pub fn workload_machine_json(ladder_ops: u64) -> String {
 /// Exact content of `BENCH_lint.json` for the workspace at `root`: the
 /// determinism-lint scan reduced to deterministic counters — files, lines,
 /// and tokens scanned, `use` declarations resolved, allow sites and how
-/// many of them suppress something, per-rule finding/allow counts, and the
-/// registry-consistency verdict. A pure function of the committed source
-/// tree (no wall-clock numbers), so it is golden-tested byte-for-byte and
-/// regenerating it flags any scan regression as a diff. `Err` names
-/// `root` when the scan cannot read it.
+/// many of them suppress something, per-rule finding/allow counts — and
+/// the registry's shape with its count of [`unregistered_arm_literals`].
+/// A pure function of the committed source tree (no wall-clock numbers),
+/// so it is golden-tested byte-for-byte and regenerating it flags any scan
+/// regression as a diff. `Err` names `root` when the scan cannot read it.
 pub fn lint_machine_json(root: &Path) -> Result<String, String> {
     let report = lint::analyze_workspace(root)
         .map_err(|e| format!("lint scan of {} failed: {e}", root.display()))?;
-    let registry = lint::check_registry(root);
     let s = &report.stats;
     let per_rule: Vec<Value> = s
         .per_rule
@@ -557,12 +559,57 @@ pub fn lint_machine_json(root: &Path) -> Result<String, String> {
         "findings_total" => report.findings.len(),
         "per_rule" => per_rule,
         "registry" => obj! {
-            "scenarios" => registry.scenarios,
-            "arms" => registry.arms,
-            "findings" => registry.findings.len(),
+            "scenarios" => neat_repro::campaign::registry().len(),
+            "arms" => neat_repro::campaign::arm_ids().len(),
+            "findings" => unregistered_arm_literals(root).len(),
         },
     };
     Ok(format!("{}\n", doc.pretty()))
+}
+
+/// Arm literals (`"<scenario>/flawed"`, `"<scenario>/fixed"`) in the root
+/// `tests/*.rs` under `root` that name a scenario `src/campaign.rs` does
+/// not register, one `tests/<file>: line N: …` message each, in file
+/// order. No regenerated artifact reads these names, so a renamed
+/// scenario would otherwise leave a dead reference in a test. A root
+/// without a readable `tests/` has none.
+pub fn unregistered_arm_literals(root: &Path) -> Vec<String> {
+    use lint::lex::{lex, TokenKind};
+
+    let registered: std::collections::BTreeSet<&str> =
+        neat_repro::campaign::registry().iter().map(|s| s.name).collect();
+    let Ok(entries) = std::fs::read_dir(root.join("tests")) else {
+        return Vec::new();
+    };
+    let mut files: Vec<_> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .collect();
+    files.sort();
+    let mut findings = Vec::new();
+    for path in files {
+        let Ok(source) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        for t in lex(&source).into_iter().filter(|t| t.kind == TokenKind::Str) {
+            let Some(literal) = t.str_contents() else { continue };
+            let Some(scenario) =
+                literal.strip_suffix("/flawed").or_else(|| literal.strip_suffix("/fixed"))
+            else {
+                continue;
+            };
+            if !scenario.is_empty() && !registered.contains(scenario) {
+                findings.push(format!(
+                    "tests/{file}: line {}: arm literal `{literal}` names unregistered scenario \
+                     `{scenario}`",
+                    t.line
+                ));
+            }
+        }
+    }
+    findings
 }
 
 // --- coverage-guided exploration -----------------------------------------

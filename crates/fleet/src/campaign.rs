@@ -61,7 +61,7 @@ pub fn forensics(seed: u64, jobs: usize) -> Vec<neat::obs::ForensicReport> {
     pool::map(jobs, scenario_count(), |i| forensic_at(i, seed))
 }
 
-/// The double-run trace audit (`lint --audit`), sharded by arm: each
+/// The double-run trace audit (`fleet --audit`), sharded by arm: each
 /// worker runs its arm twice at `seed` and compares streaming fingerprint
 /// hashes — no fingerprint string is allocated unless the hashes diverge,
 /// in which case both runs are re-rendered to find the first differing
@@ -81,6 +81,24 @@ pub fn audit(seed: u64, jobs: usize) -> Vec<AuditOutcome> {
             ),
         }
     })
+}
+
+/// The stdout of `fleet --audit` at `seed`: one `audit <arm>: ok <hash>`
+/// line per arm that double-ran identically, then the summary line. The
+/// committed `audit_hashes.txt` is this at seeds 8 and 42. Divergent arms
+/// are left out; the CLI reports them on stderr.
+pub fn audit_text(seed: u64, outcomes: &[AuditOutcome]) -> String {
+    let mut out = String::new();
+    for o in outcomes.iter().filter(|o| o.is_ok()) {
+        out.push_str(&o.render());
+        out.push('\n');
+    }
+    let divergences = outcomes.iter().filter(|o| !o.is_ok()).count();
+    out.push_str(&format!(
+        "audit: {} scenario arm(s) double-run with seed {seed}, {divergences} divergence(s)\n",
+        outcomes.len()
+    ));
+    out
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! `cargo run -p fleet` parses and executes through this module: its
 //! defaults (seed 8, serial, single seed — the pre-fleet campaign
 //! behaviour) print `campaign_output.txt`, and the report text is the same
-//! for any `--jobs`.
+//! for any `--jobs`. `--audit` switches to the double-run trace audit,
+//! which the binary runs through [`crate::campaign::audit`].
 
 use neat_repro::campaign::{render, render_forensics, render_sweep};
 
@@ -21,6 +22,11 @@ pub struct Opts {
     /// recording on and print the failure-timeline report instead of the
     /// campaign table.
     pub trace: bool,
+    /// Audit mode (`--audit`): run every arm twice at `seed` and print one
+    /// fingerprint hash per arm (`audit_hashes.txt` at seeds 8 and 42)
+    /// instead of the campaign table. Takes neither `--seeds` nor
+    /// `--trace`.
+    pub audit: bool,
 }
 
 impl Default for Opts {
@@ -30,6 +36,7 @@ impl Default for Opts {
             seeds: None,
             jobs: 1,
             trace: false,
+            audit: false,
         }
     }
 }
@@ -42,9 +49,8 @@ const MAX_SEEDS: usize = 1_000_000;
 /// worker (up to one per item), and a campaign has a few hundred items.
 pub const MAX_JOBS: usize = 256;
 
-/// Parses a `--jobs` worker count: an integer in `1..=MAX_JOBS`. Shared
-/// with `lint --audit --jobs`.
-pub fn parse_jobs(n: &str) -> Result<usize, String> {
+/// Parses a `--jobs` worker count: an integer in `1..=MAX_JOBS`.
+fn parse_jobs(n: &str) -> Result<usize, String> {
     let jobs: usize = n.parse().map_err(|_| format!("invalid job count `{n}`"))?;
     if !(1..=MAX_JOBS).contains(&jobs) {
         return Err(format!("--jobs must be between 1 and {MAX_JOBS}"));
@@ -54,6 +60,7 @@ pub fn parse_jobs(n: &str) -> Result<usize, String> {
 
 pub fn usage() -> &'static str {
     "usage: [--seed <n>] [--seeds <count>] [--jobs <k>] [--trace]\n\
+     \x20      [--audit] [--seed <n>] [--jobs <k>]\n\
      \n\
      Default: the full campaign at seed 8, serially — byte-identical to\n\
      the historical `campaign` output. --jobs K fans scenarios across K\n\
@@ -61,7 +68,9 @@ pub fn usage() -> &'static str {
      N consecutive seeds and reports per-scenario detection rates, the\n\
      live Table 11 deterministic/nondeterministic split, and the\n\
      detection-probability curve. --trace records every flawed arm and\n\
-     prints the failure-forensics timelines instead of the table."
+     prints the failure-forensics timelines instead of the table.\n\
+     --audit runs every arm twice at the seed and prints one fingerprint\n\
+     hash per arm; a divergence goes to stderr with exit status 1."
 }
 
 /// Parses CLI arguments (exclusive of the binary name). An empty error
@@ -88,9 +97,16 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
                 opts.jobs = parse_jobs(&n)?;
             }
             "--trace" => opts.trace = true,
+            "--audit" => opts.audit = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
+    }
+    if opts.audit && opts.seeds.is_some() {
+        return Err("--audit takes no --seeds".to_string());
+    }
+    if opts.audit && opts.trace {
+        return Err("--audit takes no --trace".to_string());
     }
     // `sweep_seeds` covers `seed..seed+N`; the end must be representable.
     if opts.seeds.is_some_and(|count| opts.seed.checked_add(count as u64).is_none()) {
@@ -107,7 +123,7 @@ pub fn sweep_seeds(opts: &Opts) -> Vec<u64> {
 
 /// Executes the campaign described by `opts` and renders the report —
 /// the exact stdout (minus the trailing newline `println!` adds) of
-/// `cargo run -p fleet`.
+/// `cargo run -p fleet` without `--audit`.
 pub fn report(opts: &Opts) -> String {
     if opts.trace {
         let reports = crate::campaign::forensics(opts.seed, opts.jobs);
@@ -176,6 +192,21 @@ mod tests {
     }
 
     #[test]
+    fn audit_parses_alone_and_rejects_the_other_modes() {
+        let opts = parse(args(&["--audit", "--seed", "42", "--jobs", "4"])).expect("parse");
+        assert!(opts.audit);
+        assert_eq!((opts.seed, opts.jobs), (42, 4));
+        assert_eq!(
+            parse(args(&["--audit", "--seeds", "3"])),
+            Err("--audit takes no --seeds".to_string())
+        );
+        assert_eq!(
+            parse(args(&["--trace", "--audit"])),
+            Err("--audit takes no --trace".to_string())
+        );
+    }
+
+    #[test]
     fn help_is_the_empty_error() {
         assert_eq!(parse(args(&["--help"])), Err(String::new()));
     }
@@ -185,7 +216,7 @@ mod tests {
     /// Flags, numbers at and past the `u64` / `usize` edges, and junk.
     fn arg() -> impl Strategy<Value = String> {
         const WORDS: &[&str] = &[
-            "--seed", "--seeds", "--jobs", "--trace", "--help", "-h", "0", "1", "8",
+            "--seed", "--seeds", "--jobs", "--trace", "--audit", "--help", "-h", "0", "1", "8",
             "18446744073709551615", "18446744073709551616", "-1", "+3", "", " ", "x", "--",
             "--seed=3", "\u{e9}",
         ];
@@ -206,6 +237,7 @@ mod tests {
         ) {
             if let Ok(opts) = parse(argv) {
                 prop_assert!((1..=MAX_JOBS).contains(&opts.jobs));
+                prop_assert!(!opts.audit || (opts.seeds.is_none() && !opts.trace));
                 prop_assert_eq!(sweep_seeds(&opts).len(), opts.seeds.unwrap_or(1));
             }
         }

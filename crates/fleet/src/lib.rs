@@ -11,11 +11,12 @@
 //! - [`campaign`] — the campaign registry and the double-run auditor
 //!   fanned over the pool: full runs, multi-seed sweeps (the live
 //!   Table 11 deterministic/nondeterministic split), fingerprint sweeps,
-//!   and the `lint --audit --jobs` backend.
+//!   and the `--audit` double run with the text it prints.
 //! - [`explore`] — `neat::explore` fan-out across seeds for the §5.4
 //!   detection-probability statistics.
 //! - [`cli`] — argument parsing and report rendering behind
-//!   `cargo run -p fleet`.
+//!   `cargo run -p fleet` (campaign, `--seeds` sweep, `--trace` forensics
+//!   and `--audit`).
 //!
 //! The `thread-spawn` lint rule stays in force everywhere else: the
 //! scanner only honours `lint:allow(thread-spawn)` under `crates/fleet`

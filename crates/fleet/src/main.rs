@@ -5,9 +5,10 @@
 //! cargo run --release -p fleet -- --jobs 4          # same bytes, 4 workers
 //! cargo run --release -p fleet -- --seeds 16        # multi-seed sweep
 //! cargo run --release -p fleet -- --seeds 16 --jobs 8
+//! cargo run --release -p fleet -- --audit --seed 42 # double-run trace audit
 //! ```
 //!
-//! Exit codes: `0` success, `2` usage error.
+//! Exit codes: `0` success, `1` audit divergence, `2` usage error.
 
 use std::process::ExitCode;
 
@@ -23,6 +24,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("{}", fleet::cli::report(&opts));
-    ExitCode::SUCCESS
+    if !opts.audit {
+        println!("{}", fleet::cli::report(&opts));
+        return ExitCode::SUCCESS;
+    }
+    let outcomes = fleet::campaign::audit(opts.seed, opts.jobs);
+    let divergent: Vec<_> = outcomes.iter().filter(|o| !o.is_ok()).collect();
+    for outcome in &divergent {
+        eprintln!("{}", outcome.render());
+    }
+    print!("{}", fleet::campaign::audit_text(opts.seed, &outcomes));
+    if divergent.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -57,16 +57,6 @@ pub enum ViolationKind {
     Other,
 }
 
-impl ViolationKind {
-    /// Whether the paper counts this impact as catastrophic (Table 2: all of
-    /// these violate system guarantees).
-    pub fn is_catastrophic(&self) -> bool {
-        // Every kind the checkers can produce maps to a catastrophic row of
-        // Table 2; performance degradation is not observable as a violation.
-        !matches!(self, ViolationKind::Other)
-    }
-}
-
 impl std::fmt::Display for ViolationKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -129,12 +119,5 @@ mod tests {
             Violation::new(ViolationKind::DirtyRead, "k=5").to_string(),
             "dirty read: k=5"
         );
-    }
-
-    #[test]
-    fn catastrophic_classification() {
-        assert!(ViolationKind::DataLoss.is_catastrophic());
-        assert!(ViolationKind::SystemHang.is_catastrophic());
-        assert!(!ViolationKind::Other.is_catastrophic());
     }
 }

@@ -232,14 +232,18 @@ pub struct Find {
     pub kinds: Vec<ViolationKind>,
 }
 
-/// Full result of a coverage-guided exploration: the tallies, the novelty
-/// corpus (for sharded merge and further fuzzing), and every violating
-/// schedule with its repro seed.
+/// Full result of an exploration: the tallies, the novelty corpus (for
+/// sharded merge and further fuzzing), and every violating schedule with
+/// its repro seed.
 #[derive(Clone, Debug, Default)]
 pub struct Exploration {
     /// Aggregate tallies, as [`explore`] returns.
     pub report: ExplorationReport,
-    /// Schedules that reached novel signatures, in discovery order.
+    /// Schedules that reached novel signatures, in discovery order. Kept
+    /// under [`Strategy::CoverageGuided`] only, the one strategy that
+    /// mutates them; empty under [`Strategy::Naive`] and
+    /// [`Strategy::FindingsGuided`], whose novelty is still counted in
+    /// `report.signatures`.
     pub corpus: Corpus,
     /// Violating schedules with repro seeds, in trial order.
     pub finds: Vec<Find>,
@@ -443,8 +447,8 @@ fn mutate_plan(
 }
 
 /// Runs `trials` generated test cases against `target`, tallying
-/// violations, collecting the novelty corpus, and recording every
-/// violating schedule with its repro seed.
+/// violations, collecting the novelty corpus (coverage-guided search
+/// only), and recording every violating schedule with its repro seed.
 ///
 /// Trial seeds derive from `(seed, trial index)` alone, so a run is a
 /// pure function of `(target construction, strategy, trials, seed)` —
@@ -493,7 +497,9 @@ pub fn explore_full(
         let sig = Signature::of(&timeline, &violations);
         if !out.report.signatures.contains(&sig) {
             out.report.signatures.insert(sig.clone());
-            out.corpus.keep(plan.clone(), sig);
+            if coverage {
+                out.corpus.keep(plan.clone(), sig);
+            }
         }
 
         if !violations.is_empty() {
@@ -732,6 +738,17 @@ mod tests {
             exploration.finds.len(),
             exploration.report.trials_with_violation
         );
+    }
+
+    #[test]
+    fn only_coverage_guided_search_keeps_a_corpus() {
+        for strategy in [Strategy::naive(3), Strategy::findings_guided()] {
+            let mut target = ToyTarget::default();
+            let exploration = explore_full(&mut target, &strategy, 60, 17);
+            assert!(exploration.corpus.is_empty(), "{strategy:?} kept a corpus");
+            // Novelty is still counted: the report's signature set.
+            assert!(!exploration.report.signatures.is_empty(), "{strategy:?}");
+        }
     }
 
     #[test]

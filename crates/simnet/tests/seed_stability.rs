@@ -1,6 +1,6 @@
 //! Seed stability: the same seed must yield a byte-identical execution.
 //! This is the per-crate slice of the determinism contract in DESIGN.md;
-//! `cargo run -p lint -- --audit` checks the same property campaign-wide.
+//! `cargo run -p fleet -- --audit` checks the same property campaign-wide.
 
 use proptest::prelude::*;
 use simnet::{

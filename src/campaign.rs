@@ -6,7 +6,7 @@
 //! as-studied one and the repaired baseline).
 //! [`run_all_scenarios`] executes each and collects the checker verdicts;
 //! [`scenario_fingerprints`] renders each run as a full execution
-//! fingerprint for the trace-divergence auditor (`cargo run -p lint --
+//! fingerprint for the trace-divergence auditor (`cargo run -p fleet --
 //! --audit`) and the seed-stability regression tests. [`table15`] then maps
 //! the scenario results onto the paper's Table 15 (the 32 failures NEAT
 //! found in seven systems), and [`render`] prints the same summary the

@@ -1,8 +1,8 @@
 //! Tier-1 gate: every registered scenario arm must be reproducible —
 //! running it twice with the same seed must yield byte-identical
-//! execution fingerprints. This is the `cargo run -p lint -- --audit`
+//! execution fingerprints. This is the `cargo run -p fleet -- --audit`
 //! check wired into `cargo test`, sharded across the fleet pool the same
-//! way `lint --audit --jobs K` runs it (the outcomes are index-ordered,
+//! way `fleet --audit --jobs K` runs it (the outcomes are index-ordered,
 //! so the worker count cannot change what this test sees). The committed
 //! `audit_hashes.txt` and `verdicts.txt` are rows of `bench::ARTIFACTS`,
 //! regenerated here and compared byte for byte.
@@ -127,7 +127,7 @@ fn verdicts_match_the_committed_oracle() {
 }
 
 /// The refactoring invariant (ROADMAP aim 2): every `audit <arm>: ok <hash>`
-/// line of `lint --audit` at seeds 8 and 42 is committed in
+/// line of `fleet --audit` at seeds 8 and 42 is committed in
 /// `audit_hashes.txt`, and a change that moves one byte of any arm's
 /// execution fingerprint fails here.
 #[test]

@@ -112,6 +112,9 @@ fn architecture_citations_point_at_their_lines() {
 /// Every `cargo run … [-p <pkg>] [--bin <b>] [--example <e>]` in the
 /// user-facing docs names a workspace package and a binary or example it
 /// has; without `--bin` or `--example` the package needs a `src/main.rs`.
+/// Each `--flag` after the command's `--` must appear as the literal
+/// `"--flag"` somewhere in that package's `src/`, so a documented option
+/// the CLI no longer parses fails here.
 #[test]
 fn documented_cargo_run_commands_name_real_targets() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -133,21 +136,29 @@ fn documented_cargo_run_commands_name_real_targets() {
         packages.insert(name.to_string(), root.join(dir));
     }
 
-    let (mut checked, mut stale) = (0, Vec::new());
+    let mut sources: BTreeMap<String, String> = BTreeMap::new();
+    let (mut checked, mut flags, mut stale) = (0, 0, Vec::new());
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ARCHITECTURE.md"] {
         let text = read(&root.join(doc));
         for (at, _) in text.match_indices("cargo run") {
-            // The command ends at its code span's close or a comment.
+            // An inline code span may wrap a line and ends at its close; a
+            // line of a fenced block ends at a comment or the line's end.
             let rest = &text[at + "cargo run".len()..];
-            let command = &rest[..rest.find(['`', '#']).unwrap_or(rest.len())];
+            let ends: &[char] = if text[..at].ends_with('`') { &['`'] } else { &['`', '#', '\n'] };
+            let command = &rest[..rest.find(ends).unwrap_or(rest.len())];
             let mut words = command.split_whitespace();
             let (mut package, mut bin, mut example) = ("neat-repro", None, None);
+            let mut has_args = false;
             while let Some(word) = words.next() {
                 let slot = match word {
                     "--release" => continue,
                     "-p" => &mut package,
                     "--bin" => bin.insert(""),
                     "--example" => example.insert(""),
+                    "--" => {
+                        has_args = true;
+                        break;
+                    }
                     _ => break,
                 };
                 *slot = words.next().unwrap_or("").trim_end_matches([',', '.', ')', ';', ':']);
@@ -169,10 +180,37 @@ fn documented_cargo_run_commands_name_real_targets() {
             if !found {
                 stale.push(format!("{doc}: `cargo run{}`: no such target", command.trim_end()));
             }
+            if !has_args {
+                continue;
+            }
+            let src = sources.entry(package.to_string()).or_insert_with(|| rs_sources(&dir.join("src")));
+            for flag in words.map(|w| w.trim_matches(['[', ']', ',', '.', ')', ';', ':'])) {
+                if flag.starts_with("--") {
+                    flags += 1;
+                    if !src.contains(&format!("\"{flag}\"")) {
+                        stale.push(format!("{doc}: `cargo run{}`: {package} parses no `{flag}`", command.trim_end()));
+                    }
+                }
+            }
         }
     }
     assert!(checked > 30, "only {checked} commands found; is the parser broken?");
+    assert!(flags > 15, "only {flags} flags found; is the parser broken?");
     assert!(stale.is_empty(), "documented commands that cannot run:\n{}", stale.join("\n"));
+}
+
+/// Every `.rs` file under `dir`, concatenated.
+fn rs_sources(dir: &Path) -> String {
+    let mut out = String::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot read {dir:?}: {e}")) {
+        let path = entry.expect("a directory entry").path();
+        if path.is_dir() {
+            out.push_str(&rs_sources(&path));
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).unwrap_or_default());
+        }
+    }
+    out
 }
 
 /// `crates/{a,b}/src/x.rs` → `crates/a/src/x.rs`, `crates/b/src/x.rs`.

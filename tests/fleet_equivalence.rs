@@ -53,14 +53,14 @@ fn cli_report_is_jobs_invariant_in_both_modes() {
             seed: 8,
             seeds,
             jobs: 1,
-            trace: false,
+            ..fleet::cli::Opts::default()
         });
         for jobs in [4, 8] {
             let parallel = fleet::cli::report(&fleet::cli::Opts {
                 seed: 8,
                 seeds,
                 jobs,
-                trace: false,
+                ..fleet::cli::Opts::default()
             });
             assert_eq!(parallel, serial, "seeds={seeds:?} jobs={jobs}");
         }

@@ -1,6 +1,6 @@
 //! Seed stability: same seed ⇒ identical scenario fingerprint and trace
 //! hash, for one arm of each system family (DESIGN.md determinism rules;
-//! the campaign-wide version runs via `cargo run -p lint -- --audit`). The
+//! the campaign-wide version runs via `cargo run -p fleet -- --audit`). The
 //! hash is taken both ways — streamed via `neat::audit::stream_hash` (the
 //! allocation-free audit fast path) and over the rendered bytes — and the
 //! two must agree.
