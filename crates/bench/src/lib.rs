@@ -54,7 +54,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     Artifact { file: "forensics_output.txt", render: || Ok(reports::forensics_report()) },
     Artifact { file: "verdicts.txt", render: || Ok(reports::verdicts_report()) },
     Artifact { file: "audit_hashes.txt", render: || Ok(reports::audit_hashes_report()) },
-    Artifact { file: "BENCH_explore.json", render: reports::explore_machine_json },
+    Artifact { file: "BENCH_explore.json", render: || Ok(reports::explore_machine_json()) },
     Artifact { file: "BENCH_forensics.json", render: || Ok(reports::forensics_machine_json()) },
     Artifact { file: "BENCH_gray.json", render: || Ok(reports::gray_machine_json()) },
     Artifact { file: "BENCH_lint.json", render: || reports::lint_machine_json(&repo_root()) },

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use neat::explore::{explore, Strategy};
-use neat_repro::campaign::{scenarios_of, ScenarioClass};
+use neat_repro::campaign::{registry, scenarios_of, Replay, ScenarioClass};
 use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
 use study::{catalog, json::Value, obj, stats, PartitionType, Source, Timing};
 
@@ -648,24 +648,19 @@ fn explore_arm(report: &neat::explore::ExplorationReport) -> Value {
     }
 }
 
-/// Builds the baked plan for one explored registry scenario at
-/// [`EXPLORE_SEED`] with the plan function its replay uses, and re-proves
-/// its 1-minimality by replay.
-fn explored_plan_facts<T: neat::explore::TestTarget>(
-    mut probe: T,
-    mut target: T,
-    plan: fn(&mut T) -> neat::explore::SchedulePlan,
-    kind: neat::ViolationKind,
-) -> (usize, String, bool) {
-    use neat::explore::{minimize::is_one_minimal, run_schedule, SchedulePlan};
+/// One explored regression's baked plan at [`EXPLORE_SEED`]: its length,
+/// its rendering, and a fresh proof by replay that it is 1-minimal for
+/// the violation kind ddmin kept.
+fn explored_plan_facts(replay: &Replay) -> (usize, String, bool) {
+    use neat::explore::{minimize::is_one_minimal, plan_at_leader, run_schedule, SchedulePlan};
 
-    probe.reset(EXPLORE_SEED, false);
-    let plan = plan(&mut probe);
+    let mut target = (replay.target)();
+    let plan = plan_at_leader(target.as_mut(), EXPLORE_SEED, false, replay.fallback, replay.plan);
     let one_minimal = is_one_minimal(&plan.steps, |steps| {
         target.reset(EXPLORE_SEED, false);
-        run_schedule(&mut target, &SchedulePlan { steps: steps.to_vec() })
+        run_schedule(target.as_mut(), &SchedulePlan { steps: steps.to_vec() })
             .iter()
-            .any(|v| v.kind == kind)
+            .any(|v| v.kind == replay.kind)
     });
     (plan.steps.len(), plan.render(), one_minimal)
 }
@@ -691,9 +686,8 @@ fn explored_plan_facts<T: neat::explore::TestTarget>(
 ///   profile whose first violation arrived within `b` trials.
 ///
 /// All numbers are virtual-time and seed-pure, so the artifact is fully
-/// deterministic and golden-tested byte-for-byte. `Err` names an explored
-/// scenario this function has no plan builder for.
-pub fn explore_machine_json() -> Result<String, String> {
+/// deterministic and golden-tested byte-for-byte.
+pub fn explore_machine_json() -> String {
     use neat::explore::TestTarget;
 
     // Strategy comparison at equal budget on three real flawed systems.
@@ -767,32 +761,12 @@ pub fn explore_machine_json() -> Result<String, String> {
 
     // Delta-minimized registry regressions: both arms at seed 8 plus a
     // fresh 1-minimality proof by replay.
-    let explored: Vec<_> = scenarios_of(ScenarioClass::Explored).collect();
+    let explored: Vec<_> = registry().iter().filter_map(|s| Some((s, s.replay?))).collect();
     let mut minimized = Vec::new();
-    for s in &explored {
+    for (s, replay) in &explored {
         let flawed = (s.flawed)(EXPLORE_SEED, false);
         let fixed = s.fixed.map(|f| f(EXPLORE_SEED, false));
-        let (steps, plan, one_minimal) = match s.name {
-            "explored_simplex_leader_write" => explored_plan_facts(
-                repkv::RepkvTarget::new(repkv::Config::voltdb()),
-                repkv::RepkvTarget::new(repkv::Config::voltdb()),
-                repkv::explored::simplex_leader_write_plan,
-                neat::ViolationKind::DataCorruption,
-            ),
-            "explored_simplex_heal_write" => explored_plan_facts(
-                gridstore::GridTarget::new(gridstore::GridFlaws::flawed()),
-                gridstore::GridTarget::new(gridstore::GridFlaws::flawed()),
-                gridstore::explored::simplex_heal_write_plan,
-                neat::ViolationKind::DataLoss,
-            ),
-            "explored_partition_double_dequeue" => explored_plan_facts(
-                mqueue::explorer::MqTarget::new(mqueue::BrokerFlaws::flawed()),
-                mqueue::explorer::MqTarget::new(mqueue::BrokerFlaws::flawed()),
-                mqueue::explored::partition_double_dequeue_plan,
-                neat::ViolationKind::DoubleDequeue,
-            ),
-            other => return Err(format!("explored scenario {other} has no plan builder")),
-        };
+        let (steps, plan, one_minimal) = explored_plan_facts(replay);
         minimized.push(obj! {
             "scenario" => s.name,
             "system" => s.system,
@@ -853,7 +827,7 @@ pub fn explore_machine_json() -> Result<String, String> {
             "points" => points,
         },
     };
-    Ok(format!("{}\n", doc.pretty()))
+    format!("{}\n", doc.pretty())
 }
 
 #[cfg(test)]
@@ -931,7 +905,7 @@ mod tests {
 
     #[test]
     fn explore_machine_json_meets_the_acceptance_criteria() {
-        let json = explore_machine_json().expect("every explored scenario has a plan builder");
+        let json = explore_machine_json();
         let doc = parse_artifact(&json, "explore");
         // Acceptance: coverage-guided search finds strictly more distinct
         // violation kinds than naive random testing at the same trial

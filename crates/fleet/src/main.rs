@@ -8,8 +8,10 @@
 //! cargo run --release -p fleet -- --audit --seed 42 # double-run trace audit
 //! ```
 //!
-//! Exit codes: `0` success, `1` audit divergence, `2` usage error.
+//! Exit codes: `0` success, `1` audit divergence or a failed write to
+//! stdout, `2` usage error.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -17,26 +19,33 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg.is_empty() {
-                println!("{}", fleet::cli::usage());
-                return ExitCode::SUCCESS;
+                return emit(&format!("{}\n", fleet::cli::usage()), ExitCode::SUCCESS);
             }
             eprintln!("fleet: {msg}\n{}", fleet::cli::usage());
             return ExitCode::from(2);
         }
     };
     if !opts.audit {
-        println!("{}", fleet::cli::report(&opts));
-        return ExitCode::SUCCESS;
+        return emit(&format!("{}\n", fleet::cli::report(&opts)), ExitCode::SUCCESS);
     }
     let outcomes = fleet::campaign::audit(opts.seed, opts.jobs);
     let divergent: Vec<_> = outcomes.iter().filter(|o| !o.is_ok()).collect();
     for outcome in &divergent {
         eprintln!("{}", outcome.render());
     }
-    print!("{}", fleet::campaign::audit_text(opts.seed, &outcomes));
-    if divergent.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    let code = if divergent.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    emit(&fleet::campaign::audit_text(opts.seed, &outcomes), code)
+}
+
+/// Writes `text` to stdout and returns `code`; a failed write (a closed
+/// pipe, say) is reported on stderr and returns `1`.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("fleet: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -9,7 +9,6 @@
 //! permit-reclaim behaviour, and whether members rejoin after healing.
 
 pub mod cluster;
-pub mod explored;
 pub mod explorer;
 pub mod node;
 pub mod scenarios;

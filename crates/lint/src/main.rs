@@ -9,8 +9,10 @@
 //!
 //! The double-run trace audit is `cargo run -p fleet -- --audit`.
 //!
-//! Exit codes: `0` clean, `1` violations found, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` violations found or a failed write to
+//! stdout, `2` usage or I/O error.
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -75,21 +77,19 @@ fn run_scan(opts: &Opts) -> ExitCode {
         }
     };
     let findings = report.findings;
-    if opts.json {
-        println!("{}", lint::findings_to_json(&findings));
+    let out = if opts.json {
+        format!("{}\n", lint::findings_to_json(&findings))
     } else if findings.is_empty() {
-        println!("lint: workspace clean under all determinism rules");
+        "lint: workspace clean under all determinism rules\n".to_string()
     } else {
-        for f in &findings {
-            println!("{f}");
-        }
+        findings.iter().map(|f| format!("{f}\n")).collect()
+    };
+    let code = if findings.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    let code = emit(&out, code);
+    if !opts.json && !findings.is_empty() {
         eprintln!("lint: {} violation(s)", findings.len());
     }
-    if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    code
 }
 
 fn run_unused_allows(opts: &Opts) -> ExitCode {
@@ -101,18 +101,29 @@ fn run_unused_allows(opts: &Opts) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    for u in &report.unused_allows {
-        println!("{u}");
-    }
     if report.unused_allows.is_empty() {
-        println!(
-            "lint: all {} lint:allow site(s) suppress at least one finding",
+        let out = format!(
+            "lint: all {} lint:allow site(s) suppress at least one finding\n",
             report.stats.allow_sites
         );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("lint: {} unused allow(s)", report.unused_allows.len());
-        ExitCode::FAILURE
+        return emit(&out, ExitCode::SUCCESS);
+    }
+    let out: String = report.unused_allows.iter().map(|u| format!("{u}\n")).collect();
+    let code = emit(&out, ExitCode::FAILURE);
+    eprintln!("lint: {} unused allow(s)", report.unused_allows.len());
+    code
+}
+
+/// Writes `text` to stdout and returns `code`; a failed write (a closed
+/// pipe, say) is reported on stderr and returns `1`.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => code,
+        Err(e) => {
+            eprintln!("lint: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -121,8 +132,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg.is_empty() {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
+                return emit(&format!("{}\n", usage()), ExitCode::SUCCESS);
             }
             eprintln!("lint: {msg}\n{}", usage());
             return ExitCode::from(2);

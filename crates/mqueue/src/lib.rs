@@ -13,7 +13,6 @@
 pub mod autocluster;
 pub mod broker;
 pub mod cluster;
-pub mod explored;
 pub mod explorer;
 pub mod load;
 pub mod scenarios;

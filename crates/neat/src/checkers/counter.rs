@@ -53,6 +53,7 @@ pub fn check_counter(hist: &History, key: &str, initial: u64, final_value: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
     use crate::history::OpRecord;
     use simnet::NodeId;
 
@@ -67,13 +68,6 @@ mod tests {
             start: t,
             end: t + 1,
         }
-    }
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for r in recs {
-            h.push(r);
-        }
-        h
     }
 
     #[test]

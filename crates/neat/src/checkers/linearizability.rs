@@ -150,6 +150,7 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
     use simnet::NodeId;
 
     fn w(val: u64, outcome: Outcome, start: u64, end: u64) -> OpRecord {
@@ -172,13 +173,6 @@ mod tests {
             start,
             end,
         }
-    }
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for rec in recs {
-            h.push(rec);
-        }
-        h
     }
     fn linearizable(h: &History) -> bool {
         check_linearizable_register(h, "k", None).is_empty()

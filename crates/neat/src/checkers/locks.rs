@@ -128,6 +128,7 @@ pub fn check_semaphore(hist: &History, key: &str, permits: usize) -> Vec<Violati
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
     use crate::history::{OpRecord, Outcome};
 
     fn acq(client: usize, key: &str, outcome: Outcome, start: Time, end: Time) -> OpRecord {
@@ -147,13 +148,6 @@ mod tests {
             start,
             end,
         }
-    }
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for r in recs {
-            h.push(r);
-        }
-        h
     }
     fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
         vs.iter().map(|v| v.kind).collect()

@@ -104,6 +104,16 @@ impl std::fmt::Display for Violation {
     }
 }
 
+/// A history of `recs`, in order: the checker tests' fixture.
+#[cfg(test)]
+fn hist(recs: Vec<crate::history::OpRecord>) -> crate::History {
+    let mut h = crate::History::new();
+    for r in recs {
+        h.push(r);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -93,6 +93,7 @@ pub fn check_queue(hist: &History, expectations: &[QueueExpectation]) -> Vec<Vio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
     use crate::history::{OpRecord, Outcome};
     use simnet::NodeId;
 
@@ -116,13 +117,6 @@ mod tests {
             start: t,
             end: t + 1,
         }
-    }
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for r in recs {
-            h.push(r);
-        }
-        h
     }
     fn exp(key: &str, drained: Option<Vec<u64>>) -> Vec<QueueExpectation> {
         vec![QueueExpectation {

@@ -252,6 +252,7 @@ fn check_final(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
     use simnet::NodeId;
 
     fn w(key: &str, val: u64, outcome: Outcome, start: u64, end: u64) -> OpRecord {
@@ -283,14 +284,6 @@ mod tests {
             start,
             end,
         }
-    }
-
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for rec in recs {
-            h.push(rec);
-        }
-        h
     }
 
     fn final_of(key: &str, v: Option<u64>) -> BTreeMap<String, Option<u64>> {

@@ -90,6 +90,7 @@ pub fn check_set(hist: &History, final_state: &BTreeMap<String, BTreeSet<u64>>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkers::hist;
 
     fn add(key: &str, val: u64, outcome: Outcome, t: u64) -> OpRecord {
         OpRecord {
@@ -114,13 +115,6 @@ mod tests {
             start: t,
             end: t + 1,
         }
-    }
-    fn hist(recs: Vec<OpRecord>) -> History {
-        let mut h = History::new();
-        for r in recs {
-            h.push(r);
-        }
-        h
     }
     fn fin(key: &str, vals: &[u64]) -> BTreeMap<String, BTreeSet<u64>> {
         let mut m = BTreeMap::new();

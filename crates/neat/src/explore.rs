@@ -36,9 +36,7 @@ use crate::{
 };
 
 pub use coverage::{Corpus, Signature};
-pub use deployment::{
-    plan_at_leader, quiesce_stats_during, replay_at_leader, Deployment, QuiesceStats,
-};
+pub use deployment::{plan_at_leader, quiesce_stats_during, Deployment, QuiesceStats};
 pub use schedule::{run_schedule, SchedulePlan, ScheduleStep};
 
 /// The client event palette of the paper's Table 8.

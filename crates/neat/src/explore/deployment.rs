@@ -7,8 +7,8 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use simnet::{Application, NodeId, Time};
 
-use super::{run_schedule, EventChoice, SchedulePlan, TestTarget};
-use crate::{checkers::Violation, fault::PartitionSpec, gray::DegradeSpec, Neat, RunOutcome};
+use super::{EventChoice, SchedulePlan, TestTarget};
+use crate::{checkers::Violation, fault::PartitionSpec, gray::DegradeSpec, Neat};
 
 /// What a system family tells the explorer about itself. Every
 /// `Deployment` is a [`TestTarget`].
@@ -220,43 +220,29 @@ pub fn quiesce_stats_during<R>(f: impl FnOnce() -> R) -> (R, QuiesceStats) {
     (r, inner)
 }
 
-/// The plan `build_plan(servers, leader)` for a target that was just
-/// reset, with `servers[fallback]` standing in when no leader is visible.
+/// Resets `target` at `seed` and aims a mined plan at it: the plan
+/// `build_plan(servers, leader)`, with `servers[fallback]` standing in
+/// when no leader is visible. A plan names concrete nodes, so this is how
+/// a schedule mined against one leader replays at a seed that elects
+/// another.
 pub fn plan_at_leader(
     target: &mut dyn TestTarget,
+    seed: u64,
+    record: bool,
     fallback: usize,
     build_plan: fn(&[NodeId], NodeId) -> SchedulePlan,
 ) -> SchedulePlan {
+    target.reset(seed, record);
     let servers = target.servers();
     let leader = target.leader().unwrap_or(servers[fallback]);
     build_plan(&servers, leader)
-}
-
-/// Replays a mined schedule whose victim is the leader elected at `seed`:
-/// resets `target`, aims `plan` at it (a [`plan_at_leader`] wrapper that
-/// carries the plan's builder and fallback), runs the plan, and returns
-/// its verdicts with the trial's timeline — which, like every explorer
-/// trial's, records no verdict events.
-pub fn replay_at_leader<T: TestTarget>(
-    target: &mut T,
-    seed: u64,
-    record: bool,
-    plan: fn(&mut T) -> SchedulePlan,
-) -> RunOutcome {
-    target.reset(seed, record);
-    let plan = plan(target);
-    RunOutcome {
-        violations: run_schedule(target, &plan),
-        timeline: target.timeline(),
-        detail: (),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{boot, Node};
-    use crate::explore::ScheduleStep;
+    use crate::explore::{run_schedule, ScheduleStep};
     use simnet::Ctx;
 
     /// A node that counts deliveries.
@@ -396,16 +382,13 @@ mod tests {
 
     #[test]
     fn replay_at_leader_falls_back_when_no_leader_is_visible() {
-        fn plan(t: &mut Probe<0, 10>) -> SchedulePlan {
-            plan_at_leader(t, 2, |servers: &[NodeId], leader| SchedulePlan {
-                steps: vec![ScheduleStep::Crash(vec![leader, servers[0]])],
-            })
-        }
         let mut t = Probe::<0, 10>::new(leaderless);
-        let out = replay_at_leader(&mut t, 4, true, plan);
-        assert!(out.violations.is_empty());
-        let crashed: Vec<NodeId> = out
-            .timeline
+        let plan = plan_at_leader(&mut t, 4, true, 2, |servers, leader| SchedulePlan {
+            steps: vec![ScheduleStep::Crash(vec![leader, servers[0]])],
+        });
+        assert!(run_schedule(&mut t, &plan).is_empty());
+        let crashed: Vec<NodeId> = t
+            .timeline()
             .events
             .iter()
             .filter_map(|e| match e {

@@ -15,7 +15,6 @@
 //! scenario returning the violations the NEAT checkers detected.
 
 pub mod client;
-pub mod explored;
 pub mod explorer;
 pub mod cluster;
 pub mod config;

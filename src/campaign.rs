@@ -16,10 +16,13 @@
 use consensus::{scenarios as raft, RaftTweaks};
 use coord::{scenarios as zk, CoordFlaws};
 use dfs::{hbase, hdfs, moose, objstore};
-use gridstore::{scenarios as grid, GridFlaws};
-use mqueue::{scenarios as mq, AcFlaws, BrokerFlaws};
-use neat::{RunOutcome, Violation, ViolationKind};
-use repkv::{load as kv_load, scenarios as kv, Config};
+use gridstore::{scenarios as grid, GridFlaws, GridTarget};
+use mqueue::{explorer::MqTarget, scenarios as mq, AcFlaws, BrokerFlaws};
+use neat::explore::{
+    plan_at_leader, run_schedule, EventChoice, SchedulePlan, ScheduleStep, TestTarget,
+};
+use neat::{simnet::NodeId, PartitionKind, PartitionSpec, RunOutcome, Violation, ViolationKind};
+use repkv::{load as kv_load, scenarios as kv, Config, RepkvTarget};
 use sched::{dkron, mapred};
 
 /// One scenario executed under both configurations.
@@ -101,8 +104,9 @@ pub struct RunArtifacts {
     pub timeline: neat::obs::Timeline,
 }
 
-/// What kind of fault a scenario injects — the one reading of the
-/// `partition` label every report, lint pass and test filters by.
+/// What kind of fault a scenario injects — the one reading of a row
+/// (its [`Replay`], else its `partition` label) every report, lint pass
+/// and test filters by.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ScenarioClass {
     /// A severed link: complete, partial or simplex partition.
@@ -111,7 +115,8 @@ pub enum ScenarioClass {
     Gray,
     /// A fault under `workload::Driver` traffic (`load-*`).
     Load,
-    /// A replayed, delta-minimized explorer schedule (`explored-*`).
+    /// A replayed, delta-minimized explorer schedule: a row with a
+    /// [`Replay`], labelled `explored-*`.
     Explored,
 }
 
@@ -125,20 +130,55 @@ pub struct ScenarioSpec {
     pub flawed: fn(u64, bool) -> ArmOutcome,
     /// `None` when the repaired arm is asserted by unit tests instead.
     pub fixed: Option<fn(u64, bool) -> ArmOutcome>,
+    /// The mined schedule both arms replay, for an explored regression.
+    pub replay: Option<Replay>,
 }
 
 impl ScenarioSpec {
-    /// The scenario's class, read off its partition label.
+    /// The scenario's class: [`ScenarioClass::Explored`] when it replays a
+    /// mined schedule, otherwise read off its partition label.
     pub fn class(&self) -> ScenarioClass {
         let p = self.partition;
-        if p.starts_with("load") {
-            ScenarioClass::Load
-        } else if p.starts_with("explored") {
+        if self.replay.is_some() {
             ScenarioClass::Explored
+        } else if p.starts_with("load") {
+            ScenarioClass::Load
         } else if p.starts_with("gray") || p == "flapping" {
             ScenarioClass::Gray
         } else {
             ScenarioClass::Partition
+        }
+    }
+}
+
+/// A delta-minimized explorer regression: a schedule the coverage-guided
+/// explorer (`neat::explore`) mined against a flawed target, shrunk to a
+/// 1-minimal nemesis sequence by ddmin for one violation kind, and baked
+/// with its victim generalized to the leader elected at the replay seed
+/// and its client op seeds kept verbatim.
+#[derive(Clone, Copy)]
+pub struct Replay {
+    /// A fresh target under the flawed configuration, the one ddmin ran on.
+    pub target: fn() -> Box<dyn TestTarget>,
+    /// Index into the target's servers of the victim when no leader is
+    /// visible.
+    pub fallback: usize,
+    /// The schedule, aimed at `(servers, leader)`.
+    pub plan: fn(&[NodeId], NodeId) -> SchedulePlan,
+    /// The violation ddmin kept the schedule reproducing.
+    pub kind: ViolationKind,
+}
+
+impl Replay {
+    /// Runs the schedule against `target` at `seed`: its verdicts and the
+    /// trial's timeline, which like every explorer trial's records no
+    /// verdict events.
+    fn run(&self, target: &mut dyn TestTarget, seed: u64, record: bool) -> RunOutcome {
+        let plan = plan_at_leader(target, seed, record, self.fallback, self.plan);
+        RunOutcome {
+            violations: run_schedule(target, &plan),
+            timeline: target.timeline(),
+            detail: (),
         }
     }
 }
@@ -157,6 +197,7 @@ macro_rules! scenario {
             partition: $partition,
             flawed: |seed, rec| erase($run($flawed, seed, rec)),
             fixed: scenario!(@fixed $run $(, $fixed)?),
+            replay: None,
         }
     };
     (@fixed $run:path, $fixed:expr) => {
@@ -165,6 +206,31 @@ macro_rules! scenario {
     (@fixed $run:path) => {
         None
     };
+}
+
+/// One explored-regression row of [`REGISTRY`]: the four labels, the
+/// target constructor with its flawed and fixed configurations, then the
+/// [`Replay`]'s fallback server, violation kind and plan builder. Both
+/// arms replay that plan on a target built from their configuration.
+macro_rules! explored {
+    ($name:literal, $system:literal, $reference:literal, $partition:literal,
+     $target:path, $flawed:expr, $fixed:expr, $fallback:literal, $kind:ident, $plan:expr) => {{
+        const REPLAY: Replay = Replay {
+            target: || Box::new($target($flawed)),
+            fallback: $fallback,
+            plan: $plan,
+            kind: ViolationKind::$kind,
+        };
+        ScenarioSpec {
+            name: $name,
+            system: $system,
+            reference: $reference,
+            partition: $partition,
+            flawed: |seed, rec| erase(REPLAY.run(&mut $target($flawed), seed, rec)),
+            fixed: Some(|seed, rec| erase(REPLAY.run(&mut $target($fixed), seed, rec))),
+            replay: Some(REPLAY),
+        }
+    }};
 }
 
 fn coord_flawed() -> CoordFlaws {
@@ -302,15 +368,38 @@ static REGISTRY: &[ScenarioSpec] = &[
     scenario!("load_backlog_leader_flap", "ActiveMQ", "AMQ-7064 under traffic", "load-flapping",
         mqueue::load::load_backlog_leader_flap, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
     // --- Delta-minimized explorer regressions (§5.4; neat::explore) ------
-    // Schedules mined by the coverage-guided explorer and shrunk to
-    // 1-minimal nemesis sequences by ddmin; their unit tests additionally
-    // prove 1-minimality and both-arm behaviour at the campaign seed.
-    scenario!("explored_simplex_leader_write", "VoltDB", "ddmin of explored trial", "explored-simplex",
-        repkv::explored::explored_simplex_leader_write, Config::voltdb(), Config::fixed()),
-    scenario!("explored_simplex_heal_write", "Ignite", "ddmin of explored trial", "explored-simplex-heal",
-        gridstore::explored::explored_simplex_heal_write, GridFlaws::flawed(), GridFlaws::fixed()),
-    scenario!("explored_partition_double_dequeue", "ActiveMQ", "ddmin of explored trial", "explored-complete",
-        mqueue::explored::explored_partition_double_dequeue, BrokerFlaws::flawed(), BrokerFlaws::fixed()),
+    // Client op seeds are verbatim from the mined trials; the victim is
+    // the leader elected at the replay seed (`servers[fallback]` when none
+    // is visible). `BENCH_explore.json` re-proves each plan 1-minimal.
+    //
+    // Followers cannot reach the leader, which still reaches them and
+    // keeps accepting the write while the deposed majority elects a rival.
+    explored!("explored_simplex_leader_write", "VoltDB", "ddmin of explored trial", "explored-simplex",
+        RepkvTarget::new, Config::voltdb(), Config::fixed(), 0, DataCorruption,
+        |servers, leader| SchedulePlan { steps: vec![
+            ScheduleStep::Partition(PartitionSpec::isolating(PartitionKind::Simplex, leader, servers)),
+            ScheduleStep::Client(EventChoice::Write, 10_492_150_018_496_043_109),
+        ] }),
+    // The heal is part of the repro: the increment lands on the primary
+    // after it rejoins, having missed the membership churn while deaf.
+    explored!("explored_simplex_heal_write", "Ignite", "ddmin of explored trial", "explored-simplex-heal",
+        GridTarget::new, GridFlaws::flawed(), GridFlaws::fixed(), 0, DataLoss,
+        |servers, primary| SchedulePlan { steps: vec![
+            ScheduleStep::Partition(PartitionSpec::isolating(PartitionKind::Simplex, primary, servers)),
+            ScheduleStep::Heal,
+            ScheduleStep::Client(EventChoice::Write, 18_007_421_219_739_211_395),
+        ] }),
+    // Listing 2 rediscovered: the deposed master acks a dequeue it never
+    // replicates. `servers` leads with the coordinator, so the fallback is
+    // the first broker.
+    explored!("explored_partition_double_dequeue", "ActiveMQ", "ddmin of explored trial", "explored-complete",
+        MqTarget::new, BrokerFlaws::flawed(), BrokerFlaws::fixed(), 1, DoubleDequeue,
+        |servers, master| SchedulePlan { steps: vec![
+            ScheduleStep::Client(EventChoice::Enqueue, 15_489_676_053_933_019_214),
+            ScheduleStep::Partition(PartitionSpec::isolating(PartitionKind::Complete, master, servers)),
+            ScheduleStep::Client(EventChoice::Dequeue, 15_581_098_189_771_731_905),
+            ScheduleStep::Client(EventChoice::Enqueue, 15_259_824_729_178_401_601),
+        ] }),
 ];
 
 /// Every scenario in the workspace — the single source of truth shared by
