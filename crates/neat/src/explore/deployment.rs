@@ -242,7 +242,10 @@ pub fn plan_at_leader(
 mod tests {
     use super::*;
     use crate::cluster::{boot, Node};
-    use crate::explore::{run_schedule, ScheduleStep};
+    use crate::{
+        explore::{run_schedule, ScheduleStep},
+        fault::PartitionKind,
+    };
     use simnet::Ctx;
 
     /// A node that counts deliveries.
@@ -328,7 +331,7 @@ mod tests {
     }
 
     fn isolate_0() -> PartitionSpec {
-        PartitionSpec::isolate(NodeId(0), vec![NodeId(1), NodeId(2)])
+        PartitionSpec::isolating(PartitionKind::Complete, NodeId(0), &[NodeId(0), NodeId(1), NodeId(2)])
     }
 
     fn lossy() -> DegradeSpec {

@@ -80,14 +80,6 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
-    /// `true` when the plan heals mid-schedule (before its last step).
-    pub fn heals_mid_schedule(&self) -> bool {
-        self.steps
-            .iter()
-            .position(|s| matches!(s, ScheduleStep::Heal))
-            .is_some_and(|i| i + 1 < self.steps.len())
-    }
-
     /// One-line rendering: step labels joined by arrows.
     pub fn render(&self) -> String {
         if self.steps.is_empty() {
@@ -150,15 +142,6 @@ mod tests {
             "partition(complete {0}|{1,2}) -> write -> heal -> sleep(250) -> read \
              -> degrade(gray-simplex {2}|{0,1})"
         );
-        assert!(plan.heals_mid_schedule());
         assert_eq!(SchedulePlan::default().render(), "(empty)");
-    }
-
-    #[test]
-    fn heal_at_the_end_is_not_mid_schedule() {
-        let plan = SchedulePlan {
-            steps: vec![ScheduleStep::Client(EventChoice::Write, 1), ScheduleStep::Heal],
-        };
-        assert!(!plan.heals_mid_schedule());
     }
 }

@@ -54,20 +54,12 @@ impl PartitionSpec {
         }
     }
 
-    /// Convenience: complete partition isolating exactly one node — the
-    /// fault the paper finds can trigger 88% of all failures (Finding 9).
-    pub fn isolate(node: NodeId, rest: Vec<NodeId>) -> Self {
-        PartitionSpec::Complete {
-            a: vec![node],
-            b: rest,
-        }
-    }
-
     /// A fault of `kind` aimed at `victim`, the rest of `servers` on the
     /// other side: complete `[victim] | rest`; partial `[victim] | rest`
     /// minus its last node, which stays a bridge to both sides (Figure
     /// 1.b) whenever `rest` has two or more nodes; simplex `rest ->
-    /// [victim]`, so the victim still sends but hears nothing.
+    /// [victim]`, so the victim still sends but hears nothing. Isolating
+    /// one node can trigger 88% of the paper's failures (Finding 9).
     pub fn isolating(kind: PartitionKind, victim: NodeId, servers: &[NodeId]) -> Self {
         let mut rest = rest_of(servers, &[victim]);
         match kind {
@@ -142,7 +134,7 @@ mod tests {
 
     #[test]
     fn isolate_builds_single_node_split() {
-        let s = PartitionSpec::isolate(NodeId(2), ids(&[0, 1]));
+        let s = PartitionSpec::isolating(PartitionKind::Complete, NodeId(2), &ids(&[0, 1, 2]));
         assert_eq!(s.kind(), PartitionKind::Complete);
         assert_eq!(s.pairs().len(), 4);
     }
@@ -161,7 +153,7 @@ mod tests {
     fn isolating_aims_every_kind_at_the_victim() {
         let servers = ids(&[0, 1, 2]);
         let complete = PartitionSpec::isolating(PartitionKind::Complete, NodeId(1), &servers);
-        assert_eq!(complete, PartitionSpec::isolate(NodeId(1), ids(&[0, 2])));
+        assert_eq!(complete, PartitionSpec::Complete { a: ids(&[1]), b: ids(&[0, 2]) });
         let simplex = PartitionSpec::isolating(PartitionKind::Simplex, NodeId(1), &servers);
         assert_eq!(simplex.groups(), (&ids(&[0, 2])[..], &ids(&[1])[..]));
         assert_eq!(simplex.pairs().len(), 2);

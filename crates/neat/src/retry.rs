@@ -15,21 +15,16 @@ use simnet::Time;
 /// A bounded exponential-backoff retry policy, evaluated in virtual time.
 ///
 /// Attempt `n` (1-based) that times out is followed by a wait of
-/// `min(base_delay * factor^(n-1), max_delay)` plus a deterministic
-/// jitter in `0..=jitter` derived from `(seed, n)` — no wall clock, no
-/// shared RNG, so retry schedules never perturb the world's draw order.
+/// `min(base_delay * 2^(n-1), 8 * base_delay)` plus a deterministic
+/// jitter in `0..=base_delay / 4` derived from `(seed, n)` — no wall
+/// clock, no shared RNG, so retry schedules never perturb the world's
+/// draw order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (1 = no retries).
     pub max_attempts: u32,
     /// Wait after the first failed attempt, virtual ms.
     pub base_delay: Time,
-    /// Multiplier applied to the delay after each further failure.
-    pub factor: u32,
-    /// Upper bound on the exponential delay (before jitter), virtual ms.
-    pub max_delay: Time,
-    /// Maximum deterministic jitter added to each delay, virtual ms.
-    pub jitter: Time,
     /// Seed for the jitter hash; vary per client to desynchronize retries.
     pub seed: u64,
 }
@@ -40,9 +35,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             base_delay: 0,
-            factor: 1,
-            max_delay: 0,
-            jitter: 0,
             seed: 0,
         }
     }
@@ -54,16 +46,8 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_delay,
-            factor: 2,
-            max_delay: base_delay.saturating_mul(8),
-            jitter: base_delay / 4,
             seed,
         }
-    }
-
-    /// `true` when the policy never retries.
-    pub fn is_none(&self) -> bool {
-        self.max_attempts <= 1
     }
 
     /// The wait before retry number `retry` (1-based: `1` is the wait
@@ -71,12 +55,11 @@ impl RetryPolicy {
     pub fn delay_before(&self, retry: u32) -> Time {
         let exp = self
             .base_delay
-            .saturating_mul(u64::from(self.factor).saturating_pow(retry.saturating_sub(1)))
-            .min(self.max_delay.max(self.base_delay));
-        let jitter = if self.jitter > 0 {
-            splitmix64(self.seed ^ (u64::from(retry) << 32)) % (self.jitter + 1)
-        } else {
-            0
+            .saturating_mul(2u64.saturating_pow(retry.saturating_sub(1)))
+            .min(self.base_delay.saturating_mul(8));
+        let jitter = match self.base_delay / 4 {
+            0 => 0,
+            max => splitmix64(self.seed ^ (u64::from(retry) << 32)) % (max + 1),
         };
         exp + jitter
     }
@@ -97,19 +80,17 @@ mod tests {
 
     #[test]
     fn none_never_retries() {
-        let p = RetryPolicy::none();
-        assert!(p.is_none());
-        assert_eq!(p.max_attempts, 1);
+        assert_eq!(RetryPolicy::none().max_attempts, 1);
     }
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let mut p = RetryPolicy::backoff(5, 100, 7);
-        p.jitter = 0; // isolate the exponential part
-        assert_eq!(p.delay_before(1), 100);
-        assert_eq!(p.delay_before(2), 200);
-        assert_eq!(p.delay_before(3), 400);
-        assert_eq!(p.delay_before(10), 800, "capped at 8x base");
+        let p = RetryPolicy::backoff(5, 100, 7);
+        // Each delay is its exponential part plus a jitter of at most 25.
+        for (retry, exp) in [(1, 100), (2, 200), (3, 400), (4, 800), (10, 800)] {
+            let d = p.delay_before(retry);
+            assert!((exp..=exp + 25).contains(&d), "retry {retry}: {d}");
+        }
     }
 
     #[test]
@@ -120,7 +101,7 @@ mod tests {
         assert_eq!(a, b, "delays are pure in (seed, attempt)");
         for d in &a {
             assert!(*d >= 100, "delay includes the exponential part");
-            assert!(*d <= 800 + p.jitter, "jitter bounded by the policy");
+            assert!(*d <= 800 + 25, "jitter bounded by a quarter of the base delay");
         }
         let other = RetryPolicy::backoff(4, 100, 43);
         assert_ne!(

@@ -122,7 +122,7 @@ impl Deployment for RepkvTarget {
 mod tests {
     use super::*;
     use neat::explore::{explore, explore_full, Strategy, TestTarget};
-    use neat::{PartitionSpec, ViolationKind};
+    use neat::{PartitionKind, PartitionSpec, ViolationKind};
 
     #[test]
     fn guided_exploration_finds_bugs_in_the_flawed_profile() {
@@ -167,7 +167,7 @@ mod tests {
         let mut target = RepkvTarget::new(Config::fixed());
         target.reset(3, true);
         let servers = target.servers();
-        target.inject(&PartitionSpec::isolate(servers[0], servers[1..].to_vec()));
+        target.inject(&PartitionSpec::isolating(PartitionKind::Complete, servers[0], &servers));
         target.finish_and_check();
         let timeline = target.timeline();
         assert_eq!(

@@ -4,102 +4,53 @@
 //! guarantees. (The flawed configurations are exercised — and expected to
 //! fail — by the scenario tests.)
 
+mod common;
+
 use neat_repro::coord::{CoordCluster, CoordFlaws};
-use neat_repro::gridstore::{GridCluster, GridFlaws};
+use neat_repro::gridstore::{GridFlaws, GridTarget};
 use neat_repro::neat::{
-    checkers::{check_counter, check_semaphore},
+    explore::{run_schedule, Deployment, TestTarget},
     rest_of,
 };
 use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
-enum GStep {
-    IsolateServer { which: u8 },
-    HealAll,
-    Incr { client: u8 },
-    Acquire { client: u8 },
-    Release { client: u8 },
-    Settle { ms: u16 },
-}
-
-fn gstep() -> impl Strategy<Value = GStep> {
-    prop_oneof![
-        1 => (0u8..3).prop_map(|which| GStep::IsolateServer { which }),
-        2 => Just(GStep::HealAll),
-        3 => (0u8..2).prop_map(|client| GStep::Incr { client }),
-        2 => (0u8..2).prop_map(|client| GStep::Acquire { client }),
-        2 => (0u8..2).prop_map(|client| GStep::Release { client }),
-        2 => (100u16..500).prop_map(|ms| GStep::Settle { ms }),
-    ]
+fn protected() -> GridTarget {
+    GridTarget::new(GridFlaws::fixed())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(120))]
 
     /// The protected grid never over-grants the semaphore, never loses
-    /// acknowledged increments, and always converges after healing.
+    /// acknowledged increments or enqueues, and always converges after
+    /// healing: every member has the full view and one state.
     #[test]
     fn protected_grid_keeps_its_guarantees(
         seed in 0u64..300,
-        steps in proptest::collection::vec(gstep(), 0..18),
+        plan in common::plans(&mut protected(), false, 100..500, 18),
     ) {
-        let mut c = GridCluster::build(3, 2, GridFlaws::fixed(), seed, false);
-        c.neat.sleep(300);
-        let c0 = c.client(0);
-        let c1 = c.client(1);
-        c0.sem_create(&mut c.neat, "sem", 1);
-        c.neat.sleep(200);
-
-        for step in &steps {
-            match step {
-                GStep::IsolateServer { which } => {
-                    let s = c.servers[*which as usize % c.servers.len()];
-                    let rest = rest_of(&c.neat.world.node_ids(), &[s]);
-                    c.neat.partition_complete(&[s], &rest);
-                }
-                GStep::HealAll => c.neat.heal_all(),
-                GStep::Incr { client } => {
-                    let cl = if *client == 0 { c0 } else { c1 };
-                    cl.incr(&mut c.neat, "ctr", 1);
-                }
-                GStep::Acquire { client } => {
-                    let cl = if *client == 0 { c0 } else { c1 };
-                    cl.acquire(&mut c.neat, "sem");
-                }
-                GStep::Release { client } => {
-                    let cl = if *client == 0 { c0 } else { c1 };
-                    cl.release(&mut c.neat, "sem");
-                }
-                GStep::Settle { ms } => c.neat.sleep(*ms as u64),
-            }
-        }
-        c.neat.heal_all();
-        c.neat.sleep(3000);
-
-        // Semaphore: never more holders than permits.
-        let sem_violations = check_semaphore(c.neat.history(), "sem", 1);
-        prop_assert!(sem_violations.is_empty(), "{sem_violations:?}\n{}", c.neat.history().render());
-
-        // Counter: acknowledged increments survive.
-        let final_value = c
-            .state_of(c.servers[1])
-            .atomics
-            .get("ctr")
-            .copied()
-            .unwrap_or(0);
-        let ctr_violations = check_counter(c.neat.history(), "ctr", 0, final_value);
-        prop_assert!(ctr_violations.is_empty(), "{ctr_violations:?}\n{}", c.neat.history().render());
-
-        // Convergence: all members share one view and one state.
-        let reference = c.state_of(c.servers[0]);
-        for &s in &c.servers {
+        let mut target = protected();
+        target.reset(seed, false);
+        let verdicts = run_schedule(&mut target, &plan);
+        let servers = target.nodes();
+        let neat = target.neat();
+        prop_assert!(
+            verdicts.is_empty(),
+            "{verdicts:?}\nplan: {}\n{}",
+            plan.render(),
+            neat.history().render()
+        );
+        let reference = neat.world.app(servers[0]).server().state();
+        for &s in &servers {
+            let server = neat.world.app(s).server();
             prop_assert_eq!(
-                c.neat.world.app(s).server().view().len(),
-                c.servers.len(),
-                "membership did not heal at {}",
-                s
+                server.view().len(),
+                servers.len(),
+                "membership did not heal at {}\nplan: {}",
+                s,
+                plan.render()
             );
-            prop_assert_eq!(&c.state_of(s), &reference, "state diverged at {}", s);
+            prop_assert_eq!(server.state(), reference, "state diverged at {}\nplan: {}", s, plan.render());
         }
     }
 
@@ -113,8 +64,7 @@ proptest! {
     ) {
         let mut c = CoordCluster::build(3, 2, CoordFlaws::default(), seed, false);
         let Some(leader) = c.wait_for_leader(3000) else {
-            // Rare unlucky seeds take longer; skip rather than fail.
-            return Ok(());
+            return Err(TestCaseError::fail(format!("no coord leader within 3000 ms at seed {seed}")));
         };
         let cl = c.client(0);
         cl.create(&mut c.neat, "/base", 1);
