@@ -1,15 +1,15 @@
 //! Campaign drivers: the registry and the auditor, fanned over the pool.
 //!
 //! Work items are addresses into `neat_repro::campaign::registry()` —
-//! scenario indices, [`ArmId`]s, or (scenario, seed) pairs. Each worker
+//! scenario indices, [`ArmId`]s, or (scenario, seed) cells. Each worker
 //! executes its item as a normal single-threaded deterministic simulation;
 //! the reduce step orders results by item index, so every function here is
 //! byte-identical to its serial counterpart for any `jobs`.
 
 use neat::audit::{audit_double_run, AuditOutcome};
 use neat_repro::campaign::{
-    arm_ids, arm_outcome, forensic_at, render_arm, run_scenario_at, scenario_count, ScenarioResult,
-    SweepReport,
+    arm_ids, arm_outcome, forensic_at, registry, render_arm, run_scenario_at, scenario_count,
+    ScenarioResult, SweepReport, SweepScenario,
 };
 
 use crate::pool;
@@ -21,29 +21,50 @@ pub fn run_all(seed: u64, jobs: usize) -> Vec<ScenarioResult> {
     pool::map(jobs, scenario_count(), |i| run_scenario_at(i, seed))
 }
 
-/// The full campaign at every seed of `seeds`, sharded by
-/// (seed, scenario) pair and merged back into per-seed runs.
+/// The full campaign at every seed of `seeds`: one cell per (scenario,
+/// seed) pair, each scenario's seeds run back to back (see [`cell`]).
 pub fn sweep(seeds: &[u64], jobs: usize) -> SweepReport {
     sweep_grid(seeds, jobs).0
 }
 
 /// [`sweep`] plus the [`GridStats`] of the underlying grid — the
-/// (seed × arm) fan-out whose counters the ledger's `sweep_parallel`
+/// (scenario × seed) fan-out whose counters the ledger's `sweep_parallel`
 /// workload reports (`fleet.grid_*`). Same bytes as `sweep` at any
 /// `jobs`; only the stats differ.
+///
+/// Each cell is reduced in its worker to the two booleans the report
+/// reads (flawed arm detected, fixed arm clean), and each scenario's row
+/// is built from its `seeds.len()` contiguous cells.
 pub fn sweep_grid(seeds: &[u64], jobs: usize) -> (SweepReport, GridStats) {
-    let n = scenario_count();
-    let (flat, stats) = pool::grid(jobs, n * seeds.len(), || (), |(), k| {
-        run_scenario_at(k % n, seeds[k / n])
+    let m = seeds.len();
+    let (cells, stats) = pool::grid(jobs, scenario_count() * m, || (), |(), k| {
+        let (s, i) = cell(k, m);
+        let r = run_scenario_at(s, seeds[i]);
+        (!r.flawed.is_empty(), r.fixed.is_empty())
     });
-    let mut runs: Vec<Vec<ScenarioResult>> = Vec::with_capacity(seeds.len());
-    let mut rest = flat;
-    for _ in 0..seeds.len() {
-        let tail = rest.split_off(n);
-        runs.push(rest);
-        rest = tail;
-    }
-    (SweepReport::from_runs(seeds.to_vec(), &runs), stats)
+    let scenarios = registry()
+        .iter()
+        .enumerate()
+        .map(|(s, spec)| {
+            let row = &cells[s * m..(s + 1) * m];
+            SweepScenario {
+                name: spec.name,
+                system: spec.system,
+                detected: row.iter().map(|c| c.0).collect(),
+                fixed_clean: row.iter().map(|c| c.1).collect(),
+            }
+        })
+        .collect();
+    (SweepReport { seeds: seeds.to_vec(), scenarios }, stats)
+}
+
+/// Sweep cell `k` of a sweep over `m` seeds: scenario `k / m` at seed
+/// index `k % m`. Scenario-major, so both workers claim seeds of the same
+/// scenario from the shared cursor and a run mostly follows a run of the
+/// same arm, whose warm caches and branch history make it about 15 %
+/// cheaper than a run after a different arm (ARCHITECTURE.md, fleet).
+fn cell(k: usize, m: usize) -> (usize, usize) {
+    (k / m, k % m)
 }
 
 /// Parallel [`neat_repro::campaign::scenario_fingerprints`]: every arm
@@ -117,6 +138,22 @@ mod tests {
     #[test]
     fn fingerprints_match_the_serial_sweep() {
         assert_eq!(fingerprints(5, 4), scenario_fingerprints(5));
+    }
+
+    #[test]
+    fn cells_cover_the_grid_scenario_major() {
+        for (n, m) in [(1, 1), (1, 5), (47, 1), (47, 3), (5, 12)] {
+            let mut seen = vec![false; n * m];
+            for k in 0..n * m {
+                let (s, i) = cell(k, m);
+                assert!(s < n && i < m, "cell({k}, {m}) = ({s}, {i}) is off the {n} x {m} grid");
+                assert!(!std::mem::replace(&mut seen[s * m + i], true), "({s}, {i}) twice");
+                if k + 1 < n * m && (k + 1) % m != 0 {
+                    assert_eq!(cell(k + 1, m).0, s, "cells {k} and {} split a scenario", k + 1);
+                }
+            }
+            assert!(seen.iter().all(|&v| v), "{n} x {m} grid not covered");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub struct Opts {
     pub jobs: usize,
     /// Forensics mode (`--trace`): run every flawed arm with trace
     /// recording on and print the failure-timeline report instead of the
-    /// campaign table.
+    /// campaign table. Takes no `--seeds`: the report is at one seed.
     pub trace: bool,
     /// Audit mode (`--audit`): run every arm twice at `seed` and print one
     /// fingerprint hash per arm (`audit_hashes.txt` at seeds 8 and 42)
@@ -59,16 +59,17 @@ fn parse_jobs(n: &str) -> Result<usize, String> {
 }
 
 pub fn usage() -> &'static str {
-    "usage: [--seed <n>] [--seeds <count>] [--jobs <k>] [--trace]\n\
-     \x20      [--audit] [--seed <n>] [--jobs <k>]\n\
+    "usage: [--seed <n>] [--seeds <count>] [--jobs <k>]\n\
+     \x20      --trace [--seed <n>] [--jobs <k>]\n\
+     \x20      --audit [--seed <n>] [--jobs <k>]\n\
      \n\
      Default: the full campaign at seed 8, serially — byte-identical to\n\
      the historical `campaign` output. --jobs K fans scenarios across K\n\
      workers (output unchanged for any K). --seeds N runs the campaign at\n\
      N consecutive seeds and reports per-scenario detection rates, the\n\
      live Table 11 deterministic/nondeterministic split, and the\n\
-     detection-probability curve. --trace records every flawed arm and\n\
-     prints the failure-forensics timelines instead of the table.\n\
+     detection-probability curve. --trace records every flawed arm at the\n\
+     seed and prints the failure-forensics timelines instead of the table.\n\
      --audit runs every arm twice at the seed and prints one fingerprint\n\
      hash per arm; a divergence goes to stderr with exit status 1."
 }
@@ -107,6 +108,9 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Opts, String> {
     }
     if opts.audit && opts.trace {
         return Err("--audit takes no --trace".to_string());
+    }
+    if opts.trace && opts.seeds.is_some() {
+        return Err("--trace takes no --seeds".to_string());
     }
     // `sweep_seeds` covers `seed..seed+N`; the end must be representable.
     if opts.seeds.is_some_and(|count| opts.seed.checked_add(count as u64).is_none()) {
@@ -152,13 +156,24 @@ mod tests {
 
     #[test]
     fn all_flags_parse() {
-        let opts = parse(args(&["--seed", "3", "--seeds", "5", "--jobs", "4", "--trace"]))
-            .expect("parse");
+        let opts = parse(args(&["--seed", "3", "--seeds", "5", "--jobs", "4"])).expect("parse");
         assert_eq!(opts.seed, 3);
         assert_eq!(opts.seeds, Some(5));
         assert_eq!(opts.jobs, 4);
-        assert!(opts.trace);
         assert_eq!(sweep_seeds(&opts), vec![3, 4, 5, 6, 7]);
+        let opts = parse(args(&["--trace", "--seed", "3", "--jobs", "4"])).expect("parse");
+        assert!(opts.trace);
+        assert_eq!((opts.seed, opts.jobs), (3, 4));
+    }
+
+    #[test]
+    fn trace_rejects_a_sweep() {
+        // `report` renders forensics at `--seed` alone, so a sweep width
+        // beside `--trace` was silently ignored.
+        assert_eq!(
+            parse(args(&["--seed", "3", "--seeds", "5", "--trace"])),
+            Err("--trace takes no --seeds".to_string())
+        );
     }
 
     #[test]
@@ -238,6 +253,7 @@ mod tests {
             if let Ok(opts) = parse(argv) {
                 prop_assert!((1..=MAX_JOBS).contains(&opts.jobs));
                 prop_assert!(!opts.audit || (opts.seeds.is_none() && !opts.trace));
+                prop_assert!(!opts.trace || opts.seeds.is_none());
                 prop_assert_eq!(sweep_seeds(&opts).len(), opts.seeds.unwrap_or(1));
             }
         }

@@ -884,30 +884,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Builds the report from per-seed campaign runs: `runs[i]` must be
-    /// the registry-order results for `seeds[i]`.
-    pub fn from_runs(seeds: Vec<u64>, runs: &[Vec<ScenarioResult>]) -> SweepReport {
-        assert_eq!(seeds.len(), runs.len(), "one run per seed");
-        let n = runs.first().map(|r| r.len()).unwrap_or(0);
-        let mut scenarios = Vec::with_capacity(n);
-        for s in 0..n {
-            let first = &runs[0][s];
-            let mut sc = SweepScenario {
-                name: first.name,
-                system: first.system,
-                detected: Vec::with_capacity(seeds.len()),
-                fixed_clean: Vec::with_capacity(seeds.len()),
-            };
-            for run in runs {
-                assert_eq!(run[s].name, first.name, "runs disagree on registry order");
-                sc.detected.push(!run[s].flawed.is_empty());
-                sc.fixed_clean.push(run[s].fixed.is_empty());
-            }
-            scenarios.push(sc);
-        }
-        SweepReport { seeds, scenarios }
-    }
-
     /// `(deterministic, timing-dependent, undetected)` scenario counts —
     /// the live Table 11 split.
     pub fn split(&self) -> (usize, usize, usize) {

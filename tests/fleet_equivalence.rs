@@ -34,6 +34,30 @@ fn sweep_is_byte_identical_for_any_worker_count() {
     }
 }
 
+/// The sweep's cells against an oracle outside the grid: the serial
+/// campaign at each seed. A wrong cell → (scenario, seed) map would still
+/// agree with itself at every worker count.
+#[test]
+fn sweep_cells_match_the_per_seed_campaigns() {
+    let seeds: Vec<u64> = (8..12).collect();
+    let runs: Vec<_> = seeds.iter().map(|&seed| run_all_scenarios(seed)).collect();
+    for jobs in [1, 3] {
+        let report = fleet::campaign::sweep(&seeds, jobs);
+        assert_eq!(report.seeds, seeds);
+        assert_eq!(report.scenarios.len(), runs[0].len(), "jobs={jobs}");
+        for (s, row) in report.scenarios.iter().enumerate() {
+            assert_eq!(row.name, runs[0][s].name, "jobs={jobs}: row {s}");
+            assert_eq!(row.detected.len(), seeds.len());
+            assert_eq!(row.fixed_clean.len(), seeds.len());
+            for (i, run) in runs.iter().enumerate() {
+                let at = format!("jobs={jobs}: {} at seed {}", row.name, seeds[i]);
+                assert_eq!(row.detected[i], !run[s].flawed.is_empty(), "{at}: detected");
+                assert_eq!(row.fixed_clean[i], run[s].fixed.is_empty(), "{at}: fixed clean");
+            }
+        }
+    }
+}
+
 #[test]
 fn fingerprints_are_byte_identical_for_any_worker_count() {
     let serial = scenario_fingerprints(8);
