@@ -1,12 +1,14 @@
 //! Prints each arm's Quick-mode cost at a seed (default 8): events,
-//! allocations, allocations per event, deepest event queue (`qmax`) and
-//! events scheduled beyond the queue's window (`far`), most allocations
-//! first — the table that names an arm paying more per event than its
-//! peers, and shows how few events a world ever has pending and how few
-//! of them are due far ahead. A second table gives each explorer target's
-//! trial tails over 50 coverage-guided trials at the seed: how many
-//! virtual ms and events its trials spent between the final heal and the
-//! checkers, and how many never settled and ran to the quiesce cap.
+//! allocations, allocations per event, deepest event queue (`qmax`),
+//! events scheduled beyond the queue's window (`far`) and replies dropped
+//! because their op had closed (`late`), most allocations first — the
+//! table that names an arm paying more per event than its peers, and
+//! shows how few events a world ever has pending, how few of them are
+//! due far ahead, and which arms answer an op after its client gave up.
+//! A second table gives each explorer target's trial tails over 50
+//! coverage-guided trials at the seed: how many virtual ms and events its
+//! trials spent between the final heal and the checkers, and how many
+//! never settled and ran to the quiesce cap.
 //! Exact counts, no clock: wall-clock numbers
 //! come from `bash benchmarks/run.sh`. The campaign-wide counters are the
 //! committed `BENCH_perf.json`, written by `bench --bin artifacts`.

@@ -77,6 +77,9 @@ pub struct ArmCost {
     /// events any of them ever had pending at once (`qmax`), `far` how many
     /// were scheduled beyond the queue's window.
     pub queue: simnet::QueueStats,
+    /// Replies the arm's mailboxes dropped because their op had closed
+    /// (`neat::cluster::late_replies_during`).
+    pub late: u64,
 }
 
 /// Every registry arm's cost, most allocations first (ties keep registry
@@ -86,14 +89,19 @@ pub fn arm_costs(seed: u64) -> Vec<ArmCost> {
     let mut costs: Vec<ArmCost> = campaign::arm_ids()
         .iter()
         .map(|arm| {
-            let ((run, allocations), queue) = simnet::queue_stats_during(|| {
-                alloc_counter::count_allocations(|| campaign::run_arm(arm, seed, RunMode::Quick))
+            let (((run, allocations), late), queue) = simnet::queue_stats_during(|| {
+                neat::cluster::late_replies_during(|| {
+                    alloc_counter::count_allocations(|| {
+                        campaign::run_arm(arm, seed, RunMode::Quick)
+                    })
+                })
             });
             ArmCost {
                 arm: arm.name.clone(),
                 events: run.timeline.counters.events_simulated,
                 allocations,
                 queue,
+                late,
             }
         })
         .collect();
@@ -108,18 +116,19 @@ pub fn render_arm_costs(costs: &[ArmCost]) -> String {
         events: costs.iter().map(|c| c.events).sum(),
         allocations: costs.iter().map(|c| c.allocations).sum(),
         queue: simnet::QueueStats::default(),
+        late: costs.iter().map(|c| c.late).sum(),
     };
     costs.iter().for_each(|c| total.queue.merge(c.queue));
     let mut out = format!(
-        "{:<50} {:>7} {:>11} {:>17} {:>5} {:>5}\n",
-        "arm", "events", "allocations", "allocations/event", "qmax", "far"
+        "{:<50} {:>7} {:>11} {:>17} {:>5} {:>5} {:>4}\n",
+        "arm", "events", "allocations", "allocations/event", "qmax", "far", "late"
     );
     for c in costs.iter().chain([&total]) {
         let per_event = c.allocations as f64 / c.events.max(1) as f64;
         let _ = writeln!(
             out,
-            "{:<50} {:>7} {:>11} {:>17.2} {:>5} {:>5}",
-            c.arm, c.events, c.allocations, per_event, c.queue.high_water, c.queue.far
+            "{:<50} {:>7} {:>11} {:>17.2} {:>5} {:>5} {:>4}",
+            c.arm, c.events, c.allocations, per_event, c.queue.high_water, c.queue.far, c.late
         );
     }
     out
@@ -213,7 +222,7 @@ mod tests {
 
     #[test]
     fn the_cost_table_ends_with_one_total_row_over_every_arm() {
-        let arm = |arm: &str, events, allocations, high_water, far| ArmCost {
+        let arm = |arm: &str, events, allocations, high_water, far, late| ArmCost {
             arm: arm.to_string(),
             events,
             allocations,
@@ -222,16 +231,17 @@ mod tests {
                 scheduled: events,
                 far,
             },
+            late,
         };
-        let costs = [arm("a/flawed", 300, 900, 12, 40), arm("b/fixed", 100, 50, 31, 2)];
+        let costs = [arm("a/flawed", 300, 900, 12, 40, 2), arm("b/fixed", 100, 50, 31, 2, 1)];
         let table = render_arm_costs(&costs);
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 4, "a header, two arms and the total:\n{table}");
         // Events and allocations summed, allocations per event over the
-        // sums, the deepest queue, the far events summed.
+        // sums, the deepest queue, the far events and late replies summed.
         let total = concat!(
             "total (2 arms)                                    ",
-            "     400         950              2.38    31    42"
+            "     400         950              2.38    31    42    3"
         );
         assert_eq!(lines[3], total);
     }

@@ -248,19 +248,21 @@ impl Broker {
         }
     }
 
+    /// Files a coordination answer. Only answers to ops still in
+    /// `inflight` reach the session: the broker never closes an op, so a
+    /// duplicate, or an answer to an op a crash forgot, would otherwise
+    /// wait in the session's mailbox for the rest of the run.
     fn on_coord(&mut self, ctx: &mut Ctx<'_, MqMsg>, cm: CoordMsg) {
-        let op = match &cm {
-            CoordMsg::Resp { op_id, .. } => Some(*op_id),
-            _ => None,
+        let CoordMsg::Resp { op_id, .. } = cm else {
+            return;
+        };
+        let Some(&intent) = self.inflight.get(&op_id) else {
+            return;
         };
         self.session.on_message(cm);
-        if let Some(op_id) = op {
-            if let Some(intent) = self.inflight.get(&op_id).copied() {
-                if let Some(resp) = self.session.mailbox.take(op_id) {
-                    self.inflight.remove(&op_id);
-                    self.handle_intent(ctx, intent, resp);
-                }
-            }
+        if let Some(resp) = self.session.mailbox.take(op_id) {
+            self.inflight.remove(&op_id);
+            self.handle_intent(ctx, intent, resp);
         }
     }
 
@@ -564,6 +566,36 @@ struct PendingSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_broker_session_keeps_no_answer_it_will_never_take() {
+        use neat::DegradeSpec;
+        use simnet::DegradeRule;
+
+        use crate::cluster::MqCluster;
+
+        // Every coordination answer reaches the brokers twice: the broker
+        // takes the first, and the copy lands after the op left `inflight`.
+        let mut mq = MqCluster::build(
+            3,
+            BrokerFlaws::flawed(),
+            coord::CoordFlaws::default(),
+            8,
+            false,
+        );
+        mq.wait_for_master(3_000, None).expect("a healthy deployment elects a master");
+        mq.neat.degrade(DegradeSpec::Simplex {
+            src: vec![mq.coord],
+            dst: mq.brokers.clone(),
+            rule: DegradeRule::duplicating(1.0),
+        });
+        mq.neat.sleep(1_000);
+        for &b in &mq.brokers {
+            let broker = mq.neat.world.app(b).broker();
+            let (waiting, open) = (broker.session.mailbox.waiting(), broker.inflight.len());
+            assert!(waiting <= open, "{b:?} holds {waiting} answers for {open} open ops");
+        }
+    }
 
     #[test]
     fn flaw_profiles_differ_as_documented() {

@@ -16,7 +16,7 @@
 //! - [`boot`] — the one construction site: seed and recording flag in, a
 //!   started world wrapped in the [`Neat`] engine out.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 
 use simnet::{Application, Ctx, NodeId, TimerId, WorldBuilder};
 
@@ -45,11 +45,17 @@ pub trait Node<M> {
 /// [`Node`] impl that [`put`](Mailbox::put)s every reply by its op id;
 /// [`Neat::request`] opens the id, polls [`take`](Mailbox::take) and
 /// closes the op, answered or timed out.
+///
+/// The waiting replies are a plain vector searched front to back. A
+/// `request` client has one op open at a time, and mqueue's brokers file
+/// only answers to coordination ops they still wait on, so an inbox is
+/// nearly always empty: over every campaign arm at seeds 8 and 42, the
+/// read ladder and 4,000 explorer trials, none held more than one reply.
 pub struct Mailbox<R> {
     next: u64,
     /// The lowest op id a reply is still kept for.
     floor: u64,
-    inbox: BTreeMap<u64, R>,
+    inbox: Vec<(u64, R)>,
 }
 
 impl<R> Default for Mailbox<R> {
@@ -57,9 +63,15 @@ impl<R> Default for Mailbox<R> {
         Self {
             next: 0,
             floor: 0,
-            inbox: BTreeMap::new(),
+            inbox: Vec::new(),
         }
     }
+}
+
+thread_local! {
+    /// Replies every mailbox on this thread dropped because their op was
+    /// closed; see [`late_replies_during`].
+    static LATE_REPLIES: Cell<u64> = const { Cell::new(0) };
 }
 
 impl<R> Mailbox<R> {
@@ -73,16 +85,25 @@ impl<R> Mailbox<R> {
     }
 
     /// Keeps `reply` for `op_id` unless a reply is already waiting (the
-    /// first answer wins) or the op is closed (a late reply is dropped).
+    /// first answer wins) or the op is closed (a late reply is dropped,
+    /// and counted for [`late_replies_during`]).
     pub fn put(&mut self, op_id: u64, reply: R) {
-        if op_id >= self.floor {
-            self.inbox.entry(op_id).or_insert(reply);
+        if op_id < self.floor {
+            LATE_REPLIES.set(LATE_REPLIES.get() + 1);
+        } else if !self.inbox.iter().any(|&(id, _)| id == op_id) {
+            self.inbox.push((op_id, reply));
         }
     }
 
     /// Removes and returns the reply to `op_id`, if one arrived.
     pub fn take(&mut self, op_id: u64) -> Option<R> {
-        self.inbox.remove(&op_id)
+        let at = self.inbox.iter().position(|&(id, _)| id == op_id)?;
+        Some(self.inbox.swap_remove(at).1)
+    }
+
+    /// The number of replies waiting to be taken.
+    pub fn waiting(&self) -> usize {
+        self.inbox.len()
     }
 
     /// Closes `op_id` and every id opened before it: replies to them are
@@ -90,6 +111,21 @@ impl<R> Mailbox<R> {
     pub(crate) fn close(&mut self, op_id: u64) {
         self.floor = self.floor.max(op_id + 1);
     }
+}
+
+/// Runs `f` and returns, beside its result, how many replies the
+/// mailboxes on this thread dropped meanwhile because their op had
+/// closed (a duplicate or a reply that outlived its timeout). A scenario
+/// hides its mailboxes behind a function that returns only an outcome;
+/// this is how a tool reads the count anyway, without it entering any
+/// outcome (and so any fingerprint), the way
+/// [`simnet::queue_stats_during`] reads the event queues.
+pub fn late_replies_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let outer = LATE_REPLIES.take();
+    let r = f();
+    let inner = LATE_REPLIES.get();
+    LATE_REPLIES.set(outer + inner);
+    (r, inner)
 }
 
 /// The panic behind every generated role accessor.
@@ -406,7 +442,54 @@ mod tests {
         assert_eq!(ask_slow(&mut neat, 300), Some(second));
         // …and was dropped on arrival: its op was closed when it timed out.
         let inbox = &neat.world.app(NodeId(1)).client().inbox;
-        assert!(!inbox.contains_key(&first), "late reply kept: {:?}", inbox.keys());
+        assert!(
+            !inbox.iter().any(|&(id, _)| id == first),
+            "late reply kept: {inbox:?}"
+        );
+    }
+
+    #[test]
+    fn a_dropped_late_reply_is_counted_on_its_thread() {
+        let mut neat = boot(4, false, 2, |id| match id.0 {
+            0 => SlowProc::Server(Slow::default()),
+            _ => SlowProc::Client(Mailbox::default()),
+        });
+        let ((), late) = late_replies_during(|| {
+            assert_eq!(ask_slow(&mut neat, 50), None);
+            neat.sleep(200);
+        });
+        assert_eq!(late, 1, "the timed-out op's reply landed after it closed");
+        // A reply to an open op, kept or a second answer, is not late.
+        let ((), late) = late_replies_during(|| {
+            let mut m = Mailbox::default();
+            let op = m.open(NodeId(0));
+            m.put(op, 1);
+            m.put(op, 2);
+        });
+        assert_eq!(late, 0);
+    }
+
+    #[test]
+    fn mailbox_keeps_replies_to_open_ids_apart() {
+        let mut m = Mailbox::default();
+        let (a, b) = (m.open(NodeId(3)), m.open(NodeId(3)));
+        m.put(b, "to b");
+        m.put(a, "to a");
+        assert_eq!(m.waiting(), 2);
+        assert_eq!(m.take(a), Some("to a"));
+        assert_eq!(m.take(b), Some("to b"));
+        assert_eq!(m.waiting(), 0);
+    }
+
+    #[test]
+    fn taking_an_absent_id_leaves_the_other_replies_in_place() {
+        let mut m = Mailbox::default();
+        let (a, b, c) = (m.open(NodeId(0)), m.open(NodeId(0)), m.open(NodeId(0)));
+        m.put(a, 'a');
+        m.put(c, 'c');
+        assert_eq!(m.take(b), None, "no reply to b arrived");
+        assert_eq!(m.waiting(), 2);
+        assert_eq!((m.take(c), m.take(a)), (Some('c'), Some('a')));
     }
 
     #[test]

@@ -311,11 +311,17 @@ impl<A: Application> Neat<A> {
     /// `client` node's [`Mailbox`] (reached through `mailbox`, usually the
     /// family's generated `client_mut` accessor), `send` puts the request
     /// for that id on the wire, and the simulation advances until the
-    /// reply is in the mailbox or `timeout` virtual milliseconds pass.
-    /// Either way the op is then closed, so a reply that arrives after a
-    /// timeout is dropped rather than kept for the rest of the run. `None`
-    /// is the *Timeout* outcome of the paper's histories — at once, with
-    /// the clock unmoved, when the client node is down.
+    /// reply is in the mailbox or the deadline, `timeout` virtual
+    /// milliseconds on, is reached. Either way the op is then closed, so a
+    /// reply that arrives after a timeout is dropped rather than kept for
+    /// the rest of the run. `None` is the *Timeout* outcome of the paper's
+    /// histories — at once, with the clock unmoved, when the client node
+    /// is down.
+    ///
+    /// A timeout does not always end at the deadline: when the next
+    /// pending event lies past it, that event is processed and the op ends
+    /// there, at the event's time (see `run_op`). When nothing is pending,
+    /// the clock stops at the deadline.
     ///
     /// ```
     /// use neat::cluster::{Mailbox, Node};
@@ -376,6 +382,14 @@ impl<A: Application> Neat<A> {
 
     /// Steps the world until `poll` answers or `timeout` virtual
     /// milliseconds pass, polling after every step.
+    ///
+    /// The loop steps whenever the clock is short of the deadline, and a
+    /// step runs the next event wherever it lies: when that event is past
+    /// the deadline, it is processed and polled once more, and the op ends
+    /// there, with the clock at that event rather than at the deadline.
+    /// (Stopping at the deadline instead would move the clock, and so the
+    /// audit hash, of every arm where this happens.) With no event
+    /// pending, the clock jumps to the deadline.
     fn run_op<R>(
         &mut self,
         timeout: Time,
@@ -463,6 +477,27 @@ mod tests {
         let got = ping(&mut neat);
         assert_eq!(got, None);
         assert_eq!(neat.now(), t0 + 50, "a timeout costs exactly the timeout");
+    }
+
+    #[test]
+    fn a_timeout_ends_at_the_first_event_past_its_deadline() {
+        let mut neat = engine(2);
+        neat.op_timeout = 50;
+        neat.partition_complete(&[NodeId(0)], &[NodeId(1)]);
+        let t0 = neat.now();
+        // The only pending event is a timer 80 ms on, past the deadline.
+        neat.world
+            .call(NodeId(1), |_, ctx| ctx.set_timer(80, 0))
+            .unwrap();
+        assert_eq!(ping(&mut neat), None);
+        assert_eq!(neat.now(), t0 + 80, "the op ran the timer, then gave up");
+        // An event before the deadline leaves the deadline in charge.
+        neat.world
+            .call(NodeId(1), |_, ctx| ctx.set_timer(20, 0))
+            .unwrap();
+        let t1 = neat.now();
+        assert_eq!(ping(&mut neat), None);
+        assert_eq!(neat.now(), t1 + 50);
     }
 
     #[test]

@@ -53,8 +53,10 @@ impl KvClient {
         Self { policy, ..self }
     }
 
-    /// One request/response attempt; does not touch the history.
-    fn attempt(&self, neat: &mut Neat<Proc>, req: Req) -> Outcome {
+    /// One request/response attempt; does not touch the history. The
+    /// read ladder issues its reads through this directly: a probe that
+    /// no checker reads costs its wire traffic and nothing else.
+    pub(crate) fn attempt(&self, neat: &mut Neat<Proc>, req: Req) -> Outcome {
         let Self { node, target, .. } = *self;
         let resp = neat.request(node, neat.op_timeout, Proc::client_mut, |_, ctx, op_id| {
             ctx.send(target, Msg::ClientReq { op_id, req })

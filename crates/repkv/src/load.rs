@@ -12,7 +12,7 @@
 //! [`obs::Event::Load`](neat::obs) samples so the forensic timeline shows
 //! issue/complete/in-flight curves next to the fault windows.
 
-use std::collections::BTreeMap;
+use std::{collections::BTreeMap, sync::Arc};
 
 use neat::{
     checkers::{check_register, RegisterSemantics},
@@ -26,6 +26,7 @@ use workload::{
 use crate::{
     cluster::{Cluster, ClusterSpec},
     config::Config,
+    msg::Req,
     scenarios::counter_violations,
 };
 
@@ -414,6 +415,11 @@ pub fn load_batched_write_atomicity(
 /// matter how many fleet jobs ran them — that is the determinism claim
 /// `BENCH_workload.json` records.
 ///
+/// The four seeding writes are recorded; the reads are unrecorded probes
+/// (`KvClient::attempt`, the one attempt `read` wraps), since no checker
+/// reads the ladder's history: a read costs its two deliveries, not a
+/// history record.
+///
 /// Reads only: the ladder measures steady-state delivery, and reads leave
 /// the log at its seeded four entries. Writes would no longer be ruled out
 /// by their cost — a log version is shared by the leader, its messages and
@@ -428,7 +434,7 @@ pub fn open_loop_read_shard(shard: u64, ops: u64) -> workload::LoadReport {
     cluster.neat.sleep(500);
     leader = cluster.leader().unwrap_or(leader);
 
-    let keys = ["r0", "r1", "r2", "r3"];
+    let keys = ["r0", "r1", "r2", "r3"].map(|k| cluster.neat.key(k));
     for (i, k) in keys.iter().enumerate() {
         cluster
             .client(0)
@@ -453,7 +459,13 @@ pub fn open_loop_read_shard(shard: u64, ops: u64) -> workload::LoadReport {
             leader = l;
         }
         let start = cluster.neat.now();
-        let outcome = cluster.client(0).via(leader).read(&mut cluster.neat, keys[op.key]);
+        let read = Req::Read {
+            key: Arc::clone(&keys[op.key]),
+        };
+        let outcome = cluster
+            .client(0)
+            .via(leader)
+            .attempt(&mut cluster.neat, read);
         driver.complete(&op, start, cluster.neat.now(), status_of(&outcome));
     }
     driver.into_report()
@@ -542,6 +554,17 @@ mod tests {
         assert_eq!(a.issued, 200);
         assert_eq!(a.ok, 200, "healthy cluster must answer every read: {}", a.render());
         assert_ne!(a.render(), open_loop_read_shard(4, 200).render());
+    }
+
+    #[test]
+    fn a_2000_read_shard_renders_as_it_did_when_reads_were_recorded() {
+        // Rendered while every read went through `KvClient::read` and was
+        // recorded: unrecorded probes move no simulated byte.
+        assert_eq!(
+            open_loop_read_shard(3, 2_000).render(),
+            "issued=2000 ok=2000 fail=0 timeout=0 behind=1342 max-lag=47 \
+             p50=6 p99=29 p999=48 max=51"
+        );
     }
 
     #[test]

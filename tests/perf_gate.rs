@@ -461,14 +461,36 @@ fn recording_adds_at_most_ten_thousand_allocations_to_a_quiet_campaign() {
 #[test]
 fn an_open_loop_read_allocates_nothing_once_its_key_is_interned() {
     // The difference of two shard lengths cancels cluster construction.
-    // A read's request and history record share the key `Neat::key`
-    // interned at its first use, so what is left is the history's growth.
-    // Each read used to allocate its key twice (about 4,000 here) and,
-    // before that, clone its request twice more on its way to the wire.
+    // The ladder interns its four keys once and reads through unrecorded
+    // probes that share them, so no read allocates: what is left is one
+    // container growing once more (1 allocation here; 2 while every read
+    // also pushed a history record). Each read used to allocate its key
+    // twice (about 4,000 here) and, before that, clone its request twice
+    // more on its way to the wire.
     let shard_allocs =
         |ops| alloc_counter::count_allocations(|| repkv::load::open_loop_read_shard(0, ops)).1;
     let extra = shard_allocs(4_000).saturating_sub(shard_allocs(2_000));
     assert!(extra < 100, "2,000 extra reads allocated {extra} times");
+}
+
+#[test]
+fn only_a_duplicated_reply_lands_after_its_op_closed() {
+    // Replies the mailboxes drop because their op had closed, counted at
+    // seed 8: one in each arm of `gray_duplicating_link_incr`, whose
+    // duplicated reply lands after the client took the first copy. A
+    // timed-out op whose reply still arrives would show up here.
+    let mut late: Vec<(String, u64)> = bench::perf_bench::arm_costs(8)
+        .into_iter()
+        .filter(|c| c.late > 0)
+        .map(|c| (c.arm, c.late))
+        .collect();
+    late.sort();
+    let arm = |name: &str| (format!("gray_duplicating_link_incr/{name}"), 1);
+    assert_eq!(late, [arm("fixed"), arm("flawed")], "arms with late replies at seed 8");
+    // A healthy ladder answers every read before its timeout.
+    let (report, late) =
+        neat::cluster::late_replies_during(|| repkv::load::open_loop_read_shard(0, 2_000));
+    assert_eq!((report.ok, late), (2_000, 0), "{}", report.render());
 }
 
 /// Allocations and events (deliveries plus timer fires) of 2,000 virtual
