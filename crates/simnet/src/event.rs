@@ -162,13 +162,24 @@ impl<M> EventQueue<M> {
         let index = self.free;
         if index == NIL {
             let index = self.slots.len() as u32;
-            self.slots.push(Slot { kind: Some(kind), seq: 0, next: NIL, generation: 0 });
-            return Handle { index, generation: 0 };
+            self.slots.push(Slot {
+                kind: Some(kind),
+                seq: 0,
+                next: NIL,
+                generation: 0,
+            });
+            return Handle {
+                index,
+                generation: 0,
+            };
         }
         let slot = &mut self.slots[index as usize];
         self.free = slot.next;
         slot.kind = Some(kind);
-        Handle { index, generation: slot.generation }
+        Handle {
+            index,
+            generation: slot.generation,
+        }
     }
 
     /// The slot behind `handle`, which must not have been scheduled yet.
@@ -272,7 +283,11 @@ impl<M> EventQueue<M> {
         // Invariant: a slot linked into a bucket was scheduled and not yet
         // popped, so it holds a payload.
         let kind = slot.kind.take().expect("scheduled slot without a payload"); // lint:allow(unwrap-expect)
-        Some(Event { time, seq: slot.seq, kind })
+        Some(Event {
+            time,
+            seq: slot.seq,
+            kind,
+        })
     }
 
     /// Returns the time of the earliest pending event without removing it:
@@ -281,7 +296,10 @@ impl<M> EventQueue<M> {
         if self.occupied == 0 {
             return self.far.peek().map(|Reverse((time, ..))| *time);
         }
-        let offset = self.occupied.rotate_right((self.base % WINDOW) as u32).trailing_zeros();
+        let offset = self
+            .occupied
+            .rotate_right((self.base % WINDOW) as u32)
+            .trailing_zeros();
         Some(self.base + u64::from(offset))
     }
 
@@ -382,7 +400,11 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.stats().high_water, 2, "the high-water mark outlives the pop");
+        assert_eq!(
+            q.stats().high_water,
+            2,
+            "the high-water mark outlives the pop"
+        );
     }
 
     #[test]
@@ -426,7 +448,12 @@ mod tests {
             },
         );
         match q.pop().expect("timer first").kind {
-            EventKind::Timer { node, id, tag, epoch } => {
+            EventKind::Timer {
+                node,
+                id,
+                tag,
+                epoch,
+            } => {
                 assert_eq!((node, id, tag, epoch), (NodeId(6), TimerId(77), 8, 2));
             }
             other => panic!("expected timer, got {other:?}"),
@@ -464,8 +491,16 @@ mod tests {
             now = far.time;
         }
         assert_eq!(q.stats().far, 100);
-        assert!(q.slots.len() <= 2, "slab grew past high-water: {}", q.slots.len());
-        assert!(q.far.capacity() <= 2, "far heap grew past high-water: {}", q.far.capacity());
+        assert!(
+            q.slots.len() <= 2,
+            "slab grew past high-water: {}",
+            q.slots.len()
+        );
+        assert!(
+            q.far.capacity() <= 2,
+            "far heap grew past high-water: {}",
+            q.far.capacity()
+        );
     }
 
     #[test]

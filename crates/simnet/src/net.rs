@@ -296,7 +296,8 @@ impl Net {
 
     /// Returns `true` while any installed rule blocks `src → dst`.
     pub fn is_blocked(&self, src: NodeId, dst: NodeId) -> bool {
-        self.index(src, dst).is_some_and(|i| self.links[i].blocked > 0)
+        self.index(src, dst)
+            .is_some_and(|i| self.links[i].blocked > 0)
     }
 
     /// Number of currently installed rules.
@@ -538,7 +539,10 @@ mod tests {
     #[test]
     fn fifo_links_never_reorder() {
         let mut net = fabric();
-        net.degrade_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])), DegradeRule::slow(0, 10));
+        net.degrade_pairs(
+            simplex_pairs(&ids(&[0]), &ids(&[1])),
+            DegradeRule::slow(0, 10),
+        );
         let mut rng = StdRng::seed_from_u64(3);
         let mut prev = 0;
         for now in 0..50 {
@@ -654,8 +658,14 @@ mod tests {
         );
         // The uncovered direction is untouched.
         assert_eq!(net.admit(0, NodeId(1), NodeId(0), &mut rng), None);
-        assert!(matches!(net.route(0, NodeId(0), NodeId(1), &mut rng), (51..=52, None)));
-        assert!(matches!(net.route(0, NodeId(1), NodeId(0), &mut rng), (1..=2, None)));
+        assert!(matches!(
+            net.route(0, NodeId(0), NodeId(1), &mut rng),
+            (51..=52, None)
+        ));
+        assert!(matches!(
+            net.route(0, NodeId(1), NodeId(0), &mut rng),
+            (1..=2, None)
+        ));
         // A block rule wins over the loss, and draws nothing.
         net.block_pairs(simplex_pairs(&ids(&[0]), &ids(&[1])));
         let before = rng.clone().next_u64();

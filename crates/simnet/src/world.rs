@@ -107,7 +107,11 @@ impl<'a, M> Ctx<'a, M> {
     /// first, like a packet already on the wire. Sending to self is
     /// allowed and goes through the queue like any other message.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let handle = self.queue.stash(EventKind::Deliver { from: self.id, to, msg });
+        let handle = self.queue.stash(EventKind::Deliver {
+            from: self.id,
+            to,
+            msg,
+        });
         self.actions.push(Action::Send { to, handle });
     }
 
@@ -378,7 +382,11 @@ impl<A: Application> World<A> {
     }
 
     /// Runs `f` with a ctx for node `id` and applies resulting actions.
-    fn with_handler<R>(&mut self, id: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R) -> R {
+    fn with_handler<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>) -> R,
+    ) -> R {
         // Reuse the world's action buffer across handler calls: `take`
         // leaves an empty Vec behind (no allocation), the buffer is
         // drained by `apply_actions`, and its capacity survives for the
@@ -421,7 +429,15 @@ impl<A: Application> World<A> {
                     self.queue.schedule(at, handle);
                 }
                 Action::SetTimer { id, at, tag } => {
-                    self.queue.push(at, EventKind::Timer { node: from, id, tag, epoch });
+                    self.queue.push(
+                        at,
+                        EventKind::Timer {
+                            node: from,
+                            id,
+                            tag,
+                            epoch,
+                        },
+                    );
                 }
                 Action::Note(text) => {
                     self.trace.push(Note {
@@ -448,7 +464,12 @@ impl<A: Application> World<A> {
         self.now = ev.time;
         match ev.kind {
             EventKind::Deliver { from, to, msg } => self.deliver(from, to, msg),
-            EventKind::Timer { node, id, tag, epoch } => {
+            EventKind::Timer {
+                node,
+                id,
+                tag,
+                epoch,
+            } => {
                 let slot = &self.slots[node.0];
                 if !slot.alive || slot.epoch != epoch {
                     return true;
@@ -645,8 +666,16 @@ mod tests {
     #[test]
     fn broadcast_clones_for_all_but_the_last_recipient() {
         assert_eq!(broadcast_from_node_1(&[0, 1, 2, 3]), (vec![0, 2, 3], 2));
-        assert_eq!(broadcast_from_node_1(&[3, 0, 1]), (vec![3, 0], 1), "list order, self last");
-        assert_eq!(broadcast_from_node_1(&[1, 2]), (vec![2], 0), "one recipient takes the original");
+        assert_eq!(
+            broadcast_from_node_1(&[3, 0, 1]),
+            (vec![3, 0], 1),
+            "list order, self last"
+        );
+        assert_eq!(
+            broadcast_from_node_1(&[1, 2]),
+            (vec![2], 0),
+            "one recipient takes the original"
+        );
         assert_eq!(broadcast_from_node_1(&[1]), (vec![], 0), "self only");
         assert_eq!(broadcast_from_node_1(&[]), (vec![], 0), "no peers");
     }
@@ -705,7 +734,11 @@ mod tests {
         w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), 2)).unwrap();
         w.run_for(100);
         assert!(w.app(NodeId(1)).seen.is_empty());
-        assert_eq!(w.app(NodeId(1)).heartbeats, 0, "timers must die with the node");
+        assert_eq!(
+            w.app(NodeId(1)).heartbeats,
+            0,
+            "timers must die with the node"
+        );
         assert_eq!(w.trace().counters.dropped_dead, 1);
     }
 
@@ -790,7 +823,8 @@ mod tests {
     fn zero_drop_probability_loses_nothing() {
         let mut w = WorldBuilder::new(5).build(2, |_| Echo::new());
         for i in 0..50u64 {
-            w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1)).unwrap();
+            w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1))
+                .unwrap();
         }
         w.run_for(1000);
         let c = w.trace().counters;
@@ -805,7 +839,8 @@ mod tests {
             DegradeRule::lossy(1.0),
         );
         for i in 0..5u64 {
-            w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1)).unwrap();
+            w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2 + 1))
+                .unwrap();
         }
         w.run_until_idle();
         assert!(w.app(NodeId(1)).seen.is_empty());
@@ -865,13 +900,20 @@ mod tests {
             crate::net::simplex_pairs(&[NodeId(0)], &[NodeId(1)]),
             DegradeRule::duplicating(1.0),
         );
-        w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), Marked { copy: false })).unwrap();
+        w.call(NodeId(0), |_, ctx| {
+            ctx.send(NodeId(1), Marked { copy: false })
+        })
+        .unwrap();
         assert_eq!(w.pending_events(), 2);
         assert_eq!(w.queue_stats().scheduled, 2);
         w.run_until_idle();
         let got = &w.app(NodeId(1)).0;
         assert_eq!(got[0].1, got[1].1, "precondition: copy and original tie");
-        assert_eq!([got[0].0, got[1].0], [true, false], "the copy takes the lower seq");
+        assert_eq!(
+            [got[0].0, got[1].0],
+            [true, false],
+            "the copy takes the lower seq"
+        );
         let c = w.trace().counters;
         assert_eq!((c.sent, c.duplicated, c.delivered), (1, 1, 2));
     }
@@ -911,7 +953,8 @@ mod tests {
                 },
             );
             for i in 0..50u64 {
-                w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2)).unwrap();
+                w.call(NodeId(0), |_, ctx| ctx.send(NodeId(1), i * 2))
+                    .unwrap();
                 w.run_for(3);
             }
             w.run_for(500);

@@ -4,8 +4,7 @@
 
 use proptest::prelude::*;
 use simnet::{
-    net::bidirectional_pairs, Application, Ctx, DegradeRule, NodeId, Time, TimerId,
-    WorldBuilder,
+    net::bidirectional_pairs, Application, Ctx, DegradeRule, NodeId, Time, TimerId, WorldBuilder,
 };
 
 #[derive(Default)]
@@ -49,7 +48,11 @@ fn fingerprint(seed: u64) -> String {
     w.unblock(rule);
     w.run_for(300);
     let logs: Vec<_> = (0..n).map(|i| w.app(NodeId(i)).seen.clone()).collect();
-    format!("{logs:?}\n{:?}\n{:?}", w.trace().notes(), w.trace().counters)
+    format!(
+        "{logs:?}\n{:?}\n{:?}",
+        w.trace().notes(),
+        w.trace().counters
+    )
 }
 
 proptest! {
