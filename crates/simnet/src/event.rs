@@ -158,6 +158,7 @@ impl<M> EventQueue<M> {
     /// Stores `kind` without scheduling it, reusing a popped slot when one
     /// is free; every stashed payload must be passed to
     /// [`schedule`](Self::schedule) before the next pop.
+    #[inline(always)]
     pub fn stash(&mut self, kind: EventKind<M>) -> Handle {
         let index = self.free;
         if index == NIL {
@@ -183,6 +184,7 @@ impl<M> EventQueue<M> {
     }
 
     /// The slot behind `handle`, which must not have been scheduled yet.
+    #[inline(always)]
     fn stashed(&mut self, handle: Handle) -> &mut Slot<M> {
         let slot = &mut self.slots[handle.index as usize];
         assert_eq!(
@@ -208,6 +210,7 @@ impl<M> EventQueue<M> {
     ///
     /// Panics when `time` is before the last pop: the ring would file such
     /// an event a full lap late instead of first.
+    #[inline(always)]
     pub fn schedule(&mut self, time: Time, handle: Handle) -> u64 {
         assert!(
             time >= self.base,
@@ -231,12 +234,14 @@ impl<M> EventQueue<M> {
     }
 
     /// Schedules `kind` to fire at `time`, returning its sequence number.
+    #[inline]
     pub fn push(&mut self, time: Time, kind: EventKind<M>) -> u64 {
         let handle = self.stash(kind);
         self.schedule(time, handle)
     }
 
     /// Appends slot `index` to the bucket of `time`, which is in the window.
+    #[inline(always)]
     fn append(&mut self, time: Time, index: u32) {
         let bucket = (time % WINDOW) as usize;
         let bit = 1 << bucket;
@@ -252,6 +257,7 @@ impl<M> EventQueue<M> {
     /// Moves the window to start at `time`, the time of the pop under way,
     /// and files every far event it now covers into its bucket, in `(time,
     /// seq)` order.
+    #[inline]
     fn advance(&mut self, time: Time) {
         self.base = time;
         while let Some(&Reverse((at, _, index))) = self.far.peek() {
@@ -264,6 +270,7 @@ impl<M> EventQueue<M> {
     }
 
     /// Removes and returns the earliest event, if any.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<Event<M>> {
         let time = self.peek_time()?;
         if time != self.base {
@@ -292,6 +299,7 @@ impl<M> EventQueue<M> {
 
     /// Returns the time of the earliest pending event without removing it:
     /// the first occupied bucket from `base` on, else the far heap's top.
+    #[inline(always)]
     pub fn peek_time(&self) -> Option<Time> {
         if self.occupied == 0 {
             return self.far.peek().map(|Reverse((time, ..))| *time);

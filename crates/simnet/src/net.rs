@@ -190,7 +190,7 @@ impl Link {
     /// The delivery time of a message sent at `now`: base latency and
     /// jitter, the extra delay of the active covering rules in id order
     /// (zero-jitter rules draw nothing), then the FIFO clock.
-    #[inline]
+    #[inline(always)]
     fn arrival(&mut self, now: Time, rng: &mut StdRng) -> Time {
         let mut at = base_arrival(now, rng);
         if self.delays {
@@ -209,7 +209,7 @@ impl Link {
     /// Whether an active rule hits a message at `now`: every active rule
     /// whose `probability` is non-zero draws once, in id order, even after
     /// an earlier one hit.
-    #[inline]
+    #[inline(always)]
     fn draw(&self, now: Time, rng: &mut StdRng, probability: impl Fn(&DegradeRule) -> f64) -> bool {
         let mut hit = false;
         for rule in self.active_degrades(now) {
@@ -354,7 +354,7 @@ impl Net {
     /// and both times go through the link's FIFO clock. A pair naming a
     /// node the world does not have has no link: base latency and jitter
     /// only.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn route(
         &mut self,
         now: Time,
@@ -374,7 +374,7 @@ impl Net {
     /// Whether a message delivered at `now` on `src → dst` is lost, and
     /// why: a block rule (no draw), else one draw per active lossy degrade
     /// rule.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn admit(
         &self,
         now: Time,

@@ -106,6 +106,7 @@ impl<'a, M> Ctx<'a, M> {
     /// time; a message already sent arrives even if its sender crashes
     /// first, like a packet already on the wire. Sending to self is
     /// allowed and goes through the queue like any other message.
+    #[inline(always)]
     pub fn send(&mut self, to: NodeId, msg: M) {
         let handle = self.queue.stash(EventKind::Deliver {
             from: self.id,
@@ -117,6 +118,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sends `msg` to every node in `peers` except self, in list order. The
     /// last send takes `msg` itself, so k recipients cost k - 1 clones.
+    #[inline]
     pub fn broadcast(&mut self, peers: &[NodeId], msg: M)
     where
         M: Clone,
@@ -134,6 +136,7 @@ impl<'a, M> Ctx<'a, M> {
     /// Schedules a timer to fire after `delay` milliseconds with `tag`.
     ///
     /// The timer is implicitly cancelled if the node crashes before it fires.
+    #[inline]
     pub fn set_timer(&mut self, delay: Time, tag: u64) -> TimerId {
         let id = TimerId(*self.next_timer);
         *self.next_timer += 1;
@@ -382,6 +385,7 @@ impl<A: Application> World<A> {
     }
 
     /// Runs `f` with a ctx for node `id` and applies resulting actions.
+    #[inline(always)]
     fn with_handler<R>(
         &mut self,
         id: NodeId,
@@ -411,6 +415,7 @@ impl<A: Application> World<A> {
     /// Applies a handler's effects in the order it produced them. Sends
     /// get their delivery times here, after the handler returned, so the
     /// fabric's RNG draws never interleave with the handler's own.
+    #[inline(always)]
     fn apply_actions(&mut self, from: NodeId, actions: &mut Vec<Action>) {
         let epoch = self.slots[from.0].epoch;
         for a in actions.drain(..) {
@@ -452,6 +457,7 @@ impl<A: Application> World<A> {
 
     /// Processes the next pending event, if any. Returns `false` when the
     /// queue is empty.
+    #[inline]
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.queue.pop() else {
             return false;
@@ -482,6 +488,7 @@ impl<A: Application> World<A> {
     }
 
     /// Delivers or drops one message; either way only a counter records it.
+    #[inline(always)]
     fn deliver(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
         let lost = self.net.admit(self.now, from, to, &mut self.rng);
         // Destination down or not in this world.

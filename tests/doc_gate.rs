@@ -35,6 +35,41 @@ fn gray_failure_modules_deny_missing_docs() {
     }
 }
 
+/// The simnet functions ARCHITECTURE.md lists as inlined into every
+/// family's event loop ("The hot path") keep the attribute the list gives
+/// them. Each row is `` | `Type::name` | `path.rs:N` | `#[inline…]` | ``:
+/// line N must define `fn name`, directly under that attribute. Without
+/// the hint these stay calls in every family's build, and only the
+/// benchmark's wall clock would notice.
+#[test]
+fn hot_path_functions_keep_their_inline_attributes() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("ARCHITECTURE.md")).expect("read ARCHITECTURE.md");
+    let mut files = std::collections::BTreeSet::new();
+    let (mut listed, mut stale) = (0, Vec::new());
+    for row in doc.lines().filter(|l| l.starts_with("| `") && l.contains("| `#[inline")) {
+        let cells: Vec<&str> = row.split('|').map(|c| c.trim().trim_matches('`')).collect();
+        let [_, name, cited, attr, ..] = cells[..] else { panic!("malformed row: {row}") };
+        let func = name.rsplit("::").next().unwrap_or(name);
+        let (path, line) = cited.split_once(':').unwrap_or_else(|| panic!("not `path:N`: {row}"));
+        let line: usize = line.parse().unwrap_or_else(|_| panic!("bad line number: {row}"));
+        listed += 1;
+        files.insert(path);
+        let src = std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let lines: Vec<&str> = src.lines().collect();
+        let def = lines.get(line.wrapping_sub(1)).copied().unwrap_or_default();
+        let above = lines.get(line.wrapping_sub(2)).map_or("", |l| l.trim());
+        if !def.contains(&format!("fn {func}")) {
+            stale.push(format!("{path}:{line}: `fn {func}` is not on this line: {:?}", def.trim()));
+        } else if above != attr {
+            stale.push(format!("{path}:{line}: `{name}` lost `{attr}` (the line above is {above:?})"));
+        }
+    }
+    assert!(listed >= 19, "only {listed} inlined functions listed; is the parser broken?");
+    assert_eq!(files.len(), 3, "the list should span event.rs, world.rs and net.rs: {files:?}");
+    assert!(stale.is_empty(), "hot-path functions without their attribute:\n{}", stale.join("\n"));
+}
+
 #[test]
 fn forensics_layer_docs_build_without_warnings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -15,6 +15,7 @@
 
 use neat_repro::campaign::{self, RunMode};
 use simnet::net::{bidirectional_pairs, simplex_pairs};
+use simnet::trace::Counters;
 use simnet::{Application, Ctx, DegradeRule, NodeId, TimerId, World, WorldBuilder};
 
 // Route this test binary's heap through the counting allocator; the
@@ -326,6 +327,24 @@ fn delivery_under_sixteen_live_rules_allocates_nothing() {
         "the window exercised no rule: {c:?}"
     );
     assert_eq!(allocs, 0, "a message under live rules allocated");
+    // What the window computed, not just what it allocated: 12 nodes with
+    // drops, duplicates, delays and a flapping rule all live, so a
+    // reordered draw anywhere on the delivery path moves these. Derived
+    // before the path was marked for inlining.
+    let want = Counters {
+        sent: 7_880,
+        delivered: 6_354,
+        dropped_partition: 1_213,
+        dropped_flaky: 0,
+        dropped_degraded: 1_022,
+        duplicated: 765,
+        dropped_dead: 0,
+        timers_fired: 1_611,
+        crashes: 0,
+        restarts: 0,
+    };
+    assert_eq!(c, want, "the gossip world under sixteen rules computed other counters");
+    assert_eq!((w.now(), w.pending_events()), (537, 68), "clock and queue depth moved");
 }
 
 #[test]
